@@ -25,7 +25,7 @@ from .narrative import (
     segment_narrative,
 )
 from .store import VectorRecord, VectorStore
-from .util import atomic_write_text, dumps_line
+from .util import write_jsonl
 
 QUERIES_FILE = "queries.jsonl"
 CANDIDATES_FILE = "candidates.jsonl"
@@ -75,40 +75,31 @@ def cmd_index(args) -> int:
 
 
 def _write_queries(path: str, title: str, themes, queries) -> None:
-    lines = [dumps_line({
-        "format": "aiblob-queries", "version": 1,
-        "episode_title": title,
-        "themes": [t.description for t in themes],
-    })]
-    lines.extend(dumps_line({"theme_index": q.theme_index, "text": q.text}) for q in queries)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_jsonl(
+        path,
+        {"format": "aiblob-queries", "version": 1, "episode_title": title,
+         "themes": [t.description for t in themes]},
+        map(vars, queries),  # a line is one QueryPhrase's fields, in declaration order
+    )
 
 
 def _write_candidates(path: str, candidates) -> None:
-    lines = [dumps_line({"format": "aiblob-candidates", "version": 1})]
-    for record, query_index in candidates:
-        lines.append(dumps_line({
+    write_jsonl(path, {"format": "aiblob-candidates", "version": 1}, (
+        {
             "sentence_id": record.sentence_id,
             "video_id": record.video_id,
             "text": record.text,
             "start_s": record.start_s,
             "end_s": record.end_s,
             "source_query_index": query_index,
-        }))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        }
+        for record, query_index in candidates
+    ))
 
 
 def _write_scores(path: str, scored) -> None:
-    lines = [dumps_line({"format": "aiblob-scores", "version": 1})]
-    for s in scored:
-        lines.append(dumps_line({
-            "sentence_id": s.sentence_id,
-            "irony": s.irony,
-            "relevance": s.relevance,
-            "rationale": s.rationale,
-            "source_query_index": s.source_query_index,
-        }))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    # A line is one ScoredSentence's fields, in declaration order.
+    write_jsonl(path, {"format": "aiblob-scores", "version": 1}, map(vars, scored))
 
 
 def cmd_compose(args) -> int:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .errors import ConfigError, ParseError
 from .montage import RenderSettings
 from .narrative import PipelineConfig
+from .util import is_int
 
 
 @dataclass
@@ -37,6 +38,9 @@ class ProviderSettings:
     retries: int = 3
 
     def __post_init__(self):
+        for name in ("score_batch_size", "retries"):
+            if not is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.score_batch_size < 1:
             raise ConfigError(f"score_batch_size must be positive, got {self.score_batch_size}")
         if self.retries < 0:

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
-from .util import atomic_write_text, dumps_line
+from .util import parse_json_line, read_jsonl, write_jsonl
 
 CORPUS_FORMAT = "aiblob-corpus"
 CORPUS_VERSION = 1
@@ -215,41 +215,18 @@ def export_corpus(sentences: list[Sentence], path: str) -> int:
 
     Returns the number of records written. Output is byte-deterministic.
     """
-    lines = [dumps_line({"format": CORPUS_FORMAT, "version": CORPUS_VERSION})]
-    for s in sentences:
-        lines.append(
-            dumps_line(
-                {
-                    "sentence_id": s.sentence_id,
-                    "video_id": s.video_id,
-                    "ordinal": s.ordinal,
-                    "text": s.text,
-                    "start_s": s.start_s,
-                    "end_s": s.end_s,
-                }
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    # A corpus line is one Sentence's fields, in declaration order.
+    write_jsonl(path, {"format": CORPUS_FORMAT, "version": CORPUS_VERSION}, map(vars, sentences))
     return len(sentences)
 
 
 def load_corpus(path: str) -> list[Sentence]:
     """Read a corpus file back into Sentence records, validating ids and header."""
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = handle.read()
-    lines = [line for line in raw.split("\n") if line]
-    if not lines:
-        raise ParseError(f"corpus file {path} is empty (missing header)")
-    header = _load_json_line(lines[0], path, 1)
-    if header.get("format") != CORPUS_FORMAT:
-        raise ParseError(f"{path}: not a corpus file (format={header.get('format')!r})")
-    if header.get("version") != CORPUS_VERSION:
-        raise ParseError(f"{path}: unsupported corpus version {header.get('version')!r}")
-
+    _header, lines = read_jsonl(path, CORPUS_FORMAT, CORPUS_VERSION)
     sentences: list[Sentence] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        rec = _load_json_line(line, path, lineno)
+    for lineno, line in enumerate(lines, start=2):
+        rec = parse_json_line(line, path, lineno)
         try:
             sentence = Sentence(
                 sentence_id=rec["sentence_id"],
@@ -268,13 +245,3 @@ def load_corpus(path: str) -> list[Sentence]:
         seen.add(sentence.sentence_id)
         sentences.append(sentence)
     return sentences
-
-
-def _load_json_line(line: str, path: str, lineno: int) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}:{lineno}: expected a JSON object")
-    return obj

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParseError, ProviderError, ValidationError
-from .util import post_json, round_half_away
+from .util import is_finite_number, parse_json_line, post_json, round_half_away
 
 logger = logging.getLogger("aiblob.llm")
 
@@ -114,11 +114,8 @@ class ScriptedProvider:
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-                if not isinstance(entry, dict) or "op" not in entry or "response" not in entry:
+                entry = parse_json_line(line, path, lineno)
+                if "op" not in entry or "response" not in entry:
                     raise ParseError(f"{path}:{lineno}: expected {{'op','response'}} object")
                 op = entry["op"]
                 if op not in self._queues:
@@ -469,14 +466,11 @@ def _score_entries(response: dict) -> dict[str, tuple[int, int, str]]:
         relevance = entry.get("relevance")
         if not isinstance(sid, str) or sid in out:
             continue
-        if not _is_number(irony) or not _is_number(relevance):
-            continue
+        if not is_finite_number(irony) or not is_finite_number(relevance):
+            continue  # counts as missing: re-asked, then defaulted
         rationale = entry.get("rationale")
         if not isinstance(rationale, str):
             rationale = ""
         out[sid] = (clamp_score(irony), clamp_score(relevance), rationale)
     return out
 
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)

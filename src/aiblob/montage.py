@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .errors import ParseError, RenderError, ValidationError
 from .narrative import SECTION_ORDER, NarrativePlan
-from .util import atomic_write_text
+from .util import atomic_write_text, is_finite_number
 
 EDL_FORMAT = "aiblob-edl"
 EDL_VERSION = 1
@@ -322,24 +322,31 @@ def save_edl(edl: EditDecisionList, path: str) -> None:
     atomic_write_text(path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
 
 
+def _finite(obj: dict, key: str, path: str, where: str) -> float:
+    value = obj.get(key)
+    if not is_finite_number(value):
+        raise ParseError(f"{path}: {where}.{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _clip_from_payload(obj: dict, path: str, where: str) -> Clip:
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: {where} must be an object")
-    try:
-        sentence_id = obj["sentence_id"]
-        if sentence_id is not None and not isinstance(sentence_id, str):
-            raise ParseError(f"{path}: {where}.sentence_id must be a string or null")
-        return Clip(
-            source_uri=str(obj["source_uri"]),
-            in_s=float(obj["in_s"]),
-            out_s=float(obj["out_s"]),
-            fade_in_s=float(obj["fade_in_s"]),
-            fade_out_s=float(obj["fade_out_s"]),
-            sentence_id=sentence_id,
-            text=str(obj.get("text", "")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: bad clip {where}: {exc}") from exc
+    for key in ("source_uri", "sentence_id"):
+        if key not in obj:
+            raise ParseError(f"{path}: bad clip {where}: missing {key!r}")
+    sentence_id = obj["sentence_id"]
+    if sentence_id is not None and not isinstance(sentence_id, str):
+        raise ParseError(f"{path}: {where}.sentence_id must be a string or null")
+    return Clip(
+        source_uri=str(obj["source_uri"]),
+        in_s=_finite(obj, "in_s", path, where),
+        out_s=_finite(obj, "out_s", path, where),
+        fade_in_s=_finite(obj, "fade_in_s", path, where),
+        fade_out_s=_finite(obj, "fade_out_s", path, where),
+        sentence_id=sentence_id,
+        text=str(obj.get("text", "")),
+    )
 
 
 def load_edl(path: str) -> EditDecisionList:
@@ -355,23 +362,26 @@ def load_edl(path: str) -> EditDecisionList:
     sections_raw = payload.get("sections")
     if not isinstance(sections_raw, dict):
         raise ParseError(f"{path}: sections must be an object")
-    sections = {
-        name: [
-            _clip_from_payload(obj, path, f"{name}[{i}]")
-            for i, obj in enumerate(sections_raw.get(name, []))
+    sections = {}
+    for name in SECTION_ORDER:
+        clips_raw = sections_raw.get(name, [])
+        if not isinstance(clips_raw, list):
+            raise ParseError(f"{path}: sections.{name} must be a list")
+        sections[name] = [
+            _clip_from_payload(obj, path, f"{name}[{i}]") for i, obj in enumerate(clips_raw)
         ]
-        for name in SECTION_ORDER
-    }
     intro_raw = payload.get("intro")
     intro = _clip_from_payload(intro_raw, path, "intro") if intro_raw is not None else None
-    loudness = payload.get("loudness", {})
-    compression = payload.get("compression", {})
+    loudness = payload.get("loudness")
+    compression = payload.get("compression")
     if not isinstance(loudness, dict) or not isinstance(compression, dict):
         raise ParseError(f"{path}: loudness and compression must be objects")
     return EditDecisionList(
         episode_title=str(payload.get("episode_title", "")),
         intro=intro,
         sections=sections,
-        loudness={k: float(v) for k, v in loudness.items()},
-        compression={k: float(v) for k, v in compression.items()},
+        loudness={key: _finite(loudness, key, path, "loudness")
+                  for key in ("integrated_lufs", "true_peak_dbtp")},
+        compression={key: _finite(compression, key, path, "compression")
+                     for key in ("ratio", "threshold_db")},
     )

@@ -28,7 +28,7 @@ from .embeddings import QUERY_INPUT, embed_batch
 from .errors import ConfigError, ParseError, PlanError, ValidationError
 from .llm import QueryPhrase, ScoredSentence
 from .store import VectorRecord, VectorStore
-from .util import atomic_write_text, round_half_away
+from .util import atomic_write_text, is_int, round_half_away
 
 PLAN_FORMAT = "aiblob-plan"
 PLAN_VERSION = 1
@@ -55,11 +55,16 @@ class PipelineConfig:
     min_retained: int = 4
 
     def __post_init__(self):
+        for name in ("k_per_query", "themes", "phrases_per_theme", "min_retained"):
+            if not is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.video_cap is not None and not is_int(self.video_cap):
+            raise ConfigError(f"video_cap must be an integer or null, got {self.video_cap!r}")
         if self.k_per_query < 1:
             raise ConfigError(f"k_per_query must be positive, got {self.k_per_query}")
         for name in ("irony_threshold", "relevance_threshold"):
             value = getattr(self, name)
-            if not isinstance(value, int) or not 1 <= value <= 10:
+            if not is_int(value) or not 1 <= value <= 10:
                 raise ConfigError(f"{name} must be an integer in [1, 10], got {value!r}")
         quotas = (self.climax_quota, self.introduction_quota, self.conclusion_quota)
         for name, value in zip(("climax_quota", "introduction_quota", "conclusion_quota"), quotas):

@@ -1,8 +1,15 @@
 """Persistent sentence-level vector store with exact top-k cosine retrieval.
 
-Retrieval is an exhaustive scan over a float32 matrix (a few hundred thousand
-sentences is tractable exactly, and exactness keeps results reproducible).
-Scores are computed in float64 with ties broken by sentence_id ascending.
+Retrieval is an exhaustive scan (a few hundred thousand sentences is tractable
+exactly, and exactness keeps results reproducible). Scores are computed in
+float64 with ties broken by sentence_id ascending.
+
+In memory, rows are columns in row order: one C-contiguous little-endian
+float32 matrix (exactly the vectors.bin body, and a zero-copy view of it after
+load) beside plain lists of ids, video ids, texts, start and end times, and an
+id -> row dict. The float64 copy of the matrix and the id array for the
+tie-break are built together on the first query and dropped by the next
+insert. Records are built on demand for the rows a caller asks for.
 
 On-disk layout (bit-exact):
     meta.jsonl   header {"format":"aiblob-store","version":1,"dim":D}, then one
@@ -13,22 +20,24 @@ On-disk layout (bit-exact):
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, StoreError, ValidationError
-from .util import atomic_write_bytes, atomic_write_text, dumps_line
+from .errors import AiblobError, ConfigError, StoreError, ValidationError
+from .util import (atomic_write_bytes, is_finite_number, is_int, parse_json_line, read_jsonl,
+                   write_jsonl)
 
 STORE_FORMAT = "aiblob-store"
 STORE_VERSION = 1
 VECTORS_MAGIC = b"AIBV"
 META_FILE = "meta.jsonl"
 VECTORS_FILE = "vectors.bin"
+# Metadata fields, in meta.jsonl key order; VectorRecord has the same names.
+META_KEYS = ("sentence_id", "video_id", "text", "start_s", "end_s")
 
 
 @dataclass
@@ -70,69 +79,70 @@ class VectorStore:
         if dim < 1:
             raise ConfigError(f"store dim must be positive, got {dim}")
         self.dim = dim
-        self._records: list[VectorRecord] = []
+        self._matrix = np.empty((0, dim), dtype="<f4")
         self._rows: dict[str, int] = {}
-        self._chunks: list[np.ndarray] = []
-        self._matrix: np.ndarray | None = None
-        self._matrix64: np.ndarray | None = None
-        self._ids_array: np.ndarray | None = None
+        self._ids: list[str] = []
+        self._video_ids: list[str] = []
+        self._texts: list[str] = []
+        self._starts: list[float] = []
+        self._ends: list[float] = []
+        # (float64 matrix, id array), built by the first top_k after a change.
+        self._scoring: tuple[np.ndarray, np.ndarray] | None = None
 
-    def __len__(self) -> int:
-        return len(self._records)
+    def _columns(self) -> tuple[list, ...]:
+        """The metadata columns, in META_KEYS order."""
+        return (self._ids, self._video_ids, self._texts, self._starts, self._ends)
 
     @property
     def count(self) -> int:
-        return len(self._records)
+        return len(self._ids)
 
     def video_ids(self) -> set[str]:
-        return {r.video_id for r in self._records}
+        return set(self._video_ids)
 
     def get(self, sentence_id: str) -> VectorRecord:
         try:
-            return self._records[self._rows[sentence_id]]
+            return self._record(self._rows[sentence_id])
         except KeyError:
             raise StoreError(f"unknown sentence_id {sentence_id}") from None
 
-    def records(self) -> Iterable[VectorRecord]:
-        return iter(self._records)
+    def _record(self, row: int) -> VectorRecord:
+        return VectorRecord(self._ids[row], self._matrix[row], self._video_ids[row],
+                            self._texts[row], self._starts[row], self._ends[row])
 
     def insert_batch(self, records: Sequence[VectorRecord]) -> int:
         """Insert records atomically: any invalid record rejects the whole batch."""
-        seen_in_batch: set[str] = set()
-        prepared: list[np.ndarray] = []
+        batch = np.empty((len(records), self.dim), dtype="<f4")
+        rows = []
         for i, rec in enumerate(records):
             arr = np.asarray(rec.vector, dtype=np.float32)
-            if arr.ndim != 1 or arr.shape[0] != self.dim:
+            if arr.shape != (self.dim,):
                 got = arr.shape[0] if arr.ndim == 1 else arr.shape
                 raise ConfigError(
                     f"record {rec.sentence_id}: vector dim {got} does not match store dim {self.dim}"
                 )
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"record {rec.sentence_id}: vector has NaN/Inf")
-            if rec.sentence_id in self._rows or rec.sentence_id in seen_in_batch:
-                raise ValidationError(f"duplicate sentence_id {rec.sentence_id}")
-            seen_in_batch.add(rec.sentence_id)
-            prepared.append(arr)
-        for rec, arr in zip(records, prepared):
-            self._rows[rec.sentence_id] = len(self._records)
-            self._records.append(
-                VectorRecord(rec.sentence_id, arr, rec.video_id, rec.text,
-                             float(rec.start_s), float(rec.end_s))
-            )
-            self._chunks.append(arr)
-        self._matrix = None
-        self._matrix64 = None
-        self._ids_array = None
+            batch[i] = arr
+            rows.append(_meta_row([getattr(rec, key) for key in META_KEYS], ValidationError,
+                                  f"record {rec.sentence_id}"))
+        self._append(batch, rows)
         return len(records)
 
-    def _stacked(self) -> np.ndarray:
-        if self._matrix is None:
-            if not self._chunks:
-                self._matrix = np.zeros((0, self.dim), dtype=np.float32)
-            else:
-                self._matrix = np.vstack(self._chunks)
-                self._chunks = [self._matrix]
-        return self._matrix
+    def _append(self, matrix: np.ndarray, rows: list[tuple]) -> None:
+        """Append rows of META_KEYS values; nothing changes unless every row passes."""
+        ids = [values[0] for values in rows]
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            raise ValidationError(f"record {ids[int(np.argmin(finite))]}: vector has NaN/Inf")
+        new_rows: dict[str, int] = {}
+        for row, sentence_id in enumerate(ids, start=self.count):
+            if sentence_id in self._rows or sentence_id in new_rows:
+                raise ValidationError(f"duplicate sentence_id {sentence_id}")
+            new_rows[sentence_id] = row
+        self._matrix = np.concatenate((self._matrix, matrix)) if self.count else matrix
+        self._rows.update(new_rows)
+        for column, values in zip(self._columns(), zip(*rows)):
+            column.extend(values)
+        self._scoring = None
 
     def top_k(
         self,
@@ -146,35 +156,34 @@ class VectorStore:
         Ties break by sentence_id ascending. With video_cap set, at most that
         many hits may share a video_id, enforced in score order.
         """
-        if k < 1:
-            raise ValidationError(f"k must be positive, got {k}")
+        if not is_int(k) or k < 1:
+            raise ValidationError(f"k must be a positive int, got {k!r}")
         q = np.asarray(query, dtype=np.float64)
         if q.ndim != 1 or q.shape[0] != self.dim:
             got = q.shape[0] if q.ndim == 1 else q.shape
             raise ConfigError(f"query dim {got} does not match store dim {self.dim}")
-        if not self._records:
+        if not self._ids:
             return []
 
         # Scores in float64 so ranking is insensitive to accumulation order.
-        if self._matrix64 is None:
-            self._matrix64 = self._stacked().astype(np.float64)
-        scores = np.clip(self._matrix64 @ q, -1.0, 1.0)
-        if self._ids_array is None:
-            self._ids_array = np.array([r.sentence_id for r in self._records])
-        order = np.lexsort((self._ids_array, -scores))
+        if self._scoring is None:
+            self._scoring = (self._matrix.astype(np.float64), np.array(self._ids))
+        matrix64, ids = self._scoring
+        scores = np.clip(matrix64 @ q, -1.0, 1.0)
+        order = np.lexsort((ids, -scores))
 
         hits: list[RetrievalHit] = []
         per_video: dict[str, int] = {}
         for row in order:
-            rec = self._records[int(row)]
-            if rec.sentence_id in exclude:
+            if self._ids[row] in exclude:
                 continue
             if video_cap is not None:
-                used = per_video.get(rec.video_id, 0)
+                video_id = self._video_ids[row]
+                used = per_video.get(video_id, 0)
                 if used >= video_cap:
                     continue
-                per_video[rec.video_id] = used + 1
-            hits.append(RetrievalHit(rec.sentence_id, float(scores[int(row)]), rec))
+                per_video[video_id] = used + 1
+            hits.append(RetrievalHit(self._ids[row], float(scores[row]), self._record(row)))
             if len(hits) == k:
                 break
         return hits
@@ -186,26 +195,12 @@ class VectorStore:
     def save(self, directory: str) -> dict:
         """Write meta.jsonl + vectors.bin; returns a manifest of what was written."""
         os.makedirs(directory, exist_ok=True)
-        lines = [dumps_line({"format": STORE_FORMAT, "version": STORE_VERSION, "dim": self.dim})]
-        for rec in self._records:
-            lines.append(
-                dumps_line(
-                    {
-                        "sentence_id": rec.sentence_id,
-                        "video_id": rec.video_id,
-                        "text": rec.text,
-                        "start_s": rec.start_s,
-                        "end_s": rec.end_s,
-                    }
-                )
-            )
         meta_path = os.path.join(directory, META_FILE)
         vectors_path = os.path.join(directory, VECTORS_FILE)
-        atomic_write_text(meta_path, "\n".join(lines) + "\n")
-
+        write_jsonl(meta_path, {"format": STORE_FORMAT, "version": STORE_VERSION, "dim": self.dim},
+                    (dict(zip(META_KEYS, row)) for row in zip(*self._columns())))
         header = VECTORS_MAGIC + struct.pack("<IIQ", STORE_VERSION, self.dim, self.count)
-        body = self._stacked().astype("<f4").tobytes() if self.count else b""
-        atomic_write_bytes(vectors_path, header + body)
+        atomic_write_bytes(vectors_path, header, self._matrix)
         return {
             "dim": self.dim,
             "count": self.count,
@@ -221,17 +216,9 @@ class VectorStore:
             if not os.path.exists(path):
                 raise StoreError(f"missing store file: {path}")
 
-        with open(meta_path, "r", encoding="utf-8") as handle:
-            lines = [line for line in handle.read().split("\n") if line]
-        if not lines:
-            raise StoreError(f"{meta_path}: empty metadata file")
-        header = _parse_meta_line(lines[0], meta_path, 1)
-        if header.get("format") != STORE_FORMAT:
-            raise StoreError(f"{meta_path}: not a store file (format={header.get('format')!r})")
-        if header.get("version") != STORE_VERSION:
-            raise StoreError(f"{meta_path}: unsupported version {header.get('version')!r}")
+        header, meta_rows = read_jsonl(meta_path, STORE_FORMAT, STORE_VERSION, StoreError)
         dim = header.get("dim")
-        if not isinstance(dim, int) or dim < 1:
+        if not is_int(dim) or dim < 1:
             raise StoreError(f"{meta_path}: bad dim {dim!r}")
 
         with open(vectors_path, "rb") as handle:
@@ -245,7 +232,6 @@ class VectorStore:
             raise StoreError(f"{vectors_path}: unsupported version {version}")
         if bin_dim != dim:
             raise StoreError(f"{vectors_path}: dim {bin_dim} does not match metadata dim {dim}")
-        meta_rows = lines[1:]
         if bin_count != len(meta_rows):
             raise StoreError(
                 f"{vectors_path}: count {bin_count} does not match {len(meta_rows)} metadata rows"
@@ -255,34 +241,23 @@ class VectorStore:
             raise StoreError(
                 f"{vectors_path}: expected {expected_bytes} bytes, found {len(blob)}"
             )
-        matrix = np.frombuffer(blob[20:], dtype="<f4").reshape(bin_count, dim)
+        matrix = np.frombuffer(blob, "<f4", offset=20).reshape(bin_count, dim)
 
-        store = cls(dim)
-        records = []
+        rows = []
         for lineno, line in enumerate(meta_rows, start=2):
-            rec = _parse_meta_line(line, meta_path, lineno)
-            try:
-                records.append(
-                    VectorRecord(
-                        sentence_id=rec["sentence_id"],
-                        vector=matrix[lineno - 2],
-                        video_id=rec["video_id"],
-                        text=rec["text"],
-                        start_s=float(rec["start_s"]),
-                        end_s=float(rec["end_s"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise StoreError(f"{meta_path}:{lineno}: bad record: {exc}") from exc
-        store.insert_batch(records)
+            rec = parse_json_line(line, meta_path, lineno)
+            rows.append(_meta_row([rec.get(key) for key in META_KEYS], StoreError,
+                                  f"{meta_path}:{lineno}: bad record"))
+        store = cls(dim)
+        store._append(matrix, rows)
         return store
 
 
-def _parse_meta_line(line: str, path: str, lineno: int) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}:{lineno}: expected a JSON object")
-    return obj
+def _meta_row(values: list, error: type[AiblobError], where: str) -> tuple:
+    """Check one row of META_KEYS values; times become floats."""
+    sentence_id, video_id, text, start_s, end_s = values
+    if not all(isinstance(v, str) for v in (sentence_id, video_id, text)):
+        raise error(f"{where}: sentence_id, video_id and text must be strings")
+    if not (is_finite_number(start_s) and is_finite_number(end_s)):
+        raise error(f"{where}: start_s and end_s must be finite numbers")
+    return sentence_id, video_id, text, float(start_s), float(end_s)

@@ -73,6 +73,17 @@ class TestStats:
         sentences = int(out.split("sentences: ")[1].split("\n")[0])
         assert sentences > 100
 
+    def test_bad_metadata_row_fails_cleanly(self, workspace, capsys):
+        meta = workspace / "store" / "meta.jsonl"
+        lines = meta.read_text(encoding="utf-8").split("\n")
+        row = json.loads(lines[1])
+        row["video_id"] = ["vid000"]
+        lines[1] = json.dumps(row)
+        meta.write_text("\n".join(lines), encoding="utf-8")
+        assert main(["stats", "--store", str(workspace / "store")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "meta.jsonl:2" in err and "Traceback" not in err
+
     def test_missing_store(self, tmp_path, capsys):
         assert main(["stats", "--store", str(tmp_path / "vuoto")]) == 1
         assert "missing" in capsys.readouterr().err
@@ -218,6 +229,24 @@ class TestRender:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("threshold", [None, "loud"])
+    def test_dry_run_on_bad_edl_fails_cleanly(self, workspace, capsys, threshold):
+        code, out = TestCompose().compose(workspace)
+        assert code == 0
+        edl = json.loads((out / "edl.json").read_text(encoding="utf-8"))
+        if threshold is None:
+            del edl["compression"]["threshold_db"]
+        else:
+            edl["compression"]["threshold_db"] = threshold
+        (out / "edl.json").write_text(json.dumps(edl), encoding="utf-8")
+        capsys.readouterr()  # drop compose output
+        assert main(["render", "--edl", str(out / "edl.json"),
+                     "--out", str(workspace / "episodio.mp4"), "--dry-run"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "threshold_db" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_real_run_without_renderer_fails(self, workspace, capsys):
         code, out = TestCompose().compose(workspace)

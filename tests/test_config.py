@@ -67,3 +67,15 @@ class TestLoadConfig:
         path = write(tmp_path, {"media": {"uri_template": "/archivio/{video_id}.mkv"}})
         config = load_config(path)
         assert config.media.source_uri_for("vid007") == "/archivio/vid007.mkv"
+
+    @pytest.mark.parametrize("section,name", [
+        ("pipeline", "k_per_query"), ("pipeline", "themes"),
+        ("pipeline", "phrases_per_theme"), ("pipeline", "video_cap"),
+        ("pipeline", "min_retained"), ("pipeline", "irony_threshold"),
+        ("providers", "score_batch_size"), ("providers", "retries"),
+    ])
+    @pytest.mark.parametrize("value", [5.5, 5.0, True])
+    def test_integer_knob_rejects_floats_and_bools(self, tmp_path, section, name, value):
+        path = write(tmp_path, {section: {name: value}})
+        with pytest.raises(ConfigError, match=name):
+            load_config(path)

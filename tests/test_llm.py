@@ -227,6 +227,26 @@ class TestScoreBatch:
         assert out[1] == ScoredSentence("s2", 9, 2, "", 0)
         assert orch.warnings == []
 
+    def test_non_finite_scores_count_as_missing(self):
+        responses = [
+            {"scores": [
+                {"id": "s1", "irony": float("nan"), "relevance": 5},
+                {"id": "s2", "irony": 5, "relevance": float("inf")},
+                {"id": "s3", "irony": 10 ** 400, "relevance": 5},
+                {"id": "s4", "irony": 6, "relevance": 6},
+            ]},
+            {"scores": [
+                {"id": "s1", "irony": 9, "relevance": 2},
+                {"id": "s2", "irony": float("-inf"), "relevance": 2},
+            ]},
+        ]
+        provider = QueueProvider(score=responses)
+        orch = Orchestrator(provider)
+        out = orch.score_batch([(f"s{i}", "t") for i in range(1, 5)], "T", self.themes())
+        assert [(s.irony, s.relevance) for s in out] == [(9, 2), (1, 1), (1, 1), (6, 6)]
+        assert [e["id"] for e in provider.calls[1][1]["sentences"]] == ["s1", "s2", "s3"]
+        assert sum("defaulted" in w for w in orch.warnings) == 2
+
     def test_batch_failure_names_range(self):
         orch = Orchestrator(QueueProvider(score=[]), retries=1)
         with pytest.raises(ProviderError, match=r"sentences\[0:2\]"):

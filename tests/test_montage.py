@@ -1,5 +1,6 @@
 """EDL arithmetic, validation, dry-run plans, and subprocess rendering."""
 
+import json
 import os
 import stat
 
@@ -276,3 +277,23 @@ class TestEdlFile:
         save_edl(edl, str(a))
         save_edl(edl, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["compression"].pop("threshold_db"),
+        lambda p: p["compression"].update(threshold_db="loud"),
+        lambda p: p["loudness"].update(integrated_lufs=True),
+        lambda p: p["loudness"].update(true_peak_dbtp=float("inf")),
+        lambda p: p.pop("loudness"),
+        lambda p: p["sections"]["climax"][0].pop("out_s"),
+        lambda p: p["sections"]["climax"][0].update(in_s="30.0"),
+        lambda p: p["sections"]["climax"][0].update(fade_in_s=float("nan")),
+        lambda p: p["sections"].update(climax=7),
+    ])
+    def test_every_value_the_render_plan_reads_is_checked(self, tmp_path, edit):
+        path = tmp_path / "edl.json"
+        save_edl(build_edl(make_plan(), make_sources(), RenderSettings()), str(path))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParseError):
+            load_edl(str(path))

@@ -1,5 +1,6 @@
 """Exact retrieval, tie-breaking, exclusion, and binary persistence."""
 
+import json
 import struct
 
 import numpy as np
@@ -145,6 +146,21 @@ class TestTopK:
         expected = brute_force_top_k(make_records(9, 8, video_every=3), query, 9, video_cap=1)
         assert [h.sentence_id for h in hits] == [sid for sid, _ in expected]
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True])
+    def test_non_int_k_rejected(self, k):
+        store = filled_store(50, 8)
+        with pytest.raises(ValidationError, match="k must"):
+            store.top_k(deterministic_embed("q", 8), k)
+
+    def test_insert_after_query_is_seen_by_next_query(self):
+        store = filled_store(20, 8)
+        query = deterministic_embed("una domanda nuova", 8)
+        assert store.top_k(query, 1)[0].sentence_id != "zzz"
+        store.insert_batch([VectorRecord("zzz", query, "v9", "nuova", 0.0, 1.0)])
+        hits = store.top_k(query, 21)
+        assert hits[0].sentence_id == "zzz" and hits[0].score == pytest.approx(1.0)
+        assert len(hits) == 21
+
     def test_query_dim_mismatch(self):
         store = filled_store(3, 8)
         with pytest.raises(ConfigError):
@@ -253,3 +269,40 @@ class TestPersistence:
         loaded = VectorStore.load(str(tmp_path / "store"))
         assert loaded.count == 0
         assert loaded.dim == 8
+
+    @pytest.mark.parametrize("field,value", [
+        ("video_id", ["v", 1]),
+        ("sentence_id", 7),
+        ("text", None),  # a missing key reads as None too
+        ("start_s", "1.5"),
+        ("end_s", True),
+        ("end_s", float("nan")),
+    ])
+    def test_bad_metadata_type_rejected(self, tmp_path, field, value):
+        filled_store(3, 8).save(str(tmp_path / "store"))
+        meta = tmp_path / "store" / "meta.jsonl"
+        lines = meta.read_text(encoding="utf-8").split("\n")
+        row = json.loads(lines[2])
+        row[field] = value
+        lines[2] = json.dumps(row)
+        meta.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(StoreError, match="meta.jsonl:3: bad record"):
+            VectorStore.load(str(tmp_path / "store"))
+
+    def test_nan_in_vectors_rejected_on_load(self, tmp_path):
+        filled_store(3, 8).save(str(tmp_path / "store"))
+        path = tmp_path / "store" / "vectors.bin"
+        data = bytearray(path.read_bytes())
+        data[20 + 4 * 8 * 2 + 12:20 + 4 * 8 * 2 + 16] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValidationError, match="s0002.*NaN"):
+            VectorStore.load(str(tmp_path / "store"))
+
+    def test_duplicate_id_rejected_on_load(self, tmp_path):
+        filled_store(3, 8).save(str(tmp_path / "store"))
+        meta = tmp_path / "store" / "meta.jsonl"
+        lines = meta.read_text(encoding="utf-8").split("\n")
+        lines[3] = lines[3].replace('"s0002"', '"s0000"')
+        meta.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValidationError, match="duplicate sentence_id s0000"):
+            VectorStore.load(str(tmp_path / "store"))
