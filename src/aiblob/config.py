@@ -11,19 +11,20 @@ Sections (all optional, all fields defaulted):
      "media":     {"uri_template": "media/{video_id}.mp4", "intro_uri": null}}
 
 CLI flags override file values. Unknown keys are rejected so typos surface
-instead of silently falling back to defaults.
+instead of silently falling back to defaults, and every value is checked for
+its annotated type and its range.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
+from .llm import DEFAULT_SCORE_BATCH
 from .montage import RenderSettings
 from .narrative import PipelineConfig
-from .util import is_int
+from .util import DEFAULT_RETRIES, check_field_types, load_json
 
 
 @dataclass
@@ -34,13 +35,11 @@ class ProviderSettings:
     llm_model: str | None = None
     embed_base_url: str | None = None
     embed_model: str | None = None
-    score_batch_size: int = 20
-    retries: int = 3
+    score_batch_size: int = DEFAULT_SCORE_BATCH
+    retries: int = DEFAULT_RETRIES
 
     def __post_init__(self):
-        for name in ("score_batch_size", "retries"):
-            if not is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_field_types(self)
         if self.score_batch_size < 1:
             raise ConfigError(f"score_batch_size must be positive, got {self.score_batch_size}")
         if self.retries < 0:
@@ -53,6 +52,13 @@ class MediaSettings:
 
     uri_template: str = "media/{video_id}.mp4"
     intro_uri: str | None = None
+
+    def __post_init__(self):
+        check_field_types(self)
+        try:
+            self.source_uri_for("v")
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"uri_template must format with {{video_id}} alone: {exc!r}") from exc
 
     def source_uri_for(self, video_id: str) -> str:
         return self.uri_template.format(video_id=video_id)
@@ -89,11 +95,7 @@ def load_config(path: str | None = None) -> AppConfig:
     """Read the config file (or return all defaults when path is None)."""
     raw: dict = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                raw = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: invalid config JSON: {exc.msg}") from exc
+        raw = load_json(path)
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config root must be a JSON object")
         unknown = sorted(set(raw) - set(_SECTIONS))

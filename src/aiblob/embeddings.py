@@ -16,14 +16,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ProviderError, ValidationError
-from .util import post_json
+from .util import DEFAULT_RETRIES, post_json, retry
 
 EMBED_API_KEY_ENV = "AIBLOB_EMBED_API_KEY"
 
 DOCUMENT_INPUT = "search_document"
 QUERY_INPUT = "search_query"
 
-DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF = (0.5, 2.0, 8.0)
 
 _MASK64 = (1 << 64) - 1
@@ -168,22 +167,8 @@ def embed_batch(
     for lo in range(0, len(texts), chunk_size):
         hi = min(lo + chunk_size, len(texts))
         chunk = list(texts[lo:hi])
-        vectors = None
-        last_error: ProviderError | None = None
-        for attempt in range(retries + 1):
-            if attempt > 0:
-                delay = backoff[min(attempt - 1, len(backoff) - 1)] if backoff else 0.0
-                if delay:
-                    sleep(delay)
-            try:
-                vectors = provider.embed(chunk, input_type)
-                break
-            except ProviderError as exc:
-                last_error = exc
-        if vectors is None:
-            raise ProviderError(
-                f"embedding failed for texts[{lo}:{hi}] after {retries + 1} attempts: {last_error}"
-            )
+        vectors = retry(lambda: provider.embed(chunk, input_type), retries + 1,
+                        f"embedding for texts[{lo}:{hi}]", backoff, sleep)
         if len(vectors) != len(chunk):
             raise ProviderError(
                 f"provider returned {len(vectors)} vectors for texts[{lo}:{hi}]"

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
-from .util import parse_json_line, read_jsonl, write_jsonl
+from .util import is_finite_number, is_int, parse_json_line, read_jsonl, write_jsonl
 
 CORPUS_FORMAT = "aiblob-corpus"
 CORPUS_VERSION = 1
@@ -117,10 +117,10 @@ def parse_transcript(data: bytes) -> TranscriptDocument:
             raise ValidationError(f"words[{i}].w contains internal whitespace: {text!r}")
         start = entry.get("s")
         end = entry.get("e")
-        if not isinstance(start, (int, float)) or isinstance(start, bool):
-            raise ParseError(f"words[{i}].s must be a number")
-        if not isinstance(end, (int, float)) or isinstance(end, bool):
-            raise ParseError(f"words[{i}].e must be a number")
+        if not is_finite_number(start):
+            raise ParseError(f"words[{i}].s must be a finite number")
+        if not is_finite_number(end):
+            raise ParseError(f"words[{i}].e must be a finite number")
         start = float(start)
         end = float(end)
         if start < 0:
@@ -227,17 +227,14 @@ def load_corpus(path: str) -> list[Sentence]:
     seen: set[str] = set()
     for lineno, line in enumerate(lines, start=2):
         rec = parse_json_line(line, path, lineno)
-        try:
-            sentence = Sentence(
-                sentence_id=rec["sentence_id"],
-                video_id=rec["video_id"],
-                ordinal=int(rec["ordinal"]),
-                text=rec["text"],
-                start_s=float(rec["start_s"]),
-                end_s=float(rec["end_s"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
+        sentence_id, video_id, text = rec.get("sentence_id"), rec.get("video_id"), rec.get("text")
+        ordinal, start_s, end_s = rec.get("ordinal"), rec.get("start_s"), rec.get("end_s")
+        if not (isinstance(sentence_id, str) and isinstance(video_id, str)
+                and isinstance(text, str) and is_int(ordinal)
+                and is_finite_number(start_s) and is_finite_number(end_s)):
+            raise ParseError(f"{path}:{lineno}: bad corpus record: sentence_id, video_id and "
+                             "text must be strings, ordinal an integer, times finite numbers")
+        sentence = Sentence(sentence_id, video_id, ordinal, text, float(start_s), float(end_s))
         if sentence.sentence_id in seen:
             raise ValidationError(
                 f"{path}:{lineno}: duplicate sentence_id {sentence.sentence_id}"

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParseError, ProviderError, ValidationError
-from .util import is_finite_number, parse_json_line, post_json, round_half_away
+from .util import (DEFAULT_RETRIES, is_finite_number, parse_json_line, post_json, read_text,
+                   retry, round_half_away)
 
 logger = logging.getLogger("aiblob.llm")
 
@@ -35,7 +36,6 @@ OPS = ("themes", "queries", "score", "order")
 SCORE_MIN = 1
 SCORE_MAX = 10
 
-DEFAULT_RETRIES = 3
 DEFAULT_SCORE_BATCH = 20
 
 # Prompt wording is versioned here but is not part of the provider contract;
@@ -109,20 +109,19 @@ class ScriptedProvider:
     def __init__(self, path: str):
         self.path = path
         self._queues: dict[str, deque] = {op: deque() for op in OPS}
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                entry = parse_json_line(line, path, lineno)
-                if "op" not in entry or "response" not in entry:
-                    raise ParseError(f"{path}:{lineno}: expected {{'op','response'}} object")
-                op = entry["op"]
-                if op not in self._queues:
-                    raise ParseError(f"{path}:{lineno}: unknown op {op!r}")
-                if not isinstance(entry["response"], dict):
-                    raise ParseError(f"{path}:{lineno}: response must be an object")
-                self._queues[op].append(entry["response"])
+        for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            entry = parse_json_line(line, path, lineno)
+            if "op" not in entry or "response" not in entry:
+                raise ParseError(f"{path}:{lineno}: expected {{'op','response'}} object")
+            op = entry["op"]
+            if not isinstance(op, str) or op not in self._queues:
+                raise ParseError(f"{path}:{lineno}: unknown op {op!r}")
+            if not isinstance(entry["response"], dict):
+                raise ParseError(f"{path}:{lineno}: response must be an object")
+            self._queues[op].append(entry["response"])
 
     def complete(self, op: str, payload: dict) -> dict:
         if op not in self._queues:
@@ -225,32 +224,27 @@ class Orchestrator:
             raise ValidationError("episode title must be non-empty")
         if count < 1:
             raise ValidationError(f"theme count must be positive, got {count}")
-        collected: list[str] = []
-        seen: set[str] = set()
-        last_error: ProviderError | None = None
-        any_valid = False
-        for _ in range(self.retries + 1):
-            try:
-                response = self.provider.complete("themes", {"title": title, "count": count})
-                items = _string_list(response, "themes")
-            except ProviderError as exc:
-                last_error = exc
-                continue
-            any_valid = True
+        collected: dict[str, None] = {}  # insertion-ordered set
+        well_formed = False
+
+        def collect(response: dict) -> None:
+            nonlocal well_formed
+            items = _string_list(response, "themes")
+            well_formed = True
             for item in items:
                 text = item.strip()
-                if text and text not in seen:
-                    seen.add(text)
-                    collected.append(text)
-            if len(collected) >= count:
-                break
-        if len(collected) < count:
-            if not any_valid:
-                raise ProviderError(
-                    f"theme generation failed after {self.retries + 1} attempts: {last_error}"
-                )
+                if text:
+                    collected[text] = None
+            if len(collected) < count:
+                raise ProviderError(f"got {len(collected)} of {count} themes")
+
+        try:
+            self._ask("themes", {"title": title, "count": count}, collect, "theme generation")
+        except ProviderError:
+            if not well_formed:
+                raise
             self.warn(f"theme shortfall: got {len(collected)} of {count} for {title!r}")
-        return [ThemeIdea(i, text) for i, text in enumerate(collected[:count])]
+        return [ThemeIdea(i, text) for i, text in enumerate(list(collected)[:count])]
 
     # -- queries --------------------------------------------------------
 
@@ -270,7 +264,7 @@ class Orchestrator:
             "themes": [t.description for t in themes],
             "per_theme": per_theme,
         }
-        entries = self._complete_with_retries("queries", payload, _query_entries)
+        entries = self._ask("queries", payload, _query_entries, "queries")
 
         phrases: list[QueryPhrase] = []
         seen: set[str] = set()
@@ -336,29 +330,22 @@ class Orchestrator:
             raise ValidationError("query_indexes length must match sentences length")
 
         theme_texts = [t.description for t in themes]
+
+        def payload(pairs: list[tuple[str, str]]) -> dict:
+            return {"episode_title": episode_title, "themes": theme_texts,
+                    "sentences": [{"id": sid, "text": text} for sid, text in pairs]}
+
         results: list[ScoredSentence] = []
         for lo in range(0, len(sentences), batch_size):
             hi = min(lo + batch_size, len(sentences))
             batch = list(sentences[lo:hi])
-            payload = {
-                "episode_title": episode_title,
-                "themes": theme_texts,
-                "sentences": [{"id": sid, "text": text} for sid, text in batch],
-            }
-            try:
-                scored = self._complete_with_retries("score", payload, _score_entries)
-            except ProviderError as exc:
-                raise ProviderError(f"scoring failed for sentences[{lo}:{hi}]: {exc}") from exc
+            scored = self._ask("score", payload(batch), _score_entries,
+                               f"scoring of sentences[{lo}:{hi}]")
 
             missing = [(sid, text) for sid, text in batch if sid not in scored]
             if missing:
-                retry_payload = {
-                    "episode_title": episode_title,
-                    "themes": theme_texts,
-                    "sentences": [{"id": sid, "text": text} for sid, text in missing],
-                }
                 try:
-                    extra = _score_entries(self.provider.complete("score", retry_payload))
+                    extra = _score_entries(self.provider.complete("score", payload(missing)))
                 except ProviderError:
                     extra = {}
                 wanted = {sid for sid, _ in missing}
@@ -411,32 +398,29 @@ class Orchestrator:
             ],
         }
         expected = set(member_ids)
-        for _ in range(self.retries + 1):
-            try:
-                response = self.provider.complete("order", payload)
-            except ProviderError:
-                continue
+
+        def permutation(response: dict) -> list[str]:
             order = response.get("order") if isinstance(response, dict) else None
-            if (
+            if not (
                 isinstance(order, list)
                 and len(order) == len(member_ids)
                 and all(isinstance(x, str) for x in order)
                 and set(order) == expected
             ):
-                return list(order)
-        self.warn(f"ordering fallback for section {section_name!r}: no valid permutation")
-        return fallback(members)
+                raise ProviderError("reply is not a permutation of the section's ids")
+            return list(order)
+
+        try:
+            return self._ask("order", payload, permutation, f"ordering of {section_name!r}")
+        except ProviderError:
+            self.warn(f"ordering fallback for section {section_name!r}: no valid permutation")
+            return fallback(members)
 
     # -- internals ------------------------------------------------------
 
-    def _complete_with_retries(self, op: str, payload: dict, parse):
-        last_error: ProviderError | None = None
-        for _ in range(self.retries + 1):
-            try:
-                return parse(self.provider.complete(op, payload))
-            except ProviderError as exc:
-                last_error = exc
-        raise ProviderError(f"{op} failed after {self.retries + 1} attempts: {last_error}")
+    def _ask(self, op: str, payload: dict, parse, what: str):
+        """``parse(reply)`` for the first of retries + 1 calls whose reply it accepts."""
+        return retry(lambda: parse(self.provider.complete(op, payload)), self.retries + 1, what)
 
 
 def _string_list(response: dict, key: str) -> list[str]:

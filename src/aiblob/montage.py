@@ -22,12 +22,23 @@ import subprocess
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import ParseError, RenderError, ValidationError
+from .errors import ConfigError, ParseError, RenderError, ValidationError
 from .narrative import SECTION_ORDER, NarrativePlan
-from .util import atomic_write_text, is_finite_number
+from .util import atomic_write_text, check_field_types, is_finite_number, load_json
 
 EDL_FORMAT = "aiblob-edl"
 EDL_VERSION = 1
+
+# The ranges FFmpeg's acompressor accepts (its linear threshold floor is about -60 dB).
+COMPRESSION_LIMITS = {"ratio": (1.0, 20.0), "threshold_db": (-60.0, 0.0)}
+
+
+def _compression_fault(compression: Mapping[str, float]) -> str | None:
+    """Why a {"ratio", "threshold_db"} pair is outside COMPRESSION_LIMITS, or None."""
+    for key, (lo, hi) in COMPRESSION_LIMITS.items():
+        if not lo <= compression[key] <= hi:
+            return f"{key} must be in [{lo:g}, {hi:g}], got {compression[key]!r}"
+    return None
 
 
 @dataclass
@@ -43,6 +54,16 @@ class RenderSettings:
     compression_threshold_db: float = -18.0
     renderer_path: str = "ffmpeg"
     intro_max_s: float = 30.0
+
+    def __post_init__(self):
+        check_field_types(self)
+        for name in ("pre_roll_s", "post_roll_s", "fade_s"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+        fault = _compression_fault({"ratio": self.compression_ratio,
+                                    "threshold_db": self.compression_threshold_db})
+        if fault:
+            raise ConfigError(f"compression_{fault}")
 
 
 @dataclass
@@ -350,11 +371,7 @@ def _clip_from_payload(obj: dict, path: str, where: str) -> Clip:
 
 
 def load_edl(path: str) -> EditDecisionList:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc.msg}") from exc
+    payload = load_json(path)
     if not isinstance(payload, dict) or payload.get("format") != EDL_FORMAT:
         raise ParseError(f"{path}: not an EDL file")
     if payload.get("version") != EDL_VERSION:
@@ -376,12 +393,17 @@ def load_edl(path: str) -> EditDecisionList:
     compression = payload.get("compression")
     if not isinstance(loudness, dict) or not isinstance(compression, dict):
         raise ParseError(f"{path}: loudness and compression must be objects")
+    loudness = {key: _finite(loudness, key, path, "loudness")
+                for key in ("integrated_lufs", "true_peak_dbtp")}
+    compression = {key: _finite(compression, key, path, "compression")
+                   for key in COMPRESSION_LIMITS}
+    fault = _compression_fault(compression)
+    if fault:
+        raise ParseError(f"{path}: compression.{fault}")
     return EditDecisionList(
         episode_title=str(payload.get("episode_title", "")),
         intro=intro,
         sections=sections,
-        loudness={key: _finite(loudness, key, path, "loudness")
-                  for key in ("integrated_lufs", "true_peak_dbtp")},
-        compression={key: _finite(compression, key, path, "compression")
-                     for key in ("ratio", "threshold_db")},
+        loudness=loudness,
+        compression=compression,
     )

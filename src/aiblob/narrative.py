@@ -28,7 +28,7 @@ from .embeddings import QUERY_INPUT, embed_batch
 from .errors import ConfigError, ParseError, PlanError, ValidationError
 from .llm import QueryPhrase, ScoredSentence
 from .store import VectorRecord, VectorStore
-from .util import atomic_write_text, is_int, round_half_away
+from .util import atomic_write_text, check_field_types, is_int, load_json, round_half_away
 
 PLAN_FORMAT = "aiblob-plan"
 PLAN_VERSION = 1
@@ -55,16 +55,12 @@ class PipelineConfig:
     min_retained: int = 4
 
     def __post_init__(self):
-        for name in ("k_per_query", "themes", "phrases_per_theme", "min_retained"):
-            if not is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.video_cap is not None and not is_int(self.video_cap):
-            raise ConfigError(f"video_cap must be an integer or null, got {self.video_cap!r}")
+        check_field_types(self)
         if self.k_per_query < 1:
             raise ConfigError(f"k_per_query must be positive, got {self.k_per_query}")
         for name in ("irony_threshold", "relevance_threshold"):
             value = getattr(self, name)
-            if not is_int(value) or not 1 <= value <= 10:
+            if not 1 <= value <= 10:
                 raise ConfigError(f"{name} must be an integer in [1, 10], got {value!r}")
         quotas = (self.climax_quota, self.introduction_quota, self.conclusion_quota)
         for name, value in zip(("climax_quota", "introduction_quota", "conclusion_quota"), quotas):
@@ -321,11 +317,7 @@ def save_plan(plan: NarrativePlan, scored: Mapping[str, ScoredSentence], path: s
 
 
 def load_plan(path: str) -> tuple[NarrativePlan, dict[str, ScoredSentence]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc.msg}") from exc
+    payload = load_json(path)
     if not isinstance(payload, dict) or payload.get("format") != PLAN_FORMAT:
         raise ParseError(f"{path}: not a plan file")
     if payload.get("version") != PLAN_VERSION:
@@ -353,7 +345,10 @@ def load_plan(path: str) -> tuple[NarrativePlan, dict[str, ScoredSentence]]:
     for sid, entry in scores_raw.items():
         if not isinstance(entry, dict):
             raise ParseError(f"{path}: score entry for {sid} must be an object")
-        scored[sid] = ScoredSentence(sid, int(entry.get("irony", 1)), int(entry.get("relevance", 1)))
+        irony, relevance = entry.get("irony", 1), entry.get("relevance", 1)
+        if not (is_int(irony) and is_int(relevance)):
+            raise ParseError(f"{path}: scores of {sid} must be integers")
+        scored[sid] = ScoredSentence(sid, irony, relevance)
     missing = [sid for sid in plan.all_ids() if sid not in scored]
     if missing:
         raise ValidationError(f"{path}: missing scores for {missing[:3]}")

@@ -59,15 +59,6 @@ class RetrievalHit:
     record: VectorRecord
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product of two unit vectors, clamped to [-1, 1]."""
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
-        raise ConfigError(f"cosine dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    return float(np.clip(np.dot(va, vb), -1.0, 1.0))
-
-
 class VectorStore:
     """In-memory store over (sentence_id, vector, metadata) rows.
 

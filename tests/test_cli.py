@@ -230,7 +230,7 @@ class TestRender:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
-    @pytest.mark.parametrize("threshold", [None, "loud"])
+    @pytest.mark.parametrize("threshold", [None, "loud", 10000])
     def test_dry_run_on_bad_edl_fails_cleanly(self, workspace, capsys, threshold):
         code, out = TestCompose().compose(workspace)
         assert code == 0
@@ -258,6 +258,36 @@ class TestRender:
                      "--out", str(workspace / "episodio.mp4"),
                      "--config", str(config)]) == 1
         assert "not found" in capsys.readouterr().err
+
+
+class TestNonUtf8Input:
+    COMMANDS = {
+        "ingest": lambda w: ["ingest", "--transcripts", str(w / "transcripts"),
+                             "--out", str(w / "corpus2.jsonl")],
+        "index": lambda w: ["index", "--corpus", str(w / "corpus.jsonl"), "--store",
+                            str(w / "store2"), "--embedder", "deterministic:32",
+                            "--config", str(w / "config.json")],
+        "compose": lambda w: ["compose", "--store", str(w / "store"), "--title", "Il calcio",
+                              "--config", str(w / "config.json"), "--out", str(w / "ep"),
+                              "--llm", f"scripted:{w / 'replay.jsonl'}"],
+        "render": lambda w: ["render", "--edl", str(w / "edl.json"), "--out",
+                             str(w / "e.mp4"), "--dry-run", "--config", str(w / "config.json")],
+        "stats": lambda w: ["stats", "--store", str(w / "store")],
+    }
+
+    @pytest.mark.parametrize("command,name", [
+        ("ingest", "transcripts/vid999.json"), ("index", "corpus.jsonl"),
+        ("index", "config.json"), ("compose", "config.json"), ("compose", "store/meta.jsonl"),
+        ("compose", "replay.jsonl"), ("render", "config.json"), ("render", "edl.json"),
+        ("stats", "store/meta.jsonl"),
+    ])
+    def test_fails_cleanly(self, workspace, capsys, command, name):
+        (workspace / name).write_bytes(b'{"format": "aiblob-\xe9"}\n')
+        capsys.readouterr()  # drop fixture output
+        assert main(self.COMMANDS[command](workspace)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "UTF-8" in err
+        assert "Traceback" not in err
 
 
 class TestUsage:

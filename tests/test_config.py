@@ -79,3 +79,23 @@ class TestLoadConfig:
         path = write(tmp_path, {section: {name: value}})
         with pytest.raises(ConfigError, match=name):
             load_config(path)
+
+    @pytest.mark.parametrize("section,name,value", [
+        ("render", "pre_roll_s", "x"), ("render", "pre_roll_s", -0.1),
+        ("render", "post_roll_s", float("nan")), ("render", "fade_s", True),
+        ("render", "fade_s", -0.01), ("render", "integrated_lufs", float("inf")),
+        ("render", "intro_max_s", None), ("render", "renderer_path", 5),
+        ("render", "renderer_path", None),
+        ("render", "compression_threshold_db", 10000), ("render", "compression_threshold_db", 1),
+        ("render", "compression_threshold_db", -61), ("render", "compression_ratio", 0.5),
+        ("render", "compression_ratio", 21),
+        ("providers", "embedder", 5), ("providers", "embedder", None),
+        ("providers", "llm", ["scripted:x"]),
+        ("media", "uri_template", "{nope}"), ("media", "uri_template", "{}"),
+        ("media", "uri_template", "{video_id!z}"), ("media", "uri_template", 5),
+        ("media", "intro_uri", 5),
+    ])
+    def test_knob_of_wrong_type_or_range_rejected(self, tmp_path, section, name, value):
+        path = write(tmp_path, {section: {name: value}})
+        with pytest.raises(ConfigError, match=name):
+            load_config(path)

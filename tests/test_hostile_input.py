@@ -1,0 +1,284 @@
+"""Hostile input at every loader boundary.
+
+Each loader gets arbitrary bytes, and valid documents with one value replaced
+by arbitrary JSON (NaN, huge integers and nested containers included) or one
+key deleted. It must either return an object that the next stage can use or
+raise AiblobError; any other exception fails the property.
+"""
+
+import copy
+import json
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from aiblob.config import load_config
+from aiblob.errors import AiblobError, ProviderError
+from aiblob.ingest import load_corpus, parse_transcript, segment_sentences
+from aiblob.llm import OPS, ScriptedProvider, _score_entries
+from aiblob.montage import ClipSource, RenderSettings, build_edl, load_edl, render
+from aiblob.narrative import SECTION_ORDER, NarrativePlan, load_plan
+from aiblob.store import VectorStore
+from aiblob.util import is_int
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+# Values that sit on the edges of the loaders' checks, drawn as often as the rest.
+EDGE_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, 2**64, 1e4, -1, 0, 2.5,
+                               True, None, "", "x", "{nope}", [], [1], {}])
+JSON_VALUES = EDGE_VALUES | st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                  max_size=3),
+    max_leaves=6,
+)
+
+ARBITRARY_BYTES = st.binary(max_size=64) | st.sampled_from(
+    [b"\xff\xfe{}", b'{"format": "\xe9"}\n', b"\xef\xbb\xbf{}", b"[" * 50])
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    children = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, valid):
+    """``valid`` with the value at one path replaced by arbitrary JSON, or its key deleted."""
+    doc = copy.deepcopy(valid)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    value = draw(JSON_VALUES)
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def dumps(obj) -> bytes:
+    return json.dumps(obj, ensure_ascii=False).encode("utf-8")
+
+
+def lines_of(doc) -> bytes:
+    """JSON-lines bytes, one line per element of a (possibly mutated) line list."""
+    items = doc if isinstance(doc, list) else [doc]
+    return b"".join(dumps(item) + b"\n" for item in items)
+
+
+def loaded(load):
+    """load()'s result, or None when it raised AiblobError."""
+    try:
+        return load()
+    except AiblobError:
+        return None
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile")
+
+
+def put(path, data: bytes):
+    """Write data to a new file at path (truncating an old one can wait on a disk flush)."""
+    path.unlink(missing_ok=True)
+    path.write_bytes(data)
+    return path
+
+
+# -- transcripts ---------------------------------------------------------
+
+TRANSCRIPT = {
+    "video_id": "v1", "title": "t", "source_uri": "media/v1.mp4", "language": "it",
+    "words": [{"w": "Ciao.", "s": 0.0, "e": 0.5}, {"w": "Come", "s": 0.6, "e": 0.9},
+              {"w": "stai?", "s": 1.0, "e": 1.4}],
+}
+
+
+@FUZZ
+@given(st.one_of(ARBITRARY_BYTES, mutated(TRANSCRIPT).map(dumps)))
+def test_parse_transcript(data):
+    doc = loaded(lambda: parse_transcript(data))
+    if doc is not None:
+        assert all(0 <= w.start_s <= w.end_s < math.inf for w in doc.words)
+        segment_sentences(doc)
+
+
+# -- corpus --------------------------------------------------------------
+
+CORPUS = [
+    {"format": "aiblob-corpus", "version": 1},
+    {"sentence_id": "a1", "video_id": "v1", "ordinal": 0, "text": "Ciao.",
+     "start_s": 0.0, "end_s": 0.5},
+    {"sentence_id": "b2", "video_id": "v1", "ordinal": 1, "text": "Come stai?",
+     "start_s": 0.6, "end_s": 1.4},
+]
+
+
+@FUZZ
+@given(st.one_of(ARBITRARY_BYTES, mutated(CORPUS).map(lines_of)))
+def test_load_corpus(workdir, data):
+    path = put(workdir / "corpus.jsonl", data)
+    sentences = loaded(lambda: load_corpus(str(path)))
+    for s in sentences or []:
+        assert isinstance(s.sentence_id, str) and isinstance(s.video_id, str)
+        assert isinstance(s.text, str) and is_int(s.ordinal)
+        assert type(s.start_s) is float and math.isfinite(s.start_s)
+        assert type(s.end_s) is float and math.isfinite(s.end_s)
+
+
+# -- store ---------------------------------------------------------------
+
+META = [
+    {"format": "aiblob-store", "version": 1, "dim": 2},
+    {"sentence_id": "a1", "video_id": "v1", "text": "Ciao.", "start_s": 0.0, "end_s": 0.5},
+    {"sentence_id": "b2", "video_id": "v2", "text": "Come stai?", "start_s": 0.6,
+     "end_s": 1.4},
+]
+VECTORS = b"AIBV" + struct.pack("<IIQ", 1, 2, 2) + np.array(
+    [[0.6, 0.8], [1.0, 0.0]], dtype="<f4").tobytes()
+
+
+@FUZZ
+@given(st.one_of(ARBITRARY_BYTES, mutated(META).map(lines_of)),
+       st.one_of(st.just(VECTORS), ARBITRARY_BYTES,
+                 st.binary(min_size=1, max_size=4).map(lambda b: VECTORS[:-len(b)] + b)))
+def test_vector_store_load(workdir, meta, vectors):
+    directory = workdir / "store"
+    directory.mkdir(exist_ok=True)
+    put(directory / "meta.jsonl", meta)
+    put(directory / "vectors.bin", vectors)
+    store = loaded(lambda: VectorStore.load(str(directory)))
+    if store is not None and store.count:
+        query = np.zeros(store.dim)
+        query[0] = 1.0
+        hits = store.top_k(query, store.count)
+        assert len({h.sentence_id for h in hits}) == store.count
+
+
+# -- plan ----------------------------------------------------------------
+
+PLAN = {
+    "format": "aiblob-plan", "version": 1, "episode_title": "T",
+    "sections": {"introduction": ["a"], "build_up": ["b", "c"], "climax": ["d"],
+                 "conclusion": ["e"]},
+    "scores": {sid: {"irony": 5, "relevance": 7} for sid in "abcde"},
+}
+
+
+@FUZZ
+@given(st.one_of(ARBITRARY_BYTES, mutated(PLAN).map(dumps)))
+def test_load_plan(workdir, data):
+    path = put(workdir / "plan.json", data)
+    result = loaded(lambda: load_plan(str(path)))
+    if result is not None:
+        plan, scored = result
+        assert set(plan.sections) == set(SECTION_ORDER)
+        for sid in plan.all_ids():
+            assert is_int(scored[sid].irony) and is_int(scored[sid].relevance)
+
+
+# -- EDL -----------------------------------------------------------------
+
+def _clip(sid, start):
+    return {"source_uri": f"media/{sid}.mp4", "in_s": start, "out_s": start + 2.0,
+            "fade_in_s": 0.04, "fade_out_s": 0.04, "sentence_id": sid, "text": sid}
+
+
+EDL = {
+    "format": "aiblob-edl", "version": 1, "episode_title": "T",
+    "loudness": {"integrated_lufs": -16.0, "true_peak_dbtp": -1.5},
+    "compression": {"ratio": 3.0, "threshold_db": -18.0},
+    "intro": {**_clip("intro", 0.0), "sentence_id": None},
+    "sections": {name: [_clip(name[:2], 10.0 * i)] for i, name in enumerate(SECTION_ORDER)},
+}
+
+
+@FUZZ
+@given(st.one_of(ARBITRARY_BYTES, mutated(EDL).map(dumps)))
+def test_load_edl_then_dry_run(workdir, data):
+    path = put(workdir / "edl.json", data)
+    edl = loaded(lambda: load_edl(str(path)))
+    if edl is not None:
+        loaded(lambda: render(edl, str(workdir / "out.mp4"), RenderSettings(), dry_run=True))
+
+
+# -- config --------------------------------------------------------------
+
+CONFIG = {
+    "pipeline": {"k_per_query": 10, "irony_threshold": 7, "relevance_threshold": 7,
+                 "climax_quota": 0.2, "introduction_quota": 0.15, "conclusion_quota": 0.15,
+                 "themes": 5, "phrases_per_theme": 4, "video_cap": None,
+                 "ordering": "deterministic", "min_retained": 4},
+    "render": {"pre_roll_s": 0.15, "post_roll_s": 0.25, "fade_s": 0.04,
+               "integrated_lufs": -16.0, "true_peak_dbtp": -1.5, "compression_ratio": 3.0,
+               "compression_threshold_db": -18.0, "renderer_path": "ffmpeg",
+               "intro_max_s": 30.0},
+    "providers": {"embedder": "deterministic:64", "llm": None, "llm_base_url": None,
+                  "llm_model": None, "embed_base_url": None, "embed_model": None,
+                  "score_batch_size": 20, "retries": 3},
+    "media": {"uri_template": "media/{video_id}.mp4", "intro_uri": None},
+}
+
+
+@FUZZ
+@given(st.one_of(ARBITRARY_BYTES, mutated(CONFIG).map(dumps)))
+def test_load_config_then_build_and_dry_run(workdir, data):
+    path = put(workdir / "config.json", data)
+    config = loaded(lambda: load_config(str(path)))
+    if config is not None:
+        plan = NarrativePlan("T", {name: [name] for name in SECTION_ORDER})
+        uri = config.media.source_uri_for("v1")
+        sources = {name: ClipSource(uri, name, 10.0, 12.0) for name in SECTION_ORDER}
+        loaded(lambda: render(
+            build_edl(plan, sources, config.render, intro_source=config.media.intro_uri),
+            str(workdir / "out.mp4"), config.render, dry_run=True))
+
+
+# -- replay files and provider replies ---------------------------------------
+
+REPLAY = [
+    {"op": "themes", "response": {"themes": ["a", "b"]}},
+    {"op": "queries", "response": {"queries": [{"theme_index": 0, "text": "q"}]}},
+    {"op": "score", "response": {"scores": [{"id": "a1", "irony": 7, "relevance": 5}]}},
+    {"op": "order", "response": {"order": ["a1", "b2"]}},
+]
+
+
+@FUZZ
+@given(st.one_of(ARBITRARY_BYTES, mutated(REPLAY).map(lines_of)))
+def test_scripted_provider(workdir, data):
+    path = put(workdir / "replay.jsonl", data)
+    provider = loaded(lambda: ScriptedProvider(str(path)))
+    if provider is not None:
+        for op in OPS:
+            reply = loaded(lambda: provider.complete(op, {}))
+            assert reply is None or isinstance(reply, dict)
+
+
+SCORES = {"scores": [{"id": "a1", "irony": 7, "relevance": 5, "rationale": "r"},
+                     {"id": "b2", "irony": 2.5, "relevance": 11}]}
+
+
+@FUZZ
+@given(mutated(SCORES))
+def test_score_entries(response):
+    try:
+        entries = _score_entries(response)
+    except ProviderError:
+        return
+    for sid, (irony, relevance, rationale) in entries.items():
+        assert isinstance(sid, str) and isinstance(rationale, str)
+        assert 1 <= irony <= 10 and 1 <= relevance <= 10

@@ -70,6 +70,13 @@ class TestParseTranscript:
         with pytest.raises(ValidationError, match="video_id"):
             parse_transcript(doc_bytes([], video_id=""))
 
+    @pytest.mark.parametrize("start,end", [
+        (float("nan"), 1.0), (0.0, float("nan")), (0.0, float("inf")), (0.0, 10**400),
+    ])
+    def test_non_finite_or_overflowing_time_rejected(self, start, end):
+        with pytest.raises(ParseError, match="finite"):
+            parse_transcript(doc_bytes([("ciao", start, end)]))
+
 
 class TestSegmentSentences:
     def test_three_sentence_split(self):
@@ -221,6 +228,19 @@ class TestCorpusRoundTrip:
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"format":"something-else","version":1}\n', encoding="utf-8")
         with pytest.raises(ParseError, match="not a corpus file"):
+            load_corpus(str(path))
+
+    @pytest.mark.parametrize("field,value", [
+        ("sentence_id", ["a"]), ("video_id", None), ("text", 5), ("ordinal", 2.7),
+        ("ordinal", True), ("start_s", float("nan")), ("end_s", "1.5"), ("end_s", 10**400),
+    ])
+    def test_bad_record_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "corpus.jsonl"
+        export_corpus(self.make_sentences(), str(path))
+        header, first, *rest = path.read_text(encoding="utf-8").split("\n")
+        first = json.dumps({**json.loads(first), field: value})
+        path.write_text("\n".join([header, first, *rest]), encoding="utf-8")
+        with pytest.raises(ParseError, match=":2: bad corpus record"):
             load_corpus(str(path))
 
     def test_export_is_byte_deterministic(self, tmp_path):

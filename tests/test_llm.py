@@ -69,6 +69,12 @@ class TestScriptedProvider:
         with pytest.raises(ParseError, match="inventato"):
             ScriptedProvider(str(path))
 
+    def test_non_string_op_in_file(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        path.write_text('{"op": ["themes"], "response": {}}\n', encoding="utf-8")
+        with pytest.raises(ParseError, match="unknown op"):
+            ScriptedProvider(str(path))
+
     def test_bad_line_reports_position(self, tmp_path):
         path = tmp_path / "replay.jsonl"
         path.write_text('{"op": "themes", "response": {}}\nnot json\n', encoding="utf-8")

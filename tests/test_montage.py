@@ -288,6 +288,7 @@ class TestEdlFile:
         lambda p: p["sections"]["climax"][0].update(in_s="30.0"),
         lambda p: p["sections"]["climax"][0].update(fade_in_s=float("nan")),
         lambda p: p["sections"].update(climax=7),
+        lambda p: p["compression"].update(threshold_db=10000),
     ])
     def test_every_value_the_render_plan_reads_is_checked(self, tmp_path, edit):
         path = tmp_path / "edl.json"

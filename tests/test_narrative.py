@@ -1,5 +1,6 @@
 """Retrieval exclusion, filtering, percentiles, segmentation, ordering."""
 
+import json
 import math
 import random
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aiblob.errors import ConfigError, PlanError, ValidationError
+from aiblob.errors import ConfigError, ParseError, PlanError, ValidationError
 from aiblob.llm import Orchestrator, QueryPhrase, ScoredSentence
 from aiblob.narrative import (
     NarrativePlan,
@@ -407,6 +408,19 @@ class TestPlanFile:
             ' "b": {"irony": 5, "relevance": 5}, "c": {"irony": 5, "relevance": 5}}}',
             encoding="utf-8")
         with pytest.raises(ValidationError, match="disjoint"):
+            load_plan(str(path))
+
+    @pytest.mark.parametrize("irony", ["x", 2.5, True, None])
+    def test_non_integer_score_rejected(self, tmp_path, irony):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({
+            "format": "aiblob-plan", "version": 1, "episode_title": "X",
+            "sections": {"introduction": ["a"], "build_up": ["b"],
+                         "climax": ["c"], "conclusion": ["d"]},
+            "scores": {sid: {"irony": irony if sid == "c" else 5, "relevance": 5}
+                       for sid in "abcd"},
+        }), encoding="utf-8")
+        with pytest.raises(ParseError, match="scores of c must be integers"):
             load_plan(str(path))
 
     def test_missing_scores_rejected(self, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from aiblob.embeddings import deterministic_embed
 from aiblob.errors import ConfigError, StoreError, ValidationError
-from aiblob.store import VectorRecord, VectorStore, cosine
+from aiblob.store import VectorRecord, VectorStore
 
 
 def brute_force_top_k(records, query, k, exclude=frozenset(), video_cap=None):
@@ -55,21 +55,6 @@ def filled_store(n, dim, **kwargs):
     store = VectorStore(dim)
     store.insert_batch(make_records(n, dim, **kwargs))
     return store
-
-
-class TestCosine:
-    def test_identical(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
-
-    def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_hand_computed(self):
-        assert cosine(np.array([0.6, 0.8]), np.array([0.8, 0.6])) == pytest.approx(0.96)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ConfigError):
-            cosine(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
 class TestInsert:
