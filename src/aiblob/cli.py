@@ -13,7 +13,7 @@ import sys
 
 from .config import AppConfig, load_config
 from .embeddings import DOCUMENT_INPUT, embed_batch, make_embedder
-from .errors import AiblobError, PlanError, ValidationError
+from .errors import AiblobError, ParseError, PlanError, ValidationError
 from .ingest import DEFAULT_MIN_CHARS, load_corpus, export_corpus, parse_transcript, segment_sentences
 from .llm import Orchestrator, make_llm_provider
 from .montage import ClipSource, build_edl, load_edl, render, save_edl
@@ -42,8 +42,11 @@ def cmd_ingest(args) -> int:
     seen_videos: set[str] = set()
     for name in names:
         path = os.path.join(args.transcripts, name)
-        with open(path, "rb") as handle:
-            doc = parse_transcript(handle.read())
+        try:
+            with open(path, "rb") as handle:
+                doc = parse_transcript(handle.read())
+        except (ParseError, ValidationError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
         if doc.video_id in seen_videos:
             raise ValidationError(f"{path}: duplicate video_id {doc.video_id!r} in corpus")
         seen_videos.add(doc.video_id)

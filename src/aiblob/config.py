@@ -17,14 +17,13 @@ its annotated type and its range.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .errors import ConfigError
 from .llm import DEFAULT_SCORE_BATCH
 from .montage import RenderSettings
 from .narrative import PipelineConfig
-from .util import DEFAULT_RETRIES, check_field_types, load_json
+from .util import DEFAULT_RETRIES, check_field_types, from_json, load_json
 
 
 @dataclass
@@ -80,17 +79,6 @@ _SECTIONS = {
 }
 
 
-def _build_section(cls, data: dict, section: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
-    if unknown:
-        raise ConfigError(f"unknown option(s) in config section {section!r}: {', '.join(unknown)}")
-    try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value in config section {section!r}: {exc}") from exc
-
-
 def load_config(path: str | None = None) -> AppConfig:
     """Read the config file (or return all defaults when path is None)."""
     raw: dict = {}
@@ -101,10 +89,7 @@ def load_config(path: str | None = None) -> AppConfig:
         unknown = sorted(set(raw) - set(_SECTIONS))
         if unknown:
             raise ConfigError(f"{path}: unknown config section(s): {', '.join(unknown)}")
-    sections = {}
-    for name, cls in _SECTIONS.items():
-        data = raw.get(name, {})
-        if not isinstance(data, dict):
-            raise ConfigError(f"config section {name!r} must be an object")
-        sections[name] = _build_section(cls, data, name)
-    return AppConfig(**sections)
+    return AppConfig(**{
+        name: from_json(cls, raw.get(name, {}), ConfigError, f"{path}: config section {name!r}")
+        for name, cls in _SECTIONS.items()
+    })

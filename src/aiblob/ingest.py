@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
-from .util import is_finite_number, is_int, parse_json_line, read_jsonl, write_jsonl
+from .util import from_json, is_finite_number, parse_json_line, read_jsonl, write_jsonl
 
 CORPUS_FORMAT = "aiblob-corpus"
 CORPUS_VERSION = 1
@@ -91,6 +91,8 @@ def parse_transcript(data: bytes) -> TranscriptDocument:
         raise ParseError(
             f"invalid transcript JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid transcript JSON: nested too deeply") from exc
     if not isinstance(obj, dict):
         raise ParseError("transcript root must be a JSON object")
 
@@ -221,20 +223,13 @@ def export_corpus(sentences: list[Sentence], path: str) -> int:
 
 
 def load_corpus(path: str) -> list[Sentence]:
-    """Read a corpus file back into Sentence records, validating ids and header."""
+    """Read a corpus file back into Sentence records, checking header, fields and unique ids."""
     _header, lines = read_jsonl(path, CORPUS_FORMAT, CORPUS_VERSION)
     sentences: list[Sentence] = []
     seen: set[str] = set()
     for lineno, line in enumerate(lines, start=2):
-        rec = parse_json_line(line, path, lineno)
-        sentence_id, video_id, text = rec.get("sentence_id"), rec.get("video_id"), rec.get("text")
-        ordinal, start_s, end_s = rec.get("ordinal"), rec.get("start_s"), rec.get("end_s")
-        if not (isinstance(sentence_id, str) and isinstance(video_id, str)
-                and isinstance(text, str) and is_int(ordinal)
-                and is_finite_number(start_s) and is_finite_number(end_s)):
-            raise ParseError(f"{path}:{lineno}: bad corpus record: sentence_id, video_id and "
-                             "text must be strings, ordinal an integer, times finite numbers")
-        sentence = Sentence(sentence_id, video_id, ordinal, text, float(start_s), float(end_s))
+        sentence = from_json(Sentence, parse_json_line(line, path, lineno), ParseError,
+                             f"{path}:{lineno}: bad corpus record")
         if sentence.sentence_id in seen:
             raise ValidationError(
                 f"{path}:{lineno}: duplicate sentence_id {sentence.sentence_id}"

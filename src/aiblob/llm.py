@@ -172,7 +172,7 @@ class RemoteChatProvider:
             raise ProviderError(f"LLM response missing message content: {exc}") from exc
         try:
             parsed = json.loads(content)
-        except (json.JSONDecodeError, TypeError) as exc:
+        except (json.JSONDecodeError, TypeError, RecursionError) as exc:
             raise ProviderError("LLM returned free text instead of a JSON object") from exc
         if not isinstance(parsed, dict):
             raise ProviderError("LLM reply content is not a JSON object")

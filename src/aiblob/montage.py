@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .errors import ConfigError, ParseError, RenderError, ValidationError
 from .narrative import SECTION_ORDER, NarrativePlan
-from .util import atomic_write_text, check_field_types, is_finite_number, load_json
+from .util import atomic_write_text, check_field_types, from_json, is_finite_number, load_json
 
 EDL_FORMAT = "aiblob-edl"
 EDL_VERSION = 1
@@ -309,18 +309,6 @@ def render(edl: EditDecisionList, out_path: str, settings: RenderSettings,
 # EDL file I/O
 # ----------------------------------------------------------------------
 
-def _clip_payload(clip: Clip) -> dict:
-    return {
-        "source_uri": clip.source_uri,
-        "in_s": clip.in_s,
-        "out_s": clip.out_s,
-        "fade_in_s": clip.fade_in_s,
-        "fade_out_s": clip.fade_out_s,
-        "sentence_id": clip.sentence_id,
-        "text": clip.text,
-    }
-
-
 def save_edl(edl: EditDecisionList, path: str) -> None:
     payload = {
         "format": EDL_FORMAT,
@@ -334,9 +322,10 @@ def save_edl(edl: EditDecisionList, path: str) -> None:
             "ratio": edl.compression["ratio"],
             "threshold_db": edl.compression["threshold_db"],
         },
-        "intro": _clip_payload(edl.intro) if edl.intro is not None else None,
+        # A clip is one Clip's fields, in declaration order.
+        "intro": vars(edl.intro) if edl.intro is not None else None,
         "sections": {
-            name: [_clip_payload(c) for c in edl.sections.get(name, [])]
+            name: [vars(c) for c in edl.sections.get(name, [])]
             for name in SECTION_ORDER
         },
     }
@@ -348,26 +337,6 @@ def _finite(obj: dict, key: str, path: str, where: str) -> float:
     if not is_finite_number(value):
         raise ParseError(f"{path}: {where}.{key} must be a finite number, got {value!r}")
     return float(value)
-
-
-def _clip_from_payload(obj: dict, path: str, where: str) -> Clip:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}: {where} must be an object")
-    for key in ("source_uri", "sentence_id"):
-        if key not in obj:
-            raise ParseError(f"{path}: bad clip {where}: missing {key!r}")
-    sentence_id = obj["sentence_id"]
-    if sentence_id is not None and not isinstance(sentence_id, str):
-        raise ParseError(f"{path}: {where}.sentence_id must be a string or null")
-    return Clip(
-        source_uri=str(obj["source_uri"]),
-        in_s=_finite(obj, "in_s", path, where),
-        out_s=_finite(obj, "out_s", path, where),
-        fade_in_s=_finite(obj, "fade_in_s", path, where),
-        fade_out_s=_finite(obj, "fade_out_s", path, where),
-        sentence_id=sentence_id,
-        text=str(obj.get("text", "")),
-    )
 
 
 def load_edl(path: str) -> EditDecisionList:
@@ -384,11 +353,10 @@ def load_edl(path: str) -> EditDecisionList:
         clips_raw = sections_raw.get(name, [])
         if not isinstance(clips_raw, list):
             raise ParseError(f"{path}: sections.{name} must be a list")
-        sections[name] = [
-            _clip_from_payload(obj, path, f"{name}[{i}]") for i, obj in enumerate(clips_raw)
-        ]
+        sections[name] = [from_json(Clip, obj, ParseError, f"{path}: sections.{name}[{i}]")
+                          for i, obj in enumerate(clips_raw)]
     intro_raw = payload.get("intro")
-    intro = _clip_from_payload(intro_raw, path, "intro") if intro_raw is not None else None
+    intro = None if intro_raw is None else from_json(Clip, intro_raw, ParseError, f"{path}: intro")
     loudness = payload.get("loudness")
     compression = payload.get("compression")
     if not isinstance(loudness, dict) or not isinstance(compression, dict):
@@ -400,8 +368,11 @@ def load_edl(path: str) -> EditDecisionList:
     fault = _compression_fault(compression)
     if fault:
         raise ParseError(f"{path}: compression.{fault}")
+    episode_title = payload.get("episode_title", "")
+    if not isinstance(episode_title, str):
+        raise ParseError(f"{path}: episode_title must be a string, got {episode_title!r}")
     return EditDecisionList(
-        episode_title=str(payload.get("episode_title", "")),
+        episode_title=episode_title,
         intro=intro,
         sections=sections,
         loudness=loudness,

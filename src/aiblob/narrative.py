@@ -19,7 +19,6 @@ Section semantics:
 from __future__ import annotations
 
 import json
-import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -125,17 +124,6 @@ def filter_retained(
         s for s in scored
         if s.irony >= irony_threshold or s.relevance >= relevance_threshold
     ]
-
-
-def nearest_rank_percentile(values: Sequence[float], p: float) -> float:
-    """Nearest-rank percentile: the sorted element at rank ceil(p/100 * n), 1-based."""
-    if not values:
-        raise ValidationError("percentile of an empty list")
-    if not 0 < p <= 100:
-        raise ValidationError(f"percentile p must be in (0, 100], got {p}")
-    ordered = sorted(values)
-    rank = math.ceil((p * len(ordered)) / 100.0)
-    return ordered[rank - 1]
 
 
 def section_quotas(n: int, config: PipelineConfig) -> dict[str, int]:
@@ -336,7 +324,10 @@ def load_plan(path: str) -> tuple[NarrativePlan, dict[str, ScoredSentence]]:
             raise ValidationError(f"{path}: sections are not disjoint (e.g. {sorted(overlap)[:3]})")
         seen.update(ids)
         sections[name] = list(ids)
-    plan = NarrativePlan(str(payload.get("episode_title", "")), sections)
+    episode_title = payload.get("episode_title", "")
+    if not isinstance(episode_title, str):
+        raise ParseError(f"{path}: episode_title must be a string, got {episode_title!r}")
+    plan = NarrativePlan(episode_title, sections)
 
     scores_raw = payload.get("scores", {})
     if not isinstance(scores_raw, dict):

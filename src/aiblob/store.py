@@ -20,6 +20,7 @@ On-disk layout (bit-exact):
 
 from __future__ import annotations
 
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -27,9 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AiblobError, ConfigError, StoreError, ValidationError
-from .util import (atomic_write_bytes, is_finite_number, is_int, parse_json_line, read_jsonl,
-                   write_jsonl)
+from .errors import ConfigError, StoreError, ValidationError
+from .util import (atomic_write_bytes, check_field_types, from_json, is_int, parse_json_line,
+                   read_jsonl, write_jsonl)
 
 STORE_FORMAT = "aiblob-store"
 STORE_VERSION = 1
@@ -38,6 +39,7 @@ META_FILE = "meta.jsonl"
 VECTORS_FILE = "vectors.bin"
 # Metadata fields, in meta.jsonl key order; VectorRecord has the same names.
 META_KEYS = ("sentence_id", "video_id", "text", "start_s", "end_s")
+_meta_values = operator.attrgetter(*META_KEYS)
 
 
 @dataclass
@@ -113,8 +115,8 @@ class VectorStore:
                     f"record {rec.sentence_id}: vector dim {got} does not match store dim {self.dim}"
                 )
             batch[i] = arr
-            rows.append(_meta_row([getattr(rec, key) for key in META_KEYS], ValidationError,
-                                  f"record {rec.sentence_id}"))
+            check_field_types(rec, ValidationError, f"record {rec.sentence_id}")
+            rows.append(_meta_values(rec))
         self._append(batch, rows)
         return len(records)
 
@@ -236,19 +238,10 @@ class VectorStore:
 
         rows = []
         for lineno, line in enumerate(meta_rows, start=2):
-            rec = parse_json_line(line, meta_path, lineno)
-            rows.append(_meta_row([rec.get(key) for key in META_KEYS], StoreError,
-                                  f"{meta_path}:{lineno}: bad record"))
+            rec = from_json(VectorRecord, parse_json_line(line, meta_path, lineno), StoreError,
+                            f"{meta_path}:{lineno}: bad record", vector=None)
+            rows.append(_meta_values(rec))
         store = cls(dim)
         store._append(matrix, rows)
         return store
 
-
-def _meta_row(values: list, error: type[AiblobError], where: str) -> tuple:
-    """Check one row of META_KEYS values; times become floats."""
-    sentence_id, video_id, text, start_s, end_s = values
-    if not all(isinstance(v, str) for v in (sentence_id, video_id, text)):
-        raise error(f"{where}: sentence_id, video_id and text must be strings")
-    if not (is_finite_number(start_s) and is_finite_number(end_s)):
-        raise error(f"{where}: start_s and end_s must be finite numbers")
-    return sentence_id, video_id, text, float(start_s), float(end_s)

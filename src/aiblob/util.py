@@ -1,9 +1,10 @@
 """Small shared helpers: atomic file writes, UTF-8 and JSON file reading,
-canonical JSON lines, value checks, provider retries, HTTP POST."""
+canonical JSON lines, value and record checks, provider retries, HTTP POST."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -80,6 +81,8 @@ def load_json(path: str) -> Any:
         return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: invalid JSON: nested too deeply") from exc
 
 
 def parse_json_line(line: str, path: str, lineno: int) -> dict:
@@ -88,6 +91,8 @@ def parse_json_line(line: str, path: str, lineno: int) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}:{lineno}: invalid JSON: nested too deeply") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}:{lineno}: expected a JSON object")
     return obj
@@ -120,28 +125,74 @@ def is_finite_number(value: Any) -> bool:
 
 
 _FIELD_KINDS = {
-    "int": (is_int, "an integer"),
-    "float": (is_finite_number, "a finite number"),
-    "str": (lambda value: isinstance(value, str), "a string"),
+    "int": (int, is_int, "an integer"),
+    "float": (float, is_finite_number, "a finite number"),
+    "str": (str, lambda value: isinstance(value, str), "a string"),
 }
 
 
-def check_field_types(obj) -> None:
-    """Raise ConfigError unless every field of dataclass ``obj`` holds its annotated
-    kind: a real int, a finite non-bool number, or a str; ``| None`` allows null.
+@functools.cache
+def _field_rules(cls) -> tuple[tuple[str, type, Callable[[Any], bool], str, bool], ...]:
+    """(name, type, check, wanted, nullable) for each field of dataclass ``cls``
+    annotated with a kind of _FIELD_KINDS, optionally ``| None``."""
+    rules = []
+    for field in dataclasses.fields(cls):
+        kind, _, optional = field.type.partition(" | ")
+        if kind in _FIELD_KINDS:
+            rules.append((field.name, *_FIELD_KINDS[kind], optional == "None"))
+    return tuple(rules)
+
+
+def check_field_types(obj, error: type[AiblobError] = ConfigError, where: str = "") -> None:
+    """Raise ``error`` unless every field of dataclass ``obj`` annotated ``int``,
+    ``float`` or ``str`` holds a real int, a finite non-bool number or a str;
+    ``| None`` also allows null. Ints in float fields become floats. Fields with
+    other annotations are not checked. Messages start with ``where``.
 
     Reads the annotations as strings, so the defining module needs
     ``from __future__ import annotations``.
     """
-    for field in dataclasses.fields(obj):
-        value = getattr(obj, field.name)
-        kind, _, optional = field.type.partition(" | ")
-        if value is None and optional == "None":
+    for name, kind, check, wanted, nullable in _field_rules(type(obj)):
+        value = getattr(obj, name)
+        # The common case, tested without a call: the exact type, and for a float
+        # a finite value (NaN and infinities give NaN here).
+        if type(value) is kind and (kind is not float or value - value == 0.0):
             continue
-        check, wanted = _FIELD_KINDS[kind]
+        if value is None and nullable:
+            continue
         if not check(value):
-            null = " or null" if optional == "None" else ""
-            raise ConfigError(f"{field.name} must be {wanted}{null}, got {value!r}")
+            null = " or null" if nullable else ""
+            prefix = f"{where}: " if where else ""
+            raise error(f"{prefix}{name} must be {wanted}{null}, got {value!r}")
+        if kind is float:
+            setattr(obj, name, float(value))
+
+
+def from_json(cls, data: Any, error: type[AiblobError], where: str, **given):
+    """Build dataclass ``cls`` from a decoded JSON object and the ``given`` fields
+    the file does not hold, then check its field types (check_field_types).
+
+    A non-object, an unknown key or a missing key without a default raises
+    ``error`` with a message starting with ``where``.
+    """
+    if not isinstance(data, dict):
+        raise error(f"{where}: expected a JSON object, got {type(data).__name__}")
+    try:
+        obj = cls(**data, **given)
+    except TypeError:
+        # An unknown or a missing key makes construction fail; only then are keys read.
+        fields = [field for field in dataclasses.fields(cls) if field.name not in given]
+        unknown = sorted(data.keys() - {field.name for field in fields})
+        if unknown:
+            raise error(f"{where}: unknown key(s): {', '.join(unknown)}") from None
+        missing = [field.name for field in fields if field.name not in data
+                   and field.default is dataclasses.MISSING
+                   and field.default_factory is dataclasses.MISSING]
+        if missing:
+            raise error(f"{where}: missing key(s): {', '.join(missing)}") from None
+        raise
+    check_field_types(obj, error, where)
+    return obj
 
 
 def retry(call: Callable[[], Any], attempts: int, what: str, backoff: Sequence[float] = (),
@@ -184,5 +235,5 @@ def post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
         raise ProviderError(f"endpoint returned HTTP {exc.code}") from exc
     except urllib.error.URLError as exc:
         raise ProviderError(f"endpoint unreachable: {exc.reason}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ProviderError(f"endpoint returned invalid JSON: {exc}") from exc

@@ -2,10 +2,12 @@
 
 import json
 import os
+import re
 
 import pytest
 
-from aiblob.cli import main
+from aiblob.cli import build_parser, main
+from aiblob.errors import ParseError
 from aiblob.embeddings import make_embedder
 from aiblob.narrative import PipelineConfig
 from aiblob.store import VectorStore
@@ -62,6 +64,21 @@ class TestIngest:
         assert main(["ingest", "--transcripts", str(transcripts),
                      "--out", str(tmp_path / "c.jsonl")]) == 1
         assert "dup" in capsys.readouterr().err
+
+    def test_bad_transcript_error_names_its_file(self, tmp_path, capsys):
+        transcripts = tmp_path / "transcripts"
+        write_fixture_transcripts(transcripts, n_videos=3, per_video=5)
+        bad = transcripts / "vid001.json"
+        doc = json.loads(bad.read_text(encoding="utf-8"))
+        doc["words"][0]["s"] = "x"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["ingest", "--transcripts", str(transcripts), "--out", str(tmp_path / "c.jsonl")]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(ParseError, match=re.escape(f"{bad}: words[0].s must be a finite")):
+            args.func(args)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
 
 
 class TestStats:
@@ -248,6 +265,21 @@ class TestRender:
         assert captured.err.startswith("error:") and "threshold_db" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("field", ["source_uri", "text"])
+    @pytest.mark.parametrize("value", [None, 5])
+    def test_dry_run_on_clip_of_wrong_type_fails_cleanly(self, workspace, capsys, field, value):
+        code, out = TestCompose().compose(workspace)
+        assert code == 0
+        edl = json.loads((out / "edl.json").read_text(encoding="utf-8"))
+        edl["sections"]["climax"][0][field] = value
+        (out / "edl.json").write_text(json.dumps(edl), encoding="utf-8")
+        capsys.readouterr()  # drop compose output
+        assert main(["render", "--edl", str(out / "edl.json"),
+                     "--out", str(workspace / "episodio.mp4"), "--dry-run"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and f"{field} must be a string" in captured.err
+
     def test_real_run_without_renderer_fails(self, workspace, capsys):
         code, out = TestCompose().compose(workspace)
         assert code == 0
@@ -287,6 +319,23 @@ class TestNonUtf8Input:
         assert main(self.COMMANDS[command](workspace)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "UTF-8" in err
+        assert "Traceback" not in err
+
+
+class TestDeeplyNestedInput:
+    """JSON nested past the decoder's recursion limit is a clean parse error."""
+
+    @pytest.mark.parametrize("command,name", [
+        ("ingest", "transcripts/vid999.json"), ("index", "corpus.jsonl"),
+        ("index", "config.json"), ("compose", "store/meta.jsonl"),
+        ("compose", "replay.jsonl"), ("render", "edl.json"),
+    ])
+    def test_fails_cleanly(self, workspace, capsys, command, name):
+        (workspace / name).write_bytes(b"[" * 100_000)
+        capsys.readouterr()  # drop fixture output
+        assert main(TestNonUtf8Input.COMMANDS[command](workspace)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nested too deeply" in err
         assert "Traceback" not in err
 
 

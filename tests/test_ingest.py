@@ -243,6 +243,15 @@ class TestCorpusRoundTrip:
         with pytest.raises(ParseError, match=":2: bad corpus record"):
             load_corpus(str(path))
 
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        export_corpus(self.make_sentences(), str(path))
+        header, first, second, *rest = path.read_text(encoding="utf-8").split("\n")
+        second = json.dumps({**json.loads(second), "speaker": "A"})
+        path.write_text("\n".join([header, first, second, *rest]), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"corpus\.jsonl:3: .*unknown key\(s\): speaker"):
+            load_corpus(str(path))
+
     def test_export_is_byte_deterministic(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         export_corpus(self.make_sentences(), str(a))

@@ -380,6 +380,15 @@ class TestRemoteChatProvider:
         with pytest.raises(ProviderError, match="free text"):
             provider.complete("themes", {})
 
+    def test_deeply_nested_content_is_malformed(self):
+        def transport(url, body, headers, timeout):
+            return {"choices": [{"message": {"content": "[" * 100_000}}]}
+
+        provider = RemoteChatProvider("https://example.test/chat", "m",
+                                      api_key="k", transport=transport)
+        with pytest.raises(ProviderError, match="free text"):
+            provider.complete("themes", {})
+
     def test_missing_choices(self):
         provider = RemoteChatProvider("https://example.test/chat", "m", api_key="k",
                                       transport=lambda *a: {"choices": []})

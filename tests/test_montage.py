@@ -298,3 +298,36 @@ class TestEdlFile:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ParseError):
             load_edl(str(path))
+
+    @pytest.mark.parametrize("field", ["source_uri", "text"])
+    @pytest.mark.parametrize("value", [None, 5])
+    def test_clip_field_of_wrong_type_rejected(self, tmp_path, field, value):
+        path = tmp_path / "edl.json"
+        save_edl(build_edl(make_plan(), make_sources(), RenderSettings()), str(path))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["sections"]["climax"][0][field] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"sections\.climax\[0\]: {field} must be a string"):
+            load_edl(str(path))
+
+    @pytest.mark.parametrize("clip", ["intro", "climax"])
+    def test_unknown_clip_key_rejected(self, tmp_path, clip):
+        path = tmp_path / "edl.json"
+        save_edl(build_edl(make_plan(), make_sources(), RenderSettings(),
+                           intro_source="media/sigla.mp4"), str(path))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        target = payload["intro"] if clip == "intro" else payload["sections"]["climax"][0]
+        target["volume"] = 1.0
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"edl\.json: .*unknown key\(s\): volume"):
+            load_edl(str(path))
+
+    @pytest.mark.parametrize("title", [None, 5, ["Titolo"]])
+    def test_non_string_title_rejected(self, tmp_path, title):
+        path = tmp_path / "edl.json"
+        save_edl(build_edl(make_plan(), make_sources(), RenderSettings()), str(path))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["episode_title"] = title
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParseError, match="episode_title must be a string"):
+            load_edl(str(path))

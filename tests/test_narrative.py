@@ -1,4 +1,4 @@
-"""Retrieval exclusion, filtering, percentiles, segmentation, ordering."""
+"""Retrieval exclusion, filtering, segmentation, ordering, plan files."""
 
 import json
 import math
@@ -18,7 +18,6 @@ from aiblob.narrative import (
     contrast_interleave,
     filter_retained,
     load_plan,
-    nearest_rank_percentile,
     order_sections,
     retrieve_candidates,
     save_plan,
@@ -161,43 +160,6 @@ class TestFilterRetained:
                 for relevance in range(1, 11):
                     kept = filter_retained(scored([("x", irony, relevance)]), ti, tr)
                     assert bool(kept) == (irony >= ti or relevance >= tr)
-
-
-class TestNearestRankPercentile:
-    def test_hand_applied_definition(self):
-        assert nearest_rank_percentile([1, 2, 3, 4], 50) == 2
-
-    def test_singleton(self):
-        for p in (1, 37, 50, 99, 100):
-            assert nearest_rank_percentile([7], p) == 7
-
-    def test_maximum(self):
-        assert nearest_rank_percentile([1, 2, 3, 4], 100) == 4
-
-    def test_unsorted_input(self):
-        assert nearest_rank_percentile([4, 1, 3, 2], 25) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            nearest_rank_percentile([], 50)
-
-    def test_out_of_range_p(self):
-        with pytest.raises(ValidationError):
-            nearest_rank_percentile([1], 0)
-        with pytest.raises(ValidationError):
-            nearest_rank_percentile([1], 101)
-
-    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=40),
-           st.integers(min_value=1, max_value=100))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_independent_counting_definition(self, values, p):
-        result = nearest_rank_percentile(values, p)
-        # Independent reading: smallest element with at least ceil(p*n/100)
-        # elements less than or equal to it.
-        need = math.ceil(p * len(values) / 100.0)
-        candidates = [v for v in values if sum(1 for w in values if w <= v) >= need]
-        assert result == min(candidates)
-        assert result in values
 
 
 class TestSegmentNarrative:
@@ -421,6 +383,18 @@ class TestPlanFile:
                        for sid in "abcd"},
         }), encoding="utf-8")
         with pytest.raises(ParseError, match="scores of c must be integers"):
+            load_plan(str(path))
+
+    @pytest.mark.parametrize("title", [None, 5, ["X"]])
+    def test_non_string_title_rejected(self, tmp_path, title):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({
+            "format": "aiblob-plan", "version": 1, "episode_title": title,
+            "sections": {"introduction": ["a"], "build_up": ["b"],
+                         "climax": ["c"], "conclusion": ["d"]},
+            "scores": {sid: {"irony": 5, "relevance": 5} for sid in "abcd"},
+        }), encoding="utf-8")
+        with pytest.raises(ParseError, match="episode_title must be a string"):
             load_plan(str(path))
 
     def test_missing_scores_rejected(self, tmp_path):

@@ -79,6 +79,28 @@ class TestInsert:
             store.insert_batch(recs)
         assert store.count == 0
 
+    @pytest.mark.parametrize("field,value", [
+        ("video_id", None), ("text", 5), ("start_s", True), ("end_s", float("nan")),
+    ])
+    def test_bad_metadata_type_rejects_batch(self, field, value):
+        store = filled_store(3, 8)
+        bad = make_records(2, 8, prefix="t")
+        setattr(bad[1], field, value)
+        with pytest.raises(ValidationError, match=f"record t0001: {field} must be"):
+            store.insert_batch(bad)
+        assert store.count == 3
+
+    def test_integer_times_are_stored_as_floats(self, tmp_path):
+        store = VectorStore(8)
+        record = make_records(1, 8)[0]
+        record.start_s, record.end_s = 2, 3
+        store.insert_batch([record])
+        got = store.get(record.sentence_id)
+        assert (got.start_s, got.end_s) == (2.0, 3.0) and type(got.start_s) is float
+        store.save(str(tmp_path / "store"))
+        row = (tmp_path / "store" / "meta.jsonl").read_text(encoding="utf-8").split("\n")[1]
+        assert row.endswith('"start_s":2.0,"end_s":3.0}')
+
     def test_dim_mismatch(self):
         store = VectorStore(16)
         with pytest.raises(ConfigError, match="dim"):
@@ -272,6 +294,17 @@ class TestPersistence:
         lines[2] = json.dumps(row)
         meta.write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(StoreError, match="meta.jsonl:3: bad record"):
+            VectorStore.load(str(tmp_path / "store"))
+
+    @pytest.mark.parametrize("key", ["speaker", "vector"])
+    def test_unknown_metadata_key_rejected(self, tmp_path, key):
+        filled_store(3, 8).save(str(tmp_path / "store"))
+        meta = tmp_path / "store" / "meta.jsonl"
+        lines = meta.read_text(encoding="utf-8").split("\n")
+        lines[2] = json.dumps({**json.loads(lines[2]), key: [0.0]})
+        meta.write_text("\n".join(lines), encoding="utf-8")
+        message = rf"meta\.jsonl:3: bad record: unknown key\(s\): {key}"
+        with pytest.raises(StoreError, match=message):
             VectorStore.load(str(tmp_path / "store"))
 
     def test_nan_in_vectors_rejected_on_load(self, tmp_path):

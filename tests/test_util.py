@@ -1,12 +1,14 @@
-"""Shared helpers: the atomic writers and the provider retry loop."""
+"""Shared helpers: the atomic writers, the record builder and the provider retry loop."""
 
 import os
 import stat
 
 import pytest
 
-from aiblob.errors import ProviderError
-from aiblob.util import retry, write_jsonl
+from aiblob.errors import ParseError, ProviderError, StoreError
+from aiblob.ingest import Sentence
+from aiblob.store import VectorRecord
+from aiblob.util import from_json, retry, write_jsonl
 
 
 def test_write_jsonl_bytes(tmp_path):
@@ -54,3 +56,35 @@ def test_retry_sleeps_the_backoff_and_names_what_failed():
         retry(call, 5, "embedding for texts[0:4]", (0.5, 2.0, 8.0), sleep=delays.append)
     assert attempts == [0, 1, 2, 3, 4]
     assert delays == [0.5, 2.0, 8.0, 8.0]
+
+
+SENTENCE = {"sentence_id": "s1", "video_id": "v1", "ordinal": 0, "text": "Ciao.",
+            "start_s": 1, "end_s": 2.5}
+
+
+def test_from_json_builds_the_record_and_makes_int_times_floats():
+    sentence = from_json(Sentence, SENTENCE, ParseError, "c.jsonl:2")
+    assert sentence == Sentence("s1", "v1", 0, "Ciao.", 1.0, 2.5)
+    assert type(sentence.start_s) is float
+
+
+@pytest.mark.parametrize("data,message", [
+    ([SENTENCE], "c.jsonl:2: expected a JSON object, got list"),
+    ({**SENTENCE, "b": 1, "a": 2}, "c.jsonl:2: unknown key(s): a, b"),
+    ({k: v for k, v in SENTENCE.items() if k not in ("text", "ordinal")},
+     "c.jsonl:2: missing key(s): ordinal, text"),
+    ({**SENTENCE, "ordinal": 1.0}, "c.jsonl:2: ordinal must be an integer, got 1.0"),
+    ({**SENTENCE, "end_s": False}, "c.jsonl:2: end_s must be a finite number, got False"),
+], ids=["non-object", "unknown-keys", "missing-keys", "float-ordinal", "bool-time"])
+def test_from_json_rejects_with_the_callers_error_and_place(data, message):
+    with pytest.raises(ParseError) as caught:
+        from_json(Sentence, data, ParseError, "c.jsonl:2")
+    assert str(caught.value) == message
+
+
+def test_from_json_takes_given_fields_and_skips_unlisted_kinds():
+    row = {key: SENTENCE[key] for key in ("sentence_id", "video_id", "text", "start_s", "end_s")}
+    record = from_json(VectorRecord, row, StoreError, "meta.jsonl:2", vector="not checked")
+    assert record.vector == "not checked" and record.start_s == 1.0
+    with pytest.raises(StoreError, match=r"meta.jsonl:2: unknown key\(s\): vector"):
+        from_json(VectorRecord, {**row, "vector": []}, StoreError, "meta.jsonl:2", vector=None)
