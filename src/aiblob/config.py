@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .llm import DEFAULT_SCORE_BATCH
 from .montage import RenderSettings
 from .narrative import PipelineConfig
-from .util import DEFAULT_RETRIES, check_field_types, from_json, load_json
+from .util import DEFAULT_RETRIES, check_field_types, check_keys, from_json, load_json
 
 
 @dataclass
@@ -84,11 +84,7 @@ def load_config(path: str | None = None) -> AppConfig:
     raw: dict = {}
     if path is not None:
         raw = load_json(path)
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: config root must be a JSON object")
-        unknown = sorted(set(raw) - set(_SECTIONS))
-        if unknown:
-            raise ConfigError(f"{path}: unknown config section(s): {', '.join(unknown)}")
+        check_keys(raw, _SECTIONS, ConfigError, path, optional=_SECTIONS)
     return AppConfig(**{
         name: from_json(cls, raw.get(name, {}), ConfigError, f"{path}: config section {name!r}")
         for name, cls in _SECTIONS.items()

@@ -14,31 +14,46 @@ touching any binary, so the whole path is testable with nothing installed.
 
 from __future__ import annotations
 
-import json
 import os
 import shlex
 import shutil
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ConfigError, ParseError, RenderError, ValidationError
-from .narrative import SECTION_ORDER, NarrativePlan
-from .util import atomic_write_text, check_field_types, from_json, is_finite_number, load_json
+from .errors import AiblobError, ConfigError, ParseError, RenderError, ValidationError
+from .narrative import SECTION_ORDER, NarrativePlan, read_sections
+from .util import (atomic_write_text, check_field_types, check_keys, from_json, load_json,
+                   write_json)
 
 EDL_FORMAT = "aiblob-edl"
 EDL_VERSION = 1
+# The top-level keys of an EDL file, as save_edl writes them.
+EDL_KEYS = ("format", "version", "episode_title", "loudness", "compression", "intro", "sections")
 
 # The ranges FFmpeg's acompressor accepts (its linear threshold floor is about -60 dB).
 COMPRESSION_LIMITS = {"ratio": (1.0, 20.0), "threshold_db": (-60.0, 0.0)}
 
 
-def _compression_fault(compression: Mapping[str, float]) -> str | None:
-    """Why a {"ratio", "threshold_db"} pair is outside COMPRESSION_LIMITS, or None."""
+# The mastering pass: loudness normalization, then dynamic range compression.
+@dataclass
+class Loudness:
+    integrated_lufs: float
+    true_peak_dbtp: float
+
+
+@dataclass
+class Compression:
+    ratio: float
+    threshold_db: float
+
+
+def check_compression(compression: Compression, error: type[AiblobError], prefix: str) -> None:
+    """Raise ``error`` if a compressor setting is outside COMPRESSION_LIMITS."""
     for key, (lo, hi) in COMPRESSION_LIMITS.items():
-        if not lo <= compression[key] <= hi:
-            return f"{key} must be in [{lo:g}, {hi:g}], got {compression[key]!r}"
-    return None
+        value = getattr(compression, key)
+        if not lo <= value <= hi:
+            raise error(f"{prefix}{key} must be in [{lo:g}, {hi:g}], got {value!r}")
 
 
 @dataclass
@@ -60,10 +75,11 @@ class RenderSettings:
         for name in ("pre_roll_s", "post_roll_s", "fade_s"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-        fault = _compression_fault({"ratio": self.compression_ratio,
-                                    "threshold_db": self.compression_threshold_db})
-        if fault:
-            raise ConfigError(f"compression_{fault}")
+        if not self.intro_max_s > 0 or self.intro_max_s < 2 * self.fade_s:
+            raise ConfigError(f"intro_max_s must be positive and at least 2 * fade_s "
+                              f"({2 * self.fade_s:g}), got {self.intro_max_s}")
+        check_compression(Compression(self.compression_ratio, self.compression_threshold_db),
+                          ConfigError, "compression_")
 
 
 @dataclass
@@ -91,9 +107,9 @@ class Clip:
 class EditDecisionList:
     episode_title: str
     intro: Clip | None
-    sections: dict[str, list[Clip]] = field(default_factory=dict)
-    loudness: dict[str, float] = field(default_factory=dict)
-    compression: dict[str, float] = field(default_factory=dict)
+    sections: dict[str, list[Clip]]
+    loudness: Loudness
+    compression: Compression
 
     def all_clips(self) -> list[Clip]:
         clips = [self.intro] if self.intro is not None else []
@@ -142,14 +158,8 @@ def build_edl(
         episode_title=plan.episode_title,
         intro=intro,
         sections=sections,
-        loudness={
-            "integrated_lufs": settings.integrated_lufs,
-            "true_peak_dbtp": settings.true_peak_dbtp,
-        },
-        compression={
-            "ratio": settings.compression_ratio,
-            "threshold_db": settings.compression_threshold_db,
-        },
+        loudness=Loudness(settings.integrated_lufs, settings.true_peak_dbtp),
+        compression=Compression(settings.compression_ratio, settings.compression_threshold_db),
     )
 
 
@@ -200,10 +210,6 @@ def _fmt(value: float) -> str:
     return text if text not in ("", "-0") else "0"
 
 
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 20.0)
-
-
 def build_render_plan(edl: EditDecisionList, out_path: str,
                       settings: RenderSettings) -> list[list[str]]:
     """The exact renderer invocations for this EDL, as argv lists.
@@ -245,12 +251,12 @@ def build_render_plan(edl: EditDecisionList, out_path: str,
     ])
     steps.append(argv)
 
-    threshold_linear = _db_to_linear(edl.compression["threshold_db"])
+    threshold_linear = 10.0 ** (edl.compression.threshold_db / 20.0)
     master_filter = (
-        f"loudnorm=I={_fmt(edl.loudness['integrated_lufs'])}"
-        f":TP={_fmt(edl.loudness['true_peak_dbtp'])}"
+        f"loudnorm=I={_fmt(edl.loudness.integrated_lufs)}"
+        f":TP={_fmt(edl.loudness.true_peak_dbtp)}"
         f",acompressor=threshold={threshold_linear:.6g}"
-        f":ratio={_fmt(edl.compression['ratio'])}"
+        f":ratio={_fmt(edl.compression.ratio)}"
     )
     steps.append([renderer, "-hide_banner", "-nostdin", "-y", "-i", concat_path,
                   "-af", master_filter, out_path])
@@ -310,33 +316,19 @@ def render(edl: EditDecisionList, out_path: str, settings: RenderSettings,
 # ----------------------------------------------------------------------
 
 def save_edl(edl: EditDecisionList, path: str) -> None:
-    payload = {
+    # Loudness, compression and each clip are their dataclass's fields, in declaration order.
+    write_json(path, {
         "format": EDL_FORMAT,
         "version": EDL_VERSION,
         "episode_title": edl.episode_title,
-        "loudness": {
-            "integrated_lufs": edl.loudness["integrated_lufs"],
-            "true_peak_dbtp": edl.loudness["true_peak_dbtp"],
-        },
-        "compression": {
-            "ratio": edl.compression["ratio"],
-            "threshold_db": edl.compression["threshold_db"],
-        },
-        # A clip is one Clip's fields, in declaration order.
+        "loudness": vars(edl.loudness),
+        "compression": vars(edl.compression),
         "intro": vars(edl.intro) if edl.intro is not None else None,
         "sections": {
             name: [vars(c) for c in edl.sections.get(name, [])]
             for name in SECTION_ORDER
         },
-    }
-    atomic_write_text(path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
-
-
-def _finite(obj: dict, key: str, path: str, where: str) -> float:
-    value = obj.get(key)
-    if not is_finite_number(value):
-        raise ParseError(f"{path}: {where}.{key} must be a finite number, got {value!r}")
-    return float(value)
+    })
 
 
 def load_edl(path: str) -> EditDecisionList:
@@ -345,36 +337,17 @@ def load_edl(path: str) -> EditDecisionList:
         raise ParseError(f"{path}: not an EDL file")
     if payload.get("version") != EDL_VERSION:
         raise ParseError(f"{path}: unsupported EDL version {payload.get('version')!r}")
-    sections_raw = payload.get("sections")
-    if not isinstance(sections_raw, dict):
-        raise ParseError(f"{path}: sections must be an object")
-    sections = {}
-    for name in SECTION_ORDER:
-        clips_raw = sections_raw.get(name, [])
-        if not isinstance(clips_raw, list):
-            raise ParseError(f"{path}: sections.{name} must be a list")
-        sections[name] = [from_json(Clip, obj, ParseError, f"{path}: sections.{name}[{i}]")
-                          for i, obj in enumerate(clips_raw)]
-    intro_raw = payload.get("intro")
-    intro = None if intro_raw is None else from_json(Clip, intro_raw, ParseError, f"{path}: intro")
-    loudness = payload.get("loudness")
-    compression = payload.get("compression")
-    if not isinstance(loudness, dict) or not isinstance(compression, dict):
-        raise ParseError(f"{path}: loudness and compression must be objects")
-    loudness = {key: _finite(loudness, key, path, "loudness")
-                for key in ("integrated_lufs", "true_peak_dbtp")}
-    compression = {key: _finite(compression, key, path, "compression")
-                   for key in COMPRESSION_LIMITS}
-    fault = _compression_fault(compression)
-    if fault:
-        raise ParseError(f"{path}: compression.{fault}")
-    episode_title = payload.get("episode_title", "")
-    if not isinstance(episode_title, str):
-        raise ParseError(f"{path}: episode_title must be a string, got {episode_title!r}")
-    return EditDecisionList(
-        episode_title=episode_title,
-        intro=intro,
-        sections=sections,
-        loudness=loudness,
-        compression=compression,
+    check_keys(payload, EDL_KEYS, ParseError, path)
+    intro = payload["intro"]
+    edl = EditDecisionList(
+        episode_title=payload["episode_title"],
+        intro=None if intro is None else from_json(Clip, intro, ParseError, f"{path}: intro"),
+        sections=read_sections(payload["sections"], path,
+                               lambda clip, where: from_json(Clip, clip, ParseError, where)),
+        loudness=from_json(Loudness, payload["loudness"], ParseError, f"{path}: loudness"),
+        compression=from_json(Compression, payload["compression"], ParseError,
+                              f"{path}: compression"),
     )
+    check_field_types(edl, ParseError, path)
+    check_compression(edl.compression, ParseError, f"{path}: compression: ")
+    return edl

@@ -18,21 +18,37 @@ Section semantics:
 
 from __future__ import annotations
 
-import json
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .embeddings import QUERY_INPUT, embed_batch
 from .errors import ConfigError, ParseError, PlanError, ValidationError
 from .llm import QueryPhrase, ScoredSentence
 from .store import VectorRecord, VectorStore
-from .util import atomic_write_text, check_field_types, is_int, load_json, round_half_away
+from .util import check_field_types, check_keys, from_json, load_json, round_half_away, write_json
 
 PLAN_FORMAT = "aiblob-plan"
 PLAN_VERSION = 1
+# The top-level keys of a plan file, as save_plan writes them.
+PLAN_KEYS = ("format", "version", "episode_title", "sections", "scores")
 
 SECTION_ORDER = ("introduction", "build_up", "climax", "conclusion")
+
+
+def read_sections(raw: Any, path: str, read_item: Callable[[Any, str], Any]) -> dict[str, list]:
+    """The sections object of a plan or EDL file, in SECTION_ORDER: exactly those
+    keys, each a list whose items ``read_item(item, where)`` reads; else ParseError."""
+    where = f"{path}: sections"
+    check_keys(raw, SECTION_ORDER, ParseError, where)
+    sections = {}
+    for name in SECTION_ORDER:
+        items = raw[name]
+        if not isinstance(items, list):
+            raise ParseError(f"{where}: {name} must be a list, got {type(items).__name__}")
+        sections[name] = [read_item(item, f"{where}.{name}[{i}]") for i, item in enumerate(items)]
+    return sections
 
 ORDERING_STRATEGIES = ("deterministic", "llm")
 
@@ -75,6 +91,14 @@ class PipelineConfig:
             raise ConfigError(f"ordering must be one of {ORDERING_STRATEGIES}, got {self.ordering!r}")
         if self.min_retained < 4:
             raise ConfigError(f"min_retained must be at least 4, got {self.min_retained}")
+
+
+@dataclass
+class PlanScore:
+    """One entry of a plan file's scores object, keyed there by sentence id."""
+
+    irony: int
+    relevance: int
 
 
 @dataclass
@@ -291,17 +315,22 @@ def order_sections(
 
 def save_plan(plan: NarrativePlan, scored: Mapping[str, ScoredSentence], path: str) -> None:
     """Write the plan file; scores are included per id, sorted for stable bytes."""
-    payload = {
+    write_json(path, {
         "format": PLAN_FORMAT,
         "version": PLAN_VERSION,
         "episode_title": plan.episode_title,
         "sections": {name: list(plan.sections.get(name, [])) for name in SECTION_ORDER},
         "scores": {
-            sid: {"irony": scored[sid].irony, "relevance": scored[sid].relevance}
+            sid: vars(PlanScore(scored[sid].irony, scored[sid].relevance))
             for sid in sorted(plan.all_ids())
         },
-    }
-    atomic_write_text(path, json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+    })
+
+
+def _read_id(item: Any, where: str) -> str:
+    if not isinstance(item, str):
+        raise ParseError(f"{where}: must be a sentence id string, got {item!r}")
+    return item
 
 
 def load_plan(path: str) -> tuple[NarrativePlan, dict[str, ScoredSentence]]:
@@ -310,37 +339,23 @@ def load_plan(path: str) -> tuple[NarrativePlan, dict[str, ScoredSentence]]:
         raise ParseError(f"{path}: not a plan file")
     if payload.get("version") != PLAN_VERSION:
         raise ParseError(f"{path}: unsupported plan version {payload.get('version')!r}")
-    sections_raw = payload.get("sections")
-    if not isinstance(sections_raw, dict) or set(sections_raw) != set(SECTION_ORDER):
-        raise ParseError(f"{path}: sections must be exactly {SECTION_ORDER}")
-    sections: dict[str, list[str]] = {}
-    seen: set[str] = set()
-    for name in SECTION_ORDER:
-        ids = sections_raw[name]
-        if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
-            raise ParseError(f"{path}: section {name!r} must be a list of ids")
-        overlap = seen.intersection(ids)
-        if overlap or len(set(ids)) != len(ids):
-            raise ValidationError(f"{path}: sections are not disjoint (e.g. {sorted(overlap)[:3]})")
-        seen.update(ids)
-        sections[name] = list(ids)
-    episode_title = payload.get("episode_title", "")
-    if not isinstance(episode_title, str):
-        raise ParseError(f"{path}: episode_title must be a string, got {episode_title!r}")
-    plan = NarrativePlan(episode_title, sections)
+    check_keys(payload, PLAN_KEYS, ParseError, path)
+    sections = read_sections(payload["sections"], path, _read_id)
+    plan = NarrativePlan(payload["episode_title"], sections)
+    check_field_types(plan, ParseError, path)
+    ids = plan.all_ids()
+    repeated = sorted(sid for sid, count in Counter(ids).items() if count > 1)
+    if repeated:
+        raise ValidationError(f"{path}: sections are not disjoint (e.g. {repeated[:3]})")
 
-    scores_raw = payload.get("scores", {})
-    if not isinstance(scores_raw, dict):
-        raise ParseError(f"{path}: scores must be an object")
+    scores = payload["scores"]
+    if not isinstance(scores, dict):
+        raise ParseError(f"{path}: scores must be an object, got {type(scores).__name__}")
     scored: dict[str, ScoredSentence] = {}
-    for sid, entry in scores_raw.items():
-        if not isinstance(entry, dict):
-            raise ParseError(f"{path}: score entry for {sid} must be an object")
-        irony, relevance = entry.get("irony", 1), entry.get("relevance", 1)
-        if not (is_int(irony) and is_int(relevance)):
-            raise ParseError(f"{path}: scores of {sid} must be integers")
-        scored[sid] = ScoredSentence(sid, irony, relevance)
-    missing = [sid for sid in plan.all_ids() if sid not in scored]
+    for sid, entry in scores.items():
+        score = from_json(PlanScore, entry, ParseError, f"{path}: scores of {sid}")
+        scored[sid] = ScoredSentence(sid, score.irony, score.relevance)
+    missing = [sid for sid in ids if sid not in scored]
     if missing:
         raise ValidationError(f"{path}: missing scores for {missing[:3]}")
     return plan, scored

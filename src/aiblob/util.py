@@ -13,7 +13,7 @@ import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
-from typing import IO, Any, Callable, Iterable, Iterator, Sequence
+from typing import IO, Any, Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import AiblobError, ConfigError, ParseError, ProviderError
 
@@ -83,6 +83,11 @@ def load_json(path: str) -> Any:
         raise ParseError(f"{path}: invalid JSON: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path}: invalid JSON: nested too deeply") from exc
+
+
+def write_json(path: str, obj: Any) -> None:
+    """Atomically write one JSON document, indented, keys in insertion order."""
+    atomic_write_text(path, json.dumps(obj, ensure_ascii=False, indent=2) + "\n")
 
 
 def parse_json_line(line: str, path: str, lineno: int) -> dict:
@@ -168,29 +173,39 @@ def check_field_types(obj, error: type[AiblobError] = ConfigError, where: str = 
             setattr(obj, name, float(value))
 
 
+def check_keys(data: Any, names: Collection[str], error: type[AiblobError], where: str,
+               optional: Collection[str] = ()) -> None:
+    """Raise ``error``, with a message starting with ``where``, unless ``data`` is a
+    JSON object whose keys are ``names``; those also in ``optional`` may be missing."""
+    if not isinstance(data, dict):
+        raise error(f"{where}: expected a JSON object, got {type(data).__name__}")
+    unknown = sorted(data.keys() - set(names))
+    if unknown:
+        raise error(f"{where}: unknown key(s): {', '.join(unknown)}")
+    missing = [name for name in names if name not in data and name not in optional]
+    if missing:
+        raise error(f"{where}: missing key(s): {', '.join(missing)}")
+
+
 def from_json(cls, data: Any, error: type[AiblobError], where: str, **given):
     """Build dataclass ``cls`` from a decoded JSON object and the ``given`` fields
     the file does not hold, then check its field types (check_field_types).
 
-    A non-object, an unknown key or a missing key without a default raises
-    ``error`` with a message starting with ``where``.
+    A non-object, an unknown or a missing key without a default raises ``error``
+    (check_keys); an AiblobError raised while building ``cls`` is raised again as
+    the same class. Every message starts with ``where``.
     """
-    if not isinstance(data, dict):
-        raise error(f"{where}: expected a JSON object, got {type(data).__name__}")
     try:
         obj = cls(**data, **given)
     except TypeError:
-        # An unknown or a missing key makes construction fail; only then are keys read.
+        # A non-object, an unknown or a missing key fails construction; only then are keys read.
         fields = [field for field in dataclasses.fields(cls) if field.name not in given]
-        unknown = sorted(data.keys() - {field.name for field in fields})
-        if unknown:
-            raise error(f"{where}: unknown key(s): {', '.join(unknown)}") from None
-        missing = [field.name for field in fields if field.name not in data
-                   and field.default is dataclasses.MISSING
-                   and field.default_factory is dataclasses.MISSING]
-        if missing:
-            raise error(f"{where}: missing key(s): {', '.join(missing)}") from None
+        check_keys(data, [field.name for field in fields], error, where, optional={
+            field.name for field in fields if field.default is not dataclasses.MISSING
+            or field.default_factory is not dataclasses.MISSING})
         raise
+    except AiblobError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
     check_field_types(obj, error, where)
     return obj
 

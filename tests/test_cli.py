@@ -280,6 +280,20 @@ class TestRender:
         assert captured.out == ""
         assert captured.err.startswith("error:") and f"{field} must be a string" in captured.err
 
+    def test_config_range_error_names_the_file_and_section(self, workspace, capsys):
+        code, out = TestCompose().compose(workspace)
+        assert code == 0
+        config = workspace / "render-config.json"
+        config.write_text(json.dumps({"render": {"fade_s": "x"}}), encoding="utf-8")
+        capsys.readouterr()  # drop compose output
+        assert main(["render", "--edl", str(out / "edl.json"),
+                     "--out", str(workspace / "episodio.mp4"), "--dry-run",
+                     "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {config}: config section 'render': "
+                                "fade_s must be a finite number, got 'x'\n")
+
     def test_real_run_without_renderer_fails(self, workspace, capsys):
         code, out = TestCompose().compose(workspace)
         assert code == 0

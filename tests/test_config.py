@@ -94,8 +94,27 @@ class TestLoadConfig:
         ("media", "uri_template", "{nope}"), ("media", "uri_template", "{}"),
         ("media", "uri_template", "{video_id!z}"), ("media", "uri_template", 5),
         ("media", "intro_uri", 5),
+        ("render", "intro_max_s", 0), ("render", "intro_max_s", -5),
+        ("render", "intro_max_s", 0.05),
     ])
     def test_knob_of_wrong_type_or_range_rejected(self, tmp_path, section, name, value):
         path = write(tmp_path, {section: {name: value}})
         with pytest.raises(ConfigError, match=name):
             load_config(path)
+
+    @pytest.mark.parametrize("section,knob,message", [
+        ("render", {"fade_s": "x"}, "fade_s must be a finite number, got 'x'"),
+        ("render", {"fade_s": 0.5, "intro_max_s": 0.75},
+         "intro_max_s must be positive and at least 2 * fade_s (1), got 0.75"),
+        ("pipeline", {"min_retained": 3}, "min_retained must be at least 4, got 3"),
+    ])
+    def test_type_or_range_error_names_the_file_and_section(self, tmp_path, section, knob,
+                                                            message):
+        path = write(tmp_path, {section: knob})
+        with pytest.raises(ConfigError) as caught:
+            load_config(path)
+        assert str(caught.value) == f"{path}: config section {section!r}: {message}"
+
+    def test_intro_as_long_as_its_two_fades_accepted(self, tmp_path):
+        config = load_config(write(tmp_path, {"render": {"fade_s": 0.5, "intro_max_s": 1}}))
+        assert config.render.intro_max_s == 1.0

@@ -1,8 +1,8 @@
 """Hostile input at every loader boundary.
 
 Each loader gets arbitrary bytes, and valid documents with one value replaced
-by arbitrary JSON (NaN, huge integers and nested containers included) or one
-key deleted. It must either return an object that the next stage can use or
+by arbitrary JSON (NaN, huge integers and nested containers included), or one
+key deleted or renamed. It must either return an object that the next stage can use or
 raise AiblobError; any other exception fails the property.
 """
 
@@ -52,7 +52,8 @@ def _paths(obj, prefix=()):
 
 @st.composite
 def mutated(draw, valid):
-    """``valid`` with the value at one path replaced by arbitrary JSON, or its key deleted."""
+    """``valid`` with the value at one path replaced by arbitrary JSON, or its key
+    deleted or renamed."""
     doc = copy.deepcopy(valid)
     path = draw(st.sampled_from(list(_paths(doc))))
     value = draw(JSON_VALUES)
@@ -61,8 +62,12 @@ def mutated(draw, valid):
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    if isinstance(parent, dict) and draw(st.booleans()):
+    change = draw(st.sampled_from(["replace", "delete", "rename"])) \
+        if isinstance(parent, dict) else "replace"
+    if change == "delete":
         del parent[path[-1]]
+    elif change == "rename":
+        parent[path[-1] + draw(st.text(min_size=1, max_size=3))] = parent.pop(path[-1])
     else:
         parent[path[-1]] = value
     return doc
@@ -185,7 +190,7 @@ def test_load_plan(workdir, data):
     result = loaded(lambda: load_plan(str(path)))
     if result is not None:
         plan, scored = result
-        assert set(plan.sections) == set(SECTION_ORDER)
+        assert tuple(plan.sections) == SECTION_ORDER
         for sid in plan.all_ids():
             assert is_int(scored[sid].irony) and is_int(scored[sid].relevance)
 
@@ -212,6 +217,7 @@ def test_load_edl_then_dry_run(workdir, data):
     path = put(workdir / "edl.json", data)
     edl = loaded(lambda: load_edl(str(path)))
     if edl is not None:
+        assert tuple(edl.sections) == SECTION_ORDER
         loaded(lambda: render(edl, str(workdir / "out.mp4"), RenderSettings(), dry_run=True))
 
 

@@ -10,7 +10,9 @@ from aiblob.errors import ParseError, RenderError, ValidationError
 from aiblob.montage import (
     Clip,
     ClipSource,
+    Compression,
     EditDecisionList,
+    Loudness,
     RenderSettings,
     build_edl,
     load_edl,
@@ -80,8 +82,8 @@ class TestBuildEdl:
     def test_loudness_and_compression_from_settings(self):
         settings = RenderSettings(integrated_lufs=-14.0, compression_ratio=4.0)
         edl = build_edl(make_plan(), make_sources(), settings)
-        assert edl.loudness == {"integrated_lufs": -14.0, "true_peak_dbtp": -1.5}
-        assert edl.compression == {"ratio": 4.0, "threshold_db": -18.0}
+        assert edl.loudness == Loudness(-14.0, -1.5)
+        assert edl.compression == Compression(4.0, -18.0)
 
 
 class TestValidateEdl:
@@ -298,6 +300,36 @@ class TestEdlFile:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ParseError):
             load_edl(str(path))
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda p: p["sections"].update(climaxx=p["sections"].pop("climax")),
+         "sections: unknown key(s): climaxx"),
+        (lambda p: p["sections"].pop("climax"), "sections: missing key(s): climax"),
+        (lambda p: p.update(intro_clip=p.pop("intro")), "unknown key(s): intro_clip"),
+        (lambda p: p.pop("intro"), "missing key(s): intro"),
+        (lambda p: p.pop("episode_title"), "missing key(s): episode_title"),
+        (lambda p: p.update(notes="x"), "unknown key(s): notes"),
+        (lambda p: p["loudness"].update(gain_db=1.0), "loudness: unknown key(s): gain_db"),
+        (lambda p: p["compression"].update(knee_db=2.0), "compression: unknown key(s): knee_db"),
+    ], ids=["renamed-section", "missing-section", "renamed-intro", "missing-intro",
+            "missing-title", "unknown-key", "loudness-key", "compression-key"])
+    def test_renamed_missing_or_unknown_key_rejected(self, tmp_path, change, message):
+        path = tmp_path / "edl.json"
+        save_edl(build_edl(make_plan(), make_sources(), RenderSettings(),
+                           intro_source="media/sigla.mp4"), str(path))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        change(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParseError) as caught:
+            load_edl(str(path))
+        assert str(caught.value) == f"{path}: {message}"
+
+    def test_loudness_and_compression_written_in_field_order(self, tmp_path):
+        path = tmp_path / "edl.json"
+        save_edl(build_edl(make_plan(), make_sources(), RenderSettings()), str(path))
+        text = path.read_text(encoding="utf-8")
+        assert ('"loudness": {\n    "integrated_lufs": -16.0,\n    "true_peak_dbtp": -1.5\n  },\n'
+                '  "compression": {\n    "ratio": 3.0,\n    "threshold_db": -18.0\n  },\n') in text
 
     @pytest.mark.parametrize("field", ["source_uri", "text"])
     @pytest.mark.parametrize("value", [None, 5])

@@ -382,8 +382,35 @@ class TestPlanFile:
             "scores": {sid: {"irony": irony if sid == "c" else 5, "relevance": 5}
                        for sid in "abcd"},
         }), encoding="utf-8")
-        with pytest.raises(ParseError, match="scores of c must be integers"):
+        with pytest.raises(ParseError, match=r"scores of c: irony must be an integer"):
             load_plan(str(path))
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda p: p["scores"].update(c={"ironia": 9}), "scores of c: unknown key(s): ironia"),
+        (lambda p: p["scores"].update(c={"irony": 9}), "scores of c: missing key(s): relevance"),
+        (lambda p: p["sections"].update(climaxx=p["sections"].pop("climax")),
+         "sections: unknown key(s): climaxx"),
+        (lambda p: p["sections"].update(build_up=["b", 5]),
+         "sections.build_up[1]: must be a sentence id string, got 5"),
+        (lambda p: p["sections"].update(climax="c"), "sections: climax must be a list, got str"),
+        (lambda p: p.pop("episode_title"), "missing key(s): episode_title"),
+        (lambda p: p.pop("scores"), "missing key(s): scores"),
+        (lambda p: p.update(notes="x"), "unknown key(s): notes"),
+    ], ids=["renamed-score-key", "missing-score-key", "renamed-section", "non-string-id",
+            "non-list-section", "missing-title", "missing-scores", "unknown-key"])
+    def test_renamed_missing_or_unknown_key_rejected(self, tmp_path, change, message):
+        payload = {
+            "format": "aiblob-plan", "version": 1, "episode_title": "X",
+            "sections": {"introduction": ["a"], "build_up": ["b"],
+                         "climax": ["c"], "conclusion": ["d"]},
+            "scores": {sid: {"irony": 5, "relevance": 5} for sid in "abcd"},
+        }
+        change(payload)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParseError) as caught:
+            load_plan(str(path))
+        assert str(caught.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("title", [None, 5, ["X"]])
     def test_non_string_title_rejected(self, tmp_path, title):

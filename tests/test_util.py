@@ -5,10 +5,11 @@ import stat
 
 import pytest
 
-from aiblob.errors import ParseError, ProviderError, StoreError
+from aiblob.errors import ConfigError, ParseError, ProviderError, StoreError
 from aiblob.ingest import Sentence
+from aiblob.montage import RenderSettings
 from aiblob.store import VectorRecord
-from aiblob.util import from_json, retry, write_jsonl
+from aiblob.util import check_keys, from_json, retry, write_json, write_jsonl
 
 
 def test_write_jsonl_bytes(tmp_path):
@@ -88,3 +89,33 @@ def test_from_json_takes_given_fields_and_skips_unlisted_kinds():
     assert record.vector == "not checked" and record.start_s == 1.0
     with pytest.raises(StoreError, match=r"meta.jsonl:2: unknown key\(s\): vector"):
         from_json(VectorRecord, {**row, "vector": []}, StoreError, "meta.jsonl:2", vector=None)
+
+
+def test_from_json_prefixes_the_place_to_an_error_raised_while_building():
+    with pytest.raises(ConfigError) as caught:  # the class the record raised, not ``error``
+        from_json(RenderSettings, {"fade_s": -1}, ParseError, "c.json: config section 'render'")
+    assert str(caught.value) == \
+        "c.json: config section 'render': fade_s must be non-negative, got -1.0"
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"a": 1, "b": 2}, None),
+    ({"a": 1}, None),
+    ({"b": 2}, "f.json: missing key(s): a"),
+    ({"a": 1, "c": 3, "d": 4}, "f.json: unknown key(s): c, d"),
+    ("ab", "f.json: expected a JSON object, got str"),
+])
+def test_check_keys(data, message):
+    if message is None:
+        check_keys(data, ("a", "b"), ParseError, "f.json", optional={"b"})
+        return
+    with pytest.raises(ParseError) as caught:
+        check_keys(data, ("a", "b"), ParseError, "f.json", optional={"b"})
+    assert str(caught.value) == message
+
+
+def test_write_json_bytes(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(str(path), {"b": "perché", "a": [1, None]})
+    assert path.read_bytes() == \
+        '{\n  "b": "perché",\n  "a": [\n    1,\n    null\n  ]\n}\n'.encode("utf-8")
