@@ -67,7 +67,7 @@ def cmd_index(args) -> int:
         model=config.providers.embed_model,
     )
     vectors = embed_batch([s.text for s in corpus], embedder, input_type=DOCUMENT_INPUT)
-    store = VectorStore(int(vectors[0].shape[0]))
+    store = VectorStore(vectors.shape[1])
     store.insert_batch([
         VectorRecord(s.sentence_id, vec, s.video_id, s.text, s.start_s, s.end_s)
         for s, vec in zip(corpus, vectors)

@@ -1,14 +1,14 @@
 """Embedding providers: a remote HTTP provider and a bit-exact offline embedder.
 
-Vectors are float32 numpy arrays, always L2-normalized so cosine similarity
-reduces to a dot product. The deterministic embedder seeds a splitmix64
-stream with the FNV-1a hash of the text, which makes it byte-stable across
-runs and platforms; it exists so the whole pipeline can run offline.
+A provider's embed(texts) returns one (len(texts), dim) float32 matrix of
+L2-normalized rows, so cosine similarity reduces to a dot product. The
+deterministic embedder seeds a splitmix64 stream with the FNV-1a hash of the
+text, which makes it byte-stable across runs and platforms; it exists so the
+whole pipeline can run offline.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from typing import Callable, Sequence
@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ProviderError, ValidationError
-from .util import DEFAULT_RETRIES, post_json, retry
+from .util import DEFAULT_RETRIES, is_finite_number, post_json, retry
 
 EMBED_API_KEY_ENV = "AIBLOB_EMBED_API_KEY"
 
@@ -25,60 +25,33 @@ QUERY_INPUT = "search_query"
 
 DEFAULT_BACKOFF = (0.5, 2.0, 8.0)
 
-_MASK64 = (1 << 64) - 1
-_FNV_OFFSET = 14695981039346656037
-_FNV_PRIME = 1099511628211
 
+def fnv1a_64(data: Sequence[bytes]) -> np.ndarray:
+    """64-bit FNV-1a of each byte string, in uint64 arithmetic (it wraps mod 2**64).
 
-def fnv1a_64(data: bytes) -> int:
-    """64-bit FNV-1a hash."""
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
-
-
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, z ^ (z >> 31)
-
-
-def deterministic_embed(text: str, dim: int) -> np.ndarray:
-    """Hash-seeded pseudo-embedding: FNV-1a seed, splitmix64 stream, unit norm.
-
-    Each 64-bit output z maps to (z >> 11) * 2**-53 * 2 - 1 in [-1, 1).
-    Pure function of (text, dim); bit-identical everywhere.
+    The strings are rows of a zero-padded byte grid sorted longest first, so
+    the step for byte column j updates only the prefix of rows longer than j.
     """
-    if dim < 2:
-        raise ValidationError(f"deterministic embedder needs dim >= 2, got {dim}")
-    state = fnv1a_64(text.encode("utf-8"))
-    raw: list[float] = []
-    for _ in range(dim):
-        state, z = _splitmix64(state)
-        raw.append((z >> 11) * 2.0**-53 * 2.0 - 1.0)
-    norm = math.sqrt(sum(v * v for v in raw))
-    return np.array([v / norm for v in raw], dtype=np.float32)
-
-
-def normalize(vector: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Scale a raw vector to unit L2 norm (float32). Zero or non-finite input errors."""
-    arr = np.asarray(vector, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("normalize expects a non-empty 1-D vector")
-    if not np.isfinite(arr).all():
-        raise ValidationError("vector has NaN or Inf components")
-    norm = float(np.sqrt(np.dot(arr, arr)))
-    if norm == 0.0:
-        raise ValidationError("cannot normalize a zero vector")
-    return (arr / norm).astype(np.float32)
+    lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
+    width = int(lengths.max(initial=0))
+    order = np.argsort(-lengths, kind="stable")
+    padded = b"".join(data[i].ljust(width, b"\0") for i in order.tolist())
+    grid = np.frombuffer(padded, dtype=np.uint8).reshape(len(data), width)
+    rows = np.searchsorted(-lengths[order], -np.arange(width), side="left")
+    h = np.full(len(data), np.uint64(14695981039346656037))
+    for col, n in enumerate(rows.tolist()):
+        h[:n] = (h[:n] ^ grid[:n, col]) * np.uint64(1099511628211)
+    return h[np.argsort(order)]
 
 
 class DeterministicEmbedder:
-    """Offline provider producing deterministic_embed vectors; input_type is ignored."""
+    """Offline provider of hash-seeded pseudo-embeddings; input_type is ignored.
+
+    Row i is a pure function of (texts[i], dim), bit-identical everywhere: the
+    FNV-1a hash of the UTF-8 text seeds a splitmix64 stream, each 64-bit output
+    z maps to (z >> 11) * 2**-53 * 2 - 1 in [-1, 1), and the row is divided in
+    float64 by its L2 norm (squares summed in index order), then rounded to float32.
+    """
 
     def __init__(self, dim: int):
         if dim < 2:
@@ -86,8 +59,28 @@ class DeterministicEmbedder:
         self.dim = dim
         self.batch_size = 1024
 
-    def embed(self, texts: Sequence[str], input_type: str = DOCUMENT_INPUT) -> list[np.ndarray]:
-        return [deterministic_embed(text, self.dim) for text in texts]
+    def embed(self, texts: Sequence[str], input_type: str = DOCUMENT_INPUT) -> np.ndarray:
+        seeds = fnv1a_64([text.encode("utf-8") for text in texts])
+        # The splitmix64 state before output j is seed + (j + 1) * gamma, so all
+        # of a row's outputs are mixed at once; blocks of 64 rows bound memory.
+        steps = np.arange(1, self.dim + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        out = np.empty((len(texts), self.dim), dtype=np.float32)
+        for lo in range(0, len(texts), 64):
+            z = seeds[lo:lo + 64, None] + steps
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            raw = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * 2.0**-53 * 2.0 - 1.0
+            # cumsum adds the squares left to right, as the scalar rule does.
+            norm = np.sqrt(np.cumsum(raw * raw, axis=1)[:, -1:])
+            out[lo:lo + 64] = raw / norm
+        return out
+
+
+def deterministic_embed(text: str, dim: int) -> np.ndarray:
+    """One DeterministicEmbedder row: the float32 unit vector of (text, dim)."""
+    if dim < 2:
+        raise ValidationError(f"deterministic embedder needs dim >= 2, got {dim}")
+    return DeterministicEmbedder(dim).embed([text])[0]
 
 
 class RemoteEmbedder:
@@ -120,7 +113,7 @@ class RemoteEmbedder:
         self.dim: int | None = None
         self._transport = transport or post_json
 
-    def embed(self, texts: Sequence[str], input_type: str = DOCUMENT_INPUT) -> list[np.ndarray]:
+    def embed(self, texts: Sequence[str], input_type: str = DOCUMENT_INPUT) -> np.ndarray:
         payload = {"model": self.model, "texts": list(texts), "input_type": input_type}
         headers = {}
         if self.api_key:
@@ -130,15 +123,24 @@ class RemoteEmbedder:
         if not isinstance(rows, list) or len(rows) != len(texts):
             got = len(rows) if isinstance(rows, list) else "none"
             raise ProviderError(f"embedding response has {got} rows for {len(texts)} texts")
-        vectors = []
+        width = len(rows[0]) if rows and isinstance(rows[0], list) else 0
         for i, row in enumerate(rows):
-            try:
-                vectors.append(normalize(row))
-            except ValidationError as exc:
-                raise ProviderError(f"embedding row {i} is unusable: {exc}") from exc
-        if self.dim is None and vectors:
-            self.dim = int(vectors[0].shape[0])
-        return vectors
+            if not (isinstance(row, list) and len(row) == width > 0
+                    and all(map(is_finite_number, row))):
+                raise ProviderError(f"embedding row {i} is not a non-empty list of finite "
+                                    f"numbers as long as row 0")
+        matrix = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+        squared = np.einsum("ij,ij->i", matrix, matrix)
+        # Below the normal float64 range a squared norm is too coarse to normalize by.
+        usable = (squared >= np.finfo(np.float64).tiny) & (squared < np.inf)
+        if not usable.all():
+            i = int(np.argmin(usable))
+            raise ProviderError(f"embedding row {i} cannot be normalized: its squared norm "
+                                f"is {squared[i]}")
+        if self.dim is None and rows:
+            self.dim = width
+        matrix /= np.sqrt(squared)[:, None]
+        return matrix.astype(np.float32)
 
 
 def embed_batch(
@@ -148,50 +150,45 @@ def embed_batch(
     retries: int = DEFAULT_RETRIES,
     backoff: Sequence[float] = DEFAULT_BACKOFF,
     sleep: Callable[[float], None] = time.sleep,
-) -> list[np.ndarray]:
-    """Embed texts in provider-sized chunks, preserving input order.
+) -> np.ndarray:
+    """Embed texts in provider-sized chunks into one (len(texts), dim) float32 matrix.
 
-    Transport failures are retried per chunk with the given backoff; once
-    retries are exhausted a ProviderError identifies the failed sub-range.
-    A dimension mismatch anywhere in the batch is a ConfigError.
+    Rows keep the input order. Transport failures are retried per chunk with
+    the given backoff; once retries are exhausted a ProviderError identifies
+    the failed sub-range. A chunk whose dimension differs from the provider's
+    (or the first chunk's) is a ConfigError; a row that is not a finite unit
+    vector is a ValidationError naming its text.
     """
     for i, text in enumerate(texts):
         if not isinstance(text, str) or not text:
             raise ValidationError(f"texts[{i}] must be a non-empty string")
+    dim = getattr(provider, "dim", None)
     if not texts:
-        return []
+        return np.empty((0, dim or 0), dtype=np.float32)
 
     chunk_size = max(1, int(getattr(provider, "batch_size", 96)))
-    expected_dim = getattr(provider, "dim", None)
-    out: list[np.ndarray] = []
+    out: np.ndarray | None = None
     for lo in range(0, len(texts), chunk_size):
         hi = min(lo + chunk_size, len(texts))
         chunk = list(texts[lo:hi])
-        vectors = retry(lambda: provider.embed(chunk, input_type), retries + 1,
-                        f"embedding for texts[{lo}:{hi}]", backoff, sleep)
-        if len(vectors) != len(chunk):
-            raise ProviderError(
-                f"provider returned {len(vectors)} vectors for texts[{lo}:{hi}]"
-            )
-        for offset, vec in enumerate(vectors):
-            arr = np.asarray(vec, dtype=np.float32)
-            if arr.ndim != 1:
-                raise ValidationError(f"vector for texts[{lo + offset}] is not 1-D")
-            if expected_dim is None:
-                expected_dim = int(arr.shape[0])
-            elif int(arr.shape[0]) != expected_dim:
-                raise ConfigError(
-                    f"dimension mismatch at texts[{lo + offset}]: "
-                    f"got {arr.shape[0]}, expected {expected_dim}"
-                )
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"vector for texts[{lo + offset}] has NaN/Inf")
-            norm = float(np.linalg.norm(arr.astype(np.float64)))
-            if abs(norm - 1.0) > 1e-5:
-                raise ValidationError(
-                    f"vector for texts[{lo + offset}] is not unit-normalized (norm={norm})"
-                )
-            out.append(arr)
+        matrix = np.asarray(retry(lambda: provider.embed(chunk, input_type), retries + 1,
+                                  f"embedding for texts[{lo}:{hi}]", backoff, sleep),
+                            dtype=np.float32)
+        if matrix.ndim != 2 or len(matrix) != len(chunk):
+            raise ProviderError(f"provider returned an array of shape {matrix.shape} "
+                                f"for the {len(chunk)} texts[{lo}:{hi}]")
+        if out is None:
+            out = np.empty((len(texts), dim or matrix.shape[1]), dtype=np.float32)
+        if matrix.shape[1] != out.shape[1]:
+            raise ConfigError(f"dimension mismatch at texts[{lo}:{hi}]: "
+                              f"got {matrix.shape[1]}, expected {out.shape[1]}")
+        norm = np.sqrt(np.square(matrix).sum(axis=1, dtype=np.float64))
+        off = ~(np.abs(norm - 1.0) <= 1e-5)  # NaN and Inf norms fail "<=", so count as off
+        if off.any():
+            i = int(np.argmax(off))
+            raise ValidationError(f"vector for texts[{lo + i}] is not a finite unit vector "
+                                  f"(norm={norm[i]})")
+        out[lo:hi] = matrix
     return out
 
 

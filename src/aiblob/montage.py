@@ -127,7 +127,9 @@ def build_edl(
     """Turn a plan into clips, applying pre/post-roll margins and fades.
 
     Clip in points are clamped at zero; out points are not clamped against the
-    actual media duration (the renderer does that), keeping this step pure.
+    actual media duration (the renderer does that), keeping this step pure. An
+    EDL that render would refuse (validate_edl), such as a clip shorter than
+    its two fades, is a ValidationError listing every violation.
     """
     sections: dict[str, list[Clip]] = {}
     for name in SECTION_ORDER:
@@ -154,13 +156,17 @@ def build_edl(
     if intro_source:
         intro = Clip(intro_source, 0.0, settings.intro_max_s,
                      settings.fade_s, settings.fade_s, None, "")
-    return EditDecisionList(
+    edl = EditDecisionList(
         episode_title=plan.episode_title,
         intro=intro,
         sections=sections,
         loudness=Loudness(settings.integrated_lufs, settings.true_peak_dbtp),
         compression=Compression(settings.compression_ratio, settings.compression_threshold_db),
     )
+    violations = validate_edl(edl)
+    if violations:
+        raise ValidationError("EDL failed validation: " + "; ".join(violations))
+    return edl
 
 
 def validate_edl(edl: EditDecisionList, plan: NarrativePlan | None = None) -> list[str]:

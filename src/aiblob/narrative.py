@@ -351,6 +351,9 @@ def load_plan(path: str) -> tuple[NarrativePlan, dict[str, ScoredSentence]]:
     scores = payload["scores"]
     if not isinstance(scores, dict):
         raise ParseError(f"{path}: scores must be an object, got {type(scores).__name__}")
+    stray = sorted(scores.keys() - set(ids))
+    if stray:
+        raise ParseError(f"{path}: scores of {stray[0]}: the id is in no section")
     scored: dict[str, ScoredSentence] = {}
     for sid, entry in scores.items():
         score = from_json(PlanScore, entry, ParseError, f"{path}: scores of {sid}")

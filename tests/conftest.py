@@ -136,7 +136,7 @@ def fixture_store() -> VectorStore:
     """A dim-32 store over the 10-video synthetic corpus."""
     sentences = fixture_sentences()
     embedder = make_embedder("deterministic:32")
-    vectors = [embedder.embed([s.text])[0] for s in sentences]
+    vectors = embedder.embed([s.text for s in sentences])
     store = VectorStore(32)
     store.insert_batch([
         VectorRecord(s.sentence_id, v, s.video_id, s.text, s.start_s, s.end_s)

@@ -174,6 +174,17 @@ class TestCompose:
         assert not [n for n in os.listdir(out) if n.startswith(".tmp-")]
         assert "exhausted" in capsys.readouterr().err
 
+    def test_fades_longer_than_a_clip_refused_with_no_edl_written(self, workspace, capsys):
+        config = json.loads((workspace / "config.json").read_text())
+        config["render"] = {"fade_s": 1.5}
+        (workspace / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        code, out = self.compose(workspace)
+        assert code == 1
+        assert not (out / "edl.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: EDL failed validation: ")
+        assert "fades exceed duration (1.5+1.5 > " in err
+
     def test_missing_llm_spec(self, workspace, capsys):
         code = main([
             "compose", "--store", str(workspace / "store"), "--title", "T",

@@ -1,4 +1,4 @@
-"""Deterministic embedder, normalization, and batch embedding contracts."""
+"""Deterministic embedder, remote replies, and batch embedding contracts."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from aiblob.embeddings import (
     embed_batch,
     fnv1a_64,
     make_embedder,
-    normalize,
 )
 from aiblob.errors import ConfigError, ProviderError, ValidationError
 
@@ -41,14 +40,21 @@ ADDIO_DIM8 = [
     0.4882676601409912,
 ]
 
+# Lists mixing empty, short, long and non-ASCII texts, so rows of one batch differ
+# in byte length.
+MIXED_TEXT = (st.sampled_from(["", "a", "ciao", "perché sì… 😀", "x" * 300])
+              | st.text(max_size=80))
+
 
 class TestFnv1a:
     def test_empty_string_is_offset_basis(self):
-        assert fnv1a_64(b"") == 14695981039346656037
+        assert fnv1a_64([b""]).tolist() == [14695981039346656037]
 
     def test_matches_reference(self):
-        for data in (b"ciao", b"addio", bytes(range(256))):
-            assert fnv1a_64(data) == reference_fnv1a64(data)
+        batch = [b"", b"ciao", bytes(range(256))]
+        hashes = fnv1a_64(batch)
+        assert hashes.dtype == np.uint64
+        assert hashes.tolist() == [reference_fnv1a64(data) for data in batch]
 
 
 class TestDeterministicEmbed:
@@ -81,22 +87,15 @@ class TestDeterministicEmbed:
         assert np.array_equal(mine, theirs)
         assert abs(float(np.linalg.norm(mine.astype(np.float64))) - 1.0) <= 1e-5
 
-
-class TestNormalize:
-    def test_three_four_five(self):
-        result = normalize([3.0, 4.0])
-        assert result.tolist() == pytest.approx([0.6, 0.8], abs=1e-7)
-
-    def test_already_unit(self):
-        assert normalize([1.0, 0.0, 0.0]).tolist() == [1.0, 0.0, 0.0]
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValidationError, match="zero"):
-            normalize([0.0, 0.0])
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValidationError, match="NaN"):
-            normalize([1.0, float("nan")])
+    # Long lists cross the embedder's 64-row blocks.
+    @given(st.lists(MIXED_TEXT, max_size=12) | st.lists(MIXED_TEXT, min_size=40, max_size=140),
+           st.integers(min_value=2, max_value=96))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_rows_match_reference_bit_for_bit(self, texts, dim):
+        matrix = DeterministicEmbedder(dim).embed(texts)
+        assert matrix.dtype == np.float32 and matrix.shape == (len(texts), dim)
+        want = np.array([reference_embed(t, dim) for t in texts], dtype=np.float32)
+        assert matrix.tobytes() == want.reshape(len(texts), dim).tobytes()
 
 
 class FlakyProvider:
@@ -118,7 +117,17 @@ class FlakyProvider:
 
 class TestEmbedBatch:
     def test_empty_batch(self):
-        assert embed_batch([], DeterministicEmbedder(8)) == []
+        out = embed_batch([], DeterministicEmbedder(8))
+        assert out.dtype == np.float32 and out.shape == (0, 8)
+
+    @given(st.lists(MIXED_TEXT.filter(bool), min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_across_chunks_match_reference_bit_for_bit(self, texts):
+        provider = DeterministicEmbedder(16)
+        provider.batch_size = 3
+        out = embed_batch(texts, provider)
+        want = np.array([reference_embed(t, 16) for t in texts], dtype=np.float32)
+        assert out.shape == (len(texts), 16) and out.tobytes() == want.tobytes()
 
     def test_identical_texts_identical_vectors(self):
         out = embed_batch(["ciao", "ciao"], DeterministicEmbedder(8))
@@ -187,6 +196,31 @@ class TestEmbedBatch:
         with pytest.raises(ValidationError, match="unit"):
             embed_batch(["ciao"], Unnormalized())
 
+    def test_nan_row_names_its_text(self):
+        class LateNaN:
+            batch_size = 2
+            dim = 2
+
+            def embed(self, texts, input_type="search_document"):
+                rows = np.tile(np.float32([0.6, 0.8]), (len(texts), 1))
+                if texts[-1] == "c":
+                    rows[-1, 1] = np.nan
+                return rows
+
+        with pytest.raises(ValidationError, match=r"texts\[2\] is not a finite unit"):
+            embed_batch(["a", "b", "c"], LateNaN())
+
+    def test_short_reply_names_the_range(self):
+        class Short:
+            batch_size = 2
+            dim = 8
+
+            def embed(self, texts, input_type="search_document"):
+                return DeterministicEmbedder(8).embed(texts[:1])
+
+        with pytest.raises(ProviderError, match=r"texts\[0:2\]"):
+            embed_batch(["a", "b"], Short())
+
 
 class TestRemoteEmbedder:
     def make_transport(self, log, dim=4):
@@ -195,6 +229,11 @@ class TestRemoteEmbedder:
             return {"embeddings": [[hash((t, i)) % 7 + 1 for i in range(dim)]
                                    for t in payload["texts"]]}
         return transport
+
+    def replying(self, rows):
+        return RemoteEmbedder("https://example.test/embed", "m", api_key="k",
+                              transport=lambda url, payload, headers, timeout:
+                              {"embeddings": rows})
 
     def test_request_shape_and_normalization(self):
         log = []
@@ -217,6 +256,35 @@ class TestRemoteEmbedder:
                                   transport=transport)
         with pytest.raises(ProviderError, match="1 rows for 2 texts"):
             provider.embed(["a", "b"])
+
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 0.0], [1.0, "x"]],
+        [[1.0, 0.0], [{}, 1.0]],
+        [[1.0, 0.0], [10**400, 1.0]],
+        [[1.0, 0.0], [True, 1.0]],
+        [[1.0, 0.0], ["1", "0"]],
+        [[1.0, 0.0], [1.0]],
+        [[1.0, 0.0], [1.0, 0.0, 0.0]],
+        [[1.0, 0.0], 5],
+        [[1.0, 0.0], "10"],
+        [[1.0, 0.0], [[1.0, 0.0]]],
+        [[1.0, 0.0], [1.0, float("nan")]],
+        [[1.0, 0.0], [float("inf"), 0.0]],
+        [[1.0, 0.0], []],
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[1.0, 0.0], [1e-160, 0.0]],
+        [[1.0, 0.0], [1e300, 1e300]],
+    ], ids=["string", "object", "huge-int", "bool", "digit-strings", "short", "long",
+            "number", "string-row", "nested", "nan", "infinity", "empty", "zero",
+            "norm-underflow", "norm-overflow"])
+    def test_unusable_row_is_a_provider_error_naming_it(self, rows):
+        with pytest.raises(ProviderError, match="embedding row 1 "):
+            self.replying(rows).embed(["a", "b"])
+
+    def test_reply_is_one_unit_row_matrix(self):
+        out = self.replying([[3, 4], [0.0, -2.5]]).embed(["a", "b"])
+        assert out.dtype == np.float32 and out.shape == (2, 2)
+        assert out.tolist() == [[pytest.approx(0.6), pytest.approx(0.8)], [0.0, -1.0]]
 
     def test_api_key_from_environment(self, monkeypatch):
         monkeypatch.setenv("AIBLOB_EMBED_API_KEY", "da-ambiente")

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aiblob.config import load_config
+from aiblob.embeddings import RemoteEmbedder
 from aiblob.errors import AiblobError, ProviderError
 from aiblob.ingest import load_corpus, parse_transcript, segment_sentences
 from aiblob.llm import OPS, ScriptedProvider, _score_entries
@@ -288,3 +289,20 @@ def test_score_entries(response):
     for sid, (irony, relevance, rationale) in entries.items():
         assert isinstance(sid, str) and isinstance(rationale, str)
         assert 1 <= irony <= 10 and 1 <= relevance <= 10
+
+
+EMBEDDINGS = {"embeddings": [[0.6, 0.8], [3, -4]]}
+REPLY_ROWS = st.lists(st.lists(st.floats() | JSON_VALUES, min_size=1, max_size=3) | JSON_VALUES,
+                      min_size=2, max_size=2)
+
+
+@FUZZ
+@given(st.one_of(mutated(EMBEDDINGS), REPLY_ROWS.map(lambda rows: {"embeddings": rows})))
+def test_remote_embedder(reply):
+    provider = RemoteEmbedder("https://example.test/embed", "m", api_key="k",
+                              transport=lambda url, payload, headers, timeout: reply)
+    matrix = loaded(lambda: provider.embed(["a", "b"]))
+    if matrix is not None:
+        assert matrix.dtype == np.float32 and matrix.shape == (2, provider.dim)
+        norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
+        assert np.all(np.abs(norms - 1.0) <= 1e-5)
