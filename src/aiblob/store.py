@@ -1,15 +1,20 @@
 """Persistent sentence-level vector store with exact top-k cosine retrieval.
 
-Retrieval is an exhaustive scan (a few hundred thousand sentences is tractable
-exactly, and exactness keeps results reproducible). Scores are computed in
-float64 with ties broken by sentence_id ascending.
+Retrieval is exact (a few hundred thousand sentences is tractable exactly, and
+exactness keeps results reproducible). Scores are computed in float64, one
+matrix-vector product per query, with ties broken by sentence_id ascending.
+Excluded ids score -inf; ids the store does not hold are ignored. Only the
+rows scoring at least the m-th best score are ranked, m = k at first: that
+floor keeps every tie with the m-th score, so the ranked rows are a prefix of
+the full order. When the video cap leaves fewer than k hits among them, m
+grows fourfold and the selection is redone.
 
 In memory, rows are columns in row order: one C-contiguous little-endian
 float32 matrix (exactly the vectors.bin body, and a zero-copy view of it after
 load) beside plain lists of ids, video ids, texts, start and end times, and an
-id -> row dict. The float64 copy of the matrix and the id array for the
-tie-break are built together on the first query and dropped by the next
-insert. Records are built on demand for the rows a caller asks for.
+id -> row dict. The float64 copy of the matrix is built on the first query and
+dropped by the next insert. Records are built on demand for the rows a caller
+asks for.
 
 On-disk layout (bit-exact):
     meta.jsonl   header {"format":"aiblob-store","version":1,"dim":D}, then one
@@ -79,8 +84,8 @@ class VectorStore:
         self._texts: list[str] = []
         self._starts: list[float] = []
         self._ends: list[float] = []
-        # (float64 matrix, id array), built by the first top_k after a change.
-        self._scoring: tuple[np.ndarray, np.ndarray] | None = None
+        # The float64 matrix, built by the first top_k after a change.
+        self._scoring: np.ndarray | None = None
 
     def _columns(self) -> tuple[list, ...]:
         """The metadata columns, in META_KEYS order."""
@@ -155,28 +160,48 @@ class VectorStore:
         if q.ndim != 1 or q.shape[0] != self.dim:
             got = q.shape[0] if q.ndim == 1 else q.shape
             raise ConfigError(f"query dim {got} does not match store dim {self.dim}")
+        if not np.isfinite(q).all():
+            raise ValidationError("query vector has NaN/Inf")
         if not self._ids:
             return []
 
         # Scores in float64 so ranking is insensitive to accumulation order.
         if self._scoring is None:
-            self._scoring = (self._matrix.astype(np.float64), np.array(self._ids))
-        matrix64, ids = self._scoring
-        scores = np.clip(matrix64 @ q, -1.0, 1.0)
-        order = np.lexsort((ids, -scores))
+            self._scoring = self._matrix.astype(np.float64)
+        scores = np.clip(self._scoring @ q, -1.0, 1.0)
+        scores[[row for row in map(self._rows.get, exclude) if row is not None]] = -np.inf
 
+        # Rank only the rows scoring at least the m-th best score. Keeping every
+        # tie with it makes them a prefix of the full (score desc, id asc)
+        # order, so their walk is exact. While the cap leaves fewer than k hits,
+        # m grows until every row that is not excluded has been ranked.
+        n = len(scores)
+        m = k
+        while True:
+            m = min(m, n)
+            floor = np.partition(scores, n - m)[n - m]
+            hits = self._walk(np.flatnonzero(scores >= floor), scores, k, video_cap)
+            if len(hits) == k or m == n or floor == -np.inf:
+                return hits
+            m *= 4
+
+    def _walk(self, rows: np.ndarray, scores: np.ndarray, k: int,
+              video_cap: int | None) -> list[RetrievalHit]:
+        """The first k of `rows` by (score desc, id asc), stopping at excluded rows."""
+        rows = rows.tolist()
+        ranked = sorted(zip((-scores[rows]).tolist(), [self._ids[row] for row in rows], rows))
         hits: list[RetrievalHit] = []
         per_video: dict[str, int] = {}
-        for row in order:
-            if self._ids[row] in exclude:
-                continue
+        for negated, sentence_id, row in ranked:
+            if negated == np.inf:
+                break
             if video_cap is not None:
                 video_id = self._video_ids[row]
                 used = per_video.get(video_id, 0)
                 if used >= video_cap:
                     continue
                 per_video[video_id] = used + 1
-            hits.append(RetrievalHit(self._ids[row], float(scores[row]), self._record(row)))
+            hits.append(RetrievalHit(sentence_id, -negated, self._record(row)))
             if len(hits) == k:
                 break
         return hits

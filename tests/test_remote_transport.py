@@ -44,7 +44,9 @@ def http_server():
             pass
 
     server = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval, so that shutdown() does not wait up to 0.5 s.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_port}", requests
