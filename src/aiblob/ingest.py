@@ -6,6 +6,12 @@ A transcript file is a UTF-8 JSON object:
     {"video_id": str, "title": str, "source_uri": str, "language": str,
      "words": [{"w": str, "s": float, "e": float}, ...]}
 
+A parsed transcript holds its words as three columns: texts, start times and
+end times. Each column is checked in one pass for the whole transcript (texts
+by one split of their join, time types by set, time values by one numpy pass);
+only a transcript that fails is walked word by word, so every error names the
+first faulty word exactly as a per-word check would.
+
 The sentence splitter is rule-based and language-light: it breaks after any
 word ending in terminal punctuation, keeps a small Italian abbreviation stop
 list, merges fragments shorter than ``min_chars`` forward, and never drops or
@@ -18,7 +24,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import NoReturn
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 from .util import from_json, is_finite_number, parse_json_line, read_jsonl, write_jsonl
@@ -36,23 +47,17 @@ _STRIP_EDGES = re.compile(r"^\W+|\W+$", re.UNICODE)
 
 
 @dataclass
-class WordToken:
-    """One recognized word with its start/end time in seconds."""
-
-    text: str
-    start_s: float
-    end_s: float
-
-
-@dataclass
 class TranscriptDocument:
-    """A single video's word-timestamped transcript."""
+    """A single video's word-timestamped transcript, held as three word columns:
+    ``words[i]`` is spoken from ``starts[i]`` to ``ends[i]`` seconds."""
 
     video_id: str
     title: str
     source_uri: str
     language: str
-    words: list[WordToken]
+    words: list[str]
+    starts: list[float]
+    ends: list[float]
 
 
 @dataclass
@@ -107,7 +112,52 @@ def parse_transcript(data: bytes) -> TranscriptDocument:
     if not isinstance(raw_words, list):
         raise ParseError("transcript field 'words' must be a list")
 
-    words: list[WordToken] = []
+    # One pass per column for the whole transcript; only a transcript that
+    # fails it is walked word by word, to name its first fault.
+    try:
+        words = [entry["w"] for entry in raw_words]
+        starts = _time_column([entry["s"] for entry in raw_words])
+        ends = _time_column([entry["e"] for entry in raw_words])
+        # Splitting on whitespace gives the words back only if none is empty
+        # and none holds whitespace (str.split and str.isspace share one set).
+        ok = (starts is not None and ends is not None
+              and " ".join(words).split() == words
+              and (np.isfinite(starts) & np.isfinite(ends)
+                   & (starts >= 0) & (ends >= starts)).all()
+              and (starts[1:] >= starts[:-1]).all())
+    except (TypeError, KeyError):
+        ok = False
+    if not ok:
+        _raise_word_fault(raw_words)
+
+    return TranscriptDocument(
+        video_id=obj["video_id"],
+        title=obj["title"],
+        source_uri=obj["source_uri"],
+        language=obj["language"],
+        words=words,
+        # Ints become floats here exactly as float() makes them.
+        starts=starts.tolist(),
+        ends=ends.tolist(),
+    )
+
+
+def _time_column(column: list) -> np.ndarray | None:
+    """``column`` as float64, or None unless every value is an int or a float
+    (not a bool) and every int is within the finite float range."""
+    kinds = set(map(type, column))
+    if not kinds <= {int, float}:
+        return None
+    # An int just past the largest float rounds down to it instead of
+    # overflowing, so ints are range-checked exactly before conversion.
+    if int in kinds and not -sys.float_info.max <= min(column) <= max(column) <= sys.float_info.max:
+        return None
+    return np.array(column, np.float64)
+
+
+def _raise_word_fault(raw_words: list) -> NoReturn:
+    """Raise the error for the first faulty word of ``raw_words``, checking each
+    word's rules in order. Only called once the column check has failed."""
     previous_start = None
     for i, entry in enumerate(raw_words):
         if not isinstance(entry, dict):
@@ -134,15 +184,7 @@ def parse_transcript(data: bytes) -> TranscriptDocument:
                 f"non-monotone word start time at index {i}: {start} < {previous_start}"
             )
         previous_start = start
-        words.append(WordToken(text=text, start_s=start, end_s=end))
-
-    return TranscriptDocument(
-        video_id=obj["video_id"],
-        title=obj["title"],
-        source_uri=obj["source_uri"],
-        language=obj["language"],
-        words=words,
-    )
+    raise AssertionError("the column check rejected a transcript the word check accepts")
 
 
 def _is_boundary(word_text: str) -> bool:
@@ -163,53 +205,42 @@ def segment_sentences(doc: TranscriptDocument, min_chars: int = DEFAULT_MIN_CHAR
     """
     if min_chars < 1:
         raise ValidationError(f"min_chars must be positive, got {min_chars}")
-    if not doc.words:
+    words = doc.words
+    if not words:
         return []
 
-    # First pass: split on terminal punctuation.
-    fragments: list[list[WordToken]] = []
-    current: list[WordToken] = []
-    for word in doc.words:
-        current.append(word)
-        if _is_boundary(word.text):
-            fragments.append(current)
-            current = []
-    if current:
-        fragments.append(current)
+    # Fragment ends: after each boundary word, and after the last word.
+    cuts = [stop for stop, boundary in enumerate(map(_is_boundary, words), 1) if boundary]
+    if not cuts or cuts[-1] != len(words):
+        cuts.append(len(words))
+    # " ".join(words[a:b]) is offsets[b] - offsets[a] - 1 characters long.
+    offsets = [0, *accumulate(len(word) + 1 for word in words)]
 
-    # Second pass: merge short fragments forward; a short final fragment
-    # merges into its predecessor instead.
-    merged: list[list[WordToken]] = []
-    i = 0
-    while i < len(fragments):
-        group = list(fragments[i])
-        while len(_text_of(group)) < min_chars and i + 1 < len(fragments):
-            i += 1
-            group.extend(fragments[i])
-        merged.append(group)
-        i += 1
-    if len(merged) >= 2 and len(_text_of(merged[-1])) < min_chars:
-        tail = merged.pop()
-        merged[-1].extend(tail)
+    # Merge short fragments forward; a short final fragment merges into its
+    # predecessor instead.
+    spans: list[tuple[int, int]] = []
+    first = 0
+    for stop in cuts:
+        if offsets[stop] - offsets[first] - 1 >= min_chars or stop == cuts[-1]:
+            spans.append((first, stop))
+            first = stop
+    if len(spans) >= 2 and offsets[spans[-1][1]] - offsets[spans[-1][0]] - 1 < min_chars:
+        spans[-2:] = [(spans[-2][0], spans[-1][1])]
 
     sentences: list[Sentence] = []
-    for ordinal, group in enumerate(merged):
-        text = _text_of(group)
+    for ordinal, (first, stop) in enumerate(spans):
+        text = " ".join(words[first:stop])
         sentences.append(
             Sentence(
                 sentence_id=sentence_id_for(doc.video_id, ordinal, text),
                 video_id=doc.video_id,
                 ordinal=ordinal,
                 text=text,
-                start_s=group[0].start_s,
-                end_s=group[-1].end_s,
+                start_s=doc.starts[first],
+                end_s=doc.ends[stop - 1],
             )
         )
     return sentences
-
-
-def _text_of(words: list[WordToken]) -> str:
-    return " ".join(w.text for w in words)
 
 
 def export_corpus(sentences: list[Sentence], path: str) -> int:

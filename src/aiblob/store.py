@@ -169,6 +169,9 @@ class VectorStore:
         if self._scoring is None:
             self._scoring = self._matrix.astype(np.float64)
         scores = np.clip(self._scoring @ q, -1.0, 1.0)
+        # A finite query can still overflow against a stored row; NaN never ranks.
+        if np.isnan(scores).any():
+            raise ValidationError("query vector overflows against the stored vectors (NaN scores)")
         scores[[row for row in map(self._rows.get, exclude) if row is not None]] = -np.inf
 
         # Rank only the rows scoring at least the m-th best score. Keeping every

@@ -21,9 +21,10 @@ from .errors import AiblobError, ConfigError, ParseError, ProviderError
 DEFAULT_RETRIES = 3
 
 
-def dumps_line(obj: dict[str, Any]) -> str:
-    """Serialize one record as a compact, key-order-preserving JSON line."""
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+# Serialize one record as a compact, key-order-preserving JSON line. One encoder
+# for every line: json.dumps with non-default options builds one per call.
+dumps_line: Callable[[dict[str, Any]], str] = json.JSONEncoder(
+    ensure_ascii=False, separators=(",", ":")).encode
 
 
 @contextmanager

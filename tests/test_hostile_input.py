@@ -118,7 +118,7 @@ TRANSCRIPT = {
 def test_parse_transcript(data):
     doc = loaded(lambda: parse_transcript(data))
     if doc is not None:
-        assert all(0 <= w.start_s <= w.end_s < math.inf for w in doc.words)
+        assert all(0 <= start <= end < math.inf for start, end in zip(doc.starts, doc.ends))
         segment_sentences(doc)
 
 

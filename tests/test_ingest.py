@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_ingest import oracle_parse_transcript, oracle_segment_sentences
 
 from aiblob.errors import ParseError, ValidationError
 from aiblob.ingest import (
@@ -37,9 +39,9 @@ class TestParseTranscript:
     def test_single_word_passthrough(self):
         doc = parse_transcript(doc_bytes([("Buonasera.", 1.0, 1.6)]))
         assert len(doc.words) == 1
-        assert doc.words[0].text == "Buonasera."
-        assert doc.words[0].start_s == 1.0
-        assert doc.words[0].end_s == 1.6
+        assert doc.words[0] == "Buonasera."
+        assert doc.starts[0] == 1.0
+        assert doc.ends[0] == 1.6
 
     def test_non_monotone_times_name_the_index(self):
         with pytest.raises(ValidationError, match="index 1"):
@@ -72,6 +74,8 @@ class TestParseTranscript:
 
     @pytest.mark.parametrize("start,end", [
         (float("nan"), 1.0), (0.0, float("nan")), (0.0, float("inf")), (0.0, 10**400),
+        # float() rounds this int down to the largest float instead of overflowing.
+        (0.0, int(sys.float_info.max) + 1),
     ])
     def test_non_finite_or_overflowing_time_rejected(self, start, end):
         with pytest.raises(ParseError, match="finite"):
@@ -178,12 +182,12 @@ class TestSegmentSentences:
         result = segment_sentences(doc, min_chars=min_chars)
 
         # Every word lands in exactly one sentence; nothing dropped or duplicated.
-        assert " ".join(s.text for s in result) == " ".join(w.text for w in doc.words)
+        assert " ".join(s.text for s in result) == " ".join(doc.words)
         # Ordinals contiguous from zero.
         assert [s.ordinal for s in result] == list(range(len(result)))
         # Time boundaries coincide with word boundaries from the source.
-        starts = {w.start_s for w in doc.words}
-        ends = {w.end_s for w in doc.words}
+        starts = set(doc.starts)
+        ends = set(doc.ends)
         for s in result:
             assert s.start_s in starts
             assert s.end_s in ends
@@ -194,6 +198,124 @@ class TestSegmentSentences:
         first = segment_sentences(parse_transcript(raw))
         second = segment_sentences(parse_transcript(raw))
         assert first == second
+
+
+MAX = sys.float_info.max
+WHITESPACE = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+              "\x85", "\xa0", "\u1680", "\u2000", "\u2028", "\u2029", "\u3000"]
+NOT_A_NUMBER = [True, False, None, "1.0", [1.0], float("nan"), float("inf"), float("-inf"),
+                10**400, -(10**400), int(MAX) + 1, -int(MAX) - 1]
+NOT_AN_OBJECT = [[], ["w", "s", "e"], "w", None, 0, True]
+NOT_A_TEXT = [None, "", 5, True, ["a"], {"w": "a"}]
+WORD_TEXTS = st.one_of(
+    st.sampled_from(["Ciao.", "Sig.", "prof.", "(ecc.)", "ING.", "Mah…", "perché?", "Sì!",
+                     ".", "…", "?!", "on.", "là", "«Bene»."]),
+    st.text(min_size=1, max_size=8).filter(lambda text: text.split() == [text]),
+)
+# Times: ints and floats, with zero steps (ties), -0.0 and values near the top
+# of the float range.
+BASE_TIMES = st.one_of(st.integers(0, 10**6), st.floats(0, 1e6),
+                       st.sampled_from([-0.0, 0, 1e308, int(MAX) // 2, MAX / 2, int(MAX)]))
+STEPS = st.one_of(st.sampled_from([0, 0.0]), st.integers(0, 5), st.floats(0, 5))
+
+
+@st.composite
+def valid_words(draw, min_size=0):
+    def later(t):
+        return min(t + draw(STEPS), MAX)  # an int past MAX is not a valid time
+
+    words = []
+    t = draw(BASE_TIMES)
+    for _ in range(draw(st.integers(min_size, 30))):
+        words.append({"w": draw(WORD_TEXTS), "s": t, "e": later(t)})
+        t = later(t)
+    return words
+
+
+def _fault(draw, kind, words, i):
+    """Break rule ``kind`` at word i and at no other word."""
+    entry = dict(words[i])
+    if kind == "object":
+        return draw(st.sampled_from(NOT_AN_OBJECT))
+    if kind == "text":
+        value = draw(st.sampled_from(NOT_A_TEXT + ["missing"]))
+    elif kind == "whitespace":
+        text = entry["w"]
+        cut = draw(st.integers(0, len(text)))
+        value = text[:cut] + draw(st.sampled_from(WHITESPACE)) + text[cut:]
+    elif kind in ("start", "end"):
+        value = draw(st.sampled_from(NOT_A_NUMBER + ["missing"]))
+    elif kind == "negative":
+        value = draw(st.sampled_from([-1, -0.5, -1e-300, -MAX]))
+    elif kind == "order":
+        # Ends before it starts, by at least half the start or 0.5 s.
+        value = entry["s"] - draw(st.sampled_from([1, 0.5])) * max(1, abs(entry["s"]))
+    else:  # "monotone": starts before the previous word, still in order itself
+        value = draw(st.sampled_from([0, 0.0, words[i - 1]["s"] / 2]))
+        assert value < words[i - 1]["s"]
+    key = {"text": "w", "whitespace": "w", "start": "s", "negative": "s", "monotone": "s",
+           "end": "e", "order": "e"}[kind]
+    if value == "missing":
+        del entry[key]
+    else:
+        entry[key] = value
+    return entry
+
+
+@st.composite
+def faulty_words(draw):
+    words = draw(valid_words(min_size=1))
+    kinds = ["object", "text", "whitespace", "start", "end", "negative", "order"]
+    if any(later["s"] > 0 for later in words[:-1]):
+        kinds.append("monotone")
+    faults = {}
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        allowed = [i for i in range(len(words))
+                   if kind != "monotone" or (i > 0 and words[i - 1]["s"] > 0)]
+        faults[draw(st.sampled_from(allowed))] = kind
+    # Faults sit at distinct words and each breaks only its own word (or, for
+    # "monotone", its word against an unbroken predecessor), so the first
+    # faulty word keeps its fault whatever the others do.
+    return [_fault(draw, faults[i], words, i) if i in faults else words[i]
+            for i in range(len(words))]
+
+
+def _outcome(parse, segment, columns, data, min_chars):
+    """What parsing and cutting ``data`` gives: the error class and message, or
+    the exact reprs of the word columns and of every sentence."""
+    try:
+        doc = parse(data)
+    except Exception as exc:  # an AssertionError is an outcome to compare too
+        return type(exc), str(exc)
+    return repr(columns(doc)), [repr(s) for s in segment(doc, min_chars=min_chars)]
+
+
+def _both(words, min_chars):
+    data = json.dumps({"video_id": "v1", "title": "t", "source_uri": "m.mp4", "language": "it",
+                       "words": words}, ensure_ascii=False).encode("utf-8")
+    columnar = _outcome(parse_transcript, segment_sentences,
+                        lambda doc: list(zip(doc.words, doc.starts, doc.ends)), data, min_chars)
+    per_word = _outcome(oracle_parse_transcript, oracle_segment_sentences,
+                        lambda doc: [(w.text, w.start_s, w.end_s) for w in doc.words],
+                        data, min_chars)
+    return columnar, per_word
+
+
+class TestAgainstPerWordOracle:
+    """The columnar parse and cut against the per-word code they replaced."""
+
+    @given(words=valid_words(), min_chars=st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_valid_transcripts_give_the_same_sentences(self, words, min_chars):
+        columnar, per_word = _both(words, min_chars)
+        assert columnar == per_word
+
+    @given(words=faulty_words(), min_chars=st.integers(1, 40))
+    @settings(max_examples=400, deadline=None)
+    def test_faulty_transcripts_give_the_same_error(self, words, min_chars):
+        columnar, per_word = _both(words, min_chars)
+        assert per_word[0] in (ParseError, ValidationError), per_word
+        assert columnar == per_word
 
 
 class TestCorpusRoundTrip:

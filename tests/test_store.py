@@ -186,6 +186,21 @@ class TestTopK:
         with pytest.raises(ValidationError, match="NaN/Inf"):
             store.top_k(query, 5)
 
+    def test_overflowing_query_never_returns_nan_scores(self):
+        # Products of 1e330 overflow; whether a row sums to NaN or to +-inf
+        # depends on the BLAS kernel, so either outcome below may hold. A NaN
+        # row is never ranked, so it must not pass silently as a missing hit.
+        store = VectorStore(4)
+        store.insert_batch([VectorRecord(f"s{i}", np.full(4, 1e30, np.float32), "v", "t", 0.0, 1.0)
+                            for i in range(4)])
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                hits = store.top_k(np.array([1e300, -1e300, 1e300, -1e300]), 4)
+        except ValidationError as exc:
+            assert "NaN" in str(exc)
+        else:
+            assert len(hits) == 4 and not any(np.isnan(hit.score) for hit in hits)
+
     @given(
         n=st.integers(min_value=1, max_value=300),
         k=st.integers(min_value=1, max_value=40),
