@@ -8,6 +8,7 @@ byte-reproducible from (corpus, config, replay file).
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -24,7 +25,7 @@ from .narrative import (
     save_plan,
     segment_narrative,
 )
-from .store import VectorRecord, VectorStore
+from .store import VectorStore
 from .util import write_jsonl
 
 QUERIES_FILE = "queries.jsonl"
@@ -40,17 +41,25 @@ def cmd_ingest(args) -> int:
         raise ValidationError(f"no .json transcript files found in {args.transcripts}")
     sentences = []
     seen_videos: set[str] = set()
-    for name in names:
-        path = os.path.join(args.transcripts, name)
-        try:
-            with open(path, "rb") as handle:
-                doc = parse_transcript(handle.read())
-        except (ParseError, ValidationError) as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
-        if doc.video_id in seen_videos:
-            raise ValidationError(f"{path}: duplicate video_id {doc.video_id!r} in corpus")
-        seen_videos.add(doc.video_id)
-        sentences.extend(segment_sentences(doc, min_chars=args.min_chars))
+    # The loop makes no reference cycles, and with the collector on, full
+    # collections re-walk the growing list of sentences over and over.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for name in names:
+            path = os.path.join(args.transcripts, name)
+            try:
+                with open(path, "rb") as handle:
+                    doc = parse_transcript(handle.read())
+            except (ParseError, ValidationError) as exc:
+                raise type(exc)(f"{path}: {exc}") from exc
+            if doc.video_id in seen_videos:
+                raise ValidationError(f"{path}: duplicate video_id {doc.video_id!r} in corpus")
+            seen_videos.add(doc.video_id)
+            sentences.extend(segment_sentences(doc, min_chars=args.min_chars))
+    finally:
+        if collecting:
+            gc.enable()
     count = export_corpus(sentences, args.out)
     print(f"wrote {count} sentences from {len(seen_videos)} videos to {args.out}")
     return 0
@@ -59,19 +68,17 @@ def cmd_ingest(args) -> int:
 def cmd_index(args) -> int:
     config = load_config(args.config)
     corpus = load_corpus(args.corpus)
-    if not corpus:
+    if not corpus.sentence_ids:
         raise ValidationError(f"{args.corpus} holds no sentences; nothing to index")
     embedder = make_embedder(
         args.embedder,
         base_url=config.providers.embed_base_url,
         model=config.providers.embed_model,
     )
-    vectors = embed_batch([s.text for s in corpus], embedder, input_type=DOCUMENT_INPUT)
+    vectors = embed_batch(corpus.texts, embedder, input_type=DOCUMENT_INPUT)
     store = VectorStore(vectors.shape[1])
-    store.insert_batch([
-        VectorRecord(s.sentence_id, vec, s.video_id, s.text, s.start_s, s.end_s)
-        for s, vec in zip(corpus, vectors)
-    ])
+    store.insert_batch(vectors, (corpus.sentence_ids, corpus.video_ids, corpus.texts,
+                                 corpus.starts, corpus.ends))
     store.save(args.store)
     print(f"indexed {store.count} sentences (dim {store.dim}) into {args.store}")
     return 0

@@ -25,6 +25,10 @@ QUERY_INPUT = "search_query"
 
 DEFAULT_BACKOFF = (0.5, 2.0, 8.0)
 
+# Far above any real embedding width; a larger dim is refused before a row of
+# that width is ever allocated.
+MAX_DETERMINISTIC_DIM = 65536
+
 
 def fnv1a_64(data: Sequence[bytes]) -> np.ndarray:
     """64-bit FNV-1a of each byte string, in uint64 arithmetic (it wraps mod 2**64).
@@ -54,8 +58,9 @@ class DeterministicEmbedder:
     """
 
     def __init__(self, dim: int):
-        if dim < 2:
-            raise ConfigError(f"deterministic embedder needs dim >= 2, got {dim}")
+        if not 2 <= dim <= MAX_DETERMINISTIC_DIM:
+            raise ConfigError(f"deterministic embedder needs 2 <= dim <= "
+                              f"{MAX_DETERMINISTIC_DIM}, got {dim}")
         self.dim = dim
         self.batch_size = 1024
 

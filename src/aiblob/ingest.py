@@ -32,7 +32,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .util import from_json, is_finite_number, parse_json_line, read_jsonl, write_jsonl
+from .util import is_finite_number, read_columns, write_jsonl
 
 CORPUS_FORMAT = "aiblob-corpus"
 CORPUS_VERSION = 1
@@ -253,18 +253,27 @@ def export_corpus(sentences: list[Sentence], path: str) -> int:
     return len(sentences)
 
 
-def load_corpus(path: str) -> list[Sentence]:
-    """Read a corpus file back into Sentence records, checking header, fields and unique ids."""
-    _header, lines = read_jsonl(path, CORPUS_FORMAT, CORPUS_VERSION)
-    sentences: list[Sentence] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines, start=2):
-        sentence = from_json(Sentence, parse_json_line(line, path, lineno), ParseError,
-                             f"{path}:{lineno}: bad corpus record")
-        if sentence.sentence_id in seen:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate sentence_id {sentence.sentence_id}"
-            )
-        seen.add(sentence.sentence_id)
-        sentences.append(sentence)
-    return sentences
+@dataclass
+class Corpus:
+    """A corpus file's sentences as columns, one list per Sentence field:
+    sentence ``i`` is ``Sentence(sentence_ids[i], video_ids[i], ordinals[i],
+    texts[i], starts[i], ends[i])``."""
+
+    sentence_ids: list[str]
+    video_ids: list[str]
+    ordinals: list[int]
+    texts: list[str]
+    starts: list[float]
+    ends: list[float]
+
+
+def load_corpus(path: str) -> Corpus:
+    """Read a corpus file back as columns, checking header, fields and unique ids.
+
+    One check covers the whole file (util.read_columns); only a file that fails
+    it is walked row by row, so a bad record raises ParseError and a repeated
+    id ValidationError, each naming the line of the first fault.
+    """
+    _header, columns = read_columns(path, CORPUS_FORMAT, CORPUS_VERSION, Sentence, ParseError,
+                                    "corpus record", unique="sentence_id")
+    return Corpus(*columns)

@@ -16,6 +16,13 @@ id -> row dict. The float64 copy of the matrix is built on the first query and
 dropped by the next insert. Records are built on demand for the rows a caller
 asks for.
 
+Loading builds no per-row object either: meta.jsonl is read as columns
+(util.read_columns: a few large decodes and one check for the whole file,
+and a per-row walk only to name a fault), the vectors.bin body becomes the
+matrix as is, and one dict of the ids gives the id -> row map. An insert takes a
+matrix with its columns the same way, or a list of VectorRecord, which is
+turned into columns first.
+
 On-disk layout (bit-exact):
     meta.jsonl   header {"format":"aiblob-store","version":1,"dim":D}, then one
                  record object per line; line order defines row order.
@@ -29,13 +36,12 @@ import operator
 import os
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, StoreError, ValidationError
-from .util import (atomic_write_bytes, check_field_types, from_json, is_int, parse_json_line,
-                   read_jsonl, write_jsonl)
+from .util import atomic_write_bytes, check_field_types, is_int, read_columns, write_jsonl
 
 STORE_FORMAT = "aiblob-store"
 STORE_VERSION = 1
@@ -44,7 +50,6 @@ META_FILE = "meta.jsonl"
 VECTORS_FILE = "vectors.bin"
 # Metadata fields, in meta.jsonl key order; VectorRecord has the same names.
 META_KEYS = ("sentence_id", "video_id", "text", "start_s", "end_s")
-_meta_values = operator.attrgetter(*META_KEYS)
 
 
 @dataclass
@@ -108,10 +113,33 @@ class VectorStore:
         return VectorRecord(self._ids[row], self._matrix[row], self._video_ids[row],
                             self._texts[row], self._starts[row], self._ends[row])
 
-    def insert_batch(self, records: Sequence[VectorRecord]) -> int:
-        """Insert records atomically: any invalid record rejects the whole batch."""
-        batch = np.empty((len(records), self.dim), dtype="<f4")
-        rows = []
+    def insert_batch(self, batch: Sequence[VectorRecord] | np.ndarray,
+                     columns: Sequence[list] | None = None) -> int:
+        """Insert rows atomically: any invalid row rejects the whole batch.
+
+        ``batch`` is a list of VectorRecord, or an (n, dim) float32 matrix whose
+        row i is the vector of the i-th entry of ``columns``: one list per
+        META_KEYS field, of values already checked (as load_corpus returns them).
+        The store keeps that matrix; it must not be changed afterwards.
+        """
+        if columns is None:
+            matrix, columns = self._record_columns(batch)
+        else:
+            matrix = np.asarray(batch, dtype="<f4")
+            if matrix.ndim != 2 or matrix.shape[1] != self.dim:
+                raise ConfigError(
+                    f"vectors of shape {matrix.shape} do not match store dim {self.dim}")
+            if len(columns) != len(META_KEYS) or any(len(column) != len(matrix)
+                                                     for column in columns):
+                raise ValidationError(f"{len(matrix)} vectors need {len(META_KEYS)} metadata "
+                                      f"columns of {len(matrix)} values")
+        self._append(matrix, columns)
+        return len(matrix)
+
+    def _record_columns(self, records: Sequence[VectorRecord]) -> tuple[np.ndarray, list[list]]:
+        """The vector matrix and the META_KEYS columns of ``records``, checking each
+        record's vector shape and field types in order."""
+        matrix = np.empty((len(records), self.dim), dtype="<f4")
         for i, rec in enumerate(records):
             arr = np.asarray(rec.vector, dtype=np.float32)
             if arr.shape != (self.dim,):
@@ -119,28 +147,39 @@ class VectorStore:
                 raise ConfigError(
                     f"record {rec.sentence_id}: vector dim {got} does not match store dim {self.dim}"
                 )
-            batch[i] = arr
+            matrix[i] = arr
             check_field_types(rec, ValidationError, f"record {rec.sentence_id}")
-            rows.append(_meta_values(rec))
-        self._append(batch, rows)
-        return len(records)
+        return matrix, [list(map(operator.attrgetter(key), records)) for key in META_KEYS]
 
-    def _append(self, matrix: np.ndarray, rows: list[tuple]) -> None:
-        """Append rows of META_KEYS values; nothing changes unless every row passes."""
-        ids = [values[0] for values in rows]
+    def _append(self, matrix: np.ndarray, columns: Sequence[list]) -> None:
+        """Append the rows of ``matrix`` with their META_KEYS ``columns``; nothing
+        changes unless every row passes."""
+        ids = columns[0]
         finite = np.isfinite(matrix).all(axis=1)
         if not finite.all():
             raise ValidationError(f"record {ids[int(np.argmin(finite))]}: vector has NaN/Inf")
-        new_rows: dict[str, int] = {}
-        for row, sentence_id in enumerate(ids, start=self.count):
-            if sentence_id in self._rows or sentence_id in new_rows:
-                raise ValidationError(f"duplicate sentence_id {sentence_id}")
-            new_rows[sentence_id] = row
+        new_rows = dict(zip(ids, range(self.count, self.count + len(ids))))
+        if len(new_rows) != len(ids) or not self._rows.keys().isdisjoint(new_rows):
+            self._raise_duplicate(ids)
         self._matrix = np.concatenate((self._matrix, matrix)) if self.count else matrix
-        self._rows.update(new_rows)
-        for column, values in zip(self._columns(), zip(*rows)):
+        if self._rows:
+            self._rows.update(new_rows)
+        else:
+            # A first insert keeps the new map: copying it would briefly hold two.
+            self._rows = new_rows
+        for column, values in zip(self._columns(), columns):
             column.extend(values)
         self._scoring = None
+
+    def _raise_duplicate(self, ids: Sequence[str]) -> NoReturn:
+        """Raise for the first of ``ids`` that is stored or repeats an earlier one.
+        Only called once the one-dict test has found a repeat."""
+        seen: set[str] = set()
+        for sentence_id in ids:
+            if sentence_id in self._rows or sentence_id in seen:
+                raise ValidationError(f"duplicate sentence_id {sentence_id}")
+            seen.add(sentence_id)
+        raise AssertionError("the id test found a repeat the id walk does not")
 
     def top_k(
         self,
@@ -237,10 +276,12 @@ class VectorStore:
             if not os.path.exists(path):
                 raise StoreError(f"missing store file: {path}")
 
-        header, meta_rows = read_jsonl(meta_path, STORE_FORMAT, STORE_VERSION, StoreError)
+        header, columns = read_columns(meta_path, STORE_FORMAT, STORE_VERSION, VectorRecord,
+                                       StoreError)
         dim = header.get("dim")
         if not is_int(dim) or dim < 1:
             raise StoreError(f"{meta_path}: bad dim {dim!r}")
+        count = len(columns[0])
 
         with open(vectors_path, "rb") as handle:
             blob = handle.read()
@@ -253,23 +294,15 @@ class VectorStore:
             raise StoreError(f"{vectors_path}: unsupported version {version}")
         if bin_dim != dim:
             raise StoreError(f"{vectors_path}: dim {bin_dim} does not match metadata dim {dim}")
-        if bin_count != len(meta_rows):
+        if bin_count != count:
             raise StoreError(
-                f"{vectors_path}: count {bin_count} does not match {len(meta_rows)} metadata rows"
+                f"{vectors_path}: count {bin_count} does not match {count} metadata rows"
             )
         expected_bytes = 20 + bin_count * dim * 4
         if len(blob) != expected_bytes:
             raise StoreError(
                 f"{vectors_path}: expected {expected_bytes} bytes, found {len(blob)}"
             )
-        matrix = np.frombuffer(blob, "<f4", offset=20).reshape(bin_count, dim)
-
-        rows = []
-        for lineno, line in enumerate(meta_rows, start=2):
-            rec = from_json(VectorRecord, parse_json_line(line, meta_path, lineno), StoreError,
-                            f"{meta_path}:{lineno}: bad record", vector=None)
-            rows.append(_meta_values(rec))
         store = cls(dim)
-        store._append(matrix, rows)
+        store._append(np.frombuffer(blob, "<f4", offset=20).reshape(bin_count, dim), columns)
         return store
-

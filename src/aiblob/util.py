@@ -1,5 +1,6 @@
 """Small shared helpers: atomic file writes, UTF-8 and JSON file reading,
-canonical JSON lines, value and record checks, provider retries, HTTP POST."""
+canonical JSON lines, JSON-lines record files read as columns, value and
+record checks, provider retries, HTTP POST."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -15,7 +17,9 @@ import urllib.request
 from contextlib import contextmanager
 from typing import IO, Any, Callable, Collection, Iterable, Iterator, Sequence
 
-from .errors import AiblobError, ConfigError, ParseError, ProviderError
+import numpy as np
+
+from .errors import AiblobError, ConfigError, ParseError, ProviderError, ValidationError
 
 # Attempts after the first, for embedding chunks and LLM calls alike.
 DEFAULT_RETRIES = 3
@@ -118,6 +122,110 @@ def read_jsonl(path: str, fmt: str, version: int,
     if header.get("version") != version:
         raise error(f"{path}: unsupported {kind} version {header.get('version')!r}")
     return header, lines[1:]
+
+
+# Lines decoded per json.loads call by read_columns: the decoded rows of one
+# block at a time are alive, and the memory they free is reused by the next
+# block's, so the rows leave no holes among the column values they outlive.
+_BLOCK_LINES = 8192
+
+
+def read_columns(path: str, fmt: str, version: int, cls, error: type[AiblobError],
+                 what: str = "record", unique: str | None = None) -> tuple[dict, tuple[list, ...]]:
+    """Read a JSON-lines record file as columns: read_jsonl's header, then one
+    list per field of dataclass ``cls`` annotated with a kind of _FIELD_KINDS, in
+    field order. Each line holds one record object with those fields as keys;
+    ``cls``'s other fields have no key. Ints in float fields become floats. With
+    ``unique`` set, the values of that field must be distinct.
+
+    One check covers the whole file. Blocks of lines are each joined with ",\\n"
+    and decoded by one ``json.loads``, and the rows pass only if all of these hold:
+
+    - every line starts with "{" and ends with "}", and each block decodes to as
+      many rows as it has lines;
+    - every row is a dict whose keys are the fields, in order;
+    - each column holds only its field's type (ints, within the float range,
+      may stand in a float column; bools never pass), and float columns are finite;
+    - the ``unique`` column holds no repeat.
+
+    Rows of scalars are what make the join exact: a newline ends no JSON string,
+    so no string crosses a line, and with no object nested in a row, the "}"
+    that ends a line can only close a row, so no row crosses a line either.
+    Each line is then exactly one row, decoded as it would be on its own.
+
+    When the check fails, the file is read again and walked row by row with
+    parse_json_line and from_json, so the first fault in line order raises what
+    a per-row reader raises: ParseError for a line that is not a JSON object,
+    ``error`` with message "{path}:{lineno}: bad {what}: ..." for a bad record,
+    ValidationError "{path}:{lineno}: duplicate {unique} {value}" for a repeat.
+    A file without a fault (keys in another order, say) loads from that walk.
+    """
+    header, lines = read_jsonl(path, fmt, version, error)
+    columns = _decode_columns(cls, lines, unique)
+    if columns is None:
+        header, lines = read_jsonl(path, fmt, version, error)
+        columns = _walk_rows(lines, path, cls, error, what, unique)
+    return header, columns
+
+
+def _decode_columns(cls, lines: list[str], unique: str | None) -> tuple[list, ...] | None:
+    """The columns of ``lines``, emptying that list as they are decoded, or None
+    unless they pass read_columns' check; a repeat of ``unique`` gives None too."""
+    rules = _field_rules(cls)
+    names = [name for name, *_ in rules]
+    columns = tuple([] for _ in rules)
+    while lines:
+        count = min(len(lines), _BLOCK_LINES)
+        text = "[" + ",\n".join(lines[:count]) + "]"
+        del lines[:count]
+        if not (text[1] == "{" and text[-2] == "}" and text.count("},\n{") == count - 1):
+            return None
+        try:
+            rows = json.loads(text)
+        except (json.JSONDecodeError, RecursionError):
+            return None
+        del text
+        if len(rows) != count or not all(type(row) is dict and list(row) == names
+                                         for row in rows):
+            return None
+        for column, name in zip(columns, names):
+            column.extend(map(operator.itemgetter(name), rows))
+    for column, (name, kind, *_) in zip(columns, rules):
+        kinds = set(map(type, column))
+        if kind is float and kinds <= {float, int}:
+            # An int just past the largest float rounds down to it instead of
+            # overflowing, so ints are range-checked exactly before conversion.
+            if int in kinds:
+                if not -sys.float_info.max <= min(column) <= max(column) <= sys.float_info.max:
+                    return None
+                column[:] = map(float, column)
+            if not np.isfinite(np.array(column, np.float64)).all():
+                return None
+        elif not kinds <= {kind}:
+            return None
+        if name == unique and len(set(column)) != len(column):
+            return None
+    return columns
+
+
+def _walk_rows(lines: list[str], path: str, cls, error: type[AiblobError], what: str,
+               unique: str | None) -> tuple[list, ...]:
+    """read_columns' per-row reader: the columns of ``lines`` (the lines after the
+    header), or the error for the first faulty line."""
+    names = [name for name, *_ in _field_rules(cls)]
+    given = {field.name: None for field in dataclasses.fields(cls) if field.name not in names}
+    records = []
+    seen: set = set()
+    for lineno, line in enumerate(lines, start=2):
+        record = from_json(cls, parse_json_line(line, path, lineno), error,
+                           f"{path}:{lineno}: bad {what}", **given)
+        if unique is not None:
+            value = getattr(record, unique)
+            if value in seen:
+                raise ValidationError(f"{path}:{lineno}: duplicate {unique} {value}")
+            seen.add(value)
+        records.append(record)
+    return tuple([getattr(record, name) for record in records] for name in names)
 
 
 def is_int(value: Any) -> bool:

@@ -1,0 +1,52 @@
+"""Per-row reference for reading corpus and store metadata files.
+
+This is the object-per-row design the package used before it read JSON-lines
+record files as columns: every line is decoded on its own by
+``parse_json_line`` and checked by ``from_json`` into one record, and ids are
+checked one at a time. The differential tests in ``test_records.py`` hold the
+column readers to the same values, and to the same error class and message
+for every faulty file.
+"""
+
+import operator
+
+from aiblob.errors import ParseError, StoreError, ValidationError
+from aiblob.ingest import CORPUS_FORMAT, CORPUS_VERSION, Sentence
+from aiblob.store import META_KEYS, STORE_FORMAT, STORE_VERSION, VectorRecord
+from aiblob.util import from_json, parse_json_line, read_jsonl
+
+_meta_values = operator.attrgetter(*META_KEYS)
+
+
+def oracle_load_corpus(path: str) -> list[Sentence]:
+    """Read a corpus file back into Sentence records, checking header, fields and unique ids."""
+    _header, lines = read_jsonl(path, CORPUS_FORMAT, CORPUS_VERSION)
+    sentences: list[Sentence] = []
+    seen: set[str] = set()
+    for lineno, line in enumerate(lines, start=2):
+        sentence = from_json(Sentence, parse_json_line(line, path, lineno), ParseError,
+                             f"{path}:{lineno}: bad corpus record")
+        if sentence.sentence_id in seen:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate sentence_id {sentence.sentence_id}"
+            )
+        seen.add(sentence.sentence_id)
+        sentences.append(sentence)
+    return sentences
+
+
+def oracle_store_rows(meta_path: str) -> list[tuple]:
+    """The META_KEYS values of each row of a store's meta.jsonl, checked record by
+    record, then id by id as the store's insert checks them."""
+    _header, meta_rows = read_jsonl(meta_path, STORE_FORMAT, STORE_VERSION, StoreError)
+    rows = []
+    for lineno, line in enumerate(meta_rows, start=2):
+        rec = from_json(VectorRecord, parse_json_line(line, meta_path, lineno), StoreError,
+                        f"{meta_path}:{lineno}: bad record", vector=None)
+        rows.append(_meta_values(rec))
+    seen: set[str] = set()
+    for row in rows:
+        if row[0] in seen:
+            raise ValidationError(f"duplicate sentence_id {row[0]}")
+        seen.add(row[0])
+    return rows

@@ -8,7 +8,7 @@ import pytest
 
 from aiblob.cli import build_parser, main
 from aiblob.errors import ParseError
-from aiblob.embeddings import make_embedder
+from aiblob.embeddings import DeterministicEmbedder, make_embedder
 from aiblob.narrative import PipelineConfig
 from aiblob.store import VectorStore
 from conftest import build_replay_file, write_fixture_transcripts
@@ -315,6 +315,39 @@ class TestRender:
                      "--out", str(workspace / "episodio.mp4"),
                      "--config", str(config)]) == 1
         assert "not found" in capsys.readouterr().err
+
+
+class TestHugeEmbedderDim:
+    """A deterministic embedder too wide to allocate is refused before any text is
+    embedded; embed itself is replaced, so no test here can allocate a row."""
+
+    SPEC = "deterministic:100000000000"
+    ERROR = "error: deterministic embedder needs 2 <= dim <= 65536, got 100000000000\n"
+
+    @staticmethod
+    def refuse_to_embed(monkeypatch):
+        def embed(self, texts, input_type=None):
+            raise AssertionError("embed was called")
+        monkeypatch.setattr(DeterministicEmbedder, "embed", embed)
+
+    def test_index_fails_cleanly(self, workspace, capsys, monkeypatch):
+        self.refuse_to_embed(monkeypatch)
+        capsys.readouterr()  # drop fixture output
+        assert main(["index", "--corpus", str(workspace / "corpus.jsonl"),
+                     "--store", str(workspace / "store2"), "--embedder", self.SPEC]) == 1
+        assert capsys.readouterr().err == self.ERROR
+        assert not (workspace / "store2").exists()
+
+    def test_compose_fails_cleanly(self, workspace, capsys, monkeypatch):
+        self.refuse_to_embed(monkeypatch)
+        config = workspace / "huge-dim-config.json"
+        config.write_text(json.dumps({"providers": {"embedder": self.SPEC}}), encoding="utf-8")
+        capsys.readouterr()  # drop fixture output
+        assert main(["compose", "--store", str(workspace / "store"), "--title", "Il calcio",
+                     "--config", str(config), "--out", str(workspace / "ep"),
+                     "--llm", f"scripted:{workspace / 'replay.jsonl'}"]) == 1
+        assert capsys.readouterr().err == self.ERROR
+        assert not (workspace / "ep").exists()
 
 
 class TestNonUtf8Input:

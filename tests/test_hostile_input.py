@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from aiblob.config import load_config
 from aiblob.embeddings import RemoteEmbedder
 from aiblob.errors import AiblobError, ProviderError
-from aiblob.ingest import load_corpus, parse_transcript, segment_sentences
+from aiblob.ingest import Sentence, load_corpus, parse_transcript, segment_sentences
 from aiblob.llm import OPS, ScriptedProvider, _score_entries
 from aiblob.montage import ClipSource, RenderSettings, build_edl, load_edl, render
 from aiblob.narrative import SECTION_ORDER, NarrativePlan, load_plan
@@ -137,8 +137,10 @@ CORPUS = [
 @given(st.one_of(ARBITRARY_BYTES, mutated(CORPUS).map(lines_of)))
 def test_load_corpus(workdir, data):
     path = put(workdir / "corpus.jsonl", data)
-    sentences = loaded(lambda: load_corpus(str(path)))
-    for s in sentences or []:
+    corpus = loaded(lambda: load_corpus(str(path)))
+    columns = list(vars(corpus).values()) if corpus is not None else [[]]
+    assert len(set(map(len, columns))) == 1
+    for s in map(Sentence, *columns):
         assert isinstance(s.sentence_id, str) and isinstance(s.video_id, str)
         assert isinstance(s.text, str) and is_int(s.ordinal)
         assert type(s.start_s) is float and math.isfinite(s.start_s)

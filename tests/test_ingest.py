@@ -1,5 +1,6 @@
 """Transcript parsing, sentence segmentation, and corpus round-trips."""
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -11,6 +12,7 @@ from oracle_ingest import oracle_parse_transcript, oracle_segment_sentences
 
 from aiblob.errors import ParseError, ValidationError
 from aiblob.ingest import (
+    Corpus,
     Sentence,
     export_corpus,
     load_corpus,
@@ -318,6 +320,12 @@ class TestAgainstPerWordOracle:
         assert columnar == per_word
 
 
+def corpus_of(sentences):
+    """The Corpus columns holding ``sentences``."""
+    return Corpus(*([getattr(s, field.name) for s in sentences]
+                    for field in dataclasses.fields(Sentence)))
+
+
 class TestCorpusRoundTrip:
     def make_sentences(self):
         return [
@@ -330,7 +338,7 @@ class TestCorpusRoundTrip:
         path = tmp_path / "corpus.jsonl"
         sentences = self.make_sentences()
         assert export_corpus(sentences, str(path)) == 3
-        assert load_corpus(str(path)) == sentences
+        assert load_corpus(str(path)) == corpus_of(sentences)
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -344,7 +352,7 @@ class TestCorpusRoundTrip:
         assert export_corpus([], str(path)) == 0
         content = path.read_text(encoding="utf-8")
         assert content.startswith('{"format":"aiblob-corpus","version":1}')
-        assert load_corpus(str(path)) == []
+        assert load_corpus(str(path)) == corpus_of([])
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -1,0 +1,243 @@
+"""The column readers of corpus and store metadata files against the per-row
+readers of oracle_records.py: equal columns for valid files, and the same
+error class and message for files with faults at random rows."""
+
+import json
+import math
+import struct
+import sys
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracle_records import oracle_load_corpus, oracle_store_rows
+
+from aiblob.errors import AiblobError
+from aiblob.ingest import load_corpus
+from aiblob.store import VectorStore
+from aiblob.util import dumps_line
+
+CHECKED = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow,
+                                                        HealthCheck.function_scoped_fixture])
+VALID_EXAMPLES = settings(CHECKED, max_examples=80)
+FAULTY_EXAMPLES = settings(CHECKED, max_examples=20)
+
+TEXTS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8) | st.sampled_from(
+    ["", "a},{b", '"},\n{"', "\\", "[1,\n2]", " ", "ciao, come stai?"])
+VALUES = {
+    "str": TEXTS,
+    "int": st.integers() | st.just(10**30),
+    # Ints stand in float fields too, up to the largest float itself.
+    "float": st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6)
+    | st.just(int(sys.float_info.max)),
+}
+BAD_VALUES = {
+    "str": st.sampled_from([None, 5, 1.5, True, [], {}, ["a"]]),
+    "int": st.sampled_from([2.7, 1.0, True, False, None, "1", [1], {"n": 1}]),
+    "float": st.sampled_from([True, False, None, "1.5", math.nan, math.inf, -math.inf, 10**400,
+                              -10**400, int(sys.float_info.max) + 1, [1.0], {}]),
+}
+NOT_OBJECTS = st.sampled_from(['[1, 2]', '"row"', "5", "null", "{", "}", "{}", "not json",
+                               '[{"sentence_id": "x"}]', "{,}"])
+ENCODERS = [dumps_line, json.dumps, lambda row: json.dumps(row, ensure_ascii=False, indent=None,
+                                                           separators=(" ,", " : "))]
+
+# Field kinds in file key order.
+CORPUS_FIELDS = [("sentence_id", "str"), ("video_id", "str"), ("ordinal", "int"),
+                 ("text", "str"), ("start_s", "float"), ("end_s", "float")]
+META_FIELDS = [("sentence_id", "str"), ("video_id", "str"), ("text", "str"),
+               ("start_s", "float"), ("end_s", "float")]
+
+ROW_FAULTS = ["kind", "missing key", "extra key", "renamed key", "not an object", "duplicate id"]
+# Lines whose ",\n"-joined text decodes with as many rows as lines, though a
+# per-line reader rejects them: one row split across two lines, and one line
+# holding two rows.
+MERGE_FAULTS = ["string across lines", "array across lines", "object across lines"]
+
+
+def _split(line: str, marker: str, cut: int) -> list[str]:
+    """``line`` cut in two around the character ``cut`` places into ``marker``
+    (that character, a ",", is dropped: joining with "," would restore it)."""
+    at = line.index(marker) + cut
+    assert line[at] == ","
+    return [line[:at], line[at + 1:]]
+
+
+@st.composite
+def record_files(draw, fields, faults=()):
+    """The lines after the header of a record file with ``fields``, holding
+    ``faults`` and up to two more drawn at random, each at its own row."""
+    count = draw(st.integers(4 if faults else 0, 7))
+    ids = draw(st.lists(TEXTS, min_size=count, max_size=count, unique=True))
+    rows = [{name: ids[r] if name == "sentence_id" else draw(VALUES[kind])
+             for name, kind in fields} for r in range(count)]
+    faults = list(faults)
+    if faults:
+        faults += draw(st.lists(st.sampled_from(ROW_FAULTS + MERGE_FAULTS), max_size=2))
+    merge = next((fault for fault in faults if fault in MERGE_FAULTS), None)
+    targets = draw(st.permutations(range(count)))
+    split_row = targets[-1] if merge else None
+    not_objects = {}
+    for fault, r in zip((f for f in faults if f in ROW_FAULTS), targets[:-1]):
+        row = rows[r]
+        name, kind = draw(st.sampled_from(fields))
+        if fault == "kind":
+            row[name] = draw(BAD_VALUES[kind])
+        elif fault == "missing key":
+            del row[name]
+        elif fault == "extra key":
+            row[draw(st.sampled_from(["speaker", "vector", "Text"]))] = draw(VALUES[kind])
+        elif fault == "renamed key":
+            row[name + draw(st.sampled_from(["_", "s", " "]))] = row.pop(name)
+        elif fault == "not an object":
+            not_objects[r] = draw(NOT_OBJECTS)
+        else:
+            row["sentence_id"] = ids[draw(st.sampled_from([i for i in range(count) if i != r]))]
+
+    lines = []
+    halves = ()
+    for r, row in enumerate(rows):
+        if r in not_objects:
+            lines.append(not_objects[r])
+            continue
+        if r == split_row:
+            halves = (len(lines), len(lines) + 1)
+            if merge == "string across lines":
+                row["text"] = "a},{b"
+                lines += _split(dumps_line(row), "a},{b", 2)
+            elif merge == "array across lines":
+                row["end_s"] = [1.5, 2.5]
+                lines += _split(dumps_line(row), "[1.5,2.5]", 4)
+            else:
+                lines += _split(dumps_line(row), ',"video_id":', 0)
+            continue
+        if draw(st.integers(0, 9)) == 0:
+            row = {key: row[key] for key in draw(st.permutations(list(row)))}
+        line = draw(st.sampled_from(ENCODERS))(row)
+        if draw(st.integers(0, 19)) == 0:
+            line = draw(st.sampled_from([" ", "\t"])) + line
+        lines.append(line)
+        if draw(st.integers(0, 19)) == 0:
+            lines.append("")
+    if merge:
+        # One line holding two rows puts the line count back.
+        whole = [i for i, line in enumerate(lines) if line and i not in halves]
+        a, b = sorted(draw(st.lists(st.sampled_from(whole), min_size=2, max_size=2, unique=True)))
+        lines[a] += draw(st.sampled_from([",", ", "])) + lines.pop(b)
+    return lines
+
+
+def write_lines(path, header: dict, lines: list[str]) -> None:
+    path.unlink(missing_ok=True)
+    path.write_text("\n".join([dumps_line(header), *lines, ""]), encoding="utf-8")
+
+
+def outcome(read):
+    """("ok", value) or the error class and message of an AiblobError."""
+    try:
+        return "ok", read()
+    except AiblobError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def oracle_corpus_columns(path) -> tuple[list, ...]:
+    sentences = oracle_load_corpus(str(path))
+    return tuple([getattr(s, name) for s in sentences] for name, _ in CORPUS_FIELDS)
+
+
+def oracle_store_columns(path) -> tuple[list, ...]:
+    rows = oracle_store_rows(str(path))
+    return tuple([row[c] for row in rows] for c in range(len(META_FIELDS)))
+
+
+def read_corpus_pair(path):
+    """The column reader's and the per-row reader's outcomes for one corpus file;
+    the exact reprs of the columns tell an int from a float."""
+    got = outcome(lambda: repr(tuple(vars(load_corpus(str(path))).values())))
+    want = outcome(lambda: repr(oracle_corpus_columns(path)))
+    return got, want
+
+
+def read_store_pair(directory, lines):
+    """The same for a store: meta.jsonl holds ``lines``; vectors.bin holds as many
+    unit rows as meta.jsonl has non-empty lines, so only the metadata can fail."""
+    count = sum(1 for line in lines if line)
+    (directory / "vectors.bin").write_bytes(
+        b"AIBV" + struct.pack("<IIQ", 1, 2, count) + struct.pack("<ff", 0.6, 0.8) * count)
+    got = outcome(lambda: repr(tuple(VectorStore.load(str(directory))._columns())))
+    want = outcome(lambda: repr(oracle_store_columns(directory / "meta.jsonl")))
+    return got, want
+
+
+CORPUS_HEADER = {"format": "aiblob-corpus", "version": 1}
+META_HEADER = {"format": "aiblob-store", "version": 1, "dim": 2}
+
+
+class TestValidFiles:
+    @VALID_EXAMPLES
+    @given(lines=record_files(CORPUS_FIELDS))
+    def test_corpus_columns_equal(self, tmp_path, lines):
+        write_lines(tmp_path / "corpus.jsonl", CORPUS_HEADER, lines)
+        got, want = read_corpus_pair(tmp_path / "corpus.jsonl")
+        assert want[0] == "ok"
+        assert got == want
+
+    @VALID_EXAMPLES
+    @given(lines=record_files(META_FIELDS))
+    def test_store_columns_equal(self, tmp_path, lines):
+        write_lines(tmp_path / "meta.jsonl", META_HEADER, lines)
+        got, want = read_store_pair(tmp_path, lines)
+        assert want[0] == "ok"
+        assert got == want
+
+    def test_keys_in_another_order_load_equal(self, tmp_path):
+        rows = [{"end_s": 2.0, "start_s": 1, "text": "ciao", "video_id": "v", "sentence_id": s}
+                for s in ("a", "b")]
+        lines = list(map(dumps_line, rows))
+        write_lines(tmp_path / "meta.jsonl", META_HEADER, lines)
+        got, want = read_store_pair(tmp_path, lines)
+        assert got == want == ("ok", repr((["a", "b"], ["v", "v"], ["ciao", "ciao"],
+                                           [1.0, 1.0], [2.0, 2.0])))
+
+
+@pytest.mark.parametrize("fault", ROW_FAULTS + MERGE_FAULTS)
+class TestFaultyFiles:
+    @FAULTY_EXAMPLES
+    @given(data=st.data())
+    def test_corpus_error_equal(self, tmp_path, fault, data):
+        lines = data.draw(record_files(CORPUS_FIELDS, [fault]))
+        write_lines(tmp_path / "corpus.jsonl", CORPUS_HEADER, lines)
+        got, want = read_corpus_pair(tmp_path / "corpus.jsonl")
+        assert got == want
+
+    @FAULTY_EXAMPLES
+    @given(data=st.data())
+    def test_store_error_equal(self, tmp_path, fault, data):
+        lines = data.draw(record_files(META_FIELDS, [fault]))
+        write_lines(tmp_path / "meta.jsonl", META_HEADER, lines)
+        got, want = read_store_pair(tmp_path, lines)
+        assert got == want
+
+
+@pytest.mark.parametrize("merge", MERGE_FAULTS)
+def test_line_merges_decode_to_as_many_rows_as_lines(merge):
+    """The merge faults are the ones a ",\\n" join alone does not catch: their
+    joined text decodes, and the row count matches the line count."""
+    rows = [{name: f"{name}{r}" if kind == "str" else r for name, kind in META_FIELDS}
+            for r in range(4)]
+    lines = [dumps_line(row) for row in rows]
+    if merge == "string across lines":
+        rows[1]["text"] = "a},{b"
+        lines[1:2] = _split(dumps_line(rows[1]), "a},{b", 2)
+        separator = ","  # the string crosses a line only when joined with ","
+    elif merge == "array across lines":
+        rows[1]["end_s"] = [1.5, 2.5]
+        lines[1:2] = _split(dumps_line(rows[1]), "[1.5,2.5]", 4)
+        separator = ",\n"
+    else:
+        lines[1:2] = _split(dumps_line(rows[1]), ',"video_id":', 0)
+        separator = ",\n"
+    lines[3:5] = [lines[3] + "," + lines[4]]
+    decoded = json.loads("[" + separator.join(lines) + "]")
+    assert len(decoded) == len(lines)
+    assert all(isinstance(row, dict) for row in decoded)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from aiblob.embeddings import deterministic_embed
 from aiblob.errors import ConfigError, StoreError, ValidationError
-from aiblob.store import VectorRecord, VectorStore
+from aiblob.store import META_KEYS, VectorRecord, VectorStore
 
 
 def brute_force_top_k(records, query, k, exclude=frozenset(), video_cap=None, scores=None):
@@ -110,6 +110,48 @@ class TestInsert:
         store = VectorStore(16)
         with pytest.raises(ConfigError, match="dim"):
             store.insert_batch(make_records(1, 8))
+
+
+def columns_of(records):
+    """The matrix and the META_KEYS columns of ``records``."""
+    return (np.stack([r.vector for r in records]),
+            [[getattr(r, key) for r in records] for key in META_KEYS])
+
+
+class TestInsertColumns:
+    def test_same_rows_as_records(self):
+        records = make_records(6, 8)
+        store = VectorStore(8)
+        assert store.insert_batch(*columns_of(records)) == 6
+        for rec in records:
+            got = store.get(rec.sentence_id)
+            assert (got.video_id, got.text, got.start_s, got.end_s) == (
+                rec.video_id, rec.text, rec.start_s, rec.end_s)
+            assert np.array_equal(got.vector, rec.vector)
+
+    def test_first_repeated_id_named_and_batch_rejected(self):
+        store = filled_store(3, 8)
+        matrix, columns = columns_of(make_records(4, 8, prefix="t"))
+        columns[0][1:4] = ["t0000", "s0002", "t0000"]
+        with pytest.raises(ValidationError, match="^duplicate sentence_id t0000$"):
+            store.insert_batch(matrix, columns)
+        columns[0][1:4] = ["t0001", "s0002", "t0000"]
+        with pytest.raises(ValidationError, match="^duplicate sentence_id s0002$"):
+            store.insert_batch(matrix, columns)
+        assert store.count == 3
+
+    def test_wrong_matrix_width(self):
+        matrix, columns = columns_of(make_records(2, 8))
+        with pytest.raises(ConfigError, match="store dim 16"):
+            VectorStore(16).insert_batch(matrix, columns)
+
+    def test_column_of_another_length(self):
+        matrix, columns = columns_of(make_records(2, 8))
+        columns[2].pop()
+        store = VectorStore(8)
+        with pytest.raises(ValidationError, match="columns of 2 values"):
+            store.insert_batch(matrix, columns)
+        assert store.count == 0
 
 
 class TestTopK:
