@@ -17,7 +17,7 @@ from .embeddings import DOCUMENT_INPUT, embed_batch, make_embedder
 from .errors import AiblobError, ParseError, PlanError, ValidationError
 from .ingest import DEFAULT_MIN_CHARS, load_corpus, export_corpus, parse_transcript, segment_sentences
 from .llm import Orchestrator, make_llm_provider
-from .montage import ClipSource, build_edl, load_edl, render, save_edl
+from .montage import build_edl, load_edl, render, save_edl
 from .narrative import (
     filter_retained,
     order_sections,
@@ -93,20 +93,6 @@ def _write_queries(path: str, title: str, themes, queries) -> None:
     )
 
 
-def _write_candidates(path: str, candidates) -> None:
-    write_jsonl(path, {"format": "aiblob-candidates", "version": 1}, (
-        {
-            "sentence_id": record.sentence_id,
-            "video_id": record.video_id,
-            "text": record.text,
-            "start_s": record.start_s,
-            "end_s": record.end_s,
-            "source_query_index": query_index,
-        }
-        for record, query_index in candidates
-    ))
-
-
 def _write_scores(path: str, scored) -> None:
     # A line is one ScoredSentence's fields, in declaration order.
     write_jsonl(path, {"format": "aiblob-scores", "version": 1}, map(vars, scored))
@@ -137,37 +123,26 @@ def cmd_compose(args) -> int:
     _write_queries(os.path.join(args.out, QUERIES_FILE), args.title, themes, queries)
 
     candidates = retrieve_candidates(queries, store, embedder, pipeline)
-    _write_candidates(os.path.join(args.out, CANDIDATES_FILE), candidates)
+    # A line is one Candidate's fields, in declaration order.
+    write_jsonl(os.path.join(args.out, CANDIDATES_FILE),
+                {"format": "aiblob-candidates", "version": 1}, map(vars, candidates))
     if not candidates:
         raise PlanError("retrieval returned no candidates; is the store empty?")
 
-    scored = orch.score_batch(
-        [(record.sentence_id, record.text) for record, _ in candidates],
-        args.title,
-        themes,
-        batch_size=config.providers.score_batch_size,
-        query_indexes=[qi for _, qi in candidates],
-    )
+    scored = orch.score_batch(candidates, args.title, themes,
+                              batch_size=config.providers.score_batch_size)
     _write_scores(os.path.join(args.out, SCORES_FILE), scored)
 
     retained = filter_retained(scored, pipeline.irony_threshold, pipeline.relevance_threshold)
     plan = segment_narrative(retained, pipeline, episode_title=args.title)
     scored_by_id = {s.sentence_id: s for s in scored}
-    texts_by_id = {record.sentence_id: record.text for record, _ in candidates}
+    texts_by_id = {c.sentence_id: c.text for c in candidates}
     plan = order_sections(plan, scored_by_id, pipeline, orchestrator=orch, texts=texts_by_id)
     save_plan(plan, scored_by_id, os.path.join(args.out, PLAN_FILE))
 
-    sources = {
-        record.sentence_id: ClipSource(
-            source_uri=config.media.source_uri_for(record.video_id),
-            text=record.text,
-            start_s=record.start_s,
-            end_s=record.end_s,
-        )
-        for record, _ in candidates
-    }
     intro = args.intro or config.media.intro_uri
-    edl = build_edl(plan, sources, config.render, intro_source=intro)
+    edl = build_edl(plan, candidates, config.render, config.media.source_uri_for,
+                    intro_source=intro)
     save_edl(edl, os.path.join(args.out, EDL_FILE))
 
     for warning in orch.warnings:
@@ -244,10 +219,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AiblobError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (AiblobError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

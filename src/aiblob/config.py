@@ -25,6 +25,10 @@ from .montage import RenderSettings
 from .narrative import PipelineConfig
 from .util import DEFAULT_RETRIES, check_field_types, check_keys, from_json, load_json
 
+# Every retry is one more provider call per request: a bound keeps a typo from
+# making a run that never ends.
+MAX_RETRIES = 100
+
 
 @dataclass
 class ProviderSettings:
@@ -41,8 +45,8 @@ class ProviderSettings:
         check_field_types(self)
         if self.score_batch_size < 1:
             raise ConfigError(f"score_batch_size must be positive, got {self.score_batch_size}")
-        if self.retries < 0:
-            raise ConfigError(f"retries must be non-negative, got {self.retries}")
+        if not 0 <= self.retries <= MAX_RETRIES:
+            raise ConfigError(f"retries must be in [0, {MAX_RETRIES}], got {self.retries}")
 
 
 @dataclass

@@ -24,15 +24,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NoReturn
 
-import numpy as np
-
 from .errors import ParseError, ValidationError
-from .util import is_finite_number, read_columns, write_jsonl
+from .util import float_column, is_finite_number, read_columns, write_jsonl
 
 CORPUS_FORMAT = "aiblob-corpus"
 CORPUS_VERSION = 1
@@ -116,15 +113,17 @@ def parse_transcript(data: bytes) -> TranscriptDocument:
     # fails it is walked word by word, to name its first fault.
     try:
         words = [entry["w"] for entry in raw_words]
-        starts = _time_column([entry["s"] for entry in raw_words])
-        ends = _time_column([entry["e"] for entry in raw_words])
+        starts = [entry["s"] for entry in raw_words]
+        ends = [entry["e"] for entry in raw_words]
+        # float_column turns ints into floats in the lists, as float() makes them.
+        start_array = float_column(starts)
+        end_array = float_column(ends)
         # Splitting on whitespace gives the words back only if none is empty
         # and none holds whitespace (str.split and str.isspace share one set).
-        ok = (starts is not None and ends is not None
+        ok = (start_array is not None and end_array is not None
               and " ".join(words).split() == words
-              and (np.isfinite(starts) & np.isfinite(ends)
-                   & (starts >= 0) & (ends >= starts)).all()
-              and (starts[1:] >= starts[:-1]).all())
+              and ((start_array >= 0) & (end_array >= start_array)).all()
+              and (start_array[1:] >= start_array[:-1]).all())
     except (TypeError, KeyError):
         ok = False
     if not ok:
@@ -136,23 +135,9 @@ def parse_transcript(data: bytes) -> TranscriptDocument:
         source_uri=obj["source_uri"],
         language=obj["language"],
         words=words,
-        # Ints become floats here exactly as float() makes them.
-        starts=starts.tolist(),
-        ends=ends.tolist(),
+        starts=starts,
+        ends=ends,
     )
-
-
-def _time_column(column: list) -> np.ndarray | None:
-    """``column`` as float64, or None unless every value is an int or a float
-    (not a bool) and every int is within the finite float range."""
-    kinds = set(map(type, column))
-    if not kinds <= {int, float}:
-        return None
-    # An int just past the largest float rounds down to it instead of
-    # overflowing, so ints are range-checked exactly before conversion.
-    if int in kinds and not -sys.float_info.max <= min(column) <= max(column) <= sys.float_info.max:
-        return None
-    return np.array(column, np.float64)
 
 
 def _raise_word_fault(raw_words: list) -> NoReturn:

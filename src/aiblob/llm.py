@@ -90,6 +90,19 @@ class QueryPhrase:
 
 
 @dataclass
+class Candidate:
+    """A retrieved sentence with the index of the query that found it; its
+    fields, in declaration order, are one line of candidates.jsonl."""
+
+    sentence_id: str
+    video_id: str
+    text: str
+    start_s: float
+    end_s: float
+    source_query_index: int
+
+
+@dataclass
 class ScoredSentence:
     sentence_id: str
     irony: int
@@ -308,13 +321,13 @@ class Orchestrator:
 
     def score_batch(
         self,
-        sentences: Sequence[tuple[str, str]],
+        sentences: Sequence[Candidate],
         episode_title: str,
         themes: Sequence[ThemeIdea],
         batch_size: int = DEFAULT_SCORE_BATCH,
-        query_indexes: Sequence[int] | None = None,
     ) -> list[ScoredSentence]:
-        """Score every (sentence_id, text) pair, one result per input in order.
+        """Score every candidate, one result per input in order, each keeping its
+        candidate's source_query_index.
 
         An id missing from a batch response is re-asked once as a subset; if it
         is still missing it defaults to irony=1/relevance=1 with a warning. A
@@ -324,45 +337,40 @@ class Orchestrator:
             raise ValidationError("score_batch requires at least one sentence")
         if batch_size < 1:
             raise ValidationError(f"batch_size must be positive, got {batch_size}")
-        if query_indexes is None:
-            query_indexes = [0] * len(sentences)
-        elif len(query_indexes) != len(sentences):
-            raise ValidationError("query_indexes length must match sentences length")
 
         theme_texts = [t.description for t in themes]
 
-        def payload(pairs: list[tuple[str, str]]) -> dict:
+        def payload(batch: Sequence[Candidate]) -> dict:
             return {"episode_title": episode_title, "themes": theme_texts,
-                    "sentences": [{"id": sid, "text": text} for sid, text in pairs]}
+                    "sentences": [{"id": c.sentence_id, "text": c.text} for c in batch]}
 
         results: list[ScoredSentence] = []
         for lo in range(0, len(sentences), batch_size):
             hi = min(lo + batch_size, len(sentences))
-            batch = list(sentences[lo:hi])
+            batch = sentences[lo:hi]
             scored = self._ask("score", payload(batch), _score_entries,
                                f"scoring of sentences[{lo}:{hi}]")
 
-            missing = [(sid, text) for sid, text in batch if sid not in scored]
+            missing = [c for c in batch if c.sentence_id not in scored]
             if missing:
                 try:
                     extra = _score_entries(self.provider.complete("score", payload(missing)))
                 except ProviderError:
                     extra = {}
-                wanted = {sid for sid, _ in missing}
+                wanted = {c.sentence_id for c in missing}
                 for sid, value in extra.items():
                     if sid in wanted and sid not in scored:
                         scored[sid] = value
 
-            for offset, (sid, _text) in enumerate(batch):
+            for candidate in batch:
+                sid = candidate.sentence_id
                 if sid in scored:
                     irony, relevance, rationale = scored[sid]
                 else:
                     irony, relevance, rationale = SCORE_MIN, SCORE_MIN, ""
                     self.warn(f"no score returned for {sid}; defaulted to 1/1")
-                results.append(
-                    ScoredSentence(sid, irony, relevance, rationale,
-                                   int(query_indexes[lo + offset]))
-                )
+                results.append(ScoredSentence(sid, irony, relevance, rationale,
+                                              candidate.source_query_index))
         return results
 
     # -- ordering -------------------------------------------------------

@@ -19,9 +19,10 @@ import shlex
 import shutil
 import subprocess
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Sequence
 
 from .errors import AiblobError, ConfigError, ParseError, RenderError, ValidationError
+from .llm import Candidate
 from .narrative import SECTION_ORDER, NarrativePlan, read_sections
 from .util import (atomic_write_text, check_field_types, check_keys, from_json, load_json,
                    write_json)
@@ -83,16 +84,6 @@ class RenderSettings:
 
 
 @dataclass
-class ClipSource:
-    """What build_edl needs to know about one sentence: media uri, text, span."""
-
-    source_uri: str
-    text: str
-    start_s: float
-    end_s: float
-
-
-@dataclass
 class Clip:
     source_uri: str
     in_s: float
@@ -120,35 +111,40 @@ class EditDecisionList:
 
 def build_edl(
     plan: NarrativePlan,
-    sources: Mapping[str, ClipSource],
+    candidates: Sequence[Candidate],
     settings: RenderSettings,
+    source_uri_for: Callable[[str], str],
     intro_source: str | None = None,
 ) -> EditDecisionList:
     """Turn a plan into clips, applying pre/post-roll margins and fades.
 
-    Clip in points are clamped at zero; out points are not clamped against the
-    actual media duration (the renderer does that), keeping this step pure. An
-    EDL that render would refuse (validate_edl), such as a clip shorter than
-    its two fades, is a ValidationError listing every violation.
+    Each planned id is looked up among ``candidates``; its clip plays the media
+    ``source_uri_for(video_id)``. Clip in points are clamped at zero; out points
+    are not clamped against the actual media duration (the renderer does that),
+    keeping this step pure. An EDL that render would refuse (validate_edl), such
+    as a clip shorter than its two fades, is a ValidationError listing every
+    violation.
     """
+    by_id = {c.sentence_id: c for c in candidates}
     sections: dict[str, list[Clip]] = {}
     for name in SECTION_ORDER:
         clips: list[Clip] = []
         for sid in plan.sections.get(name, []):
-            src = sources.get(sid)
-            if src is None:
+            candidate = by_id.get(sid)
+            if candidate is None:
                 raise ValidationError(f"plan references unknown sentence_id {sid}")
-            if not src.source_uri:
+            source_uri = source_uri_for(candidate.video_id)
+            if not source_uri:
                 raise ValidationError(f"sentence {sid} has no source media uri")
             clips.append(
                 Clip(
-                    source_uri=src.source_uri,
-                    in_s=max(0.0, src.start_s - settings.pre_roll_s),
-                    out_s=src.end_s + settings.post_roll_s,
+                    source_uri=source_uri,
+                    in_s=max(0.0, candidate.start_s - settings.pre_roll_s),
+                    out_s=candidate.end_s + settings.post_roll_s,
                     fade_in_s=settings.fade_s,
                     fade_out_s=settings.fade_s,
                     sentence_id=sid,
-                    text=src.text,
+                    text=candidate.text,
                 )
             )
         sections[name] = clips

@@ -25,8 +25,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .embeddings import QUERY_INPUT, embed_batch
 from .errors import ConfigError, ParseError, PlanError, ValidationError
-from .llm import QueryPhrase, ScoredSentence
-from .store import VectorRecord, VectorStore
+from .llm import Candidate, QueryPhrase, ScoredSentence
+from .store import VectorStore
 from .util import check_field_types, check_keys, from_json, load_json, round_half_away, write_json
 
 PLAN_FORMAT = "aiblob-plan"
@@ -117,7 +117,7 @@ def retrieve_candidates(
     store: VectorStore,
     embedder,
     config: PipelineConfig,
-) -> list[tuple[VectorRecord, int]]:
+) -> list[Candidate]:
     """Run every query against the store, excluding earlier queries' picks.
 
     Queries are processed in order; each top_k call excludes the union of all
@@ -127,13 +127,15 @@ def retrieve_candidates(
     if not queries:
         raise ValidationError("retrieve_candidates requires at least one query")
     vectors = embed_batch([q.text for q in queries], embedder, input_type=QUERY_INPUT)
-    selected: list[tuple[VectorRecord, int]] = []
+    selected: list[Candidate] = []
     excluded: set[str] = set()
     for query_index, vector in enumerate(vectors):
         hits = store.top_k(vector, config.k_per_query, exclude=excluded,
                            video_cap=config.video_cap)
         for hit in hits:
-            selected.append((hit.record, query_index))
+            record = hit.record
+            selected.append(Candidate(record.sentence_id, record.video_id, record.text,
+                                      record.start_s, record.end_s, query_index))
             excluded.add(hit.sentence_id)
     return selected
 

@@ -191,21 +191,31 @@ def _decode_columns(cls, lines: list[str], unique: str | None) -> tuple[list, ..
         for column, name in zip(columns, names):
             column.extend(map(operator.itemgetter(name), rows))
     for column, (name, kind, *_) in zip(columns, rules):
-        kinds = set(map(type, column))
-        if kind is float and kinds <= {float, int}:
-            # An int just past the largest float rounds down to it instead of
-            # overflowing, so ints are range-checked exactly before conversion.
-            if int in kinds:
-                if not -sys.float_info.max <= min(column) <= max(column) <= sys.float_info.max:
-                    return None
-                column[:] = map(float, column)
-            if not np.isfinite(np.array(column, np.float64)).all():
+        if kind is float:
+            if float_column(column) is None:
                 return None
-        elif not kinds <= {kind}:
+        elif not set(map(type, column)) <= {kind}:
             return None
         if name == unique and len(set(column)) != len(column):
             return None
     return columns
+
+
+def float_column(values: list) -> np.ndarray | None:
+    """``values`` as float64, turning its ints into floats in place, or None
+    unless every value is an int or a float (not a bool), every int is within
+    the finite float range, and every value is finite."""
+    kinds = set(map(type, values))
+    if not kinds <= {int, float}:
+        return None
+    if int in kinds:
+        # An int just past the largest float rounds down to it instead of
+        # overflowing, so ints are range-checked exactly before conversion.
+        if not -sys.float_info.max <= min(values) <= max(values) <= sys.float_info.max:
+            return None
+        values[:] = map(float, values)
+    array = np.array(values, np.float64)
+    return array if np.isfinite(array).all() else None
 
 
 def _walk_rows(lines: list[str], path: str, cls, error: type[AiblobError], what: str,

@@ -120,7 +120,7 @@ def build_replay_file(path, store: VectorStore, embedder, config: PipelineConfig
         dumps_line({"op": "themes", "response": {"themes": themes}}),
         dumps_line({"op": "queries", "response": {"queries": queries}}),
     ]
-    ids = [record.sentence_id for record, _ in candidates]
+    ids = [c.sentence_id for c in candidates]
     for lo in range(0, len(ids), score_batch_size):
         batch = ids[lo:lo + score_batch_size]
         scores = []

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior on the synthetic fixture corpus."""
 
+import dataclasses
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import pytest
 from aiblob.cli import build_parser, main
 from aiblob.errors import ParseError
 from aiblob.embeddings import DeterministicEmbedder, make_embedder
+from aiblob.llm import Candidate
 from aiblob.narrative import PipelineConfig
 from aiblob.store import VectorStore
 from conftest import build_replay_file, write_fixture_transcripts
@@ -145,12 +147,37 @@ class TestCompose:
     def test_scores_file_matches_candidates(self, workspace):
         code, out = self.compose(workspace)
         assert code == 0
-        candidates = (out / "candidates.jsonl").read_text().strip().split("\n")[1:]
-        scores = (out / "scores.jsonl").read_text().strip().split("\n")[1:]
+        candidates = [json.loads(line) for line in
+                      (out / "candidates.jsonl").read_text().strip().split("\n")[1:]]
+        scores = [json.loads(line) for line in
+                  (out / "scores.jsonl").read_text().strip().split("\n")[1:]]
         assert len(candidates) == len(scores)
-        cand_ids = [json.loads(line)["sentence_id"] for line in candidates]
-        score_ids = [json.loads(line)["sentence_id"] for line in scores]
-        assert cand_ids == score_ids
+        keys = [field.name for field in dataclasses.fields(Candidate)]
+        assert all(list(row) == keys for row in candidates)
+        assert [c["sentence_id"] for c in candidates] == [s["sentence_id"] for s in scores]
+        assert ([c["source_query_index"] for c in candidates]
+                == [s["source_query_index"] for s in scores])
+        # Candidates come in query order, found by more than one query.
+        query_indexes = [c["source_query_index"] for c in candidates]
+        assert query_indexes == sorted(query_indexes) and len(set(query_indexes)) > 1
+
+    def test_retries_beyond_the_bound_fail_at_once(self, workspace, capsys):
+        # Unbounded, this many retries against an empty replay file would never end.
+        config = workspace / "retries-config.json"
+        config.write_text(json.dumps({"providers": {"retries": 1000000000000}}),
+                          encoding="utf-8")
+        replay = workspace / "empty.jsonl"
+        replay.write_text("", encoding="utf-8")
+        code = main([
+            "compose", "--store", str(workspace / "store"), "--title", "Il calcio",
+            "--config", str(config), "--out", str(workspace / "episode"),
+            "--llm", f"scripted:{replay}",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {config}: config section 'providers': "
+                                "retries must be in [0, 100], got 1000000000000\n")
 
     def test_failure_mid_stage_leaves_no_partial_artifacts(self, workspace, capsys):
         # Replay with themes+queries but no score responses: scoring fails.

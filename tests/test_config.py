@@ -91,6 +91,8 @@ class TestLoadConfig:
         ("render", "compression_ratio", 21),
         ("providers", "embedder", 5), ("providers", "embedder", None),
         ("providers", "llm", ["scripted:x"]),
+        ("providers", "retries", -1), ("providers", "retries", 101),
+        ("providers", "retries", 1000000000000),
         ("media", "uri_template", "{nope}"), ("media", "uri_template", "{}"),
         ("media", "uri_template", "{video_id!z}"), ("media", "uri_template", 5),
         ("media", "intro_uri", 5),
@@ -107,6 +109,8 @@ class TestLoadConfig:
         ("render", {"fade_s": 0.5, "intro_max_s": 0.75},
          "intro_max_s must be positive and at least 2 * fade_s (1), got 0.75"),
         ("pipeline", {"min_retained": 3}, "min_retained must be at least 4, got 3"),
+        ("providers", {"retries": 1000000000000},
+         "retries must be in [0, 100], got 1000000000000"),
     ])
     def test_type_or_range_error_names_the_file_and_section(self, tmp_path, section, knob,
                                                             message):
@@ -114,6 +118,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as caught:
             load_config(path)
         assert str(caught.value) == f"{path}: config section {section!r}: {message}"
+
+    def test_retries_bounds_accepted(self, tmp_path):
+        for retries in (0, 100):
+            config = load_config(write(tmp_path, {"providers": {"retries": retries}}))
+            assert config.providers.retries == retries
 
     def test_intro_as_long_as_its_two_fades_accepted(self, tmp_path):
         config = load_config(write(tmp_path, {"render": {"fade_s": 0.5, "intro_max_s": 1}}))

@@ -20,8 +20,8 @@ from aiblob.config import load_config
 from aiblob.embeddings import RemoteEmbedder
 from aiblob.errors import AiblobError, ProviderError
 from aiblob.ingest import Sentence, load_corpus, parse_transcript, segment_sentences
-from aiblob.llm import OPS, ScriptedProvider, _score_entries
-from aiblob.montage import ClipSource, RenderSettings, build_edl, load_edl, render
+from aiblob.llm import OPS, Candidate, ScriptedProvider, _score_entries
+from aiblob.montage import RenderSettings, build_edl, load_edl, render
 from aiblob.narrative import SECTION_ORDER, NarrativePlan, load_plan
 from aiblob.store import VectorStore
 from aiblob.util import is_int
@@ -249,10 +249,10 @@ def test_load_config_then_build_and_dry_run(workdir, data):
     config = loaded(lambda: load_config(str(path)))
     if config is not None:
         plan = NarrativePlan("T", {name: [name] for name in SECTION_ORDER})
-        uri = config.media.source_uri_for("v1")
-        sources = {name: ClipSource(uri, name, 10.0, 12.0) for name in SECTION_ORDER}
+        candidates = [Candidate(name, "v1", name, 10.0, 12.0, 0) for name in SECTION_ORDER]
         loaded(lambda: render(
-            build_edl(plan, sources, config.render, intro_source=config.media.intro_uri),
+            build_edl(plan, candidates, config.render, config.media.source_uri_for,
+                      intro_source=config.media.intro_uri),
             str(workdir / "out.mp4"), config.render, dry_run=True))
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from aiblob.errors import ParseError, ProviderError, ValidationError
 from aiblob.llm import (
+    Candidate,
     Orchestrator,
     QueryPhrase,
     RemoteChatProvider,
@@ -190,6 +191,14 @@ class TestClampScore:
         assert 1 <= clamp_score(value) <= 10
 
 
+def candidates(pairs, query_indexes=None):
+    """Candidates with these (sentence_id, text) pairs, found by query 0 unless
+    ``query_indexes`` says otherwise."""
+    query_indexes = query_indexes or [0] * len(pairs)
+    return [Candidate(sid, "v1", text, 0.0, 1.0, qi)
+            for (sid, text), qi in zip(pairs, query_indexes)]
+
+
 class TestScoreBatch:
     def themes(self):
         return [ThemeIdea(0, "tema")]
@@ -197,7 +206,7 @@ class TestScoreBatch:
     def test_passthrough(self):
         response = {"scores": [{"id": "s1", "irony": 8, "relevance": 3, "rationale": "ok"}]}
         orch = Orchestrator(QueueProvider(score=[response]))
-        out = orch.score_batch([("s1", "testo")], "Titolo", self.themes())
+        out = orch.score_batch(candidates([("s1", "testo")]), "Titolo", self.themes())
         assert out == [ScoredSentence("s1", 8, 3, "ok", 0)]
 
     def test_clamping_and_rounding(self):
@@ -206,7 +215,7 @@ class TestScoreBatch:
             {"id": "s2", "irony": 7.5, "relevance": -4},
         ]}
         orch = Orchestrator(QueueProvider(score=[response]))
-        out = orch.score_batch([("s1", "a"), ("s2", "b")], "T", self.themes())
+        out = orch.score_batch(candidates([("s1", "a"), ("s2", "b")]), "T", self.themes())
         assert (out[0].irony, out[0].relevance) == (10, 1)
         assert (out[1].irony, out[1].relevance) == (8, 1)
 
@@ -217,7 +226,7 @@ class TestScoreBatch:
         ]
         provider = QueueProvider(score=responses)
         orch = Orchestrator(provider)
-        out = orch.score_batch([("s1", "a"), ("s2", "b")], "T", self.themes())
+        out = orch.score_batch(candidates([("s1", "a"), ("s2", "b")]), "T", self.themes())
         assert out[1] == ScoredSentence("s2", 1, 1, "", 0)
         assert any("s2" in w for w in orch.warnings)
         # second call only asked for the missing subset
@@ -229,7 +238,7 @@ class TestScoreBatch:
             {"scores": [{"id": "s2", "irony": 9, "relevance": 2}]},
         ]
         orch = Orchestrator(QueueProvider(score=responses))
-        out = orch.score_batch([("s1", "a"), ("s2", "b")], "T", self.themes())
+        out = orch.score_batch(candidates([("s1", "a"), ("s2", "b")]), "T", self.themes())
         assert out[1] == ScoredSentence("s2", 9, 2, "", 0)
         assert orch.warnings == []
 
@@ -248,7 +257,7 @@ class TestScoreBatch:
         ]
         provider = QueueProvider(score=responses)
         orch = Orchestrator(provider)
-        out = orch.score_batch([(f"s{i}", "t") for i in range(1, 5)], "T", self.themes())
+        out = orch.score_batch(candidates([(f"s{i}", "t") for i in range(1, 5)]), "T", self.themes())
         assert [(s.irony, s.relevance) for s in out] == [(9, 2), (1, 1), (1, 1), (6, 6)]
         assert [e["id"] for e in provider.calls[1][1]["sentences"]] == ["s1", "s2", "s3"]
         assert sum("defaulted" in w for w in orch.warnings) == 2
@@ -256,20 +265,22 @@ class TestScoreBatch:
     def test_batch_failure_names_range(self):
         orch = Orchestrator(QueueProvider(score=[]), retries=1)
         with pytest.raises(ProviderError, match=r"sentences\[0:2\]"):
-            orch.score_batch([("s1", "a"), ("s2", "b")], "T", self.themes())
+            orch.score_batch(candidates([("s1", "a"), ("s2", "b")]), "T", self.themes())
 
     def test_batched_calls_and_order(self):
-        items = [(f"s{i}", f"testo {i}") for i in range(5)]
+        items = candidates([(f"s{i}", f"testo {i}") for i in range(5)],
+                           query_indexes=[0, 0, 1, 1, 2])
         responses = []
         for lo in range(0, 5, 2):
             responses.append({"scores": [
-                {"id": sid, "irony": 3, "relevance": 4} for sid, _ in items[lo:lo + 2]
+                {"id": c.sentence_id, "irony": 3, "relevance": 4} for c in items[lo:lo + 2]
             ]})
         provider = QueueProvider(score=responses)
         orch = Orchestrator(provider)
-        out = orch.score_batch(items, "T", self.themes(), batch_size=2,
-                               query_indexes=[0, 0, 1, 1, 2])
-        assert [s.sentence_id for s in out] == [sid for sid, _ in items]
+        out = orch.score_batch(items, "T", self.themes(), batch_size=2)
+        assert [s.sentence_id for s in out] == [c.sentence_id for c in items]
+        assert [[e["text"] for e in payload["sentences"]] for _, payload in provider.calls] == [
+            ["testo 0", "testo 1"], ["testo 2", "testo 3"], ["testo 4"]]
         assert [s.source_query_index for s in out] == [0, 0, 1, 1, 2]
         assert len(provider.calls) == 3
 
@@ -285,7 +296,7 @@ class TestScoreBatch:
     @settings(max_examples=40, deadline=None)
     def test_completeness_property(self, n, batch_size, omit_mod):
         """Output length always equals input length, even with omissions."""
-        items = [(f"s{i}", f"testo {i}") for i in range(n)]
+        items = candidates([(f"s{i}", f"testo {i}") for i in range(n)])
 
         class Omitting:
             def complete(self, op, payload):
@@ -298,7 +309,7 @@ class TestScoreBatch:
 
         orch = Orchestrator(Omitting())
         out = orch.score_batch(items, "T", self.themes(), batch_size=batch_size)
-        assert [s.sentence_id for s in out] == [sid for sid, _ in items]
+        assert [s.sentence_id for s in out] == [c.sentence_id for c in items]
 
 
 class TestOrderSection:

@@ -7,9 +7,9 @@ import stat
 import pytest
 
 from aiblob.errors import ParseError, RenderError, ValidationError
+from aiblob.llm import Candidate
 from aiblob.montage import (
     Clip,
-    ClipSource,
     Compression,
     EditDecisionList,
     Loudness,
@@ -29,18 +29,22 @@ def make_plan(sections=None, title="Titolo"):
     return NarrativePlan(title, sections if sections is not None else base)
 
 
-def make_sources():
-    return {
-        "aa": ClipSource("media/v1.mp4", "frase aa", 10.0, 12.5),
-        "bb": ClipSource("media/v1.mp4", "frase bb", 0.05, 2.0),
-        "cc": ClipSource("media/v2.mp4", "frase cc", 30.0, 33.0),
-        "dd": ClipSource("media/v2.mp4", "frase dd", 40.0, 41.0),
-    }
+# The media of each video, as MediaSettings.source_uri_for would give it.
+MEDIA = {"v1": "media/v1.mp4", "v2": "media/v2.mp4"}
+
+
+def make_candidates():
+    return [
+        Candidate("aa", "v1", "frase aa", 10.0, 12.5, 0),
+        Candidate("bb", "v1", "frase bb", 0.05, 2.0, 0),
+        Candidate("cc", "v2", "frase cc", 30.0, 33.0, 1),
+        Candidate("dd", "v2", "frase dd", 40.0, 41.0, 1),
+    ]
 
 
 class TestBuildEdl:
     def test_margin_arithmetic(self):
-        edl = build_edl(make_plan(), make_sources(), RenderSettings())
+        edl = build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get)
         clip = edl.sections["introduction"][0]
         assert clip.in_s == pytest.approx(9.85)
         assert clip.out_s == pytest.approx(12.75)
@@ -48,7 +52,7 @@ class TestBuildEdl:
         assert clip.sentence_id == "aa"
 
     def test_in_point_clamped_at_zero(self):
-        edl = build_edl(make_plan(), make_sources(), RenderSettings())
+        edl = build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get)
         clip = edl.sections["build_up"][0]
         assert clip.in_s == 0.0
         assert clip.out_s == pytest.approx(2.25)
@@ -57,16 +61,14 @@ class TestBuildEdl:
         plan = make_plan({"introduction": ["deadbeef"], "build_up": ["bb"],
                           "climax": ["cc"], "conclusion": ["dd"]})
         with pytest.raises(ValidationError, match="deadbeef"):
-            build_edl(plan, make_sources(), RenderSettings())
+            build_edl(plan, make_candidates(), RenderSettings(), MEDIA.get)
 
     def test_missing_uri_rejected(self):
-        sources = make_sources()
-        sources["aa"] = ClipSource("", "frase aa", 10.0, 12.5)
-        with pytest.raises(ValidationError, match="source media uri"):
-            build_edl(make_plan(), sources, RenderSettings())
+        with pytest.raises(ValidationError, match="sentence aa has no source media uri"):
+            build_edl(make_plan(), make_candidates(), RenderSettings(), {**MEDIA, "v1": ""}.get)
 
     def test_intro_clip_first_with_null_id(self):
-        edl = build_edl(make_plan(), make_sources(), RenderSettings(),
+        edl = build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get,
                         intro_source="media/sigla.mp4")
         assert edl.intro is not None
         assert edl.intro.sentence_id is None
@@ -74,26 +76,26 @@ class TestBuildEdl:
         assert edl.all_clips()[0] is edl.intro
 
     def test_clip_order_matches_plan(self):
-        edl = build_edl(make_plan(), make_sources(), RenderSettings())
+        edl = build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get)
         ids = [c.sentence_id for c in edl.all_clips()]
         assert ids == ["aa", "bb", "cc", "dd"]
         assert validate_edl(edl, make_plan()) == []
 
     def test_loudness_and_compression_from_settings(self):
         settings = RenderSettings(integrated_lufs=-14.0, compression_ratio=4.0)
-        edl = build_edl(make_plan(), make_sources(), settings)
+        edl = build_edl(make_plan(), make_candidates(), settings, MEDIA.get)
         assert edl.loudness == Loudness(-14.0, -1.5)
         assert edl.compression == Compression(4.0, -18.0)
 
 
 class TestValidateEdl:
     def test_well_formed(self):
-        edl = build_edl(make_plan(), make_sources(), RenderSettings(),
+        edl = build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get,
                         intro_source="media/sigla.mp4")
         assert validate_edl(edl) == []
 
     def test_non_positive_duration(self):
-        edl = build_edl(make_plan(), make_sources(), RenderSettings())
+        edl = build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get)
         bad = edl.sections["climax"][0]
         edl.sections["climax"][0] = Clip(bad.source_uri, 5.0, 5.0, 0.0, 0.0,
                                          bad.sentence_id, bad.text)
@@ -101,7 +103,7 @@ class TestValidateEdl:
         assert any("non-positive duration" in v for v in violations)
 
     def test_fades_exceeding_duration(self):
-        edl = build_edl(make_plan(), make_sources(), RenderSettings())
+        edl = build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get)
         bad = edl.sections["climax"][0]
         edl.sections["climax"][0] = Clip(bad.source_uri, 5.0, 5.5, 0.4, 0.4,
                                          bad.sentence_id, bad.text)
@@ -109,7 +111,7 @@ class TestValidateEdl:
         assert any("fades exceed duration" in v for v in violations)
 
     def test_all_violations_reported(self):
-        edl = build_edl(make_plan(), make_sources(), RenderSettings())
+        edl = build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get)
         a = edl.sections["introduction"][0]
         b = edl.sections["climax"][0]
         edl.sections["introduction"][0] = Clip("", a.in_s, a.in_s, a.fade_in_s,
@@ -120,7 +122,7 @@ class TestValidateEdl:
         assert len(violations) >= 3  # empty uri, zero duration, oversized fades
 
     def test_duplicate_sentence_id(self):
-        edl = build_edl(make_plan(), make_sources(), RenderSettings())
+        edl = build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get)
         clip = edl.sections["climax"][0]
         edl.sections["conclusion"][0] = Clip(clip.source_uri, clip.in_s, clip.out_s,
                                              clip.fade_in_s, clip.fade_out_s,
@@ -128,7 +130,7 @@ class TestValidateEdl:
         assert any("duplicate" in v for v in validate_edl(edl))
 
     def test_plan_mismatch_detected(self):
-        edl = build_edl(make_plan(), make_sources(), RenderSettings())
+        edl = build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get)
         swapped = make_plan({"introduction": ["bb"], "build_up": ["aa"],
                              "climax": ["cc"], "conclusion": ["dd"]})
         assert any("plan order" in v for v in validate_edl(edl, swapped))
@@ -138,7 +140,7 @@ class TestRenderDryRun:
     def two_clip_edl(self):
         plan = make_plan({"introduction": ["aa"], "build_up": [], "climax": ["cc"],
                           "conclusion": []})
-        return build_edl(plan, make_sources(), RenderSettings())
+        return build_edl(plan, make_candidates(), RenderSettings(), MEDIA.get)
 
     def test_plan_shape(self):
         edl = self.two_clip_edl()
@@ -178,7 +180,7 @@ class TestRenderDryRun:
     def test_intro_included_in_plan(self):
         plan = make_plan({"introduction": ["aa"], "build_up": [], "climax": [],
                           "conclusion": []})
-        edl = build_edl(plan, make_sources(), RenderSettings(), intro_source="media/sigla.mp4")
+        edl = build_edl(plan, make_candidates(), RenderSettings(), MEDIA.get, intro_source="media/sigla.mp4")
         text = render(edl, "/tmp/out/e.mp4", RenderSettings(), dry_run=True)
         lines = text.strip().split("\n")
         assert len(lines) == 4
@@ -187,11 +189,11 @@ class TestRenderDryRun:
 
     def test_timing_arithmetic_property(self):
         settings = RenderSettings()
-        edl = build_edl(make_plan(), make_sources(), settings)
+        edl = build_edl(make_plan(), make_candidates(), settings, MEDIA.get)
         for name, source_key in [("introduction", "aa"), ("build_up", "bb"),
                                  ("climax", "cc"), ("conclusion", "dd")]:
             clip = edl.sections[name][0]
-            src = make_sources()[source_key]
+            (src,) = [c for c in make_candidates() if c.sentence_id == source_key]
             pre_applied = src.start_s - clip.in_s  # accounts for the zero clamp
             assert 0 <= pre_applied <= settings.pre_roll_s + 1e-9
             expected = (src.end_s - src.start_s) + pre_applied + settings.post_roll_s
@@ -218,13 +220,14 @@ class TestRenderExecution:
         media = tmp_path / "media"
         media.mkdir(exist_ok=True)
         (media / "v1.mp4").write_bytes(b"finto video")
-        sources = {
-            "aa": ClipSource(str(media / "v1.mp4"), "frase aa", 10.0, 12.5),
-            "bb": ClipSource(str(media / "v1.mp4"), "frase bb", 1.0, 2.0),
-        }
+        candidates = [
+            Candidate("aa", "v1", "frase aa", 10.0, 12.5, 0),
+            Candidate("bb", "v1", "frase bb", 1.0, 2.0, 0),
+        ]
         plan = make_plan({"introduction": ["aa"], "build_up": [], "climax": ["bb"],
                           "conclusion": []})
-        return build_edl(plan, sources, RenderSettings())
+        return build_edl(plan, candidates, RenderSettings(),
+                         lambda video_id: str(media / f"{video_id}.mp4"))
 
     def test_missing_renderer_binary(self, tmp_path):
         edl = self.local_edl(tmp_path)
@@ -260,7 +263,7 @@ class TestRenderExecution:
 
 class TestEdlFile:
     def test_round_trip(self, tmp_path):
-        edl = build_edl(make_plan(), make_sources(), RenderSettings(),
+        edl = build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get,
                         intro_source="media/sigla.mp4")
         path = tmp_path / "edl.json"
         save_edl(edl, str(path))
@@ -274,7 +277,7 @@ class TestEdlFile:
             load_edl(str(path))
 
     def test_save_is_byte_deterministic(self, tmp_path):
-        edl = build_edl(make_plan(), make_sources(), RenderSettings())
+        edl = build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_edl(edl, str(a))
         save_edl(edl, str(b))
@@ -294,7 +297,7 @@ class TestEdlFile:
     ])
     def test_every_value_the_render_plan_reads_is_checked(self, tmp_path, edit):
         path = tmp_path / "edl.json"
-        save_edl(build_edl(make_plan(), make_sources(), RenderSettings()), str(path))
+        save_edl(build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get), str(path))
         payload = json.loads(path.read_text(encoding="utf-8"))
         edit(payload)
         path.write_text(json.dumps(payload), encoding="utf-8")
@@ -315,7 +318,7 @@ class TestEdlFile:
             "missing-title", "unknown-key", "loudness-key", "compression-key"])
     def test_renamed_missing_or_unknown_key_rejected(self, tmp_path, change, message):
         path = tmp_path / "edl.json"
-        save_edl(build_edl(make_plan(), make_sources(), RenderSettings(),
+        save_edl(build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get,
                            intro_source="media/sigla.mp4"), str(path))
         payload = json.loads(path.read_text(encoding="utf-8"))
         change(payload)
@@ -326,7 +329,7 @@ class TestEdlFile:
 
     def test_loudness_and_compression_written_in_field_order(self, tmp_path):
         path = tmp_path / "edl.json"
-        save_edl(build_edl(make_plan(), make_sources(), RenderSettings()), str(path))
+        save_edl(build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get), str(path))
         text = path.read_text(encoding="utf-8")
         assert ('"loudness": {\n    "integrated_lufs": -16.0,\n    "true_peak_dbtp": -1.5\n  },\n'
                 '  "compression": {\n    "ratio": 3.0,\n    "threshold_db": -18.0\n  },\n') in text
@@ -335,7 +338,7 @@ class TestEdlFile:
     @pytest.mark.parametrize("value", [None, 5])
     def test_clip_field_of_wrong_type_rejected(self, tmp_path, field, value):
         path = tmp_path / "edl.json"
-        save_edl(build_edl(make_plan(), make_sources(), RenderSettings()), str(path))
+        save_edl(build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get), str(path))
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["sections"]["climax"][0][field] = value
         path.write_text(json.dumps(payload), encoding="utf-8")
@@ -345,7 +348,7 @@ class TestEdlFile:
     @pytest.mark.parametrize("clip", ["intro", "climax"])
     def test_unknown_clip_key_rejected(self, tmp_path, clip):
         path = tmp_path / "edl.json"
-        save_edl(build_edl(make_plan(), make_sources(), RenderSettings(),
+        save_edl(build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get,
                            intro_source="media/sigla.mp4"), str(path))
         payload = json.loads(path.read_text(encoding="utf-8"))
         target = payload["intro"] if clip == "intro" else payload["sections"]["climax"][0]
@@ -357,7 +360,7 @@ class TestEdlFile:
     @pytest.mark.parametrize("title", [None, 5, ["Titolo"]])
     def test_non_string_title_rejected(self, tmp_path, title):
         path = tmp_path / "edl.json"
-        save_edl(build_edl(make_plan(), make_sources(), RenderSettings()), str(path))
+        save_edl(build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get), str(path))
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["episode_title"] = title
         path.write_text(json.dumps(payload), encoding="utf-8")

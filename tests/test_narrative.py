@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aiblob.errors import ConfigError, ParseError, PlanError, ValidationError
-from aiblob.llm import Orchestrator, QueryPhrase, ScoredSentence
+from aiblob.llm import Candidate, Orchestrator, QueryPhrase, ScoredSentence
 from aiblob.narrative import (
     NarrativePlan,
     PipelineConfig,
@@ -81,7 +81,8 @@ class TestRetrieveCandidates:
         result = retrieve_candidates(
             [QueryPhrase(0, "query a"), QueryPhrase(0, "query b")],
             store, embedder, config)
-        assert [(rec.sentence_id, qi) for rec, qi in result] == [("r1", 0), ("r2", 1)]
+        assert result == [Candidate("r1", "vid-r1", "testo r1", 0.0, 1.0, 0),
+                          Candidate("r2", "vid-r2", "testo r2", 0.0, 1.0, 1)]
 
     def test_empty_store(self):
         store = VectorStore(2)
@@ -113,7 +114,7 @@ class TestRetrieveCandidates:
         result = retrieve_candidates(
             [QueryPhrase(0, f"q{i}") for i in range(6)],
             store, embedder, PipelineConfig(k_per_query=2))
-        ids = [rec.sentence_id for rec, _ in result]
+        ids = [c.sentence_id for c in result]
         assert len(ids) == len(set(ids))
 
     @given(
@@ -135,10 +136,10 @@ class TestRetrieveCandidates:
         queries = [QueryPhrase(0, f"query {seed} {j}") for j in range(n_queries)]
         result = retrieve_candidates(queries, store, DeterministicEmbedder(8),
                                      PipelineConfig(k_per_query=k))
-        ids = [rec.sentence_id for rec, _ in result]
+        ids = [c.sentence_id for c in result]
         assert len(ids) == len(set(ids))
         # Each query contributes at most k hits, in query order.
-        query_indexes = [qi for _, qi in result]
+        query_indexes = [c.source_query_index for c in result]
         assert query_indexes == sorted(query_indexes)
         for qi in set(query_indexes):
             assert query_indexes.count(qi) <= k
