@@ -18,12 +18,13 @@ its annotated type and its range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from string import Formatter
 
 from .errors import ConfigError
 from .llm import DEFAULT_SCORE_BATCH
 from .montage import RenderSettings
 from .narrative import PipelineConfig
-from .util import DEFAULT_RETRIES, check_field_types, check_keys, from_json, load_json
+from .util import DEFAULT_RETRIES, bounded, check_field_types, check_keys, from_json, load_json
 
 # Every retry is one more provider call per request: a bound keeps a typo from
 # making a run that never ends.
@@ -38,20 +39,17 @@ class ProviderSettings:
     llm_model: str | None = None
     embed_base_url: str | None = None
     embed_model: str | None = None
-    score_batch_size: int = DEFAULT_SCORE_BATCH
-    retries: int = DEFAULT_RETRIES
+    score_batch_size: int = bounded(DEFAULT_SCORE_BATCH, lo=1)
+    retries: int = bounded(DEFAULT_RETRIES, lo=0, hi=MAX_RETRIES)
 
     def __post_init__(self):
         check_field_types(self)
-        if self.score_batch_size < 1:
-            raise ConfigError(f"score_batch_size must be positive, got {self.score_batch_size}")
-        if not 0 <= self.retries <= MAX_RETRIES:
-            raise ConfigError(f"retries must be in [0, {MAX_RETRIES}], got {self.retries}")
 
 
 @dataclass
 class MediaSettings:
-    """How video_ids resolve to playable media for the EDL."""
+    """How video_ids resolve to playable media for the EDL. The template's only
+    replacement field is a bare {video_id}, so any str id formats into it."""
 
     uri_template: str = "media/{video_id}.mp4"
     intro_uri: str | None = None
@@ -59,9 +57,13 @@ class MediaSettings:
     def __post_init__(self):
         check_field_types(self)
         try:
-            self.source_uri_for("v")
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"uri_template must format with {{video_id}} alone: {exc!r}") from exc
+            fields = {(name, spec, conversion) for _, name, spec, conversion
+                      in Formatter().parse(self.uri_template) if name is not None}
+        except ValueError as exc:
+            raise ConfigError(f"uri_template is not a format string: {exc}") from exc
+        if not fields <= {("video_id", "", None)}:
+            raise ConfigError("uri_template may hold no replacement field but a bare {video_id}, "
+                              f"got {self.uri_template!r}")
 
     def source_uri_for(self, video_id: str) -> str:
         return self.uri_template.format(video_id=video_id)

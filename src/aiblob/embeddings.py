@@ -83,8 +83,6 @@ class DeterministicEmbedder:
 
 def deterministic_embed(text: str, dim: int) -> np.ndarray:
     """One DeterministicEmbedder row: the float32 unit vector of (text, dim)."""
-    if dim < 2:
-        raise ValidationError(f"deterministic embedder needs dim >= 2, got {dim}")
     return DeterministicEmbedder(dim).embed([text])[0]
 
 
@@ -197,13 +195,12 @@ def embed_batch(
     return out
 
 
-def make_embedder(spec: str, base_url: str | None = None, model: str | None = None,
-                  api_key: str | None = None):
+def make_embedder(spec: str, base_url: str | None = None, model: str | None = None):
     """Build a provider from a selection string: "remote" or "deterministic:<dim>"."""
     if spec == "remote":
         if not base_url or not model:
             raise ConfigError("remote embedder needs base_url and model configured")
-        return RemoteEmbedder(base_url, model, api_key=api_key)
+        return RemoteEmbedder(base_url, model)
     if spec.startswith("deterministic:"):
         try:
             dim = int(spec.split(":", 1)[1])

@@ -17,7 +17,6 @@ degrade an episode (with warnings) but never corrupt or abort it mid-plan.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -26,8 +25,6 @@ from typing import Callable, Mapping, Sequence
 from .errors import ParseError, ProviderError, ValidationError
 from .util import (DEFAULT_RETRIES, is_finite_number, parse_json_line, post_json, read_text,
                    retry, round_half_away)
-
-logger = logging.getLogger("aiblob.llm")
 
 LLM_API_KEY_ENV = "AIBLOB_LLM_API_KEY"
 
@@ -192,13 +189,12 @@ class RemoteChatProvider:
         return parsed
 
 
-def make_llm_provider(spec: str, base_url: str | None = None, model: str | None = None,
-                      api_key: str | None = None):
+def make_llm_provider(spec: str, base_url: str | None = None, model: str | None = None):
     """Build a provider from a selection string: "remote" or "scripted:<file>"."""
     if spec == "remote":
         if not base_url or not model:
             raise ValidationError("remote LLM provider needs base_url and model configured")
-        return RemoteChatProvider(base_url, model, api_key=api_key)
+        return RemoteChatProvider(base_url, model)
     if spec.startswith("scripted:"):
         return ScriptedProvider(spec.split(":", 1)[1])
     raise ValidationError(f"unknown LLM provider spec {spec!r} (use 'remote' or 'scripted:<file>')")
@@ -220,10 +216,6 @@ class Orchestrator:
         self.provider = provider
         self.retries = retries
         self.warnings: list[str] = []
-
-    def warn(self, message: str) -> None:
-        self.warnings.append(message)
-        logger.warning(message)
 
     # -- themes ---------------------------------------------------------
 
@@ -256,7 +248,7 @@ class Orchestrator:
         except ProviderError:
             if not well_formed:
                 raise
-            self.warn(f"theme shortfall: got {len(collected)} of {count} for {title!r}")
+            self.warnings.append(f"theme shortfall: got {len(collected)} of {count} for {title!r}")
         return [ThemeIdea(i, text) for i, text in enumerate(list(collected)[:count])]
 
     # -- queries --------------------------------------------------------
@@ -309,12 +301,12 @@ class Orchestrator:
         phrases.sort(key=lambda p: p.theme_index)  # stable: provider order kept per theme
 
         if invalid:
-            self.warn(f"dropped {invalid} invalid query entries")
+            self.warnings.append(f"dropped {invalid} invalid query entries")
         if duplicates:
-            self.warn(f"dropped {duplicates} duplicate query phrases")
+            self.warnings.append(f"dropped {duplicates} duplicate query phrases")
         expected = len(themes) * per_theme
         if len(phrases) < expected:
-            self.warn(f"query shortfall: got {len(phrases)} of {expected}")
+            self.warnings.append(f"query shortfall: got {len(phrases)} of {expected}")
         return phrases
 
     # -- scoring --------------------------------------------------------
@@ -368,7 +360,7 @@ class Orchestrator:
                     irony, relevance, rationale = scored[sid]
                 else:
                     irony, relevance, rationale = SCORE_MIN, SCORE_MIN, ""
-                    self.warn(f"no score returned for {sid}; defaulted to 1/1")
+                    self.warnings.append(f"no score returned for {sid}; defaulted to 1/1")
                 results.append(ScoredSentence(sid, irony, relevance, rationale,
                                               candidate.source_query_index))
         return results
@@ -421,7 +413,8 @@ class Orchestrator:
         try:
             return self._ask("order", payload, permutation, f"ordering of {section_name!r}")
         except ProviderError:
-            self.warn(f"ordering fallback for section {section_name!r}: no valid permutation")
+            self.warnings.append(
+                f"ordering fallback for section {section_name!r}: no valid permutation")
             return fallback(members)
 
     # -- internals ------------------------------------------------------

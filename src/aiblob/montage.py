@@ -21,11 +21,11 @@ import subprocess
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import AiblobError, ConfigError, ParseError, RenderError, ValidationError
+from .errors import ConfigError, ParseError, RenderError, ValidationError
 from .llm import Candidate
 from .narrative import SECTION_ORDER, NarrativePlan, read_sections
-from .util import (atomic_write_text, check_field_types, check_keys, from_json, load_json,
-                   write_json)
+from .util import (atomic_write_text, bounded, check_field_types, check_keys, from_json,
+                   load_json, write_json)
 
 EDL_FORMAT = "aiblob-edl"
 EDL_VERSION = 1
@@ -33,7 +33,8 @@ EDL_VERSION = 1
 EDL_KEYS = ("format", "version", "episode_title", "loudness", "compression", "intro", "sections")
 
 # The ranges FFmpeg's acompressor accepts (its linear threshold floor is about -60 dB).
-COMPRESSION_LIMITS = {"ratio": (1.0, 20.0), "threshold_db": (-60.0, 0.0)}
+COMPRESSION_RATIO = {"lo": 1.0, "hi": 20.0}
+COMPRESSION_THRESHOLD_DB = {"lo": -60.0, "hi": 0.0}
 
 
 # The mastering pass: loudness normalization, then dynamic range compression.
@@ -45,42 +46,29 @@ class Loudness:
 
 @dataclass
 class Compression:
-    ratio: float
-    threshold_db: float
-
-
-def check_compression(compression: Compression, error: type[AiblobError], prefix: str) -> None:
-    """Raise ``error`` if a compressor setting is outside COMPRESSION_LIMITS."""
-    for key, (lo, hi) in COMPRESSION_LIMITS.items():
-        value = getattr(compression, key)
-        if not lo <= value <= hi:
-            raise error(f"{prefix}{key} must be in [{lo:g}, {hi:g}], got {value!r}")
+    ratio: float = bounded(**COMPRESSION_RATIO)
+    threshold_db: float = bounded(**COMPRESSION_THRESHOLD_DB)
 
 
 @dataclass
 class RenderSettings:
     """Timing margins, fades, loudness targets, and the renderer binary."""
 
-    pre_roll_s: float = 0.15
-    post_roll_s: float = 0.25
-    fade_s: float = 0.04
+    pre_roll_s: float = bounded(0.15, lo=0)
+    post_roll_s: float = bounded(0.25, lo=0)
+    fade_s: float = bounded(0.04, lo=0)
     integrated_lufs: float = -16.0
     true_peak_dbtp: float = -1.5
-    compression_ratio: float = 3.0
-    compression_threshold_db: float = -18.0
+    compression_ratio: float = bounded(3.0, **COMPRESSION_RATIO)
+    compression_threshold_db: float = bounded(-18.0, **COMPRESSION_THRESHOLD_DB)
     renderer_path: str = "ffmpeg"
     intro_max_s: float = 30.0
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("pre_roll_s", "post_roll_s", "fade_s"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not self.intro_max_s > 0 or self.intro_max_s < 2 * self.fade_s:
             raise ConfigError(f"intro_max_s must be positive and at least 2 * fade_s "
                               f"({2 * self.fade_s:g}), got {self.intro_max_s}")
-        check_compression(Compression(self.compression_ratio, self.compression_threshold_db),
-                          ConfigError, "compression_")
 
 
 @dataclass
@@ -351,5 +339,4 @@ def load_edl(path: str) -> EditDecisionList:
                               f"{path}: compression"),
     )
     check_field_types(edl, ParseError, path)
-    check_compression(edl.compression, ParseError, f"{path}: compression: ")
     return edl

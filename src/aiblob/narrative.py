@@ -25,9 +25,10 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .embeddings import QUERY_INPUT, embed_batch
 from .errors import ConfigError, ParseError, PlanError, ValidationError
-from .llm import Candidate, QueryPhrase, ScoredSentence
+from .llm import SCORE_MAX, SCORE_MIN, Candidate, QueryPhrase, ScoredSentence
 from .store import VectorStore
-from .util import check_field_types, check_keys, from_json, load_json, round_half_away, write_json
+from .util import (bounded, check_field_types, check_keys, from_json, load_json, round_half_away,
+                   write_json)
 
 PLAN_FORMAT = "aiblob-plan"
 PLAN_VERSION = 1
@@ -57,48 +58,36 @@ ORDERING_STRATEGIES = ("deterministic", "llm")
 class PipelineConfig:
     """Tunable knobs for one episode; defaults suit a 1-10 scoring scale."""
 
-    k_per_query: int = 10
-    irony_threshold: int = 7
-    relevance_threshold: int = 7
+    k_per_query: int = bounded(10, lo=1)
+    irony_threshold: int = bounded(7, lo=SCORE_MIN, hi=SCORE_MAX)
+    relevance_threshold: int = bounded(7, lo=SCORE_MIN, hi=SCORE_MAX)
     climax_quota: float = 0.20
     introduction_quota: float = 0.15
     conclusion_quota: float = 0.15
-    themes: int = 5
-    phrases_per_theme: int = 4
-    video_cap: int | None = None
+    themes: int = bounded(5, lo=1)
+    phrases_per_theme: int = bounded(4, lo=1)
+    video_cap: int | None = bounded(None, lo=1)
     ordering: str = "deterministic"
-    min_retained: int = 4
+    min_retained: int = bounded(4, lo=4)
 
     def __post_init__(self):
         check_field_types(self)
-        if self.k_per_query < 1:
-            raise ConfigError(f"k_per_query must be positive, got {self.k_per_query}")
-        for name in ("irony_threshold", "relevance_threshold"):
-            value = getattr(self, name)
-            if not 1 <= value <= 10:
-                raise ConfigError(f"{name} must be an integer in [1, 10], got {value!r}")
         quotas = (self.climax_quota, self.introduction_quota, self.conclusion_quota)
         for name, value in zip(("climax_quota", "introduction_quota", "conclusion_quota"), quotas):
             if not 0.0 < value < 1.0:
                 raise ConfigError(f"{name} must be in (0, 1), got {value}")
         if sum(quotas) >= 1.0:
             raise ConfigError(f"section quotas must sum below 1, got {sum(quotas)}")
-        if self.themes < 1 or self.phrases_per_theme < 1:
-            raise ConfigError("themes and phrases_per_theme must be positive")
-        if self.video_cap is not None and self.video_cap < 1:
-            raise ConfigError(f"video_cap must be positive or null, got {self.video_cap}")
         if self.ordering not in ORDERING_STRATEGIES:
             raise ConfigError(f"ordering must be one of {ORDERING_STRATEGIES}, got {self.ordering!r}")
-        if self.min_retained < 4:
-            raise ConfigError(f"min_retained must be at least 4, got {self.min_retained}")
 
 
 @dataclass
 class PlanScore:
     """One entry of a plan file's scores object, keyed there by sentence id."""
 
-    irony: int
-    relevance: int
+    irony: int = bounded(lo=SCORE_MIN, hi=SCORE_MAX)
+    relevance: int = bounded(lo=SCORE_MIN, hi=SCORE_MAX)
 
 
 @dataclass

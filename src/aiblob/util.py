@@ -255,41 +255,54 @@ _FIELD_KINDS = {
 }
 
 
+def bounded(default: Any = dataclasses.MISSING, lo: float = -math.inf, hi: float = math.inf):
+    """A dataclass field, with ``default`` if given, whose value check_field_types
+    holds to [lo, hi] after its type check (null passes in a ``| None`` field)."""
+    wording = f"at least {lo:g}" if hi == math.inf else f"in [{lo:g}, {hi:g}]"
+    return dataclasses.field(default=default, metadata={"bound": (lo, hi, wording)})
+
+
 @functools.cache
-def _field_rules(cls) -> tuple[tuple[str, type, Callable[[Any], bool], str, bool], ...]:
-    """(name, type, check, wanted, nullable) for each field of dataclass ``cls``
-    annotated with a kind of _FIELD_KINDS, optionally ``| None``."""
+def _field_rules(cls) -> tuple[tuple, ...]:
+    """(name, type, check, wanted, nullable, bound) for each field of dataclass
+    ``cls`` annotated with a kind of _FIELD_KINDS, optionally ``| None``; bound is
+    (lo, hi, wording) for a ``bounded`` field, else None."""
     rules = []
     for field in dataclasses.fields(cls):
         kind, _, optional = field.type.partition(" | ")
         if kind in _FIELD_KINDS:
-            rules.append((field.name, *_FIELD_KINDS[kind], optional == "None"))
+            rules.append((field.name, *_FIELD_KINDS[kind], optional == "None",
+                          field.metadata.get("bound")))
     return tuple(rules)
 
 
 def check_field_types(obj, error: type[AiblobError] = ConfigError, where: str = "") -> None:
     """Raise ``error`` unless every field of dataclass ``obj`` annotated ``int``,
-    ``float`` or ``str`` holds a real int, a finite non-bool number or a str;
-    ``| None`` also allows null. Ints in float fields become floats. Fields with
-    other annotations are not checked. Messages start with ``where``.
+    ``float`` or ``str`` holds a real int, a finite non-bool number or a str,
+    within its bound if it is a ``bounded`` field; ``| None`` also allows null.
+    Ints in float fields become floats. Fields with other annotations are not
+    checked. Messages start with ``where``.
 
     Reads the annotations as strings, so the defining module needs
     ``from __future__ import annotations``.
     """
-    for name, kind, check, wanted, nullable in _field_rules(type(obj)):
+    for name, kind, check, wanted, nullable, bound in _field_rules(type(obj)):
         value = getattr(obj, name)
         # The common case, tested without a call: the exact type, and for a float
         # a finite value (NaN and infinities give NaN here).
-        if type(value) is kind and (kind is not float or value - value == 0.0):
-            continue
-        if value is None and nullable:
-            continue
-        if not check(value):
-            null = " or null" if nullable else ""
+        if type(value) is not kind or (kind is float and value - value != 0.0):
+            if value is None and nullable:
+                continue
+            if not check(value):
+                null = " or null" if nullable else ""
+                prefix = f"{where}: " if where else ""
+                raise error(f"{prefix}{name} must be {wanted}{null}, got {value!r}")
+            if kind is float:
+                value = float(value)
+                setattr(obj, name, value)
+        if bound is not None and not bound[0] <= value <= bound[1]:
             prefix = f"{where}: " if where else ""
-            raise error(f"{prefix}{name} must be {wanted}{null}, got {value!r}")
-        if kind is float:
-            setattr(obj, name, float(value))
+            raise error(f"{prefix}{name} must be {bound[2]}, got {value!r}")
 
 
 def check_keys(data: Any, names: Collection[str], error: type[AiblobError], where: str,

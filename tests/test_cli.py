@@ -4,16 +4,20 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import aiblob
 from aiblob.cli import build_parser, main
 from aiblob.errors import ParseError
 from aiblob.embeddings import DeterministicEmbedder, make_embedder
+from aiblob.ingest import export_corpus
 from aiblob.llm import Candidate
 from aiblob.narrative import PipelineConfig
 from aiblob.store import VectorStore
-from conftest import build_replay_file, write_fixture_transcripts
+from conftest import build_replay_file, fixture_sentences, write_fixture_transcripts
 
 
 @pytest.fixture()
@@ -39,6 +43,16 @@ def workspace(tmp_path):
     build_replay_file(replay, store, make_embedder("deterministic:32"),
                       PipelineConfig(), "Il calcio")
     return tmp_path
+
+
+def run_cli(*argv):
+    """``aiblob`` in a child process, with no logging set up: its exit code and stderr."""
+    src = os.path.dirname(os.path.dirname(aiblob.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run([sys.executable, "-m", "aiblob.cli", *map(str, argv)],
+                            capture_output=True, text=True, env=env, timeout=300)
+    return result.returncode, result.stderr
 
 
 class TestIngest:
@@ -178,6 +192,45 @@ class TestCompose:
         assert captured.out == ""
         assert captured.err == (f"error: {config}: config section 'providers': "
                                 "retries must be in [0, 100], got 1000000000000\n")
+
+    def test_each_warning_printed_once(self, workspace):
+        # The replay scripts one query where the config asks for two.
+        replay = workspace / "one-query.jsonl"
+        build_replay_file(replay, VectorStore.load(str(workspace / "store")),
+                          make_embedder("deterministic:32"),
+                          PipelineConfig(themes=1, phrases_per_theme=1), "Il calcio")
+        config = workspace / "two-queries.json"
+        config.write_text(json.dumps({"pipeline": {"themes": 1, "phrases_per_theme": 2},
+                                      "providers": {"embedder": "deterministic:32"}}),
+                          encoding="utf-8")
+        code, err = run_cli("compose", "--store", workspace / "store", "--title", "Il calcio",
+                            "--config", config, "--out", workspace / "episode",
+                            "--llm", f"scripted:{replay}")
+        assert code == 0
+        assert err == "warning: query shortfall: got 1 of 2\n"
+
+    def test_template_that_indexes_the_video_id_refused_at_load(self, tmp_path):
+        # Half the rows have an empty video_id, which "{video_id[0]}" cannot index.
+        sentences = fixture_sentences(n_videos=1, per_video=20)
+        half = len(sentences) // 2
+        sentences[:half] = [dataclasses.replace(s, video_id="") for s in sentences[:half]]
+        corpus, store = tmp_path / "corpus.jsonl", tmp_path / "store"
+        export_corpus(sentences, str(corpus))
+        assert main(["index", "--corpus", str(corpus), "--store", str(store),
+                     "--embedder", "deterministic:32"]) == 0
+        replay = tmp_path / "replay.jsonl"
+        build_replay_file(replay, VectorStore.load(str(store)), make_embedder("deterministic:32"),
+                          PipelineConfig(), "Il calcio")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "providers": {"embedder": "deterministic:32"},
+            "media": {"uri_template": "media/{video_id[0]}/{video_id}.mp4"}}), encoding="utf-8")
+        code, err = run_cli("compose", "--store", store, "--title", "Il calcio",
+                            "--config", config, "--out", tmp_path / "episode",
+                            "--llm", f"scripted:{replay}")
+        assert code == 1
+        assert err.startswith(f"error: {config}: config section 'media': uri_template ")
+        assert err.count("\n") == 1
 
     def test_failure_mid_stage_leaves_no_partial_artifacts(self, workspace, capsys):
         # Replay with themes+queries but no score responses: scoring fails.

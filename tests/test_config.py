@@ -68,6 +68,10 @@ class TestLoadConfig:
         config = load_config(path)
         assert config.media.source_uri_for("vid007") == "/archivio/vid007.mkv"
 
+    def test_media_uri_template_with_repeats_and_escaped_braces(self, tmp_path):
+        path = write(tmp_path, {"media": {"uri_template": "{{x}}/{video_id}/{video_id}.mp4"}})
+        assert load_config(path).media.source_uri_for("") == "{x}//.mp4"
+
     @pytest.mark.parametrize("section,name", [
         ("pipeline", "k_per_query"), ("pipeline", "themes"),
         ("pipeline", "phrases_per_theme"), ("pipeline", "video_cap"),
@@ -95,6 +99,12 @@ class TestLoadConfig:
         ("providers", "retries", 1000000000000),
         ("media", "uri_template", "{nope}"), ("media", "uri_template", "{}"),
         ("media", "uri_template", "{video_id!z}"), ("media", "uri_template", 5),
+        # Only a bare {video_id}: a template that indexes the id or reads an
+        # attribute of it, converts it or gives it a format spec can fail on
+        # some str id (an empty one, say) long after the config loaded.
+        ("media", "uri_template", "media/{video_id[0]}/{video_id}.mp4"),
+        ("media", "uri_template", "{video_id.upper}"), ("media", "uri_template", "{video_id!r}"),
+        ("media", "uri_template", "{video_id:>8}"), ("media", "uri_template", "{video_id"),
         ("media", "intro_uri", 5),
         ("render", "intro_max_s", 0), ("render", "intro_max_s", -5),
         ("render", "intro_max_s", 0.05),

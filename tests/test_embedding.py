@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aiblob.embeddings import (
+    MAX_DETERMINISTIC_DIM,
     DeterministicEmbedder,
     RemoteEmbedder,
     deterministic_embed,
@@ -76,8 +77,9 @@ class TestDeterministicEmbed:
                                   deterministic_embed("addio", 8))
 
     def test_dim_below_two_rejected(self):
-        with pytest.raises(ValidationError):
-            deterministic_embed("ciao", 1)
+        for dim in (1, MAX_DETERMINISTIC_DIM + 1):  # the embedder's own rule, on both ends
+            with pytest.raises(ConfigError, match=f"got {dim}$"):
+                deterministic_embed("ciao", dim)
 
     @given(st.text(max_size=50), st.integers(min_value=2, max_value=96))
     @settings(max_examples=80, deadline=None)

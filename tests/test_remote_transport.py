@@ -53,6 +53,7 @@ def http_server():
     finally:
         server.shutdown()
         thread.join(timeout=5)
+        server.server_close()
 
 
 def test_remote_embedder_round_trip(http_server):

@@ -95,7 +95,7 @@ def test_from_json_prefixes_the_place_to_an_error_raised_while_building():
     with pytest.raises(ConfigError) as caught:  # the class the record raised, not ``error``
         from_json(RenderSettings, {"fade_s": -1}, ParseError, "c.json: config section 'render'")
     assert str(caught.value) == \
-        "c.json: config section 'render': fade_s must be non-negative, got -1.0"
+        "c.json: config section 'render': fade_s must be at least 0, got -1.0"
 
 
 @pytest.mark.parametrize("data,message", [
