@@ -16,7 +16,7 @@ from .config import AppConfig, load_config
 from .embeddings import DOCUMENT_INPUT, embed_batch, make_embedder
 from .errors import AiblobError, ParseError, PlanError, ValidationError
 from .ingest import DEFAULT_MIN_CHARS, load_corpus, export_corpus, parse_transcript, segment_sentences
-from .llm import Orchestrator, make_llm_provider
+from .llm import Candidate, Orchestrator, QueryPhrase, ScoredSentence, make_llm_provider
 from .montage import build_edl, load_edl, render, save_edl
 from .narrative import (
     filter_retained,
@@ -26,7 +26,7 @@ from .narrative import (
     segment_narrative,
 )
 from .store import VectorStore
-from .util import write_jsonl
+from .util import is_utf8, record_columns, write_columns
 
 QUERIES_FILE = "queries.jsonl"
 CANDIDATES_FILE = "candidates.jsonl"
@@ -85,20 +85,20 @@ def cmd_index(args) -> int:
 
 
 def _write_queries(path: str, title: str, themes, queries) -> None:
-    write_jsonl(
-        path,
-        {"format": "aiblob-queries", "version": 1, "episode_title": title,
-         "themes": [t.description for t in themes]},
-        map(vars, queries),  # a line is one QueryPhrase's fields, in declaration order
-    )
+    write_columns(path, {"format": "aiblob-queries", "version": 1, "episode_title": title,
+                         "themes": [t.description for t in themes]},
+                  QueryPhrase, record_columns(QueryPhrase, queries))
 
 
 def _write_scores(path: str, scored) -> None:
-    # A line is one ScoredSentence's fields, in declaration order.
-    write_jsonl(path, {"format": "aiblob-scores", "version": 1}, map(vars, scored))
+    write_columns(path, {"format": "aiblob-scores", "version": 1}, ScoredSentence,
+                  record_columns(ScoredSentence, scored))
 
 
 def cmd_compose(args) -> int:
+    if args.intro is not None and not is_utf8(args.intro):
+        raise ValidationError(
+            f"--intro must be a string without lone surrogates, got {args.intro!r}")
     config: AppConfig = load_config(args.config)
     store = VectorStore.load(args.store)
     embedder = make_embedder(
@@ -123,9 +123,9 @@ def cmd_compose(args) -> int:
     _write_queries(os.path.join(args.out, QUERIES_FILE), args.title, themes, queries)
 
     candidates = retrieve_candidates(queries, store, embedder, pipeline)
-    # A line is one Candidate's fields, in declaration order.
-    write_jsonl(os.path.join(args.out, CANDIDATES_FILE),
-                {"format": "aiblob-candidates", "version": 1}, map(vars, candidates))
+    write_columns(os.path.join(args.out, CANDIDATES_FILE),
+                  {"format": "aiblob-candidates", "version": 1}, Candidate,
+                  record_columns(Candidate, candidates))
     if not candidates:
         raise PlanError("retrieval returned no candidates; is the store empty?")
 

@@ -8,9 +8,11 @@ A transcript file is a UTF-8 JSON object:
 
 A parsed transcript holds its words as three columns: texts, start times and
 end times. Each column is checked in one pass for the whole transcript (texts
-by one split of their join, time types by set, time values by one numpy pass);
-only a transcript that fails is walked word by word, so every error names the
-first faulty word exactly as a per-word check would.
+by one split of their join and one test that UTF-8 encodes it, time types by
+set, time values by one numpy pass); only a transcript that fails is walked
+word by word, so every error names the first faulty word exactly as a
+per-word check would. Strings holding a lone surrogate, which a JSON \\u escape
+can put there and UTF-8 cannot encode, are refused.
 
 The sentence splitter is rule-based and language-light: it breaks after any
 word ending in terminal punctuation, keeps a small Italian abbreviation stop
@@ -29,7 +31,8 @@ from itertools import accumulate
 from typing import NoReturn
 
 from .errors import ParseError, ValidationError
-from .util import float_column, is_finite_number, read_columns, write_jsonl
+from .util import (float_column, is_finite_number, is_utf8, read_columns, record_columns,
+                   write_columns)
 
 CORPUS_FORMAT = "aiblob-corpus"
 CORPUS_VERSION = 1
@@ -102,6 +105,9 @@ def parse_transcript(data: bytes) -> TranscriptDocument:
         value = obj.get(field)
         if not isinstance(value, str):
             raise ParseError(f"transcript field '{field}' must be a string")
+        if not is_utf8(value):
+            raise ParseError(f"transcript field '{field}' must be a string without lone "
+                             f"surrogates, got {value!r}")
     if not obj["video_id"]:
         raise ValidationError("transcript field 'video_id' must be non-empty")
 
@@ -119,9 +125,11 @@ def parse_transcript(data: bytes) -> TranscriptDocument:
         start_array = float_column(starts)
         end_array = float_column(ends)
         # Splitting on whitespace gives the words back only if none is empty
-        # and none holds whitespace (str.split and str.isspace share one set).
+        # and none holds whitespace (str.split and str.isspace share one set);
+        # the join encodes only if no word holds a lone surrogate.
+        joined = " ".join(words)
         ok = (start_array is not None and end_array is not None
-              and " ".join(words).split() == words
+              and joined.split() == words and is_utf8(joined)
               and ((start_array >= 0) & (end_array >= start_array)).all()
               and (start_array[1:] >= start_array[:-1]).all())
     except (TypeError, KeyError):
@@ -150,6 +158,8 @@ def _raise_word_fault(raw_words: list) -> NoReturn:
         text = entry.get("w")
         if not isinstance(text, str) or not text:
             raise ParseError(f"words[{i}].w must be a non-empty string")
+        if not is_utf8(text):
+            raise ParseError(f"words[{i}].w must be a string without lone surrogates, got {text!r}")
         if any(ch.isspace() for ch in text):
             raise ValidationError(f"words[{i}].w contains internal whitespace: {text!r}")
         start = entry.get("s")
@@ -233,8 +243,8 @@ def export_corpus(sentences: list[Sentence], path: str) -> int:
 
     Returns the number of records written. Output is byte-deterministic.
     """
-    # A corpus line is one Sentence's fields, in declaration order.
-    write_jsonl(path, {"format": CORPUS_FORMAT, "version": CORPUS_VERSION}, map(vars, sentences))
+    write_columns(path, {"format": CORPUS_FORMAT, "version": CORPUS_VERSION}, Sentence,
+                  record_columns(Sentence, sentences))
     return len(sentences)
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParseError, ProviderError, ValidationError
-from .util import (DEFAULT_RETRIES, is_finite_number, parse_json_line, post_json, read_text,
-                   retry, round_half_away)
+from .util import (DEFAULT_RETRIES, is_finite_number, is_utf8, parse_json_line, post_json,
+                   read_text, retry, round_half_away)
 
 LLM_API_KEY_ENV = "AIBLOB_LLM_API_KEY"
 
@@ -227,6 +227,9 @@ class Orchestrator:
         """
         if not title:
             raise ValidationError("episode title must be non-empty")
+        if not is_utf8(title):
+            raise ValidationError(f"episode title must be a string without lone surrogates, "
+                                  f"got {title!r}")
         if count < 1:
             raise ValidationError(f"theme count must be positive, got {count}")
         collected: dict[str, None] = {}  # insertion-ordered set
@@ -279,7 +282,8 @@ class Orchestrator:
         for entry in entries:
             idx = entry.get("theme_index")
             text = entry.get("text")
-            if not isinstance(idx, int) or isinstance(idx, bool) or not isinstance(text, str):
+            if (not isinstance(idx, int) or isinstance(idx, bool) or not isinstance(text, str)
+                    or not is_utf8(text)):
                 invalid += 1
                 continue
             if idx < 0 or idx >= len(themes):
@@ -426,8 +430,9 @@ class Orchestrator:
 
 def _string_list(response: dict, key: str) -> list[str]:
     items = response.get(key) if isinstance(response, dict) else None
-    if not isinstance(items, list) or not all(isinstance(x, str) for x in items):
-        raise ProviderError(f"malformed response: {key!r} must be a list of strings")
+    if not isinstance(items, list) or not all(isinstance(x, str) and is_utf8(x) for x in items):
+        raise ProviderError(
+            f"malformed response: {key!r} must be a list of strings without lone surrogates")
     return items
 
 
@@ -454,7 +459,7 @@ def _score_entries(response: dict) -> dict[str, tuple[int, int, str]]:
         if not is_finite_number(irony) or not is_finite_number(relevance):
             continue  # counts as missing: re-asked, then defaulted
         rationale = entry.get("rationale")
-        if not isinstance(rationale, str):
+        if not isinstance(rationale, str) or not is_utf8(rationale):
             rationale = ""
         out[sid] = (clamp_score(irony), clamp_score(relevance), rationale)
     return out

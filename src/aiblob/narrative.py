@@ -27,8 +27,8 @@ from .embeddings import QUERY_INPUT, embed_batch
 from .errors import ConfigError, ParseError, PlanError, ValidationError
 from .llm import SCORE_MAX, SCORE_MIN, Candidate, QueryPhrase, ScoredSentence
 from .store import VectorStore
-from .util import (bounded, check_field_types, check_keys, from_json, load_json, round_half_away,
-                   write_json)
+from .util import (bounded, check_field_types, check_keys, from_json, is_utf8, load_json,
+                   round_half_away, write_json)
 
 PLAN_FORMAT = "aiblob-plan"
 PLAN_VERSION = 1
@@ -321,6 +321,9 @@ def save_plan(plan: NarrativePlan, scored: Mapping[str, ScoredSentence], path: s
 def _read_id(item: Any, where: str) -> str:
     if not isinstance(item, str):
         raise ParseError(f"{where}: must be a sentence id string, got {item!r}")
+    if not is_utf8(item):
+        raise ParseError(f"{where}: must be a sentence id string without lone surrogates, "
+                         f"got {item!r}")
     return item
 
 

@@ -16,12 +16,14 @@ id -> row dict. The float64 copy of the matrix is built on the first query and
 dropped by the next insert. Records are built on demand for the rows a caller
 asks for.
 
-Loading builds no per-row object either: meta.jsonl is read as columns
-(util.read_columns: a few large decodes and one check for the whole file,
-and a per-row walk only to name a fault), the vectors.bin body becomes the
-matrix as is, and one dict of the ids gives the id -> row map. An insert takes a
-matrix with its columns the same way, or a list of VectorRecord, which is
-turned into columns first.
+Loading and saving build no per-row object either. meta.jsonl is read as
+columns (util.read_columns: a few large decodes and one check for the whole
+file, and a per-row walk only to name a fault), the vectors.bin body becomes
+the matrix as is, and one dict of the ids gives the id -> row map. Saving
+writes the columns as they are (util.write_columns: each value encoded once,
+blocks of lines set from one line template) and the matrix as the
+vectors.bin body. An insert takes a matrix with its columns the same way, or
+a list of VectorRecord, which is turned into columns first.
 
 On-disk layout (bit-exact):
     meta.jsonl   header {"format":"aiblob-store","version":1,"dim":D}, then one
@@ -41,7 +43,7 @@ from typing import NoReturn, Sequence
 import numpy as np
 
 from .errors import ConfigError, StoreError, ValidationError
-from .util import atomic_write_bytes, check_field_types, is_int, read_columns, write_jsonl
+from .util import atomic_write_bytes, check_field_types, is_int, read_columns, write_columns
 
 STORE_FORMAT = "aiblob-store"
 STORE_VERSION = 1
@@ -257,8 +259,8 @@ class VectorStore:
         os.makedirs(directory, exist_ok=True)
         meta_path = os.path.join(directory, META_FILE)
         vectors_path = os.path.join(directory, VECTORS_FILE)
-        write_jsonl(meta_path, {"format": STORE_FORMAT, "version": STORE_VERSION, "dim": self.dim},
-                    (dict(zip(META_KEYS, row)) for row in zip(*self._columns())))
+        meta_header = {"format": STORE_FORMAT, "version": STORE_VERSION, "dim": self.dim}
+        write_columns(meta_path, meta_header, VectorRecord, self._columns())
         header = VECTORS_MAGIC + struct.pack("<IIQ", STORE_VERSION, self.dim, self.count)
         atomic_write_bytes(vectors_path, header, self._matrix)
         return {

@@ -39,6 +39,14 @@ def _is_finite_number(value):
     return is_number and abs(value) <= sys.float_info.max
 
 
+def _encodable(text):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def oracle_parse_transcript(data: bytes) -> OracleDocument:
     try:
         obj = json.loads(data.decode("utf-8"))
@@ -57,6 +65,9 @@ def oracle_parse_transcript(data: bytes) -> OracleDocument:
         value = obj.get(field)
         if not isinstance(value, str):
             raise ParseError(f"transcript field '{field}' must be a string")
+        if not _encodable(value):
+            raise ParseError(f"transcript field '{field}' must be a string without lone "
+                             f"surrogates, got {value!r}")
     if not obj["video_id"]:
         raise ValidationError("transcript field 'video_id' must be non-empty")
 
@@ -72,6 +83,8 @@ def oracle_parse_transcript(data: bytes) -> OracleDocument:
         text = entry.get("w")
         if not isinstance(text, str) or not text:
             raise ParseError(f"words[{i}].w must be a non-empty string")
+        if not _encodable(text):
+            raise ParseError(f"words[{i}].w must be a string without lone surrogates, got {text!r}")
         if any(ch.isspace() for ch in text):
             raise ValidationError(f"words[{i}].w contains internal whitespace: {text!r}")
         start = entry.get("s")

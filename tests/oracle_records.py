@@ -1,19 +1,22 @@
-"""Per-row reference for reading corpus and store metadata files.
+"""Per-row reference for reading corpus and store metadata files, and for
+writing every JSON-lines record file.
 
-This is the object-per-row design the package used before it read JSON-lines
-record files as columns: every line is decoded on its own by
-``parse_json_line`` and checked by ``from_json`` into one record, and ids are
-checked one at a time. The differential tests in ``test_records.py`` hold the
-column readers to the same values, and to the same error class and message
-for every faulty file.
+This is the object-per-row design the package used before it read and wrote
+JSON-lines record files as columns. Reading, every line is decoded on its own
+by ``parse_json_line`` and checked by ``from_json`` into one record, and ids
+are checked one at a time. Writing, every row is one dict serialized by
+``dumps_line``. The differential tests in ``test_records.py`` hold the column
+readers to the same values, and to the same error class and message for every
+faulty file, and the column writer to the same bytes.
 """
 
 import operator
+from typing import Any, Iterable
 
 from aiblob.errors import ParseError, StoreError, ValidationError
 from aiblob.ingest import CORPUS_FORMAT, CORPUS_VERSION, Sentence
 from aiblob.store import META_KEYS, STORE_FORMAT, STORE_VERSION, VectorRecord
-from aiblob.util import from_json, parse_json_line, read_jsonl
+from aiblob.util import _atomic_open, dumps_line, from_json, parse_json_line, read_jsonl
 
 _meta_values = operator.attrgetter(*META_KEYS)
 
@@ -50,3 +53,11 @@ def oracle_store_rows(meta_path: str) -> list[tuple]:
             raise ValidationError(f"duplicate sentence_id {row[0]}")
         seen.add(row[0])
     return rows
+
+
+def oracle_write_jsonl(path: str, header: dict[str, Any], rows: Iterable[dict[str, Any]]) -> None:
+    """Atomically write a header line, then one JSON line per row, streamed."""
+    with _atomic_open(path, binary=False) as handle:
+        handle.write(dumps_line(header) + "\n")
+        for row in rows:
+            handle.write(dumps_line(row) + "\n")

@@ -477,6 +477,57 @@ class TestDeeplyNestedInput:
         assert "Traceback" not in err
 
 
+class TestLoneSurrogate:
+    """A lone surrogate, which a JSON \\u escape or a surrogate-escaped argument
+    puts in a string and UTF-8 cannot encode, is refused where it is read: exit
+    code 1, one error line and no output file."""
+
+    @staticmethod
+    def fails_cleanly(capsys, argv, message):
+        capsys.readouterr()  # drop fixture output
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert message in err
+
+    def test_ingest_word(self, tmp_path, capsys):
+        transcripts = tmp_path / "transcripts"
+        transcripts.mkdir()
+        doc = {"video_id": "v1", "title": "t", "source_uri": "u", "language": "it",
+               "words": [{"w": "Ciao.", "s": 0.0, "e": 0.5}, {"w": "ciao\ud800.", "s": 0.6,
+                                                               "e": 1.0}]}
+        (transcripts / "v1.json").write_text(json.dumps(doc), encoding="utf-8")
+        self.fails_cleanly(
+            capsys, ["ingest", "--transcripts", str(transcripts), "--out", str(tmp_path / "c")],
+            r"v1.json: words[1].w must be a string without lone surrogates, got 'ciao\ud800.'")
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("field", ["text", "sentence_id"])
+    def test_index_corpus_row(self, workspace, capsys, field):
+        corpus = workspace / "corpus.jsonl"
+        header, first, *rest = corpus.read_text(encoding="utf-8").split("\n")
+        first = json.dumps({**json.loads(first), field: "\udc80"})
+        corpus.write_text("\n".join([header, first, *rest]), encoding="utf-8")
+        self.fails_cleanly(
+            capsys, ["index", "--corpus", str(corpus), "--store", str(workspace / "store2"),
+                     "--embedder", "deterministic:32"],
+            f"corpus.jsonl:2: bad corpus record: {field} must be a string without lone "
+            r"surrogates, got '\udc80'")
+        assert not (workspace / "store2").exists()
+
+    @pytest.mark.parametrize("flag,message", [
+        ("--title", "episode title must be a string without lone surrogates"),
+        ("--intro", "--intro must be a string without lone surrogates"),
+    ])
+    def test_compose_argument(self, workspace, capsys, flag, message):
+        # "\udcff" is how Python decodes the byte 0xff in a command-line argument.
+        argv = ["compose", "--store", str(workspace / "store"), "--title", "Il calcio",
+                "--config", str(workspace / "config.json"), "--out", str(workspace / "ep"),
+                "--llm", f"scripted:{workspace / 'replay.jsonl'}", flag, "media/\udcff"]
+        self.fails_cleanly(capsys, argv, message)
+        assert not (workspace / "ep" / "edl.json").exists()
+
+
 class TestUsage:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

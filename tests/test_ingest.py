@@ -209,6 +209,8 @@ NOT_A_NUMBER = [True, False, None, "1.0", [1.0], float("nan"), float("inf"), flo
                 10**400, -(10**400), int(MAX) + 1, -int(MAX) - 1]
 NOT_AN_OBJECT = [[], ["w", "s", "e"], "w", None, 0, True]
 NOT_A_TEXT = [None, "", 5, True, ["a"], {"w": "a"}]
+# Lone surrogates, which only a JSON \u escape puts in a transcript.
+SURROGATES = ["\ud800", "\udbff", "\udc80", "\udfff"]
 WORD_TEXTS = st.one_of(
     st.sampled_from(["Ciao.", "Sig.", "prof.", "(ecc.)", "ING.", "Mah…", "perché?", "Sì!",
                      ".", "…", "?!", "on.", "là", "«Bene»."]),
@@ -241,10 +243,11 @@ def _fault(draw, kind, words, i):
         return draw(st.sampled_from(NOT_AN_OBJECT))
     if kind == "text":
         value = draw(st.sampled_from(NOT_A_TEXT + ["missing"]))
-    elif kind == "whitespace":
+    elif kind in ("whitespace", "surrogate"):
         text = entry["w"]
         cut = draw(st.integers(0, len(text)))
-        value = text[:cut] + draw(st.sampled_from(WHITESPACE)) + text[cut:]
+        value = text[:cut] + draw(st.sampled_from(WHITESPACE if kind == "whitespace"
+                                                  else SURROGATES)) + text[cut:]
     elif kind in ("start", "end"):
         value = draw(st.sampled_from(NOT_A_NUMBER + ["missing"]))
     elif kind == "negative":
@@ -255,8 +258,8 @@ def _fault(draw, kind, words, i):
     else:  # "monotone": starts before the previous word, still in order itself
         value = draw(st.sampled_from([0, 0.0, words[i - 1]["s"] / 2]))
         assert value < words[i - 1]["s"]
-    key = {"text": "w", "whitespace": "w", "start": "s", "negative": "s", "monotone": "s",
-           "end": "e", "order": "e"}[kind]
+    key = {"text": "w", "whitespace": "w", "surrogate": "w", "start": "s", "negative": "s",
+           "monotone": "s", "end": "e", "order": "e"}[kind]
     if value == "missing":
         del entry[key]
     else:
@@ -267,7 +270,7 @@ def _fault(draw, kind, words, i):
 @st.composite
 def faulty_words(draw):
     words = draw(valid_words(min_size=1))
-    kinds = ["object", "text", "whitespace", "start", "end", "negative", "order"]
+    kinds = ["object", "text", "whitespace", "surrogate", "start", "end", "negative", "order"]
     if any(later["s"] > 0 for later in words[:-1]):
         kinds.append("monotone")
     faults = {}
@@ -293,8 +296,12 @@ def _outcome(parse, segment, columns, data, min_chars):
 
 
 def _both(words, min_chars):
-    data = json.dumps({"video_id": "v1", "title": "t", "source_uri": "m.mp4", "language": "it",
-                       "words": words}, ensure_ascii=False).encode("utf-8")
+    doc = {"video_id": "v1", "title": "t", "source_uri": "m.mp4", "language": "it",
+           "words": words}
+    try:
+        data = json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, which only an escape can write
+        data = json.dumps(doc).encode("utf-8")
     columnar = _outcome(parse_transcript, segment_sentences,
                         lambda doc: list(zip(doc.words, doc.starts, doc.ends)), data, min_chars)
     per_word = _outcome(oracle_parse_transcript, oracle_segment_sentences,

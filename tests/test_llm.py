@@ -121,6 +121,17 @@ class TestGenerateThemes:
         with pytest.raises(ValidationError):
             Orchestrator(QueueProvider()).generate_themes("", 5)
 
+    def test_title_with_a_lone_surrogate_rejected(self):
+        # "\udcff" is how Python decodes the byte 0xff in a command-line argument.
+        with pytest.raises(ValidationError, match="lone surrogates"):
+            Orchestrator(QueueProvider()).generate_themes("Il calcio \udcff", 5)
+
+    def test_theme_with_a_lone_surrogate_is_malformed(self):
+        provider = QueueProvider(themes=[{"themes": ["a", "b\ud800"]}, {"themes": ["a", "b"]}])
+        themes = Orchestrator(provider).generate_themes("Il calcio", 2)
+        assert [t.description for t in themes] == ["a", "b"]
+        assert len(provider.calls) == 2
+
 
 class TestGenerateQueries:
     def themes(self, n=2):
@@ -160,6 +171,15 @@ class TestGenerateQueries:
         orch = Orchestrator(QueueProvider(queries=[response]))
         phrases = orch.generate_queries(self.themes(), 1)
         assert phrases == [QueryPhrase(0, "dentro")]
+        assert any("invalid" in w for w in orch.warnings)
+
+    def test_query_with_a_lone_surrogate_dropped(self):
+        response = {"queries": [
+            {"theme_index": 0, "text": "rotta \udc80"},
+            {"theme_index": 0, "text": "intera"},
+        ]}
+        orch = Orchestrator(QueueProvider(queries=[response]))
+        assert orch.generate_queries(self.themes(1), 1) == [QueryPhrase(0, "intera")]
         assert any("invalid" in w for w in orch.warnings)
 
     def test_per_theme_cap(self):
@@ -208,6 +228,12 @@ class TestScoreBatch:
         orch = Orchestrator(QueueProvider(score=[response]))
         out = orch.score_batch(candidates([("s1", "testo")]), "Titolo", self.themes())
         assert out == [ScoredSentence("s1", 8, 3, "ok", 0)]
+
+    def test_rationale_with_a_lone_surrogate_dropped(self):
+        response = {"scores": [{"id": "s1", "irony": 8, "relevance": 3, "rationale": "\ud800"}]}
+        orch = Orchestrator(QueueProvider(score=[response]))
+        out = orch.score_batch(candidates([("s1", "testo")]), "Titolo", self.themes())
+        assert out == [ScoredSentence("s1", 8, 3, "", 0)]
 
     def test_clamping_and_rounding(self):
         response = {"scores": [

@@ -393,6 +393,9 @@ class TestPlanFile:
          "sections: unknown key(s): climaxx"),
         (lambda p: p["sections"].update(build_up=["b", 5]),
          "sections.build_up[1]: must be a sentence id string, got 5"),
+        (lambda p: p["sections"].update(build_up=["b", "\udc80"]),
+         "sections.build_up[1]: must be a sentence id string without lone surrogates, "
+         "got '\\udc80'"),
         (lambda p: p["sections"].update(climax="c"), "sections: climax must be a list, got str"),
         (lambda p: p.pop("episode_title"), "missing key(s): episode_title"),
         (lambda p: p.pop("scores"), "missing key(s): scores"),
@@ -400,6 +403,7 @@ class TestPlanFile:
         (lambda p: p["scores"].update(e={"irony": 5, "relevance": 5}),
          "scores of e: the id is in no section"),
     ], ids=["renamed-score-key", "missing-score-key", "renamed-section", "non-string-id",
+            "lone-surrogate-id",
             "non-list-section", "missing-title", "missing-scores", "unknown-key",
             "score-of-no-plan-id"])
     def test_renamed_missing_or_unknown_key_rejected(self, tmp_path, change, message):

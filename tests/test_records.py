@@ -1,21 +1,26 @@
 """The column readers of corpus and store metadata files against the per-row
 readers of oracle_records.py: equal columns for valid files, and the same
-error class and message for files with faults at random rows."""
+error class and message for files with faults at random rows. The column
+writer against the per-row writer: the same bytes for every record file."""
 
+import dataclasses
 import json
 import math
 import struct
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracle_records import oracle_load_corpus, oracle_store_rows
+from oracle_records import oracle_load_corpus, oracle_store_rows, oracle_write_jsonl
 
-from aiblob.errors import AiblobError
-from aiblob.ingest import load_corpus
-from aiblob.store import VectorStore
-from aiblob.util import dumps_line
+from aiblob import util
+from aiblob.errors import AiblobError, ParseError
+from aiblob.ingest import Sentence, load_corpus
+from aiblob.llm import Candidate, QueryPhrase, ScoredSentence
+from aiblob.store import VectorRecord, VectorStore
+from aiblob.util import dumps_line, read_columns, record_columns, write_columns
 
 CHECKED = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow,
                                                         HealthCheck.function_scoped_fixture])
@@ -48,7 +53,10 @@ CORPUS_FIELDS = [("sentence_id", "str"), ("video_id", "str"), ("ordinal", "int")
 META_FIELDS = [("sentence_id", "str"), ("video_id", "str"), ("text", "str"),
                ("start_s", "float"), ("end_s", "float")]
 
-ROW_FAULTS = ["kind", "missing key", "extra key", "renamed key", "not an object", "duplicate id"]
+ROW_FAULTS = ["kind", "missing key", "extra key", "renamed key", "not an object", "duplicate id",
+              "lone surrogate"]
+# Written as JSON escapes: UTF-8 cannot encode a lone surrogate.
+SURROGATES = st.sampled_from(["\ud800", "\udbff", "\udc80", "\udfff"])
 # Lines whose ",\n"-joined text decodes with as many rows as lines, though a
 # per-line reader rejects them: one row split across two lines, and one line
 # holding two rows.
@@ -78,10 +86,16 @@ def record_files(draw, fields, faults=()):
     targets = draw(st.permutations(range(count)))
     split_row = targets[-1] if merge else None
     not_objects = {}
+    escaped = set()
     for fault, r in zip((f for f in faults if f in ROW_FAULTS), targets[:-1]):
         row = rows[r]
         name, kind = draw(st.sampled_from(fields))
-        if fault == "kind":
+        if fault == "lone surrogate":
+            name = draw(st.sampled_from([n for n, k in fields if k == "str"]))
+            cut = draw(st.integers(0, len(row[name])))
+            row[name] = row[name][:cut] + draw(SURROGATES) + row[name][cut:]
+            escaped.add(r)
+        elif fault == "kind":
             row[name] = draw(BAD_VALUES[kind])
         elif fault == "missing key":
             del row[name]
@@ -113,7 +127,7 @@ def record_files(draw, fields, faults=()):
             continue
         if draw(st.integers(0, 9)) == 0:
             row = {key: row[key] for key in draw(st.permutations(list(row)))}
-        line = draw(st.sampled_from(ENCODERS))(row)
+        line = json.dumps(row) if r in escaped else draw(st.sampled_from(ENCODERS))(row)
         if draw(st.integers(0, 19)) == 0:
             line = draw(st.sampled_from([" ", "\t"])) + line
         lines.append(line)
@@ -241,3 +255,38 @@ def test_line_merges_decode_to_as_many_rows_as_lines(merge):
     decoded = json.loads("[" + separator.join(lines) + "]")
     assert len(decoded) == len(lines)
     assert all(isinstance(row, dict) for row in decoded)
+
+
+# Strings and floats that a JSON encoder must get exactly right: quotes,
+# backslashes, a value that splitting on '","' would cut, control characters,
+# line separators, non-BMP characters; -0.0, the smallest subnormal, the first
+# float repr writes with an exponent, and the largest float.
+WRITTEN = {
+    "str": st.text(st.characters(blacklist_categories=("Cs",)), max_size=8) | st.sampled_from(
+        ['"', "\\", 'x",', 'x","b', '""', "", "\x00\x1f\x7f", "\u2028\u2029", "\U0001f600"]),
+    "int": st.integers() | st.just(10**30),
+    "float": st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e16, sys.float_info.max]),
+}
+RECORD_CLASSES = [Sentence, VectorRecord, QueryPhrase, Candidate, ScoredSentence]
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+@settings(CHECKED, max_examples=60)
+@given(data=st.data())
+def test_column_writer_matches_the_per_row_writer(tmp_path, cls, data):
+    """write_columns writes the bytes of one dumps_line per row dict, block size
+    aside, and read_columns reads the same columns back."""
+    fields = [(f.name, f.type) for f in dataclasses.fields(cls) if f.type in WRITTEN]
+    rows = [{name: data.draw(WRITTEN[kind]) for name, kind in fields}
+            for _ in range(data.draw(st.integers(0, 9)))]
+    unwritten = {"vector": None} if cls is VectorRecord else {}
+    records = [cls(**row, **unwritten) for row in rows]
+    header = {"format": "aiblob-records", "version": 1}
+    new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+    with mock.patch.object(util, "_WRITE_BLOCK_LINES", data.draw(st.integers(1, 4))):
+        write_columns(str(new), header, cls, record_columns(cls, records))
+    oracle_write_jsonl(str(old), header, rows)
+    assert new.read_bytes() == old.read_bytes()
+    _header, columns = read_columns(str(new), "aiblob-records", 1, cls, ParseError)
+    assert repr(columns) == repr(tuple([row[name] for row in rows] for name, _ in fields))

@@ -1,4 +1,5 @@
-"""Shared helpers: the atomic writers, the record builder and the provider retry loop."""
+"""Shared helpers: the atomic writers, the column writer, the record builder and the
+provider retry loop."""
 
 import os
 import stat
@@ -9,28 +10,73 @@ from aiblob.errors import ConfigError, ParseError, ProviderError, StoreError
 from aiblob.ingest import Sentence
 from aiblob.montage import RenderSettings
 from aiblob.store import VectorRecord
-from aiblob.util import check_keys, from_json, retry, write_json, write_jsonl
+from aiblob.util import (_WRITE_BLOCK_LINES, check_keys, from_json, record_columns, retry,
+                         write_columns, write_json)
 
 
-def test_write_jsonl_bytes(tmp_path):
+def sentence_columns(*sentences):
+    return record_columns(Sentence, sentences)
+
+
+def test_write_columns_bytes(tmp_path):
     path = tmp_path / "out.jsonl"
-    write_jsonl(str(path), {"format": "f", "version": 1}, ({"i": i, "t": "è"} for i in range(2)))
+    write_columns(str(path), {"format": "f", "version": 1}, Sentence,
+                  sentence_columns(Sentence("s0", "v", 0, "è \"x\",", 1.0, 2.5),
+                                   Sentence("s1", "v", 1, "\n\u2028", -0.0, 1e16)))
     assert path.read_bytes() == (
-        '{"format":"f","version":1}\n{"i":0,"t":"è"}\n{"i":1,"t":"è"}\n'.encode("utf-8"))
+        '{"format":"f","version":1}\n'
+        '{"sentence_id":"s0","video_id":"v","ordinal":0,"text":"è \\"x\\",",'
+        '"start_s":1.0,"end_s":2.5}\n'
+        '{"sentence_id":"s1","video_id":"v","ordinal":1,"text":"\\n\u2028",'
+        '"start_s":-0.0,"end_s":1e+16}\n'.encode("utf-8"))
 
 
-def test_failure_mid_stream_keeps_the_old_file(tmp_path):
+def test_empty_columns_write_the_header_line_alone(tmp_path):
     path = tmp_path / "out.jsonl"
-    path.write_text("old\n", encoding="utf-8")
+    write_columns(str(path), {"format": "f", "version": 1}, Sentence, sentence_columns())
+    assert path.read_bytes() == b'{"format":"f","version":1}\n'
 
-    def rows():
-        yield {"i": 0}
-        raise RuntimeError("row source failed")
 
+@pytest.mark.parametrize("old", ["old\n", None], ids=["old-file", "no-file"])
+def test_failure_mid_stream_keeps_the_old_file(tmp_path, old):
+    """A column that fails after a whole block of lines was written leaves the
+    file as it was, or no file, and no temp file."""
+    path = tmp_path / "out.jsonl"
+    if old is not None:
+        path.write_text(old, encoding="utf-8")
+    rows = _WRITE_BLOCK_LINES + 1
+
+    def ids():
+        yield from (f"s{i}" for i in range(_WRITE_BLOCK_LINES))
+        raise RuntimeError("column source failed")
+
+    columns = [ids(), ["v"] * rows, range(rows), ["t"] * rows, [0.0] * rows, [1.0] * rows]
     with pytest.raises(RuntimeError):
-        write_jsonl(str(path), {"format": "f"}, rows())
-    assert path.read_text(encoding="utf-8") == "old\n"
-    assert os.listdir(tmp_path) == ["out.jsonl"]
+        write_columns(str(path), {"format": "f"}, Sentence, columns)
+    assert os.listdir(tmp_path) == ([] if old is None else ["out.jsonl"])
+    if old is not None:
+        assert path.read_text(encoding="utf-8") == old
+
+
+@pytest.mark.parametrize("short", [0, 3, _WRITE_BLOCK_LINES, _WRITE_BLOCK_LINES + 1])
+@pytest.mark.parametrize("column", [0, 4])
+def test_columns_of_unequal_length_raise(tmp_path, short, column):
+    """No column may end early, in the first block or at a block boundary."""
+    path = tmp_path / "out.jsonl"
+    rows = _WRITE_BLOCK_LINES + 2
+    columns = [[f"s{i}" for i in range(rows)], ["v"] * rows, list(range(rows)), ["t"] * rows,
+               [0.0] * rows, [1.0] * rows]
+    columns[column] = columns[column][:short]
+    with pytest.raises(ValueError, match="columns of unequal length"):
+        write_columns(str(path), {"format": "f"}, Sentence, columns)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("count", [5, 7])
+def test_wrong_number_of_columns_raises(tmp_path, count):
+    with pytest.raises(ValueError):
+        write_columns(str(tmp_path / "out.jsonl"), {"format": "f"}, Sentence, [[]] * count)
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -38,7 +84,7 @@ def test_written_file_mode_follows_the_umask(tmp_path, umask, mode):
     path = tmp_path / "out.jsonl"
     old = os.umask(umask)
     try:
-        write_jsonl(str(path), {"format": "f"}, [])
+        write_columns(str(path), {"format": "f"}, Sentence, sentence_columns())
     finally:
         os.umask(old)
     assert stat.S_IMODE(path.stat().st_mode) == mode
