@@ -14,7 +14,7 @@ import sys
 
 from .config import AppConfig, load_config
 from .embeddings import DOCUMENT_INPUT, embed_batch, make_embedder
-from .errors import AiblobError, ParseError, PlanError, ValidationError
+from .errors import AiblobError, ConfigError, ParseError, PlanError, ValidationError
 from .ingest import DEFAULT_MIN_CHARS, load_corpus, export_corpus, parse_transcript, segment_sentences
 from .llm import Candidate, Orchestrator, QueryPhrase, ScoredSentence, make_llm_provider
 from .montage import build_edl, load_edl, render, save_edl
@@ -76,7 +76,7 @@ def cmd_index(args) -> int:
         model=config.providers.embed_model,
     )
     vectors = embed_batch(corpus.texts, embedder, input_type=DOCUMENT_INPUT)
-    store = VectorStore(vectors.shape[1])
+    store = VectorStore(vectors.shape[1], embedder=args.embedder)
     store.insert_batch(vectors, (corpus.sentence_ids, corpus.video_ids, corpus.texts,
                                  corpus.starts, corpus.ends))
     store.save(args.store)
@@ -106,6 +106,10 @@ def cmd_compose(args) -> int:
         base_url=config.providers.embed_base_url,
         model=config.providers.embed_model,
     )
+    # A version 1 store does not say which embedder made it.
+    if store.embedder is not None and store.embedder != config.providers.embedder:
+        raise ConfigError(f"{args.store} was indexed with embedder {store.embedder!r}, "
+                          f"but the config names {config.providers.embedder!r}")
     llm_spec = args.llm or config.providers.llm
     if not llm_spec:
         raise ValidationError("no LLM provider: pass --llm or set providers.llm in the config")
@@ -165,7 +169,7 @@ def cmd_render(args) -> int:
 
 def cmd_stats(args) -> int:
     store = VectorStore.load(args.store)
-    print(f"videos: {len(store.video_ids())}")
+    print(f"videos: {store.video_count}")
     print(f"sentences: {store.count}")
     print(f"dim: {store.dim}")
     return 0

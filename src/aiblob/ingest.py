@@ -269,6 +269,6 @@ def load_corpus(path: str) -> Corpus:
     it is walked row by row, so a bad record raises ParseError and a repeated
     id ValidationError, each naming the line of the first fault.
     """
-    _header, columns = read_columns(path, CORPUS_FORMAT, CORPUS_VERSION, Sentence, ParseError,
+    _header, columns = read_columns(path, CORPUS_FORMAT, (CORPUS_VERSION,), Sentence, ParseError,
                                     "corpus record", unique="sentence_id")
     return Corpus(*columns)

@@ -122,9 +122,8 @@ def retrieve_candidates(
         hits = store.top_k(vector, config.k_per_query, exclude=excluded,
                            video_cap=config.video_cap)
         for hit in hits:
-            record = hit.record
-            selected.append(Candidate(record.sentence_id, record.video_id, record.text,
-                                      record.start_s, record.end_s, query_index))
+            selected.append(Candidate(hit.sentence_id, hit.video_id, hit.text, hit.start_s,
+                                      hit.end_s, query_index))
             excluded.add(hit.sentence_id)
     return selected
 

@@ -13,41 +13,57 @@ In memory, rows are columns in row order: one C-contiguous little-endian
 float32 matrix (exactly the vectors.bin body, and a zero-copy view of it after
 load) beside plain lists of ids, video ids, texts, start and end times, and an
 id -> row dict. The float64 copy of the matrix is built on the first query and
-dropped by the next insert. Records are built on demand for the rows a caller
-asks for.
+dropped by the next insert. A hit carries its row's metadata, not the vector.
 
-Loading and saving build no per-row object either. meta.jsonl is read as
-columns (util.read_columns: a few large decodes and one check for the whole
-file, and a per-row walk only to name a fault), the vectors.bin body becomes
-the matrix as is, and one dict of the ids gives the id -> row map. Saving
-writes the columns as they are (util.write_columns: each value encoded once,
-blocks of lines set from one line template) and the matrix as the
-vectors.bin body. An insert takes a matrix with its columns the same way, or
-a list of VectorRecord, which is turned into columns first.
+Saving writes the columns (util.write_columns), then the matrix as the
+vectors.bin body, then a SHA-256 of all meta.jsonl bytes. Loading checks the
+vectors.bin header, size and values at once. When the digest matches,
+meta.jsonl is what save wrote: load keeps its bytes and line offsets, and a
+row is decoded, with util.read_columns' row check, when top_k first ranks it
+(its column entries are None until then, and the id -> row dict holds decoded
+rows only). An excluded id not yet decoded, an insert and a save decode every
+row first. Without a digest (version 1) or on a mismatch, meta.jsonl is read
+whole by util.read_columns, so a changed file is refused as it always was.
+Only a meta.jsonl forged together with its digest can hold a faulty row that
+load passes; its fault is raised, naming the line, when the row is first
+used. An insert takes a matrix with its columns, or a list of VectorRecord,
+turned into columns first.
 
-On-disk layout (bit-exact):
-    meta.jsonl   header {"format":"aiblob-store","version":1,"dim":D}, then one
-                 record object per line; line order defines row order.
-    vectors.bin  magic "AIBV" | u32 LE version=1 | u32 LE dim | u64 LE count |
-                 count*dim float32 LE values in meta.jsonl row order.
+On-disk layout (bit-exact), version 2:
+    meta.jsonl   header {"format":"aiblob-store","version":2,"dim":D,
+                 "embedder":E,"videos":V} (E the embedder spec the store was
+                 indexed with, or null; V the number of distinct video ids),
+                 then one record object per line, each line ended by "\n";
+                 line order defines row order.
+    vectors.bin  magic "AIBV" | u32 LE version=2 | u32 LE dim | u64 LE count |
+                 count*dim float32 LE values in meta.jsonl row order |
+                 32-byte SHA-256 of all meta.jsonl bytes, header line included.
+Version 1 is read too: its header has no embedder or videos key, and its
+vectors.bin ends with the values.
 """
 
 from __future__ import annotations
 
+import hashlib
 import operator
 import os
 import struct
 from dataclasses import dataclass
-from typing import NoReturn, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, StoreError, ValidationError
-from .util import atomic_write_bytes, check_field_types, is_int, read_columns, write_columns
+from .util import (atomic_write_bytes, check_field_types, check_header, decode_records, is_int,
+                   is_utf8, parse_json_line, read_columns, write_columns)
 
 STORE_FORMAT = "aiblob-store"
-STORE_VERSION = 1
+STORE_VERSION = 2
+# The versions load reads: version 1 has no digest and no embedder.
+STORE_VERSIONS = (1, STORE_VERSION)
 VECTORS_MAGIC = b"AIBV"
+VECTORS_HEADER = struct.Struct("<4sIIQ")
+DIGEST_SIZE = 32
 META_FILE = "meta.jsonl"
 VECTORS_FILE = "vectors.bin"
 # Metadata fields, in meta.jsonl key order; VectorRecord has the same names.
@@ -66,11 +82,64 @@ class VectorRecord:
     end_s: float
 
 
-@dataclass
-class RetrievalHit:
+class Hit(NamedTuple):
+    """One top_k result: a row's metadata and its score."""
+
     sentence_id: str
     score: float
-    record: VectorRecord
+    video_id: str
+    text: str
+    start_s: float
+    end_s: float
+
+
+@dataclass
+class _SavedMeta:
+    """A meta.jsonl that matches the digest save wrote: its bytes and the offset
+    of each line's "\n", the header line's first."""
+
+    path: str
+    raw: bytes
+    newlines: np.ndarray
+
+    @classmethod
+    def read(cls, path: str, blob: bytes) -> "_SavedMeta | None":
+        """The file at ``path`` if ``blob``, the vectors.bin bytes, ends with the
+        digest of its bytes and counts one row for each of its lines but the
+        header; otherwise None."""
+        if len(blob) < VECTORS_HEADER.size + DIGEST_SIZE:
+            return None
+        magic, version, _dim, count = VECTORS_HEADER.unpack_from(blob)
+        if magic != VECTORS_MAGIC or version != STORE_VERSION:
+            return None
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        if hashlib.sha256(raw).digest() != blob[-DIGEST_SIZE:]:
+            return None
+        newlines = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+        if len(newlines) != count + 1 or newlines[-1] != len(raw) - 1:
+            return None
+        return cls(path, raw, newlines)
+
+    def _line(self, index: int) -> str:
+        """Line ``index`` (0 is the header), without its "\n"."""
+        start = self.newlines[index - 1] + 1 if index else 0
+        try:
+            return self.raw[start:self.newlines[index]].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StoreError(f"{self.path}:{index + 1}: not valid UTF-8 "
+                             f"({exc.reason} at byte {start + exc.start})") from exc
+
+    def header(self) -> dict:
+        header = parse_json_line(self._line(0), self.path, 1)
+        check_header(header, self.path, STORE_FORMAT, STORE_VERSIONS, StoreError)
+        return header
+
+    def columns(self, rows: list[int]) -> tuple[list, ...]:
+        """The META_KEYS columns of ``rows``, checked as util.read_columns checks
+        a file's lines."""
+        return decode_records(VectorRecord, [self._line(row + 1) for row in rows],
+                              [row + 2 for row in rows], self.path, StoreError)
 
 
 class VectorStore:
@@ -80,10 +149,12 @@ class VectorStore:
     insert is in flight. Queries are deterministic regardless of parallelism.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, embedder: str | None = None):
         if dim < 1:
             raise ConfigError(f"store dim must be positive, got {dim}")
         self.dim = dim
+        # The spec of the embedder that made the vectors, when known.
+        self.embedder = embedder
         self._matrix = np.empty((0, dim), dtype="<f4")
         self._rows: dict[str, int] = {}
         self._ids: list[str] = []
@@ -93,6 +164,10 @@ class VectorStore:
         self._ends: list[float] = []
         # The float64 matrix, built by the first top_k after a change.
         self._scoring: np.ndarray | None = None
+        # After a digest-checked load, until _decode_all: the file the undecoded
+        # rows (None in the columns) are read from, and its header's video count.
+        self._meta: _SavedMeta | None = None
+        self._videos = 0
 
     def _columns(self) -> tuple[list, ...]:
         """The metadata columns, in META_KEYS order."""
@@ -102,18 +177,10 @@ class VectorStore:
     def count(self) -> int:
         return len(self._ids)
 
-    def video_ids(self) -> set[str]:
-        return set(self._video_ids)
-
-    def get(self, sentence_id: str) -> VectorRecord:
-        try:
-            return self._record(self._rows[sentence_id])
-        except KeyError:
-            raise StoreError(f"unknown sentence_id {sentence_id}") from None
-
-    def _record(self, row: int) -> VectorRecord:
-        return VectorRecord(self._ids[row], self._matrix[row], self._video_ids[row],
-                            self._texts[row], self._starts[row], self._ends[row])
+    @property
+    def video_count(self) -> int:
+        """The number of distinct video ids."""
+        return self._videos if self._meta is not None else len(set(self._video_ids))
 
     def insert_batch(self, batch: Sequence[VectorRecord] | np.ndarray,
                      columns: Sequence[list] | None = None) -> int:
@@ -156,6 +223,7 @@ class VectorStore:
     def _append(self, matrix: np.ndarray, columns: Sequence[list]) -> None:
         """Append the rows of ``matrix`` with their META_KEYS ``columns``; nothing
         changes unless every row passes."""
+        self._decode_all()
         ids = columns[0]
         finite = np.isfinite(matrix).all(axis=1)
         if not finite.all():
@@ -183,13 +251,33 @@ class VectorStore:
             seen.add(sentence_id)
         raise AssertionError("the id test found a repeat the id walk does not")
 
+    def _decode(self, rows: Iterable[int]) -> None:
+        """Decode those of ``rows`` that a digest-checked load left undecoded."""
+        meta = self._meta
+        if meta is None:
+            return
+        rows = [row for row in rows if self._ids[row] is None]
+        ids, video_ids, texts, starts, ends = meta.columns(rows)
+        for i, row in enumerate(rows):
+            if self._rows.setdefault(ids[i], row) != row:
+                raise ValidationError(f"{meta.path}:{row + 2}: duplicate sentence_id {ids[i]}")
+            self._video_ids[row], self._texts[row], self._starts[row], self._ends[row] = (
+                video_ids[i], texts[i], starts[i], ends[i])
+            # The id last: a reader that finds it set finds the whole row.
+            self._ids[row] = ids[i]
+
+    def _decode_all(self) -> None:
+        if self._meta is not None:
+            self._decode(range(self.count))
+            self._meta = None
+
     def top_k(
         self,
         query: np.ndarray,
         k: int,
         exclude: set[str] | frozenset[str] = frozenset(),
         video_cap: int | None = None,
-    ) -> list[RetrievalHit]:
+    ) -> list[Hit]:
         """Exact top-k by cosine, skipping excluded ids.
 
         Ties break by sentence_id ascending. With video_cap set, at most that
@@ -213,7 +301,13 @@ class VectorStore:
         # A finite query can still overflow against a stored row; NaN never ranks.
         if np.isnan(scores).any():
             raise ValidationError("query vector overflows against the stored vectors (NaN scores)")
-        scores[[row for row in map(self._rows.get, exclude) if row is not None]] = -np.inf
+        excluded = list(map(self._rows.get, exclude))
+        # After a digest-checked load only decoded ids are in the map, and an
+        # excluded id that is not may name an undecoded row.
+        if self._meta is not None and None in excluded:
+            self._decode_all()
+            excluded = list(map(self._rows.get, exclude))
+        scores[[row for row in excluded if row is not None]] = -np.inf
 
         # Rank only the rows scoring at least the m-th best score. Keeping every
         # tie with it makes them a prefix of the full (score desc, id asc)
@@ -224,28 +318,30 @@ class VectorStore:
         while True:
             m = min(m, n)
             floor = np.partition(scores, n - m)[n - m]
-            hits = self._walk(np.flatnonzero(scores >= floor), scores, k, video_cap)
+            # An excluded row is never ranked (nor decoded).
+            ranked = scores > floor if floor == -np.inf else scores >= floor
+            hits = self._walk(np.flatnonzero(ranked), scores, k, video_cap)
             if len(hits) == k or m == n or floor == -np.inf:
                 return hits
             m *= 4
 
     def _walk(self, rows: np.ndarray, scores: np.ndarray, k: int,
-              video_cap: int | None) -> list[RetrievalHit]:
-        """The first k of `rows` by (score desc, id asc), stopping at excluded rows."""
+              video_cap: int | None) -> list[Hit]:
+        """The first k of `rows` by (score desc, id asc)."""
         rows = rows.tolist()
+        self._decode(rows)
         ranked = sorted(zip((-scores[rows]).tolist(), [self._ids[row] for row in rows], rows))
-        hits: list[RetrievalHit] = []
+        hits: list[Hit] = []
         per_video: dict[str, int] = {}
         for negated, sentence_id, row in ranked:
-            if negated == np.inf:
-                break
+            video_id = self._video_ids[row]
             if video_cap is not None:
-                video_id = self._video_ids[row]
                 used = per_video.get(video_id, 0)
                 if used >= video_cap:
                     continue
                 per_video[video_id] = used + 1
-            hits.append(RetrievalHit(sentence_id, -negated, self._record(row)))
+            hits.append(Hit(sentence_id, -negated, video_id, self._texts[row], self._starts[row],
+                            self._ends[row]))
             if len(hits) == k:
                 break
         return hits
@@ -256,13 +352,16 @@ class VectorStore:
 
     def save(self, directory: str) -> dict:
         """Write meta.jsonl + vectors.bin; returns a manifest of what was written."""
+        self._decode_all()
         os.makedirs(directory, exist_ok=True)
         meta_path = os.path.join(directory, META_FILE)
         vectors_path = os.path.join(directory, VECTORS_FILE)
-        meta_header = {"format": STORE_FORMAT, "version": STORE_VERSION, "dim": self.dim}
-        write_columns(meta_path, meta_header, VectorRecord, self._columns())
-        header = VECTORS_MAGIC + struct.pack("<IIQ", STORE_VERSION, self.dim, self.count)
-        atomic_write_bytes(vectors_path, header, self._matrix)
+        meta_header = {"format": STORE_FORMAT, "version": STORE_VERSION, "dim": self.dim,
+                       "embedder": self.embedder, "videos": self.video_count}
+        digest = hashlib.sha256()
+        write_columns(meta_path, meta_header, VectorRecord, self._columns(), digest)
+        header = VECTORS_HEADER.pack(VECTORS_MAGIC, STORE_VERSION, self.dim, self.count)
+        atomic_write_bytes(vectors_path, header, self._matrix, digest.digest())
         return {
             "dim": self.dim,
             "count": self.count,
@@ -278,21 +377,29 @@ class VectorStore:
             if not os.path.exists(path):
                 raise StoreError(f"missing store file: {path}")
 
-        header, columns = read_columns(meta_path, STORE_FORMAT, STORE_VERSION, VectorRecord,
-                                       StoreError)
+        with open(vectors_path, "rb") as handle:
+            blob = handle.read()
+        meta = _SavedMeta.read(meta_path, blob)
+        if meta is None:
+            header, columns = read_columns(meta_path, STORE_FORMAT, STORE_VERSIONS, VectorRecord,
+                                           StoreError)
+            count = len(columns[0])
+        else:
+            header = meta.header()
+            count = len(meta.newlines) - 1
         dim = header.get("dim")
         if not is_int(dim) or dim < 1:
             raise StoreError(f"{meta_path}: bad dim {dim!r}")
-        count = len(columns[0])
+        embedder = header.get("embedder")
+        if embedder is not None and not (isinstance(embedder, str) and is_utf8(embedder)):
+            raise StoreError(f"{meta_path}: bad embedder {embedder!r}")
 
-        with open(vectors_path, "rb") as handle:
-            blob = handle.read()
-        if len(blob) < 20:
+        if len(blob) < VECTORS_HEADER.size:
             raise StoreError(f"{vectors_path}: truncated header")
-        magic, version, bin_dim, bin_count = struct.unpack("<4sIIQ", blob[:20])
+        magic, version, bin_dim, bin_count = VECTORS_HEADER.unpack_from(blob)
         if magic != VECTORS_MAGIC:
             raise StoreError(f"{vectors_path}: bad magic {magic!r}")
-        if version != STORE_VERSION:
+        if version not in STORE_VERSIONS:
             raise StoreError(f"{vectors_path}: unsupported version {version}")
         if bin_dim != dim:
             raise StoreError(f"{vectors_path}: dim {bin_dim} does not match metadata dim {dim}")
@@ -300,11 +407,34 @@ class VectorStore:
             raise StoreError(
                 f"{vectors_path}: count {bin_count} does not match {count} metadata rows"
             )
-        expected_bytes = 20 + bin_count * dim * 4
+        expected_bytes = (VECTORS_HEADER.size + bin_count * dim * 4
+                          + (DIGEST_SIZE if version == STORE_VERSION else 0))
         if len(blob) != expected_bytes:
             raise StoreError(
                 f"{vectors_path}: expected {expected_bytes} bytes, found {len(blob)}"
             )
-        store = cls(dim)
-        store._append(np.frombuffer(blob, "<f4", offset=20).reshape(bin_count, dim), columns)
+        matrix = np.frombuffer(blob, "<f4", bin_count * dim, VECTORS_HEADER.size).reshape(
+            bin_count, dim)
+        store = cls(dim, embedder)
+        if meta is None:
+            store._append(matrix, columns)
+        else:
+            store._adopt(matrix, meta, header.get("videos"))
         return store
+
+    def _adopt(self, matrix: np.ndarray, meta: _SavedMeta, videos) -> None:
+        """Take the rows of a digest-checked load, undecoded, after checking
+        the vectors and the header's video count."""
+        count = len(matrix)
+        if not is_int(videos) or not min(count, 1) <= videos <= count:
+            raise StoreError(f"{meta.path}: bad videos {videos!r}")
+        self._matrix = matrix
+        self._meta = meta
+        self._videos = videos
+        for column in self._columns():
+            column.extend([None] * count)
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            self._decode([row])
+            raise ValidationError(f"record {self._ids[row]}: vector has NaN/Inf")

@@ -6,8 +6,10 @@ assert byte-identical artifacts across runs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+import struct
 
 import pytest
 
@@ -129,6 +131,25 @@ def build_replay_file(path, store: VectorStore, embedder, config: PipelineConfig
             scores.append({"id": sid, "irony": irony, "relevance": relevance, "rationale": ""})
         lines.append(dumps_line({"op": "score", "response": {"scores": scores}}))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def as_version_1(directory):
+    """Rewrite a saved store in version 1's bytes: a header without the embedder
+    and the video count, and no digest after the vectors."""
+    meta = directory / "meta.jsonl"
+    header, rows = meta.read_bytes().split(b"\n", 1)
+    dim = json.loads(header)["dim"]
+    meta.write_bytes(b'{"format":"aiblob-store","version":1,"dim":%d}\n' % dim + rows)
+    vectors = directory / "vectors.bin"
+    blob = vectors.read_bytes()
+    vectors.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:-32])
+
+
+def forge_digest(directory):
+    """Make vectors.bin's digest match meta.jsonl as it is now."""
+    vectors = directory / "vectors.bin"
+    digest = hashlib.sha256((directory / "meta.jsonl").read_bytes()).digest()
+    vectors.write_bytes(vectors.read_bytes()[:-32] + digest)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from typing import Any, Iterable
 
 from aiblob.errors import ParseError, StoreError, ValidationError
 from aiblob.ingest import CORPUS_FORMAT, CORPUS_VERSION, Sentence
-from aiblob.store import META_KEYS, STORE_FORMAT, STORE_VERSION, VectorRecord
+from aiblob.store import META_KEYS, STORE_FORMAT, STORE_VERSIONS, VectorRecord
 from aiblob.util import _atomic_open, dumps_line, from_json, parse_json_line, read_jsonl
 
 _meta_values = operator.attrgetter(*META_KEYS)
@@ -23,7 +23,7 @@ _meta_values = operator.attrgetter(*META_KEYS)
 
 def oracle_load_corpus(path: str) -> list[Sentence]:
     """Read a corpus file back into Sentence records, checking header, fields and unique ids."""
-    _header, lines = read_jsonl(path, CORPUS_FORMAT, CORPUS_VERSION)
+    _header, lines = read_jsonl(path, CORPUS_FORMAT, (CORPUS_VERSION,))
     sentences: list[Sentence] = []
     seen: set[str] = set()
     for lineno, line in enumerate(lines, start=2):
@@ -41,7 +41,7 @@ def oracle_load_corpus(path: str) -> list[Sentence]:
 def oracle_store_rows(meta_path: str) -> list[tuple]:
     """The META_KEYS values of each row of a store's meta.jsonl, checked record by
     record, then id by id as the store's insert checks them."""
-    _header, meta_rows = read_jsonl(meta_path, STORE_FORMAT, STORE_VERSION, StoreError)
+    _header, meta_rows = read_jsonl(meta_path, STORE_FORMAT, STORE_VERSIONS, StoreError)
     rows = []
     for lineno, line in enumerate(meta_rows, start=2):
         rec = from_json(VectorRecord, parse_json_line(line, meta_path, lineno), StoreError,

@@ -17,7 +17,8 @@ from aiblob.ingest import export_corpus
 from aiblob.llm import Candidate
 from aiblob.narrative import PipelineConfig
 from aiblob.store import VectorStore
-from conftest import build_replay_file, fixture_sentences, write_fixture_transcripts
+from conftest import (as_version_1, build_replay_file, fixture_sentences, forge_digest,
+                      write_fixture_transcripts)
 
 
 @pytest.fixture()
@@ -120,6 +121,23 @@ class TestStats:
     def test_missing_store(self, tmp_path, capsys):
         assert main(["stats", "--store", str(tmp_path / "vuoto")]) == 1
         assert "missing" in capsys.readouterr().err
+
+    def test_version_1_store_gives_the_same_counts(self, workspace, capsys):
+        assert main(["stats", "--store", str(workspace / "store")]) == 0
+        version_2 = capsys.readouterr().out
+        as_version_1(workspace / "store")
+        assert main(["stats", "--store", str(workspace / "store")]) == 0
+        assert capsys.readouterr().out == version_2
+
+
+def forge_bad_rows(store):
+    """Give every row of a store a start_s of the wrong type, with a digest that
+    matches the changed meta.jsonl."""
+    meta = store / "meta.jsonl"
+    header, *rows = meta.read_text(encoding="utf-8").split("\n")[:-1]
+    rows = [json.dumps({**json.loads(row), "start_s": "1.5"}) for row in rows]
+    meta.write_text("\n".join([header, *rows, ""]), encoding="utf-8")
+    forge_digest(store)
 
 
 class TestCompose:
@@ -264,6 +282,47 @@ class TestCompose:
         err = capsys.readouterr().err
         assert err.startswith("error: EDL failed validation: ")
         assert "fades exceed duration (1.5+1.5 > " in err
+
+    def test_store_of_another_embedder_refused(self, workspace, capsys):
+        # A remote embedder is configured but never called: the store, indexed
+        # with deterministic:32, is refused first.
+        config = workspace / "remote-config.json"
+        config.write_text(json.dumps({"providers": {
+            "embedder": "remote", "embed_base_url": "http://127.0.0.1:9/embed",
+            "embed_model": "m"}}), encoding="utf-8")
+        capsys.readouterr()  # drop fixture output
+        assert main(["compose", "--store", str(workspace / "store"), "--title", "Il calcio",
+                     "--config", str(config), "--out", str(workspace / "episode"),
+                     "--llm", f"scripted:{workspace / 'replay.jsonl'}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {workspace / 'store'} was indexed with embedder 'deterministic:32', "
+            "but the config names 'remote'\n")
+        assert not (workspace / "episode").exists()
+
+    def test_version_1_store_skips_the_embedder_check(self, workspace, capsys):
+        # The same embedder under another spec: refused by a version 2 store,
+        # which records the spec, and composed as before from a version 1 one.
+        config = workspace / "config.json"
+        config.write_text(config.read_text().replace("deterministic:32", "deterministic:032"),
+                          encoding="utf-8")
+        code, _ = self.compose(workspace)
+        assert code == 1 and "indexed with embedder 'deterministic:32'" in capsys.readouterr().err
+        as_version_1(workspace / "store")
+        code, out = self.compose(workspace)
+        assert code == 0 and (out / "edl.json").exists()
+
+    def test_forged_digest_bad_row_fails_cleanly(self, workspace, capsys):
+        forge_bad_rows(workspace / "store")
+        capsys.readouterr()  # drop fixture output
+        code, out = self.compose(workspace)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: .*meta\.jsonl:\d+: bad record: start_s must be a finite "
+                            r"number, got '1\.5'\n", err)
+        assert not (out / "candidates.jsonl").exists()
+        # stats reads no row.
+        assert main(["stats", "--store", str(workspace / "store")]) == 0
+        assert "videos: 10" in capsys.readouterr().out
 
     def test_missing_llm_spec(self, workspace, capsys):
         code = main([

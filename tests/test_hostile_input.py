@@ -6,7 +6,10 @@ key deleted or renamed. It must either return an object that the next stage can 
 raise AiblobError; any other exception fails the property.
 """
 
+import contextlib
 import copy
+import hashlib
+import io
 import json
 import math
 import struct
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from aiblob.cli import main
 from aiblob.config import load_config
 from aiblob.embeddings import RemoteEmbedder
 from aiblob.errors import AiblobError, ProviderError
@@ -182,6 +186,75 @@ def test_vector_store_load(workdir, meta, vectors):
         hits = store.top_k(query, store.count)
         assert len({h.sentence_id for h in hits}) == store.count
         store.save(str(workdir / "saved"))
+
+
+# A version 2 store, whose meta.jsonl is checked by a digest at the end of
+# vectors.bin. Each mutated meta.jsonl is given a recomputed (forged) digest, so
+# the load takes the digest-checked path and decodes a row only when it is used.
+META_V2 = [
+    {"format": "aiblob-store", "version": 2, "dim": 2, "embedder": "deterministic:2",
+     "videos": 2},
+    *({"sentence_id": f"s{i}", "video_id": f"v{i % 2}", "text": f"frase {i}",
+       "start_s": 2.0 * i, "end_s": 2.0 * i + 1.5} for i in range(4)),
+]
+VECTORS_V2 = b"AIBV" + struct.pack("<IIQ", 2, 2, 4) + np.array(
+    [[0.6, 0.8], [1.0, 0.0], [0.0, 1.0], [0.8, -0.6]], dtype="<f4").tobytes()
+FORGED_CONFIG = {"pipeline": {"k_per_query": 4, "themes": 1, "phrases_per_theme": 1},
+                 "providers": {"embedder": "deterministic:2"},
+                 "media": {"uri_template": "media/{video_id}.mp4"}}
+FORGED_REPLAY = [
+    {"op": "themes", "response": {"themes": ["a"]}},
+    {"op": "queries", "response": {"queries": [{"theme_index": 0, "text": "q"}]}},
+    {"op": "score", "response": {"scores": [{"id": f"s{i}", "irony": 9, "relevance": 9}
+                                            for i in range(4)]}},
+]
+
+
+def forged_store(directory, meta: bytes):
+    directory.mkdir(exist_ok=True)
+    put(directory / "meta.jsonl", meta)
+    put(directory / "vectors.bin", VECTORS_V2 + hashlib.sha256(meta).digest())
+    return directory
+
+
+def cli(argv) -> tuple[int, str]:
+    """``aiblob`` in this process: its exit code and standard error."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(map(str, argv)))
+    return code, err.getvalue()
+
+
+def compose_and_stats(workdir, directory) -> list[tuple[int, str]]:
+    put(workdir / "forged-config.json", dumps(FORGED_CONFIG))
+    put(workdir / "forged-replay.jsonl", lines_of(FORGED_REPLAY))
+    return [cli(["compose", "--store", directory, "--title", "T", "--out", workdir / "forged-ep",
+                 "--config", workdir / "forged-config.json",
+                 "--llm", f"scripted:{workdir / 'forged-replay.jsonl'}"]),
+            cli(["stats", "--store", directory])]
+
+
+def test_forged_store_fixture_composes(workdir):
+    directory = forged_store(workdir / "forged", lines_of(META_V2))
+    assert VectorStore.load(str(directory)).embedder == "deterministic:2"
+    assert compose_and_stats(workdir, directory) == [(0, ""), (0, "")]
+
+
+@FUZZ
+@given(mutated(META_V2).map(lines_of))
+def test_vector_store_with_a_forged_digest(workdir, meta):
+    directory = forged_store(workdir / "forged", meta)
+    store = loaded(lambda: VectorStore.load(str(directory)))
+    if store is not None and store.count:
+        query = np.zeros(store.dim)
+        query[0] = 1.0
+        hits = loaded(lambda: store.top_k(query, store.count))
+        assert hits is None or len({h.sentence_id for h in hits}) == store.count
+        loaded(lambda: store.save(str(workdir / "forged-saved")))
+    for code, err in compose_and_stats(workdir, directory):
+        # One line: a message may hold a character that str.splitlines splits at.
+        assert code == 0 or (code == 1 and err.startswith("error:")
+                             and err.count("\n") == 1), err
 
 
 # -- plan ----------------------------------------------------------------

@@ -288,5 +288,5 @@ def test_column_writer_matches_the_per_row_writer(tmp_path, cls, data):
         write_columns(str(new), header, cls, record_columns(cls, records))
     oracle_write_jsonl(str(old), header, rows)
     assert new.read_bytes() == old.read_bytes()
-    _header, columns = read_columns(str(new), "aiblob-records", 1, cls, ParseError)
+    _header, columns = read_columns(str(new), "aiblob-records", (1,), cls, ParseError)
     assert repr(columns) == repr(tuple([row[name] for row in rows] for name, _ in fields))

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aiblob.embeddings import deterministic_embed
-from aiblob.errors import ConfigError, StoreError, ValidationError
+from aiblob.errors import AiblobError, ConfigError, StoreError, ValidationError
 from aiblob.store import META_KEYS, VectorRecord, VectorStore
+from conftest import as_version_1, forge_digest
 
 
 def brute_force_top_k(records, query, k, exclude=frozenset(), video_cap=None, scores=None):
@@ -100,7 +101,7 @@ class TestInsert:
         record = make_records(1, 8)[0]
         record.start_s, record.end_s = 2, 3
         store.insert_batch([record])
-        got = store.get(record.sentence_id)
+        (got,) = store.top_k(record.vector, 1)
         assert (got.start_s, got.end_s) == (2.0, 3.0) and type(got.start_s) is float
         store.save(str(tmp_path / "store"))
         row = (tmp_path / "store" / "meta.jsonl").read_text(encoding="utf-8").split("\n")[1]
@@ -119,15 +120,23 @@ def columns_of(records):
 
 
 class TestInsertColumns:
-    def test_same_rows_as_records(self):
+    def test_same_rows_as_records(self, tmp_path):
         records = make_records(6, 8)
         store = VectorStore(8)
         assert store.insert_batch(*columns_of(records)) == 6
+        hits = {hit.sentence_id: hit for hit in store.top_k(deterministic_embed("q", 8), 6)}
         for rec in records:
-            got = store.get(rec.sentence_id)
+            got = hits[rec.sentence_id]
             assert (got.video_id, got.text, got.start_s, got.end_s) == (
                 rec.video_id, rec.text, rec.start_s, rec.end_s)
-            assert np.array_equal(got.vector, rec.vector)
+        # The vectors, through the saved bytes: the rows in order, as the records hold them.
+        store.save(str(tmp_path / "columns"))
+        body = (tmp_path / "columns" / "vectors.bin").read_bytes()[20:20 + 6 * 8 * 4]
+        assert body == np.stack([rec.vector for rec in records]).astype("<f4").tobytes()
+        filled_store(6, 8).save(str(tmp_path / "records"))
+        for name in ("meta.jsonl", "vectors.bin"):
+            assert ((tmp_path / "columns" / name).read_bytes()
+                    == (tmp_path / "records" / name).read_bytes())
 
     def test_first_repeated_id_named_and_batch_rejected(self):
         store = filled_store(3, 8)
@@ -194,7 +203,7 @@ class TestTopK:
         store = filled_store(9, 8, video_every=3)  # 3 videos x 3 sentences
         query = deterministic_embed("q", 8)
         hits = store.top_k(query, 9, video_cap=1)
-        videos = [h.record.video_id for h in hits]
+        videos = [h.video_id for h in hits]
         assert len(hits) == 3
         assert len(set(videos)) == 3
         expected = brute_force_top_k(make_records(9, 8, video_every=3), query, 9, video_cap=1)
@@ -303,11 +312,16 @@ class TestPersistence:
         store = filled_store(5, 8)
         store.save(str(tmp_path / "store"))
         loaded = VectorStore.load(str(tmp_path / "store"))
-        original = store.get("s0002")
-        restored = loaded.get("s0002")
+        query = make_records(5, 8)[2].vector
+        original = store.top_k(query, 1)[0]
+        restored = loaded.top_k(query, 1)[0]
+        assert restored.sentence_id == original.sentence_id == "s0002"
         assert (restored.video_id, restored.text, restored.start_s, restored.end_s) == (
             original.video_id, original.text, original.start_s, original.end_s)
-        assert np.array_equal(restored.vector, original.vector)
+        # The vectors, through the bytes the loaded store saves.
+        loaded.save(str(tmp_path / "again"))
+        assert ((tmp_path / "again" / "vectors.bin").read_bytes()
+                == (tmp_path / "store" / "vectors.bin").read_bytes())
 
     def test_load_from_empty_directory(self, tmp_path):
         with pytest.raises(StoreError, match="missing"):
@@ -404,3 +418,169 @@ class TestPersistence:
         meta.write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(ValidationError, match="duplicate sentence_id s0000"):
             VectorStore.load(str(tmp_path / "store"))
+
+
+def edit_line(directory, lineno, edit):
+    """Replace line ``lineno`` (1-based) of meta.jsonl by ``edit`` of its decoded row."""
+    meta = directory / "meta.jsonl"
+    lines = meta.read_text(encoding="utf-8").split("\n")
+    lines[lineno - 1] = json.dumps(edit(json.loads(lines[lineno - 1])))
+    meta.write_text("\n".join(lines), encoding="utf-8")
+
+
+def set_nan(directory, row, dim):
+    vectors = directory / "vectors.bin"
+    data = bytearray(vectors.read_bytes())
+    data[20 + 4 * dim * row:20 + 4 * dim * row + 4] = struct.pack("<f", float("nan"))
+    vectors.write_bytes(bytes(data))
+
+
+def outcome(call):
+    try:
+        return "ok", call()
+    except AiblobError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# Changes to a saved 3-row dim-8 store, each with the message a load gives.
+FAULTS = {
+    "bad type": (lambda d: edit_line(d, 3, lambda row: {**row, "start_s": "1.5"}),
+                 "meta.jsonl:3: bad record: start_s must be a finite number, got '1.5'"),
+    "unknown key": (lambda d: edit_line(d, 3, lambda row: {**row, "speaker": "x"}),
+                    r"meta.jsonl:3: bad record: unknown key\(s\): speaker"),
+    "duplicate id": (lambda d: edit_line(d, 4, lambda row: {**row, "sentence_id": "s0000"}),
+                     "duplicate sentence_id s0000"),
+    "NaN": (lambda d: set_nan(d, 2, 8), "record s0002: vector has NaN/Inf"),
+}
+
+
+class TestDigestCheckedLoad:
+    QUERIES = [deterministic_embed(f"domanda {i}", 8) for i in range(12)]
+
+    @staticmethod
+    def saved(tmp_path, name="store", n=300):
+        directory = tmp_path / name
+        filled_store(n, 8, video_every=7).save(str(directory))
+        return directory
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_a_changed_store_is_refused_as_a_version_1_store_is(self, tmp_path, fault):
+        change, message = FAULTS[fault]
+        directory = self.saved(tmp_path, n=3)
+        change(directory)
+        with pytest.raises(AiblobError, match=message):
+            VectorStore.load(str(directory))
+        version_2 = outcome(lambda: VectorStore.load(str(directory)))
+        as_version_1(directory)
+        assert outcome(lambda: VectorStore.load(str(directory))) == version_2
+
+    def test_version_1_store_answers_as_version_2(self, tmp_path):
+        stores = []
+        for version in (1, 2):
+            directory = self.saved(tmp_path, f"v{version}")
+            if version == 1:
+                as_version_1(directory)
+            stores.append(VectorStore.load(str(directory)))
+        v1, v2 = stores
+        assert (v1.count, v1.dim, v1.video_count) == (v2.count, v2.dim, v2.video_count) == (
+            300, 8, 7)
+        for cap in (None, 2):
+            excluded: set[str] = set()
+            for query in self.QUERIES:
+                hits = v1.top_k(query, 10, exclude=excluded, video_cap=cap)
+                assert v2.top_k(query, 10, exclude=excluded, video_cap=cap) == hits
+                excluded.update(hit.sentence_id for hit in hits)
+        # Saved again, a version 1 store is written as version 2.
+        v1.save(str(tmp_path / "again"))
+        for name in ("meta.jsonl", "vectors.bin"):
+            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "v2" / name).read_bytes()
+
+    @pytest.mark.parametrize("extra", [set(), {"not-in-store"}])
+    def test_excluding_an_undecoded_id_gives_the_full_path_result(self, tmp_path, extra):
+        directory = self.saved(tmp_path)
+        version_1 = tmp_path / "v1"
+        self.saved(tmp_path, "v1")
+        as_version_1(version_1)
+        full = VectorStore.load(str(version_1))
+        for query in self.QUERIES[:4]:
+            # A fresh load has decoded no row, so the best rows are not decoded.
+            exclude = {hit.sentence_id for hit in full.top_k(query, 3)} | extra
+            lazy = VectorStore.load(str(directory))
+            assert (lazy.top_k(query, 10, exclude=exclude)
+                    == full.top_k(query, 10, exclude=exclude))
+
+    @pytest.mark.parametrize("queries", [0, 3])
+    def test_save_of_a_loaded_store_is_byte_identical(self, tmp_path, queries):
+        directory = tmp_path / "store"
+        store = VectorStore(8, embedder="deterministic:8")
+        store.insert_batch(make_records(50, 8))
+        store.save(str(directory))
+        loaded = VectorStore.load(str(directory))
+        for query in self.QUERIES[:queries]:
+            loaded.top_k(query, 5)
+        loaded.save(str(tmp_path / "again"))
+        for name in ("meta.jsonl", "vectors.bin"):
+            assert (tmp_path / "again" / name).read_bytes() == (directory / name).read_bytes()
+
+    def test_embedder_and_video_count_are_recorded(self, tmp_path):
+        store = VectorStore(8, embedder="deterministic:8")
+        store.insert_batch(make_records(20, 8, video_every=6))
+        store.save(str(tmp_path / "store"))
+        header = json.loads((tmp_path / "store" / "meta.jsonl").read_text().split("\n")[0])
+        assert header == {"format": "aiblob-store", "version": 2, "dim": 8,
+                          "embedder": "deterministic:8", "videos": 6}
+        loaded = VectorStore.load(str(tmp_path / "store"))
+        assert (loaded.embedder, loaded.video_count, loaded.count) == ("deterministic:8", 6, 20)
+        as_version_1(tmp_path / "store")
+        loaded = VectorStore.load(str(tmp_path / "store"))
+        assert (loaded.embedder, loaded.video_count, loaded.count) == (None, 6, 20)
+
+    @pytest.mark.parametrize("fault", ["bad type", "unknown key"])
+    def test_forged_digest_row_fault_raised_when_the_row_is_ranked(self, tmp_path, fault):
+        directory = self.saved(tmp_path, n=3)
+        FAULTS[fault][0](directory)
+        forge_digest(directory)
+        store = VectorStore.load(str(directory))
+        with pytest.raises(StoreError, match=FAULTS[fault][1]):
+            store.top_k(self.QUERIES[0], 3)
+
+    def test_forged_digest_duplicate_id_raised_when_both_rows_are_ranked(self, tmp_path):
+        directory = self.saved(tmp_path, n=3)
+        FAULTS["duplicate id"][0](directory)
+        forge_digest(directory)
+        store = VectorStore.load(str(directory))
+        with pytest.raises(ValidationError, match="meta.jsonl:4: duplicate sentence_id s0000"):
+            store.top_k(self.QUERIES[0], 3)
+
+    def test_forged_digest_bad_utf8_raised_as_store_error(self, tmp_path):
+        directory = self.saved(tmp_path, n=3)
+        meta = directory / "meta.jsonl"
+        meta.write_bytes(meta.read_bytes().replace(b"frase numero 1", b"frase \xff numero 1"))
+        forge_digest(directory)
+        store = VectorStore.load(str(directory))
+        with pytest.raises(StoreError, match=r"meta.jsonl:3: not valid UTF-8"):
+            store.top_k(self.QUERIES[0], 3)
+
+    @pytest.mark.parametrize("key,value", [("videos", 4), ("videos", -1), ("videos", "3"),
+                                           ("embedder", 64), ("embedder", "\udc80"), ("dim", 4)])
+    def test_forged_digest_header_fault_raised_at_load(self, tmp_path, key, value):
+        directory = self.saved(tmp_path, n=3)
+        edit_line(directory, 1, lambda header: {**header, key: value})
+        forge_digest(directory)
+        with pytest.raises(StoreError, match=f"bad {key}|dim 8 does not match metadata dim"):
+            VectorStore.load(str(directory))
+
+    def test_insert_after_a_lazy_load(self, tmp_path):
+        directory = self.saved(tmp_path)
+        in_memory = filled_store(300, 8, video_every=7)
+        loaded = VectorStore.load(str(directory))
+        loaded.top_k(self.QUERIES[0], 3)
+        # An undecoded row's id is still a duplicate.
+        with pytest.raises(ValidationError, match="duplicate sentence_id s0299"):
+            loaded.insert_batch(make_records(300, 8, video_every=7)[-1:])
+        extra = make_records(2, 8, prefix="t")
+        for store in (in_memory, loaded):
+            store.insert_batch(extra)
+        assert loaded.count == 302
+        for query in [*self.QUERIES, extra[1].vector]:
+            assert loaded.top_k(query, 10, video_cap=3) == in_memory.top_k(query, 10, video_cap=3)

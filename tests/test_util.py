@@ -149,6 +149,7 @@ def test_from_json_prefixes_the_place_to_an_error_raised_while_building():
     ({"a": 1}, None),
     ({"b": 2}, "f.json: missing key(s): a"),
     ({"a": 1, "c": 3, "d": 4}, "f.json: unknown key(s): c, d"),
+    ({"a": 1, "c\nd": 3, "e\x85": 4, "f g": 5}, "f.json: unknown key(s): 'c\\nd', 'e\\x85', f g"),
     ("ab", "f.json: expected a JSON object, got str"),
 ])
 def test_check_keys(data, message):
