@@ -65,6 +65,13 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _embedder_identity(spec: str, config: AppConfig) -> str:
+    """What a store records of the embedder that made its vectors, and what
+    compose compares it with: a deterministic spec as it is, and a remote
+    embedder with its model ("remote:<embed_model>")."""
+    return f"remote:{config.providers.embed_model}" if spec == "remote" else spec
+
+
 def cmd_index(args) -> int:
     config = load_config(args.config)
     corpus = load_corpus(args.corpus)
@@ -76,7 +83,7 @@ def cmd_index(args) -> int:
         model=config.providers.embed_model,
     )
     vectors = embed_batch(corpus.texts, embedder, input_type=DOCUMENT_INPUT)
-    store = VectorStore(vectors.shape[1], embedder=args.embedder)
+    store = VectorStore(vectors.shape[1], embedder=_embedder_identity(args.embedder, config))
     store.insert_batch(vectors, (corpus.sentence_ids, corpus.video_ids, corpus.texts,
                                  corpus.starts, corpus.ends))
     store.save(args.store)
@@ -107,9 +114,10 @@ def cmd_compose(args) -> int:
         model=config.providers.embed_model,
     )
     # A version 1 store does not say which embedder made it.
-    if store.embedder is not None and store.embedder != config.providers.embedder:
+    identity = _embedder_identity(config.providers.embedder, config)
+    if store.embedder is not None and store.embedder != identity:
         raise ConfigError(f"{args.store} was indexed with embedder {store.embedder!r}, "
-                          f"but the config names {config.providers.embedder!r}")
+                          f"but the config names {identity!r}")
     llm_spec = args.llm or config.providers.llm
     if not llm_spec:
         raise ValidationError("no LLM provider: pass --llm or set providers.llm in the config")

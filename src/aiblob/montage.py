@@ -25,7 +25,7 @@ from .errors import ConfigError, ParseError, RenderError, ValidationError
 from .llm import Candidate
 from .narrative import SECTION_ORDER, NarrativePlan, read_sections
 from .util import (atomic_write_text, bounded, check_field_types, check_keys, from_json,
-                   load_json, write_json)
+                   load_json, shown, write_json)
 
 EDL_FORMAT = "aiblob-edl"
 EDL_VERSION = 1
@@ -120,10 +120,10 @@ def build_edl(
         for sid in plan.sections.get(name, []):
             candidate = by_id.get(sid)
             if candidate is None:
-                raise ValidationError(f"plan references unknown sentence_id {sid}")
+                raise ValidationError(f"plan references unknown sentence_id {shown(sid)}")
             source_uri = source_uri_for(candidate.video_id)
             if not source_uri:
-                raise ValidationError(f"sentence {sid} has no source media uri")
+                raise ValidationError(f"sentence {shown(sid)} has no source media uri")
             clips.append(
                 Clip(
                     source_uri=source_uri,

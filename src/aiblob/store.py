@@ -1,19 +1,22 @@
 """Persistent sentence-level vector store with exact top-k cosine retrieval.
 
 Retrieval is exact (a few hundred thousand sentences is tractable exactly, and
-exactness keeps results reproducible). Scores are computed in float64, one
-matrix-vector product per query, with ties broken by sentence_id ascending.
-Excluded ids score -inf; ids the store does not hold are ignored. Only the
-rows scoring at least the m-th best score are ranked, m = k at first: that
-floor keeps every tie with the m-th score, so the ranked rows are a prefix of
-the full order. When the video cap leaves fewer than k hits among them, m
-grows fourfold and the selection is redone.
+exactness keeps results reproducible). A row's score is
+clip((row.astype(float64) * query).sum(), -1, 1), each row summed alone, so
+equal vectors score equally wherever they sit; ties break by sentence_id
+ascending. Excluded ids are never scored; ids the store does not hold are
+ignored. A float32 matrix-vector product screens every row, within a bound B
+of its score (_bound). With t the m-th best screen, m = k at first, only the
+band of rows screening above t - 2B is scored: every other row scores below
+t - B, so the band rows scoring at least t - B are a prefix of the full
+(score desc, id asc) order, ties included. When the video cap leaves fewer
+than k hits among them, m grows fourfold and the selection is redone.
 
 In memory, rows are columns in row order: one C-contiguous little-endian
 float32 matrix (exactly the vectors.bin body, and a zero-copy view of it after
 load) beside plain lists of ids, video ids, texts, start and end times, and an
-id -> row dict. The float64 copy of the matrix is built on the first query and
-dropped by the next insert. A hit carries its row's metadata, not the vector.
+id -> row dict, and the largest row norm, found as insert and load check that
+every vector is finite. A hit carries its row's metadata, not the vector.
 
 Saving writes the columns (util.write_columns), then the matrix as the
 vectors.bin body, then a SHA-256 of all meta.jsonl bytes. Loading checks the
@@ -31,8 +34,9 @@ turned into columns first.
 
 On-disk layout (bit-exact), version 2:
     meta.jsonl   header {"format":"aiblob-store","version":2,"dim":D,
-                 "embedder":E,"videos":V} (E the embedder spec the store was
-                 indexed with, or null; V the number of distinct video ids),
+                 "embedder":E,"videos":V} (E what the store was indexed
+                 with, e.g. "deterministic:64" or "remote:<model>", or null;
+                 V the number of distinct video ids),
                  then one record object per line, each line ended by "\n";
                  line order defines row order.
     vectors.bin  magic "AIBV" | u32 LE version=2 | u32 LE dim | u64 LE count |
@@ -45,6 +49,7 @@ vectors.bin ends with the values.
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 import os
 import struct
@@ -55,7 +60,7 @@ import numpy as np
 
 from .errors import ConfigError, StoreError, ValidationError
 from .util import (atomic_write_bytes, check_field_types, check_header, decode_records, is_int,
-                   is_utf8, parse_json_line, read_columns, write_columns)
+                   is_utf8, parse_json_line, read_columns, shown, write_columns)
 
 STORE_FORMAT = "aiblob-store"
 STORE_VERSION = 2
@@ -162,8 +167,8 @@ class VectorStore:
         self._texts: list[str] = []
         self._starts: list[float] = []
         self._ends: list[float] = []
-        # The float64 matrix, built by the first top_k after a change.
-        self._scoring: np.ndarray | None = None
+        # The largest row norm (_max_norm).
+        self._norm = 0.0
         # After a digest-checked load, until _decode_all: the file the undecoded
         # rows (None in the columns) are read from, and its header's video count.
         self._meta: _SavedMeta | None = None
@@ -214,10 +219,10 @@ class VectorStore:
             if arr.shape != (self.dim,):
                 got = arr.shape[0] if arr.ndim == 1 else arr.shape
                 raise ConfigError(
-                    f"record {rec.sentence_id}: vector dim {got} does not match store dim {self.dim}"
-                )
+                    f"record {shown(rec.sentence_id)}: vector dim {got} does not match store dim "
+                    f"{self.dim}")
             matrix[i] = arr
-            check_field_types(rec, ValidationError, f"record {rec.sentence_id}")
+            check_field_types(rec, ValidationError, f"record {shown(rec.sentence_id)}")
         return matrix, [list(map(operator.attrgetter(key), records)) for key in META_KEYS]
 
     def _append(self, matrix: np.ndarray, columns: Sequence[list]) -> None:
@@ -225,9 +230,9 @@ class VectorStore:
         changes unless every row passes."""
         self._decode_all()
         ids = columns[0]
-        finite = np.isfinite(matrix).all(axis=1)
-        if not finite.all():
-            raise ValidationError(f"record {ids[int(np.argmin(finite))]}: vector has NaN/Inf")
+        norm, faulty = _max_norm(matrix)
+        if faulty is not None:
+            raise ValidationError(f"record {shown(ids[faulty])}: vector has NaN/Inf")
         new_rows = dict(zip(ids, range(self.count, self.count + len(ids))))
         if len(new_rows) != len(ids) or not self._rows.keys().isdisjoint(new_rows):
             self._raise_duplicate(ids)
@@ -239,7 +244,7 @@ class VectorStore:
             self._rows = new_rows
         for column, values in zip(self._columns(), columns):
             column.extend(values)
-        self._scoring = None
+        self._norm = max(self._norm, norm)
 
     def _raise_duplicate(self, ids: Sequence[str]) -> NoReturn:
         """Raise for the first of ``ids`` that is stored or repeats an earlier one.
@@ -247,7 +252,7 @@ class VectorStore:
         seen: set[str] = set()
         for sentence_id in ids:
             if sentence_id in self._rows or sentence_id in seen:
-                raise ValidationError(f"duplicate sentence_id {sentence_id}")
+                raise ValidationError(f"duplicate sentence_id {shown(sentence_id)}")
             seen.add(sentence_id)
         raise AssertionError("the id test found a repeat the id walk does not")
 
@@ -260,7 +265,8 @@ class VectorStore:
         ids, video_ids, texts, starts, ends = meta.columns(rows)
         for i, row in enumerate(rows):
             if self._rows.setdefault(ids[i], row) != row:
-                raise ValidationError(f"{meta.path}:{row + 2}: duplicate sentence_id {ids[i]}")
+                raise ValidationError(
+                    f"{meta.path}:{row + 2}: duplicate sentence_id {shown(ids[i])}")
             self._video_ids[row], self._texts[row], self._starts[row], self._ends[row] = (
                 video_ids[i], texts[i], starts[i], ends[i])
             # The id last: a reader that finds it set finds the whole row.
@@ -294,43 +300,61 @@ class VectorStore:
         if not self._ids:
             return []
 
-        # Scores in float64 so ranking is insensitive to accumulation order.
-        if self._scoring is None:
-            self._scoring = self._matrix.astype(np.float64)
-        scores = np.clip(self._scoring @ q, -1.0, 1.0)
-        # A finite query can still overflow against a stored row; NaN never ranks.
-        if np.isnan(scores).any():
-            raise ValidationError("query vector overflows against the stored vectors (NaN scores)")
         excluded = list(map(self._rows.get, exclude))
         # After a digest-checked load only decoded ids are in the map, and an
         # excluded id that is not may name an undecoded row.
         if self._meta is not None and None in excluded:
             self._decode_all()
             excluded = list(map(self._rows.get, exclude))
-        scores[[row for row in excluded if row is not None]] = -np.inf
+        bound = self._bound(q)
+        # Held in float64, the screen compares with t - 2B and t - B exactly.
+        screen = (self._matrix @ q.astype(np.float32)).astype(np.float64) if bound < math.inf \
+            else np.zeros(self.count)
+        screen[[row for row in excluded if row is not None]] = -np.inf
 
-        # Rank only the rows scoring at least the m-th best score. Keeping every
-        # tie with it makes them a prefix of the full (score desc, id asc)
-        # order, so their walk is exact. While the cap leaves fewer than k hits,
-        # m grows until every row that is not excluded has been ranked.
-        n = len(scores)
+        # While the cap leaves fewer than k hits, m grows until every row that
+        # is not excluded has been ranked. An excluded row is never scored.
+        n = len(screen)
         m = k
         while True:
             m = min(m, n)
-            floor = np.partition(scores, n - m)[n - m]
-            # An excluded row is never ranked (nor decoded).
-            ranked = scores > floor if floor == -np.inf else scores >= floor
-            hits = self._walk(np.flatnonzero(ranked), scores, k, video_cap)
+            floor = np.partition(screen, n - m)[n - m]
+            band = np.flatnonzero(screen > floor - 2 * bound)
+            scores = np.clip((self._matrix[band].astype(np.float64) * q).sum(axis=1), -1.0, 1.0)
+            # A finite query can still overflow against a stored row; NaN never ranks.
+            if np.isnan(scores).any():
+                raise ValidationError(
+                    "query vector overflows against the stored vectors (NaN scores)")
+            ranked = scores >= floor - bound
+            hits = self._walk(band[ranked], scores[ranked], k, video_cap)
             if len(hits) == k or m == n or floor == -np.inf:
                 return hits
             m *= 4
 
+    def _bound(self, q: np.ndarray) -> float:
+        """A bound, rounded up, on |screen - score| for every row; inf, so that
+        the band is every row, when the float32 screen cannot hold ``q``.
+
+        The screen rounds q, then d products summed in any order (a BLAS may
+        split the sum): (d + 2) * 2**-24 of reach = max row norm * |q|, plus
+        2**-149 per product or q entry lost to underflow. The 1% rounding up
+        covers the score's float64 error and that of B and t - B. The clip
+        moves a score by at most how far reach exceeds 1.
+        """
+        d = self.dim
+        size = math.hypot(*q.tolist())
+        reach = self._norm * size
+        if not (size < 2.0 ** 127 and reach < 2.0 ** 127):
+            return math.inf
+        error = (d + 2) * 2.0 ** -24 * reach + (d + math.sqrt(d) * self._norm) * 2.0 ** -149
+        return 1.01 * error + max(reach - 1.0, 0.0)
+
     def _walk(self, rows: np.ndarray, scores: np.ndarray, k: int,
               video_cap: int | None) -> list[Hit]:
-        """The first k of `rows` by (score desc, id asc)."""
+        """The first k of ``rows``, scored ``scores``, by (score desc, id asc)."""
         rows = rows.tolist()
         self._decode(rows)
-        ranked = sorted(zip((-scores[rows]).tolist(), [self._ids[row] for row in rows], rows))
+        ranked = sorted(zip((-scores).tolist(), [self._ids[row] for row in rows], rows))
         hits: list[Hit] = []
         per_video: dict[str, int] = {}
         for negated, sentence_id, row in ranked:
@@ -433,8 +457,22 @@ class VectorStore:
         self._videos = videos
         for column in self._columns():
             column.extend([None] * count)
-        finite = np.isfinite(matrix).all(axis=1)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            self._decode([row])
-            raise ValidationError(f"record {self._ids[row]}: vector has NaN/Inf")
+        self._norm, faulty = _max_norm(matrix)
+        if faulty is not None:
+            self._decode([faulty])
+            raise ValidationError(f"record {shown(self._ids[faulty])}: vector has NaN/Inf")
+
+
+def _max_norm(matrix: np.ndarray) -> tuple[float, int | None]:
+    """A bound on the row norms of a float32 ``matrix`` and None, or NaN and the
+    first row holding NaN/Inf. The squares' float32 sum errs by at most d * 2**-24
+    of it plus 2**-149 per square; it is not finite for a row holding NaN/Inf or
+    one of entries beyond about 1.8e19, and then the bound is inf."""
+    d = matrix.shape[1]
+    squares = np.einsum("ij,ij->i", matrix, matrix)
+    over = np.flatnonzero(~np.isfinite(squares))
+    finite = np.isfinite(matrix[over]).all(axis=1)
+    if not finite.all():
+        return math.nan, int(over[np.argmin(finite)])
+    top = float(squares.max(initial=0.0))
+    return math.sqrt((top + d * 2.0 ** -149) * (1 + d * 2.0 ** -23)), None

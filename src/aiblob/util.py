@@ -258,7 +258,7 @@ def _walk_rows(lines: list[str], linenos: Iterable[int], path: str, cls,
         if unique is not None:
             value = getattr(record, unique)
             if value in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate {unique} {value}")
+                raise ValidationError(f"{path}:{lineno}: duplicate {unique} {shown(value)}")
             seen.add(value)
         records.append(record)
     return tuple([getattr(record, name) for record in records] for name in names)
@@ -334,6 +334,13 @@ def is_utf8(text: str) -> bool:
     except UnicodeEncodeError:
         return False
     return True
+
+
+def shown(value: Any) -> str:
+    """``value`` (an id or a key) as an error message shows it: a printable string
+    as it is, anything else by repr, so that a line break or another unprintable
+    character cannot split the message over two lines."""
+    return value if isinstance(value, str) and value.isprintable() else repr(value)
 
 
 def is_int(value: Any) -> bool:
@@ -415,10 +422,7 @@ def check_keys(data: Any, names: Collection[str], error: type[AiblobError], wher
         raise error(f"{where}: expected a JSON object, got {type(data).__name__}")
     unknown = sorted(data.keys() - set(names))
     if unknown:
-        # A name with a line break or another unprintable character is quoted,
-        # so that the message stays on one line.
-        shown = (name if name.isprintable() else repr(name) for name in unknown)
-        raise error(f"{where}: unknown key(s): {', '.join(shown)}")
+        raise error(f"{where}: unknown key(s): {', '.join(map(shown, unknown))}")
     missing = [name for name in names if name not in data and name not in optional]
     if missing:
         raise error(f"{where}: missing key(s): {', '.join(missing)}")

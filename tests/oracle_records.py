@@ -21,6 +21,11 @@ from aiblob.util import _atomic_open, dumps_line, from_json, parse_json_line, re
 _meta_values = operator.attrgetter(*META_KEYS)
 
 
+def _shown(sentence_id: str) -> str:
+    """An id as an error message shows it: quoted by repr unless printable."""
+    return sentence_id if sentence_id.isprintable() else repr(sentence_id)
+
+
 def oracle_load_corpus(path: str) -> list[Sentence]:
     """Read a corpus file back into Sentence records, checking header, fields and unique ids."""
     _header, lines = read_jsonl(path, CORPUS_FORMAT, (CORPUS_VERSION,))
@@ -31,7 +36,7 @@ def oracle_load_corpus(path: str) -> list[Sentence]:
                              f"{path}:{lineno}: bad corpus record")
         if sentence.sentence_id in seen:
             raise ValidationError(
-                f"{path}:{lineno}: duplicate sentence_id {sentence.sentence_id}"
+                f"{path}:{lineno}: duplicate sentence_id {_shown(sentence.sentence_id)}"
             )
         seen.add(sentence.sentence_id)
         sentences.append(sentence)
@@ -50,7 +55,7 @@ def oracle_store_rows(meta_path: str) -> list[tuple]:
     seen: set[str] = set()
     for row in rows:
         if row[0] in seen:
-            raise ValidationError(f"duplicate sentence_id {row[0]}")
+            raise ValidationError(f"duplicate sentence_id {_shown(row[0])}")
         seen.add(row[0])
     return rows
 

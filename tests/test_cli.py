@@ -12,7 +12,8 @@ import pytest
 import aiblob
 from aiblob.cli import build_parser, main
 from aiblob.errors import ParseError
-from aiblob.embeddings import DeterministicEmbedder, make_embedder
+from aiblob import embeddings
+from aiblob.embeddings import DeterministicEmbedder, deterministic_embed, make_embedder
 from aiblob.ingest import export_corpus
 from aiblob.llm import Candidate
 from aiblob.narrative import PipelineConfig
@@ -296,7 +297,7 @@ class TestCompose:
                      "--llm", f"scripted:{workspace / 'replay.jsonl'}"]) == 1
         assert capsys.readouterr().err == (
             f"error: {workspace / 'store'} was indexed with embedder 'deterministic:32', "
-            "but the config names 'remote'\n")
+            "but the config names 'remote:m'\n")
         assert not (workspace / "episode").exists()
 
     def test_version_1_store_skips_the_embedder_check(self, workspace, capsys):
@@ -310,6 +311,36 @@ class TestCompose:
         as_version_1(workspace / "store")
         code, out = self.compose(workspace)
         assert code == 0 and (out / "edl.json").exists()
+
+    def test_store_of_another_remote_model_refused(self, workspace, capsys, monkeypatch):
+        # Two remote models of the same dim: the store records the one that
+        # indexed it, and a compose configured with the other is refused.
+        def reply(url, payload, headers, timeout):
+            return {"embeddings": [deterministic_embed(text, 32).tolist()
+                                   for text in payload["texts"]]}
+        monkeypatch.setattr(embeddings, "post_json", reply)
+        configs = {}
+        for model in ("modello-a", "modello-b"):
+            configs[model] = workspace / f"{model}.json"
+            configs[model].write_text(json.dumps({
+                "pipeline": {"k_per_query": 10},
+                "providers": {"embedder": "remote", "embed_base_url": "http://127.0.0.1:9/embed",
+                              "embed_model": model},
+                "media": {"uri_template": "media/{video_id}.mp4"}}), encoding="utf-8")
+        store = workspace / "remote-store"
+        assert main(["index", "--corpus", str(workspace / "corpus.jsonl"), "--store", str(store),
+                     "--embedder", "remote", "--config", str(configs["modello-a"])]) == 0
+        assert VectorStore.load(str(store)).embedder == "remote:modello-a"
+        capsys.readouterr()
+        for model, code in (("modello-b", 1), ("modello-a", 0)):
+            assert main(["compose", "--store", str(store), "--title", "Il calcio",
+                         "--config", str(configs[model]), "--out", str(workspace / model),
+                         "--llm", f"scripted:{workspace / 'replay.jsonl'}"]) == code
+        assert capsys.readouterr().err == (
+            f"error: {store} was indexed with embedder 'remote:modello-a', "
+            "but the config names 'remote:modello-b'\n")
+        assert not (workspace / "modello-b").exists()
+        assert (workspace / "modello-a" / "edl.json").exists()
 
     def test_forged_digest_bad_row_fails_cleanly(self, workspace, capsys):
         forge_bad_rows(workspace / "store")

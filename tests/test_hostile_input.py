@@ -23,12 +23,13 @@ from aiblob.cli import main
 from aiblob.config import load_config
 from aiblob.embeddings import RemoteEmbedder
 from aiblob.errors import AiblobError, ProviderError
-from aiblob.ingest import Sentence, load_corpus, parse_transcript, segment_sentences
+from aiblob.ingest import Sentence, export_corpus, load_corpus, parse_transcript, segment_sentences
 from aiblob.llm import OPS, Candidate, ScriptedProvider, _score_entries
 from aiblob.montage import RenderSettings, build_edl, load_edl, render
 from aiblob.narrative import SECTION_ORDER, NarrativePlan, load_plan
-from aiblob.store import VectorStore
+from aiblob.store import VectorRecord, VectorStore
 from aiblob.util import is_int, is_utf8
+from conftest import forge_digest
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -389,3 +390,74 @@ def test_remote_embedder(reply):
         assert matrix.dtype == np.float32 and matrix.shape == (2, provider.dim)
         norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
         assert np.all(np.abs(norms - 1.0) <= 1e-5)
+
+
+# -- ids in error messages -----------------------------------------------
+
+# A JSON escape can put a line break in an id; an error naming the id shows it
+# by repr, so the message stays on one line.
+LINE_BREAKING_IDS = ["a\nb", "a\x85b"]
+
+
+def _record(sentence_id, vector=(0.6, 0.8)):
+    return VectorRecord(sentence_id, np.array(vector, np.float32), "v", "t", 0.0, 1.0)
+
+
+def _saved_store(directory, records):
+    store = VectorStore(2)
+    store.insert_batch(records)
+    store.save(str(directory))
+    return directory
+
+
+def _duplicate_in_corpus(directory, sid):
+    path = str(directory / "corpus.jsonl")
+    export_corpus([Sentence(sid, "v", i, "t", 0.0, 1.0) for i in range(2)], path)
+    load_corpus(path)
+
+
+def _duplicate_at_insert(directory, sid):
+    VectorStore(2).insert_batch([_record(sid), _record(sid)])
+
+
+def _duplicate_at_lazy_decode(directory, sid):
+    directory = _saved_store(directory, [_record(sid), _record("b")])
+    meta = directory / "meta.jsonl"
+    meta.write_text(meta.read_text(encoding="utf-8").replace('"b"', json.dumps(sid)),
+                    encoding="utf-8")
+    forge_digest(directory)
+    VectorStore.load(str(directory)).top_k(np.array([0.6, 0.8]), 2)
+
+
+def _nan_at_insert(directory, sid):
+    VectorStore(2).insert_batch([_record(sid, (math.nan, 1.0))])
+
+
+def _nan_at_load(directory, sid):
+    directory = _saved_store(directory, [_record(sid)])
+    vectors = directory / "vectors.bin"
+    data = bytearray(vectors.read_bytes())
+    data[20:24] = struct.pack("<f", math.nan)
+    vectors.write_bytes(bytes(data))
+    VectorStore.load(str(directory))
+
+
+def _unknown_id_in_plan(directory, sid):
+    build_edl(NarrativePlan("T", {"introduction": [sid]}), [], RenderSettings(),
+              lambda video_id: "media.mp4")
+
+
+@pytest.mark.parametrize("sid", LINE_BREAKING_IDS)
+@pytest.mark.parametrize("site,message", [
+    (_duplicate_in_corpus, "corpus.jsonl:3: duplicate sentence_id {}"),
+    (_duplicate_at_insert, "duplicate sentence_id {}"),
+    (_duplicate_at_lazy_decode, "meta.jsonl:3: duplicate sentence_id {}"),
+    (_nan_at_insert, "record {}: vector has NaN/Inf"),
+    (_nan_at_load, "record {}: vector has NaN/Inf"),
+    (_unknown_id_in_plan, "plan references unknown sentence_id {}"),
+])
+def test_an_id_that_breaks_lines_is_quoted(tmp_path, site, message, sid):
+    with pytest.raises(AiblobError) as caught:
+        site(tmp_path, sid)
+    assert str(caught.value).endswith(message.format(repr(sid)))
+    assert len(str(caught.value).splitlines()) == 1

@@ -42,6 +42,26 @@ def brute_force_top_k(records, query, k, exclude=frozenset(), video_cap=None, sc
     return hits
 
 
+def row_scores(records, query):
+    """The scores top_k ranks by: each row's float64 dot with the query, summed
+    alone, then clipped to [-1, 1]."""
+    query = np.asarray(query, dtype=np.float64)
+    return [min(1.0, max(-1.0, float((rec.vector.astype(np.float64) * query).sum())))
+            for rec in records]
+
+
+def assert_exact(records, query, k, exclude=frozenset(), video_cap=None):
+    """Assert that top_k over ``records`` equals the exhaustive walk over
+    row_scores, bit for bit; return its hits."""
+    store = VectorStore(len(records[0].vector))
+    store.insert_batch(records)
+    hits = [(h.sentence_id, h.score) for h in store.top_k(query, k, exclude=exclude,
+                                                               video_cap=video_cap)]
+    scores = row_scores(records, query)
+    assert hits == brute_force_top_k(records, query, k, exclude, video_cap, scores=scores)
+    return hits
+
+
 def make_records(n, dim, prefix="s", video_every=3, distinct=None):
     """n records over video_every videos; with `distinct`, only that many vectors."""
     records = []
@@ -264,24 +284,120 @@ class TestTopK:
     @settings(max_examples=150, deadline=None)
     def test_exactness_property(self, n, k, seed, distinct, excluded_pct, videos, video_cap):
         records = make_records(n, 8, video_every=videos, distinct=distinct)
-        store = VectorStore(8)
-        store.insert_batch(records)
         query = deterministic_embed(f"query {seed}", 8)
         excluded = random.Random(seed).sample(records, n * excluded_pct // 100)
         exclude = {r.sentence_id for r in excluded} | {"not-in-store"}
-        hits = [(h.sentence_id, h.score) for h in store.top_k(query, k, exclude=exclude,
-                                                                   video_cap=video_cap)]
-        # The exhaustive walk over the same float64 product scores must agree
-        # bit for bit. The python-level dot products sum in another order and
-        # can differ from them in the last place; so can the product's scores
-        # of two identical vectors in different rows, so ids are compared with
-        # the loop oracle only through their scores.
-        matrix = np.stack([r.vector for r in records]).astype(np.float64)
-        scores = np.clip(matrix @ np.asarray(query, dtype=np.float64), -1.0, 1.0)
-        assert hits == brute_force_top_k(records, query, k, exclude, video_cap, scores=scores)
+        # The exhaustive walk over the row-independent float64 scores must agree
+        # bit for bit, equal vectors included. The python-level dot products
+        # sum in another order and can differ from them in the last place, so
+        # ids are compared with the loop oracle only through their scores.
+        hits = assert_exact(records, query, k, exclude, video_cap)
         expected = brute_force_top_k(records, query, k, exclude=exclude, video_cap=video_cap)
         assert [score for _, score in hits] == pytest.approx([score for _, score in expected],
                                                               abs=1e-12)
+
+    @given(
+        n=st.integers(min_value=1, max_value=299).filter(lambda n: n % 4),
+        k=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=10_000),
+        distinct=st.integers(min_value=1, max_value=4),
+        excluded_pct=st.integers(min_value=0, max_value=90),
+        video_cap=st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_exactness_on_duplicate_heavy_wide_stores(self, n, k, seed, distinct, excluded_pct,
+                                                      video_cap):
+        # At dim 384, with few distinct vectors and a size that is not a
+        # multiple of 4: the order among equal vectors is the id order.
+        records = make_records(n, 384, video_every=5, distinct=distinct)
+        excluded = random.Random(seed).sample(records, n * excluded_pct // 100)
+        assert_exact(records, deterministic_embed(f"query {seed}", 384), k,
+                     {r.sentence_id for r in excluded}, video_cap)
+
+    def test_equal_vectors_tie_by_id_wherever_they_sit(self):
+        # Rows 1, 3 and 5 hold one vector: a product over the whole matrix
+        # scored row 5 apart from rows 1 and 3 in the last place.
+        store = filled_store(6, 8, video_every=1, distinct=2)
+        hits = store.top_k(deterministic_embed("query 134", 8), 3)
+        assert [h.sentence_id for h in hits] == ["s0001", "s0003", "s0005"]
+        assert len({h.score for h in hits}) == 1
+
+    @pytest.mark.parametrize("dim", [8, 13, 64, 384])
+    def test_one_vector_scores_the_same_wherever_it_sits(self, dim):
+        # numpy does not promise that a row's sum is independent of the rows
+        # gathered with it; the documented tie-break needs it to be.
+        vector = deterministic_embed("la stessa frase", dim)
+        query = deterministic_embed("una domanda", dim)
+        single = VectorStore(dim)
+        single.insert_batch([VectorRecord("a", vector, "v", "t", 0.0, 1.0)])
+        (alone,) = single.top_k(query, 1)
+        for n in range(1, 42, 2):
+            records = make_records(n, dim, video_every=4)
+            for rec in records[::3]:
+                rec.vector = vector
+            store = VectorStore(dim)
+            store.insert_batch(records)
+            copies = {rec.sentence_id for rec in records[::3]}
+            for k in (1, len(copies), n):
+                scores = {h.score for h in store.top_k(query, k) if h.sentence_id in copies}
+                assert scores <= {alone.score}
+
+    @given(
+        n=st.integers(min_value=1, max_value=200),
+        dim=st.sampled_from([8, 64]),
+        spread=st.integers(min_value=-9, max_value=-5),
+        scales=st.sampled_from([(1.0, 1.0), (1.0, 1e-40), (1e3, 1e-3)]),
+        k=st.integers(min_value=1, max_value=20),
+        seed=st.integers(min_value=0, max_value=10_000),
+        video_cap=st.one_of(st.none(), st.integers(min_value=1, max_value=2)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_near_ties_within_the_bound(self, n, dim, spread, scales, k, seed, video_cap):
+        # Rows 10**spread apart around one vector: their scores differ by less
+        # than the screen's error, so only the float64 scores order them. A
+        # query scaled into float32's subnormal range has a screen that is
+        # mostly underflow; long rows and a short query make the same scores
+        # with a larger screen error.
+        row_scale, query_scale = scales
+        rng = np.random.default_rng(seed)
+        base = deterministic_embed(f"vicino {seed}", dim).astype(np.float64)
+        records = make_records(n, dim, video_every=4)
+        for rec in records:
+            rec.vector = ((base + 10.0 ** spread * rng.standard_normal(dim))
+                          * row_scale).astype(np.float32)
+        query = (base + 10.0 ** spread * rng.standard_normal(dim)) * query_scale
+        excluded = random.Random(seed).sample(records, n // 3)
+        assert_exact(records, query, k, {r.sentence_id for r in excluded}, video_cap)
+
+    def test_every_score_clipped(self):
+        # A query three times as long as the rows, which all lie near it: every
+        # row screens near 3 and scores 1, so only the ids order them.
+        base = deterministic_embed("vicino", 16)
+        records = make_records(23, 16)
+        for i, rec in enumerate(records):
+            rec.vector = (base + 1e-3 * deterministic_embed(f"rumore {i}", 16)).astype(np.float32)
+        for k in (1, 5, 23):
+            hits = assert_exact(records, 3.0 * base.astype(np.float64), k)
+            assert hits == [(f"s{i:04d}", 1.0) for i in range(k)]
+
+    @pytest.mark.parametrize("row_scale,query_scale", [
+        (1.0, 1e39),  # a finite query beyond the float32 range: the band is every row
+        (1.0, 3.0),  # a query that is not unit length: the clip saturates
+        (None, 1.0),  # rows that are not unit length
+        (None, 1e-3),
+        (1.0, 1e-40),  # a query in float32's subnormal range
+    ])
+    def test_band_edges(self, row_scale, query_scale):
+        rng = np.random.default_rng(3)
+        records = make_records(203, 16, video_every=5, distinct=60)
+        for rec in records:
+            scale = 10.0 ** rng.uniform(-3, 3) if row_scale is None else row_scale
+            rec.vector = (rec.vector * scale).astype(np.float32)
+        query = deterministic_embed("domanda", 16).astype(np.float64) * query_scale
+        exclude = {rec.sentence_id for rec in records[::7]}
+        for k in (1, 10, 203):
+            for cap in (None, 1):
+                assert_exact(records, query, k, exclude, cap)
 
     def test_exactness_at_two_thousand_records(self):
         records = make_records(2000, 16)
@@ -401,14 +517,27 @@ class TestPersistence:
         with pytest.raises(StoreError, match=message):
             VectorStore.load(str(tmp_path / "store"))
 
-    def test_nan_in_vectors_rejected_on_load(self, tmp_path):
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nan_in_vectors_rejected_on_load(self, tmp_path, value):
         filled_store(3, 8).save(str(tmp_path / "store"))
         path = tmp_path / "store" / "vectors.bin"
         data = bytearray(path.read_bytes())
-        data[20 + 4 * 8 * 2 + 12:20 + 4 * 8 * 2 + 16] = struct.pack("<f", float("nan"))
+        data[20 + 4 * 8 * 2 + 12:20 + 4 * 8 * 2 + 16] = struct.pack("<f", value)
         path.write_bytes(bytes(data))
         with pytest.raises(ValidationError, match="s0002.*NaN"):
             VectorStore.load(str(tmp_path / "store"))
+
+    def test_largest_finite_vectors_load(self, tmp_path):
+        # The load's finiteness check sums squares: finite rows never overflow it.
+        records = make_records(3, 8)
+        records[1].vector = np.full(8, np.finfo(np.float32).max, np.float32)
+        store = VectorStore(8)
+        store.insert_batch(records)
+        store.save(str(tmp_path / "store"))
+        query = deterministic_embed("q", 8)
+        loaded = VectorStore.load(str(tmp_path / "store"))
+        assert loaded.top_k(query, 3) == store.top_k(query, 3)
+        assert_exact(records, query, 3)
 
     def test_duplicate_id_rejected_on_load(self, tmp_path):
         filled_store(3, 8).save(str(tmp_path / "store"))
