@@ -13,24 +13,25 @@ t - B, so the band rows scoring at least t - B are a prefix of the full
 than k hits among them, m grows fourfold and the selection is redone.
 
 In memory, rows are columns in row order: one C-contiguous little-endian
-float32 matrix (exactly the vectors.bin body, and a zero-copy view of it after
+float32 matrix (exactly the vectors.bin body, read into an array of its own at
 load) beside plain lists of ids, video ids, texts, start and end times, and an
 id -> row dict, and the largest row norm, found as insert and load check that
 every vector is finite. A hit carries its row's metadata, not the vector.
 
 Saving writes the columns (util.write_columns), then the matrix as the
-vectors.bin body, then a SHA-256 of all meta.jsonl bytes. Loading checks the
-vectors.bin header, size and values at once. When the digest matches,
-meta.jsonl is what save wrote: load keeps its bytes and line offsets, and a
-row is decoded, with util.read_columns' row check, when top_k first ranks it
-(its column entries are None until then, and the id -> row dict holds decoded
-rows only). An excluded id not yet decoded, an insert and a save decode every
-row first. Without a digest (version 1) or on a mismatch, meta.jsonl is read
-whole by util.read_columns, so a changed file is refused as it always was.
-Only a meta.jsonl forged together with its digest can hold a faulty row that
-load passes; its fault is raised, naming the line, when the row is first
-used. An insert takes a matrix with its columns, or a list of VectorRecord,
-turned into columns first.
+vectors.bin body, then a SHA-256 of all meta.jsonl bytes. Loading reads each
+file once: meta.jsonl through util.RecordFile, the one reader of JSON-lines
+record files, then the vectors.bin header, size and values. The digest decides
+only when rows are decoded. When it matches, meta.jsonl is what save wrote:
+load keeps the RecordFile, and a row is decoded, with its record check, when
+top_k first ranks it (its column entries are None until then, and the id ->
+row dict holds decoded rows only). An excluded id not yet decoded, an insert
+and a save decode every row first. Without a digest (version 1) or on a
+mismatch, every row is decoded at load, before the vectors.bin checks, so a
+changed file is refused as it always was. Only a meta.jsonl forged together
+with its digest can hold a faulty row that load passes; its fault is raised,
+naming the line, when the row is first used. An insert takes a matrix with
+its columns, or a list of VectorRecord, turned into columns first.
 
 On-disk layout (bit-exact), version 2:
     meta.jsonl   header {"format":"aiblob-store","version":2,"dim":D,
@@ -59,8 +60,8 @@ from typing import Iterable, NamedTuple, NoReturn, Sequence
 import numpy as np
 
 from .errors import ConfigError, StoreError, ValidationError
-from .util import (atomic_write_bytes, check_field_types, check_header, decode_records, is_int,
-                   is_utf8, parse_json_line, read_columns, shown, write_columns)
+from .util import (RecordFile, atomic_write_bytes, check_field_types, is_int, is_utf8, shown,
+                   write_columns)
 
 STORE_FORMAT = "aiblob-store"
 STORE_VERSION = 2
@@ -98,55 +99,6 @@ class Hit(NamedTuple):
     end_s: float
 
 
-@dataclass
-class _SavedMeta:
-    """A meta.jsonl that matches the digest save wrote: its bytes and the offset
-    of each line's "\n", the header line's first."""
-
-    path: str
-    raw: bytes
-    newlines: np.ndarray
-
-    @classmethod
-    def read(cls, path: str, blob: bytes) -> "_SavedMeta | None":
-        """The file at ``path`` if ``blob``, the vectors.bin bytes, ends with the
-        digest of its bytes and counts one row for each of its lines but the
-        header; otherwise None."""
-        if len(blob) < VECTORS_HEADER.size + DIGEST_SIZE:
-            return None
-        magic, version, _dim, count = VECTORS_HEADER.unpack_from(blob)
-        if magic != VECTORS_MAGIC or version != STORE_VERSION:
-            return None
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        if hashlib.sha256(raw).digest() != blob[-DIGEST_SIZE:]:
-            return None
-        newlines = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
-        if len(newlines) != count + 1 or newlines[-1] != len(raw) - 1:
-            return None
-        return cls(path, raw, newlines)
-
-    def _line(self, index: int) -> str:
-        """Line ``index`` (0 is the header), without its "\n"."""
-        start = self.newlines[index - 1] + 1 if index else 0
-        try:
-            return self.raw[start:self.newlines[index]].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise StoreError(f"{self.path}:{index + 1}: not valid UTF-8 "
-                             f"({exc.reason} at byte {start + exc.start})") from exc
-
-    def header(self) -> dict:
-        header = parse_json_line(self._line(0), self.path, 1)
-        check_header(header, self.path, STORE_FORMAT, STORE_VERSIONS, StoreError)
-        return header
-
-    def columns(self, rows: list[int]) -> tuple[list, ...]:
-        """The META_KEYS columns of ``rows``, checked as util.read_columns checks
-        a file's lines."""
-        return decode_records(VectorRecord, [self._line(row + 1) for row in rows],
-                              [row + 2 for row in rows], self.path, StoreError)
-
-
 class VectorStore:
     """In-memory store over (sentence_id, vector, metadata) rows.
 
@@ -171,7 +123,7 @@ class VectorStore:
         self._norm = 0.0
         # After a digest-checked load, until _decode_all: the file the undecoded
         # rows (None in the columns) are read from, and its header's video count.
-        self._meta: _SavedMeta | None = None
+        self._meta: RecordFile | None = None
         self._videos = 0
 
     def _columns(self) -> tuple[list, ...]:
@@ -262,11 +214,11 @@ class VectorStore:
         if meta is None:
             return
         rows = [row for row in rows if self._ids[row] is None]
-        ids, video_ids, texts, starts, ends = meta.columns(rows)
+        ids, video_ids, texts, starts, ends = meta.columns(VectorRecord, rows=rows)
         for i, row in enumerate(rows):
             if self._rows.setdefault(ids[i], row) != row:
                 raise ValidationError(
-                    f"{meta.path}:{row + 2}: duplicate sentence_id {shown(ids[i])}")
+                    f"{meta.path}:{meta.lineno(row + 1)}: duplicate sentence_id {shown(ids[i])}")
             self._video_ids[row], self._texts[row], self._starts[row], self._ends[row] = (
                 video_ids[i], texts[i], starts[i], ends[i])
             # The id last: a reader that finds it set finds the whole row.
@@ -401,44 +353,50 @@ class VectorStore:
             if not os.path.exists(path):
                 raise StoreError(f"missing store file: {path}")
 
+        meta = RecordFile(meta_path, STORE_FORMAT, STORE_VERSIONS, StoreError)
+        header, count = meta.header, meta.count
         with open(vectors_path, "rb") as handle:
-            blob = handle.read()
-        meta = _SavedMeta.read(meta_path, blob)
-        if meta is None:
-            header, columns = read_columns(meta_path, STORE_FORMAT, STORE_VERSIONS, VectorRecord,
-                                           StoreError)
-            count = len(columns[0])
-        else:
-            header = meta.header()
-            count = len(meta.newlines) - 1
-        dim = header.get("dim")
-        if not is_int(dim) or dim < 1:
-            raise StoreError(f"{meta_path}: bad dim {dim!r}")
-        embedder = header.get("embedder")
-        if embedder is not None and not (isinstance(embedder, str) and is_utf8(embedder)):
-            raise StoreError(f"{meta_path}: bad embedder {embedder!r}")
+            size = os.fstat(handle.fileno()).st_size
+            head = handle.read(VECTORS_HEADER.size)
+            magic, version, bin_dim, bin_count = (
+                VECTORS_HEADER.unpack(head) if len(head) == VECTORS_HEADER.size else (None,) * 4)
+            # A matching digest means meta.jsonl is what save wrote: its rows are
+            # decoded when first used. Otherwise every row is decoded now.
+            saved = False
+            if (magic == VECTORS_MAGIC and version == STORE_VERSION
+                    and size >= VECTORS_HEADER.size + DIGEST_SIZE):
+                handle.seek(size - DIGEST_SIZE)
+                saved = handle.read() == hashlib.sha256(meta.raw).digest()
+            if not saved:
+                # Its bytes are dropped before the matrix is read.
+                columns, meta = meta.columns(VectorRecord), None
+            dim = header.get("dim")
+            if not is_int(dim) or dim < 1:
+                raise StoreError(f"{meta_path}: bad dim {dim!r}")
+            embedder = header.get("embedder")
+            if embedder is not None and not (isinstance(embedder, str) and is_utf8(embedder)):
+                raise StoreError(f"{meta_path}: bad embedder {embedder!r}")
 
-        if len(blob) < VECTORS_HEADER.size:
-            raise StoreError(f"{vectors_path}: truncated header")
-        magic, version, bin_dim, bin_count = VECTORS_HEADER.unpack_from(blob)
-        if magic != VECTORS_MAGIC:
-            raise StoreError(f"{vectors_path}: bad magic {magic!r}")
-        if version not in STORE_VERSIONS:
-            raise StoreError(f"{vectors_path}: unsupported version {version}")
-        if bin_dim != dim:
-            raise StoreError(f"{vectors_path}: dim {bin_dim} does not match metadata dim {dim}")
-        if bin_count != count:
-            raise StoreError(
-                f"{vectors_path}: count {bin_count} does not match {count} metadata rows"
-            )
-        expected_bytes = (VECTORS_HEADER.size + bin_count * dim * 4
-                          + (DIGEST_SIZE if version == STORE_VERSION else 0))
-        if len(blob) != expected_bytes:
-            raise StoreError(
-                f"{vectors_path}: expected {expected_bytes} bytes, found {len(blob)}"
-            )
-        matrix = np.frombuffer(blob, "<f4", bin_count * dim, VECTORS_HEADER.size).reshape(
-            bin_count, dim)
+            if magic is None:
+                raise StoreError(f"{vectors_path}: truncated header")
+            if magic != VECTORS_MAGIC:
+                raise StoreError(f"{vectors_path}: bad magic {magic!r}")
+            if version not in STORE_VERSIONS:
+                raise StoreError(f"{vectors_path}: unsupported version {version}")
+            if bin_dim != dim:
+                raise StoreError(f"{vectors_path}: dim {bin_dim} does not match metadata dim {dim}")
+            if bin_count != count:
+                raise StoreError(
+                    f"{vectors_path}: count {bin_count} does not match {count} metadata rows"
+                )
+            expected_bytes = (VECTORS_HEADER.size + bin_count * dim * 4
+                              + (DIGEST_SIZE if version == STORE_VERSION else 0))
+            if size != expected_bytes:
+                raise StoreError(f"{vectors_path}: expected {expected_bytes} bytes, found {size}")
+            # Read into an array of its own, the matrix is aligned as numpy
+            # aligns its allocations, which the float32 screen reads faster.
+            handle.seek(VECTORS_HEADER.size)
+            matrix = np.fromfile(handle, "<f4", bin_count * dim).reshape(bin_count, dim)
         store = cls(dim, embedder)
         if meta is None:
             store._append(matrix, columns)
@@ -446,7 +404,7 @@ class VectorStore:
             store._adopt(matrix, meta, header.get("videos"))
         return store
 
-    def _adopt(self, matrix: np.ndarray, meta: _SavedMeta, videos) -> None:
+    def _adopt(self, matrix: np.ndarray, meta: RecordFile, videos) -> None:
         """Take the rows of a digest-checked load, undecoded, after checking
         the vectors and the header's video count."""
         count = len(matrix)

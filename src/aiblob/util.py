@@ -102,18 +102,6 @@ def parse_json_line(line: str, path: str, lineno: int) -> dict:
     return obj
 
 
-def read_jsonl(path: str, fmt: str, versions: Container[int],
-               error: type[AiblobError] = ParseError) -> tuple[dict, list[str]]:
-    """Check the header line of a JSON-lines file (check_header), raising
-    ``error``; returns the header and the non-empty lines after it."""
-    lines = [line for line in read_text(path).split("\n") if line]
-    if not lines:
-        raise error(f"{path}: empty {fmt.removeprefix('aiblob-')} file (missing header)")
-    header = parse_json_line(lines[0], path, 1)
-    check_header(header, path, fmt, versions, error)
-    return header, lines[1:]
-
-
 def check_header(header: dict, path: str, fmt: str, versions: Container[int],
                  error: type[AiblobError]) -> None:
     """Raise ``error`` unless a decoded header line names format ``fmt`` and one
@@ -125,95 +113,174 @@ def check_header(header: dict, path: str, fmt: str, versions: Container[int],
         raise error(f"{path}: unsupported {kind} version {header.get('version')!r}")
 
 
-# Lines decoded per json.loads call by read_columns: the decoded rows of one
-# block at a time are alive, and the memory they free is reused by the next
+# Lines decoded per json.loads call by RecordFile.columns: the decoded rows of
+# one block at a time are alive, and the memory they free is reused by the next
 # block's, so the rows leave no holes among the column values they outlive.
 _READ_BLOCK_LINES = 8192
 
 
+class RecordFile:
+    """A JSON-lines record file, read once: its bytes, the span of each line,
+    and its first line decoded and checked (check_header) as ``header``.
+
+    Lines end at "\\n", and a "\\r" just before a line's end is not part of it,
+    so "\\r\\n" reads as "\\n"; blank lines are skipped. Line index 0 is the
+    header, and record ``r`` is line index r + 1. Errors name a line by its
+    number in the file (lineno); bytes that are not UTF-8 raise ``error``
+    when their line is decoded.
+    """
+
+    def __init__(self, path: str, fmt: str, versions: Container[int],
+                 error: type[AiblobError]):
+        self.path = path
+        self.error = error
+        with open(path, "rb") as handle:
+            self.raw = handle.read()
+        data = np.frombuffer(self.raw, np.uint8)
+        ends = np.flatnonzero(data == ord("\n"))
+        if self.raw[-1:] not in (b"", b"\n"):
+            ends = np.append(ends, len(data))
+        starts = np.zeros_like(ends)
+        starts[1:] = ends[:-1] + 1
+        ends -= (ends > starts) & (data[ends - 1] == ord("\r"))
+        filled = ends > starts
+        # Each kept line's number in the file, when a blank line was skipped.
+        self._linenos = None
+        if not filled.all():
+            self._linenos = np.flatnonzero(filled) + 1
+            starts, ends = starts[filled], ends[filled]
+        if not len(starts):
+            raise error(f"{path}: empty {fmt.removeprefix('aiblob-')} file (missing header)")
+        self._starts, self._ends = starts, ends
+        self.count = len(starts) - 1
+        self.header = parse_json_line(self._line(0), path, self.lineno(0))
+        check_header(self.header, path, fmt, versions, error)
+
+    def lineno(self, index: int) -> int:
+        """The number in the file (from 1) of line index ``index``."""
+        return index + 1 if self._linenos is None else int(self._linenos[index])
+
+    def _line(self, index: int) -> str:
+        start = int(self._starts[index])
+        try:
+            return self.raw[start:self._ends[index]].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"{self.path}:{self.lineno(index)}: not valid UTF-8 "
+                             f"({exc.reason} at byte {start + exc.start})") from exc
+
+    def columns(self, cls, what: str = "record", unique: str | None = None,
+                rows: Sequence[int] | None = None) -> tuple[list, ...]:
+        """The columns of records ``rows`` (every record by default), in that
+        order: one list per field of dataclass ``cls`` annotated with a kind of
+        _FIELD_KINDS, in field order. Each record is an object with those
+        fields as keys; ``cls``'s other fields have no key. Ints in float fields
+        become floats. With ``unique`` set, the values of that field must be
+        distinct.
+
+        One check covers all the rows. Blocks of lines are each joined with
+        ",\\n" and decoded by one ``json.loads``, and the rows pass only if all
+        of these hold:
+
+        - every line starts with "{" and ends with "}", each block is UTF-8 and
+          decodes to as many rows as it has lines;
+        - every row is a dict whose keys are the fields, in order;
+        - each column holds only its field's type (ints, within the float range,
+          may stand in a float column; bools never pass), float columns are
+          finite, and no string holds a lone surrogate;
+        - the ``unique`` column holds no repeat.
+
+        Rows of scalars are what make the join exact: a newline ends no JSON
+        string, so no string crosses a line, and with no object nested in a row,
+        the "}" that ends a line can only close a row, so no row crosses a line
+        either. Each line is then exactly one row, decoded as it would be alone.
+
+        When the check fails, the rows are walked one by one with
+        parse_json_line and from_json, so the first fault in row order raises
+        what a per-row reader raises: ``error`` for a line that is not UTF-8,
+        ParseError for one that is not a JSON object, ``error`` with message
+        "{path}:{lineno}: bad {what}: ..." for a bad record, ValidationError
+        "{path}:{lineno}: duplicate {unique} {value}" for a repeat. Rows without
+        a fault (keys in another order, say) load from that walk.
+        """
+        lines = np.arange(1, self.count + 1) if rows is None else np.asarray(rows, np.intp) + 1
+        columns = self._decode(cls, lines, unique)
+        return columns if columns is not None else self._walk(cls, lines.tolist(), what, unique)
+
+    def _decode(self, cls, lines: np.ndarray, unique: str | None) -> tuple[list, ...] | None:
+        """The columns of line indices ``lines``, or None unless they pass the
+        check of columns; a repeat of ``unique`` gives None too."""
+        rules = _field_rules(cls)
+        names = [name for name, *_ in rules]
+        columns = tuple([] for _ in rules)
+        data = np.frombuffer(self.raw, np.uint8)
+        starts, ends = self._starts[lines], self._ends[lines]
+        if not ((data[starts] == ord("{")).all() and (data[ends - 1] == ord("}")).all()):
+            return None
+        # A string can hold a lone surrogate only through a \ud or \uD escape (a
+        # decoded block is strict UTF-8). A one-character search is a memchr,
+        # ten times faster than one for "\ud", and most blocks hold no "\".
+        escaped = False
+        for lo in range(0, len(lines), _READ_BLOCK_LINES):
+            block_starts = starts[lo:lo + _READ_BLOCK_LINES]
+            block_ends = ends[lo:lo + _READ_BLOCK_LINES]
+            # Lines that follow each other in the file are sliced as one run, in
+            # which each "\n" is one line's end: slicing line by line took a
+            # fifth more CPU time over the 212,696-line dataset corpus.
+            breaks = np.flatnonzero(block_starts[1:] != block_ends[:-1] + 1) + 1
+            runs = map(slice, block_starts[np.append(0, breaks)].tolist(),
+                       block_ends[np.append(breaks, len(block_starts)) - 1].tolist())
+            try:
+                text = b"\n".join(map(self.raw.__getitem__, runs)).replace(b"\n", b",\n")
+                text = "[" + text.decode("utf-8") + "]"
+                rows = json.loads(text)
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+                return None
+            escaped = escaped or ("\\" in text and ("\\ud" in text or "\\uD" in text))
+            del text
+            if len(rows) != len(block_starts) or not all(
+                    type(row) is dict and list(row) == names for row in rows):
+                return None
+            for column, name in zip(columns, names):
+                column.extend(map(operator.itemgetter(name), rows))
+        for column, (name, kind, *_) in zip(columns, rules):
+            if kind is float:
+                if float_column(column) is None:
+                    return None
+            elif not set(map(type, column)) <= {kind}:
+                return None
+            elif kind is str and escaped and not is_utf8("".join(column)):
+                return None
+            if name == unique and len(set(column)) != len(column):
+                return None
+        return columns
+
+    def _walk(self, cls, lines: list[int], what: str, unique: str | None) -> tuple[list, ...]:
+        """The per-row reader of columns: the columns of line indices ``lines``,
+        or the error for the first faulty one."""
+        names = [name for name, *_ in _field_rules(cls)]
+        given = {field.name: None for field in dataclasses.fields(cls) if field.name not in names}
+        records = []
+        seen: set = set()
+        for index in lines:
+            lineno = self.lineno(index)
+            where = f"{self.path}:{lineno}"
+            record = from_json(cls, parse_json_line(self._line(index), self.path, lineno),
+                               self.error, f"{where}: bad {what}", **given)
+            if unique is not None:
+                value = getattr(record, unique)
+                if value in seen:
+                    raise ValidationError(f"{where}: duplicate {unique} {shown(value)}")
+                seen.add(value)
+            records.append(record)
+        return tuple([getattr(record, name) for record in records] for name in names)
+
+
 def read_columns(path: str, fmt: str, versions: Container[int], cls, error: type[AiblobError],
                  what: str = "record", unique: str | None = None) -> tuple[dict, tuple[list, ...]]:
-    """Read a JSON-lines record file as columns: read_jsonl's header, then one
-    list per field of dataclass ``cls`` annotated with a kind of _FIELD_KINDS, in
-    field order. Each line holds one record object with those fields as keys;
-    ``cls``'s other fields have no key. Ints in float fields become floats. With
-    ``unique`` set, the values of that field must be distinct.
-
-    One check covers the whole file. Blocks of lines are each joined with ",\\n"
-    and decoded by one ``json.loads``, and the rows pass only if all of these hold:
-
-    - every line starts with "{" and ends with "}", and each block decodes to as
-      many rows as it has lines;
-    - every row is a dict whose keys are the fields, in order;
-    - each column holds only its field's type (ints, within the float range,
-      may stand in a float column; bools never pass), float columns are finite,
-      and no string holds a lone surrogate;
-    - the ``unique`` column holds no repeat.
-
-    Rows of scalars are what make the join exact: a newline ends no JSON string,
-    so no string crosses a line, and with no object nested in a row, the "}"
-    that ends a line can only close a row, so no row crosses a line either.
-    Each line is then exactly one row, decoded as it would be on its own.
-
-    When the check fails, the file is read again and walked row by row with
-    parse_json_line and from_json, so the first fault in line order raises what
-    a per-row reader raises: ParseError for a line that is not a JSON object,
-    ``error`` with message "{path}:{lineno}: bad {what}: ..." for a bad record,
-    ValidationError "{path}:{lineno}: duplicate {unique} {value}" for a repeat.
-    A file without a fault (keys in another order, say) loads from that walk.
-    """
-    header, lines = read_jsonl(path, fmt, versions, error)
-    columns = _decode_columns(cls, lines, unique)
-    if columns is None:
-        header, lines = read_jsonl(path, fmt, versions, error)
-        columns = _walk_rows(lines, range(2, len(lines) + 2), path, cls, error, what, unique)
-    return header, columns
-
-
-def _decode_columns(cls, lines: list[str], unique: str | None) -> tuple[list, ...] | None:
-    """The columns of ``lines``, emptying that list as they are decoded, or None
-    unless they pass read_columns' check; a repeat of ``unique`` gives None too."""
-    rules = _field_rules(cls)
-    names = [name for name, *_ in rules]
-    columns = tuple([] for _ in rules)
-    first, last = operator.itemgetter(0), operator.itemgetter(-1)
-    # The file was decoded as strict UTF-8, so a string can hold a lone
-    # surrogate only through a \ud or \uD escape. A one-character search is a
-    # memchr, ten times faster than one for "\ud", and most blocks hold no "\".
-    escaped = False
-    while lines:
-        count = min(len(lines), _READ_BLOCK_LINES)
-        block = lines[:count]
-        del lines[:count]
-        # The first and last character of each line: counting "},\n{" in the
-        # block's text took 38 ms against 24 ms over a 35 MB non-ASCII
-        # meta.jsonl (2-vCPU VM).
-        if set(map(first, block)) != {"{"} or set(map(last, block)) != {"}"}:
-            return None
-        text = "[" + ",\n".join(block) + "]"
-        del block
-        escaped = escaped or ("\\" in text and ("\\ud" in text or "\\uD" in text))
-        try:
-            rows = json.loads(text)
-        except (json.JSONDecodeError, RecursionError):
-            return None
-        del text
-        if len(rows) != count or not all(type(row) is dict and list(row) == names
-                                         for row in rows):
-            return None
-        for column, name in zip(columns, names):
-            column.extend(map(operator.itemgetter(name), rows))
-    for column, (name, kind, *_) in zip(columns, rules):
-        if kind is float:
-            if float_column(column) is None:
-                return None
-        elif not set(map(type, column)) <= {kind}:
-            return None
-        elif kind is str and escaped and not is_utf8("".join(column)):
-            return None
-        if name == unique and len(set(column)) != len(column):
-            return None
-    return columns
+    """Read a JSON-lines record file whole: its header and the columns of all
+    its records (RecordFile.columns)."""
+    records = RecordFile(path, fmt, versions, error)
+    return records.header, records.columns(cls, what, unique)
 
 
 def float_column(values: list) -> np.ndarray | None:
@@ -231,37 +298,6 @@ def float_column(values: list) -> np.ndarray | None:
         values[:] = map(float, values)
     array = np.array(values, np.float64)
     return array if np.isfinite(array).all() else None
-
-
-def decode_records(cls, lines: list[str], linenos: list[int], path: str,
-                   error: type[AiblobError], what: str = "record") -> tuple[list, ...]:
-    """The columns of record lines of a JSON-lines file, lines[i] being line
-    linenos[i] of ``path``, checked as read_columns checks a file's lines: one
-    check for all of them, and a walk row by row that raises for the first
-    faulty line only when it fails."""
-    columns = _decode_columns(cls, list(lines), None)
-    return columns if columns is not None else _walk_rows(lines, linenos, path, cls, error,
-                                                          what, None)
-
-
-def _walk_rows(lines: list[str], linenos: Iterable[int], path: str, cls,
-               error: type[AiblobError], what: str, unique: str | None) -> tuple[list, ...]:
-    """read_columns' per-row reader: the columns of ``lines``, numbered
-    ``linenos`` in the file, or the error for the first faulty line."""
-    names = [name for name, *_ in _field_rules(cls)]
-    given = {field.name: None for field in dataclasses.fields(cls) if field.name not in names}
-    records = []
-    seen: set = set()
-    for lineno, line in zip(linenos, lines):
-        record = from_json(cls, parse_json_line(line, path, lineno), error,
-                           f"{path}:{lineno}: bad {what}", **given)
-        if unique is not None:
-            value = getattr(record, unique)
-            if value in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate {unique} {shown(value)}")
-            seen.add(value)
-        records.append(record)
-    return tuple([getattr(record, name) for record in records] for name in names)
 
 
 # Lines formatted and written per write by write_columns. Measured on a

@@ -2,21 +2,22 @@
 writing every JSON-lines record file.
 
 This is the object-per-row design the package used before it read and wrote
-JSON-lines record files as columns. Reading, every line is decoded on its own
-by ``parse_json_line`` and checked by ``from_json`` into one record, and ids
-are checked one at a time. Writing, every row is one dict serialized by
-``dumps_line``. The differential tests in ``test_records.py`` hold the column
+JSON-lines record files as columns. Reading, the file is split at "\n" (a
+"\r" before it dropped), blank lines are skipped, and every other line is
+decoded on its own, named by its line in the file, by ``parse_json_line`` and
+checked by ``from_json`` into one record; ids are checked one at a time.
+Writing, every row is one dict serialized by ``dumps_line``. The differential tests in ``test_records.py`` hold the column
 readers to the same values, and to the same error class and message for every
 faulty file, and the column writer to the same bytes.
 """
 
 import operator
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
-from aiblob.errors import ParseError, StoreError, ValidationError
+from aiblob.errors import AiblobError, ParseError, StoreError, ValidationError
 from aiblob.ingest import CORPUS_FORMAT, CORPUS_VERSION, Sentence
 from aiblob.store import META_KEYS, STORE_FORMAT, STORE_VERSIONS, VectorRecord
-from aiblob.util import _atomic_open, dumps_line, from_json, parse_json_line, read_jsonl
+from aiblob.util import _atomic_open, check_header, dumps_line, from_json, parse_json_line
 
 _meta_values = operator.attrgetter(*META_KEYS)
 
@@ -26,12 +27,40 @@ def _shown(sentence_id: str) -> str:
     return sentence_id if sentence_id.isprintable() else repr(sentence_id)
 
 
+def _numbered_lines(path: str, fmt: str, versions, error: type[AiblobError]) -> Iterator[tuple]:
+    """The header, checked, then (lineno, line) for each record line of a
+    JSON-lines file, each line decoded from UTF-8 only when it is reached."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    offset = 0
+    numbered = []
+    for lineno, line in enumerate(raw.split(b"\n"), start=1):
+        if line.removesuffix(b"\r"):
+            numbered.append((lineno, offset, line.removesuffix(b"\r")))
+        offset += len(line) + 1
+    if not numbered:
+        raise error(f"{path}: empty {fmt.removeprefix('aiblob-')} file (missing header)")
+    for i, (lineno, offset, line) in enumerate(numbered):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}:{lineno}: not valid UTF-8 "
+                        f"({exc.reason} at byte {offset + exc.start})") from exc
+        if i == 0:
+            header = parse_json_line(text, path, lineno)
+            check_header(header, path, fmt, versions, error)
+            yield header
+        else:
+            yield lineno, text
+
+
 def oracle_load_corpus(path: str) -> list[Sentence]:
     """Read a corpus file back into Sentence records, checking header, fields and unique ids."""
-    _header, lines = read_jsonl(path, CORPUS_FORMAT, (CORPUS_VERSION,))
+    lines = _numbered_lines(path, CORPUS_FORMAT, (CORPUS_VERSION,), ParseError)
+    next(lines)  # the header
     sentences: list[Sentence] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(lines, start=2):
+    for lineno, line in lines:
         sentence = from_json(Sentence, parse_json_line(line, path, lineno), ParseError,
                              f"{path}:{lineno}: bad corpus record")
         if sentence.sentence_id in seen:
@@ -46,9 +75,10 @@ def oracle_load_corpus(path: str) -> list[Sentence]:
 def oracle_store_rows(meta_path: str) -> list[tuple]:
     """The META_KEYS values of each row of a store's meta.jsonl, checked record by
     record, then id by id as the store's insert checks them."""
-    _header, meta_rows = read_jsonl(meta_path, STORE_FORMAT, STORE_VERSIONS, StoreError)
+    meta_rows = _numbered_lines(meta_path, STORE_FORMAT, STORE_VERSIONS, StoreError)
+    next(meta_rows)  # the header
     rows = []
-    for lineno, line in enumerate(meta_rows, start=2):
+    for lineno, line in meta_rows:
         rec = from_json(VectorRecord, parse_json_line(line, meta_path, lineno), StoreError,
                         f"{meta_path}:{lineno}: bad record", vector=None)
         rows.append(_meta_values(rec))

@@ -389,6 +389,47 @@ class TestCorpusRoundTrip:
         with pytest.raises(ParseError, match=r"corpus\.jsonl:3: .*unknown key\(s\): speaker"):
             load_corpus(str(path))
 
+    def test_errors_name_the_line_in_the_file(self, tmp_path):
+        # Two blank lines before the faulty row: it is on line 6 of the file,
+        # though it is the third record.
+        path = tmp_path / "corpus.jsonl"
+        export_corpus(self.make_sentences(), str(path))
+        header, first, second, third, *rest = path.read_text(encoding="utf-8").split("\n")
+        third = json.dumps({**json.loads(third), "ordinal": "2"})
+        path.write_text("\n".join([header, first, "", second, "", third, *rest]),
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=r"corpus\.jsonl:6: bad corpus record: ordinal"):
+            load_corpus(str(path))
+        path.write_bytes(path.read_bytes().replace(b"Un'altra", b"Un\xffaltra"))
+        with pytest.raises(ParseError, match=r"corpus\.jsonl:6: not valid UTF-8"):
+            load_corpus(str(path))
+
+    def test_duplicate_id_named_by_its_line_in_the_file(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        sentences = self.make_sentences()
+        export_corpus(sentences + [sentences[0]], str(path))
+        path.write_text(path.read_text(encoding="utf-8").replace("\n", "\n\n"), encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"corpus\.jsonl:9: duplicate sentence_id"):
+            load_corpus(str(path))
+
+    def test_crlf_line_ends_load_as_lf(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        sentences = self.make_sentences()
+        export_corpus(sentences, str(path))
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_corpus(str(path)) == corpus_of(sentences)
+        # With a blank line after each line, and with the last line unended.
+        path.write_bytes(path.read_bytes().replace(b"\r\n", b"\r\n\r\n").rstrip(b"\r\n"))
+        assert load_corpus(str(path)) == corpus_of(sentences)
+
+    def test_lone_cr_is_not_a_line_break(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        export_corpus(self.make_sentences(), str(path))
+        header, first, second, *rest = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join([header, first + b"\r" + second, *rest]))
+        with pytest.raises(ParseError, match=r"corpus\.jsonl:2: invalid JSON"):
+            load_corpus(str(path))
+
     def test_export_is_byte_deterministic(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         export_corpus(self.make_sentences(), str(a))

@@ -1,11 +1,15 @@
 """The column readers of corpus and store metadata files against the per-row
 readers of oracle_records.py: equal columns for valid files, and the same
-error class and message for files with faults at random rows. The column
-writer against the per-row writer: the same bytes for every record file."""
+error class and message for files with faults at random rows, for a store
+whether it is read whole at load or row by row as top_k ranks the rows (a
+forged digest). The column writer against the per-row writer: the same bytes
+for every record file."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import re
 import struct
 import sys
 from unittest import mock
@@ -183,6 +187,24 @@ def read_store_pair(directory, lines):
     return got, want
 
 
+def read_lazy_store(directory, lines):
+    """The outcome of a version 2 store whose meta.jsonl holds ``lines`` with a
+    digest that matches it: loaded, then every row decoded by one top_k."""
+    count = sum(1 for line in lines if line)
+    meta = directory / "meta.jsonl"
+    write_lines(meta, {"format": "aiblob-store", "version": 2, "dim": 2, "embedder": None,
+                       "videos": min(count, 1)}, lines)
+    (directory / "vectors.bin").write_bytes(
+        b"AIBV" + struct.pack("<IIQ", 2, 2, count) + struct.pack("<ff", 0.6, 0.8) * count
+        + hashlib.sha256(meta.read_bytes()).digest())
+
+    def read():
+        store = VectorStore.load(str(directory))
+        assert len(store.top_k([0.6, 0.8], max(count, 1))) == count
+        return repr(tuple(store._columns()))
+    return outcome(read)
+
+
 CORPUS_HEADER = {"format": "aiblob-corpus", "version": 1}
 META_HEADER = {"format": "aiblob-store", "version": 1, "dim": 2}
 
@@ -203,6 +225,7 @@ class TestValidFiles:
         got, want = read_store_pair(tmp_path, lines)
         assert want[0] == "ok"
         assert got == want
+        assert read_lazy_store(tmp_path, lines) == want
 
     def test_keys_in_another_order_load_equal(self, tmp_path):
         rows = [{"end_s": 2.0, "start_s": 1, "text": "ciao", "video_id": "v", "sentence_id": s}
@@ -231,6 +254,13 @@ class TestFaultyFiles:
         write_lines(tmp_path / "meta.jsonl", META_HEADER, lines)
         got, want = read_store_pair(tmp_path, lines)
         assert got == want
+        lazy = read_lazy_store(tmp_path, lines)
+        if want[1].startswith("duplicate sentence_id "):
+            # Found as a row is decoded, a repeat is named by its line too.
+            assert lazy[0] == want[0]
+            assert re.fullmatch(rf".*meta\.jsonl:\d+: {re.escape(want[1])}", lazy[1])
+        else:
+            assert lazy == want
 
 
 @pytest.mark.parametrize("merge", MERGE_FAULTS)

@@ -564,6 +564,14 @@ def set_nan(directory, row, dim):
     vectors.write_bytes(bytes(data))
 
 
+def set_bytes(directory, lineno, edit):
+    """Replace line ``lineno`` (1-based) of meta.jsonl by ``edit`` of its bytes."""
+    meta = directory / "meta.jsonl"
+    lines = meta.read_bytes().split(b"\n")
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    meta.write_bytes(b"\n".join(lines))
+
+
 def outcome(call):
     try:
         return "ok", call()
@@ -580,6 +588,8 @@ FAULTS = {
     "duplicate id": (lambda d: edit_line(d, 4, lambda row: {**row, "sentence_id": "s0000"}),
                      "duplicate sentence_id s0000"),
     "NaN": (lambda d: set_nan(d, 2, 8), "record s0002: vector has NaN/Inf"),
+    "blank line": (lambda d: set_bytes(d, 3, lambda line: b""),
+                   "count 3 does not match 2 metadata rows"),
 }
 
 
@@ -689,6 +699,40 @@ class TestDigestCheckedLoad:
         store = VectorStore.load(str(directory))
         with pytest.raises(StoreError, match=r"meta.jsonl:3: not valid UTF-8"):
             store.top_k(self.QUERIES[0], 3)
+
+    def test_changed_store_bad_utf8_raised_as_store_error(self, tmp_path):
+        # As for a forged digest (below), naming the line and the file offset.
+        directory = self.saved(tmp_path, n=3)
+        set_bytes(directory, 3, lambda line: line.replace(b"numero", b"\xff numero"))
+        at = (directory / "meta.jsonl").read_bytes().index(b"\xff")
+        with pytest.raises(StoreError, match=rf"meta.jsonl:3: not valid UTF-8 \(invalid start "
+                                             rf"byte at byte {at}\)"):
+            VectorStore.load(str(directory))
+
+    def test_forged_digest_blank_line_is_not_a_row(self, tmp_path):
+        directory = self.saved(tmp_path, n=3)
+        FAULTS["blank line"][0](directory)
+        forge_digest(directory)
+        with pytest.raises(StoreError, match=FAULTS["blank line"][1]):
+            VectorStore.load(str(directory))
+
+    @pytest.mark.parametrize("kind", ["forged", "changed", "version 1"])
+    def test_crlf_line_ends_load_as_lf(self, tmp_path, kind):
+        directory = self.saved(tmp_path)
+        lf = VectorStore.load(str(directory))
+        meta = directory / "meta.jsonl"
+        meta.write_bytes(meta.read_bytes().replace(b"\n", b"\r\n"))
+        if kind == "forged":
+            forge_digest(directory)
+        elif kind == "version 1":
+            as_version_1(directory)
+        crlf = VectorStore.load(str(directory))
+        for query in self.QUERIES:
+            assert crlf.top_k(query, 10, video_cap=2) == lf.top_k(query, 10, video_cap=2)
+        lf.top_k(self.QUERIES[0], 300)
+        crlf.top_k(self.QUERIES[0], 300)
+        assert repr(crlf._columns()) == repr(lf._columns())
+        assert crlf.video_count == lf.video_count == 7
 
     @pytest.mark.parametrize("key,value", [("videos", 4), ("videos", -1), ("videos", "3"),
                                            ("embedder", 64), ("embedder", "\udc80"), ("dim", 4)])
