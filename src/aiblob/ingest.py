@@ -24,15 +24,14 @@ so identical transcript bytes always produce byte-identical corpus output.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NoReturn
 
 from .errors import ParseError, ValidationError
-from .util import (float_column, is_finite_number, is_utf8, read_columns, record_columns,
-                   write_columns)
+from .util import (float_column, is_finite_number, is_utf8, parse_json, read_columns,
+                   record_columns, write_columns)
 
 CORPUS_FORMAT = "aiblob-corpus"
 CORPUS_VERSION = 1
@@ -88,16 +87,7 @@ def parse_transcript(data: bytes) -> TranscriptDocument:
     Raises ParseError for structural problems (with line/field context) and
     ValidationError for value problems (naming the offending word index).
     """
-    try:
-        obj = json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"transcript is not valid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid transcript JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except RecursionError as exc:
-        raise ParseError("invalid transcript JSON: nested too deeply") from exc
+    obj = parse_json(data, "transcript")
     if not isinstance(obj, dict):
         raise ParseError("transcript root must be a JSON object")
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParseError, ProviderError, ValidationError
-from .util import (DEFAULT_RETRIES, is_finite_number, is_utf8, parse_json_line, post_json,
-                   read_text, retry, round_half_away)
+from .util import (DEFAULT_RETRIES, JsonLines, is_finite_number, is_utf8, parse_json, post_json,
+                   retry, round_half_away)
 
 LLM_API_KEY_ENV = "AIBLOB_LLM_API_KEY"
 
@@ -109,7 +109,8 @@ class ScoredSentence:
 
 
 class ScriptedProvider:
-    """Replay provider reading line-delimited {"op": str, "response": {...}} records.
+    """Replay provider reading line-delimited {"op": str, "response": {...}} records,
+    by the line rule of record files (util.JsonLines).
 
     Responses are consumed in file order per op type; asking for more than the
     file holds raises ProviderError. Note that a score re-ask consumes an extra
@@ -119,11 +120,7 @@ class ScriptedProvider:
     def __init__(self, path: str):
         self.path = path
         self._queues: dict[str, deque] = {op: deque() for op in OPS}
-        for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            entry = parse_json_line(line, path, lineno)
+        for lineno, entry in JsonLines(path, ParseError).objects():
             if "op" not in entry or "response" not in entry:
                 raise ParseError(f"{path}:{lineno}: expected {{'op','response'}} object")
             op = entry["op"]
@@ -180,10 +177,9 @@ class RemoteChatProvider:
             content = response["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"LLM response missing message content: {exc}") from exc
-        try:
-            parsed = json.loads(content)
-        except (json.JSONDecodeError, TypeError, RecursionError) as exc:
-            raise ProviderError("LLM returned free text instead of a JSON object") from exc
+        if not isinstance(content, str):
+            raise ProviderError(f"LLM reply content is not a string, got {type(content).__name__}")
+        parsed = parse_json(content, "LLM returned free text", ProviderError)
         if not isinstance(parsed, dict):
             raise ProviderError("LLM reply content is not a JSON object")
         return parsed

@@ -1,6 +1,7 @@
-"""Small shared helpers: atomic file writes, UTF-8 and JSON file reading,
-canonical JSON lines, JSON-lines record files written and read as columns,
-value and record checks, provider retries, HTTP POST."""
+"""Small shared helpers: atomic file writes, the one JSON decoder (parse_json)
+for every file and reply, canonical JSON lines, JSON-lines files read by one
+line rule and record files written and read as columns, value and record
+checks, provider retries, HTTP POST."""
 
 from __future__ import annotations
 
@@ -65,23 +66,30 @@ def atomic_write_bytes(path: str, *parts) -> None:
             handle.write(part)
 
 
-def read_text(path: str) -> str:
-    """A UTF-8 text file's contents (universal newlines); invalid bytes raise ParseError."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return handle.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
+def parse_json(data: str | bytes, where: str, error: type[AiblobError] = ParseError) -> Any:
+    """Decode one JSON document, a str or bytes of strict UTF-8. Every fault
+    raises ``error`` with a message starting with ``where``: bytes not UTF-8,
+    invalid JSON (naming its line and column), nesting too deep, or an integer
+    past the interpreter's int-to-string limit (sys.get_int_max_str_digits)."""
+    try:
+        return json.loads(data if isinstance(data, str) else data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: invalid JSON: {exc.msg} at line {exc.lineno}, "
+                    f"column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise error(f"{where}: invalid JSON: nested too deeply") from exc
+    except ValueError as exc:
+        # The decoder's one other ValueError: int() refusing an over-long integer.
+        raise error(f"{where}: invalid JSON: an integer of more than "
+                    f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def load_json(path: str) -> Any:
-    """Decode a whole UTF-8 JSON file."""
-    try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise ParseError(f"{path}: invalid JSON: nested too deeply") from exc
+    """Decode a whole JSON file (parse_json); faults raise ParseError."""
+    with open(path, "rb") as handle:
+        return parse_json(handle.read(), path)
 
 
 def write_json(path: str, obj: Any) -> None:
@@ -90,13 +98,8 @@ def write_json(path: str, obj: Any) -> None:
 
 
 def parse_json_line(line: str, path: str, lineno: int) -> dict:
-    """Decode one JSON-lines record, which must be an object."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise ParseError(f"{path}:{lineno}: invalid JSON: nested too deeply") from exc
+    """Decode one JSON-lines record (parse_json), which must be an object."""
+    obj = parse_json(line, f"{path}:{lineno}")
     if not isinstance(obj, dict):
         raise ParseError(f"{path}:{lineno}: expected a JSON object")
     return obj
@@ -119,19 +122,16 @@ def check_header(header: dict, path: str, fmt: str, versions: Container[int],
 _READ_BLOCK_LINES = 8192
 
 
-class RecordFile:
-    """A JSON-lines record file, read once: its bytes, the span of each line,
-    and its first line decoded and checked (check_header) as ``header``.
+class JsonLines:
+    """A JSON-lines file, read once: its bytes and the span of each line.
 
     Lines end at "\\n", and a "\\r" just before a line's end is not part of it,
-    so "\\r\\n" reads as "\\n"; blank lines are skipped. Line index 0 is the
-    header, and record ``r`` is line index r + 1. Errors name a line by its
-    number in the file (lineno); bytes that are not UTF-8 raise ``error``
-    when their line is decoded.
+    so "\\r\\n" reads as "\\n" and a lone "\\r" is no line break; blank lines
+    are skipped. Errors name a line by its number in the file (lineno); bytes
+    that are not UTF-8 raise ``error`` when their line is decoded.
     """
 
-    def __init__(self, path: str, fmt: str, versions: Container[int],
-                 error: type[AiblobError]):
+    def __init__(self, path: str, error: type[AiblobError]):
         self.path = path
         self.error = error
         with open(path, "rb") as handle:
@@ -149,12 +149,7 @@ class RecordFile:
         if not filled.all():
             self._linenos = np.flatnonzero(filled) + 1
             starts, ends = starts[filled], ends[filled]
-        if not len(starts):
-            raise error(f"{path}: empty {fmt.removeprefix('aiblob-')} file (missing header)")
         self._starts, self._ends = starts, ends
-        self.count = len(starts) - 1
-        self.header = parse_json_line(self._line(0), path, self.lineno(0))
-        check_header(self.header, path, fmt, versions, error)
 
     def lineno(self, index: int) -> int:
         """The number in the file (from 1) of line index ``index``."""
@@ -167,6 +162,26 @@ class RecordFile:
         except UnicodeDecodeError as exc:
             raise self.error(f"{self.path}:{self.lineno(index)}: not valid UTF-8 "
                              f"({exc.reason} at byte {start + exc.start})") from exc
+
+    def objects(self) -> Iterator[tuple[int, dict]]:
+        """Each line's number in the file and its JSON object (parse_json_line)."""
+        for index in range(len(self._starts)):
+            lineno = self.lineno(index)
+            yield lineno, parse_json_line(self._line(index), self.path, lineno)
+
+
+class RecordFile(JsonLines):
+    """A JSON-lines record file (JsonLines) whose first line, decoded and checked
+    (check_header), is ``header``; record ``r`` is line index r + 1."""
+
+    def __init__(self, path: str, fmt: str, versions: Container[int],
+                 error: type[AiblobError]):
+        super().__init__(path, error)
+        if not len(self._starts):
+            raise error(f"{path}: empty {fmt.removeprefix('aiblob-')} file (missing header)")
+        self.count = len(self._starts) - 1
+        self.header = parse_json_line(self._line(0), path, self.lineno(0))
+        check_header(self.header, path, fmt, versions, error)
 
     def columns(self, cls, what: str = "record", unique: str | None = None,
                 rows: Sequence[int] | None = None) -> tuple[list, ...]:
@@ -233,7 +248,7 @@ class RecordFile:
                 text = b"\n".join(map(self.raw.__getitem__, runs)).replace(b"\n", b",\n")
                 text = "[" + text.decode("utf-8") + "]"
                 rows = json.loads(text)
-            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+            except (ValueError, RecursionError):
                 return None
             escaped = escaped or ("\\" in text and ("\\ud" in text or "\\uD" in text))
             del text
@@ -511,10 +526,8 @@ def round_half_away(x: float) -> int:
 
 
 def post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
-    """POST a JSON payload and return the decoded JSON response.
-
-    Transport and decoding failures raise ProviderError.
-    """
+    """POST a JSON payload and return the decoded reply (parse_json); transport
+    and decoding failures raise ProviderError."""
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(url, data=body, method="POST")
     request.add_header("Content-Type", "application/json")
@@ -522,10 +535,9 @@ def post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
         request.add_header(name, value)
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
-            return json.loads(response.read().decode("utf-8"))
+            body = response.read()
     except urllib.error.HTTPError as exc:
         raise ProviderError(f"endpoint returned HTTP {exc.code}") from exc
     except urllib.error.URLError as exc:
         raise ProviderError(f"endpoint unreachable: {exc.reason}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ProviderError(f"endpoint returned invalid JSON: {exc}") from exc
+    return parse_json(body, "endpoint reply", ProviderError)

@@ -10,6 +10,7 @@ import hashlib
 import json
 import random
 import struct
+import sys
 
 import pytest
 
@@ -19,6 +20,12 @@ from aiblob.llm import QueryPhrase
 from aiblob.narrative import PipelineConfig, retrieve_candidates
 from aiblob.store import VectorRecord, VectorStore
 from aiblob.util import dumps_line
+
+# The interpreter's int-to-string limit (0 where it has none), and the digits of
+# an integer one past it, which every JSON decoder must refuse cleanly.
+INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+OVERLONG = "9" * (INT_LIMIT + 1)
+needs_int_limit = pytest.mark.skipif(not INT_LIMIT, reason="the interpreter has no int limit")
 
 VOCABULARY = [
     "governo", "calcio", "televisione", "ministro", "spettacolo", "pubblico",

@@ -51,13 +51,15 @@ def oracle_parse_transcript(data: bytes) -> OracleDocument:
     try:
         obj = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise ParseError(f"transcript is not valid UTF-8: {exc}") from exc
+        raise ParseError(f"transcript: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid transcript JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise ParseError(f"transcript: invalid JSON: {exc.msg} at line {exc.lineno}, "
+                         f"column {exc.colno}") from exc
     except RecursionError as exc:
-        raise ParseError("invalid transcript JSON: nested too deeply") from exc
+        raise ParseError("transcript: invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer past the int-to-string limit
+        raise ParseError(f"transcript: invalid JSON: an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(obj, dict):
         raise ParseError("transcript root must be a JSON object")
 

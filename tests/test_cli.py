@@ -18,8 +18,8 @@ from aiblob.ingest import export_corpus
 from aiblob.llm import Candidate
 from aiblob.narrative import PipelineConfig
 from aiblob.store import VectorStore
-from conftest import (as_version_1, build_replay_file, fixture_sentences, forge_digest,
-                      write_fixture_transcripts)
+from conftest import (INT_LIMIT, OVERLONG, as_version_1, build_replay_file, fixture_sentences,
+                      forge_digest, needs_int_limit, write_fixture_transcripts)
 
 
 @pytest.fixture()
@@ -565,6 +565,37 @@ class TestDeeplyNestedInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "nested too deeply" in err
         assert "Traceback" not in err
+
+
+@needs_int_limit
+class TestOverlongInteger:
+    """An integer one digit past the int-to-string limit, in any JSON file a
+    command reads, is a clean parse error: exit 1 and one `error:` line."""
+
+    @pytest.mark.parametrize("command,name,forged", [
+        ("ingest", "transcripts/vid999.json", False), ("index", "corpus.jsonl", False),
+        ("index", "config.json", False), ("compose", "config.json", False),
+        ("compose", "store/meta.jsonl", False), ("compose", "store/meta.jsonl", True),
+        ("compose", "replay.jsonl", False), ("render", "config.json", False),
+        ("render", "edl.json", False), ("stats", "store/meta.jsonl", False),
+    ])
+    def test_fails_cleanly(self, workspace, capsys, command, name, forged):
+        path = workspace / name
+        if path.suffix == ".jsonl":
+            # In every row: the rows of a record file are decoded in blocks, and
+            # those of a store with a forged digest when top_k ranks them.
+            header, *rows = path.read_text(encoding="utf-8").split("\n")
+            path.write_text("\n".join([header] + [f'{{"n":{OVERLONG},{row[1:]}' if row else row
+                                                   for row in rows]), encoding="utf-8")
+        else:
+            path.write_text('{"format": %s}' % OVERLONG, encoding="utf-8")
+        if forged:
+            forge_digest(workspace / "store")
+        capsys.readouterr()  # drop fixture output
+        assert main(TestNonUtf8Input.COMMANDS[command](workspace)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert err.endswith(f"invalid JSON: an integer of more than {INT_LIMIT} digits\n")
 
 
 class TestLoneSurrogate:

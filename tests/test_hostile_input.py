@@ -1,9 +1,12 @@
-"""Hostile input at every loader boundary.
+"""Hostile input at every loader boundary and at every command.
 
 Each loader gets arbitrary bytes, and valid documents with one value replaced
-by arbitrary JSON (NaN, huge integers and nested containers included), or one
-key deleted or renamed. It must either return an object that the next stage can use or
-raise AiblobError; any other exception fails the property.
+by arbitrary JSON (NaN, huge integers, an integer past the interpreter's
+int-to-string limit and nested containers included), or one key deleted or
+renamed. It must either return an object that the next stage can use or raise
+AiblobError; any other exception fails the property. Each command, run on a
+tiny valid workspace with one JSON file mutated so, must exit 0, or exit 1
+with one `error:` line.
 """
 
 import contextlib
@@ -13,6 +16,7 @@ import io
 import json
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -34,11 +38,25 @@ from conftest import forge_digest
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
+
+class _Overlong(int):
+    """The integer of OVERLONG_DIGITS nines: one digit past the int-to-string
+    limit, or 4,301 digits where the limit is off. json.dumps cannot write it
+    under the limit, so dumps writes its digits into the text; its repr is
+    short, as no decoder under the limit can hand such an int to a message."""
+
+    def __repr__(self):
+        return f"<an integer of {OVERLONG_DIGITS} digits>"
+
+
+OVERLONG_DIGITS = max(getattr(sys, "get_int_max_str_digits", lambda: 0)(), 4300) + 1
+OVERLONG = _Overlong(10 ** OVERLONG_DIGITS - 1)
+
 # Values that sit on the edges of the loaders' checks, drawn as often as the rest.
 # "\udc80" is a lone surrogate: a JSON escape decodes to it, and UTF-8 cannot
 # encode it, so a loader that lets it through leaves a string no writer can write.
 EDGE_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, 2**64, 1e4, -1, 0, 2.5,
-                               True, None, "", "x", "{nope}", "\udc80", [], [1], {}])
+                               True, None, "", "x", "{nope}", "\udc80", [], [1], {}, OVERLONG])
 JSON_VALUES = EDGE_VALUES | st.recursive(
     st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
@@ -81,12 +99,27 @@ def mutated(draw, valid):
     return doc
 
 
+# What dumps writes in place of OVERLONG before it swaps in the digits.
+_PLACEHOLDER = "\x00over-long integer\x00"
+
+
+def _placeheld(obj):
+    if isinstance(obj, dict):
+        return {key: _placeheld(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return list(map(_placeheld, obj))
+    return _PLACEHOLDER if isinstance(obj, _Overlong) else obj
+
+
 def dumps(obj) -> bytes:
-    """UTF-8 JSON, with \\u escapes only where a lone surrogate needs one."""
+    """UTF-8 JSON, with \\u escapes only where a lone surrogate needs one, and
+    OVERLONG written as its digits."""
+    obj = _placeheld(obj)
     try:
-        return json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        data = json.dumps(obj, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError:
-        return json.dumps(obj).encode("utf-8")
+        data = json.dumps(obj).encode("utf-8")
+    return data.replace(json.dumps(_PLACEHOLDER).encode(), b"9" * OVERLONG_DIGITS)
 
 
 def lines_of(doc) -> bytes:
@@ -390,6 +423,79 @@ def test_remote_embedder(reply):
         assert matrix.dtype == np.float32 and matrix.shape == (2, provider.dim)
         norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
         assert np.all(np.abs(norms - 1.0) <= 1e-5)
+
+
+# -- every command -------------------------------------------------------
+
+# A tiny valid workspace: each JSON file (a list of lines for a JSON-lines one)
+# and the commands that read it. The store is the forged-digest fixture's, with
+# its real digest.
+ARTIFACTS = {
+    "transcripts/v1.json": (TRANSCRIPT, ("ingest",)),
+    "corpus.jsonl": (CORPUS, ("index",)),
+    "config.json": (FORGED_CONFIG, ("index", "compose", "render")),
+    "store/meta.jsonl": (META_V2, ("compose", "stats")),
+    "replay.jsonl": (FORGED_REPLAY, ("compose",)),
+    "edl.json": (EDL, ("render",)),
+}
+
+
+def serialized(name, doc) -> bytes:
+    return lines_of(doc) if name.endswith(".jsonl") else dumps(doc)
+
+
+def command_argv(w, command):
+    return {
+        "ingest": ["ingest", "--transcripts", w / "transcripts", "--out", w / "out.jsonl"],
+        "index": ["index", "--corpus", w / "corpus.jsonl", "--store", w / "out-store",
+                  "--embedder", "deterministic:2", "--config", w / "config.json"],
+        "compose": ["compose", "--store", w / "store", "--title", "T", "--config",
+                    w / "config.json", "--out", w / "ep", "--llm", f"scripted:{w / 'replay.jsonl'}"],
+        "render": ["render", "--edl", w / "edl.json", "--out", w / "ep.mp4", "--dry-run",
+                   "--config", w / "config.json"],
+        "stats": ["stats", "--store", w / "store"],
+    }[command]
+
+
+def write_workspace(w):
+    for name, (doc, _) in ARTIFACTS.items():
+        (w / name).parent.mkdir(exist_ok=True)
+        put(w / name, serialized(name, doc))
+    forged_store(w / "store", serialized("meta.jsonl", META_V2))
+
+
+@pytest.fixture(scope="module")
+def command_workspace(tmp_path_factory):
+    w = tmp_path_factory.mktemp("workspace")
+    write_workspace(w)
+    return w
+
+
+def test_every_command_passes_on_the_valid_workspace(command_workspace):
+    commands = sorted({command for _, readers in ARTIFACTS.values() for command in readers})
+    assert [cli(command_argv(command_workspace, command))
+            for command in commands] == [(0, "")] * 5
+
+
+# One artifact, one command that reads it, the artifact mutated, and for the
+# store whether its digest is forged to match (so rows are decoded at top_k).
+COMMAND_CASES = st.sampled_from([(name, command) for name, (_, readers) in ARTIFACTS.items()
+                                 for command in readers]).flatmap(
+    lambda case: st.tuples(st.just(case), mutated(ARTIFACTS[case[0]][0]), st.booleans()))
+
+
+@settings(FUZZ, max_examples=120)
+@given(COMMAND_CASES)
+def test_every_command_on_a_mutated_artifact(command_workspace, case):
+    (name, command), doc, forge = case
+    w = command_workspace
+    write_workspace(w)
+    put(w / name, serialized(name, doc))
+    if forge and name == "store/meta.jsonl":
+        forge_digest(w / "store")
+    code, err = cli(command_argv(w, command))
+    # One line: a message may hold a character that str.splitlines splits at.
+    assert code == 0 or (code == 1 and err.startswith("error:") and err.count("\n") == 1), err
 
 
 # -- ids in error messages -----------------------------------------------

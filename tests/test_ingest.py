@@ -326,6 +326,16 @@ class TestAgainstPerWordOracle:
         assert per_word[0] in (ParseError, ValidationError), per_word
         assert columnar == per_word
 
+    @pytest.mark.parametrize("data", [
+        b'{"video_id": "\xe9"}', b'{"video_id": "x", ', b"[" * 100_000,
+        b'{"words": [{"s": ' + b"9" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1)
+        + b"}]}",
+    ], ids=["not UTF-8", "cut short", "too deep", "over-long integer"])
+    def test_undecodable_transcripts_give_the_same_error(self, data):
+        assert (_outcome(parse_transcript, None, None, data, 1)
+                == _outcome(oracle_parse_transcript, None, None, data, 1))
+        assert _outcome(parse_transcript, None, None, data, 1)[0] is ParseError
+
 
 def corpus_of(sentences):
     """The Corpus columns holding ``sentences``."""

@@ -82,6 +82,45 @@ class TestScriptedProvider:
         with pytest.raises(ParseError, match=":2"):
             ScriptedProvider(str(path))
 
+    # Replay files follow the line rule of record files (util.JsonLines).
+    ENTRIES = [{"op": "themes", "response": {"themes": ["a"]}},
+               {"op": "themes", "response": {"themes": ["b"]}},
+               {"op": "score", "response": {"scores": []}}]
+
+    def queues_of(self, path):
+        provider = ScriptedProvider(str(path))
+        return {op: list(queue) for op, queue in provider._queues.items()}
+
+    def test_crlf_line_ends_load_as_lf(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        write_replay(path, self.ENTRIES)
+        expected = self.queues_of(path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert self.queues_of(path) == expected
+        # With a blank line after each line, and with the last line unended.
+        path.write_bytes(path.read_bytes().replace(b"\r\n", b"\r\n\r\n").rstrip(b"\r\n"))
+        assert self.queues_of(path) == expected
+
+    def test_lone_cr_is_not_a_line_break(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        write_replay(path, self.ENTRIES)
+        first, second, *rest = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join([first + b"\r" + second, *rest]))
+        with pytest.raises(ParseError, match=r"replay\.jsonl:1: invalid JSON: Extra data"):
+            ScriptedProvider(str(path))
+
+    def test_errors_name_the_line_in_the_file(self, tmp_path):
+        path = tmp_path / "replay.jsonl"
+        write_replay(path, self.ENTRIES)
+        lines = path.read_bytes().split(b"\n")
+        # A whitespace-only line is no blank line, as in a record file.
+        path.write_bytes(b"\n".join([lines[0], b"", b" \t", *lines[1:]]))
+        with pytest.raises(ParseError, match=r"replay\.jsonl:3: invalid JSON: Expecting value"):
+            ScriptedProvider(str(path))
+        path.write_bytes(b"\n".join([lines[0], b"", lines[1].replace(b"b", b"\xff"), lines[2]]))
+        with pytest.raises(ParseError, match=r"replay\.jsonl:3: not valid UTF-8"):
+            ScriptedProvider(str(path))
+
 
 class TestGenerateThemes:
     def test_passthrough_five(self):
@@ -415,6 +454,15 @@ class TestRemoteChatProvider:
         provider = RemoteChatProvider("https://example.test/chat", "m",
                                       api_key="k", transport=transport)
         with pytest.raises(ProviderError, match="free text"):
+            provider.complete("themes", {})
+
+    def test_content_that_is_not_a_string_is_malformed(self):
+        def transport(url, body, headers, timeout):
+            return {"choices": [{"message": {"content": {"themes": ["a"]}}}]}
+
+        provider = RemoteChatProvider("https://example.test/chat", "m",
+                                      api_key="k", transport=transport)
+        with pytest.raises(ProviderError, match="^LLM reply content is not a string, got dict$"):
             provider.complete("themes", {})
 
     def test_deeply_nested_content_is_malformed(self):

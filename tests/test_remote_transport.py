@@ -10,6 +10,8 @@ import pytest
 from aiblob.embeddings import RemoteEmbedder
 from aiblob.errors import ProviderError
 from aiblob.llm import RemoteChatProvider
+from aiblob.util import post_json
+from conftest import INT_LIMIT, OVERLONG, needs_int_limit
 
 
 @pytest.fixture()
@@ -22,18 +24,20 @@ def http_server():
             payload = json.loads(self.rfile.read(length))
             requests.append((self.path, dict(self.headers), payload))
             if self.path == "/embed":
-                response = {"embeddings": [
+                body = json.dumps({"embeddings": [
                     [float(len(t)), 1.0, 2.0, 3.0] for t in payload["texts"]
-                ]}
+                ]})
             elif self.path == "/chat":
-                response = {"choices": [{"message": {
+                body = json.dumps({"choices": [{"message": {
                     "content": json.dumps({"themes": ["risposta dal server"]})
-                }}]}
+                }}]})
+            elif self.path == "/overlong":
+                body = '{"n": %s}' % OVERLONG
             else:
                 self.send_response(404)
                 self.end_headers()
                 return
-            body = json.dumps(response).encode("utf-8")
+            body = body.encode("utf-8")
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -93,3 +97,11 @@ def test_unreachable_endpoint(tmp_path):
     provider = RemoteEmbedder("http://127.0.0.1:1/embed", "m", api_key="k", timeout=0.5)
     with pytest.raises(ProviderError, match="unreachable"):
         provider.embed(["ciao"])
+
+
+@needs_int_limit
+def test_reply_with_an_integer_past_the_int_limit(http_server):
+    base, _ = http_server
+    with pytest.raises(ProviderError, match=f"^endpoint reply: invalid JSON: an integer of "
+                                            f"more than {INT_LIMIT} digits$"):
+        post_json(f"{base}/overlong", {}, {}, 5.0)
