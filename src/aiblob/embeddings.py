@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ProviderError, ValidationError
-from .util import DEFAULT_RETRIES, is_finite_number, post_json, retry
+from .util import DEFAULT_RETRIES, check_url, is_finite_number, post_json, retry
 
 EMBED_API_KEY_ENV = "AIBLOB_EMBED_API_KEY"
 
@@ -97,31 +97,21 @@ class RemoteEmbedder:
     unless passed explicitly.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        api_key: str | None = None,
-        batch_size: int = 96,
-        timeout: float = 60.0,
-        transport: Callable[[str, dict, dict, float], dict] | None = None,
-    ):
-        if not base_url:
-            raise ConfigError("remote embedder needs a base URL")
+    batch_size = 96
+    timeout = 60.0
+
+    def __init__(self, base_url: str, model: str, api_key: str | None = None,
+                 transport: Callable[[str, dict, str | None, float], dict] | None = None):
+        check_url(base_url, "remote embedder")
         self.base_url = base_url
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(EMBED_API_KEY_ENV)
-        self.batch_size = batch_size
-        self.timeout = timeout
         self.dim: int | None = None
         self._transport = transport or post_json
 
     def embed(self, texts: Sequence[str], input_type: str = DOCUMENT_INPUT) -> np.ndarray:
         payload = {"model": self.model, "texts": list(texts), "input_type": input_type}
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        response = self._transport(self.base_url, payload, headers, self.timeout)
+        response = self._transport(self.base_url, payload, self.api_key, self.timeout)
         rows = response.get("embeddings") if isinstance(response, dict) else None
         if not isinstance(rows, list) or len(rows) != len(texts):
             got = len(rows) if isinstance(rows, list) else "none"

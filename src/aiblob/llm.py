@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParseError, ProviderError, ValidationError
-from .util import (DEFAULT_RETRIES, JsonLines, is_finite_number, is_utf8, parse_json, post_json,
-                   retry, round_half_away)
+from .util import (DEFAULT_RETRIES, JsonLines, check_url, is_finite_number, is_utf8, parse_json,
+                   post_json, retry, round_half_away)
 
 LLM_API_KEY_ENV = "AIBLOB_LLM_API_KEY"
 
@@ -142,20 +142,14 @@ class ScriptedProvider:
 class RemoteChatProvider:
     """Chat-completions style provider; reply content must be a JSON object."""
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        api_key: str | None = None,
-        timeout: float = 120.0,
-        transport: Callable[[str, dict, dict, float], dict] | None = None,
-    ):
-        if not base_url:
-            raise ValidationError("remote LLM provider needs a base URL")
+    timeout = 120.0
+
+    def __init__(self, base_url: str, model: str, api_key: str | None = None,
+                 transport: Callable[[str, dict, str | None, float], dict] | None = None):
+        check_url(base_url, "remote LLM provider")
         self.base_url = base_url
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(LLM_API_KEY_ENV)
-        self.timeout = timeout
         self._transport = transport or post_json
 
     def complete(self, op: str, payload: dict) -> dict:
@@ -169,10 +163,7 @@ class RemoteChatProvider:
             ],
             "response_format": {"type": "json_object"},
         }
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        response = self._transport(self.base_url, body, headers, self.timeout)
+        response = self._transport(self.base_url, body, self.api_key, self.timeout)
         try:
             content = response["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:

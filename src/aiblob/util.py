@@ -1,7 +1,7 @@
 """Small shared helpers: atomic file writes, the one JSON decoder (parse_json)
 for every file and reply, canonical JSON lines, JSON-lines files read by one
 line rule and record files written and read as columns, value and record
-checks, provider retries, HTTP POST."""
+checks, provider retries, the one HTTP client (post_json) and its URL rule."""
 
 from __future__ import annotations
 
@@ -13,8 +13,6 @@ import operator
 import os
 import sys
 import time
-import urllib.error
-import urllib.request
 from contextlib import contextmanager
 from itertools import islice
 from json.encoder import encode_basestring
@@ -525,14 +523,39 @@ def round_half_away(x: float) -> int:
     return int(math.ceil(x - 0.5))
 
 
-def post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
-    """POST a JSON payload and return the decoded reply (parse_json); transport
-    and decoding failures raise ProviderError."""
-    body = json.dumps(payload).encode("utf-8")
-    request = urllib.request.Request(url, data=body, method="POST")
-    request.add_header("Content-Type", "application/json")
-    for name, value in headers.items():
-        request.add_header(name, value)
+def check_url(url: str | None, what: str) -> None:
+    """Raise ConfigError naming ``url`` unless post_json can send to it: http or
+    https, a host with no empty or over-long label, no user info, a port (if any)
+    in 0..65535, printable ASCII."""
+    from urllib.parse import urlsplit
+
+    try:
+        parts = urlsplit(url or "")
+        parts.port  # a ValueError unless the port, if any, is a number in 0..65535
+        (parts.hostname or "").encode("idna")  # UnicodeError: a label the lookup refuses
+    except ValueError:  # those two, or an unbalanced "[" around the host
+        parts = None
+    if (parts is None or parts.scheme not in ("http", "https") or not parts.hostname
+            or "@" in parts.netloc or not (url.isascii() and url.isprintable()) or " " in url):
+        raise ConfigError(f"{what}: base URL {url!r} must be http or https, with a host, "
+                          f"no user info and a numeric port if any, in printable ASCII")
+
+
+def post_json(url: str, payload: dict, api_key: str | None, timeout: float) -> Any:
+    """POST ``payload`` as JSON, with ``api_key`` (if any) as a Bearer token, and
+    return the decoded reply (parse_json). Any transport fault, timeouts included,
+    raises ProviderError; a key that no header can carry raises ConfigError."""
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        if not (api_key.isascii() and api_key.isprintable()):
+            raise ConfigError("the API key must be printable ASCII")
+        headers["Authorization"] = f"Bearer {api_key}"
+    request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), headers,
+                                     method="POST")
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
             body = response.read()
@@ -540,4 +563,7 @@ def post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
         raise ProviderError(f"endpoint returned HTTP {exc.code}") from exc
     except urllib.error.URLError as exc:
         raise ProviderError(f"endpoint unreachable: {exc.reason}") from exc
+    except (OSError, http.client.HTTPException) as exc:
+        # repr: a bad status line holds its own line break.
+        raise ProviderError(f"endpoint reply failed: {exc!r}") from exc
     return parse_json(body, "endpoint reply", ProviderError)

@@ -98,6 +98,34 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ")
 
+    def test_directory_without_transcripts_fails(self, tmp_path, capsys):
+        (tmp_path / "transcripts").mkdir()
+        (tmp_path / "transcripts" / "note.txt").write_text("{}", encoding="utf-8")
+        assert main(["ingest", "--transcripts", str(tmp_path / "transcripts"),
+                     "--out", str(tmp_path / "c.jsonl")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: no .json transcript files found in {tmp_path / 'transcripts'}\n")
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_min_chars_below_one_fails(self, tmp_path, capsys):
+        transcripts = tmp_path / "transcripts"
+        write_fixture_transcripts(transcripts, n_videos=1, per_video=2)
+        assert main(["ingest", "--transcripts", str(transcripts), "--out",
+                     str(tmp_path / "c.jsonl"), "--min-chars", "0"]) == 1
+        assert capsys.readouterr().err == "error: min_chars must be positive, got 0\n"
+        assert not (tmp_path / "c.jsonl").exists()
+
+
+class TestIndex:
+    def test_corpus_without_sentences_fails(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        export_corpus([], str(corpus))
+        assert main(["index", "--corpus", str(corpus), "--store", str(tmp_path / "store"),
+                     "--embedder", "deterministic:8"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {corpus} holds no sentences; nothing to index\n")
+        assert not (tmp_path / "store").exists()
+
 
 class TestStats:
     def test_counts(self, workspace, capsys):
@@ -315,7 +343,7 @@ class TestCompose:
     def test_store_of_another_remote_model_refused(self, workspace, capsys, monkeypatch):
         # Two remote models of the same dim: the store records the one that
         # indexed it, and a compose configured with the other is refused.
-        def reply(url, payload, headers, timeout):
+        def reply(url, payload, api_key, timeout):
             return {"embeddings": [deterministic_embed(text, 32).tolist()
                                    for text in payload["texts"]]}
         monkeypatch.setattr(embeddings, "post_json", reply)

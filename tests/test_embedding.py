@@ -226,15 +226,15 @@ class TestEmbedBatch:
 
 class TestRemoteEmbedder:
     def make_transport(self, log, dim=4):
-        def transport(url, payload, headers, timeout):
-            log.append((url, payload, headers))
+        def transport(url, payload, api_key, timeout):
+            log.append((url, payload, api_key))
             return {"embeddings": [[hash((t, i)) % 7 + 1 for i in range(dim)]
                                    for t in payload["texts"]]}
         return transport
 
     def replying(self, rows):
         return RemoteEmbedder("https://example.test/embed", "m", api_key="k",
-                              transport=lambda url, payload, headers, timeout:
+                              transport=lambda url, payload, api_key, timeout:
                               {"embeddings": rows})
 
     def test_request_shape_and_normalization(self):
@@ -245,14 +245,14 @@ class TestRemoteEmbedder:
         assert len(out) == 2
         for vec in out:
             assert abs(float(np.linalg.norm(vec.astype(np.float64))) - 1.0) <= 1e-5
-        url, payload, headers = log[0]
+        url, payload, api_key = log[0]
         assert payload == {"model": "modello-1", "texts": ["ciao", "addio"],
                            "input_type": "search_query"}
-        assert headers["Authorization"] == "Bearer chiave"
+        assert api_key == "chiave"
         assert provider.dim == 4
 
     def test_row_count_mismatch(self):
-        def transport(url, payload, headers, timeout):
+        def transport(url, payload, api_key, timeout):
             return {"embeddings": [[1.0, 0.0]]}
         provider = RemoteEmbedder("https://example.test/embed", "m", api_key="k",
                                   transport=transport)
@@ -294,7 +294,7 @@ class TestRemoteEmbedder:
         provider = RemoteEmbedder("https://example.test/embed", "m",
                                   transport=self.make_transport(log))
         provider.embed(["ciao"])
-        assert log[0][2]["Authorization"] == "Bearer da-ambiente"
+        assert log[0][2] == "da-ambiente"
 
 
 class TestMakeEmbedder:

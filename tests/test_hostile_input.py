@@ -5,8 +5,9 @@ by arbitrary JSON (NaN, huge integers, an integer past the interpreter's
 int-to-string limit and nested containers included), or one key deleted or
 renamed. It must either return an object that the next stage can use or raise
 AiblobError; any other exception fails the property. Each command, run on a
-tiny valid workspace with one JSON file mutated so, must exit 0, or exit 1
-with one `error:` line.
+tiny valid workspace with one JSON file mutated so, with the store's
+vectors.bin truncated, changed in its header or holding a NaN, or with one
+argument replaced, must exit 0, or exit 1 with one `error:` line.
 """
 
 import contextlib
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from aiblob.cli import main
 from aiblob.config import load_config
-from aiblob.embeddings import RemoteEmbedder
+from aiblob.embeddings import MAX_DETERMINISTIC_DIM, RemoteEmbedder
 from aiblob.errors import AiblobError, ProviderError
 from aiblob.ingest import Sentence, export_corpus, load_corpus, parse_transcript, segment_sentences
 from aiblob.llm import OPS, Candidate, ScriptedProvider, _score_entries
@@ -417,7 +418,7 @@ REPLY_ROWS = st.lists(st.lists(st.floats() | JSON_VALUES, min_size=1, max_size=3
 @given(st.one_of(mutated(EMBEDDINGS), REPLY_ROWS.map(lambda rows: {"embeddings": rows})))
 def test_remote_embedder(reply):
     provider = RemoteEmbedder("https://example.test/embed", "m", api_key="k",
-                              transport=lambda url, payload, headers, timeout: reply)
+                              transport=lambda url, payload, api_key, timeout: reply)
     matrix = loaded(lambda: provider.embed(["a", "b"]))
     if matrix is not None:
         assert matrix.dtype == np.float32 and matrix.shape == (2, provider.dim)
@@ -477,23 +478,78 @@ def test_every_command_passes_on_the_valid_workspace(command_workspace):
             for command in commands] == [(0, "")] * 5
 
 
-# One artifact, one command that reads it, the artifact mutated, and for the
-# store whether its digest is forged to match (so rows are decoded at top_k).
-COMMAND_CASES = st.sampled_from([(name, command) for name, (_, readers) in ARTIFACTS.items()
-                                 for command in readers]).flatmap(
-    lambda case: st.tuples(st.just(case), mutated(ARTIFACTS[case[0]][0]), st.booleans()))
+# The bytes of the workspace store's vectors.bin, its digest matching META_V2.
+STORE_VECTORS = VECTORS_V2 + hashlib.sha256(lines_of(META_V2)).digest()
 
 
-@settings(FUZZ, max_examples=120)
-@given(COMMAND_CASES)
+def _with_nan(value: int) -> bytes:
+    data = bytearray(STORE_VECTORS)
+    data[20 + 4 * value:24 + 4 * value] = struct.pack("<f", math.nan)
+    return bytes(data)
+
+
+def _with_header_byte(offset: int, change: int) -> bytes:
+    data = bytearray(STORE_VECTORS)
+    data[offset] ^= change
+    return bytes(data)
+
+
+VECTORS_BIN = st.one_of(
+    st.integers(0, len(STORE_VECTORS) - 1).map(lambda size: STORE_VECTORS[:size]),
+    st.builds(_with_header_byte, st.integers(0, 19), st.integers(1, 255)),
+    st.builds(_with_nan, st.integers(0, 7)),
+)
+
+# Argument values a command is run with: embedder dims from a bounded range,
+# plus the first one past MAX_DETERMINISTIC_DIM, which is refused before any row
+# is allocated; --min-chars values; titles, a lone surrogate among them.
+EMBEDDER_DIMS = st.integers(-2, 64) | st.just(MAX_DETERMINISTIC_DIM + 1)
+ARGUMENTS = {
+    ("index", "--embedder"): EMBEDDER_DIMS.map("deterministic:{}".format),
+    ("ingest", "--min-chars"): (st.integers(-2, 40) | st.just(10**30)).map(str),
+    ("compose", "--title"): st.sampled_from(["\udc80", "Il calcio \udc80", "", " "])
+                            | st.text(max_size=4),
+}
+
+
+@st.composite
+def command_cases(draw):
+    """A command and one change to what it reads: one artifact mutated (the
+    store's meta.jsonl with or without a forged digest, so that its rows are
+    decoded at load or when top_k ranks them), vectors.bin's bytes truncated,
+    with a header byte changed or with a NaN value, or one argument replaced."""
+    kind = draw(st.sampled_from(["artifact", "vectors.bin", "argument"]))
+    if kind == "artifact":
+        name, command = draw(st.sampled_from([(name, command)
+                                              for name, (_, readers) in ARTIFACTS.items()
+                                              for command in readers]))
+        return command, kind, name, draw(mutated(ARTIFACTS[name][0])), draw(st.booleans())
+    if kind == "vectors.bin":
+        return draw(st.sampled_from(["compose", "stats"])), kind, draw(VECTORS_BIN)
+    command, flag = draw(st.sampled_from(list(ARGUMENTS)))
+    return command, kind, flag, draw(ARGUMENTS[command, flag])
+
+
+@settings(FUZZ, max_examples=200)
+@given(command_cases())
 def test_every_command_on_a_mutated_artifact(command_workspace, case):
-    (name, command), doc, forge = case
+    command, kind, *change = case
     w = command_workspace
     write_workspace(w)
-    put(w / name, serialized(name, doc))
-    if forge and name == "store/meta.jsonl":
-        forge_digest(w / "store")
-    code, err = cli(command_argv(w, command))
+    argv = command_argv(w, command)
+    if kind == "artifact":
+        name, doc, forge = change
+        put(w / name, serialized(name, doc))
+        if forge and name == "store/meta.jsonl":
+            forge_digest(w / "store")
+    elif kind == "vectors.bin":
+        put(w / "store" / "vectors.bin", change[0])
+    else:
+        flag, value = change
+        if flag in argv:
+            del argv[argv.index(flag):argv.index(flag) + 2]
+        argv.append(f"{flag}={value}")  # so that a value may start with "-"
+    code, err = cli(argv)
     # One line: a message may hold a character that str.splitlines splits at.
     assert code == 0 or (code == 1 and err.startswith("error:") and err.count("\n") == 1), err
 

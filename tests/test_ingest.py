@@ -84,7 +84,29 @@ class TestParseTranscript:
             parse_transcript(doc_bytes([("ciao", start, end)]))
 
 
+    @pytest.mark.parametrize("field", ["title", "source_uri", "language"])
+    def test_field_with_a_lone_surrogate_rejected(self, field):
+        payload = {**json.loads(doc_bytes([])), field: "rotto \udc80"}
+        message = (f"^transcript field '{field}' must be a string without lone surrogates, "
+                   r"got 'rotto \\udc80'$")
+        with pytest.raises(ParseError, match=message):
+            parse_transcript(json.dumps(payload).encode())
+
+    @pytest.mark.parametrize("words", [None, {}, "Ciao.", 3])
+    def test_words_that_are_not_a_list_rejected(self, words):
+        payload = {**json.loads(doc_bytes([])), "words": words}
+        with pytest.raises(ParseError, match="^transcript field 'words' must be a list$"):
+            parse_transcript(json.dumps(payload).encode())
+
+
 class TestSegmentSentences:
+    @pytest.mark.parametrize("min_chars", [0, -3])
+    def test_min_chars_below_one_rejected(self, min_chars):
+        doc = parse_transcript(doc_bytes([("Ciao.", 0.0, 0.5)]))
+        message = f"^min_chars must be positive, got {min_chars}$"
+        with pytest.raises(ValidationError, match=message):
+            segment_sentences(doc, min_chars=min_chars)
+
     def test_three_sentence_split(self):
         # Hand-applied splitting rule: break after '.', '?' and keep word times.
         doc = parse_transcript(doc_bytes([

@@ -140,6 +140,6 @@ class TestOverlongIntegerAtEverySite:
     def test_chat_reply_content(self):
         content = '{"themes": ["a"], "n": %s}' % OVERLONG
         provider = RemoteChatProvider("https://example.test/chat", "m", api_key="k", transport=(
-            lambda url, body, headers, timeout: {"choices": [{"message": {"content": content}}]}))
+            lambda url, body, api_key, timeout: {"choices": [{"message": {"content": content}}]}))
         with pytest.raises(ProviderError, match=f"^LLM returned free text: {self.MESSAGE}"):
             provider.complete("themes", {})

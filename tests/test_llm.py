@@ -212,6 +212,23 @@ class TestGenerateQueries:
         assert phrases == [QueryPhrase(0, "dentro")]
         assert any("invalid" in w for w in orch.warnings)
 
+    def test_blank_query_dropped(self):
+        response = {"queries": [
+            {"theme_index": 0, "text": " \t "},
+            {"theme_index": 0, "text": " piena "},
+        ]}
+        orch = Orchestrator(QueueProvider(queries=[response]))
+        assert orch.generate_queries(self.themes(1), 1) == [QueryPhrase(0, "piena")]
+        assert orch.warnings == ["dropped 1 invalid query entries"]
+
+    @pytest.mark.parametrize("queries", [None, {"theme_index": 0}, "q", [["q"]]])
+    def test_queries_that_are_not_a_list_of_objects_are_malformed(self, queries):
+        provider = QueueProvider(queries=[{"queries": queries}] * 2)
+        with pytest.raises(ProviderError, match="^queries failed after 2 attempts: malformed "
+                                                "response: 'queries' must be a list of objects$"):
+            Orchestrator(provider, retries=1).generate_queries(self.themes(1), 1)
+        assert len(provider.calls) == 2
+
     def test_query_with_a_lone_surrogate_dropped(self):
         response = {"queries": [
             {"theme_index": 0, "text": "rotta \udc80"},
@@ -438,7 +455,7 @@ class TestOrderSection:
 
 class TestRemoteChatProvider:
     def test_parses_json_content(self):
-        def transport(url, body, headers, timeout):
+        def transport(url, body, api_key, timeout):
             assert body["model"] == "modello"
             assert body["messages"][1]["content"] == json.dumps({"title": "T", "count": 2})
             return {"choices": [{"message": {"content": '{"themes": ["a", "b"]}'}}]}
@@ -448,7 +465,7 @@ class TestRemoteChatProvider:
         assert provider.complete("themes", {"title": "T", "count": 2}) == {"themes": ["a", "b"]}
 
     def test_free_text_is_malformed(self):
-        def transport(url, body, headers, timeout):
+        def transport(url, body, api_key, timeout):
             return {"choices": [{"message": {"content": "ecco i temi: a, b"}}]}
 
         provider = RemoteChatProvider("https://example.test/chat", "m",
@@ -457,7 +474,7 @@ class TestRemoteChatProvider:
             provider.complete("themes", {})
 
     def test_content_that_is_not_a_string_is_malformed(self):
-        def transport(url, body, headers, timeout):
+        def transport(url, body, api_key, timeout):
             return {"choices": [{"message": {"content": {"themes": ["a"]}}}]}
 
         provider = RemoteChatProvider("https://example.test/chat", "m",
@@ -465,8 +482,18 @@ class TestRemoteChatProvider:
         with pytest.raises(ProviderError, match="^LLM reply content is not a string, got dict$"):
             provider.complete("themes", {})
 
+    @pytest.mark.parametrize("content", ["[1, 2]", '"temi"', "7", "null"])
+    def test_content_that_is_json_but_not_an_object_is_malformed(self, content):
+        def transport(url, body, api_key, timeout):
+            return {"choices": [{"message": {"content": content}}]}
+
+        provider = RemoteChatProvider("https://example.test/chat", "m",
+                                      api_key="k", transport=transport)
+        with pytest.raises(ProviderError, match="^LLM reply content is not a JSON object$"):
+            provider.complete("themes", {})
+
     def test_deeply_nested_content_is_malformed(self):
-        def transport(url, body, headers, timeout):
+        def transport(url, body, api_key, timeout):
             return {"choices": [{"message": {"content": "[" * 100_000}}]}
 
         provider = RemoteChatProvider("https://example.test/chat", "m",
@@ -484,13 +511,13 @@ class TestRemoteChatProvider:
         monkeypatch.setenv("AIBLOB_LLM_API_KEY", "segreta")
         seen = {}
 
-        def transport(url, body, headers, timeout):
-            seen.update(headers)
+        def transport(url, body, api_key, timeout):
+            seen["api_key"] = api_key
             return {"choices": [{"message": {"content": "{}"}}]}
 
         RemoteChatProvider("https://example.test/chat", "m",
                            transport=transport).complete("themes", {})
-        assert seen["Authorization"] == "Bearer segreta"
+        assert seen["api_key"] == "segreta"
 
 
 class TestMakeLlmProvider:

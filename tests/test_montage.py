@@ -2,10 +2,12 @@
 
 import json
 import os
+import re
 import stat
 
 import pytest
 
+from aiblob.cli import main
 from aiblob.errors import ParseError, RenderError, ValidationError
 from aiblob.llm import Candidate
 from aiblob.montage import (
@@ -20,7 +22,7 @@ from aiblob.montage import (
     save_edl,
     validate_edl,
 )
-from aiblob.narrative import NarrativePlan
+from aiblob.narrative import SECTION_ORDER, NarrativePlan
 
 
 def make_plan(sections=None, title="Titolo"):
@@ -134,6 +136,45 @@ class TestValidateEdl:
         swapped = make_plan({"introduction": ["bb"], "build_up": ["aa"],
                              "climax": ["cc"], "conclusion": ["dd"]})
         assert any("plan order" in v for v in validate_edl(edl, swapped))
+
+    def test_edl_without_every_section_refused(self):
+        edl = build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get)
+        del edl.sections["conclusion"]
+        violation = (f"sections must be exactly {SECTION_ORDER}, "
+                     "got ('introduction', 'build_up', 'climax')")
+        assert validate_edl(edl) == [violation]
+        with pytest.raises(RenderError, match=re.escape(violation)):
+            render(edl, "/tmp/out/e.mp4", RenderSettings(), dry_run=True)
+
+    # Clip rules that load_edl leaves to validate_edl, each broken in an EDL
+    # file: render refuses it, and the render command exits 1 naming it.
+    @pytest.mark.parametrize("edit,violation", [
+        (lambda p: p["intro"].update(sentence_id="aa"), "intro clip must have a null sentence_id"),
+        (lambda p: p["sections"]["climax"][0].update(in_s=-1.0),
+         "climax[0]: negative in point (-1.0)"),
+        (lambda p: p["sections"]["climax"][0].update(fade_out_s=-0.04),
+         "climax[0]: negative fade"),
+        (lambda p: p["intro"].update(fade_in_s=-1.0), "intro[0]: negative fade"),
+        (lambda p: p["sections"]["build_up"][0].update(sentence_id=None),
+         "build_up[0]: missing sentence_id"),
+        (lambda p: p["sections"]["build_up"][0].update(sentence_id=""),
+         "build_up[0]: missing sentence_id"),
+    ], ids=["intro-id", "negative-in", "negative-fade", "negative-intro-fade", "null-id",
+            "empty-id"])
+    def test_edl_file_breaking_a_clip_rule_refused(self, tmp_path, capsys, edit, violation):
+        path = tmp_path / "edl.json"
+        save_edl(build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get,
+                           intro_source="media/sigla.mp4"), str(path))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        edl = load_edl(str(path))
+        assert validate_edl(edl) == [violation]
+        with pytest.raises(RenderError, match=re.escape(violation)):
+            render(edl, str(tmp_path / "e.mp4"), RenderSettings(), dry_run=True)
+        assert main(["render", "--edl", str(path), "--out", str(tmp_path / "e.mp4"),
+                     "--dry-run"]) == 1
+        assert capsys.readouterr().err == f"error: EDL failed validation: {violation}\n"
 
 
 class TestRenderDryRun:

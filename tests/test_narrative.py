@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aiblob.config import load_config
 from aiblob.errors import ConfigError, ParseError, PlanError, ValidationError
 from aiblob.llm import Candidate, Orchestrator, QueryPhrase, ScoredSentence
 from aiblob.narrative import (
@@ -324,6 +325,13 @@ class TestOrderSections:
             order_sections(plan, {"a": ScoredSentence("a", 5, 5)},
                            PipelineConfig(ordering="llm"))
 
+    def test_unscored_sentence_named(self):
+        plan = self.make_plan({"introduction": [], "build_up": [], "climax": ["a", "zz"],
+                               "conclusion": []})
+        message = "^section 'climax' references unscored sentence 'zz'$"
+        with pytest.raises(PlanError, match=message):
+            order_sections(plan, {"a": ScoredSentence("a", 5, 5)}, PipelineConfig())
+
 
 class TestPipelineConfig:
     def test_defaults_valid(self):
@@ -344,6 +352,18 @@ class TestPipelineConfig:
     def test_bad_ordering(self):
         with pytest.raises(ConfigError):
             PipelineConfig(ordering="casuale")
+
+    @pytest.mark.parametrize("name,value", [("climax_quota", 0), ("climax_quota", 1.0),
+                                            ("introduction_quota", -0.1),
+                                            ("conclusion_quota", 1.5)])
+    def test_quota_outside_the_open_unit_interval(self, tmp_path, name, value):
+        message = rf"^{name} must be in \(0, 1\), got {float(value)}$"
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig(**{name: value})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"pipeline": {name: value}}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"config section 'pipeline': {name} must be in"):
+            load_config(str(path))
 
 
 class TestPlanFile:

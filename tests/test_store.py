@@ -481,6 +481,24 @@ class TestPersistence:
         with pytest.raises(StoreError, match="bytes"):
             VectorStore.load(str(tmp_path / "store"))
 
+    @pytest.mark.parametrize("size", [0, 4, 19])
+    def test_truncated_header(self, tmp_path, size):
+        filled_store(3, 8).save(str(tmp_path / "store"))
+        path = tmp_path / "store" / "vectors.bin"
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(StoreError, match=r"vectors\.bin: truncated header$"):
+            VectorStore.load(str(tmp_path / "store"))
+
+    @pytest.mark.parametrize("version", [0, 3, 2**32 - 1])
+    def test_unsupported_version(self, tmp_path, version):
+        filled_store(3, 8).save(str(tmp_path / "store"))
+        path = tmp_path / "store" / "vectors.bin"
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", version)
+        path.write_bytes(bytes(data))
+        with pytest.raises(StoreError, match=rf"vectors\.bin: unsupported version {version}$"):
+            VectorStore.load(str(tmp_path / "store"))
+
     def test_empty_store_round_trip(self, tmp_path):
         VectorStore(8).save(str(tmp_path / "store"))
         loaded = VectorStore.load(str(tmp_path / "store"))
