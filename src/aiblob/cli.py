@@ -113,7 +113,7 @@ def cmd_compose(args) -> int:
         base_url=config.providers.embed_base_url,
         model=config.providers.embed_model,
     )
-    # A version 1 store does not say which embedder made it.
+    # A store saved without an embedder spec records null, and is not checked.
     identity = _embedder_identity(config.providers.embedder, config)
     if store.embedder is not None and store.embedder != identity:
         raise ConfigError(f"{args.store} was indexed with embedder {store.embedder!r}, "

@@ -19,21 +19,21 @@ id -> row dict, and the largest row norm, found as insert and load check that
 every vector is finite. A hit carries its row's metadata, not the vector.
 
 Saving writes the columns (util.write_columns), then the matrix as the
-vectors.bin body, then a SHA-256 of all meta.jsonl bytes. Loading reads each
+vectors.bin body, then a SHA-256 of all meta.jsonl bytes: vectors.bin is
+renamed into place last, and its digest commits the pair. Loading reads each
 file once: meta.jsonl through util.RecordFile, the one reader of JSON-lines
-record files, then the vectors.bin header, size and values. The digest decides
-only when rows are decoded. When it matches, meta.jsonl is what save wrote:
+record files, then the vectors.bin header, size, digest and values. A digest
+that does not match meta.jsonl (the two files are not one save, say an index
+killed between its renames) is refused. So meta.jsonl is what save wrote:
 load keeps the RecordFile, and a row is decoded, with its record check, when
 top_k first ranks it (its column entries are None until then, and the id ->
 row dict holds decoded rows only). An excluded id not yet decoded, an insert
-and a save decode every row first. Without a digest (version 1) or on a
-mismatch, every row is decoded at load, before the vectors.bin checks, so a
-changed file is refused as it always was. Only a meta.jsonl forged together
-with its digest can hold a faulty row that load passes; its fault is raised,
-naming the line, when the row is first used. An insert takes a matrix with
-its columns, or a list of VectorRecord, turned into columns first.
+and a save decode every row first. Only a meta.jsonl forged together with its
+digest can hold a faulty row that load passes; its fault is raised, naming the
+line, when the row is first used. An insert takes a matrix with its columns,
+or a list of VectorRecord, turned into columns first.
 
-On-disk layout (bit-exact), version 2:
+On-disk layout (bit-exact), version 2, the only version read:
     meta.jsonl   header {"format":"aiblob-store","version":2,"dim":D,
                  "embedder":E,"videos":V} (E what the store was indexed
                  with, e.g. "deterministic:64" or "remote:<model>", or null;
@@ -43,8 +43,6 @@ On-disk layout (bit-exact), version 2:
     vectors.bin  magic "AIBV" | u32 LE version=2 | u32 LE dim | u64 LE count |
                  count*dim float32 LE values in meta.jsonl row order |
                  32-byte SHA-256 of all meta.jsonl bytes, header line included.
-Version 1 is read too: its header has no embedder or videos key, and its
-vectors.bin ends with the values.
 """
 
 from __future__ import annotations
@@ -65,8 +63,6 @@ from .util import (RecordFile, atomic_write_bytes, check_field_types, is_int, is
 
 STORE_FORMAT = "aiblob-store"
 STORE_VERSION = 2
-# The versions load reads: version 1 has no digest and no embedder.
-STORE_VERSIONS = (1, STORE_VERSION)
 VECTORS_MAGIC = b"AIBV"
 VECTORS_HEADER = struct.Struct("<4sIIQ")
 DIGEST_SIZE = 32
@@ -121,8 +117,8 @@ class VectorStore:
         self._ends: list[float] = []
         # The largest row norm (_max_norm).
         self._norm = 0.0
-        # After a digest-checked load, until _decode_all: the file the undecoded
-        # rows (None in the columns) are read from, and its header's video count.
+        # After a load, until _decode_all: the file the undecoded rows (None in
+        # the columns) are read from, and its header's video count.
         self._meta: RecordFile | None = None
         self._videos = 0
 
@@ -209,7 +205,7 @@ class VectorStore:
         raise AssertionError("the id test found a repeat the id walk does not")
 
     def _decode(self, rows: Iterable[int]) -> None:
-        """Decode those of ``rows`` that a digest-checked load left undecoded."""
+        """Decode those of ``rows`` that load left undecoded."""
         meta = self._meta
         if meta is None:
             return
@@ -253,8 +249,8 @@ class VectorStore:
             return []
 
         excluded = list(map(self._rows.get, exclude))
-        # After a digest-checked load only decoded ids are in the map, and an
-        # excluded id that is not may name an undecoded row.
+        # After a load only decoded ids are in the map, and an excluded id that
+        # is not may name an undecoded row.
         if self._meta is not None and None in excluded:
             self._decode_all()
             excluded = list(map(self._rows.get, exclude))
@@ -326,8 +322,8 @@ class VectorStore:
     # Persistence
     # ------------------------------------------------------------------
 
-    def save(self, directory: str) -> dict:
-        """Write meta.jsonl + vectors.bin; returns a manifest of what was written."""
+    def save(self, directory: str) -> None:
+        """Write meta.jsonl, then vectors.bin, whose digest commits the pair."""
         self._decode_all()
         os.makedirs(directory, exist_ok=True)
         meta_path = os.path.join(directory, META_FILE)
@@ -338,12 +334,6 @@ class VectorStore:
         write_columns(meta_path, meta_header, VectorRecord, self._columns(), digest)
         header = VECTORS_HEADER.pack(VECTORS_MAGIC, STORE_VERSION, self.dim, self.count)
         atomic_write_bytes(vectors_path, header, self._matrix, digest.digest())
-        return {
-            "dim": self.dim,
-            "count": self.count,
-            "meta_path": meta_path,
-            "vectors_path": vectors_path,
-        }
 
     @classmethod
     def load(cls, directory: str) -> "VectorStore":
@@ -353,35 +343,23 @@ class VectorStore:
             if not os.path.exists(path):
                 raise StoreError(f"missing store file: {path}")
 
-        meta = RecordFile(meta_path, STORE_FORMAT, STORE_VERSIONS, StoreError)
+        meta = RecordFile(meta_path, STORE_FORMAT, (STORE_VERSION,), StoreError)
         header, count = meta.header, meta.count
+        dim = header.get("dim")
+        if not is_int(dim) or dim < 1:
+            raise StoreError(f"{meta_path}: bad dim {dim!r}")
+        embedder = header.get("embedder")
+        if embedder is not None and not (isinstance(embedder, str) and is_utf8(embedder)):
+            raise StoreError(f"{meta_path}: bad embedder {embedder!r}")
         with open(vectors_path, "rb") as handle:
             size = os.fstat(handle.fileno()).st_size
             head = handle.read(VECTORS_HEADER.size)
-            magic, version, bin_dim, bin_count = (
-                VECTORS_HEADER.unpack(head) if len(head) == VECTORS_HEADER.size else (None,) * 4)
-            # A matching digest means meta.jsonl is what save wrote: its rows are
-            # decoded when first used. Otherwise every row is decoded now.
-            saved = False
-            if (magic == VECTORS_MAGIC and version == STORE_VERSION
-                    and size >= VECTORS_HEADER.size + DIGEST_SIZE):
-                handle.seek(size - DIGEST_SIZE)
-                saved = handle.read() == hashlib.sha256(meta.raw).digest()
-            if not saved:
-                # Its bytes are dropped before the matrix is read.
-                columns, meta = meta.columns(VectorRecord), None
-            dim = header.get("dim")
-            if not is_int(dim) or dim < 1:
-                raise StoreError(f"{meta_path}: bad dim {dim!r}")
-            embedder = header.get("embedder")
-            if embedder is not None and not (isinstance(embedder, str) and is_utf8(embedder)):
-                raise StoreError(f"{meta_path}: bad embedder {embedder!r}")
-
-            if magic is None:
+            if len(head) != VECTORS_HEADER.size:
                 raise StoreError(f"{vectors_path}: truncated header")
+            magic, version, bin_dim, bin_count = VECTORS_HEADER.unpack(head)
             if magic != VECTORS_MAGIC:
                 raise StoreError(f"{vectors_path}: bad magic {magic!r}")
-            if version not in STORE_VERSIONS:
+            if version != STORE_VERSION:
                 raise StoreError(f"{vectors_path}: unsupported version {version}")
             if bin_dim != dim:
                 raise StoreError(f"{vectors_path}: dim {bin_dim} does not match metadata dim {dim}")
@@ -389,24 +367,26 @@ class VectorStore:
                 raise StoreError(
                     f"{vectors_path}: count {bin_count} does not match {count} metadata rows"
                 )
-            expected_bytes = (VECTORS_HEADER.size + bin_count * dim * 4
-                              + (DIGEST_SIZE if version == STORE_VERSION else 0))
+            expected_bytes = VECTORS_HEADER.size + bin_count * dim * 4 + DIGEST_SIZE
             if size != expected_bytes:
                 raise StoreError(f"{vectors_path}: expected {expected_bytes} bytes, found {size}")
+            # The digest is the save's commit record: meta.jsonl is then exactly
+            # what save wrote with these vectors, and its rows decode when used.
+            handle.seek(size - DIGEST_SIZE)
+            if handle.read() != hashlib.sha256(meta.raw).digest():
+                raise StoreError(f"{vectors_path}: digest does not match {meta_path}, so the two "
+                                 f"files are not one save; re-run aiblob index")
             # Read into an array of its own, the matrix is aligned as numpy
             # aligns its allocations, which the float32 screen reads faster.
             handle.seek(VECTORS_HEADER.size)
             matrix = np.fromfile(handle, "<f4", bin_count * dim).reshape(bin_count, dim)
         store = cls(dim, embedder)
-        if meta is None:
-            store._append(matrix, columns)
-        else:
-            store._adopt(matrix, meta, header.get("videos"))
+        store._adopt(matrix, meta, header.get("videos"))
         return store
 
     def _adopt(self, matrix: np.ndarray, meta: RecordFile, videos) -> None:
-        """Take the rows of a digest-checked load, undecoded, after checking
-        the vectors and the header's video count."""
+        """Take the rows of a load, undecoded, after checking the vectors and
+        the header's video count."""
         count = len(matrix)
         if not is_int(videos) or not min(count, 1) <= videos <= count:
             raise StoreError(f"{meta.path}: bad videos {videos!r}")

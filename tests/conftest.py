@@ -9,7 +9,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import struct
 import sys
 
 import pytest
@@ -138,18 +137,6 @@ def build_replay_file(path, store: VectorStore, embedder, config: PipelineConfig
             scores.append({"id": sid, "irony": irony, "relevance": relevance, "rationale": ""})
         lines.append(dumps_line({"op": "score", "response": {"scores": scores}}))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def as_version_1(directory):
-    """Rewrite a saved store in version 1's bytes: a header without the embedder
-    and the video count, and no digest after the vectors."""
-    meta = directory / "meta.jsonl"
-    header, rows = meta.read_bytes().split(b"\n", 1)
-    dim = json.loads(header)["dim"]
-    meta.write_bytes(b'{"format":"aiblob-store","version":1,"dim":%d}\n' % dim + rows)
-    vectors = directory / "vectors.bin"
-    blob = vectors.read_bytes()
-    vectors.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:-32])
 
 
 def forge_digest(directory):

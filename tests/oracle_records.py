@@ -16,7 +16,7 @@ from typing import Any, Iterable, Iterator
 
 from aiblob.errors import AiblobError, ParseError, StoreError, ValidationError
 from aiblob.ingest import CORPUS_FORMAT, CORPUS_VERSION, Sentence
-from aiblob.store import META_KEYS, STORE_FORMAT, STORE_VERSIONS, VectorRecord
+from aiblob.store import META_KEYS, STORE_FORMAT, STORE_VERSION, VectorRecord
 from aiblob.util import _atomic_open, check_header, dumps_line, from_json, parse_json_line
 
 _meta_values = operator.attrgetter(*META_KEYS)
@@ -74,20 +74,21 @@ def oracle_load_corpus(path: str) -> list[Sentence]:
 
 def oracle_store_rows(meta_path: str) -> list[tuple]:
     """The META_KEYS values of each row of a store's meta.jsonl, checked record by
-    record, then id by id as the store's insert checks them."""
-    meta_rows = _numbered_lines(meta_path, STORE_FORMAT, STORE_VERSIONS, StoreError)
+    record, then id by id in row order, as the store checks the rows it decodes:
+    a repeat is named by its line."""
+    meta_rows = _numbered_lines(meta_path, STORE_FORMAT, (STORE_VERSION,), StoreError)
     next(meta_rows)  # the header
     rows = []
     for lineno, line in meta_rows:
         rec = from_json(VectorRecord, parse_json_line(line, meta_path, lineno), StoreError,
                         f"{meta_path}:{lineno}: bad record", vector=None)
-        rows.append(_meta_values(rec))
+        rows.append((lineno, _meta_values(rec)))
     seen: set[str] = set()
-    for row in rows:
+    for lineno, row in rows:
         if row[0] in seen:
-            raise ValidationError(f"duplicate sentence_id {_shown(row[0])}")
+            raise ValidationError(f"{meta_path}:{lineno}: duplicate sentence_id {_shown(row[0])}")
         seen.add(row[0])
-    return rows
+    return [row for _, row in rows]
 
 
 def oracle_write_jsonl(path: str, header: dict[str, Any], rows: Iterable[dict[str, Any]]) -> None:

@@ -11,15 +11,15 @@ import pytest
 
 import aiblob
 from aiblob.cli import build_parser, main
-from aiblob.errors import ParseError
+from aiblob.errors import ParseError, StoreError
 from aiblob import embeddings
 from aiblob.embeddings import DeterministicEmbedder, deterministic_embed, make_embedder
 from aiblob.ingest import export_corpus
 from aiblob.llm import Candidate
 from aiblob.narrative import PipelineConfig
 from aiblob.store import VectorStore
-from conftest import (INT_LIMIT, OVERLONG, as_version_1, build_replay_file, fixture_sentences,
-                      forge_digest, needs_int_limit, write_fixture_transcripts)
+from conftest import (INT_LIMIT, OVERLONG, build_replay_file, fixture_sentences, forge_digest,
+                      needs_int_limit, write_fixture_transcripts)
 
 
 @pytest.fixture()
@@ -143,20 +143,91 @@ class TestStats:
         row["video_id"] = ["vid000"]
         lines[1] = json.dumps(row)
         meta.write_text("\n".join(lines), encoding="utf-8")
+        capsys.readouterr()  # drop fixture output
         assert main(["stats", "--store", str(workspace / "store")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "meta.jsonl:2" in err and "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"error: {workspace / 'store' / 'vectors.bin'}: digest does not match {meta}, so the "
+            "two files are not one save; re-run aiblob index\n")
 
     def test_missing_store(self, tmp_path, capsys):
         assert main(["stats", "--store", str(tmp_path / "vuoto")]) == 1
         assert "missing" in capsys.readouterr().err
 
-    def test_version_1_store_gives_the_same_counts(self, workspace, capsys):
+    def test_version_1_store_is_refused(self, workspace, capsys):
+        # Version 1 has no digest, so it cannot tell a swapped pair from one
+        # save; index rebuilds the store.
+        meta = workspace / "store" / "meta.jsonl"
+        rows = meta.read_bytes().split(b"\n", 1)[1]
+        meta.write_bytes(b'{"format":"aiblob-store","version":1,"dim":32}\n' + rows)
+        capsys.readouterr()  # drop fixture output
+        assert main(["stats", "--store", str(workspace / "store")]) == 1
+        assert capsys.readouterr().err == f"error: {meta}: unsupported store version 1\n"
+        assert main(["index", "--corpus", str(workspace / "corpus.jsonl"), "--store",
+                     str(workspace / "store"), "--embedder", "deterministic:32"]) == 0
         assert main(["stats", "--store", str(workspace / "store")]) == 0
-        version_2 = capsys.readouterr().out
-        as_version_1(workspace / "store")
+
+
+class TestStoreIsOneSave:
+    """A store is one save. An index killed between its two renames leaves the
+    new meta.jsonl beside the old vectors.bin, and a meta.jsonl copied from
+    another store of the same shape pairs two saves too; the counts and the dim
+    agree, but the digest does not. load, stats and compose each refuse such a
+    pair with one error line, and a complete index mends it."""
+
+    @pytest.fixture(params=["interrupted index", "swapped meta.jsonl"])
+    def broken(self, request, workspace, monkeypatch, capsys):
+        # The fixture corpus with other texts in as many rows.
+        corpus = workspace / "corpus2.jsonl"
+        corpus.write_text((workspace / "corpus.jsonl").read_text(encoding="utf-8")
+                          .replace("calcio", "pallone"), encoding="utf-8")
+        index = ["index", "--corpus", str(corpus), "--embedder", "deterministic:32", "--store"]
+        store = workspace / "store"
+        capsys.readouterr()  # drop fixture output
+        if request.param == "interrupted index":
+            def fail(*args):
+                raise OSError("No space left on device")
+            with monkeypatch.context() as patch:
+                patch.setattr("aiblob.store.atomic_write_bytes", fail)
+                assert main([*index, str(store)]) == 1
+            assert capsys.readouterr().err == "error: No space left on device\n"
+        else:
+            assert main([*index, str(workspace / "store2")]) == 0
+            (store / "meta.jsonl").write_bytes((workspace / "store2" / "meta.jsonl").read_bytes())
+        capsys.readouterr()
+        return workspace, index
+
+    @staticmethod
+    def refusal(workspace):
+        store = workspace / "store"
+        return (f"error: {store / 'vectors.bin'}: digest does not match {store / 'meta.jsonl'}, "
+                "so the two files are not one save; re-run aiblob index\n")
+
+    def test_load_refuses_the_pair(self, broken):
+        workspace, _ = broken
+        with pytest.raises(StoreError) as caught:
+            VectorStore.load(str(workspace / "store"))
+        assert f"error: {caught.value}\n" == self.refusal(workspace)
+
+    def test_stats_refuses_the_pair(self, broken, capsys):
+        workspace, _ = broken
+        assert main(["stats", "--store", str(workspace / "store")]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", self.refusal(workspace))
+
+    def test_compose_refuses_the_pair_and_writes_no_plan(self, broken, capsys):
+        workspace, _ = broken
+        code, out = TestCompose().compose(workspace)
+        assert code == 1
+        assert capsys.readouterr().err == self.refusal(workspace)
+        assert not (out / "plan.json").exists()
+
+    def test_a_complete_index_into_the_directory_loads(self, broken, capsys):
+        workspace, index = broken
+        assert main([*index, str(workspace / "store")]) == 0
+        assert VectorStore.load(str(workspace / "store")).count == 200
+        capsys.readouterr()
         assert main(["stats", "--store", str(workspace / "store")]) == 0
-        assert capsys.readouterr().out == version_2
+        assert capsys.readouterr().out == "videos: 10\nsentences: 200\ndim: 32\n"
 
 
 def forge_bad_rows(store):
@@ -328,15 +399,17 @@ class TestCompose:
             "but the config names 'remote:m'\n")
         assert not (workspace / "episode").exists()
 
-    def test_version_1_store_skips_the_embedder_check(self, workspace, capsys):
-        # The same embedder under another spec: refused by a version 2 store,
-        # which records the spec, and composed as before from a version 1 one.
+    def test_store_without_an_embedder_skips_the_embedder_check(self, workspace, capsys):
+        # The same embedder under another spec: refused by a store that records
+        # the spec, and composed as before from one saved without it.
         config = workspace / "config.json"
         config.write_text(config.read_text().replace("deterministic:32", "deterministic:032"),
                           encoding="utf-8")
         code, _ = self.compose(workspace)
         assert code == 1 and "indexed with embedder 'deterministic:32'" in capsys.readouterr().err
-        as_version_1(workspace / "store")
+        store = VectorStore.load(str(workspace / "store"))
+        store.embedder = None
+        store.save(str(workspace / "store"))
         code, out = self.compose(workspace)
         assert code == 0 and (out / "edl.json").exists()
 
@@ -623,7 +696,12 @@ class TestOverlongInteger:
         assert main(TestNonUtf8Input.COMMANDS[command](workspace)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
-        assert err.endswith(f"invalid JSON: an integer of more than {INT_LIMIT} digits\n")
+        if name == "store/meta.jsonl" and not forged:
+            # The changed meta.jsonl no longer matches its digest.
+            assert err.endswith(f"digest does not match {path}, so the two files are not one "
+                                "save; re-run aiblob index\n")
+        else:
+            assert err.endswith(f"invalid JSON: an integer of more than {INT_LIMIT} digits\n")
 
 
 class TestLoneSurrogate:

@@ -196,20 +196,29 @@ def test_load_corpus(workdir, data):
 # -- store ---------------------------------------------------------------
 
 META = [
-    {"format": "aiblob-store", "version": 1, "dim": 2},
+    {"format": "aiblob-store", "version": 2, "dim": 2, "embedder": None, "videos": 2},
     {"sentence_id": "a1", "video_id": "v1", "text": "Ciao.", "start_s": 0.0, "end_s": 0.5},
     {"sentence_id": "b2", "video_id": "v2", "text": "Come stai?", "start_s": 0.6,
      "end_s": 1.4},
 ]
-VECTORS = b"AIBV" + struct.pack("<IIQ", 1, 2, 2) + np.array(
+# vectors.bin without its digest, and whole, its digest matching META.
+VECTORS_BODY = b"AIBV" + struct.pack("<IIQ", 2, 2, 2) + np.array(
     [[0.6, 0.8], [1.0, 0.0]], dtype="<f4").tobytes()
+VECTORS = VECTORS_BODY + hashlib.sha256(lines_of(META)).digest()
 
 
 @FUZZ
 @given(st.one_of(ARBITRARY_BYTES, mutated(META).map(lines_of)),
        st.one_of(st.just(VECTORS), ARBITRARY_BYTES,
-                 st.binary(min_size=1, max_size=4).map(lambda b: VECTORS[:-len(b)] + b)))
-def test_vector_store_load(workdir, meta, vectors):
+                 st.binary(min_size=1, max_size=4).map(
+                     lambda b: VECTORS_BODY[:-len(b)] + b + VECTORS[-32:])),
+       st.booleans())
+def test_vector_store_load(workdir, meta, vectors, forge):
+    """Unforged, a store that loads is what save wrote, so top_k and save never
+    raise on it. With ``forge``, vectors.bin ends with the digest of the drawn
+    meta.jsonl, which load then reads row by row as top_k ranks the rows."""
+    if forge and len(vectors) >= 32:
+        vectors = vectors[:-32] + hashlib.sha256(meta).digest()
     directory = workdir / "store"
     directory.mkdir(exist_ok=True)
     put(directory / "meta.jsonl", meta)
@@ -218,9 +227,13 @@ def test_vector_store_load(workdir, meta, vectors):
     if store is not None and store.count:
         query = np.zeros(store.dim)
         query[0] = 1.0
-        hits = store.top_k(query, store.count)
-        assert len({h.sentence_id for h in hits}) == store.count
-        store.save(str(workdir / "saved"))
+        if forge:
+            hits = loaded(lambda: store.top_k(query, store.count))
+        else:
+            hits = store.top_k(query, store.count)
+        if hits is not None:
+            assert len({h.sentence_id for h in hits}) == store.count
+            store.save(str(workdir / "saved"))
 
 
 # A version 2 store, whose meta.jsonl is checked by a digest at the end of
@@ -515,9 +528,10 @@ ARGUMENTS = {
 @st.composite
 def command_cases(draw):
     """A command and one change to what it reads: one artifact mutated (the
-    store's meta.jsonl with or without a forged digest, so that its rows are
-    decoded at load or when top_k ranks them), vectors.bin's bytes truncated,
-    with a header byte changed or with a NaN value, or one argument replaced."""
+    store's meta.jsonl without a forged digest, so that load refuses it as not
+    matching vectors.bin, or with one, so that its rows are decoded when top_k
+    ranks them), vectors.bin's bytes truncated, with a header byte changed or
+    with a NaN value, or one argument replaced."""
     kind = draw(st.sampled_from(["artifact", "vectors.bin", "argument"]))
     if kind == "artifact":
         name, command = draw(st.sampled_from([(name, command)

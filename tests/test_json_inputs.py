@@ -16,8 +16,7 @@ from aiblob.montage import load_edl
 from aiblob.narrative import load_plan
 from aiblob.store import VectorRecord, VectorStore
 from aiblob.util import parse_json
-from conftest import (INT_LIMIT, OVERLONG, as_version_1, fixture_sentences, forge_digest,
-                      needs_int_limit)
+from conftest import INT_LIMIT, OVERLONG, fixture_sentences, forge_digest, needs_int_limit
 
 
 class TestParseJson:
@@ -106,15 +105,16 @@ class TestOverlongIntegerAtEverySite:
         with pytest.raises(ParseError, match=rf"corpus\.jsonl:4: {self.MESSAGE}"):
             load_corpus(str(path))
 
-    def test_version_1_store(self, tmp_path):
+    def test_store_header(self, tmp_path):
         directory = store_with_an_overlong_row(tmp_path / "store")
-        as_version_1(directory)
-        with pytest.raises(ParseError, match=rf"meta\.jsonl:4: {self.MESSAGE}"):
+        put_overlong(directory / "meta.jsonl", '"videos":2}', '"videos":OVERLONG}')
+        with pytest.raises(ParseError, match=rf"meta\.jsonl:1: {self.MESSAGE}"):
             VectorStore.load(str(directory))
 
-    def test_store_whose_metadata_changed(self, tmp_path):
+    def test_store_whose_metadata_changed_is_refused(self, tmp_path):
+        # Its digest no longer matches, so no row is decoded.
         directory = store_with_an_overlong_row(tmp_path / "store")
-        with pytest.raises(ParseError, match=rf"meta\.jsonl:4: {self.MESSAGE}"):
+        with pytest.raises(StoreError, match=r"vectors\.bin: digest does not match \S*meta\.jsonl"):
             VectorStore.load(str(directory))
 
     def test_store_with_a_forged_digest_at_top_k(self, tmp_path):

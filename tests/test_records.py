@@ -1,15 +1,14 @@
 """The column readers of corpus and store metadata files against the per-row
 readers of oracle_records.py: equal columns for valid files, and the same
 error class and message for files with faults at random rows, for a store
-whether it is read whole at load or row by row as top_k ranks the rows (a
-forged digest). The column writer against the per-row writer: the same bytes
-for every record file."""
+read row by row as top_k ranks the rows (its digest forged to match). The
+column writer against the per-row writer: the same bytes for every record
+file."""
 
 import dataclasses
 import hashlib
 import json
 import math
-import re
 import struct
 import sys
 from unittest import mock
@@ -176,20 +175,11 @@ def read_corpus_pair(path):
     return got, want
 
 
-def read_store_pair(directory, lines):
-    """The same for a store: meta.jsonl holds ``lines``; vectors.bin holds as many
-    unit rows as meta.jsonl has non-empty lines, so only the metadata can fail."""
-    count = sum(1 for line in lines if line)
-    (directory / "vectors.bin").write_bytes(
-        b"AIBV" + struct.pack("<IIQ", 1, 2, count) + struct.pack("<ff", 0.6, 0.8) * count)
-    got = outcome(lambda: repr(tuple(VectorStore.load(str(directory))._columns())))
-    want = outcome(lambda: repr(oracle_store_columns(directory / "meta.jsonl")))
-    return got, want
-
-
 def read_lazy_store(directory, lines):
-    """The outcome of a version 2 store whose meta.jsonl holds ``lines`` with a
-    digest that matches it: loaded, then every row decoded by one top_k."""
+    """The outcome of a store whose meta.jsonl holds ``lines``, with a digest that
+    matches it: loaded, then every row decoded by one top_k. Its vectors.bin holds
+    as many equal unit rows as meta.jsonl has non-empty lines, so only the
+    metadata can fail, and top_k decodes every row at once, in row order."""
     count = sum(1 for line in lines if line)
     meta = directory / "meta.jsonl"
     write_lines(meta, {"format": "aiblob-store", "version": 2, "dim": 2, "embedder": None,
@@ -205,8 +195,12 @@ def read_lazy_store(directory, lines):
     return outcome(read)
 
 
+def oracle_store(directory):
+    """The per-row reader's outcome for the meta.jsonl read_lazy_store wrote."""
+    return outcome(lambda: repr(oracle_store_columns(directory / "meta.jsonl")))
+
+
 CORPUS_HEADER = {"format": "aiblob-corpus", "version": 1}
-META_HEADER = {"format": "aiblob-store", "version": 1, "dim": 2}
 
 
 class TestValidFiles:
@@ -221,18 +215,17 @@ class TestValidFiles:
     @VALID_EXAMPLES
     @given(lines=record_files(META_FIELDS))
     def test_store_columns_equal(self, tmp_path, lines):
-        write_lines(tmp_path / "meta.jsonl", META_HEADER, lines)
-        got, want = read_store_pair(tmp_path, lines)
+        got = read_lazy_store(tmp_path, lines)
+        want = oracle_store(tmp_path)
         assert want[0] == "ok"
         assert got == want
-        assert read_lazy_store(tmp_path, lines) == want
 
     def test_keys_in_another_order_load_equal(self, tmp_path):
         rows = [{"end_s": 2.0, "start_s": 1, "text": "ciao", "video_id": "v", "sentence_id": s}
                 for s in ("a", "b")]
         lines = list(map(dumps_line, rows))
-        write_lines(tmp_path / "meta.jsonl", META_HEADER, lines)
-        got, want = read_store_pair(tmp_path, lines)
+        got = read_lazy_store(tmp_path, lines)
+        want = oracle_store(tmp_path)
         assert got == want == ("ok", repr((["a", "b"], ["v", "v"], ["ciao", "ciao"],
                                            [1.0, 1.0], [2.0, 2.0])))
 
@@ -251,16 +244,7 @@ class TestFaultyFiles:
     @given(data=st.data())
     def test_store_error_equal(self, tmp_path, fault, data):
         lines = data.draw(record_files(META_FIELDS, [fault]))
-        write_lines(tmp_path / "meta.jsonl", META_HEADER, lines)
-        got, want = read_store_pair(tmp_path, lines)
-        assert got == want
-        lazy = read_lazy_store(tmp_path, lines)
-        if want[1].startswith("duplicate sentence_id "):
-            # Found as a row is decoded, a repeat is named by its line too.
-            assert lazy[0] == want[0]
-            assert re.fullmatch(rf".*meta\.jsonl:\d+: {re.escape(want[1])}", lazy[1])
-        else:
-            assert lazy == want
+        assert read_lazy_store(tmp_path, lines) == oracle_store(tmp_path)
 
 
 @pytest.mark.parametrize("merge", MERGE_FAULTS)

@@ -3,6 +3,8 @@
 import json
 import random
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +14,11 @@ from hypothesis import strategies as st
 from aiblob.embeddings import deterministic_embed
 from aiblob.errors import AiblobError, ConfigError, StoreError, ValidationError
 from aiblob.store import META_KEYS, VectorRecord, VectorStore
-from conftest import as_version_1, forge_digest
+from conftest import forge_digest
+
+# What load says of a meta.jsonl that its vectors.bin digest does not match.
+MISMATCH = (r"vectors\.bin: digest does not match \S*meta\.jsonl, so the two files are not "
+            r"one save; re-run aiblob index$")
 
 
 def brute_force_top_k(records, query, k, exclude=frozenset(), video_cap=None, scores=None):
@@ -414,8 +420,7 @@ class TestTopK:
 class TestPersistence:
     def test_round_trip_answers_queries_identically(self, tmp_path):
         store = filled_store(100, 8)
-        manifest = store.save(str(tmp_path / "store"))
-        assert manifest["count"] == 100
+        store.save(str(tmp_path / "store"))
         loaded = VectorStore.load(str(tmp_path / "store"))
         assert loaded.count == 100
         for seed in range(20):
@@ -489,7 +494,7 @@ class TestPersistence:
         with pytest.raises(StoreError, match=r"vectors\.bin: truncated header$"):
             VectorStore.load(str(tmp_path / "store"))
 
-    @pytest.mark.parametrize("version", [0, 3, 2**32 - 1])
+    @pytest.mark.parametrize("version", [0, 1, 3, 2**32 - 1])
     def test_unsupported_version(self, tmp_path, version):
         filled_store(3, 8).save(str(tmp_path / "store"))
         path = tmp_path / "store" / "vectors.bin"
@@ -498,6 +503,20 @@ class TestPersistence:
         path.write_bytes(bytes(data))
         with pytest.raises(StoreError, match=rf"vectors\.bin: unsupported version {version}$"):
             VectorStore.load(str(tmp_path / "store"))
+
+    def test_version_1_store_is_refused(self, tmp_path):
+        # Version 1: a header without the embedder and the video count, and no
+        # digest after the vectors, so it cannot tell a swapped pair from one save.
+        directory = tmp_path / "store"
+        filled_store(3, 8).save(str(directory))
+        meta = directory / "meta.jsonl"
+        rows = meta.read_bytes().split(b"\n", 1)[1]
+        meta.write_bytes(b'{"format":"aiblob-store","version":1,"dim":8}\n' + rows)
+        vectors = directory / "vectors.bin"
+        blob = vectors.read_bytes()
+        vectors.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:-32])
+        with pytest.raises(StoreError, match=r"meta\.jsonl: unsupported store version 1$"):
+            VectorStore.load(str(directory))
 
     def test_empty_store_round_trip(self, tmp_path):
         VectorStore(8).save(str(tmp_path / "store"))
@@ -521,8 +540,7 @@ class TestPersistence:
         row[field] = value
         lines[2] = json.dumps(row)
         meta.write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(StoreError, match="meta.jsonl:3: bad record"):
-            VectorStore.load(str(tmp_path / "store"))
+        assert_row_fault(tmp_path / "store", StoreError, "meta.jsonl:3: bad record")
 
     @pytest.mark.parametrize("key", ["speaker", "vector"])
     def test_unknown_metadata_key_rejected(self, tmp_path, key):
@@ -531,9 +549,8 @@ class TestPersistence:
         lines = meta.read_text(encoding="utf-8").split("\n")
         lines[2] = json.dumps({**json.loads(lines[2]), key: [0.0]})
         meta.write_text("\n".join(lines), encoding="utf-8")
-        message = rf"meta\.jsonl:3: bad record: unknown key\(s\): {key}"
-        with pytest.raises(StoreError, match=message):
-            VectorStore.load(str(tmp_path / "store"))
+        assert_row_fault(tmp_path / "store", StoreError,
+                         rf"meta\.jsonl:3: bad record: unknown key\(s\): {key}$")
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_nan_in_vectors_rejected_on_load(self, tmp_path, value):
@@ -557,14 +574,27 @@ class TestPersistence:
         assert loaded.top_k(query, 3) == store.top_k(query, 3)
         assert_exact(records, query, 3)
 
-    def test_duplicate_id_rejected_on_load(self, tmp_path):
+    def test_duplicate_id_rejected(self, tmp_path):
         filled_store(3, 8).save(str(tmp_path / "store"))
         meta = tmp_path / "store" / "meta.jsonl"
         lines = meta.read_text(encoding="utf-8").split("\n")
         lines[3] = lines[3].replace('"s0002"', '"s0000"')
         meta.write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(ValidationError, match="duplicate sentence_id s0000"):
-            VectorStore.load(str(tmp_path / "store"))
+        assert_row_fault(tmp_path / "store", ValidationError,
+                         "meta.jsonl:4: duplicate sentence_id s0000$")
+
+
+def assert_row_fault(directory, error, message, query=deterministic_embed("q", 8), k=3):
+    """A meta.jsonl changed after its save is refused at load, since the
+    vectors.bin digest no longer matches it. With that digest forged to match,
+    the store loads, and ``error`` with ``message`` is raised when top_k first
+    ranks the faulty row."""
+    with pytest.raises(StoreError, match=MISMATCH):
+        VectorStore.load(str(directory))
+    forge_digest(directory)
+    store = VectorStore.load(str(directory))
+    with pytest.raises(error, match=message):
+        store.top_k(query, k)
 
 
 def edit_line(directory, lineno, edit):
@@ -597,17 +627,23 @@ def outcome(call):
         return type(exc).__name__, str(exc)
 
 
-# Changes to a saved 3-row dim-8 store, each with the message a load gives.
+# Changes to a saved 3-row dim-8 store, each with the message a load gives: a
+# changed meta.jsonl no longer matches the vectors.bin digest.
 FAULTS = {
-    "bad type": (lambda d: edit_line(d, 3, lambda row: {**row, "start_s": "1.5"}),
-                 "meta.jsonl:3: bad record: start_s must be a finite number, got '1.5'"),
-    "unknown key": (lambda d: edit_line(d, 3, lambda row: {**row, "speaker": "x"}),
-                    r"meta.jsonl:3: bad record: unknown key\(s\): speaker"),
+    "bad type": (lambda d: edit_line(d, 3, lambda row: {**row, "start_s": "1.5"}), MISMATCH),
+    "unknown key": (lambda d: edit_line(d, 3, lambda row: {**row, "speaker": "x"}), MISMATCH),
     "duplicate id": (lambda d: edit_line(d, 4, lambda row: {**row, "sentence_id": "s0000"}),
-                     "duplicate sentence_id s0000"),
+                     MISMATCH),
     "NaN": (lambda d: set_nan(d, 2, 8), "record s0002: vector has NaN/Inf"),
     "blank line": (lambda d: set_bytes(d, 3, lambda line: b""),
                    "count 3 does not match 2 metadata rows"),
+}
+# What the meta.jsonl faults raise once the digest is forged to match them,
+# when top_k first ranks the changed row.
+FORGED = {
+    "bad type": "meta.jsonl:3: bad record: start_s must be a finite number, got '1.5'",
+    "unknown key": r"meta.jsonl:3: bad record: unknown key\(s\): speaker",
+    "duplicate id": "meta.jsonl:4: duplicate sentence_id s0000",
 }
 
 
@@ -621,50 +657,93 @@ class TestDigestCheckedLoad:
         return directory
 
     @pytest.mark.parametrize("fault", FAULTS)
-    def test_a_changed_store_is_refused_as_a_version_1_store_is(self, tmp_path, fault):
+    def test_a_changed_store_is_refused_at_load(self, tmp_path, fault):
         change, message = FAULTS[fault]
         directory = self.saved(tmp_path, n=3)
         change(directory)
         with pytest.raises(AiblobError, match=message):
             VectorStore.load(str(directory))
-        version_2 = outcome(lambda: VectorStore.load(str(directory)))
-        as_version_1(directory)
-        assert outcome(lambda: VectorStore.load(str(directory))) == version_2
 
-    def test_version_1_store_answers_as_version_2(self, tmp_path):
-        stores = []
-        for version in (1, 2):
-            directory = self.saved(tmp_path, f"v{version}")
-            if version == 1:
-                as_version_1(directory)
-            stores.append(VectorStore.load(str(directory)))
-        v1, v2 = stores
-        assert (v1.count, v1.dim, v1.video_count) == (v2.count, v2.dim, v2.video_count) == (
-            300, 8, 7)
-        for cap in (None, 2):
-            excluded: set[str] = set()
-            for query in self.QUERIES:
-                hits = v1.top_k(query, 10, exclude=excluded, video_cap=cap)
-                assert v2.top_k(query, 10, exclude=excluded, video_cap=cap) == hits
-                excluded.update(hit.sentence_id for hit in hits)
-        # Saved again, a version 1 store is written as version 2.
-        v1.save(str(tmp_path / "again"))
-        for name in ("meta.jsonl", "vectors.bin"):
-            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "v2" / name).read_bytes()
+    def test_a_swapped_pair_is_refused(self, tmp_path):
+        # Two saves of the same shape, one's meta.jsonl beside the other's
+        # vectors: counts and dim agree, so only the digest tells them apart.
+        first = self.saved(tmp_path, "first", n=3)
+        second = tmp_path / "second"
+        filled_store(3, 8, prefix="t", video_every=2).save(str(second))
+        (first / "meta.jsonl").write_bytes((second / "meta.jsonl").read_bytes())
+        with pytest.raises(StoreError, match=MISMATCH):
+            VectorStore.load(str(first))
+        assert VectorStore.load(str(second)).count == 3
+
+    @pytest.mark.parametrize("n,message", [(300, MISMATCH),
+                                           (301, "count 300 does not match 301 metadata rows")])
+    def test_an_interrupted_save_is_refused_and_a_complete_one_loads(self, tmp_path, monkeypatch,
+                                                                     n, message):
+        # A save that dies after renaming meta.jsonl, before vectors.bin, over
+        # a directory that holds an earlier save.
+        directory = self.saved(tmp_path)
+        store = filled_store(n, 8, prefix="t", video_every=5)
+
+        def fail(*args):
+            raise OSError("no space left on device")
+        with monkeypatch.context() as patch:
+            patch.setattr("aiblob.store.atomic_write_bytes", fail)
+            with pytest.raises(OSError):
+                store.save(str(directory))
+        with pytest.raises(StoreError, match=message):
+            VectorStore.load(str(directory))
+        store.save(str(directory))
+        loaded = VectorStore.load(str(directory))
+        for query in self.QUERIES:
+            assert loaded.top_k(query, 10, video_cap=2) == store.top_k(query, 10, video_cap=2)
 
     @pytest.mark.parametrize("extra", [set(), {"not-in-store"}])
-    def test_excluding_an_undecoded_id_gives_the_full_path_result(self, tmp_path, extra):
+    def test_excluding_an_undecoded_id_gives_the_in_memory_result(self, tmp_path, extra):
         directory = self.saved(tmp_path)
-        version_1 = tmp_path / "v1"
-        self.saved(tmp_path, "v1")
-        as_version_1(version_1)
-        full = VectorStore.load(str(version_1))
+        in_memory = filled_store(300, 8, video_every=7)
         for query in self.QUERIES[:4]:
             # A fresh load has decoded no row, so the best rows are not decoded.
-            exclude = {hit.sentence_id for hit in full.top_k(query, 3)} | extra
+            exclude = {hit.sentence_id for hit in in_memory.top_k(query, 3)} | extra
             lazy = VectorStore.load(str(directory))
             assert (lazy.top_k(query, 10, exclude=exclude)
-                    == full.top_k(query, 10, exclude=exclude))
+                    == in_memory.top_k(query, 10, exclude=exclude))
+
+    def test_concurrent_readers_answer_as_the_in_memory_store(self, tmp_path):
+        # Eight threads share each fresh lazy load, so they decode rows into
+        # it concurrently; from its sixth query on, one thread also excludes an
+        # id the store lacks, which decodes every row amid the others' queries.
+        directory = self.saved(tmp_path)
+
+        def answers(store, unknown=False):
+            excluded: set[str] = set()
+            found = []
+            for i, query in enumerate(self.QUERIES):
+                if unknown and i == 5:
+                    excluded.add("not-in-store")
+                hits = store.top_k(query, 10, exclude=excluded, video_cap=2)
+                excluded.update(hit.sentence_id for hit in hits)
+                found.append(hits)
+            return found
+
+        expected = answers(filled_store(300, 8, video_every=7))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                store = VectorStore.load(str(directory))
+                results: list = [None] * 8
+
+                def read(i):
+                    results[i] = outcome(lambda: answers(store, unknown=i == 0))
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert results == [("ok", expected)] * 8
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("queries", [0, 3])
     def test_save_of_a_loaded_store_is_byte_identical(self, tmp_path, queries):
@@ -688,8 +767,11 @@ class TestDigestCheckedLoad:
                           "embedder": "deterministic:8", "videos": 6}
         loaded = VectorStore.load(str(tmp_path / "store"))
         assert (loaded.embedder, loaded.video_count, loaded.count) == ("deterministic:8", 6, 20)
-        as_version_1(tmp_path / "store")
-        loaded = VectorStore.load(str(tmp_path / "store"))
+        # A store made without an embedder spec records null.
+        store = VectorStore(8)
+        store.insert_batch(make_records(20, 8, video_every=6))
+        store.save(str(tmp_path / "plain"))
+        loaded = VectorStore.load(str(tmp_path / "plain"))
         assert (loaded.embedder, loaded.video_count, loaded.count) == (None, 6, 20)
 
     @pytest.mark.parametrize("fault", ["bad type", "unknown key"])
@@ -698,7 +780,7 @@ class TestDigestCheckedLoad:
         FAULTS[fault][0](directory)
         forge_digest(directory)
         store = VectorStore.load(str(directory))
-        with pytest.raises(StoreError, match=FAULTS[fault][1]):
+        with pytest.raises(StoreError, match=FORGED[fault]):
             store.top_k(self.QUERIES[0], 3)
 
     def test_forged_digest_duplicate_id_raised_when_both_rows_are_ranked(self, tmp_path):
@@ -706,7 +788,7 @@ class TestDigestCheckedLoad:
         FAULTS["duplicate id"][0](directory)
         forge_digest(directory)
         store = VectorStore.load(str(directory))
-        with pytest.raises(ValidationError, match="meta.jsonl:4: duplicate sentence_id s0000"):
+        with pytest.raises(ValidationError, match=FORGED["duplicate id"]):
             store.top_k(self.QUERIES[0], 3)
 
     def test_forged_digest_bad_utf8_raised_as_store_error(self, tmp_path):
@@ -719,13 +801,12 @@ class TestDigestCheckedLoad:
             store.top_k(self.QUERIES[0], 3)
 
     def test_changed_store_bad_utf8_raised_as_store_error(self, tmp_path):
-        # As for a forged digest (below), naming the line and the file offset.
+        # Refused at load; forged, named by its line and its file offset.
         directory = self.saved(tmp_path, n=3)
         set_bytes(directory, 3, lambda line: line.replace(b"numero", b"\xff numero"))
         at = (directory / "meta.jsonl").read_bytes().index(b"\xff")
-        with pytest.raises(StoreError, match=rf"meta.jsonl:3: not valid UTF-8 \(invalid start "
-                                             rf"byte at byte {at}\)"):
-            VectorStore.load(str(directory))
+        assert_row_fault(directory, StoreError, rf"meta.jsonl:3: not valid UTF-8 \(invalid start "
+                                                rf"byte at byte {at}\)$")
 
     def test_forged_digest_blank_line_is_not_a_row(self, tmp_path):
         directory = self.saved(tmp_path, n=3)
@@ -734,16 +815,14 @@ class TestDigestCheckedLoad:
         with pytest.raises(StoreError, match=FAULTS["blank line"][1]):
             VectorStore.load(str(directory))
 
-    @pytest.mark.parametrize("kind", ["forged", "changed", "version 1"])
-    def test_crlf_line_ends_load_as_lf(self, tmp_path, kind):
+    def test_crlf_line_ends_load_as_lf(self, tmp_path):
         directory = self.saved(tmp_path)
         lf = VectorStore.load(str(directory))
         meta = directory / "meta.jsonl"
         meta.write_bytes(meta.read_bytes().replace(b"\n", b"\r\n"))
-        if kind == "forged":
-            forge_digest(directory)
-        elif kind == "version 1":
-            as_version_1(directory)
+        with pytest.raises(StoreError, match=MISMATCH):
+            VectorStore.load(str(directory))
+        forge_digest(directory)
         crlf = VectorStore.load(str(directory))
         for query in self.QUERIES:
             assert crlf.top_k(query, 10, video_cap=2) == lf.top_k(query, 10, video_cap=2)
