@@ -13,10 +13,8 @@ import os
 import time
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import ConfigError, ProviderError, ValidationError
-from .util import DEFAULT_RETRIES, check_url, is_finite_number, post_json, retry
+from .util import DEFAULT_RETRIES, check_url, is_finite_number, np, post_json, retry
 
 EMBED_API_KEY_ENV = "AIBLOB_EMBED_API_KEY"
 

@@ -18,6 +18,7 @@ import os
 import shlex
 import shutil
 import subprocess
+import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -258,7 +259,9 @@ def render(edl: EditDecisionList, out_path: str, settings: RenderSettings,
     """Render the EDL to out_path, or return the command plan text on dry runs.
 
     Refuses invalid EDLs before any invocation. Real runs need the renderer
-    binary and all local source media present; dry runs need nothing.
+    binary and all local source media present; dry runs need nothing. A real
+    run writes render.log beside out_path: each step's command line, then
+    "# exit <code> after <seconds> s".
     """
     violations = validate_edl(edl)
     if violations:
@@ -287,8 +290,10 @@ def render(edl: EditDecisionList, out_path: str, settings: RenderSettings,
     try:
         for argv in steps:
             log_lines.append(shlex.join(argv))
+            started = time.perf_counter()
             result = subprocess.run(argv, capture_output=True, text=True)
-            log_lines.append(f"# exit {result.returncode}")
+            seconds = time.perf_counter() - started
+            log_lines.append(f"# exit {result.returncode} after {seconds:.3f} s")
             if result.returncode != 0:
                 tail = (result.stderr or "").strip().splitlines()[-10:]
                 log_lines.extend(f"# {line}" for line in tail)

@@ -55,10 +55,8 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
-import numpy as np
-
 from .errors import ConfigError, StoreError, ValidationError
-from .util import (RecordFile, atomic_write_bytes, check_field_types, is_int, is_utf8, shown,
+from .util import (RecordFile, atomic_write_bytes, check_field_types, is_int, is_utf8, np, shown,
                    write_columns)
 
 STORE_FORMAT = "aiblob-store"

@@ -1,7 +1,8 @@
-"""Small shared helpers: atomic file writes, the one JSON decoder (parse_json)
-for every file and reply, canonical JSON lines, JSON-lines files read by one
-line rule and record files written and read as columns, value and record
-checks, provider retries, the one HTTP client (post_json) and its URL rule."""
+"""Small shared helpers: numpy imported on first use (np), atomic file writes,
+the one JSON decoder (parse_json) for every file and reply, canonical JSON
+lines, JSON-lines files read by one line rule and record files written and
+read as columns, value and record checks, provider retries, the one HTTP
+client (post_json) and its URL rule."""
 
 from __future__ import annotations
 
@@ -18,9 +19,24 @@ from itertools import islice
 from json.encoder import encode_basestring
 from typing import IO, Any, Callable, Collection, Container, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import AiblobError, ConfigError, ParseError, ProviderError, ValidationError
+
+
+class _Numpy:
+    """numpy, imported the first time one of its names is used, so commands that
+    never touch an array (render, --help) never load it. Each name is cached on
+    the handle, and its next lookup is a plain attribute read. The import is a
+    real ``import`` statement: a thread that uses numpy first while another
+    thread imports it waits on the import lock for the whole module."""
+
+    def __getattr__(self, name: str) -> Any:
+        import numpy
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np: Any = _Numpy()
 
 # Attempts after the first, for embedding chunks and LLM calls alike.
 DEFAULT_RETRIES = 3

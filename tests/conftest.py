@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 
+import aiblob
 from aiblob.embeddings import make_embedder
 from aiblob.ingest import export_corpus, parse_transcript, segment_sentences
 from aiblob.llm import QueryPhrase
@@ -137,6 +140,14 @@ def build_replay_file(path, store: VectorStore, embedder, config: PipelineConfig
             scores.append({"id": sid, "irony": irony, "relevance": relevance, "rationale": ""})
         lines.append(dumps_line({"op": "score", "response": {"scores": scores}}))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def run_python(*argv):
+    """``python *argv`` in a child process that imports aiblob from this source tree."""
+    src = os.path.dirname(os.path.dirname(aiblob.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
 
 
 def forge_digest(directory):

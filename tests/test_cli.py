@@ -4,12 +4,9 @@ import dataclasses
 import json
 import os
 import re
-import subprocess
-import sys
 
 import pytest
 
-import aiblob
 from aiblob.cli import build_parser, main
 from aiblob.errors import ParseError, StoreError
 from aiblob import embeddings
@@ -19,7 +16,7 @@ from aiblob.llm import Candidate
 from aiblob.narrative import PipelineConfig
 from aiblob.store import VectorStore
 from conftest import (INT_LIMIT, OVERLONG, build_replay_file, fixture_sentences, forge_digest,
-                      needs_int_limit, write_fixture_transcripts)
+                      needs_int_limit, run_python, write_fixture_transcripts)
 
 
 @pytest.fixture()
@@ -49,11 +46,7 @@ def workspace(tmp_path):
 
 def run_cli(*argv):
     """``aiblob`` in a child process, with no logging set up: its exit code and stderr."""
-    src = os.path.dirname(os.path.dirname(aiblob.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    result = subprocess.run([sys.executable, "-m", "aiblob.cli", *map(str, argv)],
-                            capture_output=True, text=True, env=env, timeout=300)
+    result = run_python("-m", "aiblob.cli", *argv)
     return result.returncode, result.stderr
 
 

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import stat
 
 import pytest
@@ -17,6 +18,7 @@ from aiblob.montage import (
     Loudness,
     RenderSettings,
     build_edl,
+    build_render_plan,
     load_edl,
     render,
     save_edl,
@@ -288,12 +290,17 @@ class TestRenderExecution:
         script, log = self.fake_renderer(tmp_path)
         edl = self.local_edl(tmp_path)
         out = str(tmp_path / "out.mp4")
-        result = render(edl, out, RenderSettings(renderer_path=str(script)))
+        settings = RenderSettings(renderer_path=str(script))
+        result = render(edl, out, settings)
         assert result == out
         assert os.path.exists(out)
         calls = log.read_text().strip().split("\n")
         assert len(calls) == 4
-        assert (tmp_path / "render.log").exists()
+        # Each step's command line, then its exit code and wall time.
+        lines = (tmp_path / "render.log").read_text().splitlines()
+        assert lines[0::2] == [shlex.join(argv) for argv in build_render_plan(edl, out, settings)]
+        assert len(lines[1::2]) == 4
+        assert all(re.fullmatch(r"# exit 0 after \d+\.\d{3} s", line) for line in lines[1::2])
 
     def test_renderer_failure_reported(self, tmp_path):
         script, _ = self.fake_renderer(tmp_path, exit_code=3)

@@ -1,20 +1,16 @@
 """Loopback HTTP round-trips for the remote embedding and LLM providers, and the
 one HTTP boundary (util.post_json): every transport fault is a retried
 ProviderError, a malformed endpoint URL is a ConfigError before any call, and
-offline commands never load the HTTP client."""
+offline commands never load the HTTP client (nor numpy, until they use it)."""
 
 import functools
 import json
-import os
-import subprocess
-import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
-import aiblob
 from aiblob import cli
 from aiblob.cli import main
 from aiblob.embeddings import RemoteEmbedder, embed_batch
@@ -23,7 +19,7 @@ from aiblob.llm import Candidate, RemoteChatProvider
 from aiblob.montage import RenderSettings, build_edl, save_edl
 from aiblob.narrative import SECTION_ORDER, NarrativePlan
 from aiblob.util import check_url, post_json
-from conftest import INT_LIMIT, OVERLONG, needs_int_limit
+from conftest import INT_LIMIT, OVERLONG, needs_int_limit, run_python
 
 
 @pytest.fixture()
@@ -295,7 +291,24 @@ def test_compose_with_a_malformed_url(tmp_path, small_store, capsys, url):
     assert not (tmp_path / "ep").exists()
 
 
-# -- the HTTP client is loaded only when a remote provider is called ---------
+# -- offline commands never load the HTTP client, nor numpy until they use it --
+
+# A child process that prints, after its exit code, which of these modules are
+# loaded once it has imported aiblob.cli, and once it has run the command in
+# its argv.
+LOADED = (
+    "import sys\n"
+    "def loaded():\n"
+    "    return [m for m in ('urllib.request', 'http.client', 'numpy') if m in sys.modules]\n"
+    "import aiblob.cli\n"
+    "after_import = loaded()\n"
+    "try:\n"
+    "    code = aiblob.cli.main(sys.argv[1:])\n"
+    "except SystemExit as exit:\n"
+    "    code = exit.code\n"
+    "print(f'{code} {after_import} {loaded()}', file=sys.stderr)\n"
+)
+
 
 def test_offline_commands_leave_the_http_client_unloaded(tmp_path):
     edl = tmp_path / "edl.json"
@@ -303,19 +316,18 @@ def test_offline_commands_leave_the_http_client_unloaded(tmp_path):
     candidates = [Candidate(name, "v1", name, 10.0, 12.0, 0) for name in SECTION_ORDER]
     save_edl(build_edl(plan, candidates, RenderSettings(), lambda video_id: "media/v1.mp4"),
              str(edl))
-    script = (
-        "import sys\n"
-        "def loaded(): return [m for m in ('urllib.request', 'http.client') if m in sys.modules]\n"
-        "import aiblob.cli\n"
-        "after_import = loaded()\n"
-        "code = aiblob.cli.main(sys.argv[1:])\n"
-        "print(f'{code} {after_import} {loaded()}', file=sys.stderr)\n"
-    )
-    src = os.path.dirname(os.path.dirname(aiblob.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", script, "render", "--edl", str(edl),
-                             "--out", str(tmp_path / "ep.mp4"), "--dry-run"],
-                            capture_output=True, text=True, timeout=120,
-                            env={**os.environ, "PYTHONPATH": path})
+    result = run_python("-c", LOADED, "render", "--edl", edl, "--out", tmp_path / "ep.mp4",
+                        "--dry-run")
     assert result.stderr == "0 [] []\n"
     assert result.stdout.startswith("ffmpeg ")
+
+
+def test_help_leaves_numpy_unloaded():
+    result = run_python("-c", LOADED, "--help")
+    assert result.stderr == "0 [] []\n"
+    assert result.stdout.startswith("usage: aiblob ")
+
+
+def test_stats_loads_numpy_on_first_use(small_store):
+    result = run_python("-c", LOADED, "stats", "--store", small_store)
+    assert result.stderr == "0 [] ['numpy']\n"

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from aiblob.embeddings import deterministic_embed
 from aiblob.errors import AiblobError, ConfigError, StoreError, ValidationError
 from aiblob.store import META_KEYS, VectorRecord, VectorStore
-from conftest import forge_digest
+from aiblob.util import float_column
+from conftest import forge_digest, run_python
 
 # What load says of a meta.jsonl that its vectors.bin digest does not match.
 MISMATCH = (r"vectors\.bin: digest does not match \S*meta\.jsonl, so the two files are not "
@@ -647,6 +648,57 @@ FORGED = {
 }
 
 
+def answers_with_exclusion(store, queries):
+    """top_k over queries in turn, each excluding every earlier hit, with a video cap."""
+    excluded: set[str] = set()
+    found = []
+    for query in queries:
+        hits = store.top_k(query, 10, exclude=excluded, video_cap=2)
+        excluded.update(hit.sentence_id for hit in hits)
+        found.append(hits)
+    return found
+
+
+# Eight threads wait on a barrier, then each makes the process's first numpy
+# call, with a switch interval of 1 us. Prints whether numpy was loaded before,
+# then each thread's ["ok", answer] or [exception name, message] as JSON; a
+# thread still running after 60 s leaves its answer None. The child defines its
+# own answers_with_exclusion, because this module imports numpy.
+FIRST_USE = (
+    "import json, sys, threading\n"
+    "from aiblob.store import VectorStore\n"
+    "from aiblob.util import float_column\n"
+    "directory, queries = sys.argv[1], json.loads(sys.argv[2])\n"
+    "def answers_with_exclusion(store, queries):\n"
+    "    excluded, found = set(), []\n"
+    "    for query in queries:\n"
+    "        hits = store.top_k(query, 10, exclude=excluded, video_cap=2)\n"
+    "        excluded.update(hit.sentence_id for hit in hits)\n"
+    "        found.append(hits)\n"
+    "    return found\n"
+    "numpy_before = 'numpy' in sys.modules\n"
+    "barrier = threading.Barrier(8)\n"
+    "results = [None] * 8\n"
+    "def run(i):\n"
+    "    barrier.wait()\n"
+    "    try:\n"
+    "        if i % 2:\n"
+    "            answer = float_column([query[0] for query in queries]).tolist()\n"
+    "        else:\n"
+    "            answer = answers_with_exclusion(VectorStore.load(directory), queries)\n"
+    "        results[i] = ['ok', answer]\n"
+    "    except Exception as exc:\n"
+    "        results[i] = [type(exc).__name__, str(exc)]\n"
+    "sys.setswitchinterval(1e-6)\n"
+    "threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(8)]\n"
+    "for thread in threads:\n"
+    "    thread.start()\n"
+    "for thread in threads:\n"
+    "    thread.join(timeout=60)\n"
+    "print(json.dumps([numpy_before, results]))\n"
+)
+
+
 class TestDigestCheckedLoad:
     QUERIES = [deterministic_embed(f"domanda {i}", 8) for i in range(12)]
 
@@ -744,6 +796,22 @@ class TestDigestCheckedLoad:
                 assert results == [("ok", expected)] * 8
         finally:
             sys.setswitchinterval(interval)
+
+    def test_first_use_of_numpy_from_many_threads(self, tmp_path):
+        # In a child process that has not imported numpy, eight threads make
+        # the program's first numpy call at once: half load the store and
+        # query it, half build a float column.
+        directory = self.saved(tmp_path)
+        queries = [query.tolist() for query in self.QUERIES]
+        result = run_python("-c", FIRST_USE, directory, json.dumps(queries))
+        assert result.returncode == 0, result.stderr
+        numpy_before, results = json.loads(result.stdout)
+        assert numpy_before is False
+        expected = json.loads(json.dumps([
+            ["ok", answers_with_exclusion(VectorStore.load(str(directory)), queries)],
+            ["ok", float_column([query[0] for query in queries]).tolist()],
+        ]))
+        assert results == expected * 4
 
     @pytest.mark.parametrize("queries", [0, 3])
     def test_save_of_a_loaded_store_is_byte_identical(self, tmp_path, queries):

@@ -1,16 +1,17 @@
-"""Shared helpers: the atomic writers, the column writer, the record builder and the
-provider retry loop."""
+"""Shared helpers: the atomic writers, the column writer, the record builder, the
+provider retry loop and the numpy handle."""
 
 import os
 import stat
 
+import numpy
 import pytest
 
 from aiblob.errors import ConfigError, ParseError, ProviderError, StoreError
 from aiblob.ingest import Sentence
 from aiblob.montage import RenderSettings
 from aiblob.store import VectorRecord
-from aiblob.util import (_WRITE_BLOCK_LINES, check_keys, from_json, record_columns, retry,
+from aiblob.util import (_WRITE_BLOCK_LINES, check_keys, from_json, np, record_columns, retry,
                          write_columns, write_json)
 
 
@@ -166,3 +167,18 @@ def test_write_json_bytes(tmp_path):
     write_json(str(path), {"b": "perché", "a": [1, None]})
     assert path.read_bytes() == \
         '{\n  "b": "perché",\n  "a": [\n    1,\n    null\n  ]\n}\n'.encode("utf-8")
+
+
+def test_numpy_handle_reads_numpy_and_caches_each_name():
+    handle = type(np)()
+    assert "ndarray" not in vars(handle)
+    assert handle.ndarray is numpy.ndarray
+    # A name read once is the handle's own attribute: its next read skips __getattr__.
+    assert vars(handle)["ndarray"] is numpy.ndarray
+    assert np.float64 is numpy.float64
+
+
+def test_numpy_handle_refuses_an_unknown_name_as_the_module_does():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        np.no_such_name
+    assert "no_such_name" not in vars(np)
