@@ -91,17 +91,6 @@ def cmd_index(args) -> int:
     return 0
 
 
-def _write_queries(path: str, title: str, themes, queries) -> None:
-    write_columns(path, {"format": "aiblob-queries", "version": 1, "episode_title": title,
-                         "themes": [t.description for t in themes]},
-                  QueryPhrase, record_columns(QueryPhrase, queries))
-
-
-def _write_scores(path: str, scored) -> None:
-    write_columns(path, {"format": "aiblob-scores", "version": 1}, ScoredSentence,
-                  record_columns(ScoredSentence, scored))
-
-
 def cmd_compose(args) -> int:
     if args.intro is not None and not is_utf8(args.intro):
         raise ValidationError(
@@ -132,7 +121,10 @@ def cmd_compose(args) -> int:
 
     themes = orch.generate_themes(args.title, pipeline.themes)
     queries = orch.generate_queries(themes, pipeline.phrases_per_theme, episode_title=args.title)
-    _write_queries(os.path.join(args.out, QUERIES_FILE), args.title, themes, queries)
+    write_columns(os.path.join(args.out, QUERIES_FILE),
+                  {"format": "aiblob-queries", "version": 1, "episode_title": args.title,
+                   "themes": themes},
+                  QueryPhrase, record_columns(QueryPhrase, queries))
 
     candidates = retrieve_candidates(queries, store, embedder, pipeline)
     write_columns(os.path.join(args.out, CANDIDATES_FILE),
@@ -143,7 +135,9 @@ def cmd_compose(args) -> int:
 
     scored = orch.score_batch(candidates, args.title, themes,
                               batch_size=config.providers.score_batch_size)
-    _write_scores(os.path.join(args.out, SCORES_FILE), scored)
+    write_columns(os.path.join(args.out, SCORES_FILE),
+                  {"format": "aiblob-scores", "version": 1}, ScoredSentence,
+                  record_columns(ScoredSentence, scored))
 
     retained = filter_retained(scored, pipeline.irony_threshold, pipeline.relevance_threshold)
     plan = segment_narrative(retained, pipeline, episode_title=args.title)

@@ -6,11 +6,12 @@ A transcript file is a UTF-8 JSON object:
     {"video_id": str, "title": str, "source_uri": str, "language": str,
      "words": [{"w": str, "s": float, "e": float}, ...]}
 
-A parsed transcript holds its words as three columns: texts, start times and
-end times. Each column is checked in one pass for the whole transcript (texts
-by one split of their join and one test that UTF-8 encodes it, time types by
-set, time values by one numpy pass); only a transcript that fails is walked
-word by word, so every error names the first faulty word exactly as a
+The title, source_uri and language must be strings, but a parsed transcript
+keeps only its video_id and its words, as three columns: texts, start times
+and end times. Each column is checked in one pass for the whole transcript
+(texts by one split of their join and one test that UTF-8 encodes it, time
+types by set, time values by one numpy pass); only a transcript that fails is
+walked word by word, so every error names the first faulty word exactly as a
 per-word check would. Strings holding a lone surrogate, which a JSON \\u escape
 can put there and UTF-8 cannot encode, are refused.
 
@@ -30,7 +31,7 @@ from itertools import accumulate
 from typing import NoReturn
 
 from .errors import ParseError, ValidationError
-from .util import (float_column, is_finite_number, is_utf8, parse_json, read_columns,
+from .util import (RecordFile, float_column, is_finite_number, is_utf8, parse_json,
                    record_columns, write_columns)
 
 CORPUS_FORMAT = "aiblob-corpus"
@@ -51,9 +52,6 @@ class TranscriptDocument:
     ``words[i]`` is spoken from ``starts[i]`` to ``ends[i]`` seconds."""
 
     video_id: str
-    title: str
-    source_uri: str
-    language: str
     words: list[str]
     starts: list[float]
     ends: list[float]
@@ -127,15 +125,7 @@ def parse_transcript(data: bytes) -> TranscriptDocument:
     if not ok:
         _raise_word_fault(raw_words)
 
-    return TranscriptDocument(
-        video_id=obj["video_id"],
-        title=obj["title"],
-        source_uri=obj["source_uri"],
-        language=obj["language"],
-        words=words,
-        starts=starts,
-        ends=ends,
-    )
+    return TranscriptDocument(obj["video_id"], words, starts, ends)
 
 
 def _raise_word_fault(raw_words: list) -> NoReturn:
@@ -255,10 +245,9 @@ class Corpus:
 def load_corpus(path: str) -> Corpus:
     """Read a corpus file back as columns, checking header, fields and unique ids.
 
-    One check covers the whole file (util.read_columns); only a file that fails
-    it is walked row by row, so a bad record raises ParseError and a repeated
-    id ValidationError, each naming the line of the first fault.
+    One check covers the whole file (util.RecordFile.columns); only a file that
+    fails it is walked row by row, so a bad record raises ParseError and a
+    repeated id ValidationError, each naming the line of the first fault.
     """
-    _header, columns = read_columns(path, CORPUS_FORMAT, (CORPUS_VERSION,), Sentence, ParseError,
-                                    "corpus record", unique="sentence_id")
-    return Corpus(*columns)
+    records = RecordFile(path, CORPUS_FORMAT, (CORPUS_VERSION,), ParseError)
+    return Corpus(*records.columns(Sentence, "corpus record", unique="sentence_id"))

@@ -75,12 +75,6 @@ PROMPTS = {
 
 
 @dataclass
-class ThemeIdea:
-    index: int
-    description: str
-
-
-@dataclass
 class QueryPhrase:
     theme_index: int
     text: str
@@ -206,7 +200,7 @@ class Orchestrator:
 
     # -- themes ---------------------------------------------------------
 
-    def generate_themes(self, title: str, count: int) -> list[ThemeIdea]:
+    def generate_themes(self, title: str, count: int) -> list[str]:
         """Ask for exactly ``count`` unique theme descriptions, retrying shortfalls.
 
         After retries are exhausted, whatever was collected is returned with a
@@ -239,11 +233,11 @@ class Orchestrator:
             if not well_formed:
                 raise
             self.warnings.append(f"theme shortfall: got {len(collected)} of {count} for {title!r}")
-        return [ThemeIdea(i, text) for i, text in enumerate(list(collected)[:count])]
+        return list(collected)[:count]
 
     # -- queries --------------------------------------------------------
 
-    def generate_queries(self, themes: Sequence[ThemeIdea], per_theme: int,
+    def generate_queries(self, themes: Sequence[str], per_theme: int,
                          episode_title: str = "") -> list[QueryPhrase]:
         """Collect up to len(themes) * per_theme unique query phrases.
 
@@ -256,7 +250,7 @@ class Orchestrator:
             raise ValidationError(f"per_theme must be positive, got {per_theme}")
         payload = {
             "episode_title": episode_title,
-            "themes": [t.description for t in themes],
+            "themes": list(themes),
             "per_theme": per_theme,
         }
         entries = self._ask("queries", payload, _query_entries, "queries")
@@ -306,7 +300,7 @@ class Orchestrator:
         self,
         sentences: Sequence[Candidate],
         episode_title: str,
-        themes: Sequence[ThemeIdea],
+        themes: Sequence[str],
         batch_size: int = DEFAULT_SCORE_BATCH,
     ) -> list[ScoredSentence]:
         """Score every candidate, one result per input in order, each keeping its
@@ -321,10 +315,8 @@ class Orchestrator:
         if batch_size < 1:
             raise ValidationError(f"batch_size must be positive, got {batch_size}")
 
-        theme_texts = [t.description for t in themes]
-
         def payload(batch: Sequence[Candidate]) -> dict:
-            return {"episode_title": episode_title, "themes": theme_texts,
+            return {"episode_title": episode_title, "themes": list(themes),
                     "sentences": [{"id": c.sentence_id, "text": c.text} for c in batch]}
 
         results: list[ScoredSentence] = []

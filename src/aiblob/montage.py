@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 from .errors import ConfigError, ParseError, RenderError, ValidationError
 from .llm import Candidate
 from .narrative import SECTION_ORDER, NarrativePlan, read_sections
-from .util import (atomic_write_text, bounded, check_field_types, check_keys, from_json,
-                   load_json, shown, write_json)
+from .util import (atomic_write_text, bounded, check_field_types, check_header, check_keys,
+                   from_json, load_json, shown, write_json)
 
 EDL_FORMAT = "aiblob-edl"
 EDL_VERSION = 1
@@ -328,10 +328,7 @@ def save_edl(edl: EditDecisionList, path: str) -> None:
 
 def load_edl(path: str) -> EditDecisionList:
     payload = load_json(path)
-    if not isinstance(payload, dict) or payload.get("format") != EDL_FORMAT:
-        raise ParseError(f"{path}: not an EDL file")
-    if payload.get("version") != EDL_VERSION:
-        raise ParseError(f"{path}: unsupported EDL version {payload.get('version')!r}")
+    check_header(payload, path, EDL_FORMAT, (EDL_VERSION,), ParseError)
     check_keys(payload, EDL_KEYS, ParseError, path)
     intro = payload["intro"]
     edl = EditDecisionList(

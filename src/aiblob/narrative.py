@@ -27,8 +27,8 @@ from .embeddings import QUERY_INPUT, embed_batch
 from .errors import ConfigError, ParseError, PlanError, ValidationError
 from .llm import SCORE_MAX, SCORE_MIN, Candidate, QueryPhrase, ScoredSentence
 from .store import VectorStore
-from .util import (bounded, check_field_types, check_keys, from_json, is_utf8, load_json,
-                   round_half_away, write_json)
+from .util import (bounded, check_field_types, check_header, check_keys, from_json, is_utf8,
+                   load_json, round_half_away, write_json)
 
 PLAN_FORMAT = "aiblob-plan"
 PLAN_VERSION = 1
@@ -328,10 +328,7 @@ def _read_id(item: Any, where: str) -> str:
 
 def load_plan(path: str) -> tuple[NarrativePlan, dict[str, ScoredSentence]]:
     payload = load_json(path)
-    if not isinstance(payload, dict) or payload.get("format") != PLAN_FORMAT:
-        raise ParseError(f"{path}: not a plan file")
-    if payload.get("version") != PLAN_VERSION:
-        raise ParseError(f"{path}: unsupported plan version {payload.get('version')!r}")
+    check_header(payload, path, PLAN_FORMAT, (PLAN_VERSION,), ParseError)
     check_keys(payload, PLAN_KEYS, ParseError, path)
     sections = read_sections(payload["sections"], path, _read_id)
     plan = NarrativePlan(payload["episode_title"], sections)

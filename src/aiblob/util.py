@@ -42,8 +42,11 @@ np: Any = _Numpy()
 DEFAULT_RETRIES = 3
 
 
-# Serialize one record as a compact, key-order-preserving JSON line. One encoder
-# for every line: json.dumps with non-default options builds one per call.
+# Serialize one object as a compact, key-order-preserving JSON line. The program
+# encodes only record files' header lines with it; it is also the reference for
+# their record lines, which write_columns writes as exactly this encoding of each
+# row's dict. One encoder, built once: json.dumps with non-default options
+# builds one per call.
 dumps_line: Callable[[dict[str, Any]], str] = json.JSONEncoder(
     ensure_ascii=False, separators=(",", ":")).encode
 
@@ -119,15 +122,17 @@ def parse_json_line(line: str, path: str, lineno: int) -> dict:
     return obj
 
 
-def check_header(header: dict, path: str, fmt: str, versions: Container[int],
+def check_header(header: Any, path: str, fmt: str, versions: Container[int],
                  error: type[AiblobError]) -> None:
-    """Raise ``error`` unless a decoded header line names format ``fmt`` and one
-    of ``versions``."""
-    kind = fmt.removeprefix("aiblob-")
+    """Raise ``error`` unless a decoded header (a record file's first line, or a
+    whole JSON file) is an object naming format ``fmt`` and one of ``versions``."""
+    if not isinstance(header, dict):
+        raise error(f"{path}: expected a JSON object, got {type(header).__name__}")
     if header.get("format") != fmt:
-        raise error(f"{path}: not a {kind} file (format={header.get('format')!r})")
+        raise error(f"{path}: not an {fmt} file (format={header.get('format')!r})")
     if header.get("version") not in versions:
-        raise error(f"{path}: unsupported {kind} version {header.get('version')!r}")
+        raise error(f"{path}: unsupported {fmt.removeprefix('aiblob-')} version "
+                    f"{header.get('version')!r}")
 
 
 # Lines decoded per json.loads call by RecordFile.columns: the decoded rows of
@@ -304,14 +309,6 @@ class RecordFile(JsonLines):
         return tuple([getattr(record, name) for record in records] for name in names)
 
 
-def read_columns(path: str, fmt: str, versions: Container[int], cls, error: type[AiblobError],
-                 what: str = "record", unique: str | None = None) -> tuple[dict, tuple[list, ...]]:
-    """Read a JSON-lines record file whole: its header and the columns of all
-    its records (RecordFile.columns)."""
-    records = RecordFile(path, fmt, versions, error)
-    return records.header, records.columns(cls, what, unique)
-
-
 def float_column(values: list) -> np.ndarray | None:
     """``values`` as float64, turning its ints into floats in place, or None
     unless every value is an int or a float (not a bool), every int is within
@@ -342,8 +339,9 @@ _ENCODERS = {str: encode_basestring, int: int.__repr__, float: float.__repr__}
 def write_columns(path: str, header: dict[str, Any], cls, columns: Sequence[Iterable],
                   digest=None) -> None:
     """Atomically write a JSON-lines record file from columns, the inverse of
-    read_columns: the header line, then one record object per row, keyed by the
-    fields of dataclass ``cls`` that read_columns reads, in field order.
+    RecordFile.columns: the header line, then one record object per row, keyed
+    by the fields of dataclass ``cls`` that RecordFile.columns reads, in field
+    order.
 
     ``columns`` holds one iterable per such field, in that order, each value of
     its field's type (finite for a float). Each row's line is exactly

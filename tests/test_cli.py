@@ -254,8 +254,21 @@ class TestCompose:
             assert (out / name).exists(), name
         assert "composed episode" in capsys.readouterr().out
 
+        # Each record file's header line, byte for byte: key order, the compact
+        # separators and the theme strings as the provider gave them.
+        headers = {
+            "queries.jsonl": '{"format":"aiblob-queries","version":1,"episode_title":"Il calcio",'
+                             '"themes":["il trionfo annunciato che nessuno ricorda",'
+                             '"esperti che spiegano l\'ovvio con solennità",'
+                             '"promesse eterne con scadenza settimanale",'
+                             '"applausi registrati per emozioni vere",'
+                             '"il futuro radioso rimandato a data da destinarsi"]}',
+            "candidates.jsonl": '{"format":"aiblob-candidates","version":1}',
+            "scores.jsonl": '{"format":"aiblob-scores","version":1}',
+        }
+        for name, header in headers.items():
+            assert (out / name).read_text(encoding="utf-8").split("\n", 1)[0] == header, name
         queries = (out / "queries.jsonl").read_text().strip().split("\n")
-        assert json.loads(queries[0])["format"] == "aiblob-queries"
         assert len(queries) == 1 + 20  # header + 5 themes x 4 phrases
 
         plan = json.loads((out / "plan.json").read_text())

@@ -396,7 +396,7 @@ class TestCorpusRoundTrip:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"format":"something-else","version":1}\n', encoding="utf-8")
-        with pytest.raises(ParseError, match="not a corpus file"):
+        with pytest.raises(ParseError, match="not an aiblob-corpus file"):
             load_corpus(str(path))
 
     @pytest.mark.parametrize("field,value", [

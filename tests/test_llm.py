@@ -14,7 +14,6 @@ from aiblob.llm import (
     RemoteChatProvider,
     ScoredSentence,
     ScriptedProvider,
-    ThemeIdea,
     clamp_score,
     make_llm_provider,
 )
@@ -127,14 +126,14 @@ class TestGenerateThemes:
         provider = QueueProvider(themes=[{"themes": ["a", "b", "c", "d", "e"]}])
         orch = Orchestrator(provider)
         themes = orch.generate_themes("Il calcio", 5)
-        assert themes == [ThemeIdea(i, t) for i, t in enumerate(["a", "b", "c", "d", "e"])]
+        assert themes == ["a", "b", "c", "d", "e"]
         assert orch.warnings == []
 
     def test_duplicates_then_shortfall_warning(self):
         provider = QueueProvider(themes=[{"themes": ["A", "A", "B"]}])
         orch = Orchestrator(provider, retries=3)
         themes = orch.generate_themes("Il calcio", 3)
-        assert [t.description for t in themes] == ["A", "B"]
+        assert themes == ["A", "B"]
         assert len(provider.calls) == 4  # retried to fill, provider kept failing
         assert any("shortfall" in w for w in orch.warnings)
 
@@ -142,7 +141,7 @@ class TestGenerateThemes:
         provider = QueueProvider(themes=[{"themes": ["A", "A"]}, {"themes": ["B", "C"]}])
         orch = Orchestrator(provider)
         themes = orch.generate_themes("Il calcio", 3)
-        assert [t.description for t in themes] == ["A", "B", "C"]
+        assert themes == ["A", "B", "C"]
         assert orch.warnings == []
 
     def test_malformed_every_attempt_raises(self):
@@ -168,13 +167,13 @@ class TestGenerateThemes:
     def test_theme_with_a_lone_surrogate_is_malformed(self):
         provider = QueueProvider(themes=[{"themes": ["a", "b\ud800"]}, {"themes": ["a", "b"]}])
         themes = Orchestrator(provider).generate_themes("Il calcio", 2)
-        assert [t.description for t in themes] == ["a", "b"]
+        assert themes == ["a", "b"]
         assert len(provider.calls) == 2
 
 
 class TestGenerateQueries:
     def themes(self, n=2):
-        return [ThemeIdea(i, f"tema {i}") for i in range(n)]
+        return [f"tema {i}" for i in range(n)]
 
     def test_grouped_by_theme_then_provider_order(self):
         response = {"queries": [
@@ -277,7 +276,7 @@ def candidates(pairs, query_indexes=None):
 
 class TestScoreBatch:
     def themes(self):
-        return [ThemeIdea(0, "tema")]
+        return ["tema"]
 
     def test_passthrough(self):
         response = {"scores": [{"id": "s1", "irony": 8, "relevance": 3, "rationale": "ok"}]}

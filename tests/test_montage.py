@@ -318,11 +318,18 @@ class TestEdlFile:
         loaded = load_edl(str(path))
         assert loaded == edl
 
-    def test_header_enforced(self, tmp_path):
+    @pytest.mark.parametrize("text,message", [
+        ('{"format": "altro", "version": 1}', "not an aiblob-edl file (format='altro')"),
+        ('{"format": "aiblob-edl", "version": 2}', "unsupported edl version 2"),
+        ('[{"format": "aiblob-edl", "version": 1}]', "expected a JSON object, got list"),
+        ('"aiblob-edl"', "expected a JSON object, got str"),
+    ], ids=["wrong-format", "wrong-version", "array", "string"])
+    def test_header_enforced(self, tmp_path, text, message):
         path = tmp_path / "edl.json"
-        path.write_text('{"format": "altro", "version": 1}', encoding="utf-8")
-        with pytest.raises(ParseError, match="not an EDL"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as caught:
             load_edl(str(path))
+        assert str(caught.value) == f"{path}: {message}"
 
     def test_save_is_byte_deterministic(self, tmp_path):
         edl = build_edl(make_plan(), make_candidates(), RenderSettings(), MEDIA.get)

@@ -381,6 +381,19 @@ class TestPlanFile:
             assert (loaded_scores[sid].irony, loaded_scores[sid].relevance) == \
                 (by_id[sid].irony, by_id[sid].relevance)
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"format": "altro", "version": 1}', "not an aiblob-plan file (format='altro')"),
+        ('{"format": "aiblob-plan", "version": 2}', "unsupported plan version 2"),
+        ('[{"format": "aiblob-plan", "version": 1}]', "expected a JSON object, got list"),
+        ('"aiblob-plan"', "expected a JSON object, got str"),
+    ], ids=["wrong-format", "wrong-version", "array", "string"])
+    def test_header_enforced(self, tmp_path, text, message):
+        path = tmp_path / "plan.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as caught:
+            load_plan(str(path))
+        assert str(caught.value) == f"{path}: {message}"
+
     def test_overlapping_sections_rejected(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text(

@@ -23,7 +23,7 @@ from aiblob.errors import AiblobError, ParseError
 from aiblob.ingest import Sentence, load_corpus
 from aiblob.llm import Candidate, QueryPhrase, ScoredSentence
 from aiblob.store import VectorRecord, VectorStore
-from aiblob.util import dumps_line, read_columns, record_columns, write_columns
+from aiblob.util import RecordFile, dumps_line, record_columns, write_columns
 
 CHECKED = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow,
                                                         HealthCheck.function_scoped_fixture])
@@ -290,7 +290,7 @@ RECORD_CLASSES = [Sentence, VectorRecord, QueryPhrase, Candidate, ScoredSentence
 @given(data=st.data())
 def test_column_writer_matches_the_per_row_writer(tmp_path, cls, data):
     """write_columns writes the bytes of one dumps_line per row dict, block size
-    aside, and read_columns reads the same columns back."""
+    aside, and RecordFile.columns reads the same columns back."""
     fields = [(f.name, f.type) for f in dataclasses.fields(cls) if f.type in WRITTEN]
     rows = [{name: data.draw(WRITTEN[kind]) for name, kind in fields}
             for _ in range(data.draw(st.integers(0, 9)))]
@@ -302,5 +302,5 @@ def test_column_writer_matches_the_per_row_writer(tmp_path, cls, data):
         write_columns(str(new), header, cls, record_columns(cls, records))
     oracle_write_jsonl(str(old), header, rows)
     assert new.read_bytes() == old.read_bytes()
-    _header, columns = read_columns(str(new), "aiblob-records", (1,), cls, ParseError)
+    columns = RecordFile(str(new), "aiblob-records", (1,), ParseError).columns(cls)
     assert repr(columns) == repr(tuple([row[name] for row in rows] for name, _ in fields))
