@@ -4,28 +4,3 @@ From transcripts and an episode title to a scored, segmented, ordered Edit
 Decision List and a rendered video, with pluggable LLM/embedding providers
 and deterministic offline test doubles.
 """
-
-from .errors import (
-    AiblobError,
-    ConfigError,
-    ParseError,
-    PlanError,
-    ProviderError,
-    RenderError,
-    StoreError,
-    ValidationError,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AiblobError",
-    "ConfigError",
-    "ParseError",
-    "PlanError",
-    "ProviderError",
-    "RenderError",
-    "StoreError",
-    "ValidationError",
-    "__version__",
-]

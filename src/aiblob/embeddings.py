@@ -144,41 +144,31 @@ def embed_batch(
 ) -> np.ndarray:
     """Embed texts in provider-sized chunks into one (len(texts), dim) float32 matrix.
 
+    Each provider's embed returns a (len(chunk), width) float32 matrix of unit
+    rows; this checks only that every text is a non-empty string and that every
+    chunk has the provider's (or the first chunk's) width, a ConfigError if not.
     Rows keep the input order. Transport failures are retried per chunk with
     the given backoff; once retries are exhausted a ProviderError identifies
-    the failed sub-range. A chunk whose dimension differs from the provider's
-    (or the first chunk's) is a ConfigError; a row that is not a finite unit
-    vector is a ValidationError naming its text.
+    the failed sub-range.
     """
     for i, text in enumerate(texts):
         if not isinstance(text, str) or not text:
             raise ValidationError(f"texts[{i}] must be a non-empty string")
-    dim = getattr(provider, "dim", None)
+    dim = provider.dim
     if not texts:
         return np.empty((0, dim or 0), dtype=np.float32)
 
-    chunk_size = max(1, int(getattr(provider, "batch_size", 96)))
     out: np.ndarray | None = None
-    for lo in range(0, len(texts), chunk_size):
-        hi = min(lo + chunk_size, len(texts))
+    for lo in range(0, len(texts), provider.batch_size):
+        hi = min(lo + provider.batch_size, len(texts))
         chunk = list(texts[lo:hi])
-        matrix = np.asarray(retry(lambda: provider.embed(chunk, input_type), retries + 1,
-                                  f"embedding for texts[{lo}:{hi}]", backoff, sleep),
-                            dtype=np.float32)
-        if matrix.ndim != 2 or len(matrix) != len(chunk):
-            raise ProviderError(f"provider returned an array of shape {matrix.shape} "
-                                f"for the {len(chunk)} texts[{lo}:{hi}]")
+        matrix = retry(lambda: provider.embed(chunk, input_type), retries + 1,
+                       f"embedding for texts[{lo}:{hi}]", backoff, sleep)
         if out is None:
             out = np.empty((len(texts), dim or matrix.shape[1]), dtype=np.float32)
         if matrix.shape[1] != out.shape[1]:
             raise ConfigError(f"dimension mismatch at texts[{lo}:{hi}]: "
                               f"got {matrix.shape[1]}, expected {out.shape[1]}")
-        norm = np.sqrt(np.square(matrix).sum(axis=1, dtype=np.float64))
-        off = ~(np.abs(norm - 1.0) <= 1e-5)  # NaN and Inf norms fail "<=", so count as off
-        if off.any():
-            i = int(np.argmax(off))
-            raise ValidationError(f"vector for texts[{lo + i}] is not a finite unit vector "
-                                  f"(norm={norm[i]})")
         out[lo:hi] = matrix
     return out
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParseError, ProviderError, ValidationError
-from .util import (DEFAULT_RETRIES, JsonLines, check_url, is_finite_number, is_utf8, parse_json,
-                   post_json, retry, round_half_away)
+from .util import (DEFAULT_RETRIES, JsonLines, check_url, is_finite_number, is_int, is_utf8,
+                   parse_json, post_json, retry, round_half_away)
 
 LLM_API_KEY_ENV = "AIBLOB_LLM_API_KEY"
 
@@ -125,8 +125,6 @@ class ScriptedProvider:
             self._queues[op].append(entry["response"])
 
     def complete(self, op: str, payload: dict) -> dict:
-        if op not in self._queues:
-            raise ProviderError(f"unknown op {op!r}")
         queue = self._queues[op]
         if not queue:
             raise ProviderError(f"scripted responses exhausted for op {op!r} ({self.path})")
@@ -147,8 +145,6 @@ class RemoteChatProvider:
         self._transport = transport or post_json
 
     def complete(self, op: str, payload: dict) -> dict:
-        if op not in PROMPTS:
-            raise ProviderError(f"unknown op {op!r}")
         body = {
             "model": self.model,
             "messages": [
@@ -211,8 +207,6 @@ class Orchestrator:
         if not is_utf8(title):
             raise ValidationError(f"episode title must be a string without lone surrogates, "
                                   f"got {title!r}")
-        if count < 1:
-            raise ValidationError(f"theme count must be positive, got {count}")
         collected: dict[str, None] = {}  # insertion-ordered set
         well_formed = False
 
@@ -246,8 +240,6 @@ class Orchestrator:
         """
         if not themes:
             raise ValidationError("generate_queries requires a non-empty theme list")
-        if per_theme < 1:
-            raise ValidationError(f"per_theme must be positive, got {per_theme}")
         payload = {
             "episode_title": episode_title,
             "themes": list(themes),
@@ -263,11 +255,8 @@ class Orchestrator:
         for entry in entries:
             idx = entry.get("theme_index")
             text = entry.get("text")
-            if (not isinstance(idx, int) or isinstance(idx, bool) or not isinstance(text, str)
+            if (not is_int(idx) or not 0 <= idx < len(themes) or not isinstance(text, str)
                     or not is_utf8(text)):
-                invalid += 1
-                continue
-            if idx < 0 or idx >= len(themes):
                 invalid += 1
                 continue
             text = text.strip()
@@ -309,12 +298,8 @@ class Orchestrator:
         An id missing from a batch response is re-asked once as a subset; if it
         is still missing it defaults to irony=1/relevance=1 with a warning. A
         batch whose provider calls all fail raises, naming the input range.
+        Expects a non-empty ``sentences`` and ``batch_size >= 1`` (config-checked).
         """
-        if not sentences:
-            raise ValidationError("score_batch requires at least one sentence")
-        if batch_size < 1:
-            raise ValidationError(f"batch_size must be positive, got {batch_size}")
-
         def payload(batch: Sequence[Candidate]) -> dict:
             return {"episode_title": episode_title, "themes": list(themes),
                     "sentences": [{"id": c.sentence_id, "text": c.text} for c in batch]}
@@ -361,10 +346,8 @@ class Orchestrator:
 
         The result is always a true permutation of the member ids. Ordering
         never raises past this method: after retries, the deterministic
-        fallback is used and a warning recorded.
+        fallback is used and a warning recorded. Expects a non-empty ``members``.
         """
-        if not members:
-            raise ValidationError("order_section requires a non-empty section")
         member_ids = [m.sentence_id for m in members]
         if len(members) == 1:
             return list(member_ids)

@@ -225,9 +225,8 @@ def contrast_interleave(members: Sequence[ScoredSentence]) -> list[ScoredSentenc
 
     Members are sorted ascending by (irony, relevance, id) first, so the
     output starts from the most ironic sentence and ping-pongs to the least.
+    An empty ``members`` gives an empty list.
     """
-    if not members:
-        raise ValidationError("contrast_interleave requires a non-empty section")
     ordered = sorted(members, key=lambda s: (s.irony, s.relevance, s.sentence_id))
     out: list[ScoredSentence] = []
     lo, hi = 0, len(ordered) - 1
@@ -277,7 +276,11 @@ def order_sections(
     orchestrator=None,
     texts: Mapping[str, str] | None = None,
 ) -> NarrativePlan:
-    """Order each section, deterministically or via the LLM with fallback."""
+    """Order each section, deterministically or via the LLM with fallback.
+
+    Every planned id must be a key of ``scored``, as it is for a plan that
+    segment_narrative built from those scores.
+    """
     texts = texts or {}
     ordered_sections: dict[str, list[str]] = {}
     for name in SECTION_ORDER:
@@ -285,10 +288,7 @@ def order_sections(
         if not ids:
             ordered_sections[name] = []
             continue
-        try:
-            members = [scored[sid] for sid in ids]
-        except KeyError as exc:
-            raise PlanError(f"section {name!r} references unscored sentence {exc}") from exc
+        members = [scored[sid] for sid in ids]
         rule = DETERMINISTIC_SECTION_RULES[name]
         if config.ordering == "llm":
             if orchestrator is None:

@@ -356,6 +356,37 @@ class TestCompose:
         assert err.startswith(f"error: {config}: config section 'media': uri_template ")
         assert err.count("\n") == 1
 
+    # build_edl indexes the candidates by every planned id, and the EDL keeps
+    # the plan's sections and order.
+    def test_every_planned_id_is_a_candidate_and_a_clip(self, workspace):
+        code, out = self.compose(workspace)
+        assert code == 0
+        candidate_ids = {json.loads(line)["sentence_id"] for line in
+                         (out / "candidates.jsonl").read_text().strip().split("\n")[1:]}
+        plan = json.loads((out / "plan.json").read_text())["sections"]
+        edl = json.loads((out / "edl.json").read_text())["sections"]
+        assert {sid for ids in plan.values() for sid in ids} <= candidate_ids
+        assert {name: [clip["sentence_id"] for clip in clips]
+                for name, clips in edl.items()} == plan
+
+    # Compose stops before scoring when retrieval finds nothing, so the
+    # scorer never gets an empty list.
+    def test_empty_store_fails_before_scoring(self, workspace, capsys):
+        VectorStore(32).save(str(workspace / "vuoto"))
+        out = workspace / "episode"
+        code = main([
+            "compose", "--store", str(workspace / "vuoto"), "--title", "Il calcio",
+            "--config", str(workspace / "config.json"), "--out", str(out),
+            "--llm", f"scripted:{workspace / 'replay.jsonl'}",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: retrieval returned no candidates; is the store empty?\n")
+        assert (out / "candidates.jsonl").read_text() == (
+            '{"format":"aiblob-candidates","version":1}\n')
+        assert not (out / "scores.jsonl").exists()
+        assert not (out / "plan.json").exists()
+
     def test_failure_mid_stage_leaves_no_partial_artifacts(self, workspace, capsys):
         # Replay with themes+queries but no score responses: scoring fails.
         replay = workspace / "troncato.jsonl"

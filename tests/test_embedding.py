@@ -1,5 +1,7 @@
 """Deterministic embedder, remote replies, and batch embedding contracts."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,17 @@ class TestDeterministicEmbed:
         assert np.array_equal(mine, theirs)
         assert abs(float(np.linalg.norm(mine.astype(np.float64))) - 1.0) <= 1e-5
 
+    # embed_batch trusts each provider for unit float32 rows, so the
+    # contract is pinned here at both ends of the dim range.
+    @pytest.mark.parametrize("dim", [2, 3, MAX_DETERMINISTIC_DIM])
+    def test_unit_float32_rows_across_the_dim_range(self, dim):
+        texts = ["", "ciao", "perché", "日本語のテキスト", "🎬 clap"]
+        matrix = DeterministicEmbedder(dim).embed(texts)
+        assert matrix.dtype == np.float32 and matrix.shape == (len(texts), dim)
+        assert matrix.flags.c_contiguous
+        norms = np.sqrt(np.square(matrix, dtype=np.float64).sum(axis=1))
+        assert np.all(np.abs(norms - 1.0) <= 1e-6), norms
+
     # Long lists cross the embedder's 64-row blocks.
     @given(st.lists(MIXED_TEXT, max_size=12) | st.lists(MIXED_TEXT, min_size=40, max_size=140),
            st.integers(min_value=2, max_value=96))
@@ -177,8 +190,7 @@ class TestEmbedBatch:
             dim = None
 
             def embed(self, texts, input_type="search_document"):
-                dim = 8 if texts[0] == "a" else 16
-                return [deterministic_embed(texts[0], dim)]
+                return DeterministicEmbedder(8 if texts[0] == "a" else 16).embed(texts)
 
         with pytest.raises(ConfigError, match="dimension mismatch"):
             embed_batch(["a", "b"], MixedDims())
@@ -187,41 +199,44 @@ class TestEmbedBatch:
         with pytest.raises(ValidationError):
             embed_batch(["ciao", ""], DeterministicEmbedder(8))
 
-    def test_non_unit_vector_rejected(self):
-        class Unnormalized:
-            batch_size = 4
-            dim = 2
+    # embed_batch takes a remote reply as RemoteEmbedder returns it: the rows
+    # are its unit float32 rows, and a reply it refuses fails the chunk.
+    def remote(self, reply_for, log):
+        def transport(url, payload, api_key, timeout):
+            log.append(payload["texts"])
+            return {"embeddings": reply_for(payload["texts"])}
+        provider = RemoteEmbedder("https://example.test/embed", "m", api_key="k",
+                                  transport=transport)
+        provider.batch_size = 2
+        return provider
 
-            def embed(self, texts, input_type="search_document"):
-                return [np.array([3.0, 4.0], dtype=np.float32) for _ in texts]
+    def test_remote_rows_are_the_providers_rows(self):
+        def reply_for(texts):
+            return [[len(t), 2.0, -1.0] for t in texts]
 
-        with pytest.raises(ValidationError, match="unit"):
-            embed_batch(["ciao"], Unnormalized())
+        log = []
+        out = embed_batch(["a", "bb", "ccc"], self.remote(reply_for, log))
+        assert log == [["a", "bb"], ["ccc"]]
+        reference = RemoteEmbedder("https://example.test/embed", "m", api_key="k",
+                                   transport=lambda *args: {"embeddings": reply_for(
+                                       ["a", "bb", "ccc"])})
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert out.tobytes() == reference.embed(["a", "bb", "ccc"]).tobytes()
 
-    def test_nan_row_names_its_text(self):
-        class LateNaN:
-            batch_size = 2
-            dim = 2
-
-            def embed(self, texts, input_type="search_document"):
-                rows = np.tile(np.float32([0.6, 0.8]), (len(texts), 1))
-                if texts[-1] == "c":
-                    rows[-1, 1] = np.nan
-                return rows
-
-        with pytest.raises(ValidationError, match=r"texts\[2\] is not a finite unit"):
-            embed_batch(["a", "b", "c"], LateNaN())
-
-    def test_short_reply_names_the_range(self):
-        class Short:
-            batch_size = 2
-            dim = 8
-
-            def embed(self, texts, input_type="search_document"):
-                return DeterministicEmbedder(8).embed(texts[:1])
-
-        with pytest.raises(ProviderError, match=r"texts\[0:2\]"):
-            embed_batch(["a", "b"], Short())
+    @pytest.mark.parametrize("bad_reply,reason", [
+        (lambda texts: [[1.0, 0.0]], "embedding response has 1 rows for 2 texts"),
+        (lambda texts: [[1.0, 0.0], [float("nan"), 0.0]], "embedding row 1 is not"),
+        (lambda texts: [[1.0, 0.0], [0.0, 0.0]], "embedding row 1 cannot be normalized"),
+    ], ids=["short", "nan", "zero"])
+    def test_refused_remote_reply_names_the_range(self, bad_reply, reason):
+        log = []
+        provider = self.remote(
+            lambda texts: bad_reply(texts) if "c" in texts else [[0.6, 0.8]] * len(texts), log)
+        with pytest.raises(ProviderError,
+                           match=rf"^embedding for texts\[2:4\] failed after 2 attempts: "
+                                 rf"{re.escape(reason)}"):
+            embed_batch(["a", "b", "c", "d"], provider, retries=1, backoff=())
+        assert log == [["a", "b"], ["c", "d"], ["c", "d"]]
 
 
 class TestRemoteEmbedder:

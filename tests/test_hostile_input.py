@@ -618,11 +618,6 @@ def _nan_at_load(directory, sid):
     VectorStore.load(str(directory))
 
 
-def _unknown_id_in_plan(directory, sid):
-    build_edl(NarrativePlan("T", {"introduction": [sid]}), [], RenderSettings(),
-              lambda video_id: "media.mp4")
-
-
 @pytest.mark.parametrize("sid", LINE_BREAKING_IDS)
 @pytest.mark.parametrize("site,message", [
     (_duplicate_in_corpus, "corpus.jsonl:3: duplicate sentence_id {}"),
@@ -630,7 +625,6 @@ def _unknown_id_in_plan(directory, sid):
     (_duplicate_at_lazy_decode, "meta.jsonl:3: duplicate sentence_id {}"),
     (_nan_at_insert, "record {}: vector has NaN/Inf"),
     (_nan_at_load, "record {}: vector has NaN/Inf"),
-    (_unknown_id_in_plan, "plan references unknown sentence_id {}"),
 ])
 def test_an_id_that_breaks_lines_is_quoted(tmp_path, site, message, sid):
     with pytest.raises(AiblobError) as caught:

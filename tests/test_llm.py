@@ -365,10 +365,6 @@ class TestScoreBatch:
         assert [s.source_query_index for s in out] == [0, 0, 1, 1, 2]
         assert len(provider.calls) == 3
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValidationError):
-            Orchestrator(QueueProvider()).score_batch([], "T", self.themes())
-
     @given(
         n=st.integers(min_value=1, max_value=30),
         batch_size=st.integers(min_value=1, max_value=7),
