@@ -33,6 +33,8 @@ CANDIDATES_FILE = "candidates.jsonl"
 SCORES_FILE = "scores.jsonl"
 PLAN_FILE = "plan.json"
 EDL_FILE = "edl.json"
+# Every file compose writes into its workspace, in the order it writes them.
+COMPOSE_FILES = (QUERIES_FILE, CANDIDATES_FILE, SCORES_FILE, PLAN_FILE, EDL_FILE)
 
 
 def cmd_ingest(args) -> int:
@@ -118,6 +120,12 @@ def cmd_compose(args) -> int:
     orch = Orchestrator(provider, retries=config.providers.retries)
     pipeline = config.pipeline
     os.makedirs(args.out, exist_ok=True)
+    # The workspace is one run: no file of an earlier run outlives this one.
+    for name in COMPOSE_FILES:
+        try:
+            os.remove(os.path.join(args.out, name))
+        except FileNotFoundError:
+            pass
 
     themes = orch.generate_themes(args.title, pipeline.themes)
     queries = orch.generate_queries(themes, pipeline.phrases_per_theme, episode_title=args.title)

@@ -5,12 +5,26 @@ exactness keeps results reproducible). A row's score is
 clip((row.astype(float64) * query).sum(), -1, 1), each row summed alone, so
 equal vectors score equally wherever they sit; ties break by sentence_id
 ascending. Excluded ids are never scored; ids the store does not hold are
-ignored. A float32 matrix-vector product screens every row, within a bound B
-of its score (_bound). With t the m-th best screen, m = k at first, only the
-band of rows screening above t - 2B is scored: every other row scores below
-t - B, so the band rows scoring at least t - B are a prefix of the full
-(score desc, id asc) order, ties included. When the video cap leaves fewer
-than k hits among them, m grows fourfold and the selection is redone.
+ignored.
+
+A float32 screen, within a bound B of every row's score (_bound), picks the
+rows worth scoring. screen() takes a chunk of queries (retrieve_candidates
+sends SCREEN_CHUNK at a time) through one float32 matrix product over blocks
+of rows, each block at most SCREEN_BLOCK_BYTES of screen, the excluded rows
+masked. For the chunk's i-th query it keeps every row screening above T - 2B,
+with T the running (k * (i + 1))-th best screen: the chunk's earlier queries
+exclude at most k * i more ids, so at least k rows that screen at T or above
+remain. top_k takes a screened query, or a vector screened as a chunk of one.
+With t the m-th best screen of the pool rows not excluded, m = k at first,
+only the band of rows screening above t - 2B is scored: every other row
+scores below t - B, so the band rows scoring at least t - B are a prefix of the
+full (score desc, id asc) order, ties included. When the video cap leaves
+fewer than k hits among them, m grows fourfold and the selection is redone.
+While at least m of the pool rows not excluded screen at T or above, t >= T
+and the band lies within the pool. When they do not (more ids were excluded
+since the screen than its depth allows, or the cap grew m), or an id excluded
+at the screen is excluded no longer, or rows were inserted since, top_k
+screens the query again alone, at depth m, against the exclusion it was given.
 
 In memory, rows are columns in row order: one C-contiguous little-endian
 float32 matrix (exactly the vectors.bin body, read into an array of its own at
@@ -68,6 +82,12 @@ META_FILE = "meta.jsonl"
 VECTORS_FILE = "vectors.bin"
 # Metadata fields, in meta.jsonl key order; VectorRecord has the same names.
 META_KEYS = ("sentence_id", "video_id", "text", "start_s", "end_s")
+# The most queries narrative.retrieve_candidates screens in one GEMM, and the
+# most bytes of float32 screen one block of rows makes.
+SCREEN_CHUNK = 32
+SCREEN_BLOCK_BYTES = 1 << 20
+# The largest finite float32.
+_FLOAT32_MAX = (2 - 2.0 ** -23) * 2.0 ** 127
 
 
 @dataclass
@@ -91,6 +111,21 @@ class Hit(NamedTuple):
     text: str
     start_s: float
     end_s: float
+
+
+class Screened(NamedTuple):
+    """One query's screen over the first ``count`` rows: every row not in
+    ``exclude`` that screens above floor - 2 * bound, ascending, with its
+    screen; ``floor`` is the depth-th best screen, or -inf when fewer rows
+    remain."""
+
+    query: np.ndarray
+    bound: float
+    count: int
+    exclude: frozenset[str]
+    floor: float
+    rows: np.ndarray
+    screens: np.ndarray
 
 
 class VectorStore:
@@ -208,6 +243,8 @@ class VectorStore:
         if meta is None:
             return
         rows = [row for row in rows if self._ids[row] is None]
+        if not rows:
+            return
         ids, video_ids, texts, starts, ends = meta.columns(VectorRecord, rows=rows)
         for i, row in enumerate(rows):
             if self._rows.setdefault(ids[i], row) != row:
@@ -223,59 +260,141 @@ class VectorStore:
             self._decode(range(self.count))
             self._meta = None
 
-    def top_k(
-        self,
-        query: np.ndarray,
-        k: int,
-        exclude: set[str] | frozenset[str] = frozenset(),
-        video_cap: int | None = None,
-    ) -> list[Hit]:
-        """Exact top-k by cosine, skipping excluded ids.
+    def screen(self, queries: Iterable[np.ndarray], k: int,
+               exclude: set[str] | frozenset[str] = frozenset()) -> list[Screened]:
+        """Screen a chunk of ``queries`` for top_k, excluding ``exclude``.
 
-        Ties break by sentence_id ascending. With video_cap set, at most that
-        many hits may share a video_id, enforced in score order.
+        The i-th query's screen can serve a later top_k(..., k, e) with any
+        exclusion e that adds at most k * i ids to ``exclude``.
         """
         if not is_int(k) or k < 1:
             raise ValidationError(f"k must be a positive int, got {k!r}")
+        return self._screen([self._query(query) for query in queries], k, exclude)
+
+    def _query(self, query: np.ndarray) -> np.ndarray:
+        """``query`` as a float64 vector, checked against the store dim."""
         q = np.asarray(query, dtype=np.float64)
         if q.ndim != 1 or q.shape[0] != self.dim:
             got = q.shape[0] if q.ndim == 1 else q.shape
             raise ConfigError(f"query dim {got} does not match store dim {self.dim}")
         if not np.isfinite(q).all():
             raise ValidationError("query vector has NaN/Inf")
-        if not self._ids:
-            return []
+        return q
 
-        excluded = list(map(self._rows.get, exclude))
-        # After a load only decoded ids are in the map, and an excluded id that
-        # is not may name an undecoded row.
-        if self._meta is not None and None in excluded:
+    def _screen(self, queries: list[np.ndarray], k: int,
+                exclude: set[str] | frozenset[str]) -> list[Screened]:
+        """One float32 GEMM of ``queries`` over blocks of rows, keeping for the
+        i-th query every row that screens above T - 2B, with T its running
+        (k * (i + 1))-th best screen."""
+        exclude = frozenset(exclude)
+        excluded = np.sort(np.array(self._held_rows(exclude), dtype=np.intp))
+        bounds = [self._bound(q) for q in queries]
+        # A query the float32 screen cannot hold screens 0 on every row.
+        matrix = np.array([q if bound < math.inf else np.zeros(self.dim)
+                           for q, bound in zip(queries, bounds)], dtype=np.float32).T
+        depths = [k * (i + 1) for i in range(len(queries))]
+        floors = [-math.inf] * len(queries)
+        pools = [(np.empty(0, np.intp), np.empty(0))] * len(queries)
+        step = max(1, SCREEN_BLOCK_BYTES // (4 * len(queries)))
+        for start in range(0, self.count, step):
+            block = self._matrix[start:start + step] @ matrix
+            lo, hi = np.searchsorted(excluded, (start, start + step))
+            block[excluded[lo:hi] - start] = -np.inf
+            for i, (depth, bound) in enumerate(zip(depths, bounds)):
+                column = block[:, i]
+                # A first block of depth rows or more sets T itself, so that
+                # only the rows near its top are gathered.
+                if floors[i] == -math.inf and len(column) >= depth:
+                    floors[i] = float(np.partition(column, len(column) - depth)[-depth])
+                new = np.flatnonzero(column > _at_most(floors[i] - 2 * bound))
+                if not len(new):
+                    continue
+                rows = np.concatenate((pools[i][0], new + start))
+                screens = np.concatenate((pools[i][1], column[new].astype(np.float64)))
+                if len(rows) >= depth:
+                    floors[i] = np.partition(screens, len(rows) - depth)[-depth]
+                    # Held in float64, screens compare with T - 2B exactly.
+                    kept = screens > floors[i] - 2 * bound
+                    rows, screens = rows[kept], screens[kept]
+                pools[i] = rows, screens
+        return [Screened(q, bound, self.count, exclude, floor, rows, screens)
+                for q, bound, floor, (rows, screens) in zip(queries, bounds, floors, pools)]
+
+    def _held_rows(self, ids: Iterable[str]) -> list[int]:
+        """The rows of those of ``ids`` that the store holds."""
+        rows = list(map(self._rows.get, ids))
+        # After a load only decoded ids are in the map, and an id that is not
+        # may name an undecoded row.
+        if self._meta is not None and None in rows:
             self._decode_all()
-            excluded = list(map(self._rows.get, exclude))
-        bound = self._bound(q)
-        # Held in float64, the screen compares with t - 2B and t - B exactly.
-        screen = (self._matrix @ q.astype(np.float32)).astype(np.float64) if bound < math.inf \
-            else np.zeros(self.count)
-        screen[[row for row in excluded if row is not None]] = -np.inf
+            rows = list(map(self._rows.get, ids))
+        return [row for row in rows if row is not None]
 
+    def top_k(
+        self,
+        query: np.ndarray | Screened,
+        k: int,
+        exclude: set[str] | frozenset[str] = frozenset(),
+        video_cap: int | None = None,
+    ) -> list[Hit]:
+        """Exact top-k by cosine, skipping excluded ids.
+
+        ``query`` is a vector, or a screen of one made by this store's screen.
+        Ties break by sentence_id ascending. With video_cap set, at most that
+        many hits may share a video_id, enforced in score order.
+        """
+        if not is_int(k) or k < 1:
+            raise ValidationError(f"k must be a positive int, got {k!r}")
+        screened = query if isinstance(query, Screened) else \
+            self._screen([self._query(query)], k, exclude)[0]
         # While the cap leaves fewer than k hits, m grows until every row that
         # is not excluded has been ranked. An excluded row is never scored.
-        n = len(screen)
         m = k
         while True:
-            m = min(m, n)
-            floor = np.partition(screen, n - m)[n - m]
-            band = np.flatnonzero(screen > floor - 2 * bound)
-            scores = np.clip((self._matrix[band].astype(np.float64) * q).sum(axis=1), -1.0, 1.0)
+            band = self._band(screened, m, exclude)
+            if band is None:
+                screened = self._screen([screened.query], m, exclude)[0]
+                band = self._band(screened, m, exclude)
+            rows, floor = band
+            scores = np.clip((self._matrix[rows].astype(np.float64) * screened.query).sum(axis=1),
+                             -1.0, 1.0)
             # A finite query can still overflow against a stored row; NaN never ranks.
             if np.isnan(scores).any():
                 raise ValidationError(
                     "query vector overflows against the stored vectors (NaN scores)")
-            ranked = scores >= floor - bound
-            hits = self._walk(band[ranked], scores[ranked], k, video_cap)
-            if len(hits) == k or m == n or floor == -np.inf:
+            ranked = scores >= floor - screened.bound
+            hits = self._walk(rows[ranked], scores[ranked], k, video_cap)
+            if len(hits) == k or floor == -np.inf:
                 return hits
             m *= 4
+
+    def _band(self, screened: Screened, m: int,
+              exclude: set[str] | frozenset[str]) -> tuple[np.ndarray, float] | None:
+        """The band rows of the m-th best screen t among the rows not in
+        ``exclude``, and t (-inf when fewer rows remain); None when the screen
+        cannot prove that it holds them all."""
+        if screened.count != self.count:
+            return None
+        rows, screens = screened.rows, screened.screens
+        if exclude is not screened.exclude:
+            fresh = exclude - screened.exclude
+            # A row excluded when screened may now belong to the band.
+            if len(exclude) - len(fresh) < len(screened.exclude):
+                return None
+            held = set(self._held_rows(fresh))
+            if held:
+                kept = np.array([row not in held for row in rows.tolist()], dtype=bool)
+                rows, screens = rows[kept], screens[kept]
+        # Every row screening at least the screen's floor is held, so m of
+        # them put t at or above it, and the band within what was kept.
+        floor = screened.floor
+        if floor == -np.inf and m >= len(rows):
+            pass
+        elif np.count_nonzero(screens >= floor) >= m:
+            floor = np.partition(screens, len(rows) - m)[len(rows) - m]
+        else:
+            return None
+        return rows[screens > floor - 2 * screened.bound], floor
 
     def _bound(self, q: np.ndarray) -> float:
         """A bound, rounded up, on |screen - score| for every row; inf, so that
@@ -397,6 +516,15 @@ class VectorStore:
         if faulty is not None:
             self._decode([faulty])
             raise ValidationError(f"record {shown(self._ids[faulty])}: vector has NaN/Inf")
+
+
+def _at_most(value: float) -> np.float32:
+    """The largest float32 at most ``value``: a float32 screen compared with it
+    passes every row that it passes compared with ``value``, and maybe more."""
+    if not value >= -_FLOAT32_MAX:
+        return np.float32(-np.inf)
+    near = np.float32(value)
+    return near if float(near) <= value else np.nextafter(near, np.float32(-np.inf))
 
 
 def _max_norm(matrix: np.ndarray) -> tuple[float, int | None]:

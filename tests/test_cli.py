@@ -409,6 +409,35 @@ class TestCompose:
         assert not [n for n in os.listdir(out) if n.startswith(".tmp-")]
         assert "exhausted" in capsys.readouterr().err
 
+    def test_a_failed_compose_leaves_no_file_of_an_earlier_run(self, workspace, capsys):
+        code, out = self.compose(workspace)
+        assert code == 0
+        (out / "appunti.txt").write_text("not compose's", encoding="utf-8")
+        replay = workspace / "troncato.jsonl"
+        lines = (workspace / "replay.jsonl").read_text().strip().split("\n")
+        replay.write_text("\n".join(line for line in lines
+                                    if json.loads(line)["op"] != "score") + "\n",
+                          encoding="utf-8")
+        code = main([
+            "compose", "--store", str(workspace / "store"), "--title", "La politica",
+            "--config", str(workspace / "config.json"), "--out", str(out),
+            "--llm", f"scripted:{replay}",
+        ])
+        assert code == 1
+        assert sorted(os.listdir(out)) == ["appunti.txt", "candidates.jsonl", "queries.jsonl"]
+        header = json.loads((out / "queries.jsonl").read_text(encoding="utf-8").split("\n")[0])
+        assert header["episode_title"] == "La politica"
+        assert (out / "appunti.txt").read_text(encoding="utf-8") == "not compose's"
+        assert "exhausted" in capsys.readouterr().err
+
+    def test_an_artifact_that_cannot_be_removed_fails_the_command(self, workspace, capsys):
+        out = workspace / "episode"
+        (out / "plan.json").mkdir(parents=True)
+        code, _ = self.compose(workspace)
+        assert code == 1
+        assert sorted(os.listdir(out)) == ["plan.json"]
+        assert "plan.json" in capsys.readouterr().err
+
     def test_fades_longer_than_a_clip_refused_with_no_edl_written(self, workspace, capsys):
         config = json.loads((workspace / "config.json").read_text())
         config["render"] = {"fade_s": 1.5}

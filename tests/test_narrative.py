@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from aiblob.narrative import (
     section_quotas,
     segment_narrative,
 )
-from aiblob.store import VectorRecord, VectorStore
+from aiblob import store as store_module
+from aiblob.store import SCREEN_BLOCK_BYTES, SCREEN_CHUNK, VectorRecord, VectorStore
 
 from oracle_narrative import oracle_segment
 from test_llm import QueueProvider
@@ -62,9 +64,9 @@ class TestRetrieveCandidates:
     class MapEmbedder:
         """Maps query text to a fixed unit vector; lets tests position queries."""
 
-        def __init__(self, mapping):
+        def __init__(self, mapping, dim=2):
             self.mapping = mapping
-            self.dim = 2
+            self.dim = dim
             self.batch_size = 64
 
         def embed(self, texts, input_type="search_query"):
@@ -145,6 +147,64 @@ class TestRetrieveCandidates:
         for qi in set(query_indexes):
             assert query_indexes.count(qi) <= k
         assert len(ids) == min(n_records, len(ids))
+
+
+class TestChunkedScreen:
+    """retrieve_candidates screens each chunk of queries once; its hits must be
+    those of one plain top_k per query with the exclusion growing."""
+
+    @given(
+        n=st.integers(min_value=0, max_value=120),
+        dim=st.sampled_from([8, 64]),
+        n_queries=st.sampled_from([1, 5, SCREEN_CHUNK - 1, SCREEN_CHUNK, SCREEN_CHUNK + 3]),
+        k=st.integers(min_value=1, max_value=8),
+        video_cap=st.one_of(st.none(), st.integers(min_value=1, max_value=2)),
+        distinct=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+        spread=st.one_of(st.none(), st.integers(min_value=-9, max_value=-5)),
+        repeats=st.integers(min_value=1, max_value=4),
+        block_rows=st.one_of(st.none(), st.integers(min_value=1, max_value=7)),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_a_loop_of_plain_top_k(self, n, dim, n_queries, k, video_cap, distinct,
+                                          spread, repeats, block_rows, seed):
+        # Duplicate vectors (distinct), rows within the screen's error of one
+        # vector (spread) and repeated queries (repeats) make ties, near-ties
+        # and exclusions that reach into a later query's best rows.
+        from aiblob.embeddings import deterministic_embed
+
+        rng = np.random.default_rng(seed)
+        base = deterministic_embed(f"vicino {seed}", dim).astype(np.float64)
+        records = []
+        for i in range(n):
+            if spread is None:
+                vector = deterministic_embed(f"doc {i % distinct if distinct else i}", dim)
+            else:
+                vector = (base + 10.0 ** spread * rng.standard_normal(dim)).astype(np.float32)
+            records.append(VectorRecord(f"r{i:03d}", vector, f"vid{i % 4}", f"doc {i}", 0.0, 1.0))
+        store = VectorStore(dim)
+        store.insert_batch(records)
+        vectors = np.array([deterministic_embed(f"query {seed} {j // repeats}", dim)
+                            if spread is None else
+                            (base + 10.0 ** spread * rng.standard_normal(dim)).astype(np.float32)
+                            for j in range(n_queries)])
+
+        expected = []
+        excluded: set[str] = set()
+        for j, vector in enumerate(vectors):
+            for hit in store.top_k(vector, k, exclude=excluded, video_cap=video_cap):
+                expected.append(Candidate(hit.sentence_id, hit.video_id, hit.text, hit.start_s,
+                                          hit.end_s, j))
+                excluded.add(hit.sentence_id)
+
+        embedder = TestRetrieveCandidates.MapEmbedder(
+            {str(j): vector for j, vector in enumerate(vectors)}, dim)
+        block = SCREEN_BLOCK_BYTES if block_rows is None else block_rows * 4 * SCREEN_CHUNK
+        with mock.patch.object(store_module, "SCREEN_BLOCK_BYTES", block):
+            result = retrieve_candidates([QueryPhrase(0, str(j)) for j in range(n_queries)],
+                                         store, embedder,
+                                         PipelineConfig(k_per_query=k, video_cap=video_cap))
+        assert result == expected
 
 
 class TestFilterRetained:

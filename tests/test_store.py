@@ -5,6 +5,7 @@ import random
 import struct
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 from aiblob.embeddings import deterministic_embed
 from aiblob.errors import AiblobError, ConfigError, StoreError, ValidationError
+from aiblob import store as store_module
 from aiblob.store import META_KEYS, VectorRecord, VectorStore
-from aiblob.util import float_column
+from aiblob.util import RecordFile, float_column
 from conftest import forge_digest, run_python
 
 # What load says of a meta.jsonl that its vectors.bin digest does not match.
@@ -418,6 +420,77 @@ class TestTopK:
             assert [h.sentence_id for h in hits] == [sid for sid, _ in expected]
 
 
+class TestScreen:
+    """A chunk of queries screened at once, then ranked one by one by top_k."""
+
+    def test_equal_vectors_across_block_edges_tie_by_id(self, monkeypatch):
+        # Three rows per block for a chunk of two queries; the copies sit on
+        # both sides of the block edges at rows 3, 6 and 9, and their ids run
+        # against row order.
+        monkeypatch.setattr(store_module, "SCREEN_BLOCK_BYTES", 3 * 4 * 2)
+        records = make_records(12, 8, video_every=1)
+        same = deterministic_embed("la stessa frase", 8)
+        for i, rec in enumerate(records):
+            rec.sentence_id = f"s{11 - i:04d}"
+            if i in (2, 3, 5, 6, 8, 9):
+                rec.vector = same
+        store = VectorStore(8)
+        store.insert_batch(records)
+        first, second = store.screen([same, same], 2)
+        hits = store.top_k(first, 2)
+        hits += store.top_k(second, 2, exclude={hit.sentence_id for hit in hits})
+        assert [hit.sentence_id for hit in hits] == ["s0002", "s0003", "s0005", "s0006"]
+        assert hits == store.top_k(same, 4)
+        assert len({hit.score for hit in hits}) == 1
+
+    def test_a_query_beyond_float32_inside_a_chunk_ranks_every_row(self):
+        records = make_records(203, 16, video_every=5, distinct=60)
+        store = VectorStore(16)
+        store.insert_batch(records)
+        exclude = {rec.sentence_id for rec in records[::7]}
+        small = deterministic_embed("domanda", 16)
+        large = small.astype(np.float64) * 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chunk = store.screen([small, large, small], 10, exclude)
+            hits = [store.top_k(screened, 10, exclude=exclude) for screened in chunk]
+        assert chunk[1].rows.tolist() == [row for row, rec in enumerate(records)
+                                          if rec.sentence_id not in exclude]
+        scores = row_scores(records, large)
+        assert ([(hit.sentence_id, hit.score) for hit in hits[1]]
+                == brute_force_top_k(records, large, 10, exclude, scores=scores))
+        assert hits[0] == hits[2] == store.top_k(small, 10, exclude=exclude)
+
+    def test_a_screen_serves_any_later_exclusion_and_insert(self):
+        # top_k screens again when the exclusion drops an id the screen
+        # excluded, adds more than the screen's depth, or the store has grown.
+        records = make_records(200, 8, video_every=4, distinct=50)
+        store = VectorStore(8)
+        store.insert_batch(records[:150])
+        query = deterministic_embed("domanda", 8)
+        order = [hit.sentence_id for hit in store.top_k(query, 150)]
+        (screened,) = store.screen([query], 5, set(order[:3]))
+        for exclude in (set(order[:3]), set(order[:2]), set(), set(order[:40])):
+            for cap in (None, 1):
+                assert (store.top_k(screened, 5, exclude=exclude, video_cap=cap)
+                        == store.top_k(query, 5, exclude=exclude, video_cap=cap))
+        records[-1].vector = query
+        store.insert_batch(records[150:])
+        hits = store.top_k(screened, 5, exclude=set(order[:3]))
+        assert hits[0].sentence_id == records[-1].sentence_id
+        assert hits == store.top_k(query, 5, exclude=set(order[:3]))
+
+    @pytest.mark.parametrize("k", [0, -1, 1.0, True])
+    def test_non_int_k_rejected(self, k):
+        with pytest.raises(ValidationError, match="k must be a positive int"):
+            filled_store(5, 8).screen([deterministic_embed("q", 8)], k)
+
+    def test_query_dim_checked(self):
+        with pytest.raises(ConfigError, match="query dim 16 does not match store dim 8"):
+            filled_store(5, 8).screen([deterministic_embed("q", 8),
+                                       deterministic_embed("q", 16)], 3)
+
+
 class TestPersistence:
     def test_round_trip_answers_queries_identically(self, tmp_path):
         store = filled_store(100, 8)
@@ -759,6 +832,19 @@ class TestDigestCheckedLoad:
             lazy = VectorStore.load(str(directory))
             assert (lazy.top_k(query, 10, exclude=exclude)
                     == in_memory.top_k(query, 10, exclude=exclude))
+
+    def test_a_second_ranking_of_decoded_rows_reads_no_metadata(self, tmp_path, monkeypatch):
+        store = VectorStore.load(str(self.saved(tmp_path)))
+        first = store.top_k(self.QUERIES[0], 10)
+        columns = RecordFile.columns
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return columns(self, *args, **kwargs)
+        monkeypatch.setattr(RecordFile, "columns", counted)
+        assert store.top_k(self.QUERIES[0], 10) == first
+        assert calls == []
 
     def test_concurrent_readers_answer_as_the_in_memory_store(self, tmp_path):
         # Eight threads share each fresh lazy load, so they decode rows into
