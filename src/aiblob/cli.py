@@ -37,7 +37,22 @@ EDL_FILE = "edl.json"
 COMPOSE_FILES = (QUERIES_FILE, CANDIDATES_FILE, SCORES_FILE, PLAN_FILE, EDL_FILE)
 
 
+def _check_output(path: str, flag: str, directory: bool) -> None:
+    """Raise ValidationError naming ``flag`` and ``path`` unless a command can
+    make its output there, a directory if ``directory`` else a file: nothing of
+    the other kind stands at ``path``, and its nearest existing ancestor is a
+    directory. Checked before the work, so that a bad path fails at once."""
+    if os.path.exists(path) and os.path.isdir(path) != directory:
+        raise ValidationError(f"{flag} {path} is {'not ' if directory else ''}a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise ValidationError(f"{flag} {path}: {parent} is not a directory")
+
+
 def cmd_ingest(args) -> int:
+    _check_output(args.out, "--out", directory=False)
     names = sorted(n for n in os.listdir(args.transcripts) if n.endswith(".json"))
     if not names:
         raise ValidationError(f"no .json transcript files found in {args.transcripts}")
@@ -75,6 +90,7 @@ def _embedder_identity(spec: str, config: AppConfig) -> str:
 
 
 def cmd_index(args) -> int:
+    _check_output(args.store, "--store", directory=True)
     config = load_config(args.config)
     corpus = load_corpus(args.corpus)
     if not corpus.sentence_ids:

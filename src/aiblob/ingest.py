@@ -31,7 +31,7 @@ from itertools import accumulate
 from typing import NoReturn
 
 from .errors import ParseError, ValidationError
-from .util import (RecordFile, float_column, is_finite_number, is_utf8, parse_json,
+from .util import (RecordFile, float_column, is_finite_number, is_utf8, np, parse_json,
                    record_columns, write_columns)
 
 CORPUS_FORMAT = "aiblob-corpus"
@@ -230,16 +230,17 @@ def export_corpus(sentences: list[Sentence], path: str) -> int:
 
 @dataclass
 class Corpus:
-    """A corpus file's sentences as columns, one list per Sentence field:
-    sentence ``i`` is ``Sentence(sentence_ids[i], video_ids[i], ordinals[i],
-    texts[i], starts[i], ends[i])``."""
+    """A corpus file's sentences as columns, one per Sentence field: sentence
+    ``i`` is ``Sentence(sentence_ids[i], video_ids[i], ordinals[i], texts[i],
+    starts[i], ends[i])``. The times are float64 arrays, the other columns
+    lists, and equal video ids are one str object, so each value is held once."""
 
     sentence_ids: list[str]
     video_ids: list[str]
     ordinals: list[int]
     texts: list[str]
-    starts: list[float]
-    ends: list[float]
+    starts: np.ndarray
+    ends: np.ndarray
 
 
 def load_corpus(path: str) -> Corpus:
@@ -250,4 +251,5 @@ def load_corpus(path: str) -> Corpus:
     repeated id ValidationError, each naming the line of the first fault.
     """
     records = RecordFile(path, CORPUS_FORMAT, (CORPUS_VERSION,), ParseError)
-    return Corpus(*records.columns(Sentence, "corpus record", unique="sentence_id"))
+    return Corpus(*records.columns(Sentence, "corpus record", unique="sentence_id",
+                                   shared="video_id"))

@@ -28,9 +28,13 @@ screens the query again alone, at depth m, against the exclusion it was given.
 
 In memory, rows are columns in row order: one C-contiguous little-endian
 float32 matrix (exactly the vectors.bin body, read into an array of its own at
-load) beside plain lists of ids, video ids, texts, start and end times, and an
-id -> row dict, and the largest row norm, found as insert and load check that
-every vector is finite. A hit carries its row's metadata, not the vector.
+load) beside lists of ids, video ids and texts, float64 arrays of start and
+end times, and the largest row norm, found as insert and load check that
+every vector is finite. A first insert into an empty store keeps the matrix
+and the columns it is given (index gives load_corpus's, so each value is held
+once) and refuses a repeated id with a set that it drops; the id -> row dict
+is built, whole, when an exclusion or a later insert first needs it. A hit
+carries its row's metadata, its times as Python floats, not the vector.
 
 Saving writes the columns (util.write_columns), then the matrix as the
 vectors.bin body, then a SHA-256 of all meta.jsonl bytes: vectors.bin is
@@ -40,8 +44,8 @@ record files, then the vectors.bin header, size, digest and values. A digest
 that does not match meta.jsonl (the two files are not one save, say an index
 killed between its renames) is refused. So meta.jsonl is what save wrote:
 load keeps the RecordFile, and a row is decoded, with its record check, when
-top_k first ranks it (its column entries are None until then, and the id ->
-row dict holds decoded rows only). An excluded id not yet decoded, an insert
+top_k first ranks it (its id is None until then, and the id -> row dict holds
+decoded rows only). An excluded id not yet decoded, an insert
 and a save decode every row first. Only a meta.jsonl forged together with its
 digest can hold a faulty row that load passes; its fault is raised, naming the
 line, when the row is first used. An insert takes a matrix with its columns,
@@ -67,7 +71,7 @@ import operator
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, NoReturn, Sequence
+from typing import Collection, Iterable, NamedTuple, NoReturn, Sequence
 
 from .errors import ConfigError, StoreError, ValidationError
 from .util import (RecordFile, atomic_write_bytes, check_field_types, is_int, is_utf8, np, shown,
@@ -142,20 +146,21 @@ class VectorStore:
         # The spec of the embedder that made the vectors, when known.
         self.embedder = embedder
         self._matrix = np.empty((0, dim), dtype="<f4")
-        self._rows: dict[str, int] = {}
+        # The id -> row map, None until _id_rows builds it.
+        self._rows: dict[str, int] | None = None
         self._ids: list[str] = []
         self._video_ids: list[str] = []
         self._texts: list[str] = []
-        self._starts: list[float] = []
-        self._ends: list[float] = []
+        self._starts = np.empty(0)
+        self._ends = np.empty(0)
         # The largest row norm (_max_norm).
         self._norm = 0.0
         # After a load, until _decode_all: the file the undecoded rows (None in
-        # the columns) are read from, and its header's video count.
+        # _ids) are read from, and its header's video count.
         self._meta: RecordFile | None = None
         self._videos = 0
 
-    def _columns(self) -> tuple[list, ...]:
+    def _columns(self) -> tuple:
         """The metadata columns, in META_KEYS order."""
         return (self._ids, self._video_ids, self._texts, self._starts, self._ends)
 
@@ -174,8 +179,10 @@ class VectorStore:
 
         ``batch`` is a list of VectorRecord, or an (n, dim) float32 matrix whose
         row i is the vector of the i-th entry of ``columns``: one list per
-        META_KEYS field, of values already checked (as load_corpus returns them).
-        The store keeps that matrix; it must not be changed afterwards.
+        META_KEYS field (or a float64 array for a time), of values already
+        checked (as load_corpus returns them). A first insert into an empty
+        store keeps that matrix and those columns; they must not be changed
+        afterwards.
         """
         if columns is None:
             matrix, columns = self._record_columns(batch)
@@ -206,33 +213,50 @@ class VectorStore:
             check_field_types(rec, ValidationError, f"record {shown(rec.sentence_id)}")
         return matrix, [list(map(operator.attrgetter(key), records)) for key in META_KEYS]
 
-    def _append(self, matrix: np.ndarray, columns: Sequence[list]) -> None:
+    def _append(self, matrix: np.ndarray, columns: Sequence) -> None:
         """Append the rows of ``matrix`` with their META_KEYS ``columns``; nothing
-        changes unless every row passes."""
+        changes unless every row passes. A first insert into an empty store
+        keeps them as they are, and refuses a repeated id with a set that it
+        drops: the id map waits for its first use (_id_rows)."""
         self._decode_all()
         ids = columns[0]
         norm, faulty = _max_norm(matrix)
         if faulty is not None:
             raise ValidationError(f"record {shown(ids[faulty])}: vector has NaN/Inf")
-        new_rows = dict(zip(ids, range(self.count, self.count + len(ids))))
-        if len(new_rows) != len(ids) or not self._rows.keys().isdisjoint(new_rows):
-            self._raise_duplicate(ids)
-        self._matrix = np.concatenate((self._matrix, matrix)) if self.count else matrix
-        if self._rows:
-            self._rows.update(new_rows)
+        if not self.count:
+            if len(set(ids)) != len(ids):
+                self._raise_duplicate(ids, {})
+            self._rows = None
+            self._matrix = matrix
+            self._ids, self._video_ids, self._texts = columns[:3]
+            self._starts, self._ends = (np.asarray(values, np.float64) for values in columns[3:])
         else:
-            # A first insert keeps the new map: copying it would briefly hold two.
-            self._rows = new_rows
-        for column, values in zip(self._columns(), columns):
-            column.extend(values)
+            held = self._id_rows()
+            new_rows = dict(zip(ids, range(self.count, self.count + len(ids))))
+            if len(new_rows) != len(ids) or not held.keys().isdisjoint(new_rows):
+                self._raise_duplicate(ids, held)
+            held.update(new_rows)
+            self._matrix = np.concatenate((self._matrix, matrix))
+            # New lists and arrays: those of a first insert are the caller's.
+            old = self._columns()
+            self._ids, self._video_ids, self._texts = ([*old[i], *columns[i]] for i in range(3))
+            self._starts, self._ends = (np.concatenate((old[i], columns[i])) for i in (3, 4))
         self._norm = max(self._norm, norm)
 
-    def _raise_duplicate(self, ids: Sequence[str]) -> NoReturn:
-        """Raise for the first of ``ids`` that is stored or repeats an earlier one.
-        Only called once the one-dict test has found a repeat."""
+    def _id_rows(self) -> dict[str, int]:
+        """The id -> row map: after a load, of the decoded rows; else of every
+        row, built whole on its first use, so that a reader finds it complete."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = dict(zip(self._ids, range(self.count)))
+        return rows
+
+    def _raise_duplicate(self, ids: Sequence[str], held: dict[str, int]) -> NoReturn:
+        """Raise for the first of ``ids`` that is in ``held`` or repeats an earlier
+        one. Only called once a set or dict test has found a repeat."""
         seen: set[str] = set()
         for sentence_id in ids:
-            if sentence_id in self._rows or sentence_id in seen:
+            if sentence_id in held or sentence_id in seen:
                 raise ValidationError(f"duplicate sentence_id {shown(sentence_id)}")
             seen.add(sentence_id)
         raise AssertionError("the id test found a repeat the id walk does not")
@@ -245,13 +269,14 @@ class VectorStore:
         rows = [row for row in rows if self._ids[row] is None]
         if not rows:
             return
-        ids, video_ids, texts, starts, ends = meta.columns(VectorRecord, rows=rows)
+        ids, video_ids, texts, starts, ends = meta.columns(VectorRecord, rows=rows,
+                                                           shared="video_id")
+        self._starts[rows], self._ends[rows] = starts, ends
         for i, row in enumerate(rows):
             if self._rows.setdefault(ids[i], row) != row:
                 raise ValidationError(
                     f"{meta.path}:{meta.lineno(row + 1)}: duplicate sentence_id {shown(ids[i])}")
-            self._video_ids[row], self._texts[row], self._starts[row], self._ends[row] = (
-                video_ids[i], texts[i], starts[i], ends[i])
+            self._video_ids[row], self._texts[row] = video_ids[i], texts[i]
             # The id last: a reader that finds it set finds the whole row.
             self._ids[row] = ids[i]
 
@@ -320,14 +345,16 @@ class VectorStore:
         return [Screened(q, bound, self.count, exclude, floor, rows, screens)
                 for q, bound, floor, (rows, screens) in zip(queries, bounds, floors, pools)]
 
-    def _held_rows(self, ids: Iterable[str]) -> list[int]:
+    def _held_rows(self, ids: Collection[str]) -> list[int]:
         """The rows of those of ``ids`` that the store holds."""
-        rows = list(map(self._rows.get, ids))
+        if not ids:
+            return []
+        rows = list(map(self._id_rows().get, ids))
         # After a load only decoded ids are in the map, and an id that is not
         # may name an undecoded row.
         if self._meta is not None and None in rows:
             self._decode_all()
-            rows = list(map(self._rows.get, ids))
+            rows = list(map(self._id_rows().get, ids))
         return [row for row in rows if row is not None]
 
     def top_k(
@@ -429,8 +456,8 @@ class VectorStore:
                 if used >= video_cap:
                     continue
                 per_video[video_id] = used + 1
-            hits.append(Hit(sentence_id, -negated, video_id, self._texts[row], self._starts[row],
-                            self._ends[row]))
+            hits.append(Hit(sentence_id, -negated, video_id, self._texts[row],
+                            float(self._starts[row]), float(self._ends[row])))
             if len(hits) == k:
                 break
         return hits
@@ -510,8 +537,10 @@ class VectorStore:
         self._matrix = matrix
         self._meta = meta
         self._videos = videos
-        for column in self._columns():
+        self._rows = {}
+        for column in self._columns()[:3]:
             column.extend([None] * count)
+        self._starts, self._ends = np.zeros(count), np.zeros(count)
         self._norm, faulty = _max_norm(matrix)
         if faulty is not None:
             self._decode([faulty])

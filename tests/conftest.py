@@ -150,6 +150,14 @@ def run_python(*argv):
                           env={**os.environ, "PYTHONPATH": path}, timeout=300)
 
 
+def exact(columns) -> str:
+    """The repr of ``columns`` with each array (anything with ``tolist``) shown as
+    its dtype and its values as Python numbers: equal strings mean equal values,
+    with -0.0 told from 0.0 and an int from a float."""
+    return repr(tuple((str(column.dtype), column.tolist()) if hasattr(column, "tolist")
+                      else column for column in columns))
+
+
 def forge_digest(directory):
     """Make vectors.bin's digest match meta.jsonl as it is now."""
     vectors = directory / "vectors.bin"

@@ -108,8 +108,48 @@ class TestIngest:
         assert capsys.readouterr().err == "error: min_chars must be positive, got 0\n"
         assert not (tmp_path / "c.jsonl").exists()
 
+    def test_out_that_is_a_directory_fails_before_any_transcript_is_read(self, tmp_path,
+                                                                          capsys):
+        # The transcripts directory does not exist: reading it would fail otherwise.
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert main(["ingest", "--transcripts", str(tmp_path / "niente"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out {out} is a directory\n"
+
+    def test_out_under_a_file_fails_before_any_transcript_is_read(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.touch()
+        out = taken / "c.jsonl"
+        assert main(["ingest", "--transcripts", str(tmp_path / "niente"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out {out}: {taken} is not a directory\n"
+
 
 class TestIndex:
+    @staticmethod
+    def index_into(tmp_path, store):
+        """index into ``store`` from a corpus that does not exist, which fails
+        when read: an error about ``store`` comes before that read."""
+        return main(["index", "--corpus", str(tmp_path / "niente.jsonl"), "--store", str(store),
+                     "--embedder", "deterministic:8"])
+
+    def test_store_that_is_a_file_fails_before_the_corpus_is_read(self, tmp_path, capsys):
+        store = tmp_path / "taken"
+        store.touch()
+        assert self.index_into(tmp_path, store) == 1
+        assert capsys.readouterr().err == f"error: --store {store} is not a directory\n"
+
+    def test_store_under_a_file_fails_before_the_corpus_is_read(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.touch()
+        store = taken / "sub" / "store"
+        assert self.index_into(tmp_path, store) == 1
+        assert capsys.readouterr().err == f"error: --store {store}: {taken} is not a directory\n"
+
+    def test_existing_store_directory_is_written_over(self, workspace, capsys):
+        assert main(["index", "--corpus", str(workspace / "corpus.jsonl"),
+                     "--store", str(workspace / "store"), "--embedder", "deterministic:32"]) == 0
+        assert VectorStore.load(str(workspace / "store")).count == 200
+
     def test_corpus_without_sentences_fails(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         export_corpus([], str(corpus))

@@ -185,6 +185,11 @@ def test_load_corpus(workdir, data):
     corpus = loaded(lambda: load_corpus(str(path)))
     columns = list(vars(corpus).values()) if corpus is not None else [[]]
     assert len(set(map(len, columns))) == 1
+    if corpus is not None:
+        # The times are float64 arrays; their values are checked as Python floats.
+        assert str(corpus.starts.dtype) == str(corpus.ends.dtype) == "float64"
+        columns = [column.tolist() if hasattr(column, "tolist") else column
+                   for column in columns]
     for s in map(Sentence, *columns):
         assert isinstance(s.sentence_id, str) and isinstance(s.video_id, str)
         assert isinstance(s.text, str) and is_int(s.ordinal)

@@ -5,14 +5,15 @@ import hashlib
 import json
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import exact
 from oracle_ingest import oracle_parse_transcript, oracle_segment_sentences
 
 from aiblob.errors import ParseError, ValidationError
 from aiblob.ingest import (
-    Corpus,
     Sentence,
     export_corpus,
     load_corpus,
@@ -360,9 +361,17 @@ class TestAgainstPerWordOracle:
 
 
 def corpus_of(sentences):
-    """The Corpus columns holding ``sentences``."""
-    return Corpus(*([getattr(s, field.name) for s in sentences]
-                    for field in dataclasses.fields(Sentence)))
+    """The columns of a Corpus holding ``sentences``, as ``loaded`` shows them:
+    the times as float64 arrays."""
+    fields = dataclasses.fields(Sentence)
+    columns = ([getattr(s, field.name) for s in sentences] for field in fields)
+    return exact(np.array(values, np.float64) if field.type == "float" else values
+                 for values, field in zip(columns, fields))
+
+
+def loaded(path):
+    """The columns of the corpus file at ``path``, compared exactly (exact)."""
+    return exact(vars(load_corpus(str(path))).values())
 
 
 class TestCorpusRoundTrip:
@@ -377,7 +386,7 @@ class TestCorpusRoundTrip:
         path = tmp_path / "corpus.jsonl"
         sentences = self.make_sentences()
         assert export_corpus(sentences, str(path)) == 3
-        assert load_corpus(str(path)) == corpus_of(sentences)
+        assert loaded(path) == corpus_of(sentences)
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -391,7 +400,7 @@ class TestCorpusRoundTrip:
         assert export_corpus([], str(path)) == 0
         content = path.read_text(encoding="utf-8")
         assert content.startswith('{"format":"aiblob-corpus","version":1}')
-        assert load_corpus(str(path)) == corpus_of([])
+        assert loaded(path) == corpus_of([])
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -449,10 +458,10 @@ class TestCorpusRoundTrip:
         sentences = self.make_sentences()
         export_corpus(sentences, str(path))
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert load_corpus(str(path)) == corpus_of(sentences)
+        assert loaded(path) == corpus_of(sentences)
         # With a blank line after each line, and with the last line unended.
         path.write_bytes(path.read_bytes().replace(b"\r\n", b"\r\n\r\n").rstrip(b"\r\n"))
-        assert load_corpus(str(path)) == corpus_of(sentences)
+        assert loaded(path) == corpus_of(sentences)
 
     def test_lone_cr_is_not_a_line_break(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -13,7 +13,9 @@ import struct
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
+from conftest import exact
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracle_records import oracle_load_corpus, oracle_store_rows, oracle_write_jsonl
@@ -157,21 +159,30 @@ def outcome(read):
         return type(exc).__name__, str(exc)
 
 
-def oracle_corpus_columns(path) -> tuple[list, ...]:
+def as_read(columns, fields) -> str:
+    """The per-row reader's ``columns`` of ``fields`` as the column reader gives
+    them, a float column as a float64 array, compared exactly (exact)."""
+    return exact(np.array(values, np.float64) if kind == "float" else values
+                 for values, (_, kind) in zip(columns, fields))
+
+
+def oracle_corpus_columns(path) -> str:
     sentences = oracle_load_corpus(str(path))
-    return tuple([getattr(s, name) for s in sentences] for name, _ in CORPUS_FIELDS)
+    return as_read(([getattr(s, name) for s in sentences] for name, _ in CORPUS_FIELDS),
+                   CORPUS_FIELDS)
 
 
-def oracle_store_columns(path) -> tuple[list, ...]:
+def oracle_store_columns(path) -> str:
     rows = oracle_store_rows(str(path))
-    return tuple([row[c] for row in rows] for c in range(len(META_FIELDS)))
+    return as_read(([row[c] for row in rows] for c in range(len(META_FIELDS))), META_FIELDS)
 
 
 def read_corpus_pair(path):
     """The column reader's and the per-row reader's outcomes for one corpus file;
-    the exact reprs of the columns tell an int from a float."""
-    got = outcome(lambda: repr(tuple(vars(load_corpus(str(path))).values())))
-    want = outcome(lambda: repr(oracle_corpus_columns(path)))
+    the exact reprs of the columns tell an int from a float, and a float64 array
+    from a list."""
+    got = outcome(lambda: exact(vars(load_corpus(str(path))).values()))
+    want = outcome(lambda: oracle_corpus_columns(path))
     return got, want
 
 
@@ -191,13 +202,13 @@ def read_lazy_store(directory, lines):
     def read():
         store = VectorStore.load(str(directory))
         assert len(store.top_k([0.6, 0.8], max(count, 1))) == count
-        return repr(tuple(store._columns()))
+        return exact(store._columns())
     return outcome(read)
 
 
 def oracle_store(directory):
     """The per-row reader's outcome for the meta.jsonl read_lazy_store wrote."""
-    return outcome(lambda: repr(oracle_store_columns(directory / "meta.jsonl")))
+    return outcome(lambda: oracle_store_columns(directory / "meta.jsonl"))
 
 
 CORPUS_HEADER = {"format": "aiblob-corpus", "version": 1}
@@ -227,7 +238,7 @@ class TestValidFiles:
         got = read_lazy_store(tmp_path, lines)
         want = oracle_store(tmp_path)
         assert got == want == ("ok", repr((["a", "b"], ["v", "v"], ["ciao", "ciao"],
-                                           [1.0, 1.0], [2.0, 2.0])))
+                                           ("float64", [1.0, 1.0]), ("float64", [2.0, 2.0]))))
 
 
 @pytest.mark.parametrize("fault", ROW_FAULTS + MERGE_FAULTS)
@@ -303,4 +314,37 @@ def test_column_writer_matches_the_per_row_writer(tmp_path, cls, data):
     oracle_write_jsonl(str(old), header, rows)
     assert new.read_bytes() == old.read_bytes()
     columns = RecordFile(str(new), "aiblob-records", (1,), ParseError).columns(cls)
-    assert repr(columns) == repr(tuple([row[name] for row in rows] for name, _ in fields))
+    assert exact(columns) == as_read(([row[name] for row in rows] for name, _ in fields), fields)
+
+
+# Values of a float field that a float64 array column must write exactly as a
+# list of the same floats does: -0.0, the smallest subnormal, the first float
+# repr writes with an exponent, a power of ten past 2**53, the largest float;
+# and ints, which a float field holds as their nearest float (2**53 + 1 is the
+# first int that rounds).
+ARRAY_FLOATS = WRITTEN["float"] | st.sampled_from([1e22, 2**53 + 1, 3, -7, 0]) \
+    | st.integers(-2**62, 2**62)
+
+
+@pytest.mark.parametrize("cls", [Sentence, VectorRecord, Candidate], ids=lambda cls: cls.__name__)
+@settings(CHECKED, max_examples=60)
+@given(data=st.data())
+def test_float_array_columns_write_the_bytes_of_float_lists(tmp_path, cls, data):
+    """A float column given as a float64 array writes what the list of its
+    values as Python floats writes, and reads back as that array."""
+    fields = [(f.name, f.type) for f in dataclasses.fields(cls) if f.type in WRITTEN]
+    count = data.draw(st.integers(0, 9))
+    columns = [data.draw(st.lists(ARRAY_FLOATS if kind == "float" else WRITTEN[kind],
+                                  min_size=count, max_size=count)) for _, kind in fields]
+    floats = [list(map(float, values)) if kind == "float" else values
+              for values, (_, kind) in zip(columns, fields)]
+    arrays = [np.array(values, np.float64) if kind == "float" else values
+              for values, (_, kind) in zip(columns, fields)]
+    header = {"format": "aiblob-records", "version": 1}
+    listed, arrayed = tmp_path / "lists.jsonl", tmp_path / "arrays.jsonl"
+    with mock.patch.object(util, "_WRITE_BLOCK_LINES", data.draw(st.integers(1, 4))):
+        write_columns(str(listed), header, cls, floats)
+        write_columns(str(arrayed), header, cls, arrays)
+    assert arrayed.read_bytes() == listed.read_bytes()
+    read = RecordFile(str(arrayed), "aiblob-records", (1,), ParseError).columns(cls)
+    assert exact(read) == exact(arrays)

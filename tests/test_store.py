@@ -17,7 +17,7 @@ from aiblob.errors import AiblobError, ConfigError, StoreError, ValidationError
 from aiblob import store as store_module
 from aiblob.store import META_KEYS, VectorRecord, VectorStore
 from aiblob.util import RecordFile, float_column
-from conftest import forge_digest, run_python
+from conftest import exact, forge_digest, run_python
 
 # What load says of a meta.jsonl that its vectors.bin digest does not match.
 MISMATCH = (r"vectors\.bin: digest does not match \S*meta\.jsonl, so the two files are not "
@@ -190,6 +190,82 @@ class TestInsertColumns:
         with pytest.raises(ValidationError, match="columns of 2 values"):
             store.insert_batch(matrix, columns)
         assert store.count == 0
+
+
+def inserted(records):
+    """A store made by one insert of ``records``' matrix and columns, the times
+    as float64 arrays, as index inserts a corpus."""
+    matrix, columns = columns_of(records)
+    columns[3:] = [np.array(values, np.float64) for values in columns[3:]]
+    store = VectorStore(matrix.shape[1])
+    store.insert_batch(matrix, columns)
+    return store
+
+
+class TestIdMapOnFirstUse:
+    """A first insert into an empty store builds no id -> row map; each use of
+    the map finds it whole."""
+
+    RECORDS = make_records(300, 8, video_every=7)
+    QUERIES = [deterministic_embed(f"domanda {i}", 8) for i in range(12)]
+
+    def test_exclusion_is_exact(self):
+        store = inserted(self.RECORDS)
+        assert store._rows is None
+        excluded: set[str] = set()
+        for query in self.QUERIES:
+            hits = store.top_k(query, 10, exclude=excluded, video_cap=2)
+            scores = row_scores(self.RECORDS, query)
+            assert [(h.sentence_id, h.score) for h in hits] == brute_force_top_k(
+                self.RECORDS, query, 10, excluded, 2, scores=scores)
+            excluded.update(hit.sentence_id for hit in hits)
+        assert store._rows is not None
+
+    def test_a_second_insert_refuses_a_repeat_and_takes_new_rows(self):
+        store = inserted(self.RECORDS)
+        with pytest.raises(ValidationError, match="^duplicate sentence_id s0299$"):
+            store.insert_batch(*columns_of(make_records(300, 8)[-1:]))
+        assert store.count == 300
+        extra = make_records(5, 8, prefix="t")
+        store.insert_batch(*columns_of(extra))
+        records = self.RECORDS + extra
+        for query in [*self.QUERIES, extra[2].vector]:
+            exclude = {"s0000", "t0001", "not-in-store"}
+            hits = store.top_k(query, 10, exclude=exclude, video_cap=3)
+            assert [(h.sentence_id, h.score) for h in hits] == brute_force_top_k(
+                records, query, 10, exclude, 3, scores=row_scores(records, query))
+
+    def test_video_count(self):
+        assert inserted(self.RECORDS).video_count == 7
+
+    def test_hit_times_are_python_floats(self):
+        # numpy 2 shows an np.float64 as "np.float64(...)", which a repr of a
+        # hit, or a writer that takes it for a float, would carry.
+        for hit in inserted(self.RECORDS).top_k(self.QUERIES[0], 10):
+            assert type(hit.start_s) is float and type(hit.end_s) is float
+
+    def test_concurrent_readers_answer_as_one_reader(self):
+        # Eight threads share each fresh store, so several may build its map
+        # at once: every exclusion after the first query needs it.
+        expected = answers_with_exclusion(inserted(self.RECORDS), self.QUERIES)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                store = inserted(self.RECORDS)
+                results: list = [None] * 8
+
+                def read(i):
+                    results[i] = outcome(lambda: answers_with_exclusion(store, self.QUERIES))
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert results == [("ok", expected)] * 8
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestTopK:
@@ -982,7 +1058,7 @@ class TestDigestCheckedLoad:
             assert crlf.top_k(query, 10, video_cap=2) == lf.top_k(query, 10, video_cap=2)
         lf.top_k(self.QUERIES[0], 300)
         crlf.top_k(self.QUERIES[0], 300)
-        assert repr(crlf._columns()) == repr(lf._columns())
+        assert exact(crlf._columns()) == exact(lf._columns())
         assert crlf.video_count == lf.video_count == 7
 
     @pytest.mark.parametrize("key,value", [("videos", 4), ("videos", -1), ("videos", "3"),
