@@ -82,13 +82,6 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _embedder_identity(spec: str, config: AppConfig) -> str:
-    """What a store records of the embedder that made its vectors, and what
-    compose compares it with: a deterministic spec as it is, and a remote
-    embedder with its model ("remote:<embed_model>")."""
-    return f"remote:{config.providers.embed_model}" if spec == "remote" else spec
-
-
 def cmd_index(args) -> int:
     _check_output(args.store, "--store", directory=True)
     config = load_config(args.config)
@@ -101,7 +94,7 @@ def cmd_index(args) -> int:
         model=config.providers.embed_model,
     )
     vectors = embed_batch(corpus.texts, embedder, input_type=DOCUMENT_INPUT)
-    store = VectorStore(vectors.shape[1], embedder=_embedder_identity(args.embedder, config))
+    store = VectorStore(vectors.shape[1], embedder=embedder.spec)
     store.insert_batch(vectors, (corpus.sentence_ids, corpus.video_ids, corpus.texts,
                                  corpus.starts, corpus.ends))
     store.save(args.store)
@@ -121,10 +114,9 @@ def cmd_compose(args) -> int:
         model=config.providers.embed_model,
     )
     # A store saved without an embedder spec records null, and is not checked.
-    identity = _embedder_identity(config.providers.embedder, config)
-    if store.embedder is not None and store.embedder != identity:
+    if store.embedder is not None and store.embedder != embedder.spec:
         raise ConfigError(f"{args.store} was indexed with embedder {store.embedder!r}, "
-                          f"but the config names {identity!r}")
+                          f"but the config names {embedder.spec!r}")
     llm_spec = args.llm or config.providers.llm
     if not llm_spec:
         raise ValidationError("no LLM provider: pass --llm or set providers.llm in the config")

@@ -60,6 +60,8 @@ class DeterministicEmbedder:
             raise ConfigError(f"deterministic embedder needs 2 <= dim <= "
                               f"{MAX_DETERMINISTIC_DIM}, got {dim}")
         self.dim = dim
+        # The canonical spec, which a store records and compose compares.
+        self.spec = f"deterministic:{dim}"
         self.batch_size = 1024
 
     def embed(self, texts: Sequence[str], input_type: str = DOCUMENT_INPUT) -> np.ndarray:
@@ -103,6 +105,8 @@ class RemoteEmbedder:
         check_url(base_url, "remote embedder")
         self.base_url = base_url
         self.model = model
+        # The spec a store records: the model, not the endpoint, makes the vectors.
+        self.spec = f"remote:{model}"
         self.api_key = api_key if api_key is not None else os.environ.get(EMBED_API_KEY_ENV)
         self.dim: int | None = None
         self._transport = transport or post_json

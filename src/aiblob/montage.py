@@ -33,6 +33,9 @@ EDL_VERSION = 1
 # The top-level keys of an EDL file, as save_edl writes them.
 EDL_KEYS = ("format", "version", "episode_title", "loudness", "compression", "intro", "sections")
 
+# The ranges FFmpeg's loudnorm accepts for its I and TP targets.
+INTEGRATED_LUFS = {"lo": -70.0, "hi": -5.0}
+TRUE_PEAK_DBTP = {"lo": -9.0, "hi": 0.0}
 # The ranges FFmpeg's acompressor accepts (its linear threshold floor is about -60 dB).
 COMPRESSION_RATIO = {"lo": 1.0, "hi": 20.0}
 COMPRESSION_THRESHOLD_DB = {"lo": -60.0, "hi": 0.0}
@@ -41,8 +44,8 @@ COMPRESSION_THRESHOLD_DB = {"lo": -60.0, "hi": 0.0}
 # The mastering pass: loudness normalization, then dynamic range compression.
 @dataclass
 class Loudness:
-    integrated_lufs: float
-    true_peak_dbtp: float
+    integrated_lufs: float = bounded(**INTEGRATED_LUFS)
+    true_peak_dbtp: float = bounded(**TRUE_PEAK_DBTP)
 
 
 @dataclass
@@ -58,8 +61,8 @@ class RenderSettings:
     pre_roll_s: float = bounded(0.15, lo=0)
     post_roll_s: float = bounded(0.25, lo=0)
     fade_s: float = bounded(0.04, lo=0)
-    integrated_lufs: float = -16.0
-    true_peak_dbtp: float = -1.5
+    integrated_lufs: float = bounded(-16.0, **INTEGRATED_LUFS)
+    true_peak_dbtp: float = bounded(-1.5, **TRUE_PEAK_DBTP)
     compression_ratio: float = bounded(3.0, **COMPRESSION_RATIO)
     compression_threshold_db: float = bounded(-18.0, **COMPRESSION_THRESHOLD_DB)
     renderer_path: str = "ffmpeg"

@@ -1,5 +1,10 @@
 """Persistent sentence-level vector store with exact top-k cosine retrieval.
 
+A store has two lives. It is built by one insert, then saved or queried (index
+inserts a corpus and saves it), or it is loaded, then queried (compose and
+stats). An insert into a store that holds rows, or into any loaded store, is
+refused. Either life allows any number of concurrent readers.
+
 Retrieval is exact (a few hundred thousand sentences is tractable exactly, and
 exactness keeps results reproducible). A row's score is
 clip((row.astype(float64) * query).sum(), -1, 1), each row summed alone, so
@@ -23,18 +28,20 @@ fewer than k hits among them, m grows fourfold and the selection is redone.
 While at least m of the pool rows not excluded screen at T or above, t >= T
 and the band lies within the pool. When they do not (more ids were excluded
 since the screen than its depth allows, or the cap grew m), or an id excluded
-at the screen is excluded no longer, or rows were inserted since, top_k
-screens the query again alone, at depth m, against the exclusion it was given.
+at the screen is excluded no longer, top_k screens the query again alone, at
+depth m, against the exclusion it was given.
 
 In memory, rows are columns in row order: one C-contiguous little-endian
 float32 matrix (exactly the vectors.bin body, read into an array of its own at
 load) beside lists of ids, video ids and texts, float64 arrays of start and
-end times, and the largest row norm, found as insert and load check that
-every vector is finite. A first insert into an empty store keeps the matrix
-and the columns it is given (index gives load_corpus's, so each value is held
-once) and refuses a repeated id with a set that it drops; the id -> row dict
-is built, whole, when an exclusion or a later insert first needs it. A hit
-carries its row's metadata, its times as Python floats, not the vector.
+end times, the number of distinct video ids, and the largest row norm, found
+as insert and load check that every vector is finite. The insert takes a
+matrix with its columns, or a list of VectorRecord, turned into columns
+first. It keeps the matrix and the columns it is given (index gives
+load_corpus's, so each value is held once) and refuses a repeated id with a
+set that it drops; the id -> row dict is built, whole, when an exclusion first
+needs it. A hit carries its row's metadata, its times as Python floats, not
+the vector.
 
 Saving writes the columns (util.write_columns), then the matrix as the
 vectors.bin body, then a SHA-256 of all meta.jsonl bytes: vectors.bin is
@@ -45,17 +52,17 @@ that does not match meta.jsonl (the two files are not one save, say an index
 killed between its renames) is refused. So meta.jsonl is what save wrote:
 load keeps the RecordFile, and a row is decoded, with its record check, when
 top_k first ranks it (its id is None until then, and the id -> row dict holds
-decoded rows only). An excluded id not yet decoded, an insert
-and a save decode every row first. Only a meta.jsonl forged together with its
-digest can hold a faulty row that load passes; its fault is raised, naming the
-line, when the row is first used. An insert takes a matrix with its columns,
-or a list of VectorRecord, turned into columns first.
+decoded rows only). An excluded id not yet decoded, and a save, decode every
+row first. Only a meta.jsonl forged together with its digest can hold a
+faulty row that load passes; its fault is raised, naming the line, when the
+row is first used.
 
 On-disk layout (bit-exact), version 2, the only version read:
     meta.jsonl   header {"format":"aiblob-store","version":2,"dim":D,
-                 "embedder":E,"videos":V} (E what the store was indexed
-                 with, e.g. "deterministic:64" or "remote:<model>", or null;
-                 V the number of distinct video ids),
+                 "embedder":E,"videos":V} (E the canonical spec of the
+                 embedder the store was indexed with, e.g. "deterministic:64"
+                 or "remote:<model>", or null; V the number of distinct video
+                 ids),
                  then one record object per line, each line ended by "\n";
                  line order defines row order.
     vectors.bin  magic "AIBV" | u32 LE version=2 | u32 LE dim | u64 LE count |
@@ -118,14 +125,12 @@ class Hit(NamedTuple):
 
 
 class Screened(NamedTuple):
-    """One query's screen over the first ``count`` rows: every row not in
-    ``exclude`` that screens above floor - 2 * bound, ascending, with its
-    screen; ``floor`` is the depth-th best screen, or -inf when fewer rows
-    remain."""
+    """One query's screen: every row not in ``exclude`` that screens above
+    floor - 2 * bound, ascending, with its screen; ``floor`` is the depth-th
+    best screen, or -inf when fewer rows remain."""
 
     query: np.ndarray
     bound: float
-    count: int
     exclude: frozenset[str]
     floor: float
     rows: np.ndarray
@@ -135,8 +140,9 @@ class Screened(NamedTuple):
 class VectorStore:
     """In-memory store over (sentence_id, vector, metadata) rows.
 
-    Safe for many concurrent readers or a single writer; don't save while an
-    insert is in flight. Queries are deterministic regardless of parallelism.
+    Built by one insert_batch, then saved or queried; or loaded, then queried.
+    Either way any number of readers may query it at once, and queries are
+    deterministic regardless of parallelism.
     """
 
     def __init__(self, dim: int, embedder: str | None = None):
@@ -153,12 +159,12 @@ class VectorStore:
         self._texts: list[str] = []
         self._starts = np.empty(0)
         self._ends = np.empty(0)
-        # The largest row norm (_max_norm).
+        # The largest row norm (_max_norm), and the number of distinct video ids.
         self._norm = 0.0
-        # After a load, until _decode_all: the file the undecoded rows (None in
-        # _ids) are read from, and its header's video count.
-        self._meta: RecordFile | None = None
         self._videos = 0
+        # A loaded store's meta.jsonl, which its undecoded rows (None in _ids)
+        # are read from; None marks a store that was not loaded.
+        self._meta: RecordFile | None = None
 
     def _columns(self) -> tuple:
         """The metadata columns, in META_KEYS order."""
@@ -171,19 +177,23 @@ class VectorStore:
     @property
     def video_count(self) -> int:
         """The number of distinct video ids."""
-        return self._videos if self._meta is not None else len(set(self._video_ids))
+        return self._videos
 
     def insert_batch(self, batch: Sequence[VectorRecord] | np.ndarray,
                      columns: Sequence[list] | None = None) -> int:
-        """Insert rows atomically: any invalid row rejects the whole batch.
+        """Fill an empty store with rows, atomically: any invalid row rejects
+        the whole batch. The one insert a store takes; a store that holds rows,
+        or any loaded store, refuses it before reading the batch.
 
         ``batch`` is a list of VectorRecord, or an (n, dim) float32 matrix whose
         row i is the vector of the i-th entry of ``columns``: one list per
         META_KEYS field (or a float64 array for a time), of values already
-        checked (as load_corpus returns them). A first insert into an empty
-        store keeps that matrix and those columns; they must not be changed
-        afterwards.
+        checked (as load_corpus returns them). The store keeps that matrix and
+        those columns; they must not be changed afterwards.
         """
+        if self.count or self._meta is not None:
+            raise ValidationError("a store takes one insert, into a store that is empty "
+                                  "and was not loaded")
         if columns is None:
             matrix, columns = self._record_columns(batch)
         else:
@@ -214,49 +224,39 @@ class VectorStore:
         return matrix, [list(map(operator.attrgetter(key), records)) for key in META_KEYS]
 
     def _append(self, matrix: np.ndarray, columns: Sequence) -> None:
-        """Append the rows of ``matrix`` with their META_KEYS ``columns``; nothing
-        changes unless every row passes. A first insert into an empty store
-        keeps them as they are, and refuses a repeated id with a set that it
-        drops: the id map waits for its first use (_id_rows)."""
-        self._decode_all()
+        """Take the rows of ``matrix`` with their META_KEYS ``columns`` as they
+        are, and count their distinct video ids; nothing changes unless every
+        row passes. A repeated id is refused with a set that is then dropped:
+        the id map waits for its first use (_id_rows)."""
         ids = columns[0]
         norm, faulty = _max_norm(matrix)
         if faulty is not None:
             raise ValidationError(f"record {shown(ids[faulty])}: vector has NaN/Inf")
-        if not self.count:
-            if len(set(ids)) != len(ids):
-                self._raise_duplicate(ids, {})
-            self._rows = None
-            self._matrix = matrix
-            self._ids, self._video_ids, self._texts = columns[:3]
-            self._starts, self._ends = (np.asarray(values, np.float64) for values in columns[3:])
-        else:
-            held = self._id_rows()
-            new_rows = dict(zip(ids, range(self.count, self.count + len(ids))))
-            if len(new_rows) != len(ids) or not held.keys().isdisjoint(new_rows):
-                self._raise_duplicate(ids, held)
-            held.update(new_rows)
-            self._matrix = np.concatenate((self._matrix, matrix))
-            # New lists and arrays: those of a first insert are the caller's.
-            old = self._columns()
-            self._ids, self._video_ids, self._texts = ([*old[i], *columns[i]] for i in range(3))
-            self._starts, self._ends = (np.concatenate((old[i], columns[i])) for i in (3, 4))
-        self._norm = max(self._norm, norm)
+        if len(set(ids)) != len(ids):
+            self._raise_duplicate(ids)
+        # A map an exclusion built while the store was empty is stale.
+        self._rows = None
+        self._matrix = matrix
+        self._ids, self._video_ids, self._texts = columns[:3]
+        self._starts, self._ends = (np.asarray(values, np.float64) for values in columns[3:])
+        self._videos = len(set(self._video_ids))
+        self._norm = norm
 
     def _id_rows(self) -> dict[str, int]:
-        """The id -> row map: after a load, of the decoded rows; else of every
-        row, built whole on its first use, so that a reader finds it complete."""
+        """The id -> row map: of a loaded store, of its decoded rows; of an
+        inserted one, of every row, built whole on its first use, so that a
+        reader finds it complete."""
         rows = self._rows
         if rows is None:
             rows = self._rows = dict(zip(self._ids, range(self.count)))
         return rows
 
-    def _raise_duplicate(self, ids: Sequence[str], held: dict[str, int]) -> NoReturn:
-        """Raise for the first of ``ids`` that is in ``held`` or repeats an earlier
-        one. Only called once a set or dict test has found a repeat."""
+    def _raise_duplicate(self, ids: Sequence[str]) -> NoReturn:
+        """Raise for the first of ``ids`` that repeats an earlier one. Only called
+        once a set test has found a repeat."""
         seen: set[str] = set()
         for sentence_id in ids:
-            if sentence_id in held or sentence_id in seen:
+            if sentence_id in seen:
                 raise ValidationError(f"duplicate sentence_id {shown(sentence_id)}")
             seen.add(sentence_id)
         raise AssertionError("the id test found a repeat the id walk does not")
@@ -279,11 +279,6 @@ class VectorStore:
             self._video_ids[row], self._texts[row] = video_ids[i], texts[i]
             # The id last: a reader that finds it set finds the whole row.
             self._ids[row] = ids[i]
-
-    def _decode_all(self) -> None:
-        if self._meta is not None:
-            self._decode(range(self.count))
-            self._meta = None
 
     def screen(self, queries: Iterable[np.ndarray], k: int,
                exclude: set[str] | frozenset[str] = frozenset()) -> list[Screened]:
@@ -342,7 +337,7 @@ class VectorStore:
                     kept = screens > floors[i] - 2 * bound
                     rows, screens = rows[kept], screens[kept]
                 pools[i] = rows, screens
-        return [Screened(q, bound, self.count, exclude, floor, rows, screens)
+        return [Screened(q, bound, exclude, floor, rows, screens)
                 for q, bound, floor, (rows, screens) in zip(queries, bounds, floors, pools)]
 
     def _held_rows(self, ids: Collection[str]) -> list[int]:
@@ -350,11 +345,11 @@ class VectorStore:
         if not ids:
             return []
         rows = list(map(self._id_rows().get, ids))
-        # After a load only decoded ids are in the map, and an id that is not
-        # may name an undecoded row.
-        if self._meta is not None and None in rows:
-            self._decode_all()
-            rows = list(map(self._id_rows().get, ids))
+        # After a load only decoded ids are in the map, and while it misses a
+        # row an id that is not may name an undecoded row.
+        if None in rows and len(self._rows) < self.count:
+            self._decode(range(self.count))
+            rows = list(map(self._rows.get, ids))
         return [row for row in rows if row is not None]
 
     def top_k(
@@ -400,8 +395,6 @@ class VectorStore:
         """The band rows of the m-th best screen t among the rows not in
         ``exclude``, and t (-inf when fewer rows remain); None when the screen
         cannot prove that it holds them all."""
-        if screened.count != self.count:
-            return None
         rows, screens = screened.rows, screened.screens
         if exclude is not screened.exclude:
             fresh = exclude - screened.exclude
@@ -468,7 +461,7 @@ class VectorStore:
 
     def save(self, directory: str) -> None:
         """Write meta.jsonl, then vectors.bin, whose digest commits the pair."""
-        self._decode_all()
+        self._decode(range(self.count))
         os.makedirs(directory, exist_ok=True)
         meta_path = os.path.join(directory, META_FILE)
         vectors_path = os.path.join(directory, VECTORS_FILE)

@@ -9,13 +9,13 @@ import pytest
 
 from aiblob.config import ProviderSettings, load_config
 from aiblob.errors import ConfigError, ParseError
-from aiblob.montage import Compression, RenderSettings, load_edl
+from aiblob.montage import Compression, Loudness, RenderSettings, load_edl
 from aiblob.narrative import SECTION_ORDER, PipelineConfig, PlanScore, load_plan
 from aiblob.util import write_json
 
 CONFIG_SECTIONS = {PipelineConfig: "pipeline", RenderSettings: "render",
                    ProviderSettings: "providers"}
-BOUNDED = [(cls, field) for cls in (*CONFIG_SECTIONS, Compression, PlanScore)
+BOUNDED = [(cls, field) for cls in (*CONFIG_SECTIONS, Loudness, Compression, PlanScore)
            for field in dataclasses.fields(cls) if "bound" in field.metadata]
 
 
@@ -29,13 +29,15 @@ def load_one(tmp_path, cls, name, value):
         write_json(path, {section: {name: value}})
         return (lambda: getattr(load_config(path), section), ConfigError,
                 f"{path}: config section {section!r}")
-    if cls is Compression:
-        write_json(path, {
-            "format": "aiblob-edl", "version": 1, "episode_title": "T",
-            "loudness": {"integrated_lufs": -16.0, "true_peak_dbtp": -1.5},
-            "compression": {"ratio": 3.0, "threshold_db": -18.0, name: value},
-            "intro": None, "sections": {section: [] for section in SECTION_ORDER}})
-        return lambda: load_edl(path).compression, ParseError, f"{path}: compression"
+    if cls in (Loudness, Compression):
+        key = cls.__name__.lower()
+        edl = {"format": "aiblob-edl", "version": 1, "episode_title": "T",
+               "loudness": {"integrated_lufs": -16.0, "true_peak_dbtp": -1.5},
+               "compression": {"ratio": 3.0, "threshold_db": -18.0},
+               "intro": None, "sections": {section: [] for section in SECTION_ORDER}}
+        edl[key][name] = value
+        write_json(path, edl)
+        return lambda: getattr(load_edl(path), key), ParseError, f"{path}: {key}"
     write_json(path, {
         "format": "aiblob-plan", "version": 1, "episode_title": "T",
         "sections": {section: ["a"] if section == "climax" else [] for section in SECTION_ORDER},
@@ -56,10 +58,14 @@ def test_every_documented_bound_is_declared():
         "RenderSettings.pre_roll_s": "at least 0",
         "RenderSettings.post_roll_s": "at least 0",
         "RenderSettings.fade_s": "at least 0",
+        "RenderSettings.integrated_lufs": "in [-70, -5]",
+        "RenderSettings.true_peak_dbtp": "in [-9, 0]",
         "RenderSettings.compression_ratio": "in [1, 20]",
         "RenderSettings.compression_threshold_db": "in [-60, 0]",
         "ProviderSettings.score_batch_size": "at least 1",
         "ProviderSettings.retries": "in [0, 100]",
+        "Loudness.integrated_lufs": "in [-70, -5]",
+        "Loudness.true_peak_dbtp": "in [-9, 0]",
         "Compression.ratio": "in [1, 20]",
         "Compression.threshold_db": "in [-60, 0]",
         "PlanScore.irony": "in [1, 10]",

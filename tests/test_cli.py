@@ -505,12 +505,19 @@ class TestCompose:
             "but the config names 'remote:m'\n")
         assert not (workspace / "episode").exists()
 
-    def test_store_without_an_embedder_skips_the_embedder_check(self, workspace, capsys):
-        # The same embedder under another spec: refused by a store that records
-        # the spec, and composed as before from one saved without it.
+    def test_store_without_an_embedder_skips_the_embedder_check(self, workspace, capsys,
+                                                                 monkeypatch):
+        # A remote model that makes the same vectors as deterministic:32:
+        # refused by a store that records deterministic:32, and composed as
+        # before from one saved without a spec.
+        def reply(url, payload, api_key, timeout):
+            return {"embeddings": [deterministic_embed(text, 32).tolist()
+                                   for text in payload["texts"]]}
+        monkeypatch.setattr(embeddings, "post_json", reply)
         config = workspace / "config.json"
-        config.write_text(config.read_text().replace("deterministic:32", "deterministic:032"),
-                          encoding="utf-8")
+        config.write_text(json.dumps({"providers": {
+            "embedder": "remote", "embed_base_url": "http://127.0.0.1:9/embed",
+            "embed_model": "m"}}), encoding="utf-8")
         code, _ = self.compose(workspace)
         assert code == 1 and "indexed with embedder 'deterministic:32'" in capsys.readouterr().err
         store = VectorStore.load(str(workspace / "store"))
@@ -518,6 +525,27 @@ class TestCompose:
         store.save(str(workspace / "store"))
         code, out = self.compose(workspace)
         assert code == 0 and (out / "edl.json").exists()
+
+    def test_a_spec_as_typed_is_recorded_as_the_embedder_spells_it(self, workspace, capsys):
+        # "6_4" parses as the dim 64: the store records "deterministic:64",
+        # which a config naming "deterministic:64" matches.
+        store = workspace / "store-64"
+        assert main(["index", "--corpus", str(workspace / "corpus.jsonl"), "--store", str(store),
+                     "--embedder", "deterministic:6_4"]) == 0
+        header = json.loads((store / "meta.jsonl").read_text(encoding="utf-8").split("\n")[0])
+        assert header["embedder"] == "deterministic:64"
+        replay = workspace / "replay-64.jsonl"
+        build_replay_file(replay, VectorStore.load(str(store)), make_embedder("deterministic:64"),
+                          PipelineConfig(), "Il calcio")
+        config = workspace / "config-64.json"
+        config.write_text(json.dumps({"providers": {"embedder": "deterministic:64"}}),
+                          encoding="utf-8")
+        capsys.readouterr()
+        assert main(["compose", "--store", str(store), "--title", "Il calcio",
+                     "--config", str(config), "--out", str(workspace / "episode-64"),
+                     "--llm", f"scripted:{replay}"]) == 0
+        assert capsys.readouterr().err == ""
+        assert (workspace / "episode-64" / "edl.json").exists()
 
     def test_store_of_another_remote_model_refused(self, workspace, capsys, monkeypatch):
         # Two remote models of the same dim: the store records the one that

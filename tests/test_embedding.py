@@ -318,6 +318,10 @@ class TestMakeEmbedder:
         assert isinstance(provider, DeterministicEmbedder)
         assert provider.dim == 16
 
+    @pytest.mark.parametrize("typed", ["64", "6_4", " 64 ", "+64", "064", "\u0666\u0664"])
+    def test_deterministic_spec_is_canonical(self, typed):
+        assert make_embedder(f"deterministic:{typed}").spec == "deterministic:64"
+
     def test_remote_requires_endpoint(self):
         with pytest.raises(ConfigError):
             make_embedder("remote")
@@ -325,6 +329,7 @@ class TestMakeEmbedder:
     def test_remote_spec(self):
         provider = make_embedder("remote", base_url="https://example.test", model="m")
         assert isinstance(provider, RemoteEmbedder)
+        assert provider.spec == "remote:m"
 
     def test_unknown_spec(self):
         with pytest.raises(ConfigError):

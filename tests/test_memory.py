@@ -5,7 +5,6 @@ a process's RSS does not."""
 import gc
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from aiblob.embeddings import DeterministicEmbedder

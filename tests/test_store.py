@@ -98,14 +98,6 @@ class TestInsert:
         assert store.insert_batch(make_records(3, 8)) == 3
         assert store.count == 3
 
-    def test_duplicate_id_rejects_batch_atomically(self):
-        store = filled_store(3, 8)
-        bad = make_records(2, 8, prefix="t")
-        bad[1] = VectorRecord("s0001", bad[1].vector, "v", "t", 0.0, 1.0)
-        with pytest.raises(ValidationError, match="s0001"):
-            store.insert_batch(bad)
-        assert store.count == 3  # nothing from the failed batch landed
-
     def test_duplicate_within_batch_rejected(self):
         store = VectorStore(8)
         recs = make_records(2, 8)
@@ -118,12 +110,12 @@ class TestInsert:
         ("video_id", None), ("text", 5), ("start_s", True), ("end_s", float("nan")),
     ])
     def test_bad_metadata_type_rejects_batch(self, field, value):
-        store = filled_store(3, 8)
+        store = VectorStore(8)
         bad = make_records(2, 8, prefix="t")
         setattr(bad[1], field, value)
         with pytest.raises(ValidationError, match=f"record t0001: {field} must be"):
             store.insert_batch(bad)
-        assert store.count == 3
+        assert store.count == 0
 
     def test_integer_times_are_stored_as_floats(self, tmp_path):
         store = VectorStore(8)
@@ -140,6 +132,37 @@ class TestInsert:
         store = VectorStore(16)
         with pytest.raises(ConfigError, match="dim"):
             store.insert_batch(make_records(1, 8))
+
+    def test_a_store_takes_one_insert(self, tmp_path):
+        # A store that holds rows, or that was loaded, with rows or without,
+        # refuses a further insert in either form before reading it, and
+        # answers as before.
+        filled_store(30, 8, video_every=4).save(str(tmp_path / "rows"))
+        VectorStore(8).save(str(tmp_path / "empty"))
+        query = deterministic_embed("domanda", 8)
+        extra = make_records(2, 8, prefix="t")
+        for store in (filled_store(30, 8, video_every=4), VectorStore.load(str(tmp_path / "rows")),
+                      VectorStore.load(str(tmp_path / "empty"))):
+            before = (store.count, store.video_count, store.top_k(query, 5, exclude={"s0001"}))
+            for batch in ((extra,), columns_of(extra)):
+                with pytest.raises(ValidationError, match="^a store takes one insert, into a "
+                                                          "store that is empty and was not "
+                                                          "loaded$"):
+                    store.insert_batch(*batch)
+                assert (store.count, store.video_count,
+                        store.top_k(query, 5, exclude={"s0001"})) == before
+
+    def test_a_query_of_the_empty_store_leaves_the_insert_exact(self):
+        # An exclusion of the empty store maps no id; the insert's rows are
+        # then excluded as any others.
+        store = VectorStore(8)
+        query = deterministic_embed("domanda", 8)
+        assert store.top_k(query, 3, exclude={"s0000"}) == []
+        records = make_records(20, 8)
+        store.insert_batch(records)
+        exclude = {hit.sentence_id for hit in store.top_k(query, 2)}
+        assert [(h.sentence_id, h.score) for h in store.top_k(query, 3, exclude=exclude)] == \
+            brute_force_top_k(records, query, 3, exclude, scores=row_scores(records, query))
 
 
 def columns_of(records):
@@ -168,15 +191,15 @@ class TestInsertColumns:
                     == (tmp_path / "records" / name).read_bytes())
 
     def test_first_repeated_id_named_and_batch_rejected(self):
-        store = filled_store(3, 8)
+        # The id named is the first whose repeat the batch reaches.
+        store = VectorStore(8)
         matrix, columns = columns_of(make_records(4, 8, prefix="t"))
-        columns[0][1:4] = ["t0000", "s0002", "t0000"]
-        with pytest.raises(ValidationError, match="^duplicate sentence_id t0000$"):
-            store.insert_batch(matrix, columns)
-        columns[0][1:4] = ["t0001", "s0002", "t0000"]
-        with pytest.raises(ValidationError, match="^duplicate sentence_id s0002$"):
-            store.insert_batch(matrix, columns)
-        assert store.count == 3
+        for ids, named in ((["t0000", "t0000", "t0001", "t0001"], "t0000"),
+                           (["t0000", "t0001", "t0001", "t0000"], "t0001")):
+            columns[0] = ids
+            with pytest.raises(ValidationError, match=f"^duplicate sentence_id {named}$"):
+                store.insert_batch(matrix, columns)
+        assert store.count == 0
 
     def test_wrong_matrix_width(self):
         matrix, columns = columns_of(make_records(2, 8))
@@ -203,8 +226,7 @@ def inserted(records):
 
 
 class TestIdMapOnFirstUse:
-    """A first insert into an empty store builds no id -> row map; each use of
-    the map finds it whole."""
+    """The insert builds no id -> row map; each use of the map finds it whole."""
 
     RECORDS = make_records(300, 8, video_every=7)
     QUERIES = [deterministic_embed(f"domanda {i}", 8) for i in range(12)]
@@ -220,20 +242,6 @@ class TestIdMapOnFirstUse:
                 self.RECORDS, query, 10, excluded, 2, scores=scores)
             excluded.update(hit.sentence_id for hit in hits)
         assert store._rows is not None
-
-    def test_a_second_insert_refuses_a_repeat_and_takes_new_rows(self):
-        store = inserted(self.RECORDS)
-        with pytest.raises(ValidationError, match="^duplicate sentence_id s0299$"):
-            store.insert_batch(*columns_of(make_records(300, 8)[-1:]))
-        assert store.count == 300
-        extra = make_records(5, 8, prefix="t")
-        store.insert_batch(*columns_of(extra))
-        records = self.RECORDS + extra
-        for query in [*self.QUERIES, extra[2].vector]:
-            exclude = {"s0000", "t0001", "not-in-store"}
-            hits = store.top_k(query, 10, exclude=exclude, video_cap=3)
-            assert [(h.sentence_id, h.score) for h in hits] == brute_force_top_k(
-                records, query, 10, exclude, 3, scores=row_scores(records, query))
 
     def test_video_count(self):
         assert inserted(self.RECORDS).video_count == 7
@@ -319,15 +327,6 @@ class TestTopK:
         store = filled_store(50, 8)
         with pytest.raises(ValidationError, match="k must"):
             store.top_k(deterministic_embed("q", 8), k)
-
-    def test_insert_after_query_is_seen_by_next_query(self):
-        store = filled_store(20, 8)
-        query = deterministic_embed("una domanda nuova", 8)
-        assert store.top_k(query, 1)[0].sentence_id != "zzz"
-        store.insert_batch([VectorRecord("zzz", query, "v9", "nuova", 0.0, 1.0)])
-        hits = store.top_k(query, 21)
-        assert hits[0].sentence_id == "zzz" and hits[0].score == pytest.approx(1.0)
-        assert len(hits) == 21
 
     def test_query_dim_mismatch(self):
         store = filled_store(3, 8)
@@ -537,12 +536,10 @@ class TestScreen:
                 == brute_force_top_k(records, large, 10, exclude, scores=scores))
         assert hits[0] == hits[2] == store.top_k(small, 10, exclude=exclude)
 
-    def test_a_screen_serves_any_later_exclusion_and_insert(self):
+    def test_a_screen_serves_any_later_exclusion(self):
         # top_k screens again when the exclusion drops an id the screen
-        # excluded, adds more than the screen's depth, or the store has grown.
-        records = make_records(200, 8, video_every=4, distinct=50)
-        store = VectorStore(8)
-        store.insert_batch(records[:150])
+        # excluded, or adds more than the screen's depth.
+        store = filled_store(150, 8, video_every=4, distinct=50)
         query = deterministic_embed("domanda", 8)
         order = [hit.sentence_id for hit in store.top_k(query, 150)]
         (screened,) = store.screen([query], 5, set(order[:3]))
@@ -550,11 +547,6 @@ class TestScreen:
             for cap in (None, 1):
                 assert (store.top_k(screened, 5, exclude=exclude, video_cap=cap)
                         == store.top_k(query, 5, exclude=exclude, video_cap=cap))
-        records[-1].vector = query
-        store.insert_batch(records[150:])
-        hits = store.top_k(screened, 5, exclude=set(order[:3]))
-        assert hits[0].sentence_id == records[-1].sentence_id
-        assert hits == store.top_k(query, 5, exclude=set(order[:3]))
 
     @pytest.mark.parametrize("k", [0, -1, 1.0, True])
     def test_non_int_k_rejected(self, k):
@@ -1069,18 +1061,3 @@ class TestDigestCheckedLoad:
         forge_digest(directory)
         with pytest.raises(StoreError, match=f"bad {key}|dim 8 does not match metadata dim"):
             VectorStore.load(str(directory))
-
-    def test_insert_after_a_lazy_load(self, tmp_path):
-        directory = self.saved(tmp_path)
-        in_memory = filled_store(300, 8, video_every=7)
-        loaded = VectorStore.load(str(directory))
-        loaded.top_k(self.QUERIES[0], 3)
-        # An undecoded row's id is still a duplicate.
-        with pytest.raises(ValidationError, match="duplicate sentence_id s0299"):
-            loaded.insert_batch(make_records(300, 8, video_every=7)[-1:])
-        extra = make_records(2, 8, prefix="t")
-        for store in (in_memory, loaded):
-            store.insert_batch(extra)
-        assert loaded.count == 302
-        for query in [*self.QUERIES, extra[1].vector]:
-            assert loaded.top_k(query, 10, video_cap=3) == in_memory.top_k(query, 10, video_cap=3)
