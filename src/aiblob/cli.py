@@ -103,6 +103,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    _check_output(args.out, "--out", directory=True)
     if args.intro is not None and not is_utf8(args.intro):
         raise ValidationError(
             f"--intro must be a string without lone surrogates, got {args.intro!r}")

@@ -1,8 +1,9 @@
 """Narrative planning over scored archive sentences.
 
-Pure, deterministic algorithms: retrieval with cross-query exclusion, OR-rule
-threshold filtering, quota-based assignment of retained sentences into the
-four montage sections, and in-section ordering. Identical inputs always give
+Pure, deterministic algorithms: retrieval of an episode's candidates (one
+VectorStore.retrieve, which excludes each query's hits from the queries after
+it), OR-rule threshold filtering, quota-based assignment of retained sentences
+into the four montage sections, and in-section ordering. Identical inputs always give
 identical plans; the only nondeterministic path is the optional LLM ordering
 strategy, and even that falls back deterministically.
 
@@ -26,7 +27,7 @@ from typing import Any, Callable, Mapping, Sequence
 from .embeddings import QUERY_INPUT, embed_batch
 from .errors import ConfigError, ParseError, PlanError, ValidationError
 from .llm import SCORE_MAX, SCORE_MIN, Candidate, QueryPhrase, ScoredSentence
-from .store import SCREEN_CHUNK, VectorStore
+from .store import VectorStore
 from .util import (bounded, check_field_types, check_header, check_keys, from_json, is_utf8,
                    load_json, round_half_away, write_json)
 
@@ -109,28 +110,18 @@ def retrieve_candidates(
 ) -> list[Candidate]:
     """Run every query against the store, excluding earlier queries' picks.
 
-    Queries are processed in order; each top_k call excludes the union of all
-    previously selected ids, so no sentence appears twice in the result. The
-    result is the concatenation of per-query hits, tagged with the query index.
-    Each chunk of SCREEN_CHUNK queries is screened in one pass over the store,
-    against the ids excluded before the chunk; the chunk's i-th query then
-    excludes at most k * i more, which its screen holds rows enough for.
+    Queries are processed in order (VectorStore.retrieve); each excludes every
+    id selected by the queries before it, so no sentence appears twice in the
+    result. The result is the concatenation of per-query hits, tagged with the
+    query index.
     """
     if not queries:
         raise ValidationError("retrieve_candidates requires at least one query")
     vectors = embed_batch([q.text for q in queries], embedder, input_type=QUERY_INPUT)
-    k = config.k_per_query
-    selected: list[Candidate] = []
-    excluded: set[str] = set()
-    for start in range(0, len(vectors), SCREEN_CHUNK):
-        chunk = store.screen(vectors[start:start + SCREEN_CHUNK], k, excluded)
-        for query_index, screened in enumerate(chunk, start):
-            hits = store.top_k(screened, k, exclude=excluded, video_cap=config.video_cap)
-            for hit in hits:
-                selected.append(Candidate(hit.sentence_id, hit.video_id, hit.text, hit.start_s,
-                                          hit.end_s, query_index))
-                excluded.add(hit.sentence_id)
-    return selected
+    return [Candidate(hit.sentence_id, hit.video_id, hit.text, hit.start_s, hit.end_s, query_index)
+            for query_index, hits in enumerate(store.retrieve(vectors, config.k_per_query,
+                                                              config.video_cap))
+            for hit in hits]
 
 
 def filter_retained(

@@ -13,23 +13,24 @@ ascending. Excluded ids are never scored; ids the store does not hold are
 ignored.
 
 A float32 screen, within a bound B of every row's score (_bound), picks the
-rows worth scoring. screen() takes a chunk of queries (retrieve_candidates
-sends SCREEN_CHUNK at a time) through one float32 matrix product over blocks
-of rows, each block at most SCREEN_BLOCK_BYTES of screen, the excluded rows
+rows worth scoring. retrieve() runs an episode's queries in order, each
+excluding every hit of the queries before it; it screens each chunk of
+SCREEN_CHUNK queries through one float32 matrix product over blocks of rows,
+each block at most SCREEN_BLOCK_BYTES of screen, the rows excluded so far
 masked. For the chunk's i-th query it keeps every row screening above T - 2B,
 with T the running (k * (i + 1))-th best screen: the chunk's earlier queries
 exclude at most k * i more ids, so at least k rows that screen at T or above
-remain. top_k takes a screened query, or a vector screened as a chunk of one.
-With t the m-th best screen of the pool rows not excluded, m = k at first,
-only the band of rows screening above t - 2B is scored: every other row
-scores below t - B, so the band rows scoring at least t - B are a prefix of the
-full (score desc, id asc) order, ties included. When the video cap leaves
+remain. top_k takes such a screened query, or a vector screened as a chunk of
+one. The pool rows whose ids are excluded (only the chunk's earlier hits,
+decoded rows all) are dropped; with t the m-th best screen of the rest, m = k
+at first, only the band of rows screening above t - 2B is scored: every other
+row scores below t - B, so the band rows scoring at least t - B are a prefix of
+the full (score desc, id asc) order, ties included. When the video cap leaves
 fewer than k hits among them, m grows fourfold and the selection is redone.
 While at least m of the pool rows not excluded screen at T or above, t >= T
-and the band lies within the pool. When they do not (more ids were excluded
-since the screen than its depth allows, or the cap grew m), or an id excluded
-at the screen is excluded no longer, top_k screens the query again alone, at
-depth m, against the exclusion it was given.
+and the band lies within the pool. When they do not (the chunk's earlier hits
+took more of the pool than its depth allows, or the cap grew m), top_k screens
+the query again alone, at depth m, against the exclusion it was given.
 
 In memory, rows are columns in row order: one C-contiguous little-endian
 float32 matrix (exactly the vectors.bin body, read into an array of its own at
@@ -78,7 +79,7 @@ import operator
 import os
 import struct
 from dataclasses import dataclass
-from typing import Collection, Iterable, NamedTuple, NoReturn, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .errors import ConfigError, StoreError, ValidationError
 from .util import (RecordFile, atomic_write_bytes, check_field_types, is_int, is_utf8, np, shown,
@@ -93,8 +94,8 @@ META_FILE = "meta.jsonl"
 VECTORS_FILE = "vectors.bin"
 # Metadata fields, in meta.jsonl key order; VectorRecord has the same names.
 META_KEYS = ("sentence_id", "video_id", "text", "start_s", "end_s")
-# The most queries narrative.retrieve_candidates screens in one GEMM, and the
-# most bytes of float32 screen one block of rows makes.
+# The most queries retrieve screens in one GEMM, and the most bytes of float32
+# screen one block of rows makes.
 SCREEN_CHUNK = 32
 SCREEN_BLOCK_BYTES = 1 << 20
 # The largest finite float32.
@@ -125,13 +126,12 @@ class Hit(NamedTuple):
 
 
 class Screened(NamedTuple):
-    """One query's screen: every row not in ``exclude`` that screens above
+    """One query's screen: every row not excluded that screens above
     floor - 2 * bound, ascending, with its screen; ``floor`` is the depth-th
     best screen, or -inf when fewer rows remain."""
 
     query: np.ndarray
     bound: float
-    exclude: frozenset[str]
     floor: float
     rows: np.ndarray
     screens: np.ndarray
@@ -280,16 +280,24 @@ class VectorStore:
             # The id last: a reader that finds it set finds the whole row.
             self._ids[row] = ids[i]
 
-    def screen(self, queries: Iterable[np.ndarray], k: int,
-               exclude: set[str] | frozenset[str] = frozenset()) -> list[Screened]:
-        """Screen a chunk of ``queries`` for top_k, excluding ``exclude``.
+    def retrieve(self, queries: Sequence[np.ndarray], k: int,
+                 video_cap: int | None = None) -> Iterator[list[Hit]]:
+        """Yield the top_k hits of each of ``queries`` in order, each query
+        excluding every hit of the queries before it.
 
-        The i-th query's screen can serve a later top_k(..., k, e) with any
-        exclusion e that adds at most k * i ids to ``exclude``.
+        Each chunk of SCREEN_CHUNK queries is screened in one pass, against
+        the rows excluded before the chunk; its i-th query then excludes at
+        most k * i more, which its screen holds rows enough for.
         """
         if not is_int(k) or k < 1:
             raise ValidationError(f"k must be a positive int, got {k!r}")
-        return self._screen([self._query(query) for query in queries], k, exclude)
+        exclude: set[str] = set()
+        for start in range(0, len(queries), SCREEN_CHUNK):
+            chunk = [self._query(query) for query in queries[start:start + SCREEN_CHUNK]]
+            for screened in self._screen(chunk, k, self._held_rows(exclude)):
+                hits = self.top_k(screened, k, exclude=exclude, video_cap=video_cap)
+                exclude.update(hit.sentence_id for hit in hits)
+                yield hits
 
     def _query(self, query: np.ndarray) -> np.ndarray:
         """``query`` as a float64 vector, checked against the store dim."""
@@ -301,13 +309,10 @@ class VectorStore:
             raise ValidationError("query vector has NaN/Inf")
         return q
 
-    def _screen(self, queries: list[np.ndarray], k: int,
-                exclude: set[str] | frozenset[str]) -> list[Screened]:
-        """One float32 GEMM of ``queries`` over blocks of rows, keeping for the
-        i-th query every row that screens above T - 2B, with T its running
-        (k * (i + 1))-th best screen."""
-        exclude = frozenset(exclude)
-        excluded = np.sort(np.array(self._held_rows(exclude), dtype=np.intp))
+    def _screen(self, queries: list[np.ndarray], k: int, excluded: np.ndarray) -> list[Screened]:
+        """One float32 GEMM of ``queries`` over blocks of rows, the ``excluded``
+        rows (ascending) masked, keeping for the i-th query every row that
+        screens above T - 2B, with T its running (k * (i + 1))-th best screen."""
         bounds = [self._bound(q) for q in queries]
         # A query the float32 screen cannot hold screens 0 on every row.
         matrix = np.array([q if bound < math.inf else np.zeros(self.dim)
@@ -337,20 +342,20 @@ class VectorStore:
                     kept = screens > floors[i] - 2 * bound
                     rows, screens = rows[kept], screens[kept]
                 pools[i] = rows, screens
-        return [Screened(q, bound, exclude, floor, rows, screens)
+        return [Screened(q, bound, floor, rows, screens)
                 for q, bound, floor, (rows, screens) in zip(queries, bounds, floors, pools)]
 
-    def _held_rows(self, ids: Collection[str]) -> list[int]:
-        """The rows of those of ``ids`` that the store holds."""
+    def _held_rows(self, ids: Collection[str]) -> np.ndarray:
+        """The rows, ascending, of those of ``ids`` that the store holds."""
         if not ids:
-            return []
+            return np.empty(0, np.intp)
         rows = list(map(self._id_rows().get, ids))
         # After a load only decoded ids are in the map, and while it misses a
         # row an id that is not may name an undecoded row.
         if None in rows and len(self._rows) < self.count:
             self._decode(range(self.count))
             rows = list(map(self._rows.get, ids))
-        return [row for row in rows if row is not None]
+        return np.sort(np.array([row for row in rows if row is not None], dtype=np.intp))
 
     def top_k(
         self,
@@ -361,21 +366,22 @@ class VectorStore:
     ) -> list[Hit]:
         """Exact top-k by cosine, skipping excluded ids.
 
-        ``query`` is a vector, or a screen of one made by this store's screen.
+        ``query`` is a vector, or one query's screen that retrieve made, with
+        the exclusion retrieve gives it.
         Ties break by sentence_id ascending. With video_cap set, at most that
         many hits may share a video_id, enforced in score order.
         """
         if not is_int(k) or k < 1:
             raise ValidationError(f"k must be a positive int, got {k!r}")
         screened = query if isinstance(query, Screened) else \
-            self._screen([self._query(query)], k, exclude)[0]
+            self._screen([self._query(query)], k, self._held_rows(exclude))[0]
         # While the cap leaves fewer than k hits, m grows until every row that
         # is not excluded has been ranked. An excluded row is never scored.
         m = k
         while True:
             band = self._band(screened, m, exclude)
             if band is None:
-                screened = self._screen([screened.query], m, exclude)[0]
+                screened = self._screen([screened.query], m, self._held_rows(exclude))[0]
                 band = self._band(screened, m, exclude)
             rows, floor = band
             scores = np.clip((self._matrix[rows].astype(np.float64) * screened.query).sum(axis=1),
@@ -396,15 +402,11 @@ class VectorStore:
         ``exclude``, and t (-inf when fewer rows remain); None when the screen
         cannot prove that it holds them all."""
         rows, screens = screened.rows, screened.screens
-        if exclude is not screened.exclude:
-            fresh = exclude - screened.exclude
-            # A row excluded when screened may now belong to the band.
-            if len(exclude) - len(fresh) < len(screened.exclude):
-                return None
-            held = set(self._held_rows(fresh))
-            if held:
-                kept = np.array([row not in held for row in rows.tolist()], dtype=bool)
-                rows, screens = rows[kept], screens[kept]
+        # Every id excluded since the screen is a decoded hit of retrieve, so
+        # an undecoded row (id None) is never excluded.
+        if exclude:
+            kept = np.array([self._ids[row] not in exclude for row in rows.tolist()], dtype=bool)
+            rows, screens = rows[kept], screens[kept]
         # Every row screening at least the screen's floor is held, so m of
         # them put t at or above it, and the band within what was kept.
         floor = screened.floor

@@ -590,6 +590,27 @@ class TestCompose:
         assert main(["stats", "--store", str(workspace / "store")]) == 0
         assert "videos: 10" in capsys.readouterr().out
 
+    @staticmethod
+    def compose_into(tmp_path, out):
+        """compose into ``out`` from a store, config and replay file that do not
+        exist, which fail when read: an error about ``out`` comes before them."""
+        return main(["compose", "--store", str(tmp_path / "niente"), "--title", "T",
+                     "--config", str(tmp_path / "niente.json"), "--out", str(out),
+                     "--llm", f"scripted:{tmp_path / 'niente.jsonl'}"])
+
+    def test_out_that_is_a_file_fails_before_the_store_is_loaded(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.touch()
+        assert self.compose_into(tmp_path, out) == 1
+        assert capsys.readouterr().err == f"error: --out {out} is not a directory\n"
+
+    def test_out_under_a_file_fails_before_the_store_is_loaded(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.touch()
+        out = taken / "sub"
+        assert self.compose_into(tmp_path, out) == 1
+        assert capsys.readouterr().err == f"error: --out {out}: {taken} is not a directory\n"
+
     def test_missing_llm_spec(self, workspace, capsys):
         code = main([
             "compose", "--store", str(workspace / "store"), "--title", "T",

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -151,7 +152,9 @@ class TestRetrieveCandidates:
 
 class TestChunkedScreen:
     """retrieve_candidates screens each chunk of queries once; its hits must be
-    those of one plain top_k per query with the exclusion growing."""
+    those of one plain top_k per query with the exclusion growing, from the
+    store as inserted and from its save loaded again, whose rows decode as
+    they are ranked."""
 
     @given(
         n=st.integers(min_value=0, max_value=120),
@@ -200,11 +203,14 @@ class TestChunkedScreen:
         embedder = TestRetrieveCandidates.MapEmbedder(
             {str(j): vector for j, vector in enumerate(vectors)}, dim)
         block = SCREEN_BLOCK_BYTES if block_rows is None else block_rows * 4 * SCREEN_CHUNK
-        with mock.patch.object(store_module, "SCREEN_BLOCK_BYTES", block):
-            result = retrieve_candidates([QueryPhrase(0, str(j)) for j in range(n_queries)],
-                                         store, embedder,
-                                         PipelineConfig(k_per_query=k, video_cap=video_cap))
-        assert result == expected
+        with mock.patch.object(store_module, "SCREEN_BLOCK_BYTES", block), \
+                tempfile.TemporaryDirectory() as directory:
+            store.save(directory)
+            for searched in (store, VectorStore.load(directory)):
+                result = retrieve_candidates([QueryPhrase(0, str(j)) for j in range(n_queries)],
+                                             searched, embedder,
+                                             PipelineConfig(k_per_query=k, video_cap=video_cap))
+                assert result == expected
 
 
 class TestFilterRetained:

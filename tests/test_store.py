@@ -256,24 +256,9 @@ class TestIdMapOnFirstUse:
         # Eight threads share each fresh store, so several may build its map
         # at once: every exclusion after the first query needs it.
         expected = answers_with_exclusion(inserted(self.RECORDS), self.QUERIES)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(4):
-                store = inserted(self.RECORDS)
-                results: list = [None] * 8
-
-                def read(i):
-                    results[i] = outcome(lambda: answers_with_exclusion(store, self.QUERIES))
-                threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                    assert not thread.is_alive()
-                assert results == [("ok", expected)] * 8
-        finally:
-            sys.setswitchinterval(interval)
+        assert_eight_readers(lambda: inserted(self.RECORDS),
+                             lambda store, i: answers_with_exclusion(store, self.QUERIES),
+                             expected)
 
 
 class TestTopK:
@@ -495,8 +480,9 @@ class TestTopK:
             assert [h.sentence_id for h in hits] == [sid for sid, _ in expected]
 
 
-class TestScreen:
-    """A chunk of queries screened at once, then ranked one by one by top_k."""
+class TestRetrieve:
+    """An episode's queries screened a chunk at a time, each ranked by top_k
+    excluding every hit of the queries before it."""
 
     def test_equal_vectors_across_block_edges_tie_by_id(self, monkeypatch):
         # Three rows per block for a chunk of two queries; the copies sit on
@@ -511,52 +497,53 @@ class TestScreen:
                 rec.vector = same
         store = VectorStore(8)
         store.insert_batch(records)
-        first, second = store.screen([same, same], 2)
-        hits = store.top_k(first, 2)
-        hits += store.top_k(second, 2, exclude={hit.sentence_id for hit in hits})
+        first, second = store.retrieve([same, same], 2)
+        hits = first + second
         assert [hit.sentence_id for hit in hits] == ["s0002", "s0003", "s0005", "s0006"]
         assert hits == store.top_k(same, 4)
         assert len({hit.score for hit in hits}) == 1
 
-    def test_a_query_beyond_float32_inside_a_chunk_ranks_every_row(self):
+    def test_a_query_beyond_float32_inside_a_chunk_ranks_every_row(self, monkeypatch):
+        # Chunks of two: the large query opens the second chunk, screened
+        # against the first chunk's hits.
+        monkeypatch.setattr(store_module, "SCREEN_CHUNK", 2)
         records = make_records(203, 16, video_every=5, distinct=60)
         store = VectorStore(16)
         store.insert_batch(records)
-        exclude = {rec.sentence_id for rec in records[::7]}
         small = deterministic_embed("domanda", 16)
         large = small.astype(np.float64) * 1e39
+        queries = [small, deterministic_embed("altra", 16), large, small]
+        screen, pools = store._screen, []
+
+        def spy(chunk, k, excluded):
+            screened = screen(chunk, k, excluded)
+            if len(chunk) == 2:
+                pools.extend(s.rows.tolist() for s in screened)
+            return screened
+        monkeypatch.setattr(store, "_screen", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            chunk = store.screen([small, large, small], 10, exclude)
-            hits = [store.top_k(screened, 10, exclude=exclude) for screened in chunk]
-        assert chunk[1].rows.tolist() == [row for row, rec in enumerate(records)
-                                          if rec.sentence_id not in exclude]
+            hits = list(store.retrieve(queries, 10))
+        earlier = {hit.sentence_id for hit in hits[0] + hits[1]}
+        assert pools[2] == [row for row, rec in enumerate(records)
+                            if rec.sentence_id not in earlier]
         scores = row_scores(records, large)
-        assert ([(hit.sentence_id, hit.score) for hit in hits[1]]
-                == brute_force_top_k(records, large, 10, exclude, scores=scores))
-        assert hits[0] == hits[2] == store.top_k(small, 10, exclude=exclude)
-
-    def test_a_screen_serves_any_later_exclusion(self):
-        # top_k screens again when the exclusion drops an id the screen
-        # excluded, or adds more than the screen's depth.
-        store = filled_store(150, 8, video_every=4, distinct=50)
-        query = deterministic_embed("domanda", 8)
-        order = [hit.sentence_id for hit in store.top_k(query, 150)]
-        (screened,) = store.screen([query], 5, set(order[:3]))
-        for exclude in (set(order[:3]), set(order[:2]), set(), set(order[:40])):
-            for cap in (None, 1):
-                assert (store.top_k(screened, 5, exclude=exclude, video_cap=cap)
-                        == store.top_k(query, 5, exclude=exclude, video_cap=cap))
+        assert ([(hit.sentence_id, hit.score) for hit in hits[2]]
+                == brute_force_top_k(records, large, 10, earlier, scores=scores))
+        excluded: set[str] = set()
+        for query, found in zip(queries, hits):
+            assert found == store.top_k(query, 10, exclude=excluded)
+            excluded.update(hit.sentence_id for hit in found)
 
     @pytest.mark.parametrize("k", [0, -1, 1.0, True])
     def test_non_int_k_rejected(self, k):
         with pytest.raises(ValidationError, match="k must be a positive int"):
-            filled_store(5, 8).screen([deterministic_embed("q", 8)], k)
+            list(filled_store(5, 8).retrieve([deterministic_embed("q", 8)], k))
 
     def test_query_dim_checked(self):
         with pytest.raises(ConfigError, match="query dim 16 does not match store dim 8"):
-            filled_store(5, 8).screen([deterministic_embed("q", 8),
-                                       deterministic_embed("q", 16)], 3)
+            list(filled_store(5, 8).retrieve([deterministic_embed("q", 8),
+                                              deterministic_embed("q", 16)], 3))
 
 
 class TestPersistence:
@@ -769,6 +756,29 @@ def outcome(call):
         return type(exc).__name__, str(exc)
 
 
+def assert_eight_readers(make_store, answer, expected):
+    """Four times over, eight threads each ``answer(store, i)`` from one fresh
+    ``make_store()``, with a switch interval of 1 us; each must give ``expected``."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            store = make_store()
+            results: list = [None] * 8
+
+            def read(i):
+                results[i] = outcome(lambda: answer(store, i))
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert results == [("ok", expected)] * 8
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # Changes to a saved 3-row dim-8 store, each with the message a load gives: a
 # changed meta.jsonl no longer matches the vectors.bin digest.
 FAULTS = {
@@ -932,24 +942,24 @@ class TestDigestCheckedLoad:
             return found
 
         expected = answers(filled_store(300, 8, video_every=7))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(4):
-                store = VectorStore.load(str(directory))
-                results: list = [None] * 8
+        assert_eight_readers(lambda: VectorStore.load(str(directory)),
+                             lambda store, i: answers(store, unknown=i == 0), expected)
 
-                def read(i):
-                    results[i] = outcome(lambda: answers(store, unknown=i == 0))
-                threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                    assert not thread.is_alive()
-                assert results == [("ok", expected)] * 8
-        finally:
-            sys.setswitchinterval(interval)
+    def test_concurrent_retrieve_readers_answer_as_the_in_memory_store(self, tmp_path,
+                                                                       monkeypatch):
+        # Chunks of five queries and blocks of 17 rows: each thread's pools
+        # meet rows that the others are decoding, and every exclusion filter
+        # reads the decoded ids.
+        monkeypatch.setattr(store_module, "SCREEN_CHUNK", 5)
+        monkeypatch.setattr(store_module, "SCREEN_BLOCK_BYTES", 17 * 4 * 5)
+        directory = self.saved(tmp_path)
+        expected = list(filled_store(300, 8, video_every=7).retrieve(self.QUERIES, 10,
+                                                                     video_cap=2))
+        assert expected == answers_with_exclusion(filled_store(300, 8, video_every=7),
+                                                  self.QUERIES)
+        assert_eight_readers(lambda: VectorStore.load(str(directory)),
+                             lambda store, i: list(store.retrieve(self.QUERIES, 10, video_cap=2)),
+                             expected)
 
     def test_first_use_of_numpy_from_many_threads(self, tmp_path):
         # In a child process that has not imported numpy, eight threads make
