@@ -20,6 +20,9 @@ word ending in terminal punctuation, keeps a small Italian abbreviation stop
 list, merges fragments shorter than ``min_chars`` forward, and never drops or
 duplicates a word. The corpus file is line-delimited JSON with a header line,
 so identical transcript bytes always produce byte-identical corpus output.
+segment_file parses and segments one transcript file into its corpus lines,
+the unit of work that `aiblob ingest` hands to its worker processes, and
+export_corpus writes the lines of many files as one corpus.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ import hashlib
 import re
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NoReturn
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import ParseError, ValidationError
-from .util import (RecordFile, float_column, is_finite_number, is_utf8, np, parse_json,
-                   record_columns, write_columns)
+from .util import (RecordFile, atomic_write_bytes, dumps_line, float_column, format_lines,
+                   is_finite_number, is_utf8, np, parse_json, record_columns)
 
 CORPUS_FORMAT = "aiblob-corpus"
 CORPUS_VERSION = 1
@@ -218,14 +221,50 @@ def segment_sentences(doc: TranscriptDocument, min_chars: int = DEFAULT_MIN_CHAR
     return sentences
 
 
-def export_corpus(sentences: list[Sentence], path: str) -> int:
-    """Write sentences as a corpus file (header line + one JSON line each).
+def segment_file(path: str,
+                 min_chars: int) -> tuple[str, int, bytes] | ParseError | ValidationError | OSError:
+    """Read, parse and segment the transcript file at ``path``, for ``aiblob
+    ingest``: its video_id, sentence count and corpus lines (corpus_lines), or
+    the ParseError, ValidationError or OSError it raised, returned for the
+    caller to raise in file order. A parse or validation error's message starts
+    with ``path``; an OSError names it already."""
+    try:
+        with open(path, "rb") as handle:
+            doc = parse_transcript(handle.read())
+    except (ParseError, ValidationError) as exc:
+        return type(exc)(f"{path}: {exc}")
+    except OSError as exc:
+        return exc
+    return (doc.video_id, *corpus_lines(segment_sentences(doc, min_chars)))
+
+
+def corpus_lines(sentences: Sequence[Sentence]) -> tuple[int, bytes]:
+    """The number of ``sentences`` and their corpus record lines, encoded as
+    UTF-8: the bytes export_corpus writes for them (util.format_lines)."""
+    text = "".join(format_lines(Sentence, record_columns(Sentence, sentences)))
+    return len(sentences), text.encode("utf-8")
+
+
+def export_corpus(files: Iterable[tuple[int, bytes]], path: str) -> int:
+    """Atomically write a corpus file: the header line, then the record lines
+    of each file's ``(count, lines)`` pair as corpus_lines makes it, in order.
+    Each pair is written as it is taken, so the pairs are never all held at
+    once, and an error that ``files`` raises leaves ``path`` as it was.
 
     Returns the number of records written. Output is byte-deterministic.
     """
-    write_columns(path, {"format": CORPUS_FORMAT, "version": CORPUS_VERSION}, Sentence,
-                  record_columns(Sentence, sentences))
-    return len(sentences)
+    count = 0
+
+    def parts() -> Iterator[bytes]:
+        nonlocal count
+        header = dumps_line({"format": CORPUS_FORMAT, "version": CORPUS_VERSION}) + "\n"
+        yield header.encode("utf-8")
+        for records, lines in files:
+            count += records
+            yield lines
+
+    atomic_write_bytes(path, parts())
+    return count
 
 
 @dataclass

@@ -472,7 +472,7 @@ class VectorStore:
         digest = hashlib.sha256()
         write_columns(meta_path, meta_header, VectorRecord, self._columns(), digest)
         header = VECTORS_HEADER.pack(VECTORS_MAGIC, STORE_VERSION, self.dim, self.count)
-        atomic_write_bytes(vectors_path, header, self._matrix, digest.digest())
+        atomic_write_bytes(vectors_path, (header, self._matrix, digest.digest()))
 
     @classmethod
     def load(cls, directory: str) -> "VectorStore":

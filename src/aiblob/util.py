@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from itertools import islice, zip_longest
+from itertools import chain, islice, zip_longest
 from json.encoder import encode_basestring
 from typing import IO, Any, Callable, Collection, Container, Iterable, Iterator, Sequence
 
@@ -44,7 +44,7 @@ DEFAULT_RETRIES = 3
 
 # Serialize one object as a compact, key-order-preserving JSON line. The program
 # encodes only record files' header lines with it; it is also the reference for
-# their record lines, which write_columns writes as exactly this encoding of each
+# their record lines, which format_lines writes as exactly this encoding of each
 # row's dict. One encoder, built once: json.dumps with non-default options
 # builds one per call.
 dumps_line: Callable[[dict[str, Any]], str] = json.JSONEncoder(
@@ -76,8 +76,10 @@ def atomic_write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def atomic_write_bytes(path: str, *parts) -> None:
-    """Atomically write the concatenation of bytes-like parts (C-contiguous arrays too)."""
+def atomic_write_bytes(path: str, parts: Iterable) -> None:
+    """Atomically write the concatenation of bytes-like parts (C-contiguous
+    arrays too), each written as it is taken from ``parts``, so a generator's
+    parts are never all held at once; an error it raises leaves no file."""
     with _atomic_open(path, binary=True) as handle:
         for part in parts:
             handle.write(part)
@@ -363,19 +365,31 @@ _ENCODERS = {str: encode_basestring, int: int.__repr__, float: float.__repr__}
 def write_columns(path: str, header: dict[str, Any], cls, columns: Sequence[Iterable],
                   digest=None) -> None:
     """Atomically write a JSON-lines record file from columns, the inverse of
-    RecordFile.columns: the header line, then one record object per row, keyed
-    by the fields of dataclass ``cls`` that RecordFile.columns reads, in field
-    order.
+    RecordFile.columns: the header line, then the record lines of
+    format_lines(cls, columns). A ``digest`` (a hashlib object) is updated with
+    every byte written, as it is written.
+    """
+    with _atomic_open(path, binary=True) as handle:
+        for text in chain([dumps_line(header) + "\n"], format_lines(cls, columns)):
+            data = text.encode("utf-8")
+            if digest is not None:
+                digest.update(data)
+            handle.write(data)
+
+
+def format_lines(cls, columns: Sequence[Iterable]) -> Iterator[str]:
+    """The record lines of ``columns``, one object per row keyed by the fields
+    of dataclass ``cls`` that RecordFile.columns reads, in field order, as
+    strings of up to _WRITE_BLOCK_LINES whole lines each.
 
     ``columns`` holds one iterable per such field, in that order, each value of
     its field's type (finite for a float); a float column may be a float64
     array, whose values are written as the Python floats of its ``tolist``,
-    one block's slice at a time. Each row's line is exactly
-    ``dumps_line`` of the row's dict: values are encoded by the json module's
-    own encoders and set between the fixed pieces of one line template, a
-    block of lines at a time. A wrong number of columns, or columns of unequal
-    length, raise ValueError. A ``digest`` (a hashlib object) is updated with
-    every byte written, as it is written.
+    one block's slice at a time. Each row's line is exactly ``dumps_line`` of
+    the row's dict and a newline: values are encoded by the json module's own
+    encoders and set between the fixed pieces of one line template, a block of
+    lines at a time. A wrong number of columns, or columns of unequal length,
+    raise ValueError.
     """
     rules = _field_rules(cls)
     encoders = [_ENCODERS[kind] for _, kind, *_ in rules]
@@ -384,24 +398,16 @@ def write_columns(path: str, header: dict[str, Any], cls, columns: Sequence[Iter
               for i, (name, *_) in enumerate(rules)] + ["}\n"]
     width = len(pieces) + len(rules)
     blocks = [_blocks(column) for _, column in zip(rules, columns, strict=True)]
-    with _atomic_open(path, binary=True) as handle:
-        def write(text: str) -> None:
-            data = text.encode("utf-8")
-            if digest is not None:
-                digest.update(data)
-            handle.write(data)
-
-        write(dumps_line(header) + "\n")
-        for block in zip_longest(*blocks, fillvalue=[]):
-            count = len(block[0])
-            if any(len(values) != count for values in block):
-                raise ValueError(f"{path}: columns of unequal length")
-            parts: list[str] = [""] * (width * count)
-            for i, piece in enumerate(pieces):
-                parts[2 * i::width] = [piece] * count
-            for i, (encode, values) in enumerate(zip(encoders, block)):
-                parts[2 * i + 1::width] = map(encode, values)
-            write("".join(parts))
+    for block in zip_longest(*blocks, fillvalue=[]):
+        count = len(block[0])
+        if any(len(values) != count for values in block):
+            raise ValueError("columns of unequal length")
+        parts: list[str] = [""] * (width * count)
+        for i, piece in enumerate(pieces):
+            parts[2 * i::width] = [piece] * count
+        for i, (encode, values) in enumerate(zip(encoders, block)):
+            parts[2 * i + 1::width] = map(encode, values)
+        yield "".join(parts)
 
 
 def _blocks(column: Iterable) -> Iterator[list]:

@@ -17,7 +17,7 @@ import pytest
 
 import aiblob
 from aiblob.embeddings import make_embedder
-from aiblob.ingest import export_corpus, parse_transcript, segment_sentences
+from aiblob.ingest import corpus_lines, export_corpus, parse_transcript, segment_sentences
 from aiblob.llm import QueryPhrase
 from aiblob.narrative import PipelineConfig, retrieve_candidates
 from aiblob.store import VectorRecord, VectorStore
@@ -182,5 +182,5 @@ def fixture_store() -> VectorStore:
 @pytest.fixture()
 def corpus_file(tmp_path):
     path = tmp_path / "corpus.jsonl"
-    export_corpus(fixture_sentences(), str(path))
+    export_corpus([corpus_lines(fixture_sentences())], str(path))
     return path

@@ -11,7 +11,7 @@ from aiblob.cli import build_parser, main
 from aiblob.errors import ParseError, StoreError
 from aiblob import embeddings
 from aiblob.embeddings import DeterministicEmbedder, deterministic_embed, make_embedder
-from aiblob.ingest import export_corpus
+from aiblob.ingest import corpus_lines, export_corpus
 from aiblob.llm import Candidate
 from aiblob.narrative import PipelineConfig
 from aiblob.store import VectorStore
@@ -101,11 +101,13 @@ class TestIngest:
         assert not (tmp_path / "c.jsonl").exists()
 
     def test_min_chars_below_one_fails(self, tmp_path, capsys):
+        # Checked before any transcript is read: the one here is not valid.
         transcripts = tmp_path / "transcripts"
-        write_fixture_transcripts(transcripts, n_videos=1, per_video=2)
+        transcripts.mkdir()
+        (transcripts / "bad.json").write_text("{", encoding="utf-8")
         assert main(["ingest", "--transcripts", str(transcripts), "--out",
                      str(tmp_path / "c.jsonl"), "--min-chars", "0"]) == 1
-        assert capsys.readouterr().err == "error: min_chars must be positive, got 0\n"
+        assert capsys.readouterr().err == "error: --min-chars must be at least 1, got 0\n"
         assert not (tmp_path / "c.jsonl").exists()
 
     def test_out_that_is_a_directory_fails_before_any_transcript_is_read(self, tmp_path,
@@ -379,7 +381,7 @@ class TestCompose:
         half = len(sentences) // 2
         sentences[:half] = [dataclasses.replace(s, video_id="") for s in sentences[:half]]
         corpus, store = tmp_path / "corpus.jsonl", tmp_path / "store"
-        export_corpus(sentences, str(corpus))
+        export_corpus([corpus_lines(sentences)], str(corpus))
         assert main(["index", "--corpus", str(corpus), "--store", str(store),
                      "--embedder", "deterministic:32"]) == 0
         replay = tmp_path / "replay.jsonl"

@@ -28,7 +28,8 @@ from aiblob.cli import main
 from aiblob.config import load_config
 from aiblob.embeddings import MAX_DETERMINISTIC_DIM, RemoteEmbedder
 from aiblob.errors import AiblobError, ProviderError
-from aiblob.ingest import Sentence, export_corpus, load_corpus, parse_transcript, segment_sentences
+from aiblob.ingest import (Sentence, corpus_lines, export_corpus, load_corpus, parse_transcript,
+                           segment_sentences)
 from aiblob.llm import OPS, Candidate, ScriptedProvider, _score_entries
 from aiblob.montage import RenderSettings, build_edl, load_edl, render
 from aiblob.narrative import SECTION_ORDER, NarrativePlan, load_plan
@@ -593,7 +594,8 @@ def _saved_store(directory, records):
 
 def _duplicate_in_corpus(directory, sid):
     path = str(directory / "corpus.jsonl")
-    export_corpus([Sentence(sid, "v", i, "t", 0.0, 1.0) for i in range(2)], path)
+    export_corpus([corpus_lines([Sentence(sid, "v", i, "t", 0.0, 1.0) for i in range(2)])],
+                  path)
     load_corpus(path)
 
 

@@ -15,12 +15,15 @@ from oracle_ingest import oracle_parse_transcript, oracle_segment_sentences
 from aiblob.errors import ParseError, ValidationError
 from aiblob.ingest import (
     Sentence,
+    corpus_lines,
     export_corpus,
     load_corpus,
     parse_transcript,
+    segment_file,
     segment_sentences,
     sentence_id_for,
 )
+from aiblob.util import record_columns, write_columns
 
 
 def doc_bytes(words, video_id="vid001", language="it"):
@@ -385,13 +388,13 @@ class TestCorpusRoundTrip:
     def test_round_trip_identity(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         sentences = self.make_sentences()
-        assert export_corpus(sentences, str(path)) == 3
+        assert export_corpus([corpus_lines(sentences)], str(path)) == 3
         assert loaded(path) == corpus_of(sentences)
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         sentences = self.make_sentences()
-        export_corpus(sentences + [sentences[0]], str(path))
+        export_corpus([corpus_lines(sentences + [sentences[0]])], str(path))
         with pytest.raises(ValidationError, match=sentences[0].sentence_id):
             load_corpus(str(path))
 
@@ -414,7 +417,7 @@ class TestCorpusRoundTrip:
     ])
     def test_bad_record_field_rejected(self, tmp_path, field, value):
         path = tmp_path / "corpus.jsonl"
-        export_corpus(self.make_sentences(), str(path))
+        export_corpus([corpus_lines(self.make_sentences())], str(path))
         header, first, *rest = path.read_text(encoding="utf-8").split("\n")
         first = json.dumps({**json.loads(first), field: value})
         path.write_text("\n".join([header, first, *rest]), encoding="utf-8")
@@ -423,7 +426,7 @@ class TestCorpusRoundTrip:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        export_corpus(self.make_sentences(), str(path))
+        export_corpus([corpus_lines(self.make_sentences())], str(path))
         header, first, second, *rest = path.read_text(encoding="utf-8").split("\n")
         second = json.dumps({**json.loads(second), "speaker": "A"})
         path.write_text("\n".join([header, first, second, *rest]), encoding="utf-8")
@@ -434,7 +437,7 @@ class TestCorpusRoundTrip:
         # Two blank lines before the faulty row: it is on line 6 of the file,
         # though it is the third record.
         path = tmp_path / "corpus.jsonl"
-        export_corpus(self.make_sentences(), str(path))
+        export_corpus([corpus_lines(self.make_sentences())], str(path))
         header, first, second, third, *rest = path.read_text(encoding="utf-8").split("\n")
         third = json.dumps({**json.loads(third), "ordinal": "2"})
         path.write_text("\n".join([header, first, "", second, "", third, *rest]),
@@ -448,7 +451,7 @@ class TestCorpusRoundTrip:
     def test_duplicate_id_named_by_its_line_in_the_file(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         sentences = self.make_sentences()
-        export_corpus(sentences + [sentences[0]], str(path))
+        export_corpus([corpus_lines(sentences + [sentences[0]])], str(path))
         path.write_text(path.read_text(encoding="utf-8").replace("\n", "\n\n"), encoding="utf-8")
         with pytest.raises(ValidationError, match=r"corpus\.jsonl:9: duplicate sentence_id"):
             load_corpus(str(path))
@@ -456,7 +459,7 @@ class TestCorpusRoundTrip:
     def test_crlf_line_ends_load_as_lf(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         sentences = self.make_sentences()
-        export_corpus(sentences, str(path))
+        export_corpus([corpus_lines(sentences)], str(path))
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert loaded(path) == corpus_of(sentences)
         # With a blank line after each line, and with the last line unended.
@@ -465,7 +468,7 @@ class TestCorpusRoundTrip:
 
     def test_lone_cr_is_not_a_line_break(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        export_corpus(self.make_sentences(), str(path))
+        export_corpus([corpus_lines(self.make_sentences())], str(path))
         header, first, second, *rest = path.read_bytes().split(b"\n")
         path.write_bytes(b"\n".join([header, first + b"\r" + second, *rest]))
         with pytest.raises(ParseError, match=r"corpus\.jsonl:2: invalid JSON"):
@@ -473,6 +476,52 @@ class TestCorpusRoundTrip:
 
     def test_export_is_byte_deterministic(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        export_corpus(self.make_sentences(), str(a))
-        export_corpus(self.make_sentences(), str(b))
+        export_corpus([corpus_lines(self.make_sentences())], str(a))
+        export_corpus([corpus_lines(self.make_sentences())], str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_files_exported_together_are_the_corpus_of_all_their_sentences(self, tmp_path):
+        """One export of several files' corpus_lines writes the bytes that
+        write_columns writes for all their sentences, and returns their count."""
+        sentences = self.make_sentences()
+        together, apart = tmp_path / "together.jsonl", tmp_path / "apart.jsonl"
+        write_columns(str(together), {"format": "aiblob-corpus", "version": 1}, Sentence,
+                      record_columns(Sentence, sentences))
+        files = [corpus_lines(sentences[:2]), corpus_lines([]), corpus_lines(sentences[2:])]
+        assert export_corpus(files, str(apart)) == 3
+        assert apart.read_bytes() == together.read_bytes()
+
+    def test_an_error_from_the_files_leaves_no_corpus(self, tmp_path):
+        def files():
+            yield corpus_lines(self.make_sentences())
+            raise ValidationError("second file")
+
+        with pytest.raises(ValidationError, match="second file"):
+            export_corpus(files(), str(tmp_path / "corpus.jsonl"))
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSegmentFile:
+    def test_returns_the_video_id_and_corpus_lines(self, tmp_path):
+        path = tmp_path / "v.json"
+        data = doc_bytes([("Buonasera", 0.0, 0.5), ("a", 0.5, 0.6), ("tutti.", 0.6, 1.0),
+                          ("Ciao.", 1.5, 2.0)])
+        path.write_bytes(data)
+        sentences = segment_sentences(parse_transcript(data), min_chars=3)
+        assert segment_file(str(path), 3) == ("vid001", *corpus_lines(sentences))
+
+    @pytest.mark.parametrize("data,kind,message", [
+        (b'{"video_id": ', ParseError, "transcript: invalid JSON"),
+        (doc_bytes([("a.", 2.0, 2.5), ("b.", 1.0, 1.5)]), ValidationError,
+         "non-monotone word start time at index 1"),
+    ])
+    def test_returns_a_transcript_fault_under_its_path(self, tmp_path, data, kind, message):
+        path = tmp_path / "v.json"
+        path.write_bytes(data)
+        fault = segment_file(str(path), 12)
+        assert type(fault) is kind and str(fault).startswith(f"{path}: {message}")
+
+    def test_returns_a_read_fault(self, tmp_path):
+        fault = segment_file(str(tmp_path / "missing.json"), 12)
+        assert isinstance(fault, FileNotFoundError)
+        assert fault.filename == str(tmp_path / "missing.json")

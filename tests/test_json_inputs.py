@@ -10,7 +10,7 @@ import pytest
 import aiblob
 from aiblob.config import load_config
 from aiblob.errors import ParseError, ProviderError, StoreError
-from aiblob.ingest import export_corpus, load_corpus, parse_transcript
+from aiblob.ingest import corpus_lines, export_corpus, load_corpus, parse_transcript
 from aiblob.llm import RemoteChatProvider, ScriptedProvider
 from aiblob.montage import load_edl
 from aiblob.narrative import load_plan
@@ -100,7 +100,7 @@ class TestOverlongIntegerAtEverySite:
 
     def test_corpus_row_in_a_decoded_block(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        export_corpus(fixture_sentences(n_videos=1, per_video=6), str(path))
+        export_corpus([corpus_lines(fixture_sentences(n_videos=1, per_video=6))], str(path))
         put_overlong(path, '"ordinal":2,', '"ordinal":OVERLONG,')
         with pytest.raises(ParseError, match=rf"corpus\.jsonl:4: {self.MESSAGE}"):
             load_corpus(str(path))

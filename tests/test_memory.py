@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from aiblob.embeddings import DeterministicEmbedder
-from aiblob.ingest import Sentence, export_corpus, load_corpus, sentence_id_for
+from aiblob.ingest import Sentence, corpus_lines, export_corpus, load_corpus, sentence_id_for
 from aiblob.store import VectorStore
 
 VIDEOS = 100
@@ -42,7 +42,7 @@ def corpus_path(tmp_path_factory):
             sentences.append(Sentence(sentence_id_for(video_id, ordinal, text), video_id,
                                       ordinal, text, start, start + 2.5))
     path = tmp_path_factory.mktemp("memory") / "corpus.jsonl"
-    export_corpus(sentences, str(path))
+    export_corpus([corpus_lines(sentences)], str(path))
     load_corpus(str(path))  # the one-time costs: lazy imports, cached field rules
     return path
 
