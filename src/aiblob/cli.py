@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
-from contextlib import contextmanager
+from contextlib import closing
 from itertools import repeat
 from typing import Iterator
 
@@ -46,6 +47,8 @@ COMPOSE_FILES = (QUERIES_FILE, CANDIDATES_FILE, SCORES_FILE, PLAN_FILE, EDL_FILE
 INGEST_PARALLEL_BYTES = 4 << 20
 # Transcript files an ingest worker is sent at a time.
 INGEST_CHUNK_FILES = 4
+# The signals that interrupt a command (main).
+INTERRUPTS = (signal.SIGINT, signal.SIGTERM)
 
 
 def _check_output(path: str, flag: str, directory: bool) -> None:
@@ -72,8 +75,10 @@ def cmd_ingest(args) -> int:
     transcripts in all, or with one CPU, in this process. Either way the
     results are taken in name order, so the corpus is the same bytes, and the
     first faulty file or repeated video_id in name order is the error
-    reported. A worker that dies ends the command with an AiblobError. No
-    worker outlives the command, and a failed ingest leaves no corpus.
+    reported. A worker that dies ends the command with an AiblobError. A
+    worker ignores SIGINT, so an interrupt (main) reaches this process alone,
+    which waits for the files in flight and cancels the rest. No worker
+    outlives the command, and a failed or interrupted ingest leaves no corpus.
     """
     _check_output(args.out, "--out", directory=False)
     if args.min_chars < 1:
@@ -94,23 +99,24 @@ def cmd_ingest(args) -> int:
             videos.add(video_id)
             yield count, lines
 
-    with _segmented(paths, args.min_chars) as results:
+    # No worker starts before export_corpus has opened its temporary file.
+    with closing(_segmented(paths, args.min_chars)) as results:
         count = export_corpus(checked(results), args.out)
     print(f"wrote {count} sentences from {len(videos)} videos to {args.out}")
     return 0
 
 
-@contextmanager
-def _segmented(paths: list[str], min_chars: int) -> Iterator[Iterator]:
+def _segmented(paths: list[str], min_chars: int) -> Iterator:
     """The results of ingest.segment_file for each of ``paths``, in order: from
     a pool of worker processes, one per CPU this process may run on and per
-    chunk of files, shut down on leaving the block; or from this process if
-    that is one (or os.sched_getaffinity is missing) or the files hold under
+    chunk of files, started on the first result and shut down when the
+    generator ends or is closed; or from this process if that is one (or
+    os.sched_getaffinity is missing) or the files hold under
     INGEST_PARALLEL_BYTES in all. A worker that dies raises AiblobError."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, -(-len(paths) // INGEST_CHUNK_FILES))
     if workers < 2 or sum(map(_file_size, paths)) < INGEST_PARALLEL_BYTES:
-        yield map(segment_file, paths, repeat(min_chars))
+        yield from map(segment_file, paths, repeat(min_chars))
         return
     # Imported here, so that index, compose and render never pay for the pool.
     import multiprocessing
@@ -119,14 +125,29 @@ def _segmented(paths: list[str], min_chars: int) -> Iterator[Iterator]:
 
     # Forked, not spawned, so no worker starts an interpreter and imports aiblob
     # again; safe because this process has one thread and no numpy loaded here.
-    # Each worker imports numpy on first use.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    # Each worker imports numpy on first use. The forks (in map) hold the
+    # interrupts back, so none reaches a worker before _worker_signals runs.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_worker_signals)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, INTERRUPTS)
     try:
-        yield pool.map(segment_file, paths, repeat(min_chars), chunksize=INGEST_CHUNK_FILES)
+        results = pool.map(segment_file, paths, repeat(min_chars), chunksize=INGEST_CHUNK_FILES)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        yield from results
     except BrokenProcessPool as exc:
         raise AiblobError(f"an ingest worker process died: {exc}") from exc
     finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         pool.shutdown(cancel_futures=True)
+
+
+def _worker_signals() -> None:
+    """Leave an interrupt to the parent: a worker ignores SIGINT, which Ctrl-C
+    sends the whole process group, and dies of SIGTERM, as the pool's own
+    cleanup expects."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, INTERRUPTS)
 
 
 def _file_size(path: str) -> int:
@@ -292,13 +313,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminate(signum: int, frame) -> None:
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command. SIGTERM raises in the command as SIGINT does, so that
+    its temporary files and worker processes are cleaned up as for an error;
+    an interrupt ends with one error line and exit code 128 + the signal
+    number."""
+    terminate = signal.signal(signal.SIGTERM, _terminate)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (AiblobError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:
+        signum = exc.args[0] if exc.args else signal.SIGINT
+        print(f"error: interrupted by {signal.Signals(signum).name}", file=sys.stderr)
+        return 128 + signum
+    finally:
+        signal.signal(signal.SIGTERM, terminate)
 
 
 def run() -> None:

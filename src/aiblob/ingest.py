@@ -269,14 +269,14 @@ def export_corpus(files: Iterable[tuple[int, bytes]], path: str) -> int:
 
 @dataclass
 class Corpus:
-    """A corpus file's sentences as columns, one per Sentence field: sentence
-    ``i`` is ``Sentence(sentence_ids[i], video_ids[i], ordinals[i], texts[i],
-    starts[i], ends[i])``. The times are float64 arrays, the other columns
-    lists, and equal video ids are one str object, so each value is held once."""
+    """A corpus file's sentences as columns, one per Sentence field but the
+    ordinal, which index never reads: sentence ``i`` has id ``sentence_ids[i]``,
+    video id ``video_ids[i]``, text ``texts[i]`` and times ``starts[i]`` and
+    ``ends[i]``. The times are float64 arrays, the other columns lists, and
+    equal video ids are one str object, so each value is held once."""
 
     sentence_ids: list[str]
     video_ids: list[str]
-    ordinals: list[int]
     texts: list[str]
     starts: np.ndarray
     ends: np.ndarray
@@ -290,5 +290,6 @@ def load_corpus(path: str) -> Corpus:
     repeated id ValidationError, each naming the line of the first fault.
     """
     records = RecordFile(path, CORPUS_FORMAT, (CORPUS_VERSION,), ParseError)
-    return Corpus(*records.columns(Sentence, "corpus record", unique="sentence_id",
-                                   shared="video_id"))
+    ids, video_ids, _, texts, starts, ends = records.columns(
+        Sentence, "corpus record", unique="sentence_id", shared="video_id")
+    return Corpus(ids, video_ids, texts, starts, ends)

@@ -39,10 +39,11 @@ end times, the number of distinct video ids, and the largest row norm, found
 as insert and load check that every vector is finite. The insert takes a
 matrix with its columns, or a list of VectorRecord, turned into columns
 first. It keeps the matrix and the columns it is given (index gives
-load_corpus's, so each value is held once) and refuses a repeated id with a
-set that it drops; the id -> row dict is built, whole, when an exclusion first
-needs it. A hit carries its row's metadata, its times as Python floats, not
-the vector.
+load_corpus's, so each value is held once) and refuses a repeated id through
+a sorted array of the ids' hashes, walking the ids only when two hashes are
+equal. An id -> row dict maps the rows the store has used: each row top_k
+ranks, and every row once an exclusion names an id the dict lacks. A hit
+carries its row's metadata, its times as Python floats, not the vector.
 
 Saving writes the columns (util.write_columns), then the matrix as the
 vectors.bin body, then a SHA-256 of all meta.jsonl bytes: vectors.bin is
@@ -52,11 +53,10 @@ record files, then the vectors.bin header, size, digest and values. A digest
 that does not match meta.jsonl (the two files are not one save, say an index
 killed between its renames) is refused. So meta.jsonl is what save wrote:
 load keeps the RecordFile, and a row is decoded, with its record check, when
-top_k first ranks it (its id is None until then, and the id -> row dict holds
-decoded rows only). An excluded id not yet decoded, and a save, decode every
-row first. Only a meta.jsonl forged together with its digest can hold a
-faulty row that load passes; its fault is raised, naming the line, when the
-row is first used.
+it is first mapped (its id is None until then). A save decodes every row
+first. Only a meta.jsonl forged together with its digest can hold a faulty
+row that load passes; its fault is raised, naming the line, when the row is
+first used.
 
 On-disk layout (bit-exact), version 2, the only version read:
     meta.jsonl   header {"format":"aiblob-store","version":2,"dim":D,
@@ -79,7 +79,7 @@ import operator
 import os
 import struct
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigError, StoreError, ValidationError
 from .util import (RecordFile, atomic_write_bytes, check_field_types, is_int, is_utf8, np, shown,
@@ -152,8 +152,8 @@ class VectorStore:
         # The spec of the embedder that made the vectors, when known.
         self.embedder = embedder
         self._matrix = np.empty((0, dim), dtype="<f4")
-        # The id -> row map, None until _id_rows builds it.
-        self._rows: dict[str, int] | None = None
+        # The id -> row map of the rows the store has used (_decode).
+        self._rows: dict[str, int] = {}
         self._ids: list[str] = []
         self._video_ids: list[str] = []
         self._texts: list[str] = []
@@ -205,7 +205,26 @@ class VectorStore:
                                                      for column in columns):
                 raise ValidationError(f"{len(matrix)} vectors need {len(META_KEYS)} metadata "
                                       f"columns of {len(matrix)} values")
-        self._append(matrix, columns)
+        ids = columns[0]
+        norm, faulty = _max_norm(matrix)
+        if faulty is not None:
+            raise ValidationError(f"record {shown(ids[faulty])}: vector has NaN/Inf")
+        # Sorted int64 hashes of the ids, 8 bytes an id, hold a fifth of what a
+        # set of the ids would; only two equal hashes call for the walk.
+        hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
+        hashes.sort()
+        if (hashes[1:] == hashes[:-1]).any():
+            # The first id that repeats an earlier one; ids of equal hash may differ.
+            seen: set[str] = set()
+            for sentence_id in ids:
+                if sentence_id in seen:
+                    raise ValidationError(f"duplicate sentence_id {shown(sentence_id)}")
+                seen.add(sentence_id)
+        self._matrix = matrix
+        self._ids, self._video_ids, self._texts = columns[:3]
+        self._starts, self._ends = (np.asarray(values, np.float64) for values in columns[3:])
+        self._videos = len(set(self._video_ids))
+        self._norm = norm
         return len(matrix)
 
     def _record_columns(self, records: Sequence[VectorRecord]) -> tuple[np.ndarray, list[list]]:
@@ -223,48 +242,12 @@ class VectorStore:
             check_field_types(rec, ValidationError, f"record {shown(rec.sentence_id)}")
         return matrix, [list(map(operator.attrgetter(key), records)) for key in META_KEYS]
 
-    def _append(self, matrix: np.ndarray, columns: Sequence) -> None:
-        """Take the rows of ``matrix`` with their META_KEYS ``columns`` as they
-        are, and count their distinct video ids; nothing changes unless every
-        row passes. A repeated id is refused with a set that is then dropped:
-        the id map waits for its first use (_id_rows)."""
-        ids = columns[0]
-        norm, faulty = _max_norm(matrix)
-        if faulty is not None:
-            raise ValidationError(f"record {shown(ids[faulty])}: vector has NaN/Inf")
-        if len(set(ids)) != len(ids):
-            self._raise_duplicate(ids)
-        # A map an exclusion built while the store was empty is stale.
-        self._rows = None
-        self._matrix = matrix
-        self._ids, self._video_ids, self._texts = columns[:3]
-        self._starts, self._ends = (np.asarray(values, np.float64) for values in columns[3:])
-        self._videos = len(set(self._video_ids))
-        self._norm = norm
-
-    def _id_rows(self) -> dict[str, int]:
-        """The id -> row map: of a loaded store, of its decoded rows; of an
-        inserted one, of every row, built whole on its first use, so that a
-        reader finds it complete."""
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = dict(zip(self._ids, range(self.count)))
-        return rows
-
-    def _raise_duplicate(self, ids: Sequence[str]) -> NoReturn:
-        """Raise for the first of ``ids`` that repeats an earlier one. Only called
-        once a set test has found a repeat."""
-        seen: set[str] = set()
-        for sentence_id in ids:
-            if sentence_id in seen:
-                raise ValidationError(f"duplicate sentence_id {shown(sentence_id)}")
-            seen.add(sentence_id)
-        raise AssertionError("the id test found a repeat the id walk does not")
-
     def _decode(self, rows: Iterable[int]) -> None:
-        """Decode those of ``rows`` that load left undecoded."""
+        """Map ``rows`` by their ids; in a loaded store, decode first those of
+        them that load left undecoded."""
         meta = self._meta
         if meta is None:
+            self._rows.update((self._ids[row], row) for row in rows)
             return
         rows = [row for row in rows if self._ids[row] is None]
         if not rows:
@@ -347,11 +330,8 @@ class VectorStore:
 
     def _held_rows(self, ids: Collection[str]) -> np.ndarray:
         """The rows, ascending, of those of ``ids`` that the store holds."""
-        if not ids:
-            return np.empty(0, np.intp)
-        rows = list(map(self._id_rows().get, ids))
-        # After a load only decoded ids are in the map, and while it misses a
-        # row an id that is not may name an undecoded row.
+        rows = list(map(self._rows.get, ids))
+        # While the map misses a row, an id that it lacks may name that row.
         if None in rows and len(self._rows) < self.count:
             self._decode(range(self.count))
             rows = list(map(self._rows.get, ids))
@@ -463,7 +443,9 @@ class VectorStore:
 
     def save(self, directory: str) -> None:
         """Write meta.jsonl, then vectors.bin, whose digest commits the pair."""
-        self._decode(range(self.count))
+        # An inserted store holds every row's columns, and maps none to save.
+        if self._meta is not None:
+            self._decode(range(self.count))
         os.makedirs(directory, exist_ok=True)
         meta_path = os.path.join(directory, META_FILE)
         vectors_path = os.path.join(directory, VECTORS_FILE)
@@ -519,27 +501,20 @@ class VectorStore:
             # aligns its allocations, which the float32 screen reads faster.
             handle.seek(VECTORS_HEADER.size)
             matrix = np.fromfile(handle, "<f4", bin_count * dim).reshape(bin_count, dim)
-        store = cls(dim, embedder)
-        store._adopt(matrix, meta, header.get("videos"))
-        return store
-
-    def _adopt(self, matrix: np.ndarray, meta: RecordFile, videos) -> None:
-        """Take the rows of a load, undecoded, after checking the vectors and
-        the header's video count."""
-        count = len(matrix)
+        videos = header.get("videos")
         if not is_int(videos) or not min(count, 1) <= videos <= count:
-            raise StoreError(f"{meta.path}: bad videos {videos!r}")
-        self._matrix = matrix
-        self._meta = meta
-        self._videos = videos
-        self._rows = {}
-        for column in self._columns()[:3]:
+            raise StoreError(f"{meta_path}: bad videos {videos!r}")
+        # The rows stay undecoded (None) until they are first mapped.
+        store = cls(dim, embedder)
+        store._matrix, store._meta, store._videos = matrix, meta, videos
+        for column in store._columns()[:3]:
             column.extend([None] * count)
-        self._starts, self._ends = np.zeros(count), np.zeros(count)
-        self._norm, faulty = _max_norm(matrix)
+        store._starts, store._ends = np.zeros(count), np.zeros(count)
+        store._norm, faulty = _max_norm(matrix)
         if faulty is not None:
-            self._decode([faulty])
-            raise ValidationError(f"record {shown(self._ids[faulty])}: vector has NaN/Inf")
+            store._decode([faulty])
+            raise ValidationError(f"record {shown(store._ids[faulty])}: vector has NaN/Inf")
+        return store
 
 
 def _at_most(value: float) -> np.float32:

@@ -142,12 +142,17 @@ def build_replay_file(path, store: VectorStore, embedder, config: PipelineConfig
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def python_env() -> dict:
+    """The environment of a child Python that imports aiblob from this source tree."""
+    src = os.path.dirname(os.path.dirname(aiblob.__file__))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_python(*argv):
     """``python *argv`` in a child process that imports aiblob from this source tree."""
-    src = os.path.dirname(os.path.dirname(aiblob.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+                          env=python_env(), timeout=300)
 
 
 def exact(columns) -> str:

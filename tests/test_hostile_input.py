@@ -191,12 +191,13 @@ def test_load_corpus(workdir, data):
         assert str(corpus.starts.dtype) == str(corpus.ends.dtype) == "float64"
         columns = [column.tolist() if hasattr(column, "tolist") else column
                    for column in columns]
-    for s in map(Sentence, *columns):
-        assert isinstance(s.sentence_id, str) and isinstance(s.video_id, str)
-        assert isinstance(s.text, str) and is_int(s.ordinal)
-        assert is_utf8(s.sentence_id + s.video_id + s.text)
-        assert type(s.start_s) is float and math.isfinite(s.start_s)
-        assert type(s.end_s) is float and math.isfinite(s.end_s)
+    # A Corpus keeps no ordinals; load_corpus checks them and drops them.
+    for sentence_id, video_id, text, start_s, end_s in zip(*columns):
+        assert isinstance(sentence_id, str) and isinstance(video_id, str)
+        assert isinstance(text, str)
+        assert is_utf8(sentence_id + video_id + text)
+        assert type(start_s) is float and math.isfinite(start_s)
+        assert type(end_s) is float and math.isfinite(end_s)
 
 
 # -- store ---------------------------------------------------------------

@@ -16,15 +16,17 @@ PER_VIDEO = 200
 ROWS = VIDEOS * PER_VIDEO
 
 
-def traced(call):
-    """``call()``'s result and the bytes it leaves allocated."""
+def traced(call, peak: bool = False):
+    """``call()``'s result and the bytes it leaves allocated, or with ``peak``
+    the most bytes it held at once."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         result = call()
         gc.collect()
-        return result, tracemalloc.get_traced_memory()[0] - before
+        current, top = tracemalloc.get_traced_memory()
+        return result, (top if peak else current) - before
     finally:
         tracemalloc.stop()
 
@@ -50,10 +52,9 @@ def corpus_path(tmp_path_factory):
 def test_load_corpus_keeps_each_value_once(corpus_path):
     corpus, kept = traced(lambda: load_corpus(str(corpus_path)))
     assert len(corpus.sentence_ids) == ROWS
-    # Per row: an id and a text object, a slot in each of four lists, and two
-    # float64 values. The ordinals are small cached ints; the video ids are 100
-    # objects in all.
-    assert kept / ROWS <= 280
+    # Per row: an id and a text object, a slot in each of three lists, and two
+    # float64 values. The video ids are 100 objects in all.
+    assert kept / ROWS <= 272
     assert len({id(video_id) for video_id in corpus.video_ids}) == VIDEOS
 
 
@@ -66,3 +67,14 @@ def test_first_insert_keeps_the_matrix_and_columns_it_is_given(corpus_path):
     # Neither the matrix nor a column is copied, and no id -> row map is built.
     assert kept <= 16 * ROWS
     assert store.count == ROWS
+
+
+def test_first_insert_checks_its_ids_in_little_memory(corpus_path):
+    corpus = load_corpus(str(corpus_path))
+    matrix = DeterministicEmbedder(8).embed(corpus.texts)
+    store = VectorStore(8)
+    columns = (corpus.sentence_ids, corpus.video_ids, corpus.texts, corpus.starts, corpus.ends)
+    _, peak = traced(lambda: store.insert_batch(matrix, columns), peak=True)
+    # An int64 hash per id, sorted in place, and the vector norms; a set of the
+    # ids would take over 50 bytes an id.
+    assert peak <= 16 * ROWS

@@ -167,9 +167,11 @@ def as_read(columns, fields) -> str:
 
 
 def oracle_corpus_columns(path) -> str:
+    """The per-row reader's corpus columns but the ordinal, which Corpus does
+    not keep."""
     sentences = oracle_load_corpus(str(path))
-    return as_read(([getattr(s, name) for s in sentences] for name, _ in CORPUS_FIELDS),
-                   CORPUS_FIELDS)
+    fields = [field for field in CORPUS_FIELDS if field[0] != "ordinal"]
+    return as_read(([getattr(s, name) for s in sentences] for name, _ in fields), fields)
 
 
 def oracle_store_columns(path) -> str:

@@ -201,6 +201,21 @@ class TestInsertColumns:
                 store.insert_batch(matrix, columns)
         assert store.count == 0
 
+    def test_ids_of_equal_hash_are_not_a_repeat(self):
+        # The insert walks the ids when two hashes are equal, and finds that
+        # the ids differ.
+        class Colliding(str):
+            def __hash__(self):
+                return 7
+
+        store = VectorStore(8)
+        matrix, columns = columns_of(make_records(3, 8, prefix="t"))
+        columns[0] = [Colliding(sentence_id) for sentence_id in columns[0]]
+        assert store.insert_batch(matrix, columns) == 3
+        columns[0][2] = Colliding("t0000")
+        with pytest.raises(ValidationError, match="^duplicate sentence_id t0000$"):
+            VectorStore(8).insert_batch(matrix, columns)
+
     def test_wrong_matrix_width(self):
         matrix, columns = columns_of(make_records(2, 8))
         with pytest.raises(ConfigError, match="store dim 16"):
@@ -226,22 +241,50 @@ def inserted(records):
 
 
 class TestIdMapOnFirstUse:
-    """The insert builds no id -> row map; each use of the map finds it whole."""
+    """The insert maps no id to its row; a query maps the rows it ranks, and an
+    exclusion of an id the map lacks maps every row."""
 
     RECORDS = make_records(300, 8, video_every=7)
     QUERIES = [deterministic_embed(f"domanda {i}", 8) for i in range(12)]
 
+    def assert_mapped(self, store, ids):
+        """The map holds exactly ``ids``, each at its row."""
+        assert sorted(store._rows) == sorted(ids)
+        for sentence_id, row in store._rows.items():
+            assert self.RECORDS[row].sentence_id == sentence_id
+
     def test_exclusion_is_exact(self):
         store = inserted(self.RECORDS)
-        assert store._rows is None
+        assert store._rows == {}
         excluded: set[str] = set()
+        ranked: set[str] = set()
         for query in self.QUERIES:
             hits = store.top_k(query, 10, exclude=excluded, video_cap=2)
             scores = row_scores(self.RECORDS, query)
             assert [(h.sentence_id, h.score) for h in hits] == brute_force_top_k(
                 self.RECORDS, query, 10, excluded, 2, scores=scores)
             excluded.update(hit.sentence_id for hit in hits)
-        assert store._rows is not None
+            ranked.update(store._rows)
+            # Every hit was ranked, and so mapped; the band is not every row.
+            assert excluded <= ranked and len(ranked) < len(self.RECORDS)
+        self.assert_mapped(store, ranked)
+
+    def test_an_id_the_map_lacks_maps_every_row(self):
+        store = inserted(self.RECORDS)
+        query = self.QUERIES[0]
+        excluded = {self.RECORDS[5].sentence_id, "no such id"}
+        hits = store.top_k(query, 10, exclude=excluded, video_cap=2)
+        assert [(h.sentence_id, h.score) for h in hits] == brute_force_top_k(
+            self.RECORDS, query, 10, excluded, 2, scores=row_scores(self.RECORDS, query))
+        self.assert_mapped(store, [rec.sentence_id for rec in self.RECORDS])
+
+    def test_save_of_an_inserted_store_maps_no_row(self, tmp_path):
+        # index inserts, then saves: a map of every row would raise its peak.
+        store = inserted(self.RECORDS)
+        store.save(str(tmp_path / "store"))
+        assert store._rows == {}
+        hits = VectorStore.load(str(tmp_path / "store")).top_k(self.QUERIES[0], 10)
+        assert hits == store.top_k(self.QUERIES[0], 10)
 
     def test_video_count(self):
         assert inserted(self.RECORDS).video_count == 7
@@ -253,8 +296,8 @@ class TestIdMapOnFirstUse:
             assert type(hit.start_s) is float and type(hit.end_s) is float
 
     def test_concurrent_readers_answer_as_one_reader(self):
-        # Eight threads share each fresh store, so several may build its map
-        # at once: every exclusion after the first query needs it.
+        # Eight threads share each fresh store, so several may map its rows
+        # at once, and each exclusion after the first query reads the map.
         expected = answers_with_exclusion(inserted(self.RECORDS), self.QUERIES)
         assert_eight_readers(lambda: inserted(self.RECORDS),
                              lambda store, i: answers_with_exclusion(store, self.QUERIES),
