@@ -109,9 +109,9 @@ def cmd_ingest(args) -> int:
 def _segmented(paths: list[str], min_chars: int) -> Iterator:
     """The results of ingest.segment_file for each of ``paths``, in order: from
     a pool of worker processes, one per CPU this process may run on and per
-    chunk of files, started on the first result and shut down when the
-    generator ends or is closed; or from this process if that is one (or
-    os.sched_getaffinity is missing) or the files hold under
+    chunk of files, started on the first result and shut down, every worker
+    reaped, when the generator ends or is closed; or from this process if that
+    is one (or os.sched_getaffinity is missing) or the files hold under
     INGEST_PARALLEL_BYTES in all. A worker that dies raises AiblobError."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, -(-len(paths) // INGEST_CHUNK_FILES))
@@ -125,20 +125,41 @@ def _segmented(paths: list[str], min_chars: int) -> Iterator:
 
     # Forked, not spawned, so no worker starts an interpreter and imports aiblob
     # again; safe because this process has one thread and no numpy loaded here.
-    # Each worker imports numpy on first use. The forks (in map) hold the
-    # interrupts back, so none reaches a worker before _worker_signals runs.
+    # Each worker imports numpy on first use. The forks (in the first submit)
+    # hold the interrupts back, so none reaches a worker before _worker_signals
+    # runs.
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_worker_signals)
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, INTERRUPTS)
     try:
-        results = pool.map(segment_file, paths, repeat(min_chars), chunksize=INGEST_CHUNK_FILES)
+        # One future per chunk, never cancelled here: only shutdown cancels them,
+        # in the pool's manager thread. Before Python 3.12, a cancel from this
+        # thread (pool.map's, when its results are dropped) that races the
+        # manager failing the futures of a dead worker kills the manager, which
+        # then reaps no worker.
+        chunks = [pool.submit(_segment_chunk, paths[i:i + INGEST_CHUNK_FILES], min_chars)
+                  for i in range(0, len(paths), INGEST_CHUNK_FILES)]
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        yield from results
+        chunks.reverse()
+        while chunks:  # popped, so a chunk's results are freed once taken
+            yield from chunks.pop().result()
     except BrokenProcessPool as exc:
         raise AiblobError(f"an ingest worker process died: {exc}") from exc
     finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        pool.shutdown(cancel_futures=True)
+        # Interrupts are held back while the pool shuts down and raised once
+        # every worker is reaped, so none cuts the shutdown short, not even one
+        # held since a submit failed. One already caught and raised by the
+        # block itself still leaves the shutdown to the inner finally.
+        try:
+            signal.pthread_sigmask(signal.SIG_BLOCK, INTERRUPTS)
+        finally:
+            pool.shutdown(cancel_futures=True)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _segment_chunk(paths: list[str], min_chars: int) -> list:
+    """ingest.segment_file's result for each of ``paths``, in a worker."""
+    return list(map(segment_file, paths, repeat(min_chars)))
 
 
 def _worker_signals() -> None:

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 from .errors import ConfigError, ParseError, RenderError, ValidationError
 from .llm import Candidate
 from .narrative import SECTION_ORDER, NarrativePlan, read_sections
-from .util import (atomic_write_text, bounded, check_field_types, check_header, check_keys,
+from .util import (atomic_write_bytes, bounded, check_field_types, check_header, check_keys,
                    from_json, load_json, shown, write_json)
 
 EDL_FORMAT = "aiblob-edl"
@@ -301,7 +301,7 @@ def render(edl: EditDecisionList, out_path: str, settings: RenderSettings,
                     + "\n".join(tail)
                 )
     finally:
-        atomic_write_text(log_path, "\n".join(log_lines) + "\n")
+        atomic_write_bytes(log_path, [("\n".join(log_lines) + "\n").encode("utf-8")])
     return out_path
 
 

@@ -46,7 +46,10 @@ ranks, and every row once an exclusion names an id the dict lacks. A hit
 carries its row's metadata, its times as Python floats, not the vector.
 
 Saving writes the columns (util.write_columns), then the matrix as the
-vectors.bin body, then a SHA-256 of all meta.jsonl bytes: vectors.bin is
+vectors.bin body, then a SHA-256 of all meta.jsonl bytes, each file through
+util.atomic_write_bytes, the one writer of every output file, which makes the
+directory and renames a temporary file into place, so an error or an
+interrupt leaves neither a partial file nor a temporary one: vectors.bin is
 renamed into place last, and its digest commits the pair. Loading reads each
 file once: meta.jsonl through util.RecordFile, the one reader of JSON-lines
 record files, then the vectors.bin header, size, digest and values. A digest
@@ -446,7 +449,6 @@ class VectorStore:
         # An inserted store holds every row's columns, and maps none to save.
         if self._meta is not None:
             self._decode(range(self.count))
-        os.makedirs(directory, exist_ok=True)
         meta_path = os.path.join(directory, META_FILE)
         vectors_path = os.path.join(directory, VECTORS_FILE)
         meta_header = {"format": STORE_FORMAT, "version": STORE_VERSION, "dim": self.dim,

@@ -1,8 +1,10 @@
-"""Small shared helpers: numpy imported on first use (np), atomic file writes,
-the one JSON decoder (parse_json) for every file and reply, canonical JSON
-lines, JSON-lines files read by one line rule and record files written and
-read as columns, value and record checks, provider retries, the one HTTP
-client (post_json) and its URL rule."""
+"""Small shared helpers: numpy imported on first use (np), the one writer of
+every output file (atomic_write_bytes: a temporary file renamed over the
+output, so an error or an interrupt leaves neither a partial file nor a
+temporary one), the one JSON decoder (parse_json) for every file and reply,
+canonical JSON lines, JSON-lines files read by one line rule and record files
+written and read as columns, value and record checks, provider retries, the
+one HTTP client (post_json) and its URL rule."""
 
 from __future__ import annotations
 
@@ -14,10 +16,9 @@ import operator
 import os
 import sys
 import time
-from contextlib import contextmanager
 from itertools import chain, islice, zip_longest
 from json.encoder import encode_basestring
-from typing import IO, Any, Callable, Collection, Container, Iterable, Iterator, Sequence
+from typing import Any, Callable, Collection, Container, Iterable, Iterator, Sequence
 
 from .errors import AiblobError, ConfigError, ParseError, ProviderError, ValidationError
 
@@ -51,38 +52,33 @@ dumps_line: Callable[[dict[str, Any]], str] = json.JSONEncoder(
     ensure_ascii=False, separators=(",", ":")).encode
 
 
-@contextmanager
-def _atomic_open(path: str, binary: bool) -> Iterator[IO]:
-    """Open a temp file beside path, renamed over it only if the block completes,
-    so readers never see partial output."""
+def atomic_write_bytes(path: str, parts: Iterable, digest=None) -> None:
+    """Write the concatenation of bytes-like parts (C-contiguous arrays too) to
+    ``path``, the one way the program creates an output file: into a temporary
+    file beside it, made with the directory if need be, with the mode open()
+    gives a new file under the umask, then renamed over ``path``. Each part is
+    written as it is taken from ``parts``, so a generator's parts are never all
+    held at once, and a ``digest`` (a hashlib object) is updated with it.
+
+    An error or an interrupt leaves ``path`` as it was and no temporary file;
+    a temporary name that another writer already holds raises FileExistsError,
+    and that file is left to it."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}-{os.path.basename(path)}")
-    # Mode 0o666 under the process umask: the mode open() would give a new file.
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with (os.fdopen(fd, "wb") if binary
-              else os.fdopen(fd, "w", encoding="utf-8", newline="\n")) as handle:
-            yield handle
+        with open(tmp, "xb") as handle:
+            for part in parts:
+                if digest is not None:
+                    digest.update(part)
+                handle.write(part)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        # A FileExistsError naming tmp is the create's own: that file is another writer's.
+        taken = isinstance(exc, FileExistsError) and exc.filename == tmp
+        if not taken and os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    with _atomic_open(path, binary=False) as handle:
-        handle.write(text)
-
-
-def atomic_write_bytes(path: str, parts: Iterable) -> None:
-    """Atomically write the concatenation of bytes-like parts (C-contiguous
-    arrays too), each written as it is taken from ``parts``, so a generator's
-    parts are never all held at once; an error it raises leaves no file."""
-    with _atomic_open(path, binary=True) as handle:
-        for part in parts:
-            handle.write(part)
 
 
 def parse_json(data: str | bytes, where: str, error: type[AiblobError] = ParseError) -> Any:
@@ -113,7 +109,8 @@ def load_json(path: str) -> Any:
 
 def write_json(path: str, obj: Any) -> None:
     """Atomically write one JSON document, indented, keys in insertion order."""
-    atomic_write_text(path, json.dumps(obj, ensure_ascii=False, indent=2) + "\n")
+    text = json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+    atomic_write_bytes(path, [text.encode("utf-8")])
 
 
 def parse_json_line(line: str, path: str, lineno: int) -> dict:
@@ -366,15 +363,10 @@ def write_columns(path: str, header: dict[str, Any], cls, columns: Sequence[Iter
                   digest=None) -> None:
     """Atomically write a JSON-lines record file from columns, the inverse of
     RecordFile.columns: the header line, then the record lines of
-    format_lines(cls, columns). A ``digest`` (a hashlib object) is updated with
-    every byte written, as it is written.
+    format_lines(cls, columns), through atomic_write_bytes with ``digest``.
     """
-    with _atomic_open(path, binary=True) as handle:
-        for text in chain([dumps_line(header) + "\n"], format_lines(cls, columns)):
-            data = text.encode("utf-8")
-            if digest is not None:
-                digest.update(data)
-            handle.write(data)
+    lines = chain([dumps_line(header) + "\n"], format_lines(cls, columns))
+    atomic_write_bytes(path, (text.encode("utf-8") for text in lines), digest)
 
 
 def format_lines(cls, columns: Sequence[Iterable]) -> Iterator[str]:

@@ -17,7 +17,7 @@ from typing import Any, Iterable, Iterator
 from aiblob.errors import AiblobError, ParseError, StoreError, ValidationError
 from aiblob.ingest import CORPUS_FORMAT, CORPUS_VERSION, Sentence
 from aiblob.store import META_KEYS, STORE_FORMAT, STORE_VERSION, VectorRecord
-from aiblob.util import _atomic_open, check_header, dumps_line, from_json, parse_json_line
+from aiblob.util import check_header, dumps_line, from_json, parse_json_line
 
 _meta_values = operator.attrgetter(*META_KEYS)
 
@@ -92,8 +92,8 @@ def oracle_store_rows(meta_path: str) -> list[tuple]:
 
 
 def oracle_write_jsonl(path: str, header: dict[str, Any], rows: Iterable[dict[str, Any]]) -> None:
-    """Atomically write a header line, then one JSON line per row, streamed."""
-    with _atomic_open(path, binary=False) as handle:
+    """Write a header line, then one JSON line per row, streamed."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(dumps_line(header) + "\n")
         for row in rows:
             handle.write(dumps_line(row) + "\n")

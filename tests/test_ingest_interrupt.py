@@ -1,7 +1,7 @@
 """An interrupted `aiblob ingest` ends with one error line and exit code 128 +
 the signal number, and leaves no process, no temporary file and no partial
-corpus: Ctrl-C (SIGINT to the process group) and SIGTERM to the command alone,
-on the worker-process path and in process.
+corpus: Ctrl-C (SIGINT to the process group), SIGTERM to the command alone
+and SIGTERM to the process group, on the worker-process path and in process.
 
 Each run is a fresh interpreter in a process group of its own. Its
 segment_file first writes a ready file, then holds its transcript until the
@@ -68,6 +68,12 @@ def terminate(pid: int) -> None:
     os.kill(pid, signal.SIGTERM)
 
 
+def terminate_group(pid: int) -> None:
+    """SIGTERM to the whole process group, as a service manager's stop sends it:
+    the workers die of it while the command handles its own."""
+    os.killpg(pid, signal.SIGTERM)
+
+
 def mid_run(gate, pid: int) -> bool:
     """A worker, or the command in process, holds a transcript."""
     return any(name.startswith("ready-") for name in os.listdir(gate))
@@ -125,6 +131,8 @@ def interrupted_ingest(tmp_path, floor: int, when, send, run: int) -> tuple[dict
 @pytest.mark.parametrize("floor,repeats,when,send,signum", [
     pytest.param(0, REPEATS, mid_run, ctrl_c, signal.SIGINT, id="pool-ctrl-c", marks=POOL),
     pytest.param(0, REPEATS, mid_run, terminate, signal.SIGTERM, id="pool-sigterm", marks=POOL),
+    pytest.param(0, REPEATS, mid_run, terminate_group, signal.SIGTERM, id="pool-sigterm-group",
+                 marks=POOL),
     # Interrupts are held back while the workers are forked: one that lands
     # in a worker before it ignores SIGINT would end that worker.
     pytest.param(0, REPEATS, forking, ctrl_c, signal.SIGINT, id="pool-ctrl-c-at-fork",

@@ -1,5 +1,5 @@
-"""Shared helpers: the atomic writers, the column writer, the record builder, the
-provider retry loop and the numpy handle."""
+"""Shared helpers: the one atomic writer and those that call it, the column
+writer, the record builder, the provider retry loop and the numpy handle."""
 
 import os
 import stat
@@ -11,8 +11,8 @@ from aiblob.errors import ConfigError, ParseError, ProviderError, StoreError
 from aiblob.ingest import Sentence
 from aiblob.montage import RenderSettings
 from aiblob.store import VectorRecord
-from aiblob.util import (_WRITE_BLOCK_LINES, check_keys, from_json, np, record_columns, retry,
-                         write_columns, write_json)
+from aiblob.util import (_WRITE_BLOCK_LINES, atomic_write_bytes, check_keys, from_json, np,
+                         record_columns, retry, write_columns, write_json)
 
 
 def sentence_columns(*sentences):
@@ -38,25 +38,92 @@ def test_empty_columns_write_the_header_line_alone(tmp_path):
     assert path.read_bytes() == b'{"format":"f","version":1}\n'
 
 
+class _Unencodable(dict):
+    """A JSON object whose encoding raises ``error``."""
+
+    def __init__(self, error: BaseException):
+        super().__init__(a=1)
+        self.error = error
+
+    def items(self):
+        raise self.error
+
+
+def _sentence_ids(rows: int, error: BaseException | None):
+    """An id column that raises ``error``, if given, after a whole block of ids."""
+    yield from (f"s{i}" for i in range(_WRITE_BLOCK_LINES))
+    if error is not None:
+        raise error
+    yield from (f"s{i}" for i in range(_WRITE_BLOCK_LINES, rows))
+
+
+def _columns_writer(path: str, error: BaseException | None) -> None:
+    rows = _WRITE_BLOCK_LINES + 1
+    columns = [_sentence_ids(rows, error), ["v"] * rows, range(rows), ["t"] * rows,
+               [0.0] * rows, [1.0] * rows]
+    write_columns(path, {"format": "f"}, Sentence, columns)
+
+
+def _json_writer(path: str, error: BaseException | None) -> None:
+    write_json(path, {"a": 1} if error is None else _Unencodable(error))
+
+
+def _bytes_writer(path: str, error: BaseException | None) -> None:
+    def parts():
+        yield b"x" * 4096
+        if error is not None:
+            raise error
+        yield b"\n"
+
+    atomic_write_bytes(path, parts())
+
+
+# Each writer of the program's files, called with the error that one of its
+# parts raises (None for a good write): the column source, the object being
+# encoded, or the parts' generator.
+WRITERS = [pytest.param(_columns_writer, id="write_columns"),
+           pytest.param(_json_writer, id="write_json"),
+           pytest.param(_bytes_writer, id="atomic_write_bytes")]
+
+
+@pytest.mark.parametrize("failure", ["part-error", "part-interrupt", "replace-interrupt"])
+@pytest.mark.parametrize("writer", WRITERS)
 @pytest.mark.parametrize("old", ["old\n", None], ids=["old-file", "no-file"])
-def test_failure_mid_stream_keeps_the_old_file(tmp_path, old):
-    """A column that fails after a whole block of lines was written leaves the
-    file as it was, or no file, and no temp file."""
+def test_failure_mid_stream_keeps_the_old_file(tmp_path, monkeypatch, old, writer, failure):
+    """An error or a KeyboardInterrupt raised by a part, or by the rename of
+    the written temporary file, leaves the file as it was, or no file, and no
+    temporary file."""
     path = tmp_path / "out.jsonl"
     if old is not None:
         path.write_text(old, encoding="utf-8")
-    rows = _WRITE_BLOCK_LINES + 1
+    error = {"part-error": RuntimeError("part failed"),
+             "part-interrupt": KeyboardInterrupt()}.get(failure)
+    renamed = []
+    if failure == "replace-interrupt":
+        def interrupted(src, dst):
+            renamed.append(os.path.exists(src))
+            raise KeyboardInterrupt
 
-    def ids():
-        yield from (f"s{i}" for i in range(_WRITE_BLOCK_LINES))
-        raise RuntimeError("column source failed")
-
-    columns = [ids(), ["v"] * rows, range(rows), ["t"] * rows, [0.0] * rows, [1.0] * rows]
-    with pytest.raises(RuntimeError):
-        write_columns(str(path), {"format": "f"}, Sentence, columns)
+        monkeypatch.setattr("aiblob.util.os.replace", interrupted)
+    with pytest.raises(RuntimeError if failure == "part-error" else KeyboardInterrupt):
+        writer(str(path), error)
+    assert renamed == ([True] if failure == "replace-interrupt" else [])
     assert os.listdir(tmp_path) == ([] if old is None else ["out.jsonl"])
     if old is not None:
         assert path.read_text(encoding="utf-8") == old
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_a_taken_temporary_name_is_left_to_its_writer(tmp_path, monkeypatch, writer):
+    """A temporary name that is already taken raises FileExistsError, and the
+    file that holds it stays as it was."""
+    monkeypatch.setattr("aiblob.util.os.urandom", bytes)
+    taken = tmp_path / f".tmp-{bytes(6).hex()}-out.jsonl"
+    taken.write_bytes(b"another writer's\n")
+    with pytest.raises(FileExistsError):
+        writer(str(tmp_path / "out.jsonl"), None)
+    assert os.listdir(tmp_path) == [taken.name]
+    assert taken.read_bytes() == b"another writer's\n"
 
 
 @pytest.mark.parametrize("short", [0, 3, _WRITE_BLOCK_LINES, _WRITE_BLOCK_LINES + 1])
@@ -80,12 +147,13 @@ def test_wrong_number_of_columns_raises(tmp_path, count):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("writer", WRITERS)
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
-def test_written_file_mode_follows_the_umask(tmp_path, umask, mode):
+def test_written_file_mode_follows_the_umask(tmp_path, umask, mode, writer):
     path = tmp_path / "out.jsonl"
     old = os.umask(umask)
     try:
-        write_columns(str(path), {"format": "f"}, Sentence, sentence_columns())
+        writer(str(path), None)
     finally:
         os.umask(old)
     assert stat.S_IMODE(path.stat().st_mode) == mode
