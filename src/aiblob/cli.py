@@ -359,6 +359,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    """The console script and ``python -m aiblob.cli``: ``main``, with stdout
+    writing a path argument that is not valid UTF-8 as the bytes it was given
+    (an in-process caller of ``main`` keeps its own stdout)."""
+    sys.stdout.reconfigure(errors="surrogateescape")
     raise SystemExit(main())
 
 

@@ -181,7 +181,8 @@ def make_embedder(spec: str, base_url: str | None = None, model: str | None = No
     """Build a provider from a selection string: "remote" or "deterministic:<dim>"."""
     if spec == "remote":
         if not base_url or not model:
-            raise ConfigError("remote embedder needs base_url and model configured")
+            raise ConfigError("remote embedder needs providers.embed_base_url and "
+                              "providers.embed_model configured")
         return RemoteEmbedder(base_url, model)
     if spec.startswith("deterministic:"):
         try:

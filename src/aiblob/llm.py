@@ -1,7 +1,10 @@
 """LLM orchestration: theme ideation, query phrasing, dual scoring, ordering.
 
 Every generative step goes through a provider implementing
-``complete(op, payload) -> dict``. Two providers ship here:
+``complete(op, payload) -> dict``. The one contract of a provider is that
+``complete`` returns a JSON object or raises ProviderError; each provider
+checks its reply's type itself, so the orchestrator only reads its keys. Two
+providers ship here:
 
 * RemoteChatProvider — a chat-completions style HTTPS endpoint whose reply
   content must be a machine-parseable JSON object (free text is malformed).
@@ -10,8 +13,10 @@ Every generative step goes through a provider implementing
 
 The orchestrator validates everything a model returns: themes and queries are
 deduplicated, scores rounded and clamped, orderings checked to be true
-permutations with a deterministic fallback. A misbehaving model can therefore
-degrade an episode (with warnings) but never corrupt or abort it mid-plan.
+permutations (order_section returns None, with a warning, when no reply is
+one, and narrative.order_sections applies its deterministic rule instead). A
+misbehaving model can therefore degrade an episode (with warnings) but never
+corrupt or abort it mid-plan.
 """
 
 from __future__ import annotations
@@ -170,7 +175,8 @@ def make_llm_provider(spec: str, base_url: str | None = None, model: str | None 
     """Build a provider from a selection string: "remote" or "scripted:<file>"."""
     if spec == "remote":
         if not base_url or not model:
-            raise ValidationError("remote LLM provider needs base_url and model configured")
+            raise ValidationError("remote LLM provider needs providers.llm_base_url and "
+                                  "providers.llm_model configured")
         return RemoteChatProvider(base_url, model)
     if spec.startswith("scripted:"):
         return ScriptedProvider(spec.split(":", 1)[1])
@@ -340,17 +346,12 @@ class Orchestrator:
         section_name: str,
         members: Sequence[ScoredSentence],
         texts: Mapping[str, str],
-        fallback: Callable[[Sequence[ScoredSentence]], list[str]],
-    ) -> list[str]:
-        """Ask the provider to order a section; any invalid answer falls back.
-
-        The result is always a true permutation of the member ids. Ordering
-        never raises past this method: after retries, the deterministic
-        fallback is used and a warning recorded. Expects a non-empty ``members``.
-        """
+    ) -> list[str] | None:
+        """Ask the provider to order a section: the first reply that is a true
+        permutation of the member ids, or None, with a warning, when retries + 1
+        attempts give none. Ordering never raises past this method; the caller
+        decides what a section without a model order gets."""
         member_ids = [m.sentence_id for m in members]
-        if len(members) == 1:
-            return list(member_ids)
         payload = {
             "section": section_name,
             "sentences": [
@@ -366,7 +367,7 @@ class Orchestrator:
         expected = set(member_ids)
 
         def permutation(response: dict) -> list[str]:
-            order = response.get("order") if isinstance(response, dict) else None
+            order = response.get("order")
             if not (
                 isinstance(order, list)
                 and len(order) == len(member_ids)
@@ -381,7 +382,7 @@ class Orchestrator:
         except ProviderError:
             self.warnings.append(
                 f"ordering fallback for section {section_name!r}: no valid permutation")
-            return fallback(members)
+            return None
 
     # -- internals ------------------------------------------------------
 
@@ -391,7 +392,7 @@ class Orchestrator:
 
 
 def _string_list(response: dict, key: str) -> list[str]:
-    items = response.get(key) if isinstance(response, dict) else None
+    items = response.get(key)
     if not isinstance(items, list) or not all(isinstance(x, str) and is_utf8(x) for x in items):
         raise ProviderError(
             f"malformed response: {key!r} must be a list of strings without lone surrogates")
@@ -399,14 +400,14 @@ def _string_list(response: dict, key: str) -> list[str]:
 
 
 def _query_entries(response: dict) -> list[dict]:
-    entries = response.get("queries") if isinstance(response, dict) else None
+    entries = response.get("queries")
     if not isinstance(entries, list) or not all(isinstance(x, dict) for x in entries):
         raise ProviderError("malformed response: 'queries' must be a list of objects")
     return entries
 
 
 def _score_entries(response: dict) -> dict[str, tuple[int, int, str]]:
-    entries = response.get("scores") if isinstance(response, dict) else None
+    entries = response.get("scores")
     if not isinstance(entries, list):
         raise ProviderError("malformed response: 'scores' must be a list")
     out: dict[str, tuple[int, int, str]] = {}

@@ -5,7 +5,8 @@ VectorStore.retrieve, which excludes each query's hits from the queries after
 it), OR-rule threshold filtering, quota-based assignment of retained sentences
 into the four montage sections, and in-section ordering. Identical inputs always give
 identical plans; the only nondeterministic path is the optional LLM ordering
-strategy, and even that falls back deterministically.
+strategy, and a section the model gives no permutation for gets its
+deterministic rule.
 
 Section semantics:
 
@@ -272,26 +273,26 @@ def order_sections(
     orchestrator=None,
     texts: Mapping[str, str] | None = None,
 ) -> NarrativePlan:
-    """Order each section, deterministically or via the LLM with fallback.
+    """Order each section by its rule in DETERMINISTIC_SECTION_RULES or, when
+    ``config.ordering`` is "llm", by the model's permutation from
+    ``orchestrator.order_section``. Only a section of two or more members is
+    sent to the model, since an empty or one-member section has one order; a
+    section the model gives no permutation for gets its rule.
 
     Every planned id must be a key of ``scored``, as it is for a plan that
     segment_narrative built from those scores.
     """
+    ask = config.ordering == "llm"
+    if ask and orchestrator is None:
+        raise ConfigError("llm ordering strategy requires an orchestrator")
     texts = texts or {}
     ordered_sections: dict[str, list[str]] = {}
     for name in SECTION_ORDER:
-        ids = plan.sections.get(name, [])
-        if not ids:
-            ordered_sections[name] = []
-            continue
-        members = [scored[sid] for sid in ids]
-        rule = DETERMINISTIC_SECTION_RULES[name]
-        if config.ordering == "llm":
-            if orchestrator is None:
-                raise ConfigError("llm ordering strategy requires an orchestrator")
-            ordered_sections[name] = orchestrator.order_section(name, members, texts, rule)
-        else:
-            ordered_sections[name] = rule(members)
+        members = [scored[sid] for sid in plan.sections.get(name, [])]
+        order = None
+        if ask and len(members) > 1:
+            order = orchestrator.order_section(name, members, texts)
+        ordered_sections[name] = order or DETERMINISTIC_SECTION_RULES[name](members)
     return NarrativePlan(plan.episode_title, ordered_sections)
 
 

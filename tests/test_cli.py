@@ -4,6 +4,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -16,7 +18,7 @@ from aiblob.llm import Candidate
 from aiblob.narrative import PipelineConfig
 from aiblob.store import VectorStore
 from conftest import (INT_LIMIT, OVERLONG, build_replay_file, fixture_sentences, forge_digest,
-                      needs_int_limit, run_python, write_fixture_transcripts)
+                      needs_int_limit, python_env, run_python, write_fixture_transcripts)
 
 
 @pytest.fixture()
@@ -160,6 +162,15 @@ class TestIndex:
         assert capsys.readouterr().err == (
             f"error: {corpus} holds no sentences; nothing to index\n")
         assert not (tmp_path / "store").exists()
+
+    def test_remote_embedder_without_its_settings_fails(self, workspace, capsys):
+        store = workspace / "remote-store"
+        assert main(["index", "--corpus", str(workspace / "corpus.jsonl"),
+                     "--store", str(store), "--embedder", "remote"]) == 1
+        assert capsys.readouterr().err == (
+            "error: remote embedder needs providers.embed_base_url and "
+            "providers.embed_model configured\n")
+        assert not store.exists()
 
 
 class TestStats:
@@ -622,6 +633,20 @@ class TestCompose:
         assert code == 1
         assert "no LLM provider" in capsys.readouterr().err
 
+    def test_remote_llm_without_its_settings_fails_before_the_workspace_is_cleared(
+            self, workspace, capsys):
+        code, out = self.compose(workspace)
+        assert code == 0
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        capsys.readouterr()
+        assert main(["compose", "--store", str(workspace / "store"), "--title", "La politica",
+                     "--config", str(workspace / "config.json"), "--out", str(out),
+                     "--llm", "remote"]) == 1
+        assert capsys.readouterr().err == (
+            "error: remote LLM provider needs providers.llm_base_url and "
+            "providers.llm_model configured\n")
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
     def test_llm_spec_from_config_file(self, workspace):
         config = json.loads((workspace / "config.json").read_text())
         config["providers"]["llm"] = f"scripted:{workspace / 'replay.jsonl'}"
@@ -910,6 +935,37 @@ class TestLoneSurrogate:
                 "--llm", f"scripted:{workspace / 'replay.jsonl'}", flag, "media/\udcff"]
         self.fails_cleanly(capsys, argv, message)
         assert not (workspace / "ep" / "edl.json").exists()
+
+
+class TestNonUtf8Path:
+    """The console script prints a path argument that is not valid UTF-8 as
+    the bytes it was given, under a strict UTF-8 stdout too."""
+
+    @staticmethod
+    def reported(*argv):
+        """The stdout of ``python -m aiblob.cli *argv``, argv as bytes, run with a
+        strict UTF-8 stdout; it must exit 0 without a traceback."""
+        result = subprocess.run([sys.executable, "-m", "aiblob.cli", *argv], capture_output=True,
+                                env={**python_env(), "PYTHONIOENCODING": "utf-8"}, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert b"Traceback" not in result.stderr
+        return result.stdout
+
+    def test_ingest(self, tmp_path):
+        write_fixture_transcripts(tmp_path / "transcripts")
+        out = os.fsencode(tmp_path) + b"/c\xff.jsonl"
+        stdout = self.reported(b"ingest", b"--transcripts", os.fsencode(tmp_path / "transcripts"),
+                               b"--out", out)
+        assert stdout.endswith(b" to " + out + b"\n")
+        assert os.path.exists(out)
+
+    def test_render_dry_run(self, workspace, capsys):
+        code, episode = TestCompose().compose(workspace)
+        assert code == 0
+        out = os.fsencode(workspace) + b"/m\xff.mp4"
+        stdout = self.reported(b"render", b"--edl", os.fsencode(episode / "edl.json"),
+                               b"--out", out, b"--dry-run")
+        assert out in stdout
 
 
 class TestUsage:

@@ -417,8 +417,10 @@ SCORES = {"scores": [{"id": "a1", "irony": 7, "relevance": 5, "rationale": "r"},
                      {"id": "b2", "irony": 2.5, "relevance": 11}]}
 
 
+# A reply reaches _score_entries only from a provider's complete, which
+# returns a JSON object or raises.
 @FUZZ
-@given(mutated(SCORES))
+@given(mutated(SCORES).filter(lambda response: isinstance(response, dict)))
 def test_score_entries(response):
     try:
         entries = _score_entries(response)

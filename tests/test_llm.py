@@ -75,6 +75,15 @@ class TestScriptedProvider:
         with pytest.raises(ParseError, match="unknown op"):
             ScriptedProvider(str(path))
 
+    @pytest.mark.parametrize("response", [["a"], "testo", 3, None])
+    def test_response_that_is_not_an_object(self, tmp_path, response):
+        path = tmp_path / "replay.jsonl"
+        write_replay(path, [{"op": "themes", "response": {"themes": ["a"]}},
+                            {"op": "order", "response": response}])
+        with pytest.raises(ParseError,
+                           match=r"replay\.jsonl:2: response must be an object"):
+            ScriptedProvider(str(path))
+
     def test_bad_line_reports_position(self, tmp_path):
         path = tmp_path / "replay.jsonl"
         path.write_text('{"op": "themes", "response": {}}\nnot json\n', encoding="utf-8")
@@ -393,44 +402,32 @@ class TestOrderSection:
     def members(self, ids):
         return [ScoredSentence(sid, 5, 5) for sid in ids]
 
-    def fallback(self, members):
-        return sorted(m.sentence_id for m in members)
-
     def test_valid_permutation_passthrough(self):
         provider = QueueProvider(order=[{"order": ["s3", "s1", "s2"]}])
         orch = Orchestrator(provider)
-        result = orch.order_section("climax", self.members(["s1", "s2", "s3"]),
-                                    {}, self.fallback)
+        result = orch.order_section("climax", self.members(["s1", "s2", "s3"]), {})
         assert result == ["s3", "s1", "s2"]
         assert orch.warnings == []
 
     def test_duplicate_ids_fall_back(self):
         provider = QueueProvider(order=[{"order": ["s1", "s1", "s2"]}] * 4)
         orch = Orchestrator(provider, retries=3)
-        result = orch.order_section("climax", self.members(["s1", "s2", "s3"]),
-                                    {}, self.fallback)
-        assert result == ["s1", "s2", "s3"]
-        assert any("fallback" in w for w in orch.warnings)
-
-    def test_singleton_skips_provider(self):
-        provider = QueueProvider()  # any call would raise
-        result = Orchestrator(provider).order_section(
-            "conclusion", self.members(["solo"]), {}, self.fallback)
-        assert result == ["solo"]
-        assert provider.calls == []
+        assert orch.order_section("climax", self.members(["s1", "s2", "s3"]), {}) is None
+        assert len(provider.calls) == 4
+        assert orch.warnings == [
+            "ordering fallback for section 'climax': no valid permutation"]
 
     def test_provider_errors_fall_back(self):
         orch = Orchestrator(QueueProvider(order=[]), retries=2)
-        result = orch.order_section("build_up", self.members(["s2", "s1"]),
-                                    {}, self.fallback)
-        assert result == ["s1", "s2"]
-        assert any("fallback" in w for w in orch.warnings)
+        assert orch.order_section("build_up", self.members(["s2", "s1"]), {}) is None
+        assert orch.warnings == [
+            "ordering fallback for section 'build_up': no valid permutation"]
 
     def test_payload_carries_texts_and_scores(self):
         provider = QueueProvider(order=[{"order": ["s1", "s2"]}])
         orch = Orchestrator(provider)
         orch.order_section("climax", self.members(["s1", "s2"]),
-                           {"s1": "primo", "s2": "secondo"}, self.fallback)
+                           {"s1": "primo", "s2": "secondo"})
         sentences = provider.calls[0][1]["sentences"]
         assert sentences[0] == {"id": "s1", "text": "primo", "irony": 5, "relevance": 5}
 
@@ -440,12 +437,17 @@ class TestOrderSection:
     )
     @settings(max_examples=80, deadline=None)
     def test_result_is_always_a_true_permutation(self, n, reply):
-        """Whatever the provider answers, the output permutes the input ids."""
+        """Whatever the provider answers, the output permutes the input ids, or
+        is None with one warning."""
         ids = [f"s{i}" for i in range(n)]
         provider = QueueProvider(order=[{"order": reply}] * 4)
         orch = Orchestrator(provider, retries=3)
-        result = orch.order_section("climax", self.members(ids), {}, self.fallback)
-        assert sorted(result) == sorted(ids)
+        result = orch.order_section("climax", self.members(ids), {})
+        if result is None:
+            assert len(orch.warnings) == 1
+        else:
+            assert sorted(result) == sorted(ids)
+            assert orch.warnings == []
 
 
 class TestRemoteChatProvider:

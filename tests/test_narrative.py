@@ -373,29 +373,33 @@ class TestOrderSections:
         assert ordered.sections["climax"] == ["a", "b"]
         assert provider.calls[0][1]["section"] == "climax"
 
-    def test_llm_strategy_falls_back_deterministically(self):
-        rows = scored([("a", 1, 1), ("b", 9, 9)])
-        plan = self.make_plan({"introduction": [], "build_up": [], "climax": ["a", "b"],
+    @pytest.mark.parametrize("replies", [[], [{"order": ["a", "a"]}, {"order": ["a"]}]],
+                             ids=["no-reply", "unusable-reply"])
+    def test_llm_strategy_falls_back_deterministically(self, replies):
+        rows = scored([("a", 1, 1), ("b", 9, 9), ("c", 5, 5)])
+        plan = self.make_plan({"introduction": [], "build_up": [], "climax": ["a", "b", "c"],
                                "conclusion": []})
-        orch = Orchestrator(QueueProvider(order=[]), retries=0)
-        config = PipelineConfig(ordering="llm")
-        ordered = order_sections(plan, {s.sentence_id: s for s in rows}, config,
-                                 orchestrator=orch)
-        assert ordered.sections["climax"] == ["b", "a"]  # contrast rule
-        assert any("fallback" in w for w in orch.warnings)
+        provider = QueueProvider(order=replies)
+        orch = Orchestrator(provider, retries=1)
+        ordered = order_sections(plan, {s.sentence_id: s for s in rows},
+                                 PipelineConfig(ordering="llm"), orchestrator=orch)
+        assert ordered.sections["climax"] == ["b", "a", "c"]  # contrast rule
+        assert len(provider.calls) == 2
+        assert orch.warnings == ["ordering fallback for section 'climax': no valid permutation"]
 
-    # order_section and contrast_interleave take only non-empty sections.
-    def test_llm_strategy_asks_only_for_non_empty_sections(self):
-        rows = scored([("a", 1, 1), ("b", 9, 9), ("c", 2, 2), ("d", 8, 8)])
-        plan = self.make_plan({"introduction": [], "build_up": ["a", "b"],
+    # An empty or one-member section has one order and is never sent.
+    def test_llm_strategy_asks_only_for_sections_of_two_or_more(self):
+        rows = scored([("a", 1, 1), ("b", 9, 9), ("c", 2, 2), ("d", 8, 8), ("e", 5, 5)])
+        plan = self.make_plan({"introduction": ["e"], "build_up": ["a", "b"],
                                "climax": ["c", "d"], "conclusion": []})
         provider = QueueProvider(order=[{"order": ["b", "a"]}, {"order": ["d", "c"]}])
+        orch = Orchestrator(provider)
         ordered = order_sections(plan, {s.sentence_id: s for s in rows},
-                                 PipelineConfig(ordering="llm"),
-                                 orchestrator=Orchestrator(provider))
+                                 PipelineConfig(ordering="llm"), orchestrator=orch)
         assert [payload["section"] for _, payload in provider.calls] == ["build_up", "climax"]
-        assert ordered.sections == {"introduction": [], "build_up": ["b", "a"],
+        assert ordered.sections == {"introduction": ["e"], "build_up": ["b", "a"],
                                     "climax": ["d", "c"], "conclusion": []}
+        assert orch.warnings == []
 
     # A plan that segment_narrative built holds only scored ids, so each
     # ordered section is a permutation of the segmented one.
