@@ -216,7 +216,7 @@ def cmd_compose(args) -> int:
                           f"but the config names {embedder.spec!r}")
     llm_spec = args.llm or config.providers.llm
     if not llm_spec:
-        raise ValidationError("no LLM provider: pass --llm or set providers.llm in the config")
+        raise ConfigError("no LLM provider: pass --llm or set providers.llm in the config")
     provider = make_llm_provider(
         llm_spec,
         base_url=config.providers.llm_base_url,
@@ -232,40 +232,43 @@ def cmd_compose(args) -> int:
         except FileNotFoundError:
             pass
 
-    themes = orch.generate_themes(args.title, pipeline.themes)
-    queries = orch.generate_queries(themes, pipeline.phrases_per_theme, episode_title=args.title)
-    write_columns(os.path.join(args.out, QUERIES_FILE),
-                  {"format": "aiblob-queries", "version": 1, "episode_title": args.title,
-                   "themes": themes},
-                  QueryPhrase, record_columns(QueryPhrase, queries))
+    # The warnings explain a failed run too, so they come before its error line.
+    try:
+        themes = orch.generate_themes(args.title, pipeline.themes)
+        queries = orch.generate_queries(themes, pipeline.phrases_per_theme,
+                                        episode_title=args.title)
+        write_columns(os.path.join(args.out, QUERIES_FILE),
+                      {"format": "aiblob-queries", "version": 1, "episode_title": args.title,
+                       "themes": themes},
+                      QueryPhrase, record_columns(QueryPhrase, queries))
 
-    candidates = retrieve_candidates(queries, store, embedder, pipeline)
-    write_columns(os.path.join(args.out, CANDIDATES_FILE),
-                  {"format": "aiblob-candidates", "version": 1}, Candidate,
-                  record_columns(Candidate, candidates))
-    if not candidates:
-        raise PlanError("retrieval returned no candidates; is the store empty?")
+        candidates = retrieve_candidates(queries, store, embedder, pipeline)
+        write_columns(os.path.join(args.out, CANDIDATES_FILE),
+                      {"format": "aiblob-candidates", "version": 1}, Candidate,
+                      record_columns(Candidate, candidates))
+        if not candidates:
+            raise PlanError("retrieval returned no candidates; is the store empty?")
 
-    scored = orch.score_batch(candidates, args.title, themes,
-                              batch_size=config.providers.score_batch_size)
-    write_columns(os.path.join(args.out, SCORES_FILE),
-                  {"format": "aiblob-scores", "version": 1}, ScoredSentence,
-                  record_columns(ScoredSentence, scored))
+        scored = orch.score_batch(candidates, args.title, themes,
+                                  batch_size=config.providers.score_batch_size)
+        write_columns(os.path.join(args.out, SCORES_FILE),
+                      {"format": "aiblob-scores", "version": 1}, ScoredSentence,
+                      record_columns(ScoredSentence, scored))
 
-    retained = filter_retained(scored, pipeline.irony_threshold, pipeline.relevance_threshold)
-    plan = segment_narrative(retained, pipeline, episode_title=args.title)
-    scored_by_id = {s.sentence_id: s for s in scored}
-    texts_by_id = {c.sentence_id: c.text for c in candidates}
-    plan = order_sections(plan, scored_by_id, pipeline, orchestrator=orch, texts=texts_by_id)
-    save_plan(plan, scored_by_id, os.path.join(args.out, PLAN_FILE))
+        retained = filter_retained(scored, pipeline.irony_threshold, pipeline.relevance_threshold)
+        plan = segment_narrative(retained, pipeline, episode_title=args.title)
+        scored_by_id = {s.sentence_id: s for s in scored}
+        texts_by_id = {c.sentence_id: c.text for c in candidates}
+        plan = order_sections(plan, scored_by_id, pipeline, orchestrator=orch, texts=texts_by_id)
+        save_plan(plan, scored_by_id, os.path.join(args.out, PLAN_FILE))
 
-    intro = args.intro or config.media.intro_uri
-    edl = build_edl(plan, candidates, config.render, config.media.source_uri_for,
-                    intro_source=intro)
-    save_edl(edl, os.path.join(args.out, EDL_FILE))
-
-    for warning in orch.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+        intro = args.intro or config.media.intro_uri
+        edl = build_edl(plan, candidates, config.render, config.media.source_uri_for,
+                        intro_source=intro)
+        save_edl(edl, os.path.join(args.out, EDL_FILE))
+    finally:
+        for warning in orch.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
     sizes = ", ".join(f"{name}={len(plan.sections[name])}" for name in plan.sections)
     print(f"composed episode {args.title!r}: {len(retained)} retained ({sizes}) -> {args.out}")
     return 0

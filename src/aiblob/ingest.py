@@ -239,10 +239,9 @@ def segment_file(path: str,
 
 
 def corpus_lines(sentences: Sequence[Sentence]) -> tuple[int, bytes]:
-    """The number of ``sentences`` and their corpus record lines, encoded as
-    UTF-8: the bytes export_corpus writes for them (util.format_lines)."""
-    text = "".join(format_lines(Sentence, record_columns(Sentence, sentences)))
-    return len(sentences), text.encode("utf-8")
+    """The number of ``sentences`` and their corpus record lines: the UTF-8
+    blocks of util.format_lines joined, the bytes export_corpus writes for them."""
+    return len(sentences), b"".join(format_lines(Sentence, record_columns(Sentence, sentences)))
 
 
 def export_corpus(files: Iterable[tuple[int, bytes]], path: str) -> int:

@@ -27,9 +27,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .errors import ParseError, ProviderError, ValidationError
+from .errors import ConfigError, ParseError, ProviderError, ValidationError
 from .util import (DEFAULT_RETRIES, JsonLines, check_url, is_finite_number, is_int, is_utf8,
-                   parse_json, post_json, retry, round_half_away)
+                   parse_json, post_json, retry, round_half_away, shown)
 
 LLM_API_KEY_ENV = "AIBLOB_LLM_API_KEY"
 
@@ -175,12 +175,12 @@ def make_llm_provider(spec: str, base_url: str | None = None, model: str | None 
     """Build a provider from a selection string: "remote" or "scripted:<file>"."""
     if spec == "remote":
         if not base_url or not model:
-            raise ValidationError("remote LLM provider needs providers.llm_base_url and "
-                                  "providers.llm_model configured")
+            raise ConfigError("remote LLM provider needs providers.llm_base_url and "
+                              "providers.llm_model configured")
         return RemoteChatProvider(base_url, model)
     if spec.startswith("scripted:"):
         return ScriptedProvider(spec.split(":", 1)[1])
-    raise ValidationError(f"unknown LLM provider spec {spec!r} (use 'remote' or 'scripted:<file>')")
+    raise ConfigError(f"unknown LLM provider spec {spec!r} (use 'remote' or 'scripted:<file>')")
 
 
 def clamp_score(value: float) -> int:
@@ -334,7 +334,7 @@ class Orchestrator:
                     irony, relevance, rationale = scored[sid]
                 else:
                     irony, relevance, rationale = SCORE_MIN, SCORE_MIN, ""
-                    self.warnings.append(f"no score returned for {sid}; defaulted to 1/1")
+                    self.warnings.append(f"no score returned for {shown(sid)}; defaulted to 1/1")
                 results.append(ScoredSentence(sid, irony, relevance, rationale,
                                               candidate.source_query_index))
         return results

@@ -78,15 +78,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 import os
 import struct
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigError, StoreError, ValidationError
-from .util import (RecordFile, atomic_write_bytes, check_field_types, is_int, is_utf8, np, shown,
-                   write_columns)
+from .util import (RecordFile, atomic_write_bytes, check_field_types, is_int, is_utf8, np,
+                   record_columns, shown, write_columns)
 
 STORE_FORMAT = "aiblob-store"
 STORE_VERSION = 2
@@ -243,7 +242,7 @@ class VectorStore:
                     f"{self.dim}")
             matrix[i] = arr
             check_field_types(rec, ValidationError, f"record {shown(rec.sentence_id)}")
-        return matrix, [list(map(operator.attrgetter(key), records)) for key in META_KEYS]
+        return matrix, record_columns(VectorRecord, records)
 
     def _decode(self, rows: Iterable[int]) -> None:
         """Map ``rows`` by their ids; in a loaded store, decode first those of

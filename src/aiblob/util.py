@@ -16,7 +16,7 @@ import operator
 import os
 import sys
 import time
-from itertools import chain, islice, zip_longest
+from itertools import chain
 from json.encoder import encode_basestring
 from typing import Any, Callable, Collection, Container, Iterable, Iterator, Sequence
 
@@ -359,29 +359,30 @@ _WRITE_BLOCK_LINES = 1024
 _ENCODERS = {str: encode_basestring, int: int.__repr__, float: float.__repr__}
 
 
-def write_columns(path: str, header: dict[str, Any], cls, columns: Sequence[Iterable],
+def write_columns(path: str, header: dict[str, Any], cls, columns: Sequence[Sequence],
                   digest=None) -> None:
     """Atomically write a JSON-lines record file from columns, the inverse of
-    RecordFile.columns: the header line, then the record lines of
-    format_lines(cls, columns), through atomic_write_bytes with ``digest``.
+    RecordFile.columns: the header line, then the UTF-8 blocks of record lines
+    of format_lines(cls, columns), through atomic_write_bytes with ``digest``.
     """
-    lines = chain([dumps_line(header) + "\n"], format_lines(cls, columns))
-    atomic_write_bytes(path, (text.encode("utf-8") for text in lines), digest)
+    head = (dumps_line(header) + "\n").encode("utf-8")
+    atomic_write_bytes(path, chain([head], format_lines(cls, columns)), digest)
 
 
-def format_lines(cls, columns: Sequence[Iterable]) -> Iterator[str]:
+def format_lines(cls, columns: Sequence[Sequence]) -> Iterator[bytes]:
     """The record lines of ``columns``, one object per row keyed by the fields
     of dataclass ``cls`` that RecordFile.columns reads, in field order, as
-    strings of up to _WRITE_BLOCK_LINES whole lines each.
+    UTF-8 blocks of up to _WRITE_BLOCK_LINES whole lines each.
 
-    ``columns`` holds one iterable per such field, in that order, each value of
-    its field's type (finite for a float); a float column may be a float64
-    array, whose values are written as the Python floats of its ``tolist``,
-    one block's slice at a time. Each row's line is exactly ``dumps_line`` of
-    the row's dict and a newline: values are encoded by the json module's own
-    encoders and set between the fixed pieces of one line template, a block of
-    lines at a time. A wrong number of columns, or columns of unequal length,
-    raise ValueError.
+    ``columns`` holds one sequence per such field, in that order, as
+    RecordFile.columns returns them: a list (or a range), each value of its
+    field's type (finite for a float), or for a float field a float64 array,
+    whose values are written as the Python floats of its ``tolist``. Each
+    column is sliced a block at a time. Each row's line is exactly
+    ``dumps_line`` of the row's dict and a newline: values are encoded by the
+    json module's own encoders and set between the fixed pieces of one line
+    template, a block of lines at a time. A wrong number of columns, or
+    columns of unequal length, raise ValueError.
     """
     rules = _field_rules(cls)
     encoders = [_ENCODERS[kind] for _, kind, *_ in rules]
@@ -389,35 +390,26 @@ def format_lines(cls, columns: Sequence[Iterable]) -> Iterator[str]:
     pieces = [("," if i else "{") + encode_basestring(name) + ":"
               for i, (name, *_) in enumerate(rules)] + ["}\n"]
     width = len(pieces) + len(rules)
-    blocks = [_blocks(column) for _, column in zip(rules, columns, strict=True)]
-    for block in zip_longest(*blocks, fillvalue=[]):
-        count = len(block[0])
-        if any(len(values) != count for values in block):
-            raise ValueError("columns of unequal length")
+    columns = [column for _, column in zip(rules, columns, strict=True)]
+    rows = len(columns[0])
+    if any(len(column) != rows for column in columns):
+        raise ValueError("columns of unequal length")
+    for start in range(0, rows, _WRITE_BLOCK_LINES):
+        count = min(rows - start, _WRITE_BLOCK_LINES)
         parts: list[str] = [""] * (width * count)
         for i, piece in enumerate(pieces):
             parts[2 * i::width] = [piece] * count
-        for i, (encode, values) in enumerate(zip(encoders, block)):
-            parts[2 * i + 1::width] = map(encode, values)
-        yield "".join(parts)
+        for i, (encode, column) in enumerate(zip(encoders, columns)):
+            values = column[start:start + _WRITE_BLOCK_LINES]
+            parts[2 * i + 1::width] = map(encode, values.tolist() if hasattr(values, "tolist")
+                                          else values)
+        yield "".join(parts).encode("utf-8")
 
 
-def _blocks(column: Iterable) -> Iterator[list]:
-    """``column`` in lists of _WRITE_BLOCK_LINES values, the last one shorter;
-    an array (anything with ``tolist``) a slice at a time."""
-    if hasattr(column, "tolist"):
-        for start in range(0, len(column), _WRITE_BLOCK_LINES):
-            yield column[start:start + _WRITE_BLOCK_LINES].tolist()
-        return
-    values = iter(column)
-    while block := list(islice(values, _WRITE_BLOCK_LINES)):
-        yield block
-
-
-def record_columns(cls, records: Sequence) -> list[Iterator]:
+def record_columns(cls, records: Sequence) -> list[list]:
     """The columns of ``records``, instances of dataclass ``cls``, as
-    write_columns takes them: one iterator of attribute values per field."""
-    return [map(operator.attrgetter(name), records) for name, *_ in _field_rules(cls)]
+    write_columns takes them: one list of attribute values per field."""
+    return [list(map(operator.attrgetter(name), records)) for name, *_ in _field_rules(cls)]
 
 
 def is_utf8(text: str) -> bool:

@@ -386,6 +386,33 @@ class TestCompose:
         assert code == 0
         assert err == "warning: query shortfall: got 1 of 2\n"
 
+    def test_a_failed_run_prints_its_warnings_before_its_error(self, workspace):
+        # Both score replies are empty: every candidate is defaulted to 1/1,
+        # and none is retained.
+        replay = workspace / "no-scores.jsonl"
+        replay.write_text("\n".join(json.dumps(line) for line in [
+            {"op": "themes", "response": {"themes": ["il trionfo annunciato"]}},
+            {"op": "queries", "response": {"queries": [{"theme_index": 0,
+                                                        "text": "vittoria storica"}]}},
+            {"op": "score", "response": {"scores": []}},
+            {"op": "score", "response": {"scores": []}}]) + "\n", encoding="utf-8")
+        config = workspace / "one-query.json"
+        config.write_text(json.dumps({"pipeline": {"themes": 1, "phrases_per_theme": 1},
+                                      "providers": {"embedder": "deterministic:32"}}),
+                          encoding="utf-8")
+        code, err = run_cli("compose", "--store", workspace / "store", "--title", "Il calcio",
+                            "--config", config, "--out", workspace / "episode",
+                            "--llm", f"scripted:{replay}")
+        assert code == 1
+        *warnings, error, end = err.split("\n")
+        ids = [json.loads(line)["sentence_id"] for line in
+               (workspace / "episode" / "scores.jsonl").read_text().split("\n")[1:-1]]
+        assert len(ids) == 10
+        assert warnings == [f"warning: no score returned for {sid}; defaulted to 1/1"
+                            for sid in ids]
+        assert error.startswith("error: only 0 sentences retained, need at least 4; ")
+        assert end == ""
+
     def test_template_that_indexes_the_video_id_refused_at_load(self, tmp_path):
         # Half the rows have an empty video_id, which "{video_id[0]}" cannot index.
         sentences = fixture_sentences(n_videos=1, per_video=20)

@@ -22,9 +22,13 @@ from conftest import python_env, write_fixture_transcripts
 
 # Ingest with the size floor set to the first argument (0 forks the pool) and
 # one file per task. The last output line tells how main returned, and whether
-# any child process is left, running or unreaped.
+# any child process is left, running or unreaped. Ctrl-C raises
+# KeyboardInterrupt, as in a foreground terminal, even when the test run was
+# started with SIGINT ignored (a background job of a non-interactive shell),
+# which the command would otherwise inherit.
 HELD_INGEST = """
-import json, os, sys, time
+import json, os, signal, sys, time
+signal.signal(signal.SIGINT, signal.default_int_handler)
 from aiblob import cli
 floor, gate, *argv = sys.argv[1:]
 cli.INGEST_PARALLEL_BYTES = int(floor)

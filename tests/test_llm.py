@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aiblob.errors import ParseError, ProviderError, ValidationError
+from aiblob.errors import ConfigError, ParseError, ProviderError, ValidationError
 from aiblob.llm import (
     Candidate,
     Orchestrator,
@@ -309,18 +309,21 @@ class TestScoreBatch:
         assert (out[0].irony, out[0].relevance) == (10, 1)
         assert (out[1].irony, out[1].relevance) == (8, 1)
 
-    def test_missing_id_reask_then_default(self):
+    # An id that breaks lines is shown by repr, so its warning stays one line.
+    @pytest.mark.parametrize("sid,shown", [("s2", "s2"), ("a\nb", "'a\\nb'")],
+                             ids=["printable", "line-break"])
+    def test_missing_id_reask_then_default(self, sid, shown):
         responses = [
-            {"scores": [{"id": "s1", "irony": 5, "relevance": 5}]},  # omits s2
+            {"scores": [{"id": "s1", "irony": 5, "relevance": 5}]},  # omits sid
             {"scores": []},                                          # re-ask also omits
         ]
         provider = QueueProvider(score=responses)
         orch = Orchestrator(provider)
-        out = orch.score_batch(candidates([("s1", "a"), ("s2", "b")]), "T", self.themes())
-        assert out[1] == ScoredSentence("s2", 1, 1, "", 0)
-        assert any("s2" in w for w in orch.warnings)
+        out = orch.score_batch(candidates([("s1", "a"), (sid, "b")]), "T", self.themes())
+        assert out[1] == ScoredSentence(sid, 1, 1, "", 0)
+        assert orch.warnings == [f"no score returned for {shown}; defaulted to 1/1"]
         # second call only asked for the missing subset
-        assert [e["id"] for e in provider.calls[1][1]["sentences"]] == ["s2"]
+        assert [e["id"] for e in provider.calls[1][1]["sentences"]] == [sid]
 
     def test_missing_id_recovered_by_reask(self):
         responses = [
@@ -525,9 +528,9 @@ class TestMakeLlmProvider:
         assert isinstance(provider, ScriptedProvider)
 
     def test_remote_requires_endpoint(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             make_llm_provider("remote")
 
     def test_unknown(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             make_llm_provider("telepatia")

@@ -521,12 +521,14 @@ class TestPlanFile:
         (lambda p: p["sections"].update(climax="c"), "sections: climax must be a list, got str"),
         (lambda p: p.pop("episode_title"), "missing key(s): episode_title"),
         (lambda p: p.pop("scores"), "missing key(s): scores"),
+        (lambda p: p.update(scores=["a"]), "scores must be an object, got list"),
         (lambda p: p.update(notes="x"), "unknown key(s): notes"),
         (lambda p: p["scores"].update(e={"irony": 5, "relevance": 5}),
          "scores of e: the id is in no section"),
     ], ids=["renamed-score-key", "missing-score-key", "renamed-section", "non-string-id",
             "lone-surrogate-id",
-            "non-list-section", "missing-title", "missing-scores", "unknown-key",
+            "non-list-section", "missing-title", "missing-scores", "non-object-scores",
+            "unknown-key",
             "score-of-no-plan-id"])
     def test_renamed_missing_or_unknown_key_rejected(self, tmp_path, change, message):
         payload = {

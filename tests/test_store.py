@@ -128,6 +128,11 @@ class TestInsert:
         row = (tmp_path / "store" / "meta.jsonl").read_text(encoding="utf-8").split("\n")[1]
         assert row.endswith('"start_s":2.0,"end_s":3.0}')
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_non_positive_dim_rejected(self, dim):
+        with pytest.raises(ConfigError, match=f"store dim must be positive, got {dim}"):
+            VectorStore(dim)
+
     def test_dim_mismatch(self):
         store = VectorStore(16)
         with pytest.raises(ConfigError, match="dim"):

@@ -49,17 +49,23 @@ class _Unencodable(dict):
         raise self.error
 
 
-def _sentence_ids(rows: int, error: BaseException | None):
-    """An id column that raises ``error``, if given, after a whole block of ids."""
-    yield from (f"s{i}" for i in range(_WRITE_BLOCK_LINES))
-    if error is not None:
-        raise error
-    yield from (f"s{i}" for i in range(_WRITE_BLOCK_LINES, rows))
+class _SentenceIds(list):
+    """An id column whose slice past its first whole block raises ``error``,
+    if given."""
+
+    def __init__(self, rows: int, error: BaseException | None):
+        super().__init__(f"s{i}" for i in range(rows))
+        self.error = error
+
+    def __getitem__(self, index):
+        if self.error is not None and isinstance(index, slice) and index.start:
+            raise self.error
+        return super().__getitem__(index)
 
 
 def _columns_writer(path: str, error: BaseException | None) -> None:
     rows = _WRITE_BLOCK_LINES + 1
-    columns = [_sentence_ids(rows, error), ["v"] * rows, range(rows), ["t"] * rows,
+    columns = [_SentenceIds(rows, error), ["v"] * rows, range(rows), ["t"] * rows,
                [0.0] * rows, [1.0] * rows]
     write_columns(path, {"format": "f"}, Sentence, columns)
 
