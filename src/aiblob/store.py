@@ -50,16 +50,27 @@ vectors.bin body, then a SHA-256 of all meta.jsonl bytes, each file through
 util.atomic_write_bytes, the one writer of every output file, which makes the
 directory and renames a temporary file into place, so an error or an
 interrupt leaves neither a partial file nor a temporary one: vectors.bin is
-renamed into place last, and its digest commits the pair. Loading reads each
-file once: meta.jsonl through util.RecordFile, the one reader of JSON-lines
-record files, then the vectors.bin header, size, digest and values. A digest
+renamed into place last, and its digest commits the pair.
+
+Loading reads each file once. meta.jsonl goes through util.RecordFile, the
+one reader of JSON-lines record files, in one pass of 1 MiB blocks that
+feeds the SHA-256, finds the line ends and takes a CRC-32 of each 4 KiB
+chunk; then come the vectors.bin header, size, digest and values. A digest
 that does not match meta.jsonl (the two files are not one save, say an index
-killed between its renames) is refused. So meta.jsonl is what save wrote:
-load keeps the RecordFile, and a row is decoded, with its record check, when
-it is first mapped (its id is None until then). A save decodes every row
-first. Only a meta.jsonl forged together with its digest can hold a faulty
-row that load passes; its fault is raised, naming the line, when the row is
-first used.
+killed between its renames) is refused. So meta.jsonl is what save wrote: no
+row is decoded at load (its id is None until it is first mapped), and the
+RecordFile keeps the rows' line offsets and the open file, not its bytes. A
+row is read back by os.pread when it is first mapped, and decoded with its
+record check. A save decodes every row first. Only a meta.jsonl forged
+together with its digest can hold a faulty row that load passes; its fault
+is raised, naming the line, when the row is first used.
+
+A loaded store answers from bytes of meta.jsonl identical to those its load
+hashed, or raises StoreError naming the file: every chunk read back must
+match its CRC-32, so a file rewritten or truncated in place is refused, not
+read, while a store replaced by rename (as index saves) is still read
+through the kept descriptor. A file truncated under an mmap would kill the
+process with SIGBUS, so none is made.
 
 On-disk layout (bit-exact), version 2, the only version read:
     meta.jsonl   header {"format":"aiblob-store","version":2,"dim":D,
@@ -465,7 +476,8 @@ class VectorStore:
             if not os.path.exists(path):
                 raise StoreError(f"missing store file: {path}")
 
-        meta = RecordFile(meta_path, STORE_FORMAT, (STORE_VERSION,), StoreError)
+        digest = hashlib.sha256()
+        meta = RecordFile(meta_path, STORE_FORMAT, (STORE_VERSION,), StoreError, digest)
         header, count = meta.header, meta.count
         dim = header.get("dim")
         if not is_int(dim) or dim < 1:
@@ -495,7 +507,7 @@ class VectorStore:
             # The digest is the save's commit record: meta.jsonl is then exactly
             # what save wrote with these vectors, and its rows decode when used.
             handle.seek(size - DIGEST_SIZE)
-            if handle.read() != hashlib.sha256(meta.raw).digest():
+            if handle.read() != digest.digest():
                 raise StoreError(f"{vectors_path}: digest does not match {meta_path}, so the two "
                                  f"files are not one save; re-run aiblob index")
             # Read into an array of its own, the matrix is aligned as numpy

@@ -2,12 +2,15 @@
 every output file (atomic_write_bytes: a temporary file renamed over the
 output, so an error or an interrupt leaves neither a partial file nor a
 temporary one), the one JSON decoder (parse_json) for every file and reply,
-canonical JSON lines, JSON-lines files read by one line rule and record files
-written and read as columns, value and record checks, provider retries, the
-one HTTP client (post_json) and its URL rule."""
+canonical JSON lines, JSON-lines files read once by one line rule, keeping
+line offsets and a file descriptor, not the bytes, with lines read back by
+os.pread (so the package is POSIX-only) and checked against a CRC-32 per
+chunk, record files written and read as columns, value and record checks,
+provider retries, the one HTTP client (post_json) and its URL rule."""
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import json
@@ -16,9 +19,12 @@ import operator
 import os
 import sys
 import time
+import weakref
+import zlib
 from itertools import chain
 from json.encoder import encode_basestring
-from typing import Any, Callable, Collection, Container, Iterable, Iterator, Sequence
+from typing import (Any, Callable, Collection, Container, Iterable, Iterator, NamedTuple,
+                    Sequence)
 
 from .errors import AiblobError, ConfigError, ParseError, ProviderError, ValidationError
 
@@ -142,28 +148,105 @@ def check_header(header: Any, path: str, fmt: str, versions: Container[int],
 # 2,048 lines than at 8,192, in the same load time.
 _READ_BLOCK_LINES = 2048
 
+# Bytes read per block by the one pass of JsonLines over its file, into one
+# buffer reused for every block; a multiple of _CHUNK_BYTES.
+_SCAN_BLOCK_BYTES = 1 << 20
+
+# Bytes of file behind each CRC-32 that a JsonLines keeps, and the unit in
+# which it reads lines back: one page, so a row read back costs about a
+# microsecond of checksum.
+_CHUNK_BYTES = 1 << 12
+
+
+class _Runs(NamedTuple):
+    """Runs of a file's bytes read back by JsonLines._blocks: ``runs[i]``
+    starts at byte ``offsets[i]`` of the file."""
+
+    offsets: list[int]
+    runs: list[bytes]
+
+    def take(self, start: int, end: int) -> bytes:
+        """Bytes ``start`` to ``end`` of the file, within one run."""
+        i = bisect.bisect_right(self.offsets, start) - 1
+        base = self.offsets[i]
+        return self.runs[i][start - base:end - base]
+
 
 class JsonLines:
-    """A JSON-lines file, read once: its bytes and the span of each line.
+    """A JSON-lines file, read once in blocks, whose lines are read back when
+    they are used.
 
-    Lines end at "\\n", and a "\\r" just before a line's end is not part of it,
-    so "\\r\\n" reads as "\\n" and a lone "\\r" is no line break; blank lines
+    Lines end at "\n", and a "\r" just before a line's end is not part of it,
+    so "\r\n" reads as "\n" and a lone "\r" is no line break; blank lines
     are skipped. Errors name a line by its number in the file (lineno); bytes
     that are not UTF-8 raise ``error`` when their line is decoded.
+
+    The one pass reads _SCAN_BLOCK_BYTES at a time into one buffer, updates
+    ``digest`` (a hashlib object) with each block, finds its line ends and
+    takes a CRC-32 of each _CHUNK_BYTES of it. What it keeps is the span of
+    each line and a file descriptor, closed when the object is collected.
+    Lines are read back by os.pread (POSIX), which moves no shared file
+    position, so any number of threads may read at once; each chunk read back
+    must match its CRC-32, so the lines read back are the bytes the pass
+    read, or ``error`` is raised naming the file as changed. A file replaced
+    by rename is still read through the kept descriptor; no mmap is made, as
+    a file truncated under one kills the process with SIGBUS.
     """
 
-    def __init__(self, path: str, error: type[AiblobError]):
+    def __init__(self, path: str, error: type[AiblobError], digest=None):
         self.path = path
         self.error = error
-        with open(path, "rb") as handle:
-            self.raw = handle.read()
-        data = np.frombuffer(self.raw, np.uint8)
-        ends = np.flatnonzero(data == ord("\n"))
-        if self.raw[-1:] not in (b"", b"\n"):
-            ends = np.append(ends, len(data))
+        self._fd = os.open(path, os.O_RDONLY)
+        self._close = weakref.finalize(self, os.close, self._fd)
+        try:
+            self._scan(digest)
+        except BaseException:
+            self._close()
+            raise
+
+    def _scan(self, digest) -> None:
+        """Read the file once: its size, its chunks' CRC-32s and its lines' spans."""
+        buffer = bytearray(_SCAN_BLOCK_BYTES)
+        view = memoryview(buffer)
+        self._crcs: list[int] = []
+        newlines, returns = [], []
+        size = last = 0  # bytes read, and the last of them
+        while True:
+            got = 0  # a block is whole unless the file ends in it
+            while got < len(buffer):
+                read = os.readv(self._fd, [view[got:]])
+                if not read:
+                    break
+                got += read
+            if not got:
+                break
+            block = view[:got]
+            if digest is not None:
+                digest.update(block)
+            self._crcs.extend(zlib.crc32(block[i:i + _CHUNK_BYTES])
+                              for i in range(0, got, _CHUNK_BYTES))
+            data = np.frombuffer(buffer, np.uint8, got)
+            at = np.flatnonzero(data == ord("\n"))
+            # Whether the byte before each "\n" is a "\r", the previous block's
+            # last byte for a "\n" that starts this one.
+            before = data[at - 1]
+            if len(at) and at[0] == 0:
+                before[0] = last
+            newlines.append(at + size)
+            returns.append(before == ord("\r"))
+            size += got
+            last = buffer[got - 1]
+            if got < len(buffer):
+                break
+        self._size = size
+        ends = np.concatenate(newlines) if newlines else np.empty(0, np.intp)
+        cut = np.concatenate(returns) if returns else np.empty(0, bool)
+        if size and last != ord("\n"):
+            ends = np.append(ends, size)
+            cut = np.append(cut, last == ord("\r"))
         starts = np.zeros_like(ends)
         starts[1:] = ends[:-1] + 1
-        ends -= (ends > starts) & (data[ends - 1] == ord("\r"))
+        ends -= cut
         filled = ends > starts
         # Each kept line's number in the file, when a blank line was skipped.
         self._linenos = None
@@ -176,19 +259,70 @@ class JsonLines:
         """The number in the file (from 1) of line index ``index``."""
         return index + 1 if self._linenos is None else int(self._linenos[index])
 
-    def _line(self, index: int) -> str:
-        start = int(self._starts[index])
+    def _text(self, index: int, line: bytes) -> str:
+        """The bytes ``line`` of line index ``index``, decoded."""
         try:
-            return self.raw[start:self._ends[index]].decode("utf-8")
+            return line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise self.error(f"{self.path}:{self.lineno(index)}: not valid UTF-8 "
-                             f"({exc.reason} at byte {start + exc.start})") from exc
+                             f"({exc.reason} at byte {int(self._starts[index]) + exc.start})"
+                             ) from exc
+
+    def _chunks(self, first: int, last: int) -> bytes:
+        """Chunks ``first`` to ``last`` of the file, read back by one pread,
+        or ``error`` unless each matches its CRC-32."""
+        start = first * _CHUNK_BYTES
+        data = os.pread(self._fd, min((last + 1) * _CHUNK_BYTES, self._size) - start, start)
+        # A slice of one whole chunk is ``data`` itself, not a copy.
+        crcs = [zlib.crc32(data[i:i + _CHUNK_BYTES]) for i in range(0, len(data), _CHUNK_BYTES)]
+        if crcs != self._crcs[first:last + 1]:
+            raise self.error(f"{self.path}: changed since it was read; load it again")
+        return data
+
+    def _blocks(self, lines: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                          _Runs]]:
+        """Line indices ``lines``, _READ_BLOCK_LINES at a time, each block with
+        its lines' starts and ends and the runs of chunks that hold them, each
+        run read by one pread (_chunks). A chunk that ends one block's reads
+        and starts the next block's is read once, so lines in file order read
+        each chunk they touch once."""
+        held = (-1, b"")  # the index and bytes of the last chunk read
+        for lo in range(0, len(lines), _READ_BLOCK_LINES):
+            block = lines[lo:lo + _READ_BLOCK_LINES]
+            starts, ends = self._starts[block], self._ends[block]
+            # The first and last chunk of each line with the byte after it (a
+            # "\n" that _decode may slice with the line), sorted apart: the
+            # union of the lines' chunks has a gap before the j-th first chunk
+            # exactly when the j smallest last chunks all end before it.
+            # Chunks that touch or follow each other are one run.
+            first = np.sort(starts // _CHUNK_BYTES)
+            last = np.sort(np.minimum(ends, self._size - 1) // _CHUNK_BYTES)
+            gaps = first[1:] > last[:-1] + 1
+            runs = _Runs([], [])
+            for lo_chunk, hi_chunk in zip([int(first[0])] + first[1:][gaps].tolist(),
+                                          last[:-1][gaps].tolist() + [int(last[-1])]):
+                if lo_chunk != held[0]:
+                    data = self._chunks(lo_chunk, hi_chunk)
+                elif hi_chunk > lo_chunk:
+                    data = held[1] + self._chunks(lo_chunk + 1, hi_chunk)
+                else:
+                    data = held[1]
+                runs.offsets.append(lo_chunk * _CHUNK_BYTES)
+                runs.runs.append(data)
+                held = hi_chunk, data[(hi_chunk - lo_chunk) * _CHUNK_BYTES:]
+            yield block, starts, ends, runs
+
+    def _lines(self, lines: np.ndarray) -> Iterator[tuple[int, str]]:
+        """Each of line indices ``lines`` and its text, in order."""
+        for block, starts, ends, runs in self._blocks(lines):
+            for index, start, end in zip(block.tolist(), starts.tolist(), ends.tolist()):
+                yield index, self._text(index, runs.take(start, end))
 
     def objects(self) -> Iterator[tuple[int, dict]]:
         """Each line's number in the file and its JSON object (parse_json_line)."""
-        for index in range(len(self._starts)):
+        for index, text in self._lines(np.arange(len(self._starts))):
             lineno = self.lineno(index)
-            yield lineno, parse_json_line(self._line(index), self.path, lineno)
+            yield lineno, parse_json_line(text, self.path, lineno)
 
 
 class RecordFile(JsonLines):
@@ -196,12 +330,13 @@ class RecordFile(JsonLines):
     (check_header), is ``header``; record ``r`` is line index r + 1."""
 
     def __init__(self, path: str, fmt: str, versions: Container[int],
-                 error: type[AiblobError]):
-        super().__init__(path, error)
+                 error: type[AiblobError], digest=None):
+        super().__init__(path, error, digest)
         if not len(self._starts):
             raise error(f"{path}: empty {fmt.removeprefix('aiblob-')} file (missing header)")
         self.count = len(self._starts) - 1
-        self.header = parse_json_line(self._line(0), path, self.lineno(0))
+        _, text = next(self._lines(np.zeros(1, np.intp)))
+        self.header = parse_json_line(text, path, self.lineno(0))
         check_header(self.header, path, fmt, versions, error)
 
     def columns(self, cls, what: str = "record", unique: str | None = None,
@@ -244,7 +379,7 @@ class RecordFile(JsonLines):
         lines = np.arange(1, self.count + 1) if rows is None else np.asarray(rows, np.intp) + 1
         columns = self._decode(cls, lines, unique, shared)
         if columns is None:
-            columns = self._walk(cls, lines.tolist(), what, unique, shared)
+            columns = self._walk(cls, lines, what, unique, shared)
         return columns
 
     def _decode(self, cls, lines: np.ndarray, unique: str | None,
@@ -255,24 +390,31 @@ class RecordFile(JsonLines):
         the next block is decoded."""
         rules = _field_rules(cls)
         names = [name for name, *_ in rules]
-        columns = tuple(np.empty(len(lines)) if kind is float else [] for _, kind, *_ in rules)
+        # Each column is made at its full length and filled a block at a time:
+        # a list grown by extend reallocates its item array in steps whose
+        # freed copies stay on the heap below glibc's sliding mmap threshold,
+        # which raised the dataset `aiblob index` peak by about 3.5 MB.
+        columns = tuple(np.empty(len(lines)) if kind is float else [None] * len(lines)
+                        for _, kind, *_ in rules)
         interned: dict = {}
-        data = np.frombuffer(self.raw, np.uint8)
-        starts, ends = self._starts[lines], self._ends[lines]
-        if not ((data[starts] == ord("{")).all() and (data[ends - 1] == ord("}")).all()):
-            return None
-        for lo in range(0, len(lines), _READ_BLOCK_LINES):
-            block_starts = starts[lo:lo + _READ_BLOCK_LINES]
-            block_ends = ends[lo:lo + _READ_BLOCK_LINES]
+        lo = 0
+        for block, starts, ends, runs in self._blocks(lines):
             # Lines that follow each other in the file are sliced as one run, in
             # which each "\n" is one line's end: slicing line by line took a
             # fifth more CPU time over the 212,696-line dataset corpus.
-            breaks = np.flatnonzero(block_starts[1:] != block_ends[:-1] + 1) + 1
-            runs = map(slice, block_starts[np.append(0, breaks)].tolist(),
-                       block_ends[np.append(breaks, len(block_starts)) - 1].tolist())
+            breaks = np.flatnonzero(starts[1:] != ends[:-1] + 1) + 1
+            text = b"\n".join(map(runs.take, starts[np.append(0, breaks)].tolist(),
+                                   ends[np.append(breaks, len(block)) - 1].tolist()))
+            # Every line must start with "{" and end with "}": in the joined
+            # text, line i ends just before at[i], a "\n" or the text's end.
+            lengths = ends - starts
+            at = np.cumsum(lengths + 1) - 1
+            data = np.frombuffer(text, np.uint8)
+            if not ((data[at - lengths] == ord("{")).all() and (data[at - 1] == ord("}")).all()):
+                return None
+            del data
             try:
-                text = b"\n".join(map(self.raw.__getitem__, runs)).replace(b"\n", b",\n")
-                text = "[" + text.decode("utf-8") + "]"
+                text = "[" + text.replace(b"\n", b",\n").decode("utf-8") + "]"
                 rows = json.loads(text)
             except (ValueError, RecursionError):
                 return None
@@ -282,7 +424,7 @@ class RecordFile(JsonLines):
             # no "\".
             escaped = "\\" in text and ("\\ud" in text or "\\uD" in text)
             del text
-            if len(rows) != len(block_starts) or not all(
+            if len(rows) != len(block) or not all(
                     type(row) is dict and list(row) == names for row in rows):
                 return None
             for column, (name, kind, *_) in zip(columns, rules):
@@ -297,15 +439,16 @@ class RecordFile(JsonLines):
                 elif kind is str and escaped and not is_utf8("".join(values)):
                     return None
                 else:
-                    column.extend(map(interned.setdefault, values, values) if name == shared
-                                  else values)
+                    column[lo:lo + len(values)] = (
+                        map(interned.setdefault, values, values) if name == shared else values)
+            lo += len(block)
         if unique is not None:
             column = columns[names.index(unique)]
             if len(set(column)) != len(column):
                 return None
         return columns
 
-    def _walk(self, cls, lines: list[int], what: str, unique: str | None,
+    def _walk(self, cls, lines: np.ndarray, what: str, unique: str | None,
               shared: str | None) -> tuple:
         """The per-row reader of columns: the columns of line indices ``lines``,
         or the error for the first faulty one."""
@@ -314,10 +457,10 @@ class RecordFile(JsonLines):
         given = {field.name: None for field in dataclasses.fields(cls) if field.name not in names}
         records = []
         seen: set = set()
-        for index in lines:
+        for index, text in self._lines(lines):
             lineno = self.lineno(index)
             where = f"{self.path}:{lineno}"
-            record = from_json(cls, parse_json_line(self._line(index), self.path, lineno),
+            record = from_json(cls, parse_json_line(text, self.path, lineno),
                                self.error, f"{where}: bad {what}", **given)
             if unique is not None:
                 value = getattr(record, unique)

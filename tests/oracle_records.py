@@ -27,9 +27,9 @@ def _shown(sentence_id: str) -> str:
     return sentence_id if sentence_id.isprintable() else repr(sentence_id)
 
 
-def _numbered_lines(path: str, fmt: str, versions, error: type[AiblobError]) -> Iterator[tuple]:
-    """The header, checked, then (lineno, line) for each record line of a
-    JSON-lines file, each line decoded from UTF-8 only when it is reached."""
+def oracle_lines(path: str, error: type[AiblobError]) -> Iterator[tuple[int, str]]:
+    """(lineno, text) for each non-blank line of a JSON-lines file, read whole,
+    each line decoded from UTF-8 only when it is reached."""
     with open(path, "rb") as handle:
         raw = handle.read()
     offset = 0
@@ -38,20 +38,26 @@ def _numbered_lines(path: str, fmt: str, versions, error: type[AiblobError]) -> 
         if line.removesuffix(b"\r"):
             numbered.append((lineno, offset, line.removesuffix(b"\r")))
         offset += len(line) + 1
-    if not numbered:
-        raise error(f"{path}: empty {fmt.removeprefix('aiblob-')} file (missing header)")
-    for i, (lineno, offset, line) in enumerate(numbered):
+    for lineno, offset, line in numbered:
         try:
             text = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise error(f"{path}:{lineno}: not valid UTF-8 "
                         f"({exc.reason} at byte {offset + exc.start})") from exc
-        if i == 0:
-            header = parse_json_line(text, path, lineno)
-            check_header(header, path, fmt, versions, error)
-            yield header
-        else:
-            yield lineno, text
+        yield lineno, text
+
+
+def _numbered_lines(path: str, fmt: str, versions, error: type[AiblobError]) -> Iterator[tuple]:
+    """The header, checked, then (lineno, line) for each record line of a
+    JSON-lines file (oracle_lines)."""
+    lines = oracle_lines(path, error)
+    first = next(lines, None)
+    if first is None:
+        raise error(f"{path}: empty {fmt.removeprefix('aiblob-')} file (missing header)")
+    header = parse_json_line(first[1], path, first[0])
+    check_header(header, path, fmt, versions, error)
+    yield header
+    yield from lines
 
 
 def oracle_load_corpus(path: str) -> list[Sentence]:

@@ -3,7 +3,8 @@ readers of oracle_records.py: equal columns for valid files, and the same
 error class and message for files with faults at random rows, for a store
 read row by row as top_k ranks the rows (its digest forged to match). The
 column writer against the per-row writer: the same bytes for every record
-file."""
+file. The block scanner of JsonLines, with blocks and chunks of a few bytes,
+against the whole-file line reader: the same lines, numbers and errors."""
 
 import dataclasses
 import hashlib
@@ -18,7 +19,8 @@ import pytest
 from conftest import exact
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracle_records import oracle_load_corpus, oracle_store_rows, oracle_write_jsonl
+from oracle_records import (oracle_lines, oracle_load_corpus, oracle_store_rows,
+                            oracle_write_jsonl)
 
 from aiblob import util
 from aiblob.errors import AiblobError, ParseError
@@ -350,3 +352,114 @@ def test_float_array_columns_write_the_bytes_of_float_lists(tmp_path, cls, data)
     assert arrayed.read_bytes() == listed.read_bytes()
     read = RecordFile(str(arrayed), "aiblob-records", (1,), ParseError).columns(cls)
     assert exact(read) == exact(arrays)
+
+
+# Pieces of JSON-lines files for the block scanner: line ends, a lone "\r",
+# multi-byte UTF-8, and bytes that are not UTF-8 (a stray continuation byte, a
+# lead byte cut short, a byte UTF-8 never uses).
+UTF8_PIECES = [b"\n", b"\r\n", b"\r", b"{", b"}", b"a", b'"', b" ", b"\xc3\xa9",
+               b"\xe2\x82\xac", b"\xf0\x9f\x8e\xac"]
+PIECES = UTF8_PIECES + [b"\xff", b"\xc3", b"\x80"]
+
+
+def small_blocks(chunk: int, chunks_per_block: int, lines_per_block: int):
+    """JsonLines read in blocks of chunks_per_block chunks of ``chunk`` bytes,
+    and RecordFile.columns decoding lines_per_block lines at a time."""
+    return mock.patch.multiple(util, _CHUNK_BYTES=chunk,
+                               _SCAN_BLOCK_BYTES=chunk * chunks_per_block,
+                               _READ_BLOCK_LINES=lines_per_block)
+
+
+def scanned(path, indices=None):
+    """The outcome of reading back lines ``indices`` (every line by default) of
+    ``path`` through JsonLines: (lineno, text) for each, or the error."""
+    def read():
+        lines = util.JsonLines(str(path), ParseError)
+        chosen = np.arange(len(lines._starts)) if indices is None else np.array(indices, np.intp)
+        return [(lines.lineno(index), text) for index, text in lines._lines(chosen)]
+    return outcome(read)
+
+
+def whole_file(path):
+    return outcome(lambda: list(oracle_lines(str(path), ParseError)))
+
+
+@settings(CHECKED, max_examples=300)
+@given(pieces=st.lists(st.sampled_from(PIECES), max_size=40), chunk=st.integers(1, 5),
+       chunks_per_block=st.integers(1, 3), lines_per_block=st.integers(1, 3))
+def test_block_scanner_matches_the_whole_file_reader(tmp_path, pieces, chunk, chunks_per_block,
+                                                     lines_per_block):
+    """Lines split across blocks and chunks, "\r\n" split between two blocks,
+    blank lines at block edges, no final newline, an empty file, and bytes
+    that are not UTF-8 across a block edge (named by the same line and byte)."""
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(b"".join(pieces))
+    with small_blocks(chunk, chunks_per_block, lines_per_block):
+        assert scanned(path) == whole_file(path)
+
+
+SPLIT_FILES = [
+    b'{"a":"\xc3\xa9"}\r\n\r\n\n{"b":"x\ry"}\r\n\n{"c":1}',
+    b'\n\r\n{"a":1}\r\r\n{"b":"\xe2\x82\xac"}\n\n',
+    b'{"a":"ok"}\r\n{"b":"\xe2\x82"}\r\n{"c":"\xff"}\n',
+]
+
+
+@pytest.mark.parametrize("content", SPLIT_FILES, ids=["crlf", "blank-first", "bad-utf8"])
+def test_a_line_split_at_every_offset(tmp_path, content):
+    """Every block size, so each line and each "\r\n" is split at every offset."""
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(content)
+    want = whole_file(path)
+    for size in range(1, len(content) + 2):
+        for chunk in sorted({1, size}):
+            with small_blocks(chunk, size // chunk, 2):
+                assert scanned(path) == want, (size, chunk)
+
+
+@settings(CHECKED, max_examples=150)
+@given(data=st.data(), chunk=st.integers(1, 7), lines_per_block=st.integers(1, 4))
+def test_lines_read_back_in_any_order(tmp_path, data, chunk, lines_per_block):
+    """Any lines, repeated and in any order, read back as the whole-file reader
+    reads them, each block of them reading the runs of chunks it touches."""
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(b"".join(data.draw(st.lists(st.sampled_from(UTF8_PIECES), max_size=60))))
+    kind, want = whole_file(path)
+    indices = data.draw(st.lists(st.integers(0, max(len(want) - 1, 0)),
+                                 max_size=12 if want else 0))
+    with small_blocks(chunk, 2, lines_per_block):
+        assert scanned(path, indices) == (kind, [want[i] for i in indices])
+
+
+@settings(CHECKED, max_examples=60)
+@given(data=st.data(), chunk=st.integers(1, 9), lines_per_block=st.integers(1, 3))
+def test_store_columns_in_small_blocks_equal(tmp_path, data, chunk, lines_per_block):
+    """The column reader over blocks of a few lines and chunks of a few bytes,
+    for valid and faulty store metadata alike."""
+    faults = data.draw(st.lists(st.sampled_from(ROW_FAULTS + MERGE_FAULTS), max_size=1))
+    lines = data.draw(record_files(META_FIELDS, faults))
+    with small_blocks(chunk, 3, lines_per_block):
+        assert read_lazy_store(tmp_path, lines) == oracle_store(tmp_path)
+
+
+def test_a_read_of_every_line_reads_each_chunk_once(tmp_path):
+    """A columns call over lines in file order reads each chunk it touches
+    once, though its blocks of lines share chunks at their edges."""
+    path = tmp_path / "corpus.jsonl"
+    rows = [{"sentence_id": f"s{i}", "video_id": "v", "ordinal": i, "text": "ciao " * (i % 7),
+             "start_s": i, "end_s": i + 0.5} for i in range(40)]
+    oracle_write_jsonl(str(path), CORPUS_HEADER, rows)
+    read = []
+    chunks = util.JsonLines._chunks
+
+    def counted(self, first, last):
+        read.extend(range(first, last + 1))
+        return chunks(self, first, last)
+    with small_blocks(16, 2, 3), mock.patch.object(util.JsonLines, "_chunks", counted):
+        records = RecordFile(str(path), "aiblob-corpus", (1,), ParseError)
+        read.clear()
+        ids = records.columns(Sentence)[0]
+    assert ids == [row["sentence_id"] for row in rows]
+    assert sorted(read) == sorted(set(read))
+    first = int(records._starts[1]) // 16
+    assert set(read) == set(range(first, (path.stat().st_size - 1) // 16 + 1))

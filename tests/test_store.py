@@ -1,7 +1,11 @@
 """Exact retrieval, tie-breaking, exclusion, and binary persistence."""
 
+import gc
 import json
+import os
 import random
+import re
+import shutil
 import struct
 import sys
 import threading
@@ -1096,8 +1100,10 @@ class TestDigestCheckedLoad:
             VectorStore.load(str(directory))
 
     def test_crlf_line_ends_load_as_lf(self, tmp_path):
+        # lf loads from a copy: a store loaded from the directory would refuse
+        # to answer once its meta.jsonl is rewritten in place.
         directory = self.saved(tmp_path)
-        lf = VectorStore.load(str(directory))
+        lf = VectorStore.load(str(shutil.copytree(directory, tmp_path / "lf")))
         meta = directory / "meta.jsonl"
         meta.write_bytes(meta.read_bytes().replace(b"\n", b"\r\n"))
         with pytest.raises(StoreError, match=MISMATCH):
@@ -1119,3 +1125,82 @@ class TestDigestCheckedLoad:
         forge_digest(directory)
         with pytest.raises(StoreError, match=f"bad {key}|dim 8 does not match metadata dim"):
             VectorStore.load(str(directory))
+
+
+# A child, started in development mode with warnings as errors, that loads the
+# store in argv[1], truncates its meta.jsonl in place to argv[2] bytes, then
+# ranks every row: it prints the error's class and message, and exits 0, where
+# a store read through an mmap would die of SIGBUS.
+TRUNCATED = (
+    "import os, sys\n"
+    "from aiblob.store import VectorStore\n"
+    "directory, size = sys.argv[1], int(sys.argv[2])\n"
+    "store = VectorStore.load(directory)\n"
+    "os.truncate(os.path.join(directory, 'meta.jsonl'), size)\n"
+    "try:\n"
+    "    store.top_k([1.0] * 8, store.count)\n"
+    "except Exception as exc:\n"
+    "    print(type(exc).__name__, exc)\n"
+)
+
+
+class TestChangedAfterLoad:
+    """A loaded store answers from bytes of meta.jsonl identical to those its
+    load hashed, or raises StoreError naming the file: never from a changed
+    file. Each row is read back when a query first ranks it."""
+
+    QUERIES = TestDigestCheckedLoad.QUERIES
+
+    @staticmethod
+    def changed(meta) -> str:
+        return rf"^{re.escape(str(meta))}: changed since it was read; load it again$"
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: data.replace(b"frase numero 7", b"frase numero X"),
+        lambda data: data.replace(b"frase numero 7", b"frase numero 77"),
+        lambda data: data[:len(data) // 2],
+        lambda data: b"",
+    ], ids=["same size", "size changed", "truncated", "emptied"])
+    def test_an_edit_in_place_after_load_is_refused(self, tmp_path, edit):
+        directory = TestDigestCheckedLoad.saved(tmp_path)
+        store = VectorStore.load(str(directory))
+        first = store.top_k(self.QUERIES[0], 10)
+        meta = directory / "meta.jsonl"
+        inode = meta.stat().st_ino
+        meta.write_bytes(edit(meta.read_bytes()))
+        assert meta.stat().st_ino == inode
+        # Rows decoded before the edit still answer; ranking every row reads
+        # the others back.
+        assert store.top_k(self.QUERIES[0], 10) == first
+        with pytest.raises(StoreError, match=self.changed(meta)):
+            store.top_k(self.QUERIES[1], 300)
+
+    def test_a_truncation_after_load_raises_and_does_not_crash(self, tmp_path):
+        directory = TestDigestCheckedLoad.saved(tmp_path)
+        for size in (0, 1000):
+            filled_store(300, 8, video_every=7).save(str(directory))
+            result = run_python("-X", "dev", "-W", "error", "-c", TRUNCATED, directory, size)
+            assert (result.returncode, result.stderr) == (0, "")
+            assert re.fullmatch("StoreError " + self.changed(directory / "meta.jsonl")[1:-1],
+                                result.stdout.strip())
+
+    def test_a_store_replaced_by_rename_answers_from_its_own_rows(self, tmp_path):
+        directory = TestDigestCheckedLoad.saved(tmp_path)
+        store = VectorStore.load(str(directory))
+        # A save renames new files over the old ones, as aiblob index does.
+        filled_store(300, 8, prefix="t", video_every=5).save(str(directory))
+        assert VectorStore.load(str(directory)).top_k(self.QUERIES[0], 1)[0].sentence_id[0] == "t"
+        in_memory = filled_store(300, 8, video_every=7)
+        assert answers_with_exclusion(store, self.QUERIES) == answers_with_exclusion(
+            in_memory, self.QUERIES)
+        store.top_k(self.QUERIES[0], 300)
+        assert exact(store._columns()) == exact(in_memory._columns())
+
+    def test_the_store_closes_its_meta_file_when_collected(self, tmp_path):
+        store = VectorStore.load(str(TestDigestCheckedLoad.saved(tmp_path)))
+        descriptor = store._meta._fd
+        os.fstat(descriptor)
+        del store
+        gc.collect()
+        with pytest.raises(OSError):
+            os.fstat(descriptor)
