@@ -145,6 +145,7 @@ def embed_batch(
     retries: int = DEFAULT_RETRIES,
     backoff: Sequence[float] = DEFAULT_BACKOFF,
     sleep: Callable[[float], None] = time.sleep,
+    start: int = 0,
 ) -> np.ndarray:
     """Embed texts in provider-sized chunks into one (len(texts), dim) float32 matrix.
 
@@ -153,11 +154,13 @@ def embed_batch(
     chunk has the provider's (or the first chunk's) width, a ConfigError if not.
     Rows keep the input order. Transport failures are retried per chunk with
     the given backoff; once retries are exhausted a ProviderError identifies
-    the failed sub-range.
+    the failed sub-range. Messages number the texts from ``start``, so that a
+    caller embedding a block of a longer list names the texts by their place
+    in it.
     """
     for i, text in enumerate(texts):
         if not isinstance(text, str) or not text:
-            raise ValidationError(f"texts[{i}] must be a non-empty string")
+            raise ValidationError(f"texts[{start + i}] must be a non-empty string")
     dim = provider.dim
     if not texts:
         return np.empty((0, dim or 0), dtype=np.float32)
@@ -167,11 +170,11 @@ def embed_batch(
         hi = min(lo + provider.batch_size, len(texts))
         chunk = list(texts[lo:hi])
         matrix = retry(lambda: provider.embed(chunk, input_type), retries + 1,
-                       f"embedding for texts[{lo}:{hi}]", backoff, sleep)
+                       f"embedding for texts[{start + lo}:{start + hi}]", backoff, sleep)
         if out is None:
             out = np.empty((len(texts), dim or matrix.shape[1]), dtype=np.float32)
         if matrix.shape[1] != out.shape[1]:
-            raise ConfigError(f"dimension mismatch at texts[{lo}:{hi}]: "
+            raise ConfigError(f"dimension mismatch at texts[{start + lo}:{start + hi}]: "
                               f"got {matrix.shape[1]}, expected {out.shape[1]}")
         out[lo:hi] = matrix
     return out

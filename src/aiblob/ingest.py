@@ -22,7 +22,9 @@ duplicates a word. The corpus file is line-delimited JSON with a header line,
 so identical transcript bytes always produce byte-identical corpus output.
 segment_file parses and segments one transcript file into its corpus lines,
 the unit of work that `aiblob ingest` hands to its worker processes, and
-export_corpus writes the lines of many files as one corpus.
+export_corpus writes the lines of many files as one corpus. open_corpus and
+read_corpus read a corpus back, any block of its records at a time, and
+load_corpus reads it whole.
 """
 
 from __future__ import annotations
@@ -281,14 +283,29 @@ class Corpus:
     ends: np.ndarray
 
 
-def load_corpus(path: str) -> Corpus:
-    """Read a corpus file back as columns, checking header, fields and unique ids.
+def open_corpus(path: str) -> RecordFile:
+    """A corpus file, read once for its line spans and its header checked
+    (util.RecordFile); read_corpus decodes its records."""
+    return RecordFile(path, CORPUS_FORMAT, (CORPUS_VERSION,), ParseError)
 
-    One check covers the whole file (util.RecordFile.columns); only a file that
-    fails it is walked row by row, so a bad record raises ParseError and a
-    repeated id ValidationError, each naming the line of the first fault.
+
+def read_corpus(records: RecordFile, rows: Sequence[int] | None = None,
+                seen: set[str] | None = None) -> Corpus:
+    """Records ``rows`` of an open corpus (every record by default) as columns,
+    each record's fields checked; with ``seen`` (a set, to which the ids are
+    added), also that no id repeats one of an earlier row or one in ``seen``.
+
+    One check covers the rows (util.RecordFile.columns); only rows that fail it
+    are walked one by one, so a bad record raises ParseError and a repeated id
+    ValidationError, each naming the line of the first fault.
     """
-    records = RecordFile(path, CORPUS_FORMAT, (CORPUS_VERSION,), ParseError)
     ids, video_ids, _, texts, starts, ends = records.columns(
-        Sentence, "corpus record", unique="sentence_id", shared="video_id")
+        Sentence, "corpus record", unique=None if seen is None else "sentence_id", rows=rows,
+        shared="video_id", seen=seen)
     return Corpus(ids, video_ids, texts, starts, ends)
+
+
+def load_corpus(path: str) -> Corpus:
+    """Read a whole corpus file back as columns, checking header, fields and
+    unique ids (read_corpus)."""
+    return read_corpus(open_corpus(path), seen=set())

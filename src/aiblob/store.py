@@ -1,9 +1,10 @@
 """Persistent sentence-level vector store with exact top-k cosine retrieval.
 
-A store has two lives. It is built by one insert, then saved or queried (index
-inserts a corpus and saves it), or it is loaded, then queried (compose and
-stats). An insert into a store that holds rows, or into any loaded store, is
-refused. Either life allows any number of concurrent readers.
+A store has two lives. It is built by one insert, then saved or queried, or it
+is loaded, then queried (compose and stats). An insert into a store that holds
+rows, or into any loaded store, is refused. Either life allows any number of
+concurrent readers. index builds no store in memory: it streams a corpus into
+the store writer (write_store), which save feeds a store's rows.
 
 Retrieval is exact (a few hundred thousand sentences is tractable exactly, and
 exactness keeps results reproducible). A row's score is
@@ -38,19 +39,28 @@ load) beside lists of ids, video ids and texts, float64 arrays of start and
 end times, the number of distinct video ids, and the largest row norm, found
 as insert and load check that every vector is finite. The insert takes a
 matrix with its columns, or a list of VectorRecord, turned into columns
-first. It keeps the matrix and the columns it is given (index gives
-load_corpus's, so each value is held once) and refuses a repeated id through
-a sorted array of the ids' hashes, walking the ids only when two hashes are
-equal. An id -> row dict maps the rows the store has used: each row top_k
-ranks, and every row once an exclusion names an id the dict lacks. A hit
-carries its row's metadata, its times as Python floats, not the vector.
+first. It keeps the matrix and the columns it is given, so each value is held
+once, and checks them as the store writer checks each block it writes
+(RowCheck): a repeated id is refused through one int64 array of the ids'
+hashes, sorted, the ids walked only when two hashes are equal. An id -> row
+dict maps the rows the store has used: each row top_k ranks, and every row
+once an exclusion names an id the dict lacks. A hit carries its row's
+metadata, its times as Python floats, not the vector.
 
-Saving writes the columns (util.write_columns), then the matrix as the
-vectors.bin body, then a SHA-256 of all meta.jsonl bytes, each file through
-util.atomic_write_bytes, the one writer of every output file, which makes the
-directory and renames a temporary file into place, so an error or an
-interrupt leaves neither a partial file nor a temporary one: vectors.bin is
-renamed into place last, and its digest commits the pair.
+A store is written by one writer (write_store), fed its rows a block at a
+time, in row order: index feeds it a corpus a block at a time, and save feeds
+it the store's own columns and matrix as one block. Each block is checked
+(RowCheck: its vectors finite, its ids' hashes kept for the caller to look
+for a repeat); its meta.jsonl record lines (util.format_lines) go to an
+unnamed temporary file, and its vectors to vectors.bin's temporary file,
+whose header holds the count given before the first row. meta.jsonl's header
+holds the number of distinct video ids, known only after the last block, so
+then meta.jsonl's temporary file gets the header and a copy of the record
+lines, a SHA-256 of all its bytes taken as they are copied, and that digest
+ends vectors.bin. Both files are complete before either is renamed into
+place (util.atomic_files, the one writer of every output file), vectors.bin
+last, whose digest commits the pair: an error or an interrupt leaves the
+directory as it was, with no temporary file, and makes no directory.
 
 Loading reads each file once. meta.jsonl goes through util.RecordFile, the
 one reader of JSON-lines record files, in one pass of 1 MiB blocks that
@@ -91,12 +101,13 @@ import hashlib
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigError, StoreError, ValidationError
-from .util import (RecordFile, atomic_write_bytes, check_field_types, is_int, is_utf8, np,
-                   record_columns, shown, write_columns)
+from .util import (RecordFile, atomic_files, check_field_types, dumps_line, format_lines, is_int,
+                   is_utf8, np, record_columns, shown)
 
 STORE_FORMAT = "aiblob-store"
 STORE_VERSION = 2
@@ -113,6 +124,11 @@ SCREEN_CHUNK = 32
 SCREEN_BLOCK_BYTES = 1 << 20
 # The largest finite float32.
 _FLOAT32_MAX = (2 - 2.0 ** -23) * 2.0 ** 127
+# Ids hashed per np.fromiter call by RowCheck, so that no array of a whole
+# block's hashes is made beside the array that keeps them.
+_HASH_SLICE = 1 << 12
+# Bytes of meta.jsonl record lines copied per read by the store writer.
+_COPY_BYTES = 1 << 20
 
 
 @dataclass
@@ -219,14 +235,9 @@ class VectorStore:
                 raise ValidationError(f"{len(matrix)} vectors need {len(META_KEYS)} metadata "
                                       f"columns of {len(matrix)} values")
         ids = columns[0]
-        norm, faulty = _max_norm(matrix)
-        if faulty is not None:
-            raise ValidationError(f"record {shown(ids[faulty])}: vector has NaN/Inf")
-        # Sorted int64 hashes of the ids, 8 bytes an id, hold a fifth of what a
-        # set of the ids would; only two equal hashes call for the walk.
-        hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
-        hashes.sort()
-        if (hashes[1:] == hashes[:-1]).any():
+        check = RowCheck(len(matrix))
+        check.add(matrix, ids, columns[1])
+        if check.repeated():
             # The first id that repeats an earlier one; ids of equal hash may differ.
             seen: set[str] = set()
             for sentence_id in ids:
@@ -236,8 +247,8 @@ class VectorStore:
         self._matrix = matrix
         self._ids, self._video_ids, self._texts = columns[:3]
         self._starts, self._ends = (np.asarray(values, np.float64) for values in columns[3:])
-        self._videos = len(set(self._video_ids))
-        self._norm = norm
+        self._videos = len(check.video_ids)
+        self._norm = check.norm
         return len(matrix)
 
     def _record_columns(self, records: Sequence[VectorRecord]) -> tuple[np.ndarray, list[list]]:
@@ -455,18 +466,12 @@ class VectorStore:
     # ------------------------------------------------------------------
 
     def save(self, directory: str) -> None:
-        """Write meta.jsonl, then vectors.bin, whose digest commits the pair."""
+        """Write the store into ``directory`` (write_store), fed as one block."""
         # An inserted store holds every row's columns, and maps none to save.
         if self._meta is not None:
             self._decode(range(self.count))
-        meta_path = os.path.join(directory, META_FILE)
-        vectors_path = os.path.join(directory, VECTORS_FILE)
-        meta_header = {"format": STORE_FORMAT, "version": STORE_VERSION, "dim": self.dim,
-                       "embedder": self.embedder, "videos": self.video_count}
-        digest = hashlib.sha256()
-        write_columns(meta_path, meta_header, VectorRecord, self._columns(), digest)
-        header = VECTORS_HEADER.pack(VECTORS_MAGIC, STORE_VERSION, self.dim, self.count)
-        atomic_write_bytes(vectors_path, (header, self._matrix, digest.digest()))
+        with write_store(directory, self.count, self.embedder) as writer:
+            writer.add(self._matrix, self._columns())
 
     @classmethod
     def load(cls, directory: str) -> "VectorStore":
@@ -528,6 +533,98 @@ class VectorStore:
             store._decode([faulty])
             raise ValidationError(f"record {shown(store._ids[faulty])}: vector has NaN/Inf")
         return store
+
+
+class RowCheck:
+    """The one check of a store's rows, fed in blocks in row order (add): each
+    block's vectors must be finite (_max_norm), and each id's hash goes into one
+    int64 array made for ``count`` rows, 8 bytes an id where a set of the ids
+    would take over 50, so that only two equal hashes call for a walk of the
+    ids (repeated). It keeps the largest row norm and the distinct video ids."""
+
+    def __init__(self, count: int):
+        self.norm = 0.0
+        self.video_ids: set[str] = set()
+        self._hashes = np.empty(count, np.int64)
+        self._rows = 0
+
+    def add(self, matrix: np.ndarray, ids: Sequence[str], video_ids: Iterable[str]) -> None:
+        """Check the next ``len(ids)`` rows: ``matrix`` holds their vectors."""
+        norm, faulty = _max_norm(matrix)
+        if faulty is not None:
+            raise ValidationError(f"record {shown(ids[faulty])}: vector has NaN/Inf")
+        for lo in range(0, len(ids), _HASH_SLICE):
+            part = ids[lo:lo + _HASH_SLICE]
+            at = self._rows + lo
+            self._hashes[at:at + len(part)] = np.fromiter(map(hash, part), np.int64, len(part))
+        self._rows += len(ids)
+        self.norm = max(self.norm, norm)
+        self.video_ids.update(video_ids)
+
+    def repeated(self) -> bool:
+        """Whether two ids of the rows checked so far may be equal: two of their
+        hashes are. Sorts the hashes in place."""
+        hashes = self._hashes[:self._rows]
+        hashes.sort()
+        return bool((hashes[1:] == hashes[:-1]).any())
+
+
+class StoreWriter:
+    """What write_store yields: the writer of one store's rows, fed a block at
+    a time (add), and checked as they are written (``check``)."""
+
+    def __init__(self, vectors: IO[bytes], body: IO[bytes], count: int):
+        self.check = RowCheck(count)
+        self.dim: int | None = None
+        self._count = count
+        self._vectors, self._body = vectors, body
+
+    def add(self, matrix: np.ndarray, columns: Sequence[Sequence]) -> None:
+        """Write the next rows, checked (RowCheck.add): ``matrix`` is an (n, dim)
+        float32 matrix whose row i is the vector of the i-th entry of
+        ``columns``, one per META_KEYS field, of values already checked, as
+        insert_batch takes them. The first block's width is the store's dim."""
+        if self.dim is None:
+            self.dim = matrix.shape[1]
+            self._vectors.write(VECTORS_HEADER.pack(VECTORS_MAGIC, STORE_VERSION, self.dim,
+                                                    self._count))
+        self.check.add(matrix, columns[0], columns[1])
+        for lines in format_lines(VectorRecord, columns):
+            self._body.write(lines)
+        self._vectors.write(np.ascontiguousarray(matrix, "<f4"))
+
+    def _finish(self, meta: IO[bytes], embedder: str | None) -> None:
+        """Write meta.jsonl, hashing it, and end vectors.bin with its digest."""
+        header = {"format": STORE_FORMAT, "version": STORE_VERSION, "dim": self.dim,
+                  "embedder": embedder, "videos": len(self.check.video_ids)}
+        head = (dumps_line(header) + "\n").encode("utf-8")
+        digest = hashlib.sha256(head)
+        meta.write(head)
+        self._body.seek(0)
+        buffer = bytearray(_COPY_BYTES)
+        view = memoryview(buffer)
+        while got := self._body.readinto(buffer):
+            digest.update(view[:got])
+            meta.write(view[:got])
+        self._vectors.write(digest.digest())
+
+
+@contextmanager
+def write_store(directory: str, count: int, embedder: str | None) -> Iterator[StoreWriter]:
+    """The one writer of a store of ``count`` rows in ``directory``, indexed
+    with the embedder of spec ``embedder``: yield a StoreWriter, which the
+    caller feeds every row (StoreWriter.add), having refused a repeated id
+    (StoreWriter.check.repeated). When the block ends, meta.jsonl and
+    vectors.bin are completed, then renamed into place, vectors.bin last
+    (util.atomic_files); an error or an interrupt in the block leaves
+    ``directory`` as it was."""
+    import tempfile  # here, so that the commands that write no store never import it
+
+    paths = [os.path.join(directory, name) for name in (META_FILE, VECTORS_FILE)]
+    with atomic_files(paths) as (meta, vectors), tempfile.TemporaryFile(dir=directory) as body:
+        writer = StoreWriter(vectors, body, count)
+        yield writer
+        writer._finish(meta, embedder)
 
 
 def _at_most(value: float) -> np.float32:

@@ -1,16 +1,18 @@
 """Small shared helpers: numpy imported on first use (np), the one writer of
-every output file (atomic_write_bytes: a temporary file renamed over the
-output, so an error or an interrupt leaves neither a partial file nor a
-temporary one), the one JSON decoder (parse_json) for every file and reply,
-canonical JSON lines, JSON-lines files read once by one line rule, keeping
-line offsets and a file descriptor, not the bytes, with lines read back by
-os.pread (so the package is POSIX-only) and checked against a CRC-32 per
-chunk, record files written and read as columns, value and record checks,
-provider retries, the one HTTP client (post_json) and its URL rule."""
+every output file (atomic_files, and atomic_write_bytes for one file:
+temporary files renamed over the outputs once all are written, so an error or
+an interrupt leaves neither a partial file nor a temporary one), the one JSON
+decoder (parse_json) for every file and reply, canonical JSON lines,
+JSON-lines files read once by one line rule, keeping line offsets and a file
+descriptor, not the bytes, with lines read back by os.pread (so the package
+is POSIX-only) and checked against a CRC-32 per chunk, record files written
+and read as columns, value and record checks, provider retries, the one HTTP
+client (post_json) and its URL rule."""
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import dataclasses
 import functools
 import json
@@ -58,33 +60,67 @@ dumps_line: Callable[[dict[str, Any]], str] = json.JSONEncoder(
     ensure_ascii=False, separators=(",", ":")).encode
 
 
-def atomic_write_bytes(path: str, parts: Iterable, digest=None) -> None:
-    """Write the concatenation of bytes-like parts (C-contiguous arrays too) to
-    ``path``, the one way the program creates an output file: into a temporary
-    file beside it, made with the directory if need be, with the mode open()
-    gives a new file under the umask, then renamed over ``path``. Each part is
-    written as it is taken from ``parts``, so a generator's parts are never all
-    held at once, and a ``digest`` (a hashlib object) is updated with it.
+@contextlib.contextmanager
+def atomic_files(paths: Sequence[str]) -> Iterator[list]:
+    """The one way the program creates output files: yield a binary file open
+    for writing for each of ``paths``, a temporary file beside it, made with
+    its directory if need be, with the mode open() gives a new file under the
+    umask. When the block ends, the files are closed and renamed over
+    ``paths``, in order, so each is complete before any is renamed.
 
-    An error or an interrupt leaves ``path`` as it was and no temporary file;
-    a temporary name that another writer already holds raises FileExistsError,
-    and that file is left to it."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}-{os.path.basename(path)}")
+    An error or an interrupt before the renames leaves every path as it was,
+    no temporary file, and no directory made for them (one is removed only
+    while it is empty); a temporary name that another writer already holds
+    raises FileExistsError, and that file is left to it."""
+    made: list[str] = []  # directories made, outermost first
+    tmps: list[str] = []
+    handles = []
     try:
-        with open(tmp, "xb") as handle:
-            for part in parts:
-                if digest is not None:
-                    digest.update(part)
-                handle.write(part)
-        os.replace(tmp, path)
+        for path in paths:
+            directory = os.path.dirname(os.path.abspath(path))
+            missing = []
+            parent = directory
+            while not os.path.exists(parent):
+                missing.append(parent)
+                parent = os.path.dirname(parent)
+            # Each name is kept before it is made, so that an interrupt
+            # landing just after a make still finds it.
+            made.extend(reversed(missing))
+            os.makedirs(directory, exist_ok=True)
+            tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}-{os.path.basename(path)}")
+            tmps.append(tmp)
+            handles.append(open(tmp, "xb"))
+        yield handles
+        for handle in handles:
+            handle.close()
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException as exc:
-        # A FileExistsError naming tmp is the create's own: that file is another writer's.
-        taken = isinstance(exc, FileExistsError) and exc.filename == tmp
-        if not taken and os.path.exists(tmp):
-            os.unlink(tmp)
+        for handle in handles:
+            handle.close()
+        # A FileExistsError naming a temporary file is its create's own: that
+        # file is another writer's.
+        taken = exc.filename if isinstance(exc, FileExistsError) else None
+        for tmp in tmps:
+            if tmp != taken and os.path.exists(tmp):
+                os.unlink(tmp)
+        for directory in reversed(made):
+            try:
+                os.rmdir(directory)
+            except FileNotFoundError:  # not made yet
+                pass
+            except OSError:  # not empty: it, and each directory around it, is kept
+                break
         raise
+
+
+def atomic_write_bytes(path: str, parts: Iterable) -> None:
+    """Write the concatenation of bytes-like parts (C-contiguous arrays too) to
+    ``path`` through atomic_files. Each part is written as it is taken from
+    ``parts``, so a generator's parts are never all held at once."""
+    with atomic_files([path]) as (handle,):
+        for part in parts:
+            handle.write(part)
 
 
 def parse_json(data: str | bytes, where: str, error: type[AiblobError] = ParseError) -> Any:
@@ -183,8 +219,9 @@ class JsonLines:
 
     The one pass reads _SCAN_BLOCK_BYTES at a time into one buffer, updates
     ``digest`` (a hashlib object) with each block, finds its line ends and
-    takes a CRC-32 of each _CHUNK_BYTES of it. What it keeps is the span of
-    each line and a file descriptor, closed when the object is collected.
+    takes a CRC-32 of each _CHUNK_BYTES of it. What it keeps is the file's
+    size (``size``, in bytes), the span of each line and a file descriptor,
+    closed when the object is collected.
     Lines are read back by os.pread (POSIX), which moves no shared file
     position, so any number of threads may read at once; each chunk read back
     must match its CRC-32, so the lines read back are the bytes the pass
@@ -238,7 +275,7 @@ class JsonLines:
             last = buffer[got - 1]
             if got < len(buffer):
                 break
-        self._size = size
+        self.size = size
         ends = np.concatenate(newlines) if newlines else np.empty(0, np.intp)
         cut = np.concatenate(returns) if returns else np.empty(0, bool)
         if size and last != ord("\n"):
@@ -272,7 +309,7 @@ class JsonLines:
         """Chunks ``first`` to ``last`` of the file, read back by one pread,
         or ``error`` unless each matches its CRC-32."""
         start = first * _CHUNK_BYTES
-        data = os.pread(self._fd, min((last + 1) * _CHUNK_BYTES, self._size) - start, start)
+        data = os.pread(self._fd, min((last + 1) * _CHUNK_BYTES, self.size) - start, start)
         # A slice of one whole chunk is ``data`` itself, not a copy.
         crcs = [zlib.crc32(data[i:i + _CHUNK_BYTES]) for i in range(0, len(data), _CHUNK_BYTES)]
         if crcs != self._crcs[first:last + 1]:
@@ -296,7 +333,7 @@ class JsonLines:
             # exactly when the j smallest last chunks all end before it.
             # Chunks that touch or follow each other are one run.
             first = np.sort(starts // _CHUNK_BYTES)
-            last = np.sort(np.minimum(ends, self._size - 1) // _CHUNK_BYTES)
+            last = np.sort(np.minimum(ends, self.size - 1) // _CHUNK_BYTES)
             gaps = first[1:] > last[:-1] + 1
             runs = _Runs([], [])
             for lo_chunk, hi_chunk in zip([int(first[0])] + first[1:][gaps].tolist(),
@@ -340,16 +377,18 @@ class RecordFile(JsonLines):
         check_header(self.header, path, fmt, versions, error)
 
     def columns(self, cls, what: str = "record", unique: str | None = None,
-                rows: Sequence[int] | None = None, shared: str | None = None) -> tuple:
+                rows: Sequence[int] | None = None, shared: str | None = None,
+                seen: set | None = None) -> tuple:
         """The columns of records ``rows`` (every record by default), in that
         order: one per field of dataclass ``cls`` annotated with a kind of
         _FIELD_KINDS, in field order, a float64 array for a float field and a
         list for any other. Each record is an object with those fields as keys;
         ``cls``'s other fields have no key. Ints in float fields become floats.
-        With ``unique`` set, the values of that field must be distinct. With
-        ``shared`` set, equal values of that field (a field of few distinct
-        values, such as a video id) are one object, found through a dict that
-        lives for this call.
+        With ``unique`` set, the values of that field must be distinct, and
+        differ from those in ``seen`` (a set, of values read before), to which
+        they are then added. With ``shared`` set, equal values of that field (a
+        field of few distinct values, such as a video id) are one object, found
+        through a dict that lives for this call.
 
         One check covers all the rows. Blocks of lines are each joined with
         ",\\n" and decoded by one ``json.loads``, and the rows pass only if all
@@ -361,7 +400,7 @@ class RecordFile(JsonLines):
         - each column holds only its field's type (ints, within the float range,
           may stand in a float column; bools never pass), float columns are
           finite, and no string holds a lone surrogate;
-        - the ``unique`` column holds no repeat.
+        - the ``unique`` column holds no repeat, nor a value in ``seen``.
 
         Rows of scalars are what make the join exact: a newline ends no JSON
         string, so no string crosses a line, and with no object nested in a row,
@@ -373,17 +412,18 @@ class RecordFile(JsonLines):
         what a per-row reader raises: ``error`` for a line that is not UTF-8,
         ParseError for one that is not a JSON object, ``error`` with message
         "{path}:{lineno}: bad {what}: ..." for a bad record, ValidationError
-        "{path}:{lineno}: duplicate {unique} {value}" for a repeat. Rows without
+        "{path}:{lineno}: duplicate {unique} {value}" for a repeat (of a value
+        of an earlier row or in ``seen``). Rows without
         a fault (keys in another order, say) load from that walk.
         """
         lines = np.arange(1, self.count + 1) if rows is None else np.asarray(rows, np.intp) + 1
-        columns = self._decode(cls, lines, unique, shared)
+        columns = self._decode(cls, lines, unique, shared, seen)
         if columns is None:
-            columns = self._walk(cls, lines, what, unique, shared)
+            columns = self._walk(cls, lines, what, unique, shared, seen)
         return columns
 
-    def _decode(self, cls, lines: np.ndarray, unique: str | None,
-                shared: str | None) -> tuple | None:
+    def _decode(self, cls, lines: np.ndarray, unique: str | None, shared: str | None,
+                seen: set | None) -> tuple | None:
         """The columns of line indices ``lines``, or None unless they pass the
         check of columns; a repeat of ``unique`` gives None too. Each block's
         values are checked, and a float column's turned into its array, before
@@ -443,20 +483,22 @@ class RecordFile(JsonLines):
                         map(interned.setdefault, values, values) if name == shared else values)
             lo += len(block)
         if unique is not None:
-            column = columns[names.index(unique)]
-            if len(set(column)) != len(column):
+            distinct = set(columns[names.index(unique)])
+            if len(distinct) != len(lines) or not distinct.isdisjoint(seen or ()):
                 return None
+            if seen is not None:
+                seen |= distinct
         return columns
 
     def _walk(self, cls, lines: np.ndarray, what: str, unique: str | None,
-              shared: str | None) -> tuple:
+              shared: str | None, seen: set | None) -> tuple:
         """The per-row reader of columns: the columns of line indices ``lines``,
         or the error for the first faulty one."""
         rules = _field_rules(cls)
         names = [name for name, *_ in rules]
         given = {field.name: None for field in dataclasses.fields(cls) if field.name not in names}
         records = []
-        seen: set = set()
+        seen = set() if seen is None else seen
         for index, text in self._lines(lines):
             lineno = self.lineno(index)
             where = f"{self.path}:{lineno}"
@@ -502,14 +544,13 @@ _WRITE_BLOCK_LINES = 1024
 _ENCODERS = {str: encode_basestring, int: int.__repr__, float: float.__repr__}
 
 
-def write_columns(path: str, header: dict[str, Any], cls, columns: Sequence[Sequence],
-                  digest=None) -> None:
+def write_columns(path: str, header: dict[str, Any], cls, columns: Sequence[Sequence]) -> None:
     """Atomically write a JSON-lines record file from columns, the inverse of
     RecordFile.columns: the header line, then the UTF-8 blocks of record lines
-    of format_lines(cls, columns), through atomic_write_bytes with ``digest``.
+    of format_lines(cls, columns), through atomic_write_bytes.
     """
     head = (dumps_line(header) + "\n").encode("utf-8")
-    atomic_write_bytes(path, chain([head], format_lines(cls, columns)), digest)
+    atomic_write_bytes(path, chain([head], format_lines(cls, columns)))
 
 
 def format_lines(cls, columns: Sequence[Sequence]) -> Iterator[bytes]:

@@ -170,6 +170,16 @@ def forge_digest(directory):
     vectors.write_bytes(vectors.read_bytes()[:-32] + digest)
 
 
+def fail_renaming_vectors(replace):
+    """os.replace, but for vectors.bin, whose rename fails as a full disk fails
+    it: a store write that dies between its two renames."""
+    def renamed(src, dst):
+        if os.path.basename(dst) == "vectors.bin":
+            raise OSError("No space left on device")
+        replace(src, dst)
+    return renamed
+
+
 @pytest.fixture(scope="session")
 def fixture_store() -> VectorStore:
     """A dim-32 store over the 10-video synthetic corpus."""

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior on the synthetic fixture corpus."""
 
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -8,17 +9,21 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aiblob import cli, embeddings
 from aiblob.cli import build_parser, main
-from aiblob.errors import ParseError, StoreError
-from aiblob import embeddings
-from aiblob.embeddings import DeterministicEmbedder, deterministic_embed, make_embedder
-from aiblob.ingest import corpus_lines, export_corpus
+from aiblob.errors import AiblobError, ParseError, ProviderError, StoreError
+from aiblob.embeddings import (DeterministicEmbedder, RemoteEmbedder, deterministic_embed,
+                               embed_batch, make_embedder)
+from aiblob.ingest import Sentence, corpus_lines, export_corpus, load_corpus, open_corpus
 from aiblob.llm import Candidate
 from aiblob.narrative import PipelineConfig
 from aiblob.store import VectorStore
-from conftest import (INT_LIMIT, OVERLONG, build_replay_file, fixture_sentences, forge_digest,
-                      needs_int_limit, python_env, run_python, write_fixture_transcripts)
+from conftest import (INT_LIMIT, OVERLONG, build_replay_file, fail_renaming_vectors,
+                      fixture_sentences, forge_digest, needs_int_limit, python_env, run_python,
+                      write_fixture_transcripts)
 
 
 @pytest.fixture()
@@ -173,6 +178,250 @@ class TestIndex:
         assert not store.exists()
 
 
+def small_blocks(patch, rows):
+    """Make index stream the corpus in blocks of ``rows`` rows: the embedder's
+    batches hold that many, and a block no more bytes than a row."""
+    made = cli.make_embedder
+
+    def make(*args, **kwargs):
+        embedder = made(*args, **kwargs)
+        embedder.batch_size = rows
+        return embedder
+    patch.setattr(cli, "make_embedder", make)
+    patch.setattr(cli, "INDEX_BLOCK_BYTES", 1)
+
+
+def inserted_and_saved(corpus, directory, dim):
+    """``directory``, holding the store that insert_batch and save make of the
+    corpus file ``corpus`` with the deterministic embedder of ``dim``."""
+    rows = load_corpus(str(corpus))
+    store = VectorStore(dim, f"deterministic:{dim}")
+    store.insert_batch(DeterministicEmbedder(dim).embed(rows.texts),
+                       (rows.sentence_ids, rows.video_ids, rows.texts, rows.starts, rows.ends))
+    store.save(str(directory))
+    return directory
+
+
+def store_bytes(directory):
+    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
+def edit_rows(corpus, **rows):
+    """Change corpus rows in place: ``r<i>`` names row i and maps each field to
+    change to its new value."""
+    header, *lines = corpus.read_text(encoding="utf-8").split("\n")[:-1]
+    for name, changes in rows.items():
+        row = int(name[1:])
+        lines[row] = json.dumps({**json.loads(lines[row]), **changes}, ensure_ascii=False)
+    corpus.write_text("\n".join([header, *lines, ""]), encoding="utf-8")
+
+
+def first_id(corpus, row=0):
+    return json.loads(corpus.read_text(encoding="utf-8").split("\n")[row + 1])["sentence_id"]
+
+
+# Small corpora: ids distinct, texts non-empty, any strings but lone surrogates.
+STRINGS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8)
+CORPORA = st.lists(st.tuples(STRINGS, st.sampled_from(["v1", "v2", "v3"]), STRINGS,
+                             st.floats(0, 1e6), st.floats(0, 60)),
+                   min_size=1, max_size=10, unique_by=lambda row: row[0]).map(
+    lambda rows: [Sentence(sid, video, i, text, start, start + length)
+                  for i, (sid, video, text, start, length) in enumerate(rows)])
+
+
+class TestIndexInBlocks:
+    """index streams the corpus into the store a block of rows at a time, and
+    writes the bytes that insert_batch and save write for the whole corpus. A
+    fault in any block leaves the store at --store as it was, no temporary
+    file, and no directory that index made."""
+
+    # The fixture corpus's 200 rows, in blocks of 64, 64, 64 and 8.
+    ROWS = 64
+    BLOCKS = 4
+
+    def index(self, workspace, store, embedder="deterministic:32", config=None):
+        argv = ["index", "--corpus", str(workspace / "corpus.jsonl"), "--store", str(store),
+                "--embedder", embedder]
+        return main(argv + (["--config", str(config)] if config else []))
+
+    def test_store_is_insert_and_save_of_the_corpus(self, workspace):
+        reference = inserted_and_saved(workspace / "corpus.jsonl", workspace / "reference", 32)
+        assert store_bytes(workspace / "store") == store_bytes(reference)
+
+    def test_a_block_is_whole_provider_batches(self, workspace, monkeypatch):
+        calls = []
+
+        def embed(texts, provider, input_type, start):
+            calls.append((start, len(texts)))
+            return embed_batch(texts, provider, input_type, start=start)
+        made = DeterministicEmbedder.embed
+        monkeypatch.setattr(cli, "embed_batch", embed)
+        monkeypatch.setattr(DeterministicEmbedder, "embed", lambda self, texts, input_type: (
+            calls.append(len(texts)), made(self, texts, input_type))[1])
+        # Room for two and a half batches of 30 rows: blocks of two batches.
+        small_blocks(monkeypatch, 30)
+        records = open_corpus(str(workspace / "corpus.jsonl"))
+        monkeypatch.setattr(cli, "INDEX_BLOCK_BYTES",
+                            (records.size // (records.count + 1) + 4 * 32) * 75)
+        assert self.index(workspace, workspace / "store2") == 0
+        assert calls == [(0, 60), 30, 30, (60, 60), 30, 30, (120, 60), 30, 30, (180, 20), 20]
+        assert store_bytes(workspace / "store2") == store_bytes(workspace / "store")
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(corpus=CORPORA, rows=st.integers(1, 3), dim=st.integers(2, 6))
+    def test_blocks_of_a_few_rows_write_the_same_bytes(self, tmp_path_factory, corpus, rows,
+                                                        dim):
+        directory = tmp_path_factory.mktemp("blocks")
+        path = directory / "corpus.jsonl"
+        export_corpus([corpus_lines(corpus)], str(path))
+        with pytest.MonkeyPatch.context() as patch:
+            small_blocks(patch, rows)
+            assert main(["index", "--corpus", str(path), "--store", str(directory / "store"),
+                         "--embedder", f"deterministic:{dim}"]) == 0
+        reference = inserted_and_saved(path, directory / "reference", dim)
+        assert store_bytes(directory / "store") == store_bytes(reference)
+
+    def break_block(self, workspace, patch, fault):
+        """Make index in blocks of ROWS fail with ``fault``: the embedder failing
+        at a block (its position, from 1), or in the last block, a NaN vector,
+        a repeated id or an empty text; the error line it gives."""
+        corpus = workspace / "corpus.jsonl"
+        small_blocks(patch, self.ROWS)
+        last = 199
+        if isinstance(fault, int):
+            def embed(texts, provider, input_type, start):
+                if start == (fault - 1) * self.ROWS:
+                    raise ProviderError(f"no embeddings for texts[{start}:{start + len(texts)}]")
+                return embed_batch(texts, provider, input_type, start=start)
+            patch.setattr(cli, "embed_batch", embed)
+            start = (fault - 1) * self.ROWS
+            return f"error: no embeddings for texts[{start}:{min(start + self.ROWS, 200)}]\n"
+        if fault == "NaN vector":
+            def embed(texts, provider, input_type, start):
+                vectors = embed_batch(texts, provider, input_type, start=start)
+                if start + len(texts) == 200:
+                    vectors[-1, 3] = float("nan")
+                return vectors
+            patch.setattr(cli, "embed_batch", embed)
+            return f"error: record {first_id(corpus, last)}: vector has NaN/Inf\n"
+        if fault == "repeated id":
+            edit_rows(corpus, r199={"sentence_id": first_id(corpus, 5)})
+            return f"error: {corpus}:201: duplicate sentence_id {first_id(corpus, 5)}\n"
+        edit_rows(corpus, r199={"text": ""})
+        return f"error: {corpus}:201: bad corpus record: text must be a non-empty string\n"
+
+    @pytest.mark.parametrize("fault", [1, 2, 3, 4, "NaN vector", "repeated id", "empty text"])
+    @pytest.mark.parametrize("into", ["the store", "a new directory"])
+    def test_a_failed_block_leaves_no_trace(self, workspace, monkeypatch, capsys, fault, into):
+        error = self.break_block(workspace, monkeypatch, fault)
+        before = store_bytes(workspace / "store")
+        store = workspace / "store" if into == "the store" else workspace / "new" / "store"
+        capsys.readouterr()  # drop fixture output
+        assert self.index(workspace, store) == 1
+        assert capsys.readouterr().err == error
+        assert store_bytes(workspace / "store") == before
+        assert not (workspace / "new").exists()
+        assert not list(workspace.rglob(".tmp-*"))
+
+    # Corpus edits, each field of a row set to a value (an int for a sentence_id
+    # names the row whose id it takes), and the error that index names, if
+    # not load_corpus's: an empty text, which load_corpus does not refuse, is
+    # a fault of its row.
+    @pytest.mark.parametrize("edits,error", [
+        # A repeated id in the first block, a bad record in the third.
+        ({"r10": {"sentence_id": 3}, "r150": {"start_s": "x"}}, None),
+        # A bad record in the first block, a repeated id in the third.
+        ({"r10": {"start_s": "x"}, "r150": {"sentence_id": 3}}, None),
+        # In the third block, an id of the first, then a bad record...
+        ({"r140": {"sentence_id": 3}, "r150": {"start_s": "x"}}, None),
+        # ...and a bad record, then an id of the first.
+        ({"r140": {"start_s": "x"}, "r150": {"sentence_id": 3}}, None),
+        # Two equal ids in the third block, then a bad record.
+        ({"r140": {"sentence_id": 130}, "r150": {"end_s": None}}, None),
+        # A repeated id, then an empty text, in one block...
+        ({"r20": {"sentence_id": 3}, "r30": {"text": ""}}, None),
+        # ...and an empty text, then a repeated id.
+        ({"r20": {"text": ""}, "r30": {"sentence_id": 3}},
+         "{corpus}:22: bad corpus record: text must be a non-empty string"),
+    ])
+    def test_the_first_corpus_fault_in_row_order_is_named(self, workspace, monkeypatch, capsys,
+                                                          edits, error):
+        corpus = workspace / "corpus.jsonl"
+        edit_rows(corpus, **{row: {field: first_id(corpus, value) if field == "sentence_id"
+                                   else value for field, value in fields.items()}
+                             for row, fields in edits.items()})
+        if error is None:
+            with pytest.raises(AiblobError) as caught:
+                load_corpus(str(corpus))
+            error = str(caught.value)
+        small_blocks(monkeypatch, self.ROWS)
+        capsys.readouterr()  # drop fixture output
+        assert self.index(workspace, workspace / "store2") == 1
+        assert capsys.readouterr().err == f"error: {error.format(corpus=corpus)}\n"
+
+    @pytest.mark.parametrize("fault,edits,error", [
+        # A corpus fault in a block before the embedder's failure comes first...
+        (3, {"r10": {"sentence_id": 3}}, "{corpus}:12: duplicate sentence_id {id3}"),
+        # ...and one in a block after it is not reached.
+        (1, {"r150": {"start_s": "x"}}, "no embeddings for texts[0:64]"),
+        (1, {"r150": {"sentence_id": 3}}, "no embeddings for texts[0:64]"),
+        # So is a bad record in a block after an empty text.
+        (None, {"r20": {"text": ""}, "r150": {"start_s": "x"}},
+         "{corpus}:22: bad corpus record: text must be a non-empty string"),
+    ])
+    def test_a_fault_before_one_in_a_later_block(self, workspace, monkeypatch, capsys, fault,
+                                                 edits, error):
+        corpus = workspace / "corpus.jsonl"
+        id3 = first_id(corpus, 3)
+        if fault is None:
+            small_blocks(monkeypatch, self.ROWS)
+        else:
+            self.break_block(workspace, monkeypatch, fault)
+        edit_rows(corpus, **{row: {field: id3 if field == "sentence_id" else value
+                                   for field, value in fields.items()}
+                             for row, fields in edits.items()})
+        capsys.readouterr()  # drop fixture output
+        assert self.index(workspace, workspace / "store2") == 1
+        assert capsys.readouterr().err == f"error: {error.format(corpus=corpus, id3=id3)}\n"
+
+    def index_remotely(self, workspace, monkeypatch, reply):
+        """index through a remote embedder whose endpoint replies ``reply(texts)``,
+        in blocks of ROWS, with no wait between retries."""
+        monkeypatch.setattr(embeddings, "post_json",
+                            lambda url, payload, api_key, timeout: reply(payload["texts"]))
+        monkeypatch.setattr(cli, "embed_batch", functools.partial(embed_batch, backoff=()))
+        small_blocks(monkeypatch, self.ROWS)
+        config = workspace / "remote.json"
+        config.write_text(json.dumps({"providers": {
+            "embed_base_url": "http://127.0.0.1:9/embed", "embed_model": "m"}}), encoding="utf-8")
+        return self.index(workspace, workspace / "store2", "remote", config)
+
+    def test_a_failed_retry_names_the_corpus_rows(self, workspace, monkeypatch, capsys):
+        texts = load_corpus(str(workspace / "corpus.jsonl")).texts
+
+        def reply(batch):
+            if batch[0] == texts[128]:
+                raise ProviderError("endpoint unreachable: refused")
+            return {"embeddings": [deterministic_embed(text, 32).tolist() for text in batch]}
+        capsys.readouterr()  # drop fixture output
+        assert self.index_remotely(workspace, monkeypatch, reply) == 1
+        assert capsys.readouterr().err == ("error: embedding for texts[128:192] failed after 4 "
+                                           "attempts: endpoint unreachable: refused\n")
+        assert not (workspace / "store2").exists()
+
+    def test_a_dimension_mismatch_names_the_corpus_rows(self, workspace, monkeypatch, capsys):
+        widths = iter([32] + [16] * 3)
+
+        def reply(batch):
+            width = next(widths)
+            return {"embeddings": [deterministic_embed(text, width).tolist() for text in batch]}
+        capsys.readouterr()  # drop fixture output
+        assert self.index_remotely(workspace, monkeypatch, reply) == 1
+        assert capsys.readouterr().err == ("error: dimension mismatch at texts[64:128]: got 16, "
+                                           "expected 32\n")
+        assert not (workspace / "store2").exists()
+
+
 class TestStats:
     def test_counts(self, workspace, capsys):
         assert main(["stats", "--store", str(workspace / "store")]) == 0
@@ -230,10 +479,8 @@ class TestStoreIsOneSave:
         store = workspace / "store"
         capsys.readouterr()  # drop fixture output
         if request.param == "interrupted index":
-            def fail(*args):
-                raise OSError("No space left on device")
             with monkeypatch.context() as patch:
-                patch.setattr("aiblob.store.atomic_write_bytes", fail)
+                patch.setattr("aiblob.util.os.replace", fail_renaming_vectors(os.replace))
                 assert main([*index, str(store)]) == 1
             assert capsys.readouterr().err == "error: No space left on device\n"
         else:

@@ -2,11 +2,14 @@
 the signal number, and leaves no process, no temporary file and no partial
 corpus: Ctrl-C (SIGINT to the process group), SIGTERM to the command alone
 and SIGTERM to the process group, on the worker-process path and in process.
+An `aiblob index` interrupted mid-stream ends the same way, and leaves the
+store at --store as it was, or no directory there.
 
 Each run is a fresh interpreter in a process group of its own. Its
-segment_file first writes a ready file, then holds its transcript until the
-test has sent the signal, so the signal always lands mid-run, while a worker
-holds a file and the corpus's temporary file is open.
+segment_file (index's embed_batch, from the second block on) first writes a
+ready file, then holds its transcript (block) until the test has sent the
+signal, so the signal always lands mid-run, while a worker holds a file and
+the corpus's temporary file is open (while the store's temporary files are).
 """
 
 import json
@@ -18,7 +21,8 @@ import time
 
 import pytest
 
-from conftest import python_env, write_fixture_transcripts
+from aiblob.ingest import corpus_lines, export_corpus
+from conftest import fixture_sentences, python_env, write_fixture_transcripts
 
 # Ingest with the size floor set to the first argument (0 forks the pool) and
 # one file per task. The last output line tells how main returned, and whether
@@ -36,8 +40,7 @@ cli.INGEST_CHUNK_FILES = 1
 segment = cli.segment_file
 
 def held(path, min_chars):
-    with open(os.path.join(gate, f"ready-{os.getpid()}"), "w"):
-        pass
+    os.mkdir(os.path.join(gate, f"ready-{os.getpid()}"))  # no file object for a signal to leak
     while not os.path.exists(os.path.join(gate, "go")):
         time.sleep(0.002)
     return segment(path, min_chars)
@@ -152,3 +155,75 @@ def test_an_interrupted_ingest_ends_cleanly(tmp_path, floor, repeats, when, send
         # No temporary file, and the earlier corpus as it was.
         assert left == ["corpus.jsonl"], run
         assert (tmp_path / f"out{run}" / "corpus.jsonl").read_bytes() == b"an earlier corpus\n"
+
+
+# Index the corpus in blocks of 50 rows; the second block's embed_batch holds
+# its texts until the test has sent the signal.
+HELD_INDEX = """
+import json, os, signal, sys, time
+signal.signal(signal.SIGINT, signal.default_int_handler)
+from aiblob import cli
+gate, *argv = sys.argv[1:]
+cli.INDEX_BLOCK_BYTES = 1
+make, embed = cli.make_embedder, cli.embed_batch
+
+def small(*args, **kwargs):
+    embedder = make(*args, **kwargs)
+    embedder.batch_size = 50
+    return embedder
+
+def held(texts, provider, input_type, start):
+    if start:
+        os.mkdir(os.path.join(gate, "ready"))  # no file object for a signal to leak
+        while not os.path.exists(os.path.join(gate, "go")):
+            time.sleep(0.002)
+    return embed(texts, provider, input_type, start=start)
+
+cli.make_embedder, cli.embed_batch = small, held
+print(json.dumps({"code": cli.main(argv)}))
+"""
+
+EARLIER_STORE = {"meta.jsonl": b"an earlier meta.jsonl\n", "vectors.bin": b"an earlier vectors.bin"}
+
+
+@pytest.mark.parametrize("send,signum", [(ctrl_c, signal.SIGINT), (terminate, signal.SIGTERM)])
+@pytest.mark.parametrize("earlier", [True, False], ids=["over-a-store", "new-directory"])
+def test_an_index_interrupted_mid_stream_ends_cleanly(tmp_path, send, signum, earlier):
+    corpus = tmp_path / "corpus.jsonl"
+    export_corpus([corpus_lines(fixture_sentences())], str(corpus))
+    gate, out = tmp_path / "gate", tmp_path / "out"
+    gate.mkdir()
+    out.mkdir()
+    store = out / "store" if earlier else out / "new" / "store"
+    if earlier:
+        store.mkdir()
+        for name, data in EARLIER_STORE.items():
+            (store / name).write_bytes(data)
+    dev = ("-X", "dev") if sys.flags.dev_mode else ()
+    proc = subprocess.Popen(
+        [sys.executable, *dev, *WARNINGS_AS_ERRORS, "-c", HELD_INDEX, str(gate), "index",
+         "--corpus", str(corpus), "--store", str(store), "--embedder", "deterministic:8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=python_env(),
+        start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not (gate / "ready").exists():
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "the second block was never embedded"
+        send(proc.pid)
+        (gate / "go").touch()
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()
+    assert json.loads(stdout.splitlines()[-1]) == {"code": 128 + signum}, stderr
+    assert stderr == f"error: interrupted by {signal.Signals(signum).name}\n"
+    # The earlier store as it was and no temporary file, or nothing at all.
+    if earlier:
+        assert {path.name: path.read_bytes() for path in store.iterdir()} == EARLIER_STORE
+        assert os.listdir(out) == ["store"]
+    else:
+        assert os.listdir(out) == []

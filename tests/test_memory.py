@@ -1,12 +1,13 @@
-"""What `index` keeps per row, counted by tracemalloc: the bytes that Python
-objects and numpy arrays ask for, which repeat exactly from run to run, where
-a process's RSS does not."""
+"""What `index` keeps per row, and holds at its peak, counted by tracemalloc:
+the bytes that Python objects and numpy arrays ask for, which repeat exactly
+from run to run, where a process's RSS does not."""
 
 import gc
 import tracemalloc
 
 import pytest
 
+from aiblob import cli
 from aiblob.embeddings import DeterministicEmbedder
 from aiblob.ingest import Sentence, corpus_lines, export_corpus, load_corpus, sentence_id_for
 from aiblob.store import VectorStore
@@ -31,20 +32,25 @@ def traced(call, peak: bool = False):
         tracemalloc.stop()
 
 
-@pytest.fixture(scope="module")
-def corpus_path(tmp_path_factory):
-    """A corpus of 20,000 sentences of about 48 characters, 200 from each of
-    100 videos, their times growing through each video."""
+def write_corpus(path, videos):
+    """A corpus of sentences of about 48 characters, PER_VIDEO from each of
+    ``videos`` videos, their times growing through each video."""
     sentences = []
-    for v in range(VIDEOS):
+    for v in range(videos):
         video_id = f"video{v:04d}"
         for ordinal in range(PER_VIDEO):
             text = f"Frase {ordinal:03d} del video {v:04d}, detta in studio."
             start = ordinal * 3.75 + v / 7
             sentences.append(Sentence(sentence_id_for(video_id, ordinal, text), video_id,
                                       ordinal, text, start, start + 2.5))
-    path = tmp_path_factory.mktemp("memory") / "corpus.jsonl"
     export_corpus([corpus_lines(sentences)], str(path))
+    return path
+
+
+@pytest.fixture(scope="module")
+def corpus_path(tmp_path_factory):
+    """A corpus of 20,000 sentences, 200 from each of 100 videos."""
+    path = write_corpus(tmp_path_factory.mktemp("memory") / "corpus.jsonl", VIDEOS)
     load_corpus(str(path))  # the one-time costs: lazy imports, cached field rules
     return path
 
@@ -78,3 +84,29 @@ def test_first_insert_checks_its_ids_in_little_memory(corpus_path):
     # An int64 hash per id, sorted in place, and the vector norms; a set of the
     # ids would take over 50 bytes an id.
     assert peak <= 16 * ROWS
+
+
+def index_peak(corpus, store, block_bytes: int) -> int:
+    """The most bytes `aiblob index` of ``corpus`` into ``store`` held at once,
+    streaming blocks of ``block_bytes``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "INDEX_BLOCK_BYTES", block_bytes)
+        code, peak = traced(lambda: cli.main(["index", "--corpus", str(corpus), "--store",
+                                              str(store), "--embedder", "deterministic:8"]),
+                            peak=True)
+    assert code == 0
+    return peak
+
+
+def test_index_holds_a_block_not_the_corpus(corpus_path, tmp_path):
+    twice = write_corpus(tmp_path / "corpus.jsonl", 2 * VIDEOS)
+    block = 1 << 18  # 1,024 rows of about 220 bytes, a batch of the embedder
+    index_peak(corpus_path, tmp_path / "warm", block)  # the one-time costs again
+    peak = index_peak(corpus_path, tmp_path / "store", block)
+    # Twice the rows hold twice the line spans (16 bytes a row) and id hashes
+    # (8 bytes a row), and blocks no larger...
+    assert index_peak(twice, tmp_path / "store2", block) - peak <= 32 * ROWS
+    # ...and far below the 272 bytes a row of the corpus's columns.
+    assert peak <= 272 * ROWS / 2
+    # Blocks four times as large hold more.
+    assert index_peak(corpus_path, tmp_path / "store3", 4 * block) >= 1.5 * peak

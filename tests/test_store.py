@@ -21,7 +21,7 @@ from aiblob.errors import AiblobError, ConfigError, StoreError, ValidationError
 from aiblob import store as store_module
 from aiblob.store import META_KEYS, VectorRecord, VectorStore
 from aiblob.util import RecordFile, float_column
-from conftest import exact, forge_digest, run_python
+from conftest import exact, fail_renaming_vectors, forge_digest, run_python
 
 # What load says of a meta.jsonl that its vectors.bin digest does not match.
 MISMATCH = (r"vectors\.bin: digest does not match \S*meta\.jsonl, so the two files are not "
@@ -939,10 +939,8 @@ class TestDigestCheckedLoad:
         directory = self.saved(tmp_path)
         store = filled_store(n, 8, prefix="t", video_every=5)
 
-        def fail(*args):
-            raise OSError("no space left on device")
         with monkeypatch.context() as patch:
-            patch.setattr("aiblob.store.atomic_write_bytes", fail)
+            patch.setattr("aiblob.util.os.replace", fail_renaming_vectors(os.replace))
             with pytest.raises(OSError):
                 store.save(str(directory))
         with pytest.raises(StoreError, match=message):

@@ -11,8 +11,8 @@ from aiblob.errors import ConfigError, ParseError, ProviderError, StoreError
 from aiblob.ingest import Sentence
 from aiblob.montage import RenderSettings
 from aiblob.store import VectorRecord
-from aiblob.util import (_WRITE_BLOCK_LINES, atomic_write_bytes, check_keys, from_json, np,
-                         record_columns, retry, write_columns, write_json)
+from aiblob.util import (_WRITE_BLOCK_LINES, atomic_files, atomic_write_bytes, check_keys,
+                         from_json, np, record_columns, retry, write_columns, write_json)
 
 
 def sentence_columns(*sentences):
@@ -130,6 +130,50 @@ def test_a_taken_temporary_name_is_left_to_its_writer(tmp_path, monkeypatch, wri
         writer(str(tmp_path / "out.jsonl"), None)
     assert os.listdir(tmp_path) == [taken.name]
     assert taken.read_bytes() == b"another writer's\n"
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_a_failed_write_removes_the_directories_it_made(tmp_path, writer):
+    (tmp_path / "a").mkdir()
+    with pytest.raises(RuntimeError):
+        writer(str(tmp_path / "a" / "b" / "c" / "out.jsonl"), RuntimeError("part failed"))
+    assert os.listdir(tmp_path) == ["a"] and os.listdir(tmp_path / "a") == []
+
+
+@pytest.mark.parametrize("made", ["directories", "temporary-file"])
+def test_an_interrupt_just_after_a_make_leaves_nothing(tmp_path, monkeypatch, made):
+    """An interrupt landing after a directory or a temporary file is made, but
+    before the call that made it returns, still finds it removed."""
+    def interrupted(make):
+        def making(*args, **kwargs):
+            result = make(*args, **kwargs)
+            if result is not None:
+                result.close()
+            raise KeyboardInterrupt
+        return making
+    if made == "directories":
+        monkeypatch.setattr("aiblob.util.os.makedirs", interrupted(os.makedirs))
+    else:
+        monkeypatch.setattr("aiblob.util.open", interrupted(open), raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        atomic_write_bytes(str(tmp_path / "a" / "b" / "out"), [b"x"])
+    assert os.listdir(tmp_path) == []
+
+
+def test_every_file_is_written_before_the_first_rename(tmp_path, monkeypatch):
+    renames = []
+    replace = os.replace
+
+    def renaming(src, dst):
+        written = sorted(path.read_bytes() for path in tmp_path.glob(".tmp-*"))
+        renames.append((os.path.basename(dst), written))
+        replace(src, dst)
+    monkeypatch.setattr("aiblob.util.os.replace", renaming)
+    with atomic_files([str(tmp_path / "a"), str(tmp_path / "b")]) as (a, b):
+        b.write(b"second")
+        a.write(b"first")
+    assert renames == [("a", [b"first", b"second"]), ("b", [b"second"])]
+    assert sorted(os.listdir(tmp_path)) == ["a", "b"]
 
 
 @pytest.mark.parametrize("short", [0, 3, _WRITE_BLOCK_LINES, _WRITE_BLOCK_LINES + 1])
