@@ -16,71 +16,86 @@ ignored.
 A float32 screen, within a bound B of every row's score (_bound), picks the
 rows worth scoring. retrieve() runs an episode's queries in order, each
 excluding every hit of the queries before it; it screens each chunk of
-SCREEN_CHUNK queries through one float32 matrix product over blocks of rows,
-each block at most SCREEN_BLOCK_BYTES of screen, the rows excluded so far
-masked. For the chunk's i-th query it keeps every row screening above T - 2B,
-with T the running (k * (i + 1))-th best screen: the chunk's earlier queries
-exclude at most k * i more ids, so at least k rows that screen at T or above
-remain. top_k takes such a screened query, or a vector screened as a chunk of
-one. The pool rows whose ids are excluded (only the chunk's earlier hits,
-decoded rows all) are dropped; with t the m-th best screen of the rest, m = k
-at first, only the band of rows screening above t - 2B is scored: every other
-row scores below t - B, so the band rows scoring at least t - B are a prefix of
-the full (score desc, id asc) order, ties included. When the video cap leaves
-fewer than k hits among them, m grows fourfold and the selection is redone.
-While at least m of the pool rows not excluded screen at T or above, t >= T
-and the band lies within the pool. When they do not (the chunk's earlier hits
-took more of the pool than its depth allows, or the cap grew m), top_k screens
-the query again alone, at depth m, against the exclusion it was given.
+SCREEN_CHUNK queries through one float32 matrix product over blocks of rows
+(each block of vectors at most SCREEN_BLOCK_BYTES, screened into blocks of at
+most SCREEN_BLOCK_BYTES of screen), the rows excluded so far masked. For the
+chunk's i-th query it keeps every row screening above T - 2B, with T the
+(k * (i + 1))-th best screen: the chunk's earlier queries exclude at most
+k * i more ids, so at least k rows that screen at T or above remain. Those
+pools hold every row the chunk's queries can rank (bar a video cap's growth):
+a loaded store decodes in one pass, in row order, their bands with nothing
+excluded and every pool row that shares a chunk of meta.jsonl with another
+(_chunk_rows), so each chunk is read once per chunk of queries. top_k takes a
+screened query, or a vector screened as a chunk of one. The pool rows whose
+ids are excluded (only the chunk's earlier hits, decoded rows all) are
+dropped; with t the m-th best screen of the rest, m = k at first, only the
+band of rows screening above t - 2B is scored, from its rows' vectors
+(_vectors_of): every other row scores below t - B, so the band rows scoring
+at least t - B are a prefix of the full (score desc, id asc) order, ties
+included. When the video cap leaves fewer than k hits among them, m grows
+fourfold and the selection is redone. While at least m of the pool rows not
+excluded screen at T or above, t >= T and the band lies within the pool. When
+they do not (the chunk's earlier hits took more of the pool than its depth
+allows, or the cap grew m), top_k screens the query again alone, at depth m,
+against the exclusion it was given.
 
-In memory, rows are columns in row order: one C-contiguous little-endian
-float32 matrix (exactly the vectors.bin body, read into an array of its own at
-load) beside lists of ids, video ids and texts, float64 arrays of start and
-end times, the number of distinct video ids, and the largest row norm, found
-as insert and load check that every vector is finite. The insert takes a
-matrix with its columns, or a list of VectorRecord, turned into columns
-first. It keeps the matrix and the columns it is given, so each value is held
-once, and checks them as the store writer checks each block it writes
-(RowCheck): a repeated id is refused through one int64 array of the ids'
-hashes, sorted, the ids walked only when two hashes are equal. An id -> row
-dict maps the rows the store has used: each row top_k ranks, and every row
-once an exclusion names an id the dict lacks. A hit carries its row's
+In memory, rows are columns in row order: lists of ids, video ids and texts
+and float64 arrays of start and end times, beside the vectors, the number of
+distinct video ids, and the largest row norm, found as insert and load check
+that every vector is finite. An inserted store's vectors are one C-contiguous
+little-endian float32 matrix; a loaded store holds no matrix, and reads its
+vectors back from vectors.bin when it uses them (_row_blocks, _vectors_of).
+The insert takes a matrix with its columns, or a list of VectorRecord, turned
+into columns first. It keeps the matrix and the columns it is given, so each
+value is held once, and checks them as the store writer checks each block it
+writes (RowCheck): a repeated id is refused through one int64 array of the
+ids' hashes, sorted, the ids walked only when two hashes are equal. An id ->
+row dict maps the rows the store has used: each row top_k ranks, and every
+row once an exclusion names an id the dict lacks. A hit carries its row's
 metadata, its times as Python floats, not the vector.
 
 A store is written by one writer (write_store), fed its rows a block at a
 time, in row order: index feeds it a corpus a block at a time, and save feeds
-it the store's own columns and matrix as one block. Each block is checked
-(RowCheck: its vectors finite, its ids' hashes kept for the caller to look
-for a repeat); its meta.jsonl record lines (util.format_lines) go to an
-unnamed temporary file, and its vectors to vectors.bin's temporary file,
-whose header holds the count given before the first row. meta.jsonl's header
-holds the number of distinct video ids, known only after the last block, so
-then meta.jsonl's temporary file gets the header and a copy of the record
-lines, a SHA-256 of all its bytes taken as they are copied, and that digest
-ends vectors.bin. Both files are complete before either is renamed into
-place (util.atomic_files, the one writer of every output file), vectors.bin
-last, whose digest commits the pair: an error or an interrupt leaves the
-directory as it was, with no temporary file, and makes no directory.
+it the store's own rows, a block of vectors (_row_blocks) at a time. Each
+block is checked (RowCheck: its vectors finite, its ids' hashes kept for the
+caller to look for a repeat); its meta.jsonl record lines (util.format_lines)
+go to an unnamed temporary file, and its vectors to vectors.bin's temporary
+file, whose header holds the count given before the first row. meta.jsonl's
+header holds the number of distinct video ids, known only after the last
+block, so then meta.jsonl's temporary file gets the header and a copy of the
+record lines, a SHA-256 of all its bytes taken as they are copied, and that
+digest ends vectors.bin. Both files are complete before either is renamed
+into place (util.atomic_files, the one writer of every output file),
+vectors.bin last, whose digest commits the pair: an error or an interrupt
+leaves the directory as it was, with no temporary file, and makes no
+directory.
 
-Loading reads each file once. meta.jsonl goes through util.RecordFile, the
-one reader of JSON-lines record files, in one pass of 1 MiB blocks that
-feeds the SHA-256, finds the line ends and takes a CRC-32 of each 4 KiB
-chunk; then come the vectors.bin header, size, digest and values. A digest
-that does not match meta.jsonl (the two files are not one save, say an index
-killed between its renames) is refused. So meta.jsonl is what save wrote: no
-row is decoded at load (its id is None until it is first mapped), and the
-RecordFile keeps the rows' line offsets and the open file, not its bytes. A
-row is read back by os.pread when it is first mapped, and decoded with its
-record check. A save decodes every row first. Only a meta.jsonl forged
-together with its digest can hold a faulty row that load passes; its fault
-is raised, naming the line, when the row is first used.
+Loading reads each file once, in one pass of 1 MiB blocks into one reused
+buffer, taking a CRC-32 of each 4 KiB chunk (util.CheckedFile). meta.jsonl
+goes through util.RecordFile, the one reader of JSON-lines record files,
+whose pass also feeds the SHA-256 and finds the line ends. Then the
+vectors.bin header and size are checked, its pass finds the largest row norm
+and the first row holding NaN/Inf (_max_norm) a block at a time, and its
+digest is read back. A digest that does not match meta.jsonl (the two files
+are not one save, say an index killed between its renames) is refused. So
+meta.jsonl is what save wrote: no row is decoded at load (its id is None
+until it is first mapped). What load keeps of each file is its open
+descriptor and its chunks' CRC-32s, and of meta.jsonl the rows' line
+offsets: not the bytes of either. A row of meta.jsonl is read back by
+os.pread when it is first mapped, and decoded with its record check; the
+vectors are read back by os.pread each time a query is screened (into a
+buffer each screen makes for itself, so that readers share none), and the
+band rows' vectors each time top_k scores them. A save decodes every row
+first. Only a meta.jsonl forged together with its digest can hold a faulty
+row that load passes; its fault is raised, naming the line, when the row is
+first used.
 
-A loaded store answers from bytes of meta.jsonl identical to those its load
-hashed, or raises StoreError naming the file: every chunk read back must
-match its CRC-32, so a file rewritten or truncated in place is refused, not
-read, while a store replaced by rename (as index saves) is still read
-through the kept descriptor. A file truncated under an mmap would kill the
-process with SIGBUS, so none is made.
+A loaded store answers from bytes of meta.jsonl and vectors.bin identical to
+those its load read, or raises StoreError naming the file: every chunk read
+back must match its CRC-32, so a file rewritten or truncated in place is
+refused, not read, while a store replaced by rename (as index saves) is still
+read through the kept descriptors. A file truncated under an mmap would kill
+the process with SIGBUS, so none is made.
 
 On-disk layout (bit-exact), version 2, the only version read:
     meta.jsonl   header {"format":"aiblob-store","version":2,"dim":D,
@@ -106,8 +121,8 @@ from dataclasses import dataclass
 from typing import IO, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ConfigError, StoreError, ValidationError
-from .util import (RecordFile, atomic_files, check_field_types, dumps_line, format_lines, is_int,
-                   is_utf8, np, record_columns, shown)
+from .util import (CheckedFile, RecordFile, atomic_files, check_field_types, dumps_line,
+                   format_lines, is_int, is_utf8, np, record_columns, shown)
 
 STORE_FORMAT = "aiblob-store"
 STORE_VERSION = 2
@@ -119,7 +134,7 @@ VECTORS_FILE = "vectors.bin"
 # Metadata fields, in meta.jsonl key order; VectorRecord has the same names.
 META_KEYS = ("sentence_id", "video_id", "text", "start_s", "end_s")
 # The most queries retrieve screens in one GEMM, and the most bytes of float32
-# screen one block of rows makes.
+# screen one block of rows makes, and of float32 vectors it reads.
 SCREEN_CHUNK = 32
 SCREEN_BLOCK_BYTES = 1 << 20
 # The largest finite float32.
@@ -167,9 +182,10 @@ class Screened(NamedTuple):
 
 
 class VectorStore:
-    """In-memory store over (sentence_id, vector, metadata) rows.
+    """Store over (sentence_id, vector, metadata) rows.
 
-    Built by one insert_batch, then saved or queried; or loaded, then queried.
+    Built by one insert_batch, then saved or queried; or loaded, then queried,
+    its files read back as it uses them.
     Either way any number of readers may query it at once, and queries are
     deterministic regardless of parallelism.
     """
@@ -180,7 +196,10 @@ class VectorStore:
         self.dim = dim
         # The spec of the embedder that made the vectors, when known.
         self.embedder = embedder
+        # The vectors: the matrix of an inserted store, or a loaded store's
+        # vectors.bin, read back a block of rows at a time (_row_blocks).
         self._matrix = np.empty((0, dim), dtype="<f4")
+        self._vectors: CheckedFile | None = None
         # The id -> row map of the rows the store has used (_decode).
         self._rows: dict[str, int] = {}
         self._ids: list[str] = []
@@ -301,10 +320,30 @@ class VectorStore:
         exclude: set[str] = set()
         for start in range(0, len(queries), SCREEN_CHUNK):
             chunk = [self._query(query) for query in queries[start:start + SCREEN_CHUNK]]
-            for screened in self._screen(chunk, k, self._held_rows(exclude)):
+            screens = self._screen(chunk, k, self._held_rows(exclude))
+            if self._meta is not None:
+                self._decode(self._chunk_rows(screens, k))
+            for screened in screens:
                 hits = self.top_k(screened, k, exclude=exclude, video_cap=video_cap)
                 exclude.update(hit.sentence_id for hit in hits)
                 yield hits
+
+    def _chunk_rows(self, screens: list[Screened], k: int) -> list[int]:
+        """The rows, ascending, that a loaded store decodes in one pass before
+        a chunk's top_k calls. A query ranks rows of its pool only (bar a video
+        cap's growth): the band it ranks with nothing excluded, and more of the
+        pool as earlier hits are excluded. So these are the bands, and every
+        pool row that shares a chunk of meta.jsonl with another: a pool row
+        alone in its chunks is read, if ever, by the one top_k that first ranks
+        it. Each chunk is then read once per chunk of queries, and a sparse
+        pool costs no read of rows that no query ranks."""
+        pools = _distinct(np.concatenate([screened.rows for screened in screens]))
+        first, last = self._meta.chunks_of(pools + 1)
+        # How many pool rows touch each chunk.
+        touched = np.bincount(np.concatenate((first, last[last != first])))
+        shared = pools[(touched[first] > 1) | (touched[last] > 1)]
+        return _distinct(np.concatenate(
+            [shared] + [self._band(screened, k, frozenset())[0] for screened in screens])).tolist()
 
     def _query(self, query: np.ndarray) -> np.ndarray:
         """``query`` as a float64 vector, checked against the store dim."""
@@ -319,38 +358,106 @@ class VectorStore:
     def _screen(self, queries: list[np.ndarray], k: int, excluded: np.ndarray) -> list[Screened]:
         """One float32 GEMM of ``queries`` over blocks of rows, the ``excluded``
         rows (ascending) masked, keeping for the i-th query every row that
-        screens above T - 2B, with T its running (k * (i + 1))-th best screen."""
+        screens above T - 2B, with T its (k * (i + 1))-th best screen.
+
+        A pool is cut to the rows above T - 2B, T the depth-th best screen it
+        holds, once it holds twice its depth, and once at the end: a row below
+        an earlier cut's T - 2B is below the last one's, so the pools are those
+        that a cut after every block would leave."""
         bounds = [self._bound(q) for q in queries]
         # A query the float32 screen cannot hold screens 0 on every row.
         matrix = np.array([q if bound < math.inf else np.zeros(self.dim)
                            for q, bound in zip(queries, bounds)], dtype=np.float32).T
         depths = [k * (i + 1) for i in range(len(queries))]
         floors = [-math.inf] * len(queries)
-        pools = [(np.empty(0, np.intp), np.empty(0))] * len(queries)
-        step = max(1, SCREEN_BLOCK_BYTES // (4 * len(queries)))
-        for start in range(0, self.count, step):
-            block = self._matrix[start:start + step] @ matrix
-            lo, hi = np.searchsorted(excluded, (start, start + step))
+        # Each query's T - 2B as a float32 that a screen must exceed (_at_most).
+        limits = np.full(len(queries), -np.inf, np.float32)
+        # Each pool's pieces of rows and screens, and the rows they hold.
+        pools = [[(np.empty(0, np.intp), np.empty(0))] for _ in queries]
+        held = [0] * len(queries)
+
+        def cut(i: int) -> None:
+            rows, screens = (np.concatenate(column) for column in zip(*pools[i]))
+            if len(rows) >= depths[i]:
+                floors[i] = np.partition(screens, len(rows) - depths[i])[-depths[i]]
+                limits[i] = _at_most(floors[i] - 2 * bounds[i])
+                # Held in float64, screens compare with T - 2B exactly.
+                kept = screens > floors[i] - 2 * bounds[i]
+                rows, screens = rows[kept], screens[kept]
+            pools[i], held[i] = [(rows, screens)], len(rows)
+
+        # Each block of vectors read (_row_blocks) is screened into a block of
+        # as many whole reads as SCREEN_BLOCK_BYTES of screen holds, at least
+        # one, which is then searched.
+        step = self._read_rows * max(1, SCREEN_BLOCK_BYTES // (4 * len(queries) * self._read_rows))
+        screen = np.empty((min(step, self.count), len(queries)), np.float32)
+        for at, vectors in self._row_blocks():
+            start, end = at - at % step, at + len(vectors)
+            np.matmul(vectors, matrix, out=screen[at - start:end - start])
+            if end - start < step and end < self.count:
+                continue
+            block = screen[:end - start]
+            lo, hi = np.searchsorted(excluded, (start, end))
             block[excluded[lo:hi] - start] = -np.inf
-            for i, (depth, bound) in enumerate(zip(depths, bounds)):
-                column = block[:, i]
-                # A first block of depth rows or more sets T itself, so that
-                # only the rows near its top are gathered.
-                if floors[i] == -math.inf and len(column) >= depth:
-                    floors[i] = float(np.partition(column, len(column) - depth)[-depth])
-                new = np.flatnonzero(column > _at_most(floors[i] - 2 * bound))
-                if not len(new):
-                    continue
-                rows = np.concatenate((pools[i][0], new + start))
-                screens = np.concatenate((pools[i][1], column[new].astype(np.float64)))
-                if len(rows) >= depth:
-                    floors[i] = np.partition(screens, len(rows) - depth)[-depth]
-                    # Held in float64, screens compare with T - 2B exactly.
-                    kept = screens > floors[i] - 2 * bound
-                    rows, screens = rows[kept], screens[kept]
-                pools[i] = rows, screens
-        return [Screened(q, bound, floor, rows, screens)
-                for q, bound, floor, (rows, screens) in zip(queries, bounds, floors, pools)]
+            # A first block of depth rows or more sets T itself, so that only
+            # the rows near its top are gathered.
+            for i, depth in enumerate(depths):
+                if floors[i] == -math.inf and len(block) >= depth:
+                    floors[i] = float(np.partition(block[:, i], len(block) - depth)[-depth])
+                    limits[i] = _at_most(floors[i] - 2 * bounds[i])
+            # Each query's rows above its limit, ascending, query by query.
+            rows, columns = np.divmod(np.flatnonzero(block > limits), len(queries))
+            order = np.argsort(columns, kind="stable")
+            rows, columns = rows[order], columns[order]
+            screens = block[rows, columns].astype(np.float64)
+            rows += start
+            edges = np.searchsorted(columns, np.arange(len(queries) + 1)).tolist()
+            for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+                if hi > lo:
+                    pools[i].append((rows[lo:hi], screens[lo:hi]))
+                    held[i] += hi - lo
+                    if held[i] >= 2 * depths[i]:
+                        cut(i)
+        for i in range(len(queries)):
+            cut(i)
+        return [Screened(q, bound, floor, *pool[0])
+                for q, bound, floor, pool in zip(queries, bounds, floors, pools)]
+
+    @property
+    def _read_rows(self) -> int:
+        """The rows of a block of vectors: SCREEN_BLOCK_BYTES of them, or one."""
+        return max(1, SCREEN_BLOCK_BYTES // (4 * self.dim))
+
+    def _row_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The first row and the float32 vectors of each block of _read_rows
+        rows, in row order, one block for an empty store: slices of an inserted
+        store's matrix, or a loaded store's vectors.bin read back, checked,
+        into one buffer this call makes (CheckedFile.read)."""
+        step = self._read_rows
+        if self._vectors is None:
+            for start in range(0, max(self.count, 1), step):
+                yield start, self._matrix[start:start + step]
+            return
+        size = 4 * self.dim
+        buffer = np.empty(CheckedFile.room(min(step, self.count) * size), np.uint8)
+        for start in range(0, max(self.count, 1), step):
+            stop = min(start + step, self.count)
+            data = self._vectors.read(VECTORS_HEADER.size + start * size,
+                                      VECTORS_HEADER.size + stop * size, buffer)
+            yield start, data.view("<f4").reshape(stop - start, self.dim)
+
+    def _vectors_of(self, rows: np.ndarray) -> np.ndarray:
+        """The float32 vectors of ``rows``: gathered from an inserted store's
+        matrix, or read back, checked, from a loaded store's vectors.bin, one
+        pread for each run of chunks that they touch (CheckedFile.runs)."""
+        if self._vectors is None:
+            return self._matrix[rows]
+        size = 4 * self.dim
+        starts = VECTORS_HEADER.size + rows * size
+        # A row's last byte is the one before the next row's first.
+        runs, _ = self._vectors.runs(starts, starts + size - 1)
+        data = b"".join(map(runs.take, starts.tolist(), (starts + size).tolist()))
+        return np.frombuffer(data, "<f4").reshape(len(rows), self.dim)
 
     def _held_rows(self, ids: Collection[str]) -> np.ndarray:
         """The rows, ascending, of those of ``ids`` that the store holds."""
@@ -388,8 +495,8 @@ class VectorStore:
                 screened = self._screen([screened.query], m, self._held_rows(exclude))[0]
                 band = self._band(screened, m, exclude)
             rows, floor = band
-            scores = np.clip((self._matrix[rows].astype(np.float64) * screened.query).sum(axis=1),
-                             -1.0, 1.0)
+            scores = np.clip((self._vectors_of(rows).astype(np.float64) * screened.query)
+                             .sum(axis=1), -1.0, 1.0)
             # A finite query can still overflow against a stored row; NaN never ranks.
             if np.isnan(scores).any():
                 raise ValidationError(
@@ -466,12 +573,15 @@ class VectorStore:
     # ------------------------------------------------------------------
 
     def save(self, directory: str) -> None:
-        """Write the store into ``directory`` (write_store), fed as one block."""
+        """Write the store into ``directory`` (write_store), fed a block of rows
+        at a time."""
         # An inserted store holds every row's columns, and maps none to save.
         if self._meta is not None:
             self._decode(range(self.count))
+        columns = self._columns()
         with write_store(directory, self.count, self.embedder) as writer:
-            writer.add(self._matrix, self._columns())
+            for start, vectors in self._row_blocks():
+                writer.add(vectors, [column[start:start + len(vectors)] for column in columns])
 
     @classmethod
     def load(cls, directory: str) -> "VectorStore":
@@ -490,45 +600,50 @@ class VectorStore:
         embedder = header.get("embedder")
         if embedder is not None and not (isinstance(embedder, str) and is_utf8(embedder)):
             raise StoreError(f"{meta_path}: bad embedder {embedder!r}")
-        with open(vectors_path, "rb") as handle:
-            size = os.fstat(handle.fileno()).st_size
-            head = handle.read(VECTORS_HEADER.size)
-            if len(head) != VECTORS_HEADER.size:
-                raise StoreError(f"{vectors_path}: truncated header")
-            magic, version, bin_dim, bin_count = VECTORS_HEADER.unpack(head)
-            if magic != VECTORS_MAGIC:
-                raise StoreError(f"{vectors_path}: bad magic {magic!r}")
-            if version != STORE_VERSION:
-                raise StoreError(f"{vectors_path}: unsupported version {version}")
-            if bin_dim != dim:
-                raise StoreError(f"{vectors_path}: dim {bin_dim} does not match metadata dim {dim}")
-            if bin_count != count:
-                raise StoreError(
-                    f"{vectors_path}: count {bin_count} does not match {count} metadata rows"
-                )
-            expected_bytes = VECTORS_HEADER.size + bin_count * dim * 4 + DIGEST_SIZE
-            if size != expected_bytes:
-                raise StoreError(f"{vectors_path}: expected {expected_bytes} bytes, found {size}")
-            # The digest is the save's commit record: meta.jsonl is then exactly
-            # what save wrote with these vectors, and its rows decode when used.
-            handle.seek(size - DIGEST_SIZE)
-            if handle.read() != digest.digest():
-                raise StoreError(f"{vectors_path}: digest does not match {meta_path}, so the two "
-                                 f"files are not one save; re-run aiblob index")
-            # Read into an array of its own, the matrix is aligned as numpy
-            # aligns its allocations, which the float32 screen reads faster.
-            handle.seek(VECTORS_HEADER.size)
-            matrix = np.fromfile(handle, "<f4", bin_count * dim).reshape(bin_count, dim)
+        vectors = CheckedFile(vectors_path, StoreError)
+        head = vectors.head(VECTORS_HEADER.size)
+        if len(head) != VECTORS_HEADER.size:
+            raise StoreError(f"{vectors_path}: truncated header")
+        magic, version, bin_dim, bin_count = VECTORS_HEADER.unpack(head)
+        if magic != VECTORS_MAGIC:
+            raise StoreError(f"{vectors_path}: bad magic {magic!r}")
+        if version != STORE_VERSION:
+            raise StoreError(f"{vectors_path}: unsupported version {version}")
+        if bin_dim != dim:
+            raise StoreError(f"{vectors_path}: dim {bin_dim} does not match metadata dim {dim}")
+        if bin_count != count:
+            raise StoreError(
+                f"{vectors_path}: count {bin_count} does not match {count} metadata rows")
+        body = VECTORS_HEADER.size + count * dim * 4
+        if vectors.size != body + DIGEST_SIZE:
+            raise StoreError(
+                f"{vectors_path}: expected {body + DIGEST_SIZE} bytes, found {vectors.size}")
+        # The one pass: the largest row norm and the first row holding NaN/Inf,
+        # found a block at a time, and the CRC-32s (CheckedFile.scan); no
+        # block outlives the next read, so the matrix is never held.
+        norm, faulty, done = 0.0, None, 0
+        for rows in _whole_rows(vectors.scan(), VECTORS_HEADER.size, body, 4 * dim):
+            matrix = rows.view("<f4").reshape(-1, dim)
+            block_norm, bad = _max_norm(matrix)
+            if faulty is None and bad is not None:
+                faulty = done + bad
+            norm = max(norm, block_norm)
+            done += len(matrix)
+        # The digest is the save's commit record: meta.jsonl is then exactly
+        # what save wrote with these vectors, and its rows decode when used.
+        if vectors.read(body, body + DIGEST_SIZE).tobytes() != digest.digest():
+            raise StoreError(f"{vectors_path}: digest does not match {meta_path}, so the two "
+                             f"files are not one save; re-run aiblob index")
         videos = header.get("videos")
         if not is_int(videos) or not min(count, 1) <= videos <= count:
             raise StoreError(f"{meta_path}: bad videos {videos!r}")
         # The rows stay undecoded (None) until they are first mapped.
         store = cls(dim, embedder)
-        store._matrix, store._meta, store._videos = matrix, meta, videos
+        store._matrix, store._vectors, store._meta, store._videos = None, vectors, meta, videos
         for column in store._columns()[:3]:
             column.extend([None] * count)
         store._starts, store._ends = np.zeros(count), np.zeros(count)
-        store._norm, faulty = _max_norm(matrix)
+        store._norm = norm
         if faulty is not None:
             store._decode([faulty])
             raise ValidationError(f"record {shown(store._ids[faulty])}: vector has NaN/Inf")
@@ -634,6 +749,36 @@ def _at_most(value: float) -> np.float32:
         return np.float32(-np.inf)
     near = np.float32(value)
     return near if float(near) <= value else np.nextafter(near, np.float32(-np.inf))
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """``rows`` ascending, each once: np.unique would import numpy.ma."""
+    rows = np.sort(rows)
+    first = np.ones(len(rows), bool)
+    first[1:] = rows[1:] != rows[:-1]
+    return rows[first]
+
+
+def _whole_rows(blocks: Iterable[np.ndarray], start: int, end: int,
+                size: int) -> Iterator[np.ndarray]:
+    """Bytes ``start`` to ``end`` of a file read from its start as ``blocks``,
+    in whole rows of ``size`` bytes: each block's run of whole rows as a view
+    of it, and a row that a block's end cuts as a copy."""
+    offset, cut = 0, b""
+    for block in blocks:
+        rows = block[min(max(start - offset, 0), len(block)):max(end - offset, 0)]
+        offset += len(block)
+        if cut:
+            taken = size - len(cut)
+            cut += rows[:taken].tobytes()
+            rows = rows[taken:]
+            if len(cut) < size:
+                continue
+            yield np.frombuffer(cut, np.uint8)
+        whole = len(rows) - len(rows) % size
+        if whole:
+            yield rows[:whole]
+        cut = rows[whole:].tobytes()
 
 
 def _max_norm(matrix: np.ndarray) -> tuple[float, int | None]:

@@ -2,15 +2,17 @@
 every output file (atomic_files, and atomic_write_bytes for one file:
 temporary files renamed over the outputs once all are written, so an error or
 an interrupt leaves neither a partial file nor a temporary one), the one JSON
-decoder (parse_json) for every file and reply, canonical JSON lines,
-JSON-lines files read once by one line rule, keeping line offsets and a file
-descriptor, not the bytes, with lines read back by os.pread (so the package
-is POSIX-only) and checked against a CRC-32 per chunk, record files written
-and read as columns, value and record checks, provider retries, the one HTTP
-client (post_json) and its URL rule."""
+decoder (parse_json) for every file and reply, canonical JSON lines, files
+read once in blocks, keeping a file descriptor and a CRC-32 per chunk, not
+the bytes, and read back by os.pread (so the package is POSIX-only), each
+chunk checked (CheckedFile), JSON-lines files among them, split by one line
+rule into lines whose offsets are kept, record files written and read as
+columns, value and record checks, provider retries, the one HTTP client
+(post_json) and its URL rule."""
 
 from __future__ import annotations
 
+import array
 import bisect
 import contextlib
 import dataclasses
@@ -184,18 +186,22 @@ def check_header(header: Any, path: str, fmt: str, versions: Container[int],
 # 2,048 lines than at 8,192, in the same load time.
 _READ_BLOCK_LINES = 2048
 
-# Bytes read per block by the one pass of JsonLines over its file, into one
-# buffer reused for every block; a multiple of _CHUNK_BYTES.
+# Bytes read per block by the one pass of a CheckedFile over its file, into
+# one buffer reused for every block; a multiple of _CHUNK_BYTES.
 _SCAN_BLOCK_BYTES = 1 << 20
 
-# Bytes of file behind each CRC-32 that a JsonLines keeps, and the unit in
-# which it reads lines back: one page, so a row read back costs about a
+# Bytes of file behind each CRC-32 that a CheckedFile keeps, and the unit in
+# which it reads bytes back: one page, so a row read back costs about a
 # microsecond of checksum.
 _CHUNK_BYTES = 1 << 12
 
+# The alignment of what CheckedFile.read returns: a cache line, which the
+# float32 screen reads faster than rows only 4-byte aligned.
+_ALIGN_BYTES = 64
+
 
 class _Runs(NamedTuple):
-    """Runs of a file's bytes read back by JsonLines._blocks: ``runs[i]``
+    """Runs of a file's bytes read back by CheckedFile.runs: ``runs[i]``
     starts at byte ``offsets[i]`` of the file."""
 
     offsets: list[int]
@@ -208,33 +214,143 @@ class _Runs(NamedTuple):
         return self.runs[i][start - base:end - base]
 
 
-class JsonLines:
-    """A JSON-lines file, read once in blocks, whose lines are read back when
-    they are used.
+class CheckedFile:
+    """A file read once in blocks (scan), whose bytes are read back by
+    os.pread when they are used, each chunk checked against the CRC-32 that
+    the scan took of it.
 
-    Lines end at "\n", and a "\r" just before a line's end is not part of it,
-    so "\r\n" reads as "\n" and a lone "\r" is no line break; blank lines
-    are skipped. Errors name a line by its number in the file (lineno); bytes
-    that are not UTF-8 raise ``error`` when their line is decoded.
-
-    The one pass reads _SCAN_BLOCK_BYTES at a time into one buffer, updates
-    ``digest`` (a hashlib object) with each block, finds its line ends and
-    takes a CRC-32 of each _CHUNK_BYTES of it. What it keeps is the file's
-    size (``size``, in bytes), the span of each line and a file descriptor,
-    closed when the object is collected.
-    Lines are read back by os.pread (POSIX), which moves no shared file
+    The scan reads _SCAN_BLOCK_BYTES at a time into one buffer, updates
+    ``digest`` (a hashlib object) with each block and takes a CRC-32 of each
+    _CHUNK_BYTES of it. What is kept is the file's size (``size``, in bytes:
+    as opened, then as scanned), the CRC-32s and a file descriptor, closed
+    when the object is collected.
+    Bytes are read back by os.pread (POSIX), which moves no shared file
     position, so any number of threads may read at once; each chunk read back
-    must match its CRC-32, so the lines read back are the bytes the pass
-    read, or ``error`` is raised naming the file as changed. A file replaced
-    by rename is still read through the kept descriptor; no mmap is made, as
-    a file truncated under one kills the process with SIGBUS.
+    must match its CRC-32, so the bytes read back are those the scan read, or
+    ``error`` is raised naming the file as changed. A file replaced by rename
+    is still read through the kept descriptor; no mmap is made, as a file
+    truncated under one kills the process with SIGBUS.
     """
 
-    def __init__(self, path: str, error: type[AiblobError], digest=None):
+    def __init__(self, path: str, error: type[AiblobError]):
         self.path = path
         self.error = error
         self._fd = os.open(path, os.O_RDONLY)
         self._close = weakref.finalize(self, os.close, self._fd)
+        self.size = os.fstat(self._fd).st_size
+        self._crcs = array.array("I")
+
+    def scan(self, digest=None) -> Iterator[np.ndarray]:
+        """Read the file once, from its start: yield each block as a uint8
+        array, a view of the one buffer that is valid until the next block is
+        read, having updated ``digest`` with it and taken its chunks' CRC-32s."""
+        buffer = np.empty(_SCAN_BLOCK_BYTES, np.uint8)
+        size = 0
+        while True:
+            got = 0  # a block is whole unless the file ends in it
+            while got < len(buffer):
+                read = os.preadv(self._fd, [buffer[got:]], size + got)
+                if not read:
+                    break
+                got += read
+            block = buffer[:got]
+            if digest is not None:
+                digest.update(block)
+            self._crcs.extend(self._crc32s(block))
+            size += got
+            self.size = size
+            if got:
+                yield block
+            if got < len(buffer):
+                return
+
+    def head(self, length: int) -> bytes:
+        """The file's first ``length`` bytes, fewer if it is shorter, read
+        unchecked: a header to check before the scan."""
+        return os.pread(self._fd, length, 0)
+
+    @staticmethod
+    def _crc32s(data) -> list[int]:
+        """The CRC-32 of each _CHUNK_BYTES of ``data``."""
+        view = memoryview(data)
+        return [zlib.crc32(view[i:i + _CHUNK_BYTES]) for i in range(0, len(view), _CHUNK_BYTES)]
+
+    def _chunks(self, first: int, last: int, into: np.ndarray | None = None):
+        """Chunks ``first`` to ``last`` of the file, read back by one pread, as
+        bytes or into ``into`` (a uint8 array at least as long, of which the
+        part read is returned), or ``error`` unless each matches its CRC-32."""
+        start = first * _CHUNK_BYTES
+        length = min((last + 1) * _CHUNK_BYTES, self.size) - start
+        if into is None:
+            data = os.pread(self._fd, length, start)
+        else:
+            data = into[:os.preadv(self._fd, [into[:length]], start)]
+        if self._crc32s(data) != self._crcs[first:last + 1].tolist():
+            raise self.error(f"{self.path}: changed since it was read; load it again")
+        return data
+
+    def runs(self, starts: np.ndarray, ends: np.ndarray,
+             held: tuple[int, bytes] = (-1, b"")) -> tuple[_Runs, tuple[int, bytes]]:
+        """The runs of chunks that hold bytes ``starts[i]`` to ``ends[i]`` of
+        the file, with the byte at ``ends[i]`` while there is one, each run
+        read by one pread (_chunks), and the index and bytes of the last chunk
+        read. A run that starts at the chunk ``held`` holds (such a pair from
+        an earlier call) takes its bytes from it."""
+        runs = _Runs([], [])
+        if not len(starts):
+            return runs, held
+        # The first and last chunk of each span, sorted apart: the union of
+        # the spans' chunks has a gap before the j-th first chunk exactly when
+        # the j smallest last chunks all end before it. Chunks that touch or
+        # follow each other are one run.
+        first = np.sort(starts // _CHUNK_BYTES)
+        last = np.sort(np.minimum(ends, self.size - 1) // _CHUNK_BYTES)
+        gaps = first[1:] > last[:-1] + 1
+        for lo_chunk, hi_chunk in zip([int(first[0])] + first[1:][gaps].tolist(),
+                                      last[:-1][gaps].tolist() + [int(last[-1])]):
+            if lo_chunk != held[0]:
+                data = self._chunks(lo_chunk, hi_chunk)
+            elif hi_chunk > lo_chunk:
+                data = held[1] + self._chunks(lo_chunk + 1, hi_chunk)
+            else:
+                data = held[1]
+            runs.offsets.append(lo_chunk * _CHUNK_BYTES)
+            runs.runs.append(data)
+            held = hi_chunk, data[(hi_chunk - lo_chunk) * _CHUNK_BYTES:]
+        return runs, held
+
+    @staticmethod
+    def room(length: int) -> int:
+        """The bytes of buffer that read needs for ``length`` bytes of file."""
+        return length + 2 * _CHUNK_BYTES + _ALIGN_BYTES
+
+    def read(self, start: int, end: int, buffer: np.ndarray | None = None) -> np.ndarray:
+        """Bytes ``start`` to ``end`` of the file, read back by one pread of the
+        chunks that hold them (_chunks) into ``buffer``, a uint8 array of at
+        least room(end - start) bytes (made if None): a view of it, placed so
+        that its first byte is _ALIGN_BYTES-aligned."""
+        if buffer is None:
+            buffer = np.empty(self.room(end - start), np.uint8)
+        first, last = start // _CHUNK_BYTES, max(end - 1, start) // _CHUNK_BYTES
+        head = start - first * _CHUNK_BYTES
+        shift = -(buffer.ctypes.data + head) % _ALIGN_BYTES
+        return self._chunks(first, last, buffer[shift:])[head:head + end - start]
+
+
+class JsonLines(CheckedFile):
+    """A JSON-lines file, read once in blocks (CheckedFile.scan), whose lines
+    are read back, checked, when they are used.
+
+    Lines end at "\n", and a "\r" just before a line's end is not part of it,
+    so "\r\n" reads as "\n" and a lone "\r" is no line break; blank lines
+    are skipped. Errors name a line by its number in the file (lineno); bytes
+    that are not UTF-8 raise ``error`` when their line is decoded. Beside what
+    a CheckedFile keeps, the scan finds each block's line ends, and the span
+    of each line is kept.
+    """
+
+    def __init__(self, path: str, error: type[AiblobError], digest=None):
+        super().__init__(path, error)
         try:
             self._scan(digest)
         except BaseException:
@@ -242,27 +358,10 @@ class JsonLines:
             raise
 
     def _scan(self, digest) -> None:
-        """Read the file once: its size, its chunks' CRC-32s and its lines' spans."""
-        buffer = bytearray(_SCAN_BLOCK_BYTES)
-        view = memoryview(buffer)
-        self._crcs: list[int] = []
+        """Read the file once (scan), finding its lines' spans."""
         newlines, returns = [], []
         size = last = 0  # bytes read, and the last of them
-        while True:
-            got = 0  # a block is whole unless the file ends in it
-            while got < len(buffer):
-                read = os.readv(self._fd, [view[got:]])
-                if not read:
-                    break
-                got += read
-            if not got:
-                break
-            block = view[:got]
-            if digest is not None:
-                digest.update(block)
-            self._crcs.extend(zlib.crc32(block[i:i + _CHUNK_BYTES])
-                              for i in range(0, got, _CHUNK_BYTES))
-            data = np.frombuffer(buffer, np.uint8, got)
+        for data in self.scan(digest):
             at = np.flatnonzero(data == ord("\n"))
             # Whether the byte before each "\n" is a "\r", the previous block's
             # last byte for a "\n" that starts this one.
@@ -271,11 +370,8 @@ class JsonLines:
                 before[0] = last
             newlines.append(at + size)
             returns.append(before == ord("\r"))
-            size += got
-            last = buffer[got - 1]
-            if got < len(buffer):
-                break
-        self.size = size
+            size += len(data)
+            last = int(data[-1])
         ends = np.concatenate(newlines) if newlines else np.empty(0, np.intp)
         cut = np.concatenate(returns) if returns else np.empty(0, bool)
         if size and last != ord("\n"):
@@ -292,6 +388,12 @@ class JsonLines:
             starts, ends = starts[filled], ends[filled]
         self._starts, self._ends = starts, ends
 
+    def chunks_of(self, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The first and the last chunk that reading back each of line
+        indices ``lines`` touches, the byte after the line included (runs)."""
+        return (self._starts[lines] // _CHUNK_BYTES,
+                np.minimum(self._ends[lines], self.size - 1) // _CHUNK_BYTES)
+
     def lineno(self, index: int) -> int:
         """The number in the file (from 1) of line index ``index``."""
         return index + 1 if self._linenos is None else int(self._linenos[index])
@@ -305,48 +407,18 @@ class JsonLines:
                              f"({exc.reason} at byte {int(self._starts[index]) + exc.start})"
                              ) from exc
 
-    def _chunks(self, first: int, last: int) -> bytes:
-        """Chunks ``first`` to ``last`` of the file, read back by one pread,
-        or ``error`` unless each matches its CRC-32."""
-        start = first * _CHUNK_BYTES
-        data = os.pread(self._fd, min((last + 1) * _CHUNK_BYTES, self.size) - start, start)
-        # A slice of one whole chunk is ``data`` itself, not a copy.
-        crcs = [zlib.crc32(data[i:i + _CHUNK_BYTES]) for i in range(0, len(data), _CHUNK_BYTES)]
-        if crcs != self._crcs[first:last + 1]:
-            raise self.error(f"{self.path}: changed since it was read; load it again")
-        return data
-
     def _blocks(self, lines: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray,
                                                           _Runs]]:
         """Line indices ``lines``, _READ_BLOCK_LINES at a time, each block with
-        its lines' starts and ends and the runs of chunks that hold them, each
-        run read by one pread (_chunks). A chunk that ends one block's reads
-        and starts the next block's is read once, so lines in file order read
-        each chunk they touch once."""
-        held = (-1, b"")  # the index and bytes of the last chunk read
+        its lines' starts and ends and the runs of chunks that hold them with
+        the "\n" after each (runs). A chunk that ends one block's reads and
+        starts the next block's is read once, so lines in file order read each
+        chunk they touch once."""
+        held = (-1, b"")
         for lo in range(0, len(lines), _READ_BLOCK_LINES):
             block = lines[lo:lo + _READ_BLOCK_LINES]
             starts, ends = self._starts[block], self._ends[block]
-            # The first and last chunk of each line with the byte after it (a
-            # "\n" that _decode may slice with the line), sorted apart: the
-            # union of the lines' chunks has a gap before the j-th first chunk
-            # exactly when the j smallest last chunks all end before it.
-            # Chunks that touch or follow each other are one run.
-            first = np.sort(starts // _CHUNK_BYTES)
-            last = np.sort(np.minimum(ends, self.size - 1) // _CHUNK_BYTES)
-            gaps = first[1:] > last[:-1] + 1
-            runs = _Runs([], [])
-            for lo_chunk, hi_chunk in zip([int(first[0])] + first[1:][gaps].tolist(),
-                                          last[:-1][gaps].tolist() + [int(last[-1])]):
-                if lo_chunk != held[0]:
-                    data = self._chunks(lo_chunk, hi_chunk)
-                elif hi_chunk > lo_chunk:
-                    data = held[1] + self._chunks(lo_chunk + 1, hi_chunk)
-                else:
-                    data = held[1]
-                runs.offsets.append(lo_chunk * _CHUNK_BYTES)
-                runs.runs.append(data)
-                held = hi_chunk, data[(hi_chunk - lo_chunk) * _CHUNK_BYTES:]
+            runs, held = self.runs(starts, ends, held)
             yield block, starts, ends, runs
 
     def _lines(self, lines: np.ndarray) -> Iterator[tuple[int, str]]:

@@ -110,3 +110,27 @@ def test_index_holds_a_block_not_the_corpus(corpus_path, tmp_path):
     assert peak <= 272 * ROWS / 2
     # Blocks four times as large hold more.
     assert index_peak(corpus_path, tmp_path / "store3", 4 * block) >= 1.5 * peak
+
+
+def compose_peak(directory, query) -> int:
+    """The most bytes that loading the store in ``directory`` and one retrieve
+    of ``query`` held at once."""
+    return traced(lambda: list(VectorStore.load(str(directory)).retrieve([query], 10)),
+                  peak=True)[1]
+
+
+def test_a_loaded_store_reads_its_vectors_in_blocks_not_the_matrix(corpus_path, tmp_path):
+    twice = write_corpus(tmp_path / "corpus.jsonl", 2 * VIDEOS)
+    stores = []
+    for corpus, name in ((corpus_path, "store"), (twice, "store2")):
+        assert cli.main(["index", "--corpus", str(corpus), "--store", str(tmp_path / name),
+                         "--embedder", "deterministic:64"]) == 0
+        stores.append(tmp_path / name)
+    query = DeterministicEmbedder(64).embed(["Frase 007 del video 0042"])[0]
+    compose_peak(stores[0], query)  # the one-time costs
+    peak = compose_peak(stores[0], query)
+    # Twice the rows hold twice the line spans (16 bytes a row), the undecoded
+    # columns (40 bytes a row) and the CRC-32s, and blocks no larger...
+    assert compose_peak(stores[1], query) - peak <= 96 * ROWS
+    # ...and far below the 256 bytes a row of the float32 matrix.
+    assert peak <= 256 * ROWS / 2

@@ -8,8 +8,10 @@ import re
 import shutil
 import struct
 import sys
+import tempfile
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from aiblob.embeddings import deterministic_embed
 from aiblob.errors import AiblobError, ConfigError, StoreError, ValidationError
 from aiblob import store as store_module
+from aiblob import util
 from aiblob.store import META_KEYS, VectorRecord, VectorStore
 from aiblob.util import RecordFile, float_column
 from conftest import exact, fail_renaming_vectors, forge_digest, run_python
@@ -598,6 +601,112 @@ class TestRetrieve:
                                               deterministic_embed("q", 16)], 3))
 
 
+class TestVectorsReadBack:
+    """A loaded store holds no matrix: each screen reads vectors.bin back a
+    block at a time, and top_k reads back the rows it scores, each chunk
+    checked against its CRC-32."""
+
+    @given(
+        n=st.integers(min_value=0, max_value=90),
+        dim=st.sampled_from([3, 8]),
+        chunk=st.sampled_from(["one byte", "five bytes", "one row", "a row less one",
+                               "a row and three", "three rows and one"]),
+        chunks_per_block=st.integers(min_value=1, max_value=3),
+        block=st.sampled_from(["one row", "a row and five", "three rows less one"]),
+        n_queries=st.integers(min_value=1, max_value=5),
+        k=st.integers(min_value=1, max_value=12),
+        video_cap=st.one_of(st.none(), st.integers(min_value=1, max_value=2)),
+        distinct=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_any_block_size_answers_as_the_store_in_memory(self, n, dim, chunk, chunks_per_block,
+                                                           block, n_queries, k, video_cap,
+                                                           distinct, seed):
+        row = 4 * dim
+        chunk_bytes = {"one byte": 1, "five bytes": 5, "one row": row, "a row less one": row - 1,
+                       "a row and three": row + 3, "three rows and one": 3 * row + 1}[chunk]
+        block_bytes = {"one row": row, "a row and five": row + 5,
+                       "three rows less one": 3 * row - 1}[block]
+        records = make_records(n, dim, video_every=5, distinct=distinct)
+        in_memory = VectorStore(dim)
+        in_memory.insert_batch(records)
+        queries = [deterministic_embed(f"query {seed} {j % 3}", dim) for j in range(n_queries)]
+        with tempfile.TemporaryDirectory() as directory:
+            in_memory.save(directory)
+            with mock.patch.multiple(util, _CHUNK_BYTES=chunk_bytes,
+                                     _SCAN_BLOCK_BYTES=chunk_bytes * chunks_per_block), \
+                    mock.patch.object(store_module, "SCREEN_BLOCK_BYTES", block_bytes):
+                loaded = VectorStore.load(directory)
+                # The bound on the row norms, found block by block, holds.
+                assert loaded._norm >= max((float(np.linalg.norm(rec.vector.astype(np.float64)))
+                                            for rec in records), default=0.0)
+                episode = list(loaded.retrieve(queries, k, video_cap=video_cap))
+                alone = [loaded.top_k(query, k, video_cap=video_cap) for query in queries]
+        # Hits, float scores included, equal those of the store in memory, and
+        # each score is its row's float64 dot with the query, summed alone.
+        assert episode == list(in_memory.retrieve(queries, k, video_cap=video_cap))
+        assert alone == [in_memory.top_k(query, k, video_cap=video_cap) for query in queries]
+        for query, hits in zip(queries, alone):
+            scores = row_scores(records, query)
+            assert [hit.score for hit in hits] == [scores[int(hit.sentence_id[1:])]
+                                                   for hit in hits]
+
+    @pytest.mark.parametrize("chunk", [1, 5, 31, 32, 35])
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_a_nan_in_a_row_cut_by_a_scan_block_is_found(self, tmp_path, chunk, row):
+        # Rows of 32 bytes read in blocks of two chunks, so that a block's end
+        # cuts rows at every offset.
+        directory = TestDigestCheckedLoad.saved(tmp_path, n=3)
+        set_nan(directory, row, 8)
+        with mock.patch.multiple(util, _CHUNK_BYTES=chunk, _SCAN_BLOCK_BYTES=2 * chunk):
+            with pytest.raises(ValidationError, match=f"record s000{row}: vector has NaN/Inf"):
+                VectorStore.load(str(directory))
+
+    @pytest.mark.parametrize("rows,dim,queries,k", [
+        # SCREEN_CHUNK distinct queries, whose pools share every chunk: the
+        # rows their top_k calls rank decode in one pass over meta.jsonl, in
+        # row order, before the first hits.
+        (2000, 64, [f"domanda {i}" for i in range(store_module.SCREEN_CHUNK)], 5),
+        # Four copies of one query over a larger store, whose pools are
+        # sparse: the bands decode before the first hits, and each later
+        # query reads the pool rows it ranks, alone in their chunks.
+        (10_000, 8, ["domanda"] * 4, 3),
+    ], ids=["dense pools", "sparse pools"])
+    def test_an_episode_reads_each_meta_chunk_once(self, tmp_path, monkeypatch, rows, dim,
+                                                   queries, k):
+        # Where one top_k at a time read a chunk again for each query that
+        # ranked a row of it.
+        directory = tmp_path / "store"
+        filled_store(rows, dim, video_every=50).save(str(directory))
+        store = VectorStore.load(str(directory))
+        vectors = [deterministic_embed(query, dim) for query in queries]
+        reads = []
+        pread = os.pread
+
+        def counted(fd, length, offset):
+            if fd == store._meta._fd:
+                reads.append((offset, length))
+            return pread(fd, length, offset)
+        monkeypatch.setattr(os, "pread", counted)
+        episode = store.retrieve(vectors, k)
+        found = [next(episode)]
+        first = len(reads)
+        found.extend(episode)
+        monkeypatch.undo()
+        assert found == list(filled_store(rows, dim, video_every=50).retrieve(vectors, k))
+        assert (len(reads) == first) == (len(set(queries)) > 1)
+        chunks = [chunk for offset, length in reads
+                  for chunk in range(offset // util._CHUNK_BYTES,
+                                     (offset + length - 1) // util._CHUNK_BYTES + 1)]
+        assert len(chunks) == len(set(chunks))
+
+    def test_a_load_holds_no_matrix(self, tmp_path):
+        store = VectorStore.load(str(TestDigestCheckedLoad.saved(tmp_path)))
+        assert store._matrix is None
+        assert store._vectors.size == 20 + 300 * 8 * 4 + 32
+
+
 class TestPersistence:
     def test_round_trip_answers_queries_identically(self, tmp_path):
         store = filled_store(100, 8)
@@ -997,11 +1106,12 @@ class TestDigestCheckedLoad:
 
     def test_concurrent_retrieve_readers_answer_as_the_in_memory_store(self, tmp_path,
                                                                        monkeypatch):
-        # Chunks of five queries and blocks of 17 rows: each thread's pools
-        # meet rows that the others are decoding, and every exclusion filter
-        # reads the decoded ids.
+        # Chunks of five queries and blocks of 17 rows (of eight floats, which
+        # bound a block as its five screens do not): each thread's pools meet
+        # rows that the others are decoding, and every exclusion filter reads
+        # the decoded ids.
         monkeypatch.setattr(store_module, "SCREEN_CHUNK", 5)
-        monkeypatch.setattr(store_module, "SCREEN_BLOCK_BYTES", 17 * 4 * 5)
+        monkeypatch.setattr(store_module, "SCREEN_BLOCK_BYTES", 17 * 4 * 8)
         directory = self.saved(tmp_path)
         expected = list(filled_store(300, 8, video_every=7).retrieve(self.QUERIES, 10,
                                                                      video_cap=2))
@@ -1126,15 +1236,16 @@ class TestDigestCheckedLoad:
 
 
 # A child, started in development mode with warnings as errors, that loads the
-# store in argv[1], truncates its meta.jsonl in place to argv[2] bytes, then
-# ranks every row: it prints the error's class and message, and exits 0, where
-# a store read through an mmap would die of SIGBUS.
+# store in argv[1], truncates its file argv[3] (meta.jsonl by default) in place
+# to argv[2] bytes, then ranks every row: it prints the error's class and
+# message, and exits 0, where a store read through an mmap would die of SIGBUS.
 TRUNCATED = (
     "import os, sys\n"
     "from aiblob.store import VectorStore\n"
     "directory, size = sys.argv[1], int(sys.argv[2])\n"
+    "name = sys.argv[3] if len(sys.argv) > 3 else 'meta.jsonl'\n"
     "store = VectorStore.load(directory)\n"
-    "os.truncate(os.path.join(directory, 'meta.jsonl'), size)\n"
+    "os.truncate(os.path.join(directory, name), size)\n"
     "try:\n"
     "    store.top_k([1.0] * 8, store.count)\n"
     "except Exception as exc:\n"
@@ -1143,9 +1254,10 @@ TRUNCATED = (
 
 
 class TestChangedAfterLoad:
-    """A loaded store answers from bytes of meta.jsonl identical to those its
-    load hashed, or raises StoreError naming the file: never from a changed
-    file. Each row is read back when a query first ranks it."""
+    """A loaded store answers from bytes of meta.jsonl and vectors.bin
+    identical to those its load read, or raises StoreError naming the file:
+    never from a changed file. Each row of meta.jsonl is read back when a query
+    first ranks it; every vector, each time a query is screened."""
 
     QUERIES = TestDigestCheckedLoad.QUERIES
 
@@ -1202,3 +1314,58 @@ class TestChangedAfterLoad:
         gc.collect()
         with pytest.raises(OSError):
             os.fstat(descriptor)
+
+    @pytest.mark.parametrize("edit", [
+        # Row 7 is the best hit of its own vector; it becomes the vector of row 8.
+        lambda data: data[:20 + 32 * 7] + data[20 + 32 * 8:20 + 32 * 9] + data[20 + 32 * 8:],
+        lambda data: data[:20 + 32 * 7] + data[20 + 32 * 7 + 4:],
+        lambda data: data[:len(data) // 2],
+        lambda data: b"",
+    ], ids=["same size", "size changed", "truncated", "emptied"])
+    def test_an_edit_of_vectors_in_place_after_load_is_refused(self, tmp_path, edit):
+        directory = TestDigestCheckedLoad.saved(tmp_path)
+        store = VectorStore.load(str(directory))
+        own = deterministic_embed("frase numero 7", 8)
+        assert store.top_k(own, 1)[0].sentence_id == "s0007"
+        vectors = directory / "vectors.bin"
+        inode = vectors.stat().st_ino
+        vectors.write_bytes(edit(vectors.read_bytes()))
+        assert vectors.stat().st_ino == inode
+        # Every query screens every row, so each reads the vectors back.
+        with pytest.raises(StoreError, match=self.changed(vectors)):
+            store.top_k(own, 1)
+        with pytest.raises(StoreError, match=self.changed(vectors)):
+            list(store.retrieve(self.QUERIES, 10))
+
+    def test_a_truncation_of_vectors_after_load_raises_and_does_not_crash(self, tmp_path):
+        directory = TestDigestCheckedLoad.saved(tmp_path)
+        for size in (0, 1000):
+            filled_store(300, 8, video_every=7).save(str(directory))
+            result = run_python("-X", "dev", "-W", "error", "-c", TRUNCATED, directory, size,
+                                "vectors.bin")
+            assert (result.returncode, result.stderr) == (0, "")
+            assert re.fullmatch("StoreError " + self.changed(directory / "vectors.bin")[1:-1],
+                                result.stdout.strip())
+
+    def test_vectors_replaced_by_rename_answer_from_their_own_rows(self, tmp_path):
+        directory = TestDigestCheckedLoad.saved(tmp_path)
+        store = VectorStore.load(str(directory))
+        other = TestDigestCheckedLoad.saved(tmp_path, "other")
+        (other / "vectors.bin").write_bytes((other / "vectors.bin").read_bytes()[::-1])
+        os.replace(other / "vectors.bin", directory / "vectors.bin")
+        in_memory = filled_store(300, 8, video_every=7)
+        assert answers_with_exclusion(store, self.QUERIES) == answers_with_exclusion(
+            in_memory, self.QUERIES)
+        assert list(store.retrieve(self.QUERIES, 10)) == list(in_memory.retrieve(self.QUERIES, 10))
+
+    def test_the_store_closes_its_vectors_file_when_collected(self, tmp_path):
+        store = VectorStore.load(str(TestDigestCheckedLoad.saved(tmp_path)))
+        store.top_k(self.QUERIES[0], 10)
+        descriptors = store._meta._fd, store._vectors._fd
+        for descriptor in descriptors:
+            os.fstat(descriptor)
+        del store
+        gc.collect()
+        for descriptor in descriptors:
+            with pytest.raises(OSError):
+                os.fstat(descriptor)
