@@ -234,7 +234,7 @@ def cmd_index(args) -> int:
         except AiblobError:
             _raise_first_fault(records, read, rows)
             raise
-        if store.check.repeated():
+        if store.repeated():
             _raise_first_fault(records, records.count, rows)
     print(f"indexed {records.count} sentences (dim {store.dim}) into {args.store}")
     return 0

@@ -1,10 +1,13 @@
 """Persistent sentence-level vector store with exact top-k cosine retrieval.
 
-A store has two lives. It is built by one insert, then saved or queried, or it
-is loaded, then queried (compose and stats). An insert into a store that holds
-rows, or into any loaded store, is refused. Either life allows any number of
-concurrent readers. index builds no store in memory: it streams a corpus into
-the store writer (write_store), which save feeds a store's rows.
+A store has one life: its files are written by the store writer
+(write_store), then opened (_open), then queried or saved. load opens a store
+directory (compose and stats); insert_batch writes its rows into a temporary
+directory and opens them there, and the directory is removed once they are
+open. An insert into a store that was inserted into or loaded is refused. Any
+number of concurrent readers may query a store. index builds no store in
+memory: it streams a corpus into the store writer, which save feeds a store's
+rows.
 
 Retrieval is exact (a few hundred thousand sentences is tractable exactly, and
 exactness keeps results reproducible). A row's score is
@@ -23,7 +26,7 @@ chunk's i-th query it keeps every row screening above T - 2B, with T the
 (k * (i + 1))-th best screen: the chunk's earlier queries exclude at most
 k * i more ids, so at least k rows that screen at T or above remain. Those
 pools hold every row the chunk's queries can rank (bar a video cap's growth):
-a loaded store decodes in one pass, in row order, their bands with nothing
+the store decodes in one pass, in row order, their bands with nothing
 excluded and every pool row that shares a chunk of meta.jsonl with another
 (_chunk_rows), so each chunk is read once per chunk of queries. top_k takes a
 screened query, or a vector screened as a chunk of one. The pool rows whose
@@ -40,25 +43,25 @@ allows, or the cap grew m), top_k screens the query again alone, at depth m,
 against the exclusion it was given.
 
 In memory, rows are columns in row order: lists of ids, video ids and texts
-and float64 arrays of start and end times, beside the vectors, the number of
-distinct video ids, and the largest row norm, found as insert and load check
-that every vector is finite. An inserted store's vectors are one C-contiguous
-little-endian float32 matrix; a loaded store holds no matrix, and reads its
-vectors back from vectors.bin when it uses them (_row_blocks, _vectors_of).
-The insert takes a matrix with its columns, or a list of VectorRecord, turned
-into columns first. It keeps the matrix and the columns it is given, so each
-value is held once, and checks them as the store writer checks each block it
-writes (RowCheck): a repeated id is refused through one int64 array of the
-ids' hashes, sorted, the ids walked only when two hashes are equal. An id ->
-row dict maps the rows the store has used: each row top_k ranks, and every
-row once an exclusion names an id the dict lacks. A hit carries its row's
-metadata, its times as Python floats, not the vector.
+and float64 arrays of start and end times, filled as rows are decoded, beside
+the number of distinct video ids and the largest row norm, found as load
+checks that every vector is finite. No store holds a vector matrix: it reads
+its vectors back from vectors.bin when it uses them (_row_blocks,
+_vectors_of). The insert takes a matrix with its columns, or a list of
+VectorRecord, turned into columns first, and writes them as one block, which
+the store writer checks as it checks every block; a repeated id is refused
+before the files are renamed into place, so a refused insert leaves nothing
+behind. An id -> row dict maps the rows the store has used: each row top_k
+ranks, and every row once an exclusion names an id the dict lacks. A hit
+carries its row's metadata, its times as Python floats, not the vector.
 
 A store is written by one writer (write_store), fed its rows a block at a
-time, in row order: index feeds it a corpus a block at a time, and save feeds
-it the store's own rows, a block of vectors (_row_blocks) at a time. Each
-block is checked (RowCheck: its vectors finite, its ids' hashes kept for the
-caller to look for a repeat); its meta.jsonl record lines (util.format_lines)
+time, in row order: index feeds it a corpus a block at a time, insert_batch
+its rows in one block, and save the store's own rows, a block of vectors
+(_row_blocks) at a time. Each block is checked (StoreWriter.add: its vectors
+finite, and its ids' hashes kept in one int64 array, so that the caller can
+look for a repeat, StoreWriter.repeated, sorting them and walking the ids
+only when two hashes are equal); its meta.jsonl record lines (util.format_lines)
 go to an unnamed temporary file, and its vectors to vectors.bin's temporary
 file, whose header holds the count given before the first row. meta.jsonl's
 header holds the number of distinct video ids, known only after the last
@@ -90,12 +93,14 @@ first. Only a meta.jsonl forged together with its digest can hold a faulty
 row that load passes; its fault is raised, naming the line, when the row is
 first used.
 
-A loaded store answers from bytes of meta.jsonl and vectors.bin identical to
-those its load read, or raises StoreError naming the file: every chunk read
-back must match its CRC-32, so a file rewritten or truncated in place is
-refused, not read, while a store replaced by rename (as index saves) is still
-read through the kept descriptors. A file truncated under an mmap would kill
-the process with SIGBUS, so none is made.
+A store answers from bytes of meta.jsonl and vectors.bin identical to those
+its load read, or raises StoreError naming the file: every chunk read back
+must match its CRC-32, so a file rewritten or truncated in place is refused,
+not read, while a store replaced by rename (as index saves), or an inserted
+store's files, removed with their temporary directory, are still read through
+the kept descriptors (POSIX keeps an unlinked file while a descriptor holds
+it). A file truncated under an mmap would kill the process with SIGBUS, so
+none is made.
 
 On-disk layout (bit-exact), version 2, the only version read:
     meta.jsonl   header {"format":"aiblob-store","version":2,"dim":D,
@@ -139,8 +144,8 @@ SCREEN_CHUNK = 32
 SCREEN_BLOCK_BYTES = 1 << 20
 # The largest finite float32.
 _FLOAT32_MAX = (2 - 2.0 ** -23) * 2.0 ** 127
-# Ids hashed per np.fromiter call by RowCheck, so that no array of a whole
-# block's hashes is made beside the array that keeps them.
+# Ids hashed per np.fromiter call by StoreWriter.add, so that no array of a
+# whole block's hashes is made beside the array that keeps them.
 _HASH_SLICE = 1 << 12
 # Bytes of meta.jsonl record lines copied per read by the store writer.
 _COPY_BYTES = 1 << 20
@@ -184,9 +189,9 @@ class Screened(NamedTuple):
 class VectorStore:
     """Store over (sentence_id, vector, metadata) rows.
 
-    Built by one insert_batch, then saved or queried; or loaded, then queried,
-    its files read back as it uses them.
-    Either way any number of readers may query it at once, and queries are
+    Its files are written by one insert_batch, or loaded; then it is queried
+    or saved, its files read back as it uses them.
+    Any number of readers may query it at once, and queries are
     deterministic regardless of parallelism.
     """
 
@@ -196,9 +201,7 @@ class VectorStore:
         self.dim = dim
         # The spec of the embedder that made the vectors, when known.
         self.embedder = embedder
-        # The vectors: the matrix of an inserted store, or a loaded store's
         # vectors.bin, read back a block of rows at a time (_row_blocks).
-        self._matrix = np.empty((0, dim), dtype="<f4")
         self._vectors: CheckedFile | None = None
         # The id -> row map of the rows the store has used (_decode).
         self._rows: dict[str, int] = {}
@@ -210,8 +213,8 @@ class VectorStore:
         # The largest row norm (_max_norm), and the number of distinct video ids.
         self._norm = 0.0
         self._videos = 0
-        # A loaded store's meta.jsonl, which its undecoded rows (None in _ids)
-        # are read from; None marks a store that was not loaded.
+        # meta.jsonl, which the undecoded rows (None in _ids) are read from;
+        # None, as _vectors, until the store is inserted into or loaded.
         self._meta: RecordFile | None = None
 
     def _columns(self) -> tuple:
@@ -230,16 +233,21 @@ class VectorStore:
     def insert_batch(self, batch: Sequence[VectorRecord] | np.ndarray,
                      columns: Sequence[list] | None = None) -> int:
         """Fill an empty store with rows, atomically: any invalid row rejects
-        the whole batch. The one insert a store takes; a store that holds rows,
-        or any loaded store, refuses it before reading the batch.
+        the whole batch. The one insert a store takes; a store inserted into
+        before, or loaded, refuses it before reading the batch.
 
         ``batch`` is a list of VectorRecord, or an (n, dim) float32 matrix whose
         row i is the vector of the i-th entry of ``columns``: one list per
         META_KEYS field (or a float64 array for a time), of values already
-        checked (as load_corpus returns them). The store keeps that matrix and
-        those columns; they must not be changed afterwards.
+        checked (as load_corpus returns them). The rows are written in one
+        block by the store writer (write_store) into a temporary directory,
+        which the store opens as load does (_open) and which is removed when
+        the insert returns or fails; the store reads its rows back through the
+        descriptors it keeps, and keeps neither the matrix nor the columns.
         """
-        if self.count or self._meta is not None:
+        import tempfile  # here, as in write_store
+
+        if self._meta is not None:
             raise ValidationError("a store takes one insert, into a store that is empty "
                                   "and was not loaded")
         if columns is None:
@@ -253,21 +261,17 @@ class VectorStore:
                                                      for column in columns):
                 raise ValidationError(f"{len(matrix)} vectors need {len(META_KEYS)} metadata "
                                       f"columns of {len(matrix)} values")
-        ids = columns[0]
-        check = RowCheck(len(matrix))
-        check.add(matrix, ids, columns[1])
-        if check.repeated():
-            # The first id that repeats an earlier one; ids of equal hash may differ.
-            seen: set[str] = set()
-            for sentence_id in ids:
-                if sentence_id in seen:
-                    raise ValidationError(f"duplicate sentence_id {shown(sentence_id)}")
-                seen.add(sentence_id)
-        self._matrix = matrix
-        self._ids, self._video_ids, self._texts = columns[:3]
-        self._starts, self._ends = (np.asarray(values, np.float64) for values in columns[3:])
-        self._videos = len(check.video_ids)
-        self._norm = check.norm
+        with tempfile.TemporaryDirectory() as directory:
+            with write_store(directory, len(matrix), self.embedder) as writer:
+                writer.add(matrix, columns)
+                if writer.repeated():
+                    # The first id that repeats an earlier one; ids of equal hash may differ.
+                    seen: set[str] = set()
+                    for sentence_id in columns[0]:
+                        if sentence_id in seen:
+                            raise ValidationError(f"duplicate sentence_id {shown(sentence_id)}")
+                        seen.add(sentence_id)
+            self._open(directory)
         return len(matrix)
 
     def _record_columns(self, records: Sequence[VectorRecord]) -> tuple[np.ndarray, list[list]]:
@@ -286,15 +290,12 @@ class VectorStore:
         return matrix, record_columns(VectorRecord, records)
 
     def _decode(self, rows: Iterable[int]) -> None:
-        """Map ``rows`` by their ids; in a loaded store, decode first those of
-        them that load left undecoded."""
-        meta = self._meta
-        if meta is None:
-            self._rows.update((self._ids[row], row) for row in rows)
-            return
+        """Decode those of ``rows`` not yet decoded, and map them by their
+        ids."""
         rows = [row for row in rows if self._ids[row] is None]
         if not rows:
             return
+        meta = self._meta
         ids, video_ids, texts, starts, ends = meta.columns(VectorRecord, rows=rows,
                                                            shared="video_id")
         self._starts[rows], self._ends[rows] = starts, ends
@@ -321,7 +322,7 @@ class VectorStore:
         for start in range(0, len(queries), SCREEN_CHUNK):
             chunk = [self._query(query) for query in queries[start:start + SCREEN_CHUNK]]
             screens = self._screen(chunk, k, self._held_rows(exclude))
-            if self._meta is not None:
+            if self.count:
                 self._decode(self._chunk_rows(screens, k))
             for screened in screens:
                 hits = self.top_k(screened, k, exclude=exclude, video_cap=video_cap)
@@ -329,7 +330,7 @@ class VectorStore:
                 yield hits
 
     def _chunk_rows(self, screens: list[Screened], k: int) -> list[int]:
-        """The rows, ascending, that a loaded store decodes in one pass before
+        """The rows, ascending, that the store decodes in one pass before
         a chunk's top_k calls. A query ranks rows of its pool only (bar a video
         cap's growth): the band it ranks with nothing excluded, and more of the
         pool as earlier hits are excluded. So these are the bands, and every
@@ -430,28 +431,26 @@ class VectorStore:
 
     def _row_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """The first row and the float32 vectors of each block of _read_rows
-        rows, in row order, one block for an empty store: slices of an inserted
-        store's matrix, or a loaded store's vectors.bin read back, checked,
-        into one buffer this call makes (CheckedFile.read)."""
-        step = self._read_rows
-        if self._vectors is None:
-            for start in range(0, max(self.count, 1), step):
-                yield start, self._matrix[start:start + step]
+        rows, in row order, read back, checked, from vectors.bin into one
+        buffer this call makes (CheckedFile.read); one empty block for a store
+        of no rows."""
+        if not self.count:
+            yield 0, np.empty((0, self.dim), "<f4")
             return
-        size = 4 * self.dim
+        step, size = self._read_rows, 4 * self.dim
         buffer = np.empty(CheckedFile.room(min(step, self.count) * size), np.uint8)
-        for start in range(0, max(self.count, 1), step):
+        for start in range(0, self.count, step):
             stop = min(start + step, self.count)
             data = self._vectors.read(VECTORS_HEADER.size + start * size,
                                       VECTORS_HEADER.size + stop * size, buffer)
             yield start, data.view("<f4").reshape(stop - start, self.dim)
 
     def _vectors_of(self, rows: np.ndarray) -> np.ndarray:
-        """The float32 vectors of ``rows``: gathered from an inserted store's
-        matrix, or read back, checked, from a loaded store's vectors.bin, one
-        pread for each run of chunks that they touch (CheckedFile.runs)."""
-        if self._vectors is None:
-            return self._matrix[rows]
+        """The float32 vectors of ``rows``, read back, checked, from
+        vectors.bin, one pread for each run of chunks that they touch
+        (CheckedFile.runs)."""
+        if not len(rows):
+            return np.empty((0, self.dim), "<f4")
         size = 4 * self.dim
         starts = VECTORS_HEADER.size + rows * size
         # A row's last byte is the one before the next row's first.
@@ -573,11 +572,9 @@ class VectorStore:
     # ------------------------------------------------------------------
 
     def save(self, directory: str) -> None:
-        """Write the store into ``directory`` (write_store), fed a block of rows
-        at a time."""
-        # An inserted store holds every row's columns, and maps none to save.
-        if self._meta is not None:
-            self._decode(range(self.count))
+        """Write the store into ``directory`` (write_store), every row decoded
+        first, fed a block of rows at a time."""
+        self._decode(range(self.count))
         columns = self._columns()
         with write_store(directory, self.count, self.embedder) as writer:
             for start, vectors in self._row_blocks():
@@ -585,6 +582,15 @@ class VectorStore:
 
     @classmethod
     def load(cls, directory: str) -> "VectorStore":
+        """The store whose files are in ``directory`` (_open)."""
+        store = cls.__new__(cls)
+        store._open(directory)
+        return store
+
+    def _open(self, directory: str) -> None:
+        """Make this store the one whose files are in ``directory``, read and
+        checked as the module docstring says, its rows undecoded: what load
+        and insert_batch do."""
         meta_path = os.path.join(directory, META_FILE)
         vectors_path = os.path.join(directory, VECTORS_FILE)
         for path in (meta_path, vectors_path):
@@ -637,35 +643,45 @@ class VectorStore:
         videos = header.get("videos")
         if not is_int(videos) or not min(count, 1) <= videos <= count:
             raise StoreError(f"{meta_path}: bad videos {videos!r}")
-        # The rows stay undecoded (None) until they are first mapped.
-        store = cls(dim, embedder)
-        store._matrix, store._vectors, store._meta, store._videos = None, vectors, meta, videos
-        for column in store._columns()[:3]:
+        # The fields of an empty store; the rows stay undecoded (None) until
+        # they are first mapped.
+        self.__init__(dim, embedder)
+        self._vectors, self._meta, self._videos, self._norm = vectors, meta, videos, norm
+        for column in self._columns()[:3]:
             column.extend([None] * count)
-        store._starts, store._ends = np.zeros(count), np.zeros(count)
-        store._norm = norm
+        self._starts, self._ends = np.zeros(count), np.zeros(count)
         if faulty is not None:
-            store._decode([faulty])
-            raise ValidationError(f"record {shown(store._ids[faulty])}: vector has NaN/Inf")
-        return store
+            self._decode([faulty])
+            raise ValidationError(f"record {shown(self._ids[faulty])}: vector has NaN/Inf")
 
 
-class RowCheck:
-    """The one check of a store's rows, fed in blocks in row order (add): each
-    block's vectors must be finite (_max_norm), and each id's hash goes into one
-    int64 array made for ``count`` rows, 8 bytes an id where a set of the ids
-    would take over 50, so that only two equal hashes call for a walk of the
-    ids (repeated). It keeps the largest row norm and the distinct video ids."""
+class StoreWriter:
+    """What write_store yields: the writer of one store's rows, fed a block at
+    a time in row order (add), and the one check of them. Each block's vectors
+    must be finite (_max_norm), and each id's hash goes into one int64 array
+    made for ``count`` rows, 8 bytes an id where a set of the ids would take
+    over 50, so that only two equal hashes call for a walk of the ids
+    (repeated)."""
 
-    def __init__(self, count: int):
-        self.norm = 0.0
-        self.video_ids: set[str] = set()
+    def __init__(self, vectors: IO[bytes], body: IO[bytes], count: int):
+        self.dim: int | None = None
+        self._count = count
+        self._vectors, self._body = vectors, body
         self._hashes = np.empty(count, np.int64)
         self._rows = 0
+        self._video_ids: set[str] = set()
 
-    def add(self, matrix: np.ndarray, ids: Sequence[str], video_ids: Iterable[str]) -> None:
-        """Check the next ``len(ids)`` rows: ``matrix`` holds their vectors."""
-        norm, faulty = _max_norm(matrix)
+    def add(self, matrix: np.ndarray, columns: Sequence[Sequence]) -> None:
+        """Write the next rows, checked: ``matrix`` is an (n, dim) float32
+        matrix whose row i is the vector of the i-th entry of ``columns``, one
+        per META_KEYS field, of values already checked. The first block's width
+        is the store's dim."""
+        if self.dim is None:
+            self.dim = matrix.shape[1]
+            self._vectors.write(VECTORS_HEADER.pack(VECTORS_MAGIC, STORE_VERSION, self.dim,
+                                                    self._count))
+        ids = columns[0]
+        _, faulty = _max_norm(matrix)
         if faulty is not None:
             raise ValidationError(f"record {shown(ids[faulty])}: vector has NaN/Inf")
         for lo in range(0, len(ids), _HASH_SLICE):
@@ -673,37 +689,7 @@ class RowCheck:
             at = self._rows + lo
             self._hashes[at:at + len(part)] = np.fromiter(map(hash, part), np.int64, len(part))
         self._rows += len(ids)
-        self.norm = max(self.norm, norm)
-        self.video_ids.update(video_ids)
-
-    def repeated(self) -> bool:
-        """Whether two ids of the rows checked so far may be equal: two of their
-        hashes are. Sorts the hashes in place."""
-        hashes = self._hashes[:self._rows]
-        hashes.sort()
-        return bool((hashes[1:] == hashes[:-1]).any())
-
-
-class StoreWriter:
-    """What write_store yields: the writer of one store's rows, fed a block at
-    a time (add), and checked as they are written (``check``)."""
-
-    def __init__(self, vectors: IO[bytes], body: IO[bytes], count: int):
-        self.check = RowCheck(count)
-        self.dim: int | None = None
-        self._count = count
-        self._vectors, self._body = vectors, body
-
-    def add(self, matrix: np.ndarray, columns: Sequence[Sequence]) -> None:
-        """Write the next rows, checked (RowCheck.add): ``matrix`` is an (n, dim)
-        float32 matrix whose row i is the vector of the i-th entry of
-        ``columns``, one per META_KEYS field, of values already checked, as
-        insert_batch takes them. The first block's width is the store's dim."""
-        if self.dim is None:
-            self.dim = matrix.shape[1]
-            self._vectors.write(VECTORS_HEADER.pack(VECTORS_MAGIC, STORE_VERSION, self.dim,
-                                                    self._count))
-        self.check.add(matrix, columns[0], columns[1])
+        self._video_ids.update(columns[1])
         for lines in format_lines(VectorRecord, columns):
             self._body.write(lines)
         self._vectors.write(np.ascontiguousarray(matrix, "<f4"))
@@ -711,7 +697,7 @@ class StoreWriter:
     def _finish(self, meta: IO[bytes], embedder: str | None) -> None:
         """Write meta.jsonl, hashing it, and end vectors.bin with its digest."""
         header = {"format": STORE_FORMAT, "version": STORE_VERSION, "dim": self.dim,
-                  "embedder": embedder, "videos": len(self.check.video_ids)}
+                  "embedder": embedder, "videos": len(self._video_ids)}
         head = (dumps_line(header) + "\n").encode("utf-8")
         digest = hashlib.sha256(head)
         meta.write(head)
@@ -723,13 +709,20 @@ class StoreWriter:
             meta.write(view[:got])
         self._vectors.write(digest.digest())
 
+    def repeated(self) -> bool:
+        """Whether two ids of the rows written so far may be equal: two of
+        their hashes are. Sorts the hashes in place."""
+        hashes = self._hashes[:self._rows]
+        hashes.sort()
+        return bool((hashes[1:] == hashes[:-1]).any())
+
 
 @contextmanager
 def write_store(directory: str, count: int, embedder: str | None) -> Iterator[StoreWriter]:
     """The one writer of a store of ``count`` rows in ``directory``, indexed
     with the embedder of spec ``embedder``: yield a StoreWriter, which the
     caller feeds every row (StoreWriter.add), having refused a repeated id
-    (StoreWriter.check.repeated). When the block ends, meta.jsonl and
+    (StoreWriter.repeated). When the block ends, meta.jsonl and
     vectors.bin are completed, then renamed into place, vectors.bin last
     (util.atomic_files); an error or an interrupt in the block leaves
     ``directory`` as it was."""

@@ -64,28 +64,6 @@ def test_load_corpus_keeps_each_value_once(corpus_path):
     assert len({id(video_id) for video_id in corpus.video_ids}) == VIDEOS
 
 
-def test_first_insert_keeps_the_matrix_and_columns_it_is_given(corpus_path):
-    corpus = load_corpus(str(corpus_path))
-    matrix = DeterministicEmbedder(8).embed(corpus.texts)
-    store = VectorStore(8)
-    columns = (corpus.sentence_ids, corpus.video_ids, corpus.texts, corpus.starts, corpus.ends)
-    _, kept = traced(lambda: store.insert_batch(matrix, columns))
-    # Neither the matrix nor a column is copied, and no id -> row map is built.
-    assert kept <= 16 * ROWS
-    assert store.count == ROWS
-
-
-def test_first_insert_checks_its_ids_in_little_memory(corpus_path):
-    corpus = load_corpus(str(corpus_path))
-    matrix = DeterministicEmbedder(8).embed(corpus.texts)
-    store = VectorStore(8)
-    columns = (corpus.sentence_ids, corpus.video_ids, corpus.texts, corpus.starts, corpus.ends)
-    _, peak = traced(lambda: store.insert_batch(matrix, columns), peak=True)
-    # An int64 hash per id, sorted in place, and the vector norms; a set of the
-    # ids would take over 50 bytes an id.
-    assert peak <= 16 * ROWS
-
-
 def index_peak(corpus, store, block_bytes: int) -> int:
     """The most bytes `aiblob index` of ``corpus`` into ``store`` held at once,
     streaming blocks of ``block_bytes``."""

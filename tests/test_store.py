@@ -242,9 +242,62 @@ class TestInsertColumns:
         assert store.count == 0
 
 
+class TestInsertThroughTheWriter:
+    """An insert writes its rows through the store writer into a temporary
+    directory, opens them there as load does, and removes the directory: the
+    store reads its rows back through the descriptors it keeps."""
+
+    @pytest.mark.parametrize("form", ["records", "columns"])
+    @pytest.mark.parametrize("fault,message", [
+        (None, None),
+        ("repeated id", "^duplicate sentence_id t0000$"),
+        ("NaN row", "^record t0001: vector has NaN/Inf$"),
+        ("wrong width", {"records": "^record t0000: vector dim 8 does not match store dim 16$",
+                         "columns": r"^vectors of shape \(3, 8\) do not match store dim 16$"}),
+    ])
+    def test_an_insert_leaves_no_file_behind(self, tmp_path, monkeypatch, form, fault, message):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        records = make_records(3, 8, prefix="t")
+        dim = 16 if fault == "wrong width" else 8
+        if fault == "repeated id":
+            records[2].sentence_id = "t0000"
+        if fault == "NaN row":
+            records[1].vector = np.array(records[1].vector)
+            records[1].vector[5] = np.nan
+        batch = (records,) if form == "records" else columns_of(records)
+        store = VectorStore(dim)
+        if fault is None:
+            assert store.insert_batch(*batch) == 3
+            query = deterministic_embed("domanda", 8)
+            assert [(h.sentence_id, h.score) for h in store.top_k(query, 2)] == \
+                brute_force_top_k(records, query, 2, scores=row_scores(records, query))
+        else:
+            error = ConfigError if fault == "wrong width" else ValidationError
+            with pytest.raises(error, match=message[form] if isinstance(message, dict)
+                               else message):
+                store.insert_batch(*batch)
+            # The refused store is as it was: empty, and open to an insert.
+            assert store.count == 0
+            assert store.insert_batch(make_records(3, dim)) == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_store_closes_its_files_when_collected(self):
+        store = filled_store(30, 8)
+        store.top_k(deterministic_embed("domanda", 8), 5)
+        descriptors = store._meta._fd, store._vectors._fd
+        for descriptor in descriptors:
+            # Each file is held only by its descriptor: its name is gone.
+            assert os.fstat(descriptor).st_nlink == 0
+        del store
+        gc.collect()
+        for descriptor in descriptors:
+            with pytest.raises(OSError):
+                os.fstat(descriptor)
+
+
 def inserted(records):
     """A store made by one insert of ``records``' matrix and columns, the times
-    as float64 arrays, as index inserts a corpus."""
+    as float64 arrays, as load_corpus returns them."""
     matrix, columns = columns_of(records)
     columns[3:] = [np.array(values, np.float64) for values in columns[3:]]
     store = VectorStore(matrix.shape[1])
@@ -290,11 +343,9 @@ class TestIdMapOnFirstUse:
             self.RECORDS, query, 10, excluded, 2, scores=row_scores(self.RECORDS, query))
         self.assert_mapped(store, [rec.sentence_id for rec in self.RECORDS])
 
-    def test_save_of_an_inserted_store_maps_no_row(self, tmp_path):
-        # index inserts, then saves: a map of every row would raise its peak.
+    def test_save_of_an_inserted_store_round_trips(self, tmp_path):
         store = inserted(self.RECORDS)
         store.save(str(tmp_path / "store"))
-        assert store._rows == {}
         hits = VectorStore.load(str(tmp_path / "store")).top_k(self.QUERIES[0], 10)
         assert hits == store.top_k(self.QUERIES[0], 10)
 
@@ -703,7 +754,9 @@ class TestVectorsReadBack:
 
     def test_a_load_holds_no_matrix(self, tmp_path):
         store = VectorStore.load(str(TestDigestCheckedLoad.saved(tmp_path)))
-        assert store._matrix is None
+        # No array of the store is as large as its 300 vectors of 8 floats.
+        assert all(value.nbytes < 300 * 8 * 4 for value in vars(store).values()
+                   if isinstance(value, np.ndarray))
         assert store._vectors.size == 20 + 300 * 8 * 4 + 32
 
 
@@ -1303,7 +1356,9 @@ class TestChangedAfterLoad:
         in_memory = filled_store(300, 8, video_every=7)
         assert answers_with_exclusion(store, self.QUERIES) == answers_with_exclusion(
             in_memory, self.QUERIES)
-        store.top_k(self.QUERIES[0], 300)
+        # Ranking every row decodes every row, in each store.
+        for each in (store, in_memory):
+            each.top_k(self.QUERIES[0], 300)
         assert exact(store._columns()) == exact(in_memory._columns())
 
     def test_the_store_closes_its_meta_file_when_collected(self, tmp_path):
