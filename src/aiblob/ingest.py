@@ -300,8 +300,7 @@ def read_corpus(records: RecordFile, rows: Sequence[int] | None = None,
     ValidationError, each naming the line of the first fault.
     """
     ids, video_ids, _, texts, starts, ends = records.columns(
-        Sentence, "corpus record", unique=None if seen is None else "sentence_id", rows=rows,
-        shared="video_id", seen=seen)
+        Sentence, "corpus record", rows=rows, shared="video_id", seen=seen)
     return Corpus(ids, video_ids, texts, starts, ends)
 
 

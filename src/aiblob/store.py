@@ -42,18 +42,18 @@ they do not (the chunk's earlier hits took more of the pool than its depth
 allows, or the cap grew m), top_k screens the query again alone, at depth m,
 against the exclusion it was given.
 
-In memory, rows are columns in row order: lists of ids, video ids and texts
-and float64 arrays of start and end times, filled as rows are decoded, beside
-the number of distinct video ids and the largest row norm, found as load
-checks that every vector is finite. No store holds a vector matrix: it reads
-its vectors back from vectors.bin when it uses them (_row_blocks,
-_vectors_of). The insert takes a matrix with its columns, or a list of
-VectorRecord, turned into columns first, and writes them as one block, which
-the store writer checks as it checks every block; a repeated id is refused
-before the files are renamed into place, so a refused insert leaves nothing
-behind. An id -> row dict maps the rows the store has used: each row top_k
-ranks, and every row once an exclusion names an id the dict lacks. A hit
-carries its row's metadata, its times as Python floats, not the vector.
+In memory, a store keeps nothing of a row it has not used: beside the row
+count, the number of distinct video ids and the largest row norm (found as
+load checks that every vector is finite), two dicts hold the rows it has
+decoded, an id -> row dict and a row -> metadata dict (the row's META_KEYS
+values, its times as Python floats): each row top_k ranks, and every row once
+an exclusion names an id that the id -> row dict lacks. No store holds a
+vector matrix: it reads its vectors back from vectors.bin when it uses them
+(_row_blocks, _vectors_of). The insert takes a matrix with its columns, or a
+list of VectorRecord, turned into columns first, and writes them as one block,
+which the store writer checks as it checks every block; a repeated id is
+refused before the files are renamed into place, so a refused insert leaves
+nothing behind. A hit carries its row's metadata, not the vector.
 
 A store is written by one writer (write_store), fed its rows a block at a
 time, in row order: index feeds it a corpus a block at a time, insert_batch
@@ -75,23 +75,23 @@ directory.
 
 Loading reads each file once, in one pass of 1 MiB blocks into one reused
 buffer, taking a CRC-32 of each 4 KiB chunk (util.CheckedFile). meta.jsonl
-goes through util.RecordFile, the one reader of JSON-lines record files,
-whose pass also feeds the SHA-256 and finds the line ends. Then the
-vectors.bin header and size are checked, its pass finds the largest row norm
-and the first row holding NaN/Inf (_max_norm) a block at a time, and its
-digest is read back. A digest that does not match meta.jsonl (the two files
-are not one save, say an index killed between its renames) is refused. So
-meta.jsonl is what save wrote: no row is decoded at load (its id is None
-until it is first mapped). What load keeps of each file is its open
-descriptor and its chunks' CRC-32s, and of meta.jsonl the rows' line
-offsets: not the bytes of either. A row of meta.jsonl is read back by
-os.pread when it is first mapped, and decoded with its record check; the
-vectors are read back by os.pread each time a query is screened (into a
-buffer each screen makes for itself, so that readers share none), and the
-band rows' vectors each time top_k scores them. A save decodes every row
-first. Only a meta.jsonl forged together with its digest can hold a faulty
-row that load passes; its fault is raised, naming the line, when the row is
-first used.
+goes through util.RecordFile, the one reader of JSON-lines record files, whose
+pass also feeds the SHA-256 and finds the line ends. Then the vectors.bin
+header and size are checked, its pass finds the largest row norm and the first
+row holding NaN/Inf (_max_norm) a block at a time, and its digest is read
+back. A digest that does not match meta.jsonl (the two files are not one save,
+say an index killed between its renames) is refused. So meta.jsonl is what
+save wrote: no row is decoded at load, only when it is first used. What load
+keeps of each file is its open descriptor and its chunks' CRC-32s, and of
+meta.jsonl the rows' line offsets: not the bytes of either. A row of
+meta.jsonl is read back by os.pread when it is first used, and decoded with
+its record check; the vectors are read back by os.pread each time a query is
+screened (into a buffer each screen makes for itself, so that readers share
+none), and the band rows' vectors each time top_k scores them. A save reads
+the rows back a block at a time, and decodes none into the store. Only a
+meta.jsonl forged together with its digest can hold a faulty row that load
+passes; its fault is raised, naming the line, when the row is first used or
+saved.
 
 A store answers from bytes of meta.jsonl and vectors.bin identical to those
 its load read, or raises StoreError naming the file: every chunk read back
@@ -203,32 +203,17 @@ class VectorStore:
         self.embedder = embedder
         # vectors.bin, read back a block of rows at a time (_row_blocks).
         self._vectors: CheckedFile | None = None
-        # The id -> row map of the rows the store has used (_decode).
+        # The number of rows, and of distinct video ids.
+        self.count = self.video_count = 0
+        # The id -> row map, and the row -> META_KEYS values map, of the rows
+        # the store has used (_decode).
         self._rows: dict[str, int] = {}
-        self._ids: list[str] = []
-        self._video_ids: list[str] = []
-        self._texts: list[str] = []
-        self._starts = np.empty(0)
-        self._ends = np.empty(0)
-        # The largest row norm (_max_norm), and the number of distinct video ids.
+        self._decoded: dict[int, tuple] = {}
+        # The largest row norm (_max_norm).
         self._norm = 0.0
-        self._videos = 0
-        # meta.jsonl, which the undecoded rows (None in _ids) are read from;
-        # None, as _vectors, until the store is inserted into or loaded.
+        # meta.jsonl, which the rows are decoded from; None, as _vectors,
+        # until the store is inserted into or loaded.
         self._meta: RecordFile | None = None
-
-    def _columns(self) -> tuple:
-        """The metadata columns, in META_KEYS order."""
-        return (self._ids, self._video_ids, self._texts, self._starts, self._ends)
-
-    @property
-    def count(self) -> int:
-        return len(self._ids)
-
-    @property
-    def video_count(self) -> int:
-        """The number of distinct video ids."""
-        return self._videos
 
     def insert_batch(self, batch: Sequence[VectorRecord] | np.ndarray,
                      columns: Sequence[list] | None = None) -> int:
@@ -290,22 +275,20 @@ class VectorStore:
         return matrix, record_columns(VectorRecord, records)
 
     def _decode(self, rows: Iterable[int]) -> None:
-        """Decode those of ``rows`` not yet decoded, and map them by their
-        ids."""
-        rows = [row for row in rows if self._ids[row] is None]
+        """Decode those of ``rows`` not yet decoded: map each by its id, which
+        no other row may hold, then to its META_KEYS values, its times as
+        Python floats (_decoded)."""
+        rows = [row for row in rows if row not in self._decoded]
         if not rows:
             return
         meta = self._meta
         ids, video_ids, texts, starts, ends = meta.columns(VectorRecord, rows=rows,
                                                            shared="video_id")
-        self._starts[rows], self._ends[rows] = starts, ends
-        for i, row in enumerate(rows):
-            if self._rows.setdefault(ids[i], row) != row:
-                raise ValidationError(
-                    f"{meta.path}:{meta.lineno(row + 1)}: duplicate sentence_id {shown(ids[i])}")
-            self._video_ids[row], self._texts[row] = video_ids[i], texts[i]
-            # The id last: a reader that finds it set finds the whole row.
-            self._ids[row] = ids[i]
+        for row, values in zip(rows, zip(ids, video_ids, texts, starts.tolist(), ends.tolist())):
+            if self._rows.setdefault(values[0], row) != row:
+                raise ValidationError(f"{meta.path}:{meta.lineno(row + 1)}: duplicate "
+                                      f"sentence_id {shown(values[0])}")
+            self._decoded[row] = values
 
     def retrieve(self, queries: Sequence[np.ndarray], k: int,
                  video_cap: int | None = None) -> Iterator[list[Hit]]:
@@ -513,9 +496,11 @@ class VectorStore:
         cannot prove that it holds them all."""
         rows, screens = screened.rows, screened.screens
         # Every id excluded since the screen is a decoded hit of retrieve, so
-        # an undecoded row (id None) is never excluded.
+        # an undecoded row is never excluded.
         if exclude:
-            kept = np.array([self._ids[row] not in exclude for row in rows.tolist()], dtype=bool)
+            decoded = self._decoded
+            kept = np.array([row not in decoded or decoded[row][0] not in exclude
+                             for row in rows.tolist()], dtype=bool)
             rows, screens = rows[kept], screens[kept]
         # Every row screening at least the screen's floor is held, so m of
         # them put t at or above it, and the band within what was kept.
@@ -551,18 +536,18 @@ class VectorStore:
         """The first k of ``rows``, scored ``scores``, by (score desc, id asc)."""
         rows = rows.tolist()
         self._decode(rows)
-        ranked = sorted(zip((-scores).tolist(), [self._ids[row] for row in rows], rows))
+        decoded = self._decoded
+        ranked = sorted(zip((-scores).tolist(), [decoded[row][0] for row in rows], rows))
         hits: list[Hit] = []
         per_video: dict[str, int] = {}
         for negated, sentence_id, row in ranked:
-            video_id = self._video_ids[row]
+            _, video_id, text, start_s, end_s = decoded[row]
             if video_cap is not None:
                 used = per_video.get(video_id, 0)
                 if used >= video_cap:
                     continue
                 per_video[video_id] = used + 1
-            hits.append(Hit(sentence_id, -negated, video_id, self._texts[row],
-                            float(self._starts[row]), float(self._ends[row])))
+            hits.append(Hit(sentence_id, -negated, video_id, text, start_s, end_s))
             if len(hits) == k:
                 break
         return hits
@@ -572,13 +557,18 @@ class VectorStore:
     # ------------------------------------------------------------------
 
     def save(self, directory: str) -> None:
-        """Write the store into ``directory`` (write_store), every row decoded
-        first, fed a block of rows at a time."""
-        self._decode(range(self.count))
-        columns = self._columns()
+        """Write the store into ``directory`` (write_store), fed a block of
+        rows (_row_blocks) at a time with their metadata read back from
+        meta.jsonl, and decoding none into the store: a faulty row raises
+        before anything is renamed, and a repeated id (StoreWriter.repeated)
+        is found, and raised naming its line, by decoding every row."""
         with write_store(directory, self.count, self.embedder) as writer:
             for start, vectors in self._row_blocks():
-                writer.add(vectors, [column[start:start + len(vectors)] for column in columns])
+                rows = range(start, start + len(vectors))
+                writer.add(vectors, self._meta.columns(VectorRecord, rows=rows, shared="video_id")
+                           if rows else [[]] * len(META_KEYS))
+            if writer.repeated():
+                self._decode(range(self.count))
 
     @classmethod
     def load(cls, directory: str) -> "VectorStore":
@@ -643,16 +633,14 @@ class VectorStore:
         videos = header.get("videos")
         if not is_int(videos) or not min(count, 1) <= videos <= count:
             raise StoreError(f"{meta_path}: bad videos {videos!r}")
-        # The fields of an empty store; the rows stay undecoded (None) until
-        # they are first mapped.
+        # The fields of an empty store; the rows stay undecoded until they are
+        # first used.
         self.__init__(dim, embedder)
-        self._vectors, self._meta, self._videos, self._norm = vectors, meta, videos, norm
-        for column in self._columns()[:3]:
-            column.extend([None] * count)
-        self._starts, self._ends = np.zeros(count), np.zeros(count)
+        self._vectors, self._meta, self._norm = vectors, meta, norm
+        self.count, self.video_count = count, videos
         if faulty is not None:
             self._decode([faulty])
-            raise ValidationError(f"record {shown(self._ids[faulty])}: vector has NaN/Inf")
+            raise ValidationError(f"record {shown(self._decoded[faulty][0])}: vector has NaN/Inf")
 
 
 class StoreWriter:

@@ -448,16 +448,15 @@ class RecordFile(JsonLines):
         self.header = parse_json_line(text, path, self.lineno(0))
         check_header(self.header, path, fmt, versions, error)
 
-    def columns(self, cls, what: str = "record", unique: str | None = None,
-                rows: Sequence[int] | None = None, shared: str | None = None,
-                seen: set | None = None) -> tuple:
+    def columns(self, cls, what: str = "record", rows: Sequence[int] | None = None,
+                shared: str | None = None, seen: set | None = None) -> tuple:
         """The columns of records ``rows`` (every record by default), in that
         order: one per field of dataclass ``cls`` annotated with a kind of
         _FIELD_KINDS, in field order, a float64 array for a float field and a
         list for any other. Each record is an object with those fields as keys;
         ``cls``'s other fields have no key. Ints in float fields become floats.
-        With ``unique`` set, the values of that field must be distinct, and
-        differ from those in ``seen`` (a set, of values read before), to which
+        With ``seen`` set (a set, of ids read before), the values of the first
+        field, the id, must be distinct and absent from ``seen``, to which
         they are then added. With ``shared`` set, equal values of that field (a
         field of few distinct values, such as a video id) are one object, found
         through a dict that lives for this call.
@@ -472,7 +471,7 @@ class RecordFile(JsonLines):
         - each column holds only its field's type (ints, within the float range,
           may stand in a float column; bools never pass), float columns are
           finite, and no string holds a lone surrogate;
-        - the ``unique`` column holds no repeat, nor a value in ``seen``.
+        - with ``seen``, the id column holds no repeat, nor a value in ``seen``.
 
         Rows of scalars are what make the join exact: a newline ends no JSON
         string, so no string crosses a line, and with no object nested in a row,
@@ -484,22 +483,22 @@ class RecordFile(JsonLines):
         what a per-row reader raises: ``error`` for a line that is not UTF-8,
         ParseError for one that is not a JSON object, ``error`` with message
         "{path}:{lineno}: bad {what}: ..." for a bad record, ValidationError
-        "{path}:{lineno}: duplicate {unique} {value}" for a repeat (of a value
+        "{path}:{lineno}: duplicate {id field} {value}" for a repeat (of an id
         of an earlier row or in ``seen``). Rows without
         a fault (keys in another order, say) load from that walk.
         """
         lines = np.arange(1, self.count + 1) if rows is None else np.asarray(rows, np.intp) + 1
-        columns = self._decode(cls, lines, unique, shared, seen)
+        columns = self._decode(cls, lines, shared, seen)
         if columns is None:
-            columns = self._walk(cls, lines, what, unique, shared, seen)
+            columns = self._walk(cls, lines, what, shared, seen)
         return columns
 
-    def _decode(self, cls, lines: np.ndarray, unique: str | None, shared: str | None,
+    def _decode(self, cls, lines: np.ndarray, shared: str | None,
                 seen: set | None) -> tuple | None:
         """The columns of line indices ``lines``, or None unless they pass the
-        check of columns; a repeat of ``unique`` gives None too. Each block's
-        values are checked, and a float column's turned into its array, before
-        the next block is decoded."""
+        check of columns; with ``seen``, a repeated id gives None too. Each
+        block's values are checked, and a float column's turned into its
+        array, before the next block is decoded."""
         rules = _field_rules(cls)
         names = [name for name, *_ in rules]
         # Each column is made at its full length and filled a block at a time:
@@ -554,32 +553,30 @@ class RecordFile(JsonLines):
                     column[lo:lo + len(values)] = (
                         map(interned.setdefault, values, values) if name == shared else values)
             lo += len(block)
-        if unique is not None:
-            distinct = set(columns[names.index(unique)])
-            if len(distinct) != len(lines) or not distinct.isdisjoint(seen or ()):
+        if seen is not None:
+            distinct = set(columns[0])
+            if len(distinct) != len(lines) or not distinct.isdisjoint(seen):
                 return None
-            if seen is not None:
-                seen |= distinct
+            seen |= distinct
         return columns
 
-    def _walk(self, cls, lines: np.ndarray, what: str, unique: str | None,
-              shared: str | None, seen: set | None) -> tuple:
+    def _walk(self, cls, lines: np.ndarray, what: str, shared: str | None,
+              seen: set | None) -> tuple:
         """The per-row reader of columns: the columns of line indices ``lines``,
         or the error for the first faulty one."""
         rules = _field_rules(cls)
         names = [name for name, *_ in rules]
         given = {field.name: None for field in dataclasses.fields(cls) if field.name not in names}
         records = []
-        seen = set() if seen is None else seen
         for index, text in self._lines(lines):
             lineno = self.lineno(index)
             where = f"{self.path}:{lineno}"
             record = from_json(cls, parse_json_line(text, self.path, lineno),
                                self.error, f"{where}: bad {what}", **given)
-            if unique is not None:
-                value = getattr(record, unique)
+            if seen is not None:
+                value = getattr(record, names[0])
                 if value in seen:
-                    raise ValidationError(f"{where}: duplicate {unique} {shown(value)}")
+                    raise ValidationError(f"{where}: duplicate {names[0]} {shown(value)}")
                 seen.add(value)
             records.append(record)
         interned: dict = {}

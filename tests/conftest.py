@@ -21,7 +21,7 @@ from aiblob.ingest import corpus_lines, export_corpus, parse_transcript, segment
 from aiblob.llm import QueryPhrase
 from aiblob.narrative import PipelineConfig, retrieve_candidates
 from aiblob.store import VectorRecord, VectorStore
-from aiblob.util import dumps_line
+from aiblob.util import dumps_line, np
 
 # The interpreter's int-to-string limit (0 where it has none), and the digits of
 # an integer one past it, which every JSON decoder must refuse cleanly.
@@ -161,6 +161,15 @@ def exact(columns) -> str:
     with -0.0 told from 0.0 and an int from a float."""
     return repr(tuple((str(column.dtype), column.tolist()) if hasattr(column, "tolist")
                       else column for column in columns))
+
+
+def store_columns(store) -> tuple:
+    """The metadata of ``store``'s rows, which must all be decoded, as columns
+    in META_KEYS order: lists of ids, video ids and texts, and float64 arrays
+    of the start and end times."""
+    rows = [store._decoded[row] for row in range(store.count)]
+    ids, video_ids, texts, starts, ends = ([row[i] for row in rows] for i in range(5))
+    return ids, video_ids, texts, np.array(starts, np.float64), np.array(ends, np.float64)
 
 
 def forge_digest(directory):

@@ -1,4 +1,5 @@
-"""What `index` keeps per row, and holds at its peak, counted by tracemalloc:
+"""What `index`, a store load and a save keep per row, and what `index` and
+`compose` hold at their peaks, counted by tracemalloc:
 the bytes that Python objects and numpy arrays ask for, which repeat exactly
 from run to run, where a process's RSS does not."""
 
@@ -97,18 +98,47 @@ def compose_peak(directory, query) -> int:
                   peak=True)[1]
 
 
-def test_a_loaded_store_reads_its_vectors_in_blocks_not_the_matrix(corpus_path, tmp_path):
-    twice = write_corpus(tmp_path / "corpus.jsonl", 2 * VIDEOS)
-    stores = []
+@pytest.fixture(scope="module")
+def stores(corpus_path, tmp_path_factory):
+    """Stores of dim 64 indexed from the 20,000-row corpus and from one of
+    twice its rows: at dim 64 a 1 MiB block of vectors holds 4,096 rows, so
+    neither store fits in one."""
+    directory = tmp_path_factory.mktemp("stores")
+    twice = write_corpus(directory / "corpus.jsonl", 2 * VIDEOS)
+    paths = []
     for corpus, name in ((corpus_path, "store"), (twice, "store2")):
-        assert cli.main(["index", "--corpus", str(corpus), "--store", str(tmp_path / name),
+        assert cli.main(["index", "--corpus", str(corpus), "--store", str(directory / name),
                          "--embedder", "deterministic:64"]) == 0
-        stores.append(tmp_path / name)
+        paths.append(directory / name)
+    return paths
+
+
+def test_a_loaded_store_reads_its_vectors_in_blocks_not_the_matrix(stores):
     query = DeterministicEmbedder(64).embed(["Frase 007 del video 0042"])[0]
     compose_peak(stores[0], query)  # the one-time costs
     peak = compose_peak(stores[0], query)
-    # Twice the rows hold twice the line spans (16 bytes a row), the undecoded
-    # columns (40 bytes a row) and the CRC-32s, and blocks no larger...
+    # Twice the rows hold twice the line spans (16 bytes a row) and the
+    # CRC-32s, and blocks no larger...
     assert compose_peak(stores[1], query) - peak <= 96 * ROWS
     # ...and far below the 256 bytes a row of the float32 matrix.
     assert peak <= 256 * ROWS / 2
+
+
+def test_a_load_keeps_no_column_of_its_rows(stores):
+    def kept(directory) -> int:
+        return traced(lambda: VectorStore.load(str(directory)))[1]
+
+    kept(stores[0])  # the one-time costs
+    # Twice the rows keep twice the line spans (16 bytes a row) and the
+    # CRC-32s, and nothing for a row that no query has used.
+    assert kept(stores[1]) - kept(stores[0]) <= 24 * ROWS
+
+
+def test_a_save_of_a_loaded_store_keeps_none_of_its_rows(stores, tmp_path):
+    VectorStore.load(str(stores[0])).save(str(tmp_path / "warm"))  # the one-time costs
+    store = VectorStore.load(str(stores[0]))
+    _, kept = traced(lambda: store.save(str(tmp_path / "again")))
+    # The writer is fed a block at a time, and no row is decoded into the store.
+    assert kept < ROWS
+    for name in ("meta.jsonl", "vectors.bin"):
+        assert (tmp_path / "again" / name).read_bytes() == (stores[0] / name).read_bytes()

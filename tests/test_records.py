@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import exact
+from conftest import exact, store_columns
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracle_records import (oracle_lines, oracle_load_corpus, oracle_store_rows,
@@ -206,7 +206,7 @@ def read_lazy_store(directory, lines):
     def read():
         store = VectorStore.load(str(directory))
         assert len(store.top_k([0.6, 0.8], max(count, 1))) == count
-        return exact(store._columns())
+        return exact(store_columns(store))
     return outcome(read)
 
 

@@ -24,7 +24,7 @@ from aiblob import store as store_module
 from aiblob import util
 from aiblob.store import META_KEYS, VectorRecord, VectorStore
 from aiblob.util import RecordFile, float_column
-from conftest import exact, fail_renaming_vectors, forge_digest, run_python
+from conftest import exact, fail_renaming_vectors, forge_digest, run_python, store_columns
 
 # What load says of a meta.jsonl that its vectors.bin digest does not match.
 MISMATCH = (r"vectors\.bin: digest does not match \S*meta\.jsonl, so the two files are not "
@@ -1190,8 +1190,13 @@ class TestDigestCheckedLoad:
         ]))
         assert results == expected * 4
 
+    @pytest.mark.parametrize("block_rows", [None, 7])
     @pytest.mark.parametrize("queries", [0, 3])
-    def test_save_of_a_loaded_store_is_byte_identical(self, tmp_path, queries):
+    def test_save_of_a_loaded_store_is_byte_identical(self, tmp_path, monkeypatch, queries,
+                                                      block_rows):
+        # With blocks of 7 rows, the save feeds the writer 8 blocks.
+        if block_rows is not None:
+            monkeypatch.setattr(store_module, "SCREEN_BLOCK_BYTES", block_rows * 4 * 8)
         directory = tmp_path / "store"
         store = VectorStore(8, embedder="deterministic:8")
         store.insert_batch(make_records(50, 8))
@@ -1236,6 +1241,23 @@ class TestDigestCheckedLoad:
         with pytest.raises(ValidationError, match=FORGED["duplicate id"]):
             store.top_k(self.QUERIES[0], 3)
 
+    @pytest.mark.parametrize("fault", FORGED)
+    def test_save_of_a_forged_store_raises_and_leaves_the_target_as_it_was(self, tmp_path,
+                                                                            fault):
+        directory = self.saved(tmp_path, n=3)
+        FAULTS[fault][0](directory)
+        forge_digest(directory)
+        store = VectorStore.load(str(directory))
+        target = self.saved(tmp_path, name="target", n=5)
+        before = {path.name: path.read_bytes() for path in target.iterdir()}
+        error = ValidationError if fault == "duplicate id" else StoreError
+        for into in (target, tmp_path / "new"):
+            with pytest.raises(error, match=FORGED[fault]):
+                store.save(str(into))
+        # No file is renamed into place, and no temporary file is left.
+        assert {path.name: path.read_bytes() for path in target.iterdir()} == before
+        assert not (tmp_path / "new").exists()
+
     def test_forged_digest_bad_utf8_raised_as_store_error(self, tmp_path):
         directory = self.saved(tmp_path, n=3)
         meta = directory / "meta.jsonl"
@@ -1275,7 +1297,7 @@ class TestDigestCheckedLoad:
             assert crlf.top_k(query, 10, video_cap=2) == lf.top_k(query, 10, video_cap=2)
         lf.top_k(self.QUERIES[0], 300)
         crlf.top_k(self.QUERIES[0], 300)
-        assert exact(crlf._columns()) == exact(lf._columns())
+        assert exact(store_columns(crlf)) == exact(store_columns(lf))
         assert crlf.video_count == lf.video_count == 7
 
     @pytest.mark.parametrize("key,value", [("videos", 4), ("videos", -1), ("videos", "3"),
@@ -1359,7 +1381,7 @@ class TestChangedAfterLoad:
         # Ranking every row decodes every row, in each store.
         for each in (store, in_memory):
             each.top_k(self.QUERIES[0], 300)
-        assert exact(store._columns()) == exact(in_memory._columns())
+        assert exact(store_columns(store)) == exact(store_columns(in_memory))
 
     def test_the_store_closes_its_meta_file_when_collected(self, tmp_path):
         store = VectorStore.load(str(TestDigestCheckedLoad.saved(tmp_path)))
